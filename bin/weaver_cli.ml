@@ -5,15 +5,20 @@
      tao         run the TAO-mix benchmark with chosen parameters
      coingraph   ingest and query synthetic blocks
      fault       demonstrate failure detection and recovery
-     stats       mixed run with tracing on; per-phase latency breakdown
-     trace       span tree of one traced transaction and node program
-     contention  blocking vs non-blocking refinement under write skew
+     chaos       availability under a crash/restart fault plan, reliability off vs on
+     sweep       announce-period sweep (Fig. 14 in miniature)
      overload    open-loop saturation quick-look, flow control off vs on
      snapshot    pinned historical analytics vs live writes, snapshots off vs on
      heat        per-shard hottest vertices and per-range heat map under zipf load
      health      watchdog alerts across a mid-run gatekeeper crash
      rebalance   live heat-driven rebalancing of a zipf hot spot, skew trajectory
-     replication hot-range partial replication: installs, streams, routed reads *)
+     replication hot-range partial replication: installs, streams, routed reads
+     backup      backup/restore demo
+     stats       mixed run with tracing on; per-phase latency breakdown
+     trace       span tree of one traced transaction and node program
+     timeline    sampled time series under TAO-mix load
+     export      Chrome trace-event JSON of a traced mixed run
+     slow        top-K slowest requests of a traced mixed run *)
 
 open Cmdliner
 open Weaver_core
@@ -36,9 +41,6 @@ let mk_cluster ?(tracing = false) ?(timeline = false) ?(timeline_period = 10_000
       Config.enable_heat = heat;
     }
   in
-  (* odd shard counts from the CLI: round the range-heat table up so it
-     nests ([Config.validate] rejects non-multiples) *)
-  let cfg = Config.align_heat_ranges cfg in
   let c = Cluster.create cfg in
   Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
   c
@@ -206,96 +208,6 @@ let sweep gatekeepers shards seed =
         (float_of_int ctr.Runtime.announce_msgs /. float_of_int ops)
         (float_of_int ctr.Runtime.oracle_consults /. float_of_int ops))
     [ 10.0; 100.0; 1_000.0; 10_000.0; 100_000.0 ]
-
-let contention gatekeepers shards seed theta json =
-  (* blocking vs non-blocking, coalesced refinement under zipf-skewed write
-     contention — the quick-look version of `bench contention`; writers pin
-     themselves to distinct gatekeepers so concurrent conflicting stamps
-     genuinely reach the shard (same-key races are settled proactively by
-     the gatekeepers' last-update checks) *)
-  let run nonblocking =
-    let cfg =
-      {
-        Config.default with
-        Config.n_gatekeepers = gatekeepers;
-        Config.n_shards = shards;
-        Config.seed;
-        Config.tau = 50_000.0;
-        Config.nop_period = 400.0;
-        Config.oracle_nonblocking = nonblocking;
-      }
-    in
-    let c = Cluster.create cfg in
-    let n_keys = 16 in
-    let setup = Cluster.client c in
-    let tx = Client.Tx.begin_ setup in
-    for i = 0 to n_keys - 1 do
-      ignore (Client.Tx.create_vertex tx ~id:(Printf.sprintf "k%d" i) ())
-    done;
-    (match Client.commit setup tx with Ok () -> () | Error e -> failwith e);
-    let writers = 3 * gatekeepers and per_writer = 20 in
-    let done_writers = ref 0 in
-    for i = 0 to writers - 1 do
-      let client = Cluster.client c in
-      Client.set_gatekeeper client (Some (i mod gatekeepers));
-      let rng = Weaver_util.Xrand.create ~seed:(seed + (1_000 * (i + 1))) () in
-      let committed = ref 0 and attempt = ref 0 in
-      let rec next () =
-        if !committed < per_writer then begin
-          incr attempt;
-          let k = Weaver_util.Xrand.zipf rng ~n:n_keys ~theta in
-          let tx = Client.Tx.begin_ client in
-          Client.Tx.set_vertex_prop tx ~vid:(Printf.sprintf "k%d" k) ~key:"n"
-            ~value:(string_of_int !attempt);
-          Client.commit_async client tx ~on_result:(fun r ->
-              (match r with Ok () -> incr committed | Error _ -> ());
-              next ())
-        end
-        else incr done_writers
-      in
-      next ()
-    done;
-    let budget = ref 4_000 in
-    while !done_writers < writers && !budget > 0 do
-      decr budget;
-      Cluster.run_for c 1_000.0
-    done;
-    Cluster.run_for c 50_000.0;
-    let ctr = Cluster.counters c in
-    let wait =
-      match
-        List.assoc_opt "shard.queue_wait" (Metrics.reservoirs (Cluster.metrics c))
-      with
-      | Some s ->
-          ( Weaver_util.Stats.percentile s 50.0,
-            Weaver_util.Stats.percentile s 99.0 )
-      | None -> (0.0, 0.0)
-    in
-    (ctr.Runtime.tx_committed, ctr.Runtime.shard_oracle_consults,
-     ctr.Runtime.shard_oracle_batched, wait)
-  in
-  let bc, bco, bb, (bp50, bp99) = run false in
-  let nc, nco, nb, (np50, np99) = run true in
-  if json then
-    Printf.printf
-      "{\"experiment\": \"contention\", \"seed\": %d, \"theta\": %.2f,\n\
-      \ \"blocking\": {\"committed\": %d, \"consults\": %d, \"batched\": %d, \
-       \"p50_apply_us\": %.1f, \"p99_apply_us\": %.1f},\n\
-      \ \"nonblocking\": {\"committed\": %d, \"consults\": %d, \"batched\": %d, \
-       \"p50_apply_us\": %.1f, \"p99_apply_us\": %.1f}}\n"
-      seed theta bc bco bb bp50 bp99 nc nco nb np50 np99
-  else begin
-    Printf.printf "%-12s %10s %9s %8s %12s %13s %13s\n" "arm" "committed"
-      "consults" "batched" "consults/tx" "p50 apply us" "p99 apply us";
-    let row tag committed consults batched p50 p99 =
-      Printf.printf "%-12s %10d %9d %8d %12.3f %13.1f %13.1f\n" tag committed
-        consults batched
-        (float_of_int consults /. float_of_int (max 1 committed))
-        p50 p99
-    in
-    row "blocking" bc bco bb bp50 bp99;
-    row "nonblocking" nc nco nb np50 np99
-  end
 
 let overload gatekeepers shards seed mult duration_ms json =
   (* one point of the `bench overload` sweep: the same offered load pushed
@@ -475,17 +387,16 @@ let snapshot gatekeepers shards seed duration_ms json =
    (the planner correctly refuses to relocate such a hot spot wholesale). *)
 let rebalance_live gatekeepers shards tau seed clients duration_ms theta json =
   let cfg =
-    Config.align_heat_ranges
-      {
-        Config.default with
-        Config.n_gatekeepers = gatekeepers;
-        Config.n_shards = shards;
-        Config.tau;
-        Config.seed;
-        Config.enable_heat = true;
-        Config.enable_rebalance = true;
-        Config.rebalance_period = 10_000.0;
-      }
+    {
+      Config.default with
+      Config.n_gatekeepers = gatekeepers;
+      Config.n_shards = shards;
+      Config.tau;
+      Config.seed;
+      Config.enable_heat = true;
+      Config.enable_rebalance = true;
+      Config.rebalance_period = 10_000.0;
+    }
   in
   let c = Cluster.create cfg in
   Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
@@ -564,18 +475,17 @@ let rebalance_live gatekeepers shards tau seed clients duration_ms theta json =
    fraction climbing. *)
 let replication_live gatekeepers shards seed clients duration_ms theta factor json =
   let cfg =
-    Config.align_heat_ranges
-      {
-        Config.default with
-        Config.n_gatekeepers = gatekeepers;
-        Config.n_shards = shards;
-        Config.seed;
-        Config.enable_heat = true;
-        Config.enable_replication = factor > 0;
-        Config.replication_factor = factor;
-        Config.gc_period = 2_000.0;
-        Config.vertex_read_cost = 40.0;
-      }
+    {
+      Config.default with
+      Config.n_gatekeepers = gatekeepers;
+      Config.n_shards = shards;
+      Config.seed;
+      Config.enable_heat = true;
+      Config.enable_replication = factor > 0;
+      Config.replication_factor = factor;
+      Config.gc_period = 2_000.0;
+      Config.vertex_read_cost = 40.0;
+    }
   in
   let c = Cluster.create cfg in
   Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
@@ -980,17 +890,6 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc:"Announce-period sweep (Fig. 14 in miniature)")
     Term.(const sweep $ gatekeepers $ shards $ seed)
 
-let contention_cmd =
-  let theta =
-    Arg.(value & opt float 0.6 & info [ "theta" ] ~docv:"T" ~doc:"Zipf key skew.")
-  in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit both arms as JSON.") in
-  Cmd.v
-    (Cmd.info "contention"
-       ~doc:
-         "Blocking vs non-blocking, coalesced timestamp refinement under skewed           write contention")
-    Term.(const contention $ gatekeepers $ shards $ seed $ theta $ json)
-
 let overload_cmd =
   let mult =
     Arg.(
@@ -1194,7 +1093,6 @@ let () =
             fault_cmd;
             chaos_cmd;
             sweep_cmd;
-            contention_cmd;
             overload_cmd;
             snapshot_cmd;
             heat_cmd;

@@ -47,6 +47,11 @@ module Engine = Weaver_sim.Engine
 module Net = Weaver_sim.Net
 module Heat = Weaver_obs.Heat
 
+(* Overload threshold as a multiple of the mean decayed shard load. A band
+   below 1.0 would mark shards at or below the mean as overloaded and
+   thrash moves between balanced shards. *)
+let hysteresis = 1.5
+
 type move = { mv_time : float; mv_vid : string; mv_from : int; mv_to : int }
 
 type t = {
@@ -108,17 +113,17 @@ let run_round t =
     let loads = Array.init n (fun s -> Heat.shard_load t.heat ~shard:s ~now) in
     let mean = Array.fold_left ( +. ) 0.0 loads /. float_of_int n in
     if mean > 0.0 then begin
-      let hyst = cfg.Config.rebalance_hysteresis in
       (* candidate ranges must be hot at *range* scale: above
-         [(hyst − 1) ×] the average per-range load. A broad hot spot
+         [(hysteresis − 1) ×] the average per-range load. A broad hot spot
          spreads over many ranges, each only modestly warm, so a
          shard-scale band would never let any single range qualify. *)
       let band =
-        (hyst -. 1.0) *. mean *. float_of_int n /. float_of_int (Heat.ranges t.heat)
+        (hysteresis -. 1.0) *. mean *. float_of_int n
+        /. float_of_int (Heat.ranges t.heat)
       in
       let alive s = Net.is_alive t.rt.Runtime.net (Runtime.shard_addr t.rt s) in
       let overloaded =
-        List.filter (fun s -> loads.(s) > hyst *. mean) (List.init n Fun.id)
+        List.filter (fun s -> loads.(s) > hysteresis *. mean) (List.init n Fun.id)
         |> List.sort (fun a b ->
                if loads.(a) <> loads.(b) then Float.compare loads.(b) loads.(a)
                else compare a b)
@@ -141,7 +146,7 @@ let run_round t =
                      and ping-pongs it between shards *)
                   let cooling =
                     match Hashtbl.find_opt t.last_moved vid with
-                    | Some t0 -> now -. t0 < cfg.Config.heat_half_life
+                    | Some t0 -> now -. t0 < Heat.half_life t.heat
                     | None -> false
                   in
                   if !budget > 0 && (not (Hashtbl.mem t.pending vid)) && not cooling

@@ -2,7 +2,7 @@
     planner that closes the sense→plan→act loop over {!Weaver_obs.Heat}.
 
     Each round it reads the decayed per-shard loads, finds shards loaded
-    beyond [Config.rebalance_hysteresis × mean], picks their hottest
+    beyond [{!hysteresis} × mean], picks their hottest
     vertices from the Space-Saving sketches (verified against the live
     directory), and issues at most [Config.rebalance_max_moves]
     migrations to the least-loaded live shards — through the ordinary OCC
@@ -24,6 +24,12 @@
     [rebal.rounds] / [rebal.moves] / [rebal.skipped] counters. *)
 
 type t
+
+val hysteresis : float
+(** 1.5: a shard is overloaded above [hysteresis × mean] decayed shard
+    load, and a candidate vertex moves only if its range heat exceeds the
+    [(hysteresis − 1) × mean] per-range band — the gap is what prevents
+    move thrash on a merely-noisy balanced cluster. *)
 
 type move = {
   mv_time : float;  (** virtual time the move was issued *)

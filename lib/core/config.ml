@@ -13,38 +13,29 @@ type t = {
   failure_timeout : float;
   gc_period : float;
   enable_memoization : bool;
-  dedup_window : int;
   shard_capacity : int option;
   page_in_cost : float;
   read_replicas : int;
   adaptive_tau : bool;
   oracle_replicas : int;
-  oracle_nonblocking : bool;
   enable_tracing : bool;
   trace_capacity : int;
   enable_timeline : bool;
   timeline_period : float;
-  timeline_capacity : int;
   slow_log_capacity : int;
   admission_limit : int;
   deadline_budget : float;
   shard_credits : int;
   snapshot_reads : bool;
-  snapshot_retain : int;
   enable_heat : bool;
   heat_topk : int;
-  heat_ranges : int;
-  heat_half_life : float;
   enable_health : bool;
   health_period : float;
   enable_rebalance : bool;
   rebalance_period : float;
   rebalance_max_moves : int;
-  rebalance_hysteresis : float;
-  net_batching : bool;
   enable_replication : bool;
   replication_factor : int;
-  repl_candidate_topk : int;
   seed : int;
 }
 
@@ -64,47 +55,31 @@ let default =
     failure_timeout = 100_000.0;
     gc_period = 50_000.0;
     enable_memoization = false;
-    dedup_window = 512;
     shard_capacity = None;
     page_in_cost = 150.0;
     read_replicas = 0;
     adaptive_tau = false;
     oracle_replicas = 1;
-    oracle_nonblocking = true;
     enable_tracing = false;
     trace_capacity = 1024;
     enable_timeline = false;
     timeline_period = 10_000.0;
-    timeline_capacity = 4096;
     slow_log_capacity = 32;
     admission_limit = 0;
     deadline_budget = 0.0;
     shard_credits = 0;
     snapshot_reads = false;
-    snapshot_retain = 4;
     enable_heat = false;
     heat_topk = 8;
-    heat_ranges = 64;
-    heat_half_life = 50_000.0;
     enable_health = false;
     health_period = 10_000.0;
     enable_rebalance = false;
     rebalance_period = 25_000.0;
     rebalance_max_moves = 8;
-    rebalance_hysteresis = 1.5;
-    net_batching = false;
     enable_replication = false;
     replication_factor = 1;
-    repl_candidate_topk = 4;
     seed = 42;
   }
-
-(* smallest positive multiple of [n_shards] at or above [heat_ranges]:
-   builders that vary the shard count call this instead of hand-picking a
-   nesting range count *)
-let align_heat_ranges t =
-  let r = max t.heat_ranges 1 in
-  { t with heat_ranges = (r + t.n_shards - 1) / t.n_shards * t.n_shards }
 
 let validate t =
   let req name ok = if not ok then invalid_arg ("Config: bad " ^ name) in
@@ -121,41 +96,28 @@ let validate t =
   req "heartbeat_period" (t.heartbeat_period > 0.0);
   req "failure_timeout" (t.failure_timeout > t.heartbeat_period);
   req "gc_period" (t.gc_period >= 0.0);
-  req "dedup_window" (t.dedup_window >= 0);
   req "shard_capacity" (match t.shard_capacity with Some n -> n > 0 | None -> true);
   req "page_in_cost" (t.page_in_cost >= 0.0);
   req "read_replicas" (t.read_replicas >= 0);
   req "oracle_replicas" (t.oracle_replicas >= 1);
   req "trace_capacity" (t.trace_capacity >= 1);
   req "timeline_period" (t.timeline_period > 0.0);
-  req "timeline_capacity" (t.timeline_capacity >= 1);
   req "slow_log_capacity" (t.slow_log_capacity >= 1);
   req "admission_limit" (t.admission_limit >= 0);
   req "deadline_budget" (t.deadline_budget >= 0.0);
   req "shard_credits" (t.shard_credits >= 0);
-  req "snapshot_retain" (t.snapshot_retain >= 1);
   (* snapshots are published at watermark boundaries, which only exist
      while the GC gossip timer runs *)
   req "snapshot_reads" ((not t.snapshot_reads) || t.gc_period > 0.0);
   req "heat_topk" (t.heat_topk >= 1);
-  req "heat_ranges" (t.heat_ranges >= 1);
-  (* range heat attributes each range to [range mod n_shards]; without
-     nesting, that home shard is simply wrong (see Heat.home_shard) *)
-  req "heat_ranges (must be a multiple of n_shards)"
-    ((not t.enable_heat) || t.heat_ranges mod t.n_shards = 0);
-  req "heat_half_life" (t.heat_half_life > 0.0);
   req "health_period" (t.health_period > 0.0);
   req "rebalance_period" (t.rebalance_period > 0.0);
   req "rebalance_max_moves" (t.rebalance_max_moves >= 1);
-  (* a band below 1.0 would mark shards at or below the mean as overloaded
-     and the planner would thrash moves between balanced shards *)
-  req "rebalance_hysteresis" (t.rebalance_hysteresis >= 1.0);
   (* the planner is sense -> plan -> act: without the heat sensor there is
      nothing to plan from *)
   req "enable_rebalance (requires enable_heat)"
     ((not t.enable_rebalance) || t.enable_heat);
   req "replication_factor" (t.replication_factor >= 0);
-  req "repl_candidate_topk" (t.repl_candidate_topk >= 1);
   (* candidate ranges come straight from the heat sketches *)
   req "enable_replication (requires enable_heat)"
     ((not t.enable_replication) || t.enable_heat);

@@ -28,12 +28,6 @@ type t = {
   enable_memoization : bool;
       (** node-program result caching with write invalidation (§4.6);
           disabled in the headline benches, as in the paper *)
-  dedup_window : int;
-      (** committed [(client, tx_id)] pairs each gatekeeper remembers
-          (FIFO-bounded) so a client retry of an already-committed
-          transaction replies [Ok] instead of double-applying; peers learn
-          commits via [Msg.Commit_note]. 0 disables duplicate
-          suppression *)
   shard_capacity : int option;
       (** max vertices resident in shard memory; [Some n] enables demand
           paging from the backing store (§6.1), [None] = unbounded *)
@@ -51,16 +45,6 @@ type t = {
   oracle_replicas : int;
       (** chain-replication factor of the timeline oracle (§3.4: "chain
           replicated for fault tolerance"); 1 = a single instance *)
-  oracle_nonblocking : bool;
-      (** non-blocking, coalesced refinement on the shard ordering hot path
-          (§3.4, §4.3): an in-flight oracle consult stalls only the
-          gatekeeper queues whose heads are in the undecided conflict set —
-          other queues keep draining and NOP heads keep clearing — and
-          conflicting pairs discovered while a consult is outstanding join
-          its batch instead of issuing another round trip. [false] restores
-          the historical whole-shard stall (one consult at a time, shard
-          event loop frozen for the full round trip); kept as the baseline
-          arm of the contention bench *)
   enable_tracing : bool;
       (** per-request causal tracing: thread trace ids through message
           envelopes and record span trees (admission wait, store round
@@ -76,11 +60,10 @@ type t = {
           plain periodic engine event that only reads state — it never
           consumes randomness or reorders other events, so enabling it
           leaves commit/abort/message counts bit-identical (pinned by a
-          determinism test). Off by default: retaining samples costs
-          memory and sampling costs (real) time *)
+          determinism test). The ring keeps the newest 4096 samples. Off
+          by default: retaining samples costs memory and sampling costs
+          (real) time *)
   timeline_period : float;  (** µs between timeline samples *)
-  timeline_capacity : int;
-      (** samples retained before the ring overwrites the oldest *)
   slow_log_capacity : int;
       (** slowest client requests retained in the always-on slow-request
           log (with per-phase breakdowns when tracing is enabled) *)
@@ -115,12 +98,9 @@ type t = {
           OCC/paging and the LRU entirely, so whole-graph analytics never
           block writers and writers never evict the snapshot's reads.
           Pinned snapshots clamp the shard's compaction watermark (they
-          are never compacted out from under a running program). Off by
-          default; requires [gc_period > 0] *)
-  snapshot_retain : int;
-      (** published snapshots each shard retains beyond the pinned set
-          (≥ 1); older unpinned snapshots are pruned as the watermark
-          window rolls forward *)
+          are never compacted out from under a running program); the
+          newest 4 unpinned snapshots are retained beyond the pinned set.
+          Off by default; requires [gc_period > 0] *)
   enable_heat : bool;
       (** load-heat attribution ({!Weaver_obs.Heat}): per-shard
           Space-Saving top-K heavy-hitter sketches over vertex touches
@@ -129,17 +109,12 @@ type t = {
           and the gatekeeper fan-out. Recording is O(1) pure bookkeeping —
           no events, no RNG, no messages — so enabling it leaves the
           registry counter fingerprint bit-identical (pinned by a
-          determinism test). Off by default: touch recording costs (real)
-          time on every operation *)
+          determinism test). The range count is the smallest multiple of
+          [n_shards] at or above 64, so every range nests inside one home
+          shard under hashed placement; accumulators decay with
+          {!Weaver_obs.Heat.default_half_life}. Off by default: touch
+          recording costs (real) time on every operation *)
   heat_topk : int;  (** sketch counters per shard (fixed memory, ≥ 1) *)
-  heat_ranges : int;
-      (** key-range heat buckets (FNV-1a hash of the vertex handle); MUST
-          be a multiple of [n_shards] when [enable_heat] is set
-          (validated), so every range nests inside exactly one home shard
-          under hashed placement — see {!align_heat_ranges} *)
-  heat_half_life : float;
-      (** half-life of the decayed range/shard load accumulators, in
-          virtual µs *)
   enable_health : bool;
       (** cluster health watchdog ({!Weaver_obs.Health}): a periodic
           check over instruments that already exist — watermark stall,
@@ -153,7 +128,7 @@ type t = {
       (** heat-driven live rebalancing ({!Balancer}): a periodic
           cluster-owned planner reads the {!Weaver_obs.Heat} shard loads
           and top-K sketches, picks hot vertices on shards loaded beyond
-          the hysteresis band, and executes a bounded batch of moves per
+          the {!Balancer.hysteresis} band, and executes a bounded batch of moves per
           round through the ordinary OCC migrate path — no stop-the-world,
           failed moves simply retried by later rounds. Requires
           [enable_heat]. Off by default: when off, no planner client is
@@ -163,23 +138,6 @@ type t = {
   rebalance_max_moves : int;
       (** max vertex migrations issued per planner round (bounds the
           background migration traffic a round may inject) *)
-  rebalance_hysteresis : float;
-      (** overload threshold as a multiple of the mean decayed shard load
-          (≥ 1.0): a shard is overloaded only above [hysteresis × mean],
-          and a candidate vertex moves only if its range heat exceeds the
-          [(hysteresis − 1) × mean] band — the gap is what prevents move
-          thrash on a merely-noisy balanced cluster *)
-  net_batching : bool;
-      (** coalesce small control-plane messages ([Msg.Credit],
-          [Msg.Heartbeat], [Msg.Commit_note], NOP [Msg.Shard_tx],
-          [Msg.Announce]) into one [Msg.Batch] per (src, dst) pair per
-          engine tick: the first buffered message schedules a zero-delay
-          flush, everything buffered for that pair until the flush fires
-          rides the same wire message. Batches are unpacked back into
-          individual handler calls in buffered order at delivery, so
-          handlers never see [Msg.Batch]. Off by default: when off, sends
-          bypass the buffers entirely and counter fingerprints are
-          bit-identical to a build without the feature *)
   enable_replication : bool;
       (** timestamp-consistent partial replication of hot vertex ranges
           ({!Weaver_repl.Repl}, {!Replicator}): a periodic cluster-owned
@@ -195,20 +153,12 @@ type t = {
   replication_factor : int;
       (** follower copies installed per replicated hot range (≥ 0; 0 keeps
           the controller idle — useful to pin knob-neutrality) *)
-  repl_candidate_topk : int;
-      (** hot-vertex sketch entries per shard the controller considers as
-          replication candidates each round (≥ 1) *)
   seed : int;  (** master RNG seed; runs are deterministic per seed *)
 }
 
 val default : t
-(** 2 gatekeepers, 4 shards, τ = 1000 µs, NOPs every 10 µs, datacenter-like
+(** 2 gatekeepers, 4 shards, τ = 1000 µs, NOPs every 100 µs, datacenter-like
     latencies, GC every 50 ms, no memoization, no paging. *)
-
-val align_heat_ranges : t -> t
-(** Round [heat_ranges] up to the smallest positive multiple of
-    [n_shards], preserving everything else — what config builders that
-    vary the shard count should call before {!validate}. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on nonsensical settings. *)

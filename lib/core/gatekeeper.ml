@@ -36,7 +36,7 @@ type t = {
   (* duplicate suppression: committed (client, tx_id) pairs — local commits
      and peers' commit notes — with the reads their Tx_reply carried, so a
      retry of an already-committed transaction is answered instead of
-     re-executed. FIFO-bounded by [Config.dedup_window]. *)
+     re-executed. FIFO-bounded by [dedup_capacity]. *)
   dedup : (int * int, (string * Progval.t) list) Hashtbl.t;
   dedup_q : (int * int) Queue.t;
   in_progress : (int * int, unit) Hashtbl.t;
@@ -277,17 +277,19 @@ let invalidate_memo_remote t written =
       (counters t).Runtime.memo_remote_invalidations <-
         (counters t).Runtime.memo_remote_invalidations + 1)
 
+(* Committed [(client, tx_id)] pairs each gatekeeper remembers, oldest
+   evicted first: a client retry of an already-committed transaction within
+   this window replies [Ok] instead of double-applying. *)
+let dedup_capacity = 512
+
 let record_dedup t ~client ~tx_id ~reads =
-  let window = (cfg t).Config.dedup_window in
-  if window > 0 then begin
-    let key = (client, tx_id) in
-    if not (Hashtbl.mem t.dedup key) then begin
-      Hashtbl.replace t.dedup key reads;
-      Queue.push key t.dedup_q;
-      while Queue.length t.dedup_q > window do
-        Hashtbl.remove t.dedup (Queue.pop t.dedup_q)
-      done
-    end
+  let key = (client, tx_id) in
+  if not (Hashtbl.mem t.dedup key) then begin
+    Hashtbl.replace t.dedup key reads;
+    Queue.push key t.dedup_q;
+    while Queue.length t.dedup_q > dedup_capacity do
+      Hashtbl.remove t.dedup (Queue.pop t.dedup_q)
+    done
   end
 
 (* tell the peer gatekeepers about a commit: written-vertex set for memo

@@ -77,9 +77,8 @@ type t =
       vertices : (string * Weaver_graph.Mgraph.vertex) list;
     }
   | Repl_cover of { range : int; follower : int; ts : Vclock.t }
-  | Batch of t list
 
-let rec pp fmt = function
+let pp fmt = function
   | Tx_req { client; tx_id; ops } ->
       Format.fprintf fmt "Tx_req(c%d,#%d,%d ops)" client tx_id (List.length ops)
   | Tx_reply { tx_id; result; reads } ->
@@ -124,10 +123,6 @@ let rec pp fmt = function
         (List.length vertices)
   | Repl_cover { range; follower; ts } ->
       Format.fprintf fmt "Repl_cover(r%d,s%d,%a)" range follower Vclock.pp ts
-  | Batch items ->
-      Format.fprintf fmt "Batch(%d:@[%a@])" (List.length items)
-        (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",@ ") pp)
-        items
 
 (* The trace id a message travels on behalf of: client-originated requests
    use their globally unique request id; derived traffic inherits it
@@ -145,7 +140,7 @@ let trace_of = function
   | Shard_tx { trace; _ } -> if trace = 0 then None else Some trace
   | Overloaded { req_id; _ } -> Some req_id
   | Announce _ | Heartbeat _ | Epoch_change _ | Epoch_ack _ | Watermark _ | Credit _
-  | Repl_install _ | Repl_update _ | Repl_seed _ | Repl_cover _ | Batch _ ->
+  | Repl_install _ | Repl_update _ | Repl_seed _ | Repl_cover _ ->
       None
 
 let kind = function
@@ -171,4 +166,3 @@ let kind = function
   | Repl_update _ -> "Repl_update"
   | Repl_seed _ -> "Repl_seed"
   | Repl_cover _ -> "Repl_cover"
-  | Batch _ -> "Batch"

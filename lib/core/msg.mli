@@ -154,12 +154,6 @@ type t =
       (** follower shard → all gatekeepers: this follower's copy of
           [range] now covers every stamp componentwise at or below [ts]
           ({!Weaver_repl.Repl.covers}) *)
-  | Batch of t list
-      (** [Config.net_batching] coalescing envelope: small control
-          messages buffered for one (src, dst) pair within one engine
-          tick, in send order. Unpacked into individual handler calls at
-          delivery ({!Runtime.register}), so endpoint handlers never
-          receive this constructor *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering for traces and test failures. *)

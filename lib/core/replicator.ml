@@ -11,9 +11,8 @@
      that crash-restarted and lost its replication state re-learns its
      roles and its owners reseed it at the next watermark.
 
-   - PLANS new installs: for each shard, the top
-     [Config.repl_candidate_topk] entries of its Space-Saving sketch
-     nominate their key ranges. A range qualifies if it is not yet
+   - PLANS new installs: for each shard, the top [candidate_topk] entries
+     of its Space-Saving sketch nominate their key ranges. A range qualifies if it is not yet
      replicated, its owner is live, and its decayed read+write load
      exceeds the mean per-range load (the same kind of band the balancer
      uses — replicating a merely-average range adds streaming cost with
@@ -35,6 +34,10 @@ module Engine = Weaver_sim.Engine
 module Net = Weaver_sim.Net
 module Heat = Weaver_obs.Heat
 module Repl = Weaver_repl.Repl
+
+(* hot-vertex sketch entries per shard considered as replication
+   candidates each round *)
+let candidate_topk = 4
 
 type t = { rt : Runtime.t; heat : Heat.t; table : Repl.Table.t }
 
@@ -89,7 +92,7 @@ let run_round t =
         let considered = ref 0 in
         List.iter
           (fun (vid, _count, _err) ->
-            if !considered < cfg.Config.repl_candidate_topk then begin
+            if !considered < candidate_topk then begin
               incr considered;
               let range = Heat.range_of t.heat vid in
               let owner = Runtime.shard_of_vertex t.rt vid in

@@ -51,8 +51,6 @@ type counters = {
   mutable rebal_rounds : int;
   mutable rebal_moves : int;
   mutable rebal_skipped : int;
-  mutable batch_msgs : int;
-  mutable batch_coalesced : int;
   mutable repl_rounds : int;
   mutable repl_installs : int;
   mutable repl_updates : int;
@@ -74,10 +72,6 @@ type t = {
   timeline : Timeline.t option;  (* Some iff [Config.enable_timeline] *)
   slowlog : Slowlog.t;  (* always on; phases only when tracing is on *)
   heat : Heat.t option;  (* Some iff [Config.enable_heat] *)
-  batches : (int * int, Msg.t list ref) Hashtbl.t;
-      (* [Config.net_batching] coalescing buffers, keyed by (src, dst);
-         each holds the batchable messages buffered this tick in reverse
-         send order. Empty (and unused) when batching is off. *)
   mutable next_client : int;
 }
 
@@ -149,8 +143,6 @@ let register_counter_gauges metrics (c : counters) =
   g "rebal.rounds" (fun () -> c.rebal_rounds);
   g "rebal.moves" (fun () -> c.rebal_moves);
   g "rebal.skipped" (fun () -> c.rebal_skipped);
-  g "msg.batch" (fun () -> c.batch_msgs);
-  g "msg.batch_coalesced" (fun () -> c.batch_coalesced);
   g "repl.rounds" (fun () -> c.repl_rounds);
   g "repl.installs" (fun () -> c.repl_installs);
   g "repl.updates" (fun () -> c.repl_updates);
@@ -168,6 +160,14 @@ let obs_net_hook t =
           match Msg.trace_of msg with
           | Some trace -> Trace.message tr ~trace ~time ~src ~dst ~kind:(Msg.kind msg)
           | None -> ())
+
+(* Samples a timeline keeps before its ring overwrites the oldest. *)
+let timeline_slots = 4096
+
+(* Key-range heat buckets: the smallest multiple of the shard count at or
+   above 64, so every range nests inside exactly one home shard under
+   hashed placement (see [Heat.home_shard]). *)
+let heat_range_count ~shards = (64 + shards - 1) / shards * shards
 
 let create cfg =
   Config.validate cfg;
@@ -226,8 +226,6 @@ let create cfg =
           rebal_rounds = 0;
           rebal_moves = 0;
           rebal_skipped = 0;
-          batch_msgs = 0;
-          batch_coalesced = 0;
           repl_rounds = 0;
           repl_installs = 0;
           repl_updates = 0;
@@ -241,16 +239,15 @@ let create cfg =
          else None);
       timeline =
         (if cfg.Config.enable_timeline then
-           Some (Timeline.create ~capacity:cfg.Config.timeline_capacity)
+           Some (Timeline.create ~capacity:timeline_slots)
          else None);
-      batches = Hashtbl.create 64;
       slowlog = Slowlog.create ~capacity:cfg.Config.slow_log_capacity;
       heat =
         (if cfg.Config.enable_heat then
            Some
              (Heat.create ~shards:cfg.Config.n_shards ~k:cfg.Config.heat_topk
-                ~ranges:cfg.Config.heat_ranges
-                ~half_life:cfg.Config.heat_half_life)
+                ~ranges:(heat_range_count ~shards:cfg.Config.n_shards)
+                ~half_life:Heat.default_half_life)
          else None);
       next_client = 0;
     }
@@ -295,58 +292,8 @@ let create cfg =
   | None -> ());
   t
 
-(* ------------------------------------------------------------------ *)
-(* Control-plane message batching ([Config.net_batching]).
-
-   Small fixed-size control messages — credit returns, heartbeats, commit
-   notes, NOP Shard_tx ticks, clock announces — dominate message *count*
-   while carrying almost no payload. With batching on, the first batchable
-   send to a (src, dst) pair this tick opens a buffer and schedules a
-   zero-delay flush; every batchable send to that pair until the flush
-   fires appends to the buffer, and the flush ships one [Msg.Batch] in
-   send order. [register] unpacks batches back into individual handler
-   calls, so endpoints are batching-agnostic and the handler-visible
-   message order within a channel is the send order either way.
-
-   With batching off, [send] is an exact pass-through to [Net.send]:
-   no buffer is touched, no flush event exists, and delivery times and
-   counter fingerprints are bit-identical to a build without the
-   feature. *)
-
-let batchable (msg : Msg.t) =
-  match msg with
-  | Msg.Credit _ | Msg.Heartbeat _ | Msg.Commit_note _ | Msg.Announce _ -> true
-  | Msg.Shard_tx { ops = []; _ } -> true
-  | _ -> false
-
-let flush_batch t ~src ~dst =
-  match Hashtbl.find_opt t.batches (src, dst) with
-  | None -> ()
-  | Some buf ->
-      Hashtbl.remove t.batches (src, dst);
-      (match List.rev !buf with
-      | [] -> ()
-      | [ msg ] -> Net.send t.net ~src ~dst msg
-      | items ->
-          t.counters.batch_msgs <- t.counters.batch_msgs + 1;
-          t.counters.batch_coalesced <- t.counters.batch_coalesced + List.length items;
-          Net.send t.net ~src ~dst (Msg.Batch items))
-
-let send t ~src ~dst msg =
-  if t.cfg.Config.net_batching && batchable msg then begin
-    match Hashtbl.find_opt t.batches (src, dst) with
-    | Some buf -> buf := msg :: !buf
-    | None ->
-        Hashtbl.replace t.batches (src, dst) (ref [ msg ]);
-        Engine.schedule t.engine ~delay:0.0 (fun () -> flush_batch t ~src ~dst)
-  end
-  else Net.send t.net ~src ~dst msg
-
-let register t addr handler =
-  Net.register t.net addr (fun ~src msg ->
-      match (msg : Msg.t) with
-      | Msg.Batch items -> List.iter (fun m -> handler ~src m) items
-      | m -> handler ~src m)
+let send t ~src ~dst msg = Net.send t.net ~src ~dst msg
+let register t addr handler = Net.register t.net addr handler
 
 let observe t name v = Metrics.observe t.metrics name v
 

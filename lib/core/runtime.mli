@@ -80,12 +80,6 @@ type counters = {
       (** planner candidates passed over: stale sketch entries (vertex no
           longer on the overloaded shard), dead source/target shards, or
           moves that failed and were left for a later round *)
-  mutable batch_msgs : int;
-      (** [Msg.Batch] envelopes shipped ([Config.net_batching]); a buffer
-          holding a single message flushes unwrapped and is not counted *)
-  mutable batch_coalesced : int;
-      (** control messages that rode inside a [Msg.Batch] envelope instead
-          of paying their own wire message *)
   mutable repl_rounds : int;
       (** replication-controller planner rounds ([Config.enable_replication]) *)
   mutable repl_installs : int;
@@ -131,10 +125,6 @@ type t = {
       (** per-shard heavy-hitter sketches + per-range decayed load
           accumulators; [Some] iff [Config.enable_heat]. Touch recording
           is pure bookkeeping, so outcomes are unaffected *)
-  batches : (int * int, Msg.t list ref) Hashtbl.t;
-      (** [Config.net_batching] per-(src, dst) coalescing buffers; always
-          empty between engine ticks and when batching is off. Send
-          through {!send} — never append to these directly *)
   mutable next_client : int;  (** bump via {!fresh_client_addr} only *)
 }
 
@@ -155,13 +145,8 @@ val create : Config.t -> t
 
 (** {1 Messaging}
 
-    Actors send and register through these wrappers rather than
-    {!Weaver_sim.Net} directly. With [Config.net_batching] off they are
-    exact pass-throughs; with it on, small control messages ([Msg.Credit],
-    [Msg.Heartbeat], [Msg.Commit_note], NOP [Msg.Shard_tx],
-    [Msg.Announce]) coalesce into one [Msg.Batch] per (src, dst) pair per
-    engine tick, and batches are unpacked back into individual handler
-    calls at delivery — handlers never observe [Msg.Batch]. *)
+    Shorthands for {!Weaver_sim.Net.send} and {!Weaver_sim.Net.register}
+    on the runtime's network. *)
 
 val send : t -> src:int -> dst:int -> Msg.t -> unit
 val register : t -> int -> (src:int -> Msg.t -> unit) -> unit

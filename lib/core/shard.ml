@@ -29,6 +29,10 @@ type snap_graph = {
       (* keyed by this shard's interned vertex handles *)
 }
 
+(* Published snapshots each shard retains beyond the pinned set; older
+   unpinned ones are pruned as the watermark window rolls forward. *)
+let retained_snapshots = 4
+
 type parked_prog = {
   p_coord : int;
   p_id : int;
@@ -664,12 +668,12 @@ let try_run_parked t =
 (* ------------------------------------------------------------------ *)
 (* The event loop over gatekeeper queues (§4.2, Fig. 6).
 
-   Refinement is non-blocking (when [Config.oracle_nonblocking]): an
-   in-flight oracle consult stalls only the queue heads whose stamps are in
-   the consult's batch — every other queue keeps draining and NOP heads
-   keep clearing while the round trip is out. Conflicting pairs discovered
-   mid-flight join the outstanding batch (one serialize call answers all of
-   them) instead of issuing their own round trip. *)
+   Refinement is non-blocking: an in-flight oracle consult stalls only the
+   queue heads whose stamps are in the consult's batch — every other queue
+   keeps draining and NOP heads keep clearing while the round trip is out.
+   Conflicting pairs discovered mid-flight join the outstanding batch (one
+   serialize call answers all of them) instead of issuing their own round
+   trip. *)
 
 (* Add a stamp to the in-flight conflict batch; true iff it was new. *)
 let join_batch t ts =
@@ -716,10 +720,7 @@ and begin_or_join_consult t stamps =
     c.Runtime.shard_oracle_batched <- c.Runtime.shard_oracle_batched + 1
 
 and try_advance t =
-  if
-    (not t.retired)
-    && ((cfg t).Config.oracle_nonblocking || not t.oracle_inflight)
-  then begin
+  if not t.retired then begin
     let continue = ref true in
     while !continue do
       continue := false;
@@ -770,71 +771,57 @@ and try_advance t =
             apply_tx t ~gk:g qt;
             continue := true
         | None ->
-            let nonblocking = (cfg t).Config.oracle_nonblocking in
             if !conflicts <> [] then begin
               (* concurrent conflicting transactions: have the timeline
-                 oracle serialize them (decisions are cached). Non-blocking
-                 mode ships every real head still undecided against some
-                 other real head — the same information a blocking consult
-                 carries, so one round trip decides just as many pairs —
-                 while heads with a fully established order keep draining.
-                 Blocking mode keeps the historical behavior of shipping
-                 every real head and freezing the whole shard. *)
-              let stamps =
-                if nonblocking then begin
-                  (* the closure spans every queued real transaction, not
-                     just the heads: conflicts that would surface a few
-                     pops from now ride the same round trip instead of
-                     paying their own consult once they reach the front *)
-                  let reals =
-                    Array.to_list t.queues
-                    |> List.concat_map (fun q ->
-                           Queue.fold
-                             (fun acc (qt : queued_tx) ->
-                               if qt.q_ops = [] then acc else qt.q_ts :: acc)
-                             [] q
-                           |> List.rev)
-                  in
-                  let arr = Array.of_list reals in
-                  let n = Array.length arr in
-                  let undecided = Array.make n false in
-                  for i = 0 to n - 1 do
-                    for j = i + 1 to n - 1 do
-                      if
-                        Runtime.before_established t.cache t.rt arr.(i) arr.(j)
-                        = None
-                      then begin
-                        undecided.(i) <- true;
-                        undecided.(j) <- true
-                      end
-                    done
-                  done;
-                  List.filteri (fun i _ -> undecided.(i)) reals
-                end
-                else
-                  List.filter_map
-                    (fun (_, h) -> if h.q_ops = [] then None else Some h.q_ts)
-                    heads
+                 oracle serialize them (decisions are cached). Ship every
+                 real transaction still undecided against some other real
+                 one, while heads with a fully established order keep
+                 draining. The closure spans every queued real
+                 transaction, not just the heads: conflicts that would
+                 surface a few pops from now ride the same round trip
+                 instead of paying their own consult once they reach the
+                 front. *)
+              let reals =
+                Array.to_list t.queues
+                |> List.concat_map (fun q ->
+                       Queue.fold
+                         (fun acc (qt : queued_tx) ->
+                           if qt.q_ops = [] then acc else qt.q_ts :: acc)
+                         [] q
+                       |> List.rev)
               in
-              begin_or_join_consult t stamps
+              let arr = Array.of_list reals in
+              let n = Array.length arr in
+              let undecided = Array.make n false in
+              for i = 0 to n - 1 do
+                for j = i + 1 to n - 1 do
+                  if
+                    Runtime.before_established t.cache t.rt arr.(i) arr.(j)
+                    = None
+                  then begin
+                    undecided.(i) <- true;
+                    undecided.(j) <- true
+                  end
+                done
+              done;
+              begin_or_join_consult t
+                (List.filteri (fun i _ -> undecided.(i)) reals)
             end;
-            if nonblocking || !conflicts = [] then begin
-              (* no executable minimum: pop the deterministically smallest
-                 NOP so effect-free traffic never backs up behind a stall *)
-              let nops = List.filter (fun (_, h) -> h.q_ops = []) heads in
-              let cmp (_, a) (_, b) = Vclock.total_compare a.q_ts b.q_ts in
-              match List.sort cmp nops with
-              | (g, _) :: _ ->
-                  let qt = Queue.pop t.queues.(g) in
-                  t.last_applied.(g) <- Some qt.q_ts;
-                  apply_tx t ~gk:g qt;
-                  continue := true
-              | [] ->
-                  (* every head is real and at least one is stalled or in
-                     conflict: legal only while a consult is in flight,
-                     whose completion re-enters this loop *)
-                  assert (t.oracle_inflight)
-            end
+            (* no executable minimum: pop the deterministically smallest
+               NOP so effect-free traffic never backs up behind a stall *)
+            let nops = List.filter (fun (_, h) -> h.q_ops = []) heads in
+            let cmp (_, a) (_, b) = Vclock.total_compare a.q_ts b.q_ts in
+            match List.sort cmp nops with
+            | (g, _) :: _ ->
+                let qt = Queue.pop t.queues.(g) in
+                t.last_applied.(g) <- Some qt.q_ts;
+                apply_tx t ~gk:g qt;
+                continue := true
+            | [] ->
+                (* every head is real and at least one is stalled or in
+                   conflict: legal only while a consult is in flight, whose
+                   completion re-enters this loop *)
+                assert t.oracle_inflight
       end
     done;
     try_run_parked t
@@ -1194,7 +1181,7 @@ let spawn rt ~sid ~epoch =
       busy_us = 0.0;
       epoch;
       wm = Array.make n_g None;
-      snaps = Snapshot.create ~retain:rt.Runtime.cfg.Config.snapshot_retain ();
+      snaps = Snapshot.create ~retain:retained_snapshots ();
       pins = Hashtbl.create 8;
       gc_floor = None;
       repl_out = Hashtbl.create 8;

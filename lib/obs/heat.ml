@@ -117,6 +117,8 @@ type t = {
 
 let kind_index = function Read -> 0 | Write -> 1 | Cross -> 2
 
+let default_half_life = 50_000.0
+
 let create ~shards ~k ~ranges ~half_life =
   if shards <= 0 then invalid_arg "Heat.create: shards must be positive";
   if ranges <= 0 then invalid_arg "Heat.create: ranges must be positive";

@@ -47,6 +47,10 @@ val kind_name : kind -> string
 
 type t
 
+val default_half_life : float
+(** 50 ms of virtual time: the half-life a cluster's sensor decays with,
+    and the cooldown the balancer gives a moved vertex. *)
+
 val create : shards:int -> k:int -> ranges:int -> half_life:float -> t
 (** [k] sketch counters per shard; [ranges] hash buckets; [half_life] of
     the decayed accumulators in virtual µs.

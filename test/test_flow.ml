@@ -84,7 +84,7 @@ let test_priority_classes () =
 
 (* ------------------------------------------------------------------ *)
 (* Config validation: the new flow knobs plus regression coverage for the
-   observability capacities and the dedup window *)
+   observability capacities *)
 
 let test_config_validation_flow () =
   let bad field f =
@@ -96,9 +96,7 @@ let test_config_validation_flow () =
   bad "deadline_budget" (fun c -> { c with Config.deadline_budget = -0.5 });
   bad "shard_credits" (fun c -> { c with Config.shard_credits = -2 });
   bad "trace_capacity" (fun c -> { c with Config.trace_capacity = 0 });
-  bad "timeline_capacity" (fun c -> { c with Config.timeline_capacity = -3 });
   bad "slow_log_capacity" (fun c -> { c with Config.slow_log_capacity = 0 });
-  bad "dedup_window" (fun c -> { c with Config.dedup_window = -1 });
   (* flow knobs at their defaults (off) and enabled values both validate *)
   Config.validate Config.default;
   Config.validate

@@ -84,15 +84,9 @@ let test_sketch_error_bounds () =
 (* Regression: [Heat.home_shard] is [range mod shards], which only equals
    hashed placement when [ranges] is a multiple of [shards] — with, say,
    3 shards and 64 ranges every range-heat row was attributed to the wrong
-   home. Non-nesting configurations are now rejected at both layers, and
-   when they nest, home attribution must agree with [Partition.hash_vertex]
-   exactly. *)
-let test_heat_ranges_must_nest_in_shards () =
-  Alcotest.check_raises "Config.validate rejects non-nesting heat_ranges"
-    (Invalid_argument "Config: bad heat_ranges (must be a multiple of n_shards)")
-    (fun () ->
-      Config.validate
-        { Config.default with Config.enable_heat = true; n_shards = 3; heat_ranges = 64 });
+   home. [Heat.create] rejects non-nesting tables, and when they nest, home
+   attribution must agree with [Partition.hash_vertex] exactly. *)
+let test_ranges_nest_in_shards () =
   Alcotest.check_raises "Heat.create rejects non-nesting ranges"
     (Invalid_argument "Heat.create: ranges must be a multiple of shards")
     (fun () -> ignore (Heat.create ~shards:3 ~k:4 ~ranges:8 ~half_life:1_000.0));
@@ -103,6 +97,29 @@ let test_heat_ranges_must_nest_in_shards () =
       (Weaver_partition.Partition.hash_vertex ~shards:3 vid)
       (Heat.home_shard h (Heat.range_of h vid))
   done
+
+(* The cluster derives its range count from the shard count, so a heat-on
+   cluster with 3 shards builds with 66 ranges (the smallest multiple of 3
+   at or above 64), and every range's home is where placement puts its
+   vertices. *)
+let test_cluster_ranges_follow_shards () =
+  let c =
+    Cluster.create { Config.default with Config.enable_heat = true; n_shards = 3 }
+  in
+  let h = Option.get (Cluster.heat c) in
+  Alcotest.(check int) "66 ranges" 66 (Heat.ranges h);
+  let seen = Array.make (Heat.ranges h) false in
+  for i = 0 to 4_999 do
+    let vid = "v" ^ string_of_int i in
+    let range = Heat.range_of h vid in
+    seen.(range) <- true;
+    let placed = Weaver_partition.Partition.hash_vertex ~shards:3 vid in
+    Alcotest.(check int) "cluster places by hash" placed
+      (Runtime.shard_of_vertex (Cluster.runtime c) vid);
+    Alcotest.(check int) "home agrees with hashed placement" placed
+      (Heat.home_shard h range)
+  done;
+  Alcotest.(check bool) "every range sampled" true (Array.for_all Fun.id seen)
 
 (* ------------------------------------------------------------------ *)
 (* Decayed accumulators, kinds, skew *)
@@ -207,7 +224,7 @@ let fingerprint c =
       ctr.Runtime.nop_msgs ) )
 
 let heat_cfg seed =
-  { Config.default with Config.enable_heat = true; heat_ranges = 64; seed }
+  { Config.default with Config.enable_heat = true; seed }
 
 let test_cluster_wiring () =
   let c = mixed (heat_cfg 5) in
@@ -468,7 +485,9 @@ let suites =
           test_sketch_tie_breaks_deterministic;
         Alcotest.test_case "sketch error bounds" `Quick test_sketch_error_bounds;
         Alcotest.test_case "heat ranges nest in shards" `Quick
-          test_heat_ranges_must_nest_in_shards;
+          test_ranges_nest_in_shards;
+        Alcotest.test_case "cluster ranges follow shards" `Quick
+          test_cluster_ranges_follow_shards;
         Alcotest.test_case "decay halves per half-life" `Quick
           test_decay_halves_per_half_life;
         Alcotest.test_case "kinds tracked separately" `Quick

@@ -6,11 +6,10 @@
    head A and gk1's head B are concurrent, conflicting, and undecided,
    while gk3's head F is already ordered after both — so no queue head is
    globally minimal and the shard must consult the timeline oracle. What
-   happens to the *other* queues during that round trip is exactly what
-   changed:
+   happens to the *other* queues during that round trip is what these pin:
 
-   - non-blocking mode must keep draining gatekeeper queues whose heads are
-     not in the undecided conflict set (NOPs and decided real transactions
+   - the shard must keep draining gatekeeper queues whose heads are not in
+     the undecided conflict set (NOPs and decided real transactions
      alike) while the consult is in flight;
    - conflicts discovered mid-flight must join the outstanding batch
      instead of issuing a second round trip (coalescing);
@@ -54,9 +53,8 @@ let send_tx rt ~at ~gk ~seq ~ts ~ops =
    decidable without the oracle. With [coalesce], D carries no pre-edges:
    the (D, A) pair is undecided when D reaches the head at t=75, mid-flight,
    so it must join the outstanding consult instead of starting its own. *)
-let launch ?(nonblocking = true) ?(coalesce = false) () =
-  let cfg = { base_cfg with Config.oracle_nonblocking = nonblocking } in
-  let rt = Runtime.create cfg in
+let launch ?(coalesce = false) () =
+  let rt = Runtime.create base_cfg in
   let shard = Shard.spawn rt ~sid:0 ~epoch:0 in
   let a = stamp ~origin:0 [| 1; 0; 0; 0 |] in
   let b = stamp ~origin:1 [| 0; 1; 0; 0 |] in
@@ -86,8 +84,7 @@ let has shard vid = Shard.vertex shard vid <> None
 let test_nonconflicting_queue_drains () =
   (* the tentpole regression: while the A/B consult is in flight
      (t=50…150), gk2's queue — a NOP, another NOP, and a real transaction
-     already ordered before everything — must drain completely. Under the
-     historical whole-shard stall it stays frozen at depth 3. *)
+     already ordered before everything — must drain completely. *)
   let rt, shard = launch () in
   Engine.run rt.Runtime.engine ~until:100.0;
   Alcotest.(check (list int)) "gk2 drained mid-consult" [ 1; 1; 0; 1 ]
@@ -107,18 +104,6 @@ let test_nonconflicting_queue_drains () =
   Alcotest.(check bool) "a applied after consult" true (has shard "a");
   Alcotest.(check (list int)) "a's queue advanced" [ 0; 1; 1; 1 ]
     (depths shard)
-
-let test_blocking_mode_stalls_whole_shard () =
-  (* the baseline arm: [oracle_nonblocking = false] restores the historical
-     behavior — the same traffic leaves gk2 frozen until the consult
-     returns. Pins the contrast the bench measures. *)
-  let rt, shard = launch ~nonblocking:false () in
-  Engine.run rt.Runtime.engine ~until:100.0;
-  Alcotest.(check (list int)) "whole shard frozen" [ 1; 1; 3; 1 ]
-    (depths shard);
-  Alcotest.(check bool) "d not applied" false (has shard "d");
-  Alcotest.(check int) "one consult" 1
-    rt.Runtime.counters.Runtime.shard_oracle_consults
 
 let test_midflight_conflict_coalesces () =
   (* without D's pre-edges, the (D, A) conflict surfaces at t=75 while the
@@ -181,8 +166,6 @@ let suites =
       [
         Alcotest.test_case "non-conflicting queue drains mid-consult" `Quick
           test_nonconflicting_queue_drains;
-        Alcotest.test_case "blocking mode stalls whole shard" `Quick
-          test_blocking_mode_stalls_whole_shard;
         Alcotest.test_case "mid-flight conflict coalesces" `Quick
           test_midflight_conflict_coalesces;
         Alcotest.test_case "consult honours latency degrade" `Quick

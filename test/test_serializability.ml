@@ -186,6 +186,12 @@ let coalesce_cfg =
     Config.nop_period = 400.0;
   }
 
+(* The same topology with shard credits on: hub writers pinned to
+   gatekeeper 0 queue up behind a stalled shard head during a consult, and
+   when it lands the shard burst-drains the queue — one flow-control
+   [Credit] per applied transaction, all to gatekeeper 0. *)
+let credit_cfg = { coalesce_cfg with Config.shard_credits = 64 }
+
 let coalesce_fingerprint c =
   let ctr = Cluster.counters c in
   let rt = Cluster.runtime c in
@@ -199,11 +205,11 @@ let coalesce_fingerprint c =
       Runtime.oracle_queries_served rt,
       ctr.Runtime.nop_msgs ) )
 
-let test_coalesced_race seed () =
+let test_coalesced_race ?(cfg = coalesce_cfg) seed () =
   let writers = 3 and readers = 2 and writes_per_writer = 5 in
   let c, reads, writes =
-    run_race ~cfg:coalesce_cfg ~side_writers:6 ~pin_hub_writers:true ~seed
-      ~writers ~readers ~writes_per_writer ()
+    run_race ~cfg ~side_writers:6 ~pin_hub_writers:true ~seed ~writers
+      ~readers ~writes_per_writer ()
   in
   (* the configuration must actually exercise the refinement path *)
   Alcotest.(check bool) "oracle consulted" true
@@ -225,63 +231,11 @@ let test_coalesced_race seed () =
   (* coalesced refinement must stay bit-for-bit deterministic: the same
      seed reruns to the identical counter fingerprint *)
   let c2, _, _ =
-    run_race ~cfg:coalesce_cfg ~side_writers:6 ~pin_hub_writers:true ~seed
-      ~writers ~readers ~writes_per_writer ()
+    run_race ~cfg ~side_writers:6 ~pin_hub_writers:true ~seed ~writers
+      ~readers ~writes_per_writer ()
   in
   Alcotest.(check bool) "bit-identical rerun" true
     (fp = coalesce_fingerprint c2)
-
-(* [Config.net_batching] coalesces control traffic (NOPs, credits,
-   announces, commit notes, heartbeats) into per-channel [Msg.Batch]
-   envelopes, unpacked at delivery. The client-observable history must
-   stay strictly serializable, the final state must be exact, and the
-   coalescing must genuinely shrink the wire-message count versus the
-   identical run with batching off. *)
-let test_batched_race seed () =
-  let writers = 3 and readers = 2 and writes_per_writer = 5 in
-  (* coalescing needs several batchable messages on one (src, dst) channel
-     at one engine instant. The forced-coalescing topology produces exactly
-     that: hub writers pinned to gatekeeper 0 queue up behind a stalled
-     shard head during an oracle consult, and when the consult lands the
-     shard burst-drains the queue — one flow-control [Credit] per applied
-     transaction, all to gatekeeper 0, folded into one [Msg.Batch]. *)
-  let cfg =
-    { coalesce_cfg with Config.shard_credits = 64; Config.net_batching = true }
-  in
-  let c, reads, writes =
-    run_race ~cfg ~side_writers:6 ~pin_hub_writers:true ~seed ~writers ~readers
-      ~writes_per_writer ()
-  in
-  Alcotest.(check bool) "some reads observed" true (List.length reads > 3);
-  check_strict_serializability reads writes;
-  (let client = Cluster.client c in
-   match
-     Client.run_program client ~prog:"count_edges" ~params:Progval.Null
-       ~starts:[ "hub" ] ()
-   with
-   | Ok (Progval.Int d) ->
-       Alcotest.(check int) "final degree" (writers * writes_per_writer) d
-   | Ok v -> Alcotest.failf "unexpected %s" (Progval.to_string v)
-   | Error e -> Alcotest.failf "final read: %s" e);
-  let c_off, reads_off, writes_off =
-    run_race
-      ~cfg:{ cfg with Config.net_batching = false }
-      ~side_writers:6 ~pin_hub_writers:true ~seed ~writers ~readers
-      ~writes_per_writer ()
-  in
-  check_strict_serializability reads_off writes_off;
-  let sent cl =
-    Weaver_sim.Net.messages_sent (Cluster.runtime cl).Runtime.net
-  in
-  Alcotest.(check bool) "batch envelopes shipped" true
-    ((Cluster.counters c).Runtime.batch_msgs > 0);
-  Alcotest.(check int) "no envelopes without batching" 0
-    (Cluster.counters c_off).Runtime.batch_msgs;
-  Alcotest.(check bool)
-    (Printf.sprintf "batching shrinks wire messages (%d < %d)" (sent c)
-       (sent c_off))
-    true
-    (sent c < sent c_off)
 
 let test_coalescing_observed () =
   (* across the seed sweep, at least one run must have folded a mid-flight
@@ -576,8 +530,11 @@ let suites =
         Alcotest.test_case "coalesced race seed 2" `Quick (test_coalesced_race 505);
         Alcotest.test_case "coalesced race seed 3" `Quick (test_coalesced_race 606);
         Alcotest.test_case "coalescing observed" `Quick test_coalescing_observed;
-        Alcotest.test_case "batched race seed 1" `Quick (test_batched_race 707);
-        Alcotest.test_case "batched race seed 2" `Quick (test_batched_race 808);
+        (* the same race with shard credits on: the credit-burst topology *)
+        Alcotest.test_case "coalesced race seed 4" `Quick
+          (test_coalesced_race ~cfg:credit_cfg 707);
+        Alcotest.test_case "coalesced race seed 5" `Quick
+          (test_coalesced_race ~cfg:credit_cfg 808);
         Alcotest.test_case "snapshot analytics consistent cut" `Quick
           test_snapshot_analytics_consistent_cut;
         Alcotest.test_case "snapshot gate neutral" `Quick

@@ -80,7 +80,6 @@ let test_config_validation () =
   in
   Config.validate Config.default;
   Config.validate { Config.default with Config.snapshot_reads = true };
-  expect_invalid "retain 0" { Config.default with Config.snapshot_retain = 0 };
   expect_invalid "snapshots without GC"
     { Config.default with Config.snapshot_reads = true; Config.gc_period = 0.0 }
 

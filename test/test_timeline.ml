@@ -132,7 +132,6 @@ let test_sampling_is_invisible () =
         base with
         Config.enable_timeline = true;
         Config.timeline_period = 500.0;
-        Config.timeline_capacity = 64;
       }
   in
   Alcotest.(check bool) "committed some" true ((Cluster.counters off).Runtime.tx_committed > 0);
