@@ -56,6 +56,7 @@ type counters = {
   mutable repl_updates : int;
   mutable repl_resyncs : int;
   mutable repl_routed : int;
+  mutable gc_compact_visits : int;
 }
 
 type t = {
@@ -147,7 +148,8 @@ let register_counter_gauges metrics (c : counters) =
   g "repl.installs" (fun () -> c.repl_installs);
   g "repl.updates" (fun () -> c.repl_updates);
   g "repl.resyncs" (fun () -> c.repl_resyncs);
-  g "repl.routed" (fun () -> c.repl_routed)
+  g "repl.routed" (fun () -> c.repl_routed);
+  g "gc.compact_visits" (fun () -> c.gc_compact_visits)
 
 (* the network tracer that feeds the causal trace collector: attribute
    every wire message to its request's trace id *)
@@ -231,6 +233,7 @@ let create cfg =
           repl_updates = 0;
           repl_resyncs = 0;
           repl_routed = 0;
+          gc_compact_visits = 0;
         };
       metrics;
       tracer =

@@ -92,6 +92,9 @@ type counters = {
   mutable repl_routed : int;
       (** node-program batches the gatekeepers routed to a covering
           follower instead of the owning shard *)
+  mutable gc_compact_visits : int;
+      (** vertices visited by shard multi-version GC rounds (§4.5): only
+          those that may hold a closed version, not every resident one *)
 }
 
 type t = {

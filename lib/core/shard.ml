@@ -77,6 +77,13 @@ type t = {
          re-hashing vid strings. Interning is append-only and survives epoch
          changes — a handle, once issued, stays valid for the shard's life. *)
   graph : (int, Mgraph.vertex) Hashtbl.t;
+  gc_pending : (int, unit) Hashtbl.t;
+      (* handles the next watermark round must compact. Invariant: every
+         resident vertex whose record holds a closed lifespan is in here.
+         Ops that can close one add their vertex by op kind; records that
+         enter from the durable store (which keeps the full history) are
+         checked once with [Mgraph.has_closed]. A round visits only this
+         set and drops each handle whose record has nothing closed left. *)
   lru : int Queue.t; (* approximate recency for demand paging *)
   lru_count : (int, int) Hashtbl.t;
       (* occurrences of each vertex in [lru]; lets eviction skip stale
@@ -213,9 +220,16 @@ let evict_to_capacity t ~keep =
         if remaining = 0 && victim <> keep && Hashtbl.mem t.graph victim
         then begin
           Hashtbl.remove t.graph victim;
+          Hashtbl.remove t.gc_pending victim;
           (counters t).Runtime.evictions <- (counters t).Runtime.evictions + 1
         end
       done
+
+(* a record read from the durable store carries its full version history:
+   enrol it for compaction if any of that history is closed *)
+let adopt t h v =
+  Hashtbl.replace t.graph h v;
+  if Mgraph.has_closed v then Hashtbl.replace t.gc_pending h ()
 
 (* Look up a vertex by its interned handle [h] (of the vid string [vid]),
    demand-paging from the backing store when it is not resident. Returns
@@ -231,7 +245,7 @@ let lookup_vertex t h vid =
       | Some _ -> (
           match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
           | Some (Runtime.Vrec v) ->
-              Hashtbl.replace t.graph h v;
+              adopt t h v;
               touch t h;
               evict_to_capacity t ~keep:h;
               (counters t).Runtime.page_ins <- (counters t).Runtime.page_ins + 1;
@@ -264,9 +278,13 @@ let apply_op t ts (op : Msg.shard_op) =
   Runtime.heat_write t.rt ~shard:t.sid vid;
   let h = Intern.id t.names vid in
   let bf = before t in
-  let update f =
+  (* [closes]: the op may close a lifespan, so the vertex joins the
+     compaction set — by op kind, with no scan of the record *)
+  let update ?(closes = true) f =
     match lookup_vertex t h vid with
-    | Some v, _ -> Hashtbl.replace t.graph h (f v)
+    | Some v, _ ->
+        Hashtbl.replace t.graph h (f v);
+        if closes then Hashtbl.replace t.gc_pending h ()
     | None, _ -> ()
   in
   match op with
@@ -276,7 +294,7 @@ let apply_op t ts (op : Msg.shard_op) =
       evict_to_capacity t ~keep:h
   | Msg.S_delete_vertex _ -> update (fun v -> Mgraph.delete_vertex v ~at:ts)
   | Msg.S_add_edge { eid; dst; _ } ->
-      update (fun v -> Mgraph.add_edge v ~eid ~dst ~at:ts)
+      update ~closes:false (fun v -> Mgraph.add_edge v ~eid ~dst ~at:ts)
   | Msg.S_del_edge { eid; _ } -> update (fun v -> Mgraph.delete_edge v ~eid ~at:ts)
   | Msg.S_set_vprop { key; value; _ } ->
       update (fun v -> Mgraph.set_vertex_prop bf v ~key ~value ~at:ts)
@@ -291,11 +309,13 @@ let apply_op t ts (op : Msg.shard_op) =
          committed before this op's store transaction, §4.6) *)
       match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
       | Some (Runtime.Vrec v) ->
-          Hashtbl.replace t.graph h v;
+          adopt t h v;
           touch t h;
           evict_to_capacity t ~keep:h
       | _ -> ())
-  | Msg.S_migrate_out _ -> Hashtbl.remove t.graph h
+  | Msg.S_migrate_out _ ->
+      Hashtbl.remove t.graph h;
+      Hashtbl.remove t.gc_pending h
 
 let apply_tx t ~gk (qt : queued_tx) =
   if qt.q_ops <> [] then begin
@@ -832,6 +852,7 @@ and try_advance t =
 
 let reload_from_store t =
   Hashtbl.reset t.graph;
+  Hashtbl.reset t.gc_pending;
   Queue.clear t.lru;
   Hashtbl.reset t.lru_count;
   let records = Store.scan_prefix t.rt.Runtime.store ~prefix:"v/" in
@@ -847,7 +868,7 @@ let reload_from_store t =
             in
             if under_cap then begin
               let h = Intern.id t.names vid in
-              Hashtbl.replace t.graph h v;
+              adopt t h v;
               touch t h
             end
           end
@@ -953,14 +974,25 @@ let handle_watermark t gk ts =
     (* vclock-only comparison: a version strictly below the watermark by
        vector clock alone is unreachable by any current or future read *)
     let vb a b = Vclock.precedes a b in
-    let doomed = ref [] in
-    Hashtbl.iter
-      (fun h v ->
-        match Mgraph.compact vb v ~watermark:wm with
-        | Some v' -> Hashtbl.replace t.graph h v'
-        | None -> doomed := h :: !doomed)
-      t.graph;
-    List.iter (Hashtbl.remove t.graph) !doomed;
+    (* only vertices in [gc_pending] can hold a closed version; [compact]
+       returns every other record unchanged. Replacing an existing key
+       updates its binding in place and removals commute, so [t.graph]
+       ends exactly as a compaction of every resident vertex leaves it. *)
+    Hashtbl.filter_map_inplace
+      (fun h () ->
+        (counters t).Runtime.gc_compact_visits <-
+          (counters t).Runtime.gc_compact_visits + 1;
+        match Hashtbl.find_opt t.graph h with
+        | None -> None
+        | Some v -> (
+            match Mgraph.compact vb v ~watermark:wm with
+            | None ->
+                Hashtbl.remove t.graph h;
+                None
+            | Some v' ->
+                if v' != v then Hashtbl.replace t.graph h v';
+                if Mgraph.has_closed v' then Some () else None))
+      t.gc_pending;
     (* partial replication, owner side: advance followers at the watermark
        boundary. Only once every transaction at or below [wm] has actually
        been applied here (watermark gossip shares the gatekeeper FIFO with
@@ -1164,6 +1196,7 @@ let spawn rt ~sid ~epoch =
       addr = Runtime.shard_addr rt sid;
       names = Intern.create ~capacity:4096 ();
       graph = Hashtbl.create 4096;
+      gc_pending = Hashtbl.create 64;
       lru = Queue.create ();
       lru_count = Hashtbl.create 4096;
       queues = Array.init n_g (fun _ -> Queue.create ());

@@ -30,28 +30,49 @@ let acons x a =
   Array.blit a 0 a' 1 n;
   a'
 
+(* [a] itself when [keep] holds for every element, so the common case of
+   a compaction round (nothing to drop) allocates nothing *)
 let afilter keep a =
   let n = Array.length a in
-  let kept = ref 0 in
-  let mask = Array.make n false in
-  for i = 0 to n - 1 do
-    if keep a.(i) then begin
-      mask.(i) <- true;
-      incr kept
-    end
-  done;
-  if !kept = n then a
+  let rec first_drop i = if i = n || not (keep a.(i)) then i else first_drop (i + 1) in
+  let i = first_drop 0 in
+  if i = n then a
   else begin
+    let kept = ref i in
+    for j = i + 1 to n - 1 do
+      if keep a.(j) then incr kept
+    done;
     let a' = Array.make !kept a.(0) in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if mask.(i) then begin
-        a'.(!j) <- a.(i);
-        incr j
+    Array.blit a 0 a' 0 i;
+    let k = ref i in
+    for j = i + 1 to n - 1 do
+      if keep a.(j) then begin
+        a'.(!k) <- a.(j);
+        incr k
       end
     done;
     a'
   end
+
+(* [Array.map f a], but [a] itself when [f] returns every element
+   unchanged (physically) *)
+let amap_shared f a =
+  let n = Array.length a in
+  let rec first_change i =
+    if i = n then None
+    else
+      let x = f a.(i) in
+      if x == a.(i) then first_change (i + 1) else Some (i, x)
+  in
+  match first_change 0 with
+  | None -> a
+  | Some (i, x) ->
+      let a' = Array.copy a in
+      a'.(i) <- x;
+      for j = i + 1 to n - 1 do
+        a'.(j) <- f a.(j)
+      done;
+      a'
 
 let at_or_before (before : before) a b = Vclock.equal a b || before a b
 
@@ -149,11 +170,24 @@ let compact before v ~watermark =
   if dead_before before v.v_life ~watermark then None
   else
     let keep_prop p = not (dead_before before p.p_life ~watermark) in
+    let compact_edge e =
+      let e_props = afilter keep_prop e.e_props in
+      if e_props == e.e_props then e else { e with e_props }
+    in
     let out =
       afilter (fun e -> not (dead_before before e.e_life ~watermark)) v.out
-      |> Array.map (fun e -> { e with e_props = afilter keep_prop e.e_props })
+      |> amap_shared compact_edge
     in
-    Some { v with v_props = afilter keep_prop v.v_props; out }
+    let v_props = afilter keep_prop v.v_props in
+    if out == v.out && v_props == v.v_props then Some v else Some { v with v_props; out }
+
+let closed life = Option.is_some life.deleted
+let props_closed props = Array.exists (fun p -> closed p.p_life) props
+
+let has_closed v =
+  closed v.v_life
+  || props_closed v.v_props
+  || Array.exists (fun e -> closed e.e_life || props_closed e.e_props) v.out
 
 let pp_vertex fmt v =
   let dead = match v.v_life.deleted with Some _ -> " (deleted)" | None -> "" in

@@ -101,6 +101,14 @@ val compact : before -> vertex -> watermark:stamp -> vertex option
 (** Drop every version whose deletion stamp is strictly before the
     watermark (no ongoing or future operation can see it). Returns [None]
     if the vertex itself is gone. Pass the timestamp of the oldest
-    operation still in progress. *)
+    operation still in progress. Returns [Some v] with [v] itself ([==])
+    when nothing is below the watermark, and shares every kept edge that
+    loses no property version. *)
+
+val has_closed : vertex -> bool
+(** Does any lifespan of the vertex, its properties, its edges or their
+    properties carry a deletion stamp? Only such a vertex can lose
+    versions to {!compact}: without one, [compact] returns its argument
+    at every watermark. *)
 
 val pp_vertex : Format.formatter -> vertex -> unit

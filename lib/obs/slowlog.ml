@@ -15,6 +15,10 @@ type entry = {
 type t = {
   capacity : int;
   mutable entries : entry list;  (* slowest first, length <= capacity *)
+  mutable length : int;  (* List.length entries *)
+  mutable floor : float;
+      (* duration of the fastest retained entry once the log is full: a
+         new entry must reach it to get in *)
   mutable recorded : int;
 }
 
@@ -22,33 +26,44 @@ let duration e = e.e_stop -. e.e_start
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Slowlog.create: capacity must be positive";
-  { capacity; entries = []; recorded = 0 }
+  { capacity; entries = []; length = 0; floor = 0.0; recorded = 0 }
 
+(* a new entry goes ahead of the first one it is at least as slow as, so
+   among equal durations the newest ranks first *)
 let rec insert e = function
   | [] -> [ e ]
   | e' :: _ as rest when duration e >= duration e' -> e :: rest
   | e' :: rest -> e' :: insert e rest
 
+let rec last = function [ e ] -> e | _ :: rest -> last rest | [] -> assert false
+
+(* [entries] without its last (fastest) element *)
+let rec drop_last = function [] | [ _ ] -> [] | e :: rest -> e :: drop_last rest
+
 let record t e =
   t.recorded <- t.recorded + 1;
-  let merged = insert e t.entries in
-  t.entries <-
-    (if List.length merged > t.capacity then List.filteri (fun i _ -> i < t.capacity) merged
-     else merged)
+  if t.length < t.capacity then begin
+    t.entries <- insert e t.entries;
+    t.length <- t.length + 1;
+    if t.length = t.capacity then t.floor <- duration (last t.entries)
+  end
+  else if duration e >= t.floor then begin
+    (* [e] ranks ahead of the fastest entry, which falls off the end *)
+    t.entries <- insert e (drop_last t.entries);
+    t.floor <- duration (last t.entries)
+  end
 
 let entries t = t.entries
 let recorded t = t.recorded
 
 (* the duration a new request must exceed to enter a full log *)
-let threshold t =
-  if List.length t.entries < t.capacity then 0.0
-  else match List.rev t.entries with e :: _ -> duration e | [] -> 0.0
+let threshold t = if t.length < t.capacity then 0.0 else t.floor
 
 let render t =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Printf.sprintf "slow-request log: %d retained of %d recorded\n"
-       (List.length t.entries) t.recorded);
+       t.length t.recorded);
   List.iteri
     (fun i e ->
       Buffer.add_string b

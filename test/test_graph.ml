@@ -132,6 +132,129 @@ let test_compact_preserves_live () =
   | None -> Alcotest.fail "live vertex dropped"
   | Some v' -> Alcotest.(check int) "live edge kept" 1 (Array.length v'.Mgraph.out)
 
+let test_compact_identity_when_nothing_below () =
+  (* no closed lifespan at all: the argument itself at any watermark *)
+  let v = Mgraph.create_vertex ~vid:"a" ~at:(t 1) in
+  let v = Mgraph.add_edge v ~eid:"e" ~dst:"b" ~at:(t 2) in
+  let v = Mgraph.set_vertex_prop before v ~key:"p" ~value:"1" ~at:(t 3) in
+  Alcotest.(check bool) "no closed lifespan" false (Mgraph.has_closed v);
+  (match Mgraph.compact before v ~watermark:(t 100) with
+  | Some v' -> Alcotest.(check bool) "open record returned as is" true (v' == v)
+  | None -> Alcotest.fail "live vertex dropped");
+  (* closed lifespans that end at or after the watermark: still nothing
+     below it, so still the argument itself *)
+  let v = Mgraph.delete_edge v ~eid:"e" ~at:(t 5) in
+  let v = Mgraph.set_vertex_prop before v ~key:"p" ~value:"2" ~at:(t 6) in
+  let v = Mgraph.delete_vertex v ~at:(t 8) in
+  Alcotest.(check bool) "closed lifespans" true (Mgraph.has_closed v);
+  List.iter
+    (fun w ->
+      match Mgraph.compact before v ~watermark:(t w) with
+      | Some v' ->
+          Alcotest.(check bool) (Printf.sprintf "identity at t%d" w) true (v' == v)
+      | None -> Alcotest.failf "vertex dropped at t%d" w)
+    [ 1; 4; 5 ]
+
+let test_compact_shares_untouched_edges () =
+  (* only the edge that loses a property version is rebuilt *)
+  let v = Mgraph.create_vertex ~vid:"a" ~at:(t 1) in
+  let v = Mgraph.add_edge v ~eid:"e1" ~dst:"b" ~at:(t 1) in
+  let v = Mgraph.add_edge v ~eid:"e2" ~dst:"c" ~at:(t 1) in
+  let v = Mgraph.set_edge_prop before v ~eid:"e1" ~key:"w" ~value:"1" ~at:(t 2) in
+  let v = Mgraph.set_edge_prop before v ~eid:"e1" ~key:"w" ~value:"2" ~at:(t 3) in
+  let find v eid = Array.to_list v.Mgraph.out |> List.find (fun e -> e.Mgraph.eid = eid) in
+  match Mgraph.compact before v ~watermark:(t 4) with
+  | None -> Alcotest.fail "vertex dropped"
+  | Some v' ->
+      Alcotest.(check bool) "vertex rebuilt" false (v' == v);
+      Alcotest.(check int) "e1 keeps one prop version" 1
+        (Array.length (find v' "e1").Mgraph.e_props);
+      Alcotest.(check bool) "e2 shared" true (find v' "e2" == find v "e2");
+      Alcotest.(check bool) "vertex props shared" true (v'.Mgraph.v_props == v.Mgraph.v_props)
+
+(* The compaction every vertex went through before [compact] learnt to
+   share: filter every version array, rebuild every edge. The shared
+   version must agree with it structurally. *)
+let reference_compact before (v : Mgraph.vertex) ~watermark =
+  let dead (life : Mgraph.lifespan) =
+    match life.deleted with Some d -> before d watermark | None -> false
+  in
+  let filter keep a = Array.of_list (List.filter keep (Array.to_list a)) in
+  if dead v.v_life then None
+  else
+    let keep_prop (p : Mgraph.prop) = not (dead p.p_life) in
+    let out =
+      filter (fun (e : Mgraph.edge) -> not (dead e.e_life)) v.out
+      |> Array.map (fun (e : Mgraph.edge) -> { e with e_props = filter keep_prop e.e_props })
+    in
+    Some { v with v_props = filter keep_prop v.v_props; out }
+
+type gop =
+  | Add_edge of int
+  | Del_edge of int
+  | Set_vprop of int * int
+  | Del_vprop of int
+  | Set_eprop of int * int * int
+  | Del_eprop of int * int
+  | Del_vertex
+
+let gen_gop =
+  QCheck.Gen.(
+    let small = int_range 0 2 in
+    frequency
+      [
+        (3, map (fun e -> Add_edge e) small);
+        (2, map (fun e -> Del_edge e) small);
+        (3, map2 (fun k x -> Set_vprop (k, x)) small small);
+        (1, map (fun k -> Del_vprop k) small);
+        (3, map3 (fun e k x -> Set_eprop (e, k, x)) small small small);
+        (1, map2 (fun e k -> Del_eprop (e, k)) small small);
+        (1, return Del_vertex);
+      ])
+
+(* one op per stamp t2, t3, ...; edge ids repeat, so a re-added edge sits
+   beside its deleted earlier version *)
+let apply_gops ops =
+  let s = string_of_int in
+  snd
+    (List.fold_left
+       (fun (i, v) op ->
+         let at = t i in
+         let v =
+           match op with
+           | Add_edge e -> Mgraph.add_edge v ~eid:("e" ^ s e) ~dst:"z" ~at
+           | Del_edge e -> Mgraph.delete_edge v ~eid:("e" ^ s e) ~at
+           | Set_vprop (k, x) -> Mgraph.set_vertex_prop before v ~key:(s k) ~value:(s x) ~at
+           | Del_vprop k -> Mgraph.del_vertex_prop before v ~key:(s k) ~at
+           | Set_eprop (e, k, x) ->
+               Mgraph.set_edge_prop before v ~eid:("e" ^ s e) ~key:(s k) ~value:(s x) ~at
+           | Del_eprop (e, k) -> Mgraph.del_edge_prop before v ~eid:("e" ^ s e) ~key:(s k) ~at
+           | Del_vertex -> Mgraph.delete_vertex v ~at
+         in
+         (i + 1, v))
+       (2, Mgraph.create_vertex ~vid:"a" ~at:(t 1))
+       ops)
+
+let prop_compact_matches_reference =
+  QCheck.Test.make ~name:"compact = full rebuild; identity without closed versions"
+    ~count:500
+    QCheck.(
+      pair (make (Gen.list_size (Gen.int_range 0 25) gen_gop)) (int_range 1 30))
+    (fun (ops, w) ->
+      let v = apply_gops ops in
+      let watermark = t w in
+      let got = Mgraph.compact before v ~watermark in
+      let same_as_reference = got = reference_compact before v ~watermark in
+      let identity_if_open =
+        Mgraph.has_closed v
+        || match got with Some v' -> v' == v | None -> false
+      in
+      (* nothing dropped (the rebuild equals the input) => no copy made *)
+      let identity_if_nothing_below =
+        match got with Some v' -> (v' = v) = (v' == v) | None -> true
+      in
+      same_as_reference && identity_if_open && identity_if_nothing_below)
+
 (* property: visibility is monotone in time for undeleted objects, and an
    object is never visible before its creation stamp *)
 let prop_visibility_sane =
@@ -178,6 +301,11 @@ let suites =
         Alcotest.test_case "compact drops dead" `Quick test_compact_drops_dead;
         Alcotest.test_case "compact removes dead vertex" `Quick test_compact_removes_dead_vertex;
         Alcotest.test_case "compact preserves live" `Quick test_compact_preserves_live;
+        Alcotest.test_case "compact identity when nothing below" `Quick
+          test_compact_identity_when_nothing_below;
+        Alcotest.test_case "compact shares untouched edges" `Quick
+          test_compact_shares_untouched_edges;
+        QCheck_alcotest.to_alcotest prop_compact_matches_reference;
         QCheck_alcotest.to_alcotest prop_visibility_sane;
         QCheck_alcotest.to_alcotest prop_updates_do_not_rewrite_history;
       ] );

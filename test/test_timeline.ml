@@ -374,6 +374,60 @@ let test_slowlog_ranks_and_caps () =
     (Some 200.0)
     (Json.number_member "duration_us" (List.hd entries))
 
+(* The list-rebuilding log [Slowlog] replaced: insert, then truncate to
+   capacity on every record. The O(1)-reject version must retain the same
+   entries in the same order, ties included. *)
+module Reference_slowlog = struct
+  type t = { capacity : int; mutable entries : Slowlog.entry list }
+
+  let rec insert e = function
+    | [] -> [ e ]
+    | e' :: _ as rest when Slowlog.duration e >= Slowlog.duration e' -> e :: rest
+    | e' :: rest -> e' :: insert e rest
+
+  let record t e =
+    let merged = insert e t.entries in
+    t.entries <-
+      (if List.length merged > t.capacity then
+         List.filteri (fun i _ -> i < t.capacity) merged
+       else merged)
+
+  let threshold t =
+    if List.length t.entries < t.capacity then 0.0
+    else match List.rev t.entries with e :: _ -> Slowlog.duration e | [] -> 0.0
+end
+
+let prop_slowlog_matches_reference =
+  QCheck.Test.make ~name:"slowlog retains what the list rebuild retained" ~count:500
+    QCheck.(
+      pair
+        (make Gen.(oneof [ return 1; int_range 2 6 ]))
+        (* few distinct durations, so ties are common *)
+        (list_of_size (Gen.int_range 0 40) (int_range 0 6)))
+    (fun (capacity, durations) ->
+      let log = Slowlog.create ~capacity in
+      let reference = { Reference_slowlog.capacity; entries = [] } in
+      let ids es = List.map (fun e -> e.Slowlog.e_trace) es in
+      List.for_all
+        (fun (i, d) ->
+          let e = entry i "tx" 10.0 (10.0 +. float_of_int d) in
+          Slowlog.record log e;
+          Reference_slowlog.record reference e;
+          ids (Slowlog.entries log) = ids reference.Reference_slowlog.entries
+          && Slowlog.threshold log = Reference_slowlog.threshold reference)
+        (List.mapi (fun i d -> (i, d)) durations)
+      && Slowlog.recorded log = List.length durations)
+
+let test_slowlog_tie_displaces_fastest () =
+  (* an entry as slow as the fastest retained one ranks ahead of it, so
+     it displaces it from a full log *)
+  let log = Slowlog.create ~capacity:1 in
+  Slowlog.record log (entry 1 "tx" 0.0 50.0);
+  Slowlog.record log (entry 2 "tx" 0.0 50.0);
+  Slowlog.record log (entry 3 "tx" 0.0 40.0);
+  Alcotest.(check (list int)) "newest of the tie kept" [ 2 ]
+    (List.map (fun e -> e.Slowlog.e_trace) (Slowlog.entries log))
+
 let test_slowlog_integration () =
   let c, traces = traced_cluster () in
   let log = Cluster.slow_log c in
@@ -484,6 +538,8 @@ let suites =
     ( "slowlog",
       [
         Alcotest.test_case "ranks and caps" `Quick test_slowlog_ranks_and_caps;
+        Alcotest.test_case "tie displaces fastest" `Quick test_slowlog_tie_displaces_fastest;
+        QCheck_alcotest.to_alcotest prop_slowlog_matches_reference;
         Alcotest.test_case "cluster integration" `Quick test_slowlog_integration;
       ] );
   ]
