@@ -333,17 +333,19 @@ let handle_tx_req t ~client ~tx_id ops =
     Hashtbl.remove t.in_progress key;
     let fin = now t in
     Runtime.observe t.rt "gk.tx_service" (fin -. t0);
-    Runtime.trace_span t.rt ~trace:tx_id ~name:"gk.tx" ~actor:(actor t) ~start:t0
-      ~stop:fin
-      ~meta:[ ("result", match result with Ok () -> "ok" | Error e -> e) ]
-      ();
+    if Runtime.tracing t.rt ~trace:tx_id then
+      Runtime.trace_span t.rt ~trace:tx_id ~name:"gk.tx" ~actor:(actor t) ~start:t0
+        ~stop:fin
+        ~meta:[ ("result", match result with Ok () -> "ok" | Error e -> e) ]
+        ();
     send t ~dst:client (Msg.Tx_reply { tx_id; result; reads })
   in
   let store_span ~phase ~start =
     let stop = now t in
     Runtime.observe t.rt "gk.store_rtt" (stop -. start);
-    Runtime.trace_span t.rt ~trace:tx_id ~name:"store.round_trip" ~actor:"store"
-      ~start ~stop ~meta:[ ("phase", phase) ] ()
+    if Runtime.tracing t.rt ~trace:tx_id then
+      Runtime.trace_span t.rt ~trace:tx_id ~name:"store.round_trip" ~actor:"store"
+        ~start ~stop ~meta:[ ("phase", phase) ] ()
   in
   let abort_counted () =
     (counters t).Runtime.tx_aborted <- (counters t).Runtime.tx_aborted + 1;
@@ -839,10 +841,11 @@ let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
             (counters t).Runtime.progs_completed <-
               (counters t).Runtime.progs_completed + 1;
             Runtime.observe t.rt "gk.prog_service" (now t -. run.pr_started);
-            Runtime.trace_span t.rt ~trace:prog_id ~name:"gk.prog" ~actor:(actor t)
-              ~start:run.pr_started ~stop:(now t)
-              ~meta:[ ("prog", run.pr_prog) ]
-              ();
+            if Runtime.tracing t.rt ~trace:prog_id then
+              Runtime.trace_span t.rt ~trace:prog_id ~name:"gk.prog" ~actor:(actor t)
+                ~start:run.pr_started ~stop:(now t)
+                ~meta:[ ("prog", run.pr_prog) ]
+                ();
             send t ~dst:run.pr_client
               (Msg.Prog_reply { prog_id; result = Ok run.pr_acc });
             (* release per-vertex program state on every shard (§4.5) *)
@@ -937,8 +940,9 @@ let admit t ~trace work =
         (* wait in the serial admission queue plus the admission service
            itself — the gatekeeper-bottleneck phase of Fig. 12 *)
         Runtime.observe t.rt "gk.admission_wait" (served -. arrived);
-        Runtime.trace_span t.rt ~trace ~name:"gk.admission" ~actor:(actor t)
-          ~start:arrived ~stop:served ();
+        if Runtime.tracing t.rt ~trace then
+          Runtime.trace_span t.rt ~trace ~name:"gk.admission" ~actor:(actor t)
+            ~start:arrived ~stop:served ();
         work ()
       end)
 

@@ -57,6 +57,7 @@ type counters = {
   mutable repl_resyncs : int;
   mutable repl_routed : int;
   mutable gc_compact_visits : int;
+  mutable stamp_inversions : int;
 }
 
 type t = {
@@ -149,7 +150,8 @@ let register_counter_gauges metrics (c : counters) =
   g "repl.updates" (fun () -> c.repl_updates);
   g "repl.resyncs" (fun () -> c.repl_resyncs);
   g "repl.routed" (fun () -> c.repl_routed);
-  g "gc.compact_visits" (fun () -> c.gc_compact_visits)
+  g "gc.compact_visits" (fun () -> c.gc_compact_visits);
+  g "shard.stamp_inversions" (fun () -> c.stamp_inversions)
 
 (* the network tracer that feeds the causal trace collector: attribute
    every wire message to its request's trace id *)
@@ -234,6 +236,7 @@ let create cfg =
           repl_resyncs = 0;
           repl_routed = 0;
           gc_compact_visits = 0;
+          stamp_inversions = 0;
         };
       metrics;
       tracer =
@@ -306,6 +309,10 @@ let trace_span t ~trace ~name ~actor ~start ~stop ?meta () =
   match t.tracer with
   | Some tr when trace <> 0 -> Trace.span tr ~trace ~name ~actor ~start ~stop ?meta ()
   | _ -> ()
+
+(* whether [trace_span] would record: hot paths test this first, so the
+   actor name and the metadata list are never built for an untraced run *)
+let tracing t ~trace = trace <> 0 && Option.is_some t.tracer
 
 let gk_addr _t i = i
 let shard_addr t j = t.cfg.Config.n_gatekeepers + j
@@ -409,17 +416,50 @@ let heat_cross t vid =
         ~now:(Engine.now t.engine) vid
   | None -> ()
 
-(* Keyed directly on the stamp pair with structural hashing/equality:
-   building a "e@o,c1,c2|e@o,c1,c2" string per lookup used to dominate the
-   ordering hot path. Structural equality distinguishes exactly what the
-   string keys did (epoch, origin, clock vector, both sides). *)
-type decision_cache = (Vclock.t * Vclock.t, bool) Hashtbl.t
+(* Keyed on the stamp pair. Equality is structural on both stamps (epoch,
+   origin, clock vector), exactly what the polymorphic table compared, so
+   two physically distinct copies of a stamp share their decisions; the
+   hash is an int mix of the same fields, so a lookup neither walks the
+   pair through the runtime's generic hash nor allocates beyond the key. *)
+module Stamp_pair = struct
+  type t = Vclock.t * Vclock.t
 
-let create_cache () : decision_cache = Hashtbl.create 256
+  let same (a : Vclock.t) (b : Vclock.t) =
+    a == b || (a.Vclock.origin = b.Vclock.origin && Vclock.equal a b)
+
+  let equal (a, b) (a', b') = same a a' && same b b'
+
+  (* 64-bit FNV-1a style mixing, word by word *)
+  let[@inline] mix h x = (h lxor x) * 0x100000001b3
+
+  let stamp_hash h (s : Vclock.t) =
+    let h = mix (mix h s.Vclock.epoch) s.Vclock.origin in
+    let c = s.Vclock.clocks in
+    let h = ref h in
+    for i = 0 to Array.length c - 1 do
+      h := mix !h c.(i)
+    done;
+    !h
+
+  let hash (a, b) =
+    let h = stamp_hash (stamp_hash 0x2bf29ce484222325 a) b in
+    (h lxor (h lsr 29)) land max_int
+end
+
+module Decisions = Hashtbl.Make (Stamp_pair)
+
+type decision_cache = bool Decisions.t
+
+let create_cache () : decision_cache = Decisions.create 256
+
+(* an empty cache, the usual state on read-mostly loads, answers without
+   building or hashing the key *)
+let cached cache a b =
+  if Decisions.length cache = 0 then None else Decisions.find_opt cache (a, b)
 
 let cache_put cache a b first_before =
-  Hashtbl.replace cache (a, b) first_before;
-  Hashtbl.replace cache (b, a) (not first_before)
+  Decisions.replace cache (a, b) first_before;
+  Decisions.replace cache (b, a) (not first_before)
 
 (* Decide a ≺ b. Vector clocks answer most pairs for free (the proactive
    stage); concurrent pairs go to the server-local cache of irreversible
@@ -431,7 +471,7 @@ let before cache t a b ~prefer_first_on_tie =
   | Vclock.After -> false
   | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> false
   | Vclock.Equal | Vclock.Concurrent -> (
-      match Hashtbl.find_opt cache (a, b) with
+      match cached cache a b with
       | Some d ->
           t.counters.oracle_cache_hits <- t.counters.oracle_cache_hits + 1;
           d
@@ -452,7 +492,7 @@ let before_established cache t a b =
   | Vclock.After -> Some false
   | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> Some false
   | Vclock.Equal | Vclock.Concurrent -> (
-      match Hashtbl.find_opt cache (a, b) with
+      match cached cache a b with
       | Some d ->
           t.counters.oracle_cache_hits <- t.counters.oracle_cache_hits + 1;
           Some d
@@ -482,7 +522,7 @@ let before_cached cache t a b =
   | Vclock.After -> Some false
   | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> Some false
   | Vclock.Equal | Vclock.Concurrent -> (
-      match Hashtbl.find_opt cache (a, b) with
+      match cached cache a b with
       | Some d ->
           t.counters.oracle_cache_hits <- t.counters.oracle_cache_hits + 1;
           Some d

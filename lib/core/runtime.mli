@@ -95,6 +95,13 @@ type counters = {
   mutable gc_compact_visits : int;
       (** vertices visited by shard multi-version GC rounds (§4.5): only
           those that may hold a closed version, not every resident one *)
+  mutable stamp_inversions : int;
+      (** [Shard_tx] arrivals at a shard whose stamp does not happen after
+          the previous arrival from the same gatekeeper: a gatekeeper
+          stamps a transaction when its request arrives but ships it only
+          after the store commit, while its NOP timer keeps shipping newer
+          stamps in between, so per-gatekeeper FIFO order is not stamp
+          order *)
 }
 
 type t = {
@@ -173,6 +180,11 @@ val trace_span :
   unit
 (** Record a completed span against a request trace. No-op when tracing is
     disabled or [trace = 0]. *)
+
+val tracing : t -> trace:int -> bool
+(** [true] iff {!trace_span} would record for [trace]. Hot paths test it
+    first so an untraced run never builds a span's actor name or
+    metadata. *)
 
 val obs_net_hook :
   t -> (time:float -> src:int -> dst:int -> Msg.t -> unit) option

@@ -93,6 +93,9 @@ type t = {
   seq_epoch : int array; (* epoch in which last_seq was recorded *)
   cache : Runtime.decision_cache;
   last_applied : Vclock.t option array; (* newest executed stamp per gk *)
+  last_arrived : Vclock.t option array;
+      (* stamp of the previous Shard_tx from each gk, for the
+         [stamp_inversions] count only *)
   prog_state : (int, (int, Progval.t) Hashtbl.t) Hashtbl.t;
   mutable parked : parked_prog list;
   mutable oracle_inflight : bool;
@@ -322,10 +325,11 @@ let apply_tx t ~gk (qt : queued_tx) =
     (* time between arrival on the FIFO queue and execution — the
        timestamp-ordering wait the paper's Fig. 9 latency includes *)
     Runtime.observe t.rt "shard.queue_wait" (now t -. qt.q_enq);
-    Runtime.trace_span t.rt ~trace:qt.q_trace ~name:"shard.queue" ~actor:(actor t)
-      ~start:qt.q_enq ~stop:(now t)
-      ~meta:[ ("ops", string_of_int (List.length qt.q_ops)) ]
-      ()
+    if Runtime.tracing t.rt ~trace:qt.q_trace then
+      Runtime.trace_span t.rt ~trace:qt.q_trace ~name:"shard.queue" ~actor:(actor t)
+        ~start:qt.q_enq ~stop:(now t)
+        ~meta:[ ("ops", string_of_int (List.length qt.q_ops)) ]
+        ()
   end;
   List.iter (apply_op t qt.q_ts) qt.q_ops;
   t.busy_until <-
@@ -429,13 +433,23 @@ let advertise_cover t range ts =
 (* ------------------------------------------------------------------ *)
 (* Node program execution (§4.1). *)
 
-let prog_states t prog_id =
+(* Per-program vertex state lives in a table created on the first state a
+   program stores here: most programs visit one vertex and keep none, and
+   the tables are only ever probed, never iterated. *)
+let prog_state_find t prog_id h =
   match Hashtbl.find_opt t.prog_state prog_id with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 64 in
-      Hashtbl.replace t.prog_state prog_id tbl;
-      tbl
+  | Some tbl -> Hashtbl.find_opt tbl h
+  | None -> None
+
+let prog_state_set t prog_id h state =
+  match (Hashtbl.find_opt t.prog_state prog_id, state) with
+  | Some tbl, Some s -> Hashtbl.replace tbl h s
+  | Some tbl, None -> Hashtbl.remove tbl h
+  | None, Some s ->
+      let tbl = Hashtbl.create 1 in
+      Hashtbl.replace tbl h s;
+      Hashtbl.replace t.prog_state prog_id tbl
+  | None, None -> ()
 
 (* Run a batch of (vertex, params) visits locally; hops to vertices on this
    shard are processed in the same batch, hops elsewhere are grouped into
@@ -485,10 +499,10 @@ let execute_prog_batch t (p : parked_prog) =
   | Some (module P : Nodeprog.PROGRAM) ->
       (* time this batch spent parked behind the refinable-timestamp gate *)
       Runtime.observe t.rt "shard.prog_gate_wait" (now t -. p.p_since);
-      Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_gate" ~actor:(actor t)
-        ~start:p.p_since ~stop:(now t) ();
+      if Runtime.tracing t.rt ~trace:p.p_id then
+        Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_gate" ~actor:(actor t)
+          ~start:p.p_since ~stop:(now t) ();
       let exec_start = now t in
-      let states = prog_states t p.p_id in
       (* a pinned batch reads the immutable snapshot: no demand paging, no
          LRU touches, no evictions — analytics never pollute the writers'
          hot set and writers never page the analytics' reads out *)
@@ -552,15 +566,13 @@ let execute_prog_batch t (p : parked_prog) =
                 (counters t).Runtime.vertices_read + 1;
               Runtime.heat_read t.rt ~shard:t.sid vid;
               let ctx = { Nodeprog.vid; at = p.p_ts; before = bf; vertex } in
-              let state = Hashtbl.find_opt states h in
+              let state = prog_state_find t p.p_id h in
               (* a repeat visit only touches the per-program state, not the
                  full vertex record: charge a tenth of a read *)
               read_cost_units :=
                 !read_cost_units +. (if state = None then 1.0 else 0.1);
               let state', hops, partial = P.run ctx ~params ~state in
-              (match state' with
-              | Some s -> Hashtbl.replace states h s
-              | None -> Hashtbl.remove states h);
+              prog_state_set t p.p_id h state';
               acc := P.merge !acc partial;
               List.iter
                 (fun (hvid, hparams) ->
@@ -589,10 +601,11 @@ let execute_prog_batch t (p : parked_prog) =
       let acc = !acc and visited = !visited in
       Engine.schedule_at t.rt.Runtime.engine ~time:t.busy_until (fun () ->
           if not t.retired then begin
-            Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_exec"
-              ~actor:(actor t) ~start:exec_start ~stop:(now t)
-              ~meta:[ ("visited", string_of_int (List.length visited)) ]
-              ();
+            if Runtime.tracing t.rt ~trace:p.p_id then
+              Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_exec"
+                ~actor:(actor t) ~start:exec_start ~stop:(now t)
+                ~meta:[ ("visited", string_of_int (List.length visited)) ]
+                ();
             let sent = Hashtbl.length remote in
             Hashtbl.iter
               (fun hshard items ->
@@ -620,20 +633,50 @@ let execute_prog_batch t (p : parked_prog) =
 (* A node program may run once, for every gatekeeper, the next transaction
    is known to come after it — i.e. all preceding and concurrent
    transactions have executed (§4.1). The queue head decides when one is
-   pending; when the queue is drained, the last applied stamp does (FIFO
-   channels and monotone per-gatekeeper stamps guarantee nothing earlier
-   can still arrive).
+   pending; when the queue is drained, the last applied stamp does.
 
    Crucially, waiting is always safe, so gating never *establishes* new
    oracle orders: a queue clears only when the program precedes the
-   reference stamp by vector clock or by an already-committed chain. That
-   pins the program before every future stamp of that gatekeeper (later
-   stamps dominate the cleared one), while concurrent transactions the
-   program actually overlaps with get ordered transaction-first by the
-   visibility decisions at read time (§4.4) — the genuinely reactive
-   cost. Effect-free NOP heads are checked against the local cache only;
-   real transaction heads may additionally consult pre-established oracle
-   state. *)
+   reference stamp by vector clock or by an already-committed chain.
+   Concurrent transactions the program actually overlaps with get ordered
+   transaction-first by the visibility decisions at read time (§4.4) — the
+   genuinely reactive cost. Effect-free NOP heads are checked against the
+   local cache only; real transaction heads may additionally consult
+   pre-established oracle state.
+
+   The FIFO channel does not make a gatekeeper's stamps monotone, so a
+   cleared reference stamp does not bound every later arrival from that
+   gatekeeper. The gatekeeper stamps a transaction when its request
+   arrives but ships it only after two store phases, and its NOP timer
+   ships newer stamps in between; a transaction stamped before a NOP can
+   therefore arrive behind it ([Runtime.counters.stamp_inversions] counts
+   such arrivals). *)
+let clears_stamp t (p : parked_prog) ~overdue ~is_nop ts =
+  let decision =
+    if is_nop then Runtime.before_cached t.cache t.rt p.p_ts ts
+    else Runtime.before_established t.cache t.rt p.p_ts ts
+  in
+  match decision with
+  | Some d -> d
+  | None ->
+      (* unordered: normally wait for clock propagation; past the
+         patience window, refine reactively — a NOP head may be ordered
+         after the program (it carries no effects), while a real
+         transaction is ordered before it (par. 4.4), which blocks until
+         that transaction is applied *)
+      overdue && Runtime.before t.cache t.rt p.p_ts ts ~prefer_first_on_tie:is_nop
+
+let clears t p ~overdue gk =
+  let q = t.queues.(gk) in
+  if not (Queue.is_empty q) then begin
+    let head = Queue.peek q in
+    clears_stamp t p ~overdue ~is_nop:(head.q_ops = []) head.q_ts
+  end
+  else
+    match t.last_applied.(gk) with
+    | Some last -> clears_stamp t p ~overdue ~is_nop:true last
+    | None -> false
+
 let prog_runnable t (p : parked_prog) =
   match p.p_snap with
   | Some _ ->
@@ -652,32 +695,12 @@ let prog_runnable t (p : parked_prog) =
     Float.min (2.0 *. ((cfg t).Config.tau +. (cfg t).Config.nop_period)) 10_000.0
   in
   let overdue = Engine.now t.rt.Runtime.engine -. p.p_since > patience in
-  let clears_stamp ~is_nop ts =
-    let decision =
-      if is_nop then Runtime.before_cached t.cache t.rt p.p_ts ts
-      else Runtime.before_established t.cache t.rt p.p_ts ts
-    in
-    match decision with
-    | Some d -> d
-    | None ->
-        (* unordered: normally wait for clock propagation; past the
-           patience window, refine reactively — a NOP head may be ordered
-           after the program (it carries no effects), while a real
-           transaction is ordered before it (par. 4.4), which blocks until
-           that transaction is applied *)
-        overdue
-        && Runtime.before t.cache t.rt p.p_ts ts ~prefer_first_on_tie:is_nop
-  in
-  let clears gk q =
-    match Queue.peek_opt q with
-    | Some head -> clears_stamp ~is_nop:(head.q_ops = []) head.q_ts
-    | None -> (
-        match t.last_applied.(gk) with
-        | Some last -> clears_stamp ~is_nop:true last
-        | None -> false)
-  in
+  (* every queue is checked, even after one fails: a check may count a
+     cache hit or consult the oracle *)
   let ok = ref true in
-  Array.iteri (fun gk q -> if not (clears gk q) then ok := false) t.queues;
+  for gk = 0 to Array.length t.queues - 1 do
+    if not (clears t p ~overdue gk) then ok := false
+  done;
   !ok
 
 let try_run_parked t =
@@ -694,6 +717,54 @@ let try_run_parked t =
    Conflicting pairs discovered mid-flight join the outstanding batch (one
    serialize call answers all of them) instead of issuing their own round
    trip. *)
+
+let rec all_heads t g =
+  g = Array.length t.queues || ((not (Queue.is_empty t.queues.(g))) && all_heads t (g + 1))
+
+(* a head covered by the in-flight consult must wait for its answer; only
+   those heads are stalled *)
+let stalled t (h : queued_tx) = t.oracle_inflight && Hashtbl.mem t.oracle_batch h.q_ts
+
+(* [le t conflict h h'] — may this head execute no later than that one? A
+   NOP carries no effects, so a pair involving one is broken
+   deterministically without the oracle. Two concurrent *real*
+   transactions sharing this shard are exactly the pairs the paper orders
+   reactively (§3.4); an undecided pair of them sets [conflict]. The NOP
+   tie-break is not harmless: passing a NOP also runs ahead of whatever
+   its gatekeeper queued behind it, and since that gatekeeper's stamps are
+   not monotone in FIFO order (see [prog_runnable]), a real transaction
+   queued there may already be ordered before the passing head. *)
+let le t conflict (h : queued_tx) (h' : queued_tx) =
+  match Runtime.before_cached t.cache t.rt h.q_ts h'.q_ts with
+  | Some d -> d
+  | None ->
+      if h.q_ops = [] || h'.q_ops = [] then Vclock.total_compare h.q_ts h'.q_ts < 0
+      else begin
+        match Runtime.before_established t.cache t.rt h.q_ts h'.q_ts with
+        | Some d -> d
+        | None ->
+            conflict := true;
+            false
+      end
+
+(* Popping a non-stalled head requires it ≤ every other head, including
+   batch members, by already-established decisions — an order [serialize]
+   is bound to respect, so executing it during the flight commutes with
+   the consult's outcome. The first such head in gatekeeper order, or -1;
+   heads are compared in that order and each scan stops at the first
+   failure, since every comparison may count a hit or consult. Requires
+   every queue non-empty. *)
+let rec le_all t conflict g h g' =
+  g' = Array.length t.queues
+  || (g = g' || le t conflict h (Queue.peek t.queues.(g')))
+     && le_all t conflict g h (g' + 1)
+
+let rec minimal_head t conflict g =
+  if g = Array.length t.queues then -1
+  else
+    let h = Queue.peek t.queues.(g) in
+    if (not (stalled t h)) && le_all t conflict g h 0 then g
+    else minimal_head t conflict (g + 1)
 
 (* Add a stamp to the in-flight conflict batch; true iff it was new. *)
 let join_batch t ts =
@@ -744,54 +815,16 @@ and try_advance t =
     let continue = ref true in
     while !continue do
       continue := false;
-      if Array.for_all (fun q -> not (Queue.is_empty q)) t.queues then begin
-        let heads =
-          Array.to_list (Array.mapi (fun g q -> (g, Queue.peek q)) t.queues)
-        in
-        (* a head covered by the in-flight consult must wait for its
-           answer; only those heads are stalled *)
-        let stalled (h : queued_tx) =
-          t.oracle_inflight && Hashtbl.mem t.oracle_batch h.q_ts
-        in
-        (* [le h h'] — may this head execute no later than that one? A NOP
-           carries no effects, so a pair involving one needs no globally
-           consistent answer: break the tie deterministically without the
-           oracle. Two concurrent *real* transactions sharing this shard
-           are exactly the pairs the paper orders reactively (§3.4). *)
-        let conflicts = ref [] in
-        let le (h : queued_tx) (h' : queued_tx) =
-          match Runtime.before_cached t.cache t.rt h.q_ts h'.q_ts with
-          | Some d -> d
-          | None ->
-              if h.q_ops = [] || h'.q_ops = [] then
-                Vclock.total_compare h.q_ts h'.q_ts < 0
-              else begin
-                match Runtime.before_established t.cache t.rt h.q_ts h'.q_ts with
-                | Some d -> d
-                | None ->
-                    conflicts := (h.q_ts, h'.q_ts) :: !conflicts;
-                    false
-              end
-        in
-        (* popping a non-stalled head requires it ≤ every other head,
-           including batch members, by already-established decisions — an
-           order [serialize] is bound to respect, so executing it during
-           the flight commutes with the consult's outcome *)
-        let minimal =
-          List.find_opt
-            (fun (g, h) ->
-              (not (stalled h))
-              && List.for_all (fun (g', h') -> g = g' || le h h') heads)
-            heads
-        in
-        match minimal with
-        | Some (g, _) ->
+      if all_heads t 0 then begin
+        let conflict = ref false in
+        match minimal_head t conflict 0 with
+        | g when g >= 0 ->
             let qt = Queue.pop t.queues.(g) in
             t.last_applied.(g) <- Some qt.q_ts;
             apply_tx t ~gk:g qt;
             continue := true
-        | None ->
-            if !conflicts <> [] then begin
+        | _ ->
+            if !conflict then begin
               (* concurrent conflicting transactions: have the timeline
                  oracle serialize them (decisions are cached). Ship every
                  real transaction still undecided against some other real
@@ -829,6 +862,9 @@ and try_advance t =
             end;
             (* no executable minimum: pop the deterministically smallest
                NOP so effect-free traffic never backs up behind a stall *)
+            let heads =
+              Array.to_list (Array.mapi (fun g q -> (g, Queue.peek q)) t.queues)
+            in
             let nops = List.filter (fun (_, h) -> h.q_ops = []) heads in
             let cmp (_, a) (_, b) = Vclock.total_compare a.q_ts b.q_ts in
             match List.sort cmp nops with
@@ -882,6 +918,7 @@ let handle_epoch_change t new_epoch =
     Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
     Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
     Array.fill t.last_applied 0 (Array.length t.last_applied) None;
+    Array.fill t.last_arrived 0 (Array.length t.last_arrived) None;
     t.parked <- [];
     t.oracle_inflight <- false;
     Hashtbl.reset t.oracle_batch;
@@ -997,8 +1034,10 @@ let handle_watermark t gk ts =
        boundary. Only once every transaction at or below [wm] has actually
        been applied here (watermark gossip shares the gatekeeper FIFO with
        Shard_tx, so covered transactions have *arrived*, but one may still
-       be queued behind an oracle consult — per-gatekeeper stamps are
-       monotone, so checking the heads suffices). Clean followers get a
+       be queued behind an oracle consult). Only the heads are checked;
+       per-gatekeeper stamps are not monotone in FIFO order (see
+       [prog_runnable]), so a covered transaction queued behind an
+       uncovered head is missed. Clean followers get a
        watermark heartbeat: FIFO order guarantees they received every
        streamed update below it first. Dirty followers get a wholesale
        reseed of the owner's records at this cut — immutable, so sharing
@@ -1061,6 +1100,12 @@ let handle t ~src:_ msg =
             assert (seq = t.last_seq.(gk) + 1);
             t.last_seq.(gk) <- seq
           end;
+          (match t.last_arrived.(gk) with
+          | Some prev when Vclock.compare_hb prev ts <> Vclock.Before ->
+              (counters t).Runtime.stamp_inversions <-
+                (counters t).Runtime.stamp_inversions + 1
+          | _ -> ());
+          t.last_arrived.(gk) <- Some ts;
           Queue.push
             { q_seq = seq; q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t }
             t.queues.(gk);
@@ -1073,8 +1118,9 @@ let handle t ~src:_ msg =
            dispatch to arrival here — the phase client-tx slow-log entries
            already had and program entries were missing *)
         Runtime.observe t.rt "shard.prog_hop_wait" (now t -. sent_at);
-        Runtime.trace_span t.rt ~trace:prog_id ~name:"shard.prog_hop"
-          ~actor:(actor t) ~start:sent_at ~stop:(now t) ();
+        if Runtime.tracing t.rt ~trace:prog_id then
+          Runtime.trace_span t.rt ~trace:prog_id ~name:"shard.prog_hop"
+            ~actor:(actor t) ~start:sent_at ~stop:(now t) ();
         let snap =
           if historical && (cfg t).Config.snapshot_reads then
             match Hashtbl.find_opt t.pins prog_id with
@@ -1204,6 +1250,7 @@ let spawn rt ~sid ~epoch =
       seq_epoch = Array.make n_g (-1); (* sentinel: re-baseline per channel *)
       cache = Runtime.create_cache ();
       last_applied = Array.make n_g None;
+      last_arrived = Array.make n_g None;
       prog_state = Hashtbl.create 32;
       parked = [];
       oracle_inflight = false;
@@ -1273,6 +1320,7 @@ let resync t =
   Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
   Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
   Array.fill t.last_applied 0 (Array.length t.last_applied) None;
+  Array.fill t.last_arrived 0 (Array.length t.last_arrived) None;
   t.parked <- [];
   t.oracle_inflight <- false;
   Hashtbl.reset t.oracle_batch;

@@ -1,24 +1,124 @@
-(* The event queue is an inline binary min-heap over three parallel
+(* The event queue is two inline binary min-heaps, each over three parallel
    arrays rather than a heap of {time; seq; action} records: [times] is a
    flat float array (unboxed), so scheduling an event allocates nothing
    beyond the caller's closure, and the (time, seq) comparison is two
    machine compares instead of a polymorphic [compare] through a closure.
-   Events at equal time fire in scheduling order via the sequence number,
-   exactly as the record-based queue did. *)
+   Events at equal time fire in scheduling order via the sequence number.
+
+   The two tiers: an event due more than [horizon] after the current time
+   goes to the far heap, every other event to the near heap. Long timers
+   (client request timeouts, mostly cancelled in effect by the reply that
+   beats them) pile up by the tens of thousands, and in one heap every pop
+   of a near event would sift through all of their levels. [step] pops
+   whichever root is smaller by (time, seq). Both roots are the minima of
+   their tiers and (time, seq) is a strict total order (seqs are unique),
+   so the smaller root is the global minimum: the firing order is exactly
+   the one-heap order, whatever the split. Events never move between
+   tiers. *)
+
+module Heap = struct
+  type t = {
+    mutable times : float array;
+    mutable seqs : int array;
+    mutable actions : (unit -> unit) array;
+    mutable size : int;
+  }
+
+  let noop () = ()
+  let create () = { times = [||]; seqs = [||]; actions = [||]; size = 0 }
+
+  let grow h =
+    let cap = Array.length h.seqs in
+    if h.size = cap then begin
+      let ncap = if cap = 0 then 64 else cap * 2 in
+      let nt = Array.make ncap 0.0
+      and ns = Array.make ncap 0
+      and na = Array.make ncap noop in
+      Array.blit h.times 0 nt 0 h.size;
+      Array.blit h.seqs 0 ns 0 h.size;
+      Array.blit h.actions 0 na 0 h.size;
+      h.times <- nt;
+      h.seqs <- ns;
+      h.actions <- na
+    end
+
+  (* Hole-based sifts: the moving element is held aside while parents (or
+     children) shift into the hole, and written once at its final slot. *)
+  let push h time seq action =
+    grow h;
+    let times = h.times and seqs = h.seqs and actions = h.actions in
+    let i = ref h.size in
+    h.size <- h.size + 1;
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let p = (!i - 1) / 2 in
+      let pt = times.(p) in
+      if time < pt || (time = pt && seq < seqs.(p)) then begin
+        times.(!i) <- pt;
+        seqs.(!i) <- seqs.(p);
+        actions.(!i) <- actions.(p);
+        i := p
+      end
+      else continue := false
+    done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    actions.(!i) <- action
+
+  (* Remove the root and return its action; the root's time is read by the
+     caller beforehand. *)
+  let pop h =
+    let times = h.times and seqs = h.seqs and actions = h.actions in
+    let action = actions.(0) in
+    let n = h.size - 1 in
+    h.size <- n;
+    if n > 0 then begin
+      let time = times.(n) and seq = seqs.(n) and last = actions.(n) in
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 in
+        if l >= n then continue := false
+        else begin
+          let r = l + 1 in
+          let c =
+            if r < n
+               && (times.(r) < times.(l)
+                  || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+            then r
+            else l
+          in
+          let ct = times.(c) in
+          if ct < time || (ct = time && seqs.(c) < seq) then begin
+            times.(!i) <- ct;
+            seqs.(!i) <- seqs.(c);
+            actions.(!i) <- actions.(c);
+            i := c
+          end
+          else continue := false
+        end
+      done;
+      times.(!i) <- time;
+      seqs.(!i) <- seq;
+      actions.(!i) <- last
+    end;
+    (* executed (and moved-from) closures must not stay reachable *)
+    actions.(n) <- noop;
+    action
+end
+
+(* Events due further ahead than this (virtual µs) go to the far tier. *)
+let horizon = 100_000.0
 
 type t = {
   mutable clock : float;
   mutable seq : int;
   mutable processed : int;
   mutable max_pending : int;
-  mutable times : float array;
-  mutable seqs : int array;
-  mutable actions : (unit -> unit) array;
-  mutable size : int;
+  near : Heap.t;
+  far : Heap.t;
   rng : Weaver_util.Xrand.t;
 }
-
-let noop () = ()
 
 let create ?(seed = 1) () =
   {
@@ -26,77 +126,21 @@ let create ?(seed = 1) () =
     seq = 0;
     processed = 0;
     max_pending = 0;
-    times = [||];
-    seqs = [||];
-    actions = [||];
-    size = 0;
+    near = Heap.create ();
+    far = Heap.create ();
     rng = Weaver_util.Xrand.create ~seed ();
   }
 
 let now t = t.clock
 let rng t = t.rng
-
-(* strict (time, seq) lexicographic order; seqs are unique so this is total *)
-let[@inline] less t i j =
-  t.times.(i) < t.times.(j)
-  || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
-
-let[@inline] swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let sq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- sq;
-  let ac = t.actions.(i) in
-  t.actions.(i) <- t.actions.(j);
-  t.actions.(j) <- ac
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && less t l !smallest then smallest := l;
-  if r < t.size && less t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let grow t =
-  let cap = Array.length t.seqs in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 64 else cap * 2 in
-    let nt = Array.make ncap 0.0
-    and ns = Array.make ncap 0
-    and na = Array.make ncap noop in
-    Array.blit t.times 0 nt 0 t.size;
-    Array.blit t.seqs 0 ns 0 t.size;
-    Array.blit t.actions 0 na 0 t.size;
-    t.times <- nt;
-    t.seqs <- ns;
-    t.actions <- na
-  end
+let pending t = t.near.Heap.size + t.far.Heap.size
 
 let schedule_at t ~time action =
   let time = Float.max time t.clock in
   t.seq <- t.seq + 1;
-  grow t;
-  let i = t.size in
-  t.times.(i) <- time;
-  t.seqs.(i) <- t.seq;
-  t.actions.(i) <- action;
-  t.size <- i + 1;
-  sift_up t i;
-  if t.size > t.max_pending then t.max_pending <- t.size
+  Heap.push (if time -. t.clock > horizon then t.far else t.near) time t.seq action;
+  let n = pending t in
+  if n > t.max_pending then t.max_pending <- n
 
 let schedule t ~delay action =
   let delay = Float.max 0.0 delay in
@@ -109,21 +153,22 @@ let every t ~period f =
   let rec tick () = if f () then schedule t ~delay:period tick in
   schedule t ~delay:period tick
 
+(* The tier holding the earliest pending event; requires [pending t > 0]. *)
+let[@inline] first t =
+  let near = t.near and far = t.far in
+  if far.Heap.size = 0 then near
+  else if near.Heap.size = 0 then far
+  else
+    let nt = near.Heap.times.(0) and ft = far.Heap.times.(0) in
+    if ft < nt || (ft = nt && far.Heap.seqs.(0) < near.Heap.seqs.(0)) then far
+    else near
+
 let step t =
-  if t.size = 0 then false
+  if pending t = 0 then false
   else begin
-    let action = t.actions.(0) in
-    t.clock <- t.times.(0);
-    let n = t.size - 1 in
-    t.size <- n;
-    if n > 0 then begin
-      t.times.(0) <- t.times.(n);
-      t.seqs.(0) <- t.seqs.(n);
-      t.actions.(0) <- t.actions.(n)
-    end;
-    (* executed (and moved-from) closures must not stay reachable *)
-    t.actions.(n) <- noop;
-    if n > 1 then sift_down t 0;
+    let h = first t in
+    t.clock <- h.Heap.times.(0);
+    let action = Heap.pop h in
     t.processed <- t.processed + 1;
     action ();
     true
@@ -135,13 +180,12 @@ let run ?until t =
   | Some limit ->
       let continue = ref true in
       while !continue do
-        if t.size > 0 && t.times.(0) <= limit then ignore (step t)
+        if pending t > 0 && (first t).Heap.times.(0) <= limit then ignore (step t)
         else begin
           t.clock <- Float.max t.clock limit;
           continue := false
         end
       done
 
-let pending t = t.size
 let max_pending t = t.max_pending
 let events_processed t = t.processed

@@ -27,12 +27,30 @@ type 'm channel = {
   mutable c_deliver : unit -> unit;
 }
 
+(* Tables keyed by addresses and directed links hash the ints directly
+   instead of walking the key through the runtime's generic hash; none of
+   them is ever iterated, so the hash function decides nothing but
+   speed. *)
+module Addr_tbl = Hashtbl.Make (struct
+  type t = addr
+
+  let equal = Int.equal
+  let hash a = a land max_int
+end)
+
+module Link_tbl = Hashtbl.Make (struct
+  type t = addr * addr
+
+  let equal (s, d) (s', d') = s = s' && d = d'
+  let hash (s, d) = ((s * 65599) + d) land max_int
+end)
+
 type 'm t = {
   engine : Engine.t;
   latency : latency;
   rng : Weaver_util.Xrand.t;
-  endpoints : (addr, 'm endpoint) Hashtbl.t;
-  channels : (addr * addr, 'm channel) Hashtbl.t;
+  endpoints : 'm endpoint Addr_tbl.t;
+  channels : 'm channel Link_tbl.t;
   mutable sent : int;
   mutable delivered : int;
   mutable suppressed : int; (* sends attempted by dead endpoints *)
@@ -54,7 +72,7 @@ type 'm t = {
      consumes extra randomness — runs with factors pinned at 1.0 are
      bit-identical to runs on a network without the feature. *)
   mutable latency_factor : float;
-  link_factors : (addr * addr, float) Hashtbl.t;
+  link_factors : float Link_tbl.t;
 }
 
 let uniform_latency ~base ~jitter rng ~src:_ ~dst:_ =
@@ -67,8 +85,8 @@ let create engine ~latency =
     engine;
     latency;
     rng = Weaver_util.Xrand.split (Engine.rng engine);
-    endpoints = Hashtbl.create 64;
-    channels = Hashtbl.create 256;
+    endpoints = Addr_tbl.create 64;
+    channels = Link_tbl.create 256;
     sent = 0;
     delivered = 0;
     suppressed = 0;
@@ -79,23 +97,23 @@ let create engine ~latency =
     channel_hwm = 0;
     tracer = None;
     latency_factor = 1.0;
-    link_factors = Hashtbl.create 16;
+    link_factors = Link_tbl.create 16;
   }
 
 let register t addr handler =
-  match Hashtbl.find_opt t.endpoints addr with
+  match Addr_tbl.find_opt t.endpoints addr with
   | Some ep ->
       ep.handler <- handler;
       ep.alive <- true
-  | None -> Hashtbl.replace t.endpoints addr { handler; alive = true }
+  | None -> Addr_tbl.replace t.endpoints addr { handler; alive = true }
 
 let set_alive t addr alive =
-  match Hashtbl.find_opt t.endpoints addr with
+  match Addr_tbl.find_opt t.endpoints addr with
   | Some ep -> ep.alive <- alive
   | None -> ()
 
 let is_alive t addr =
-  match Hashtbl.find_opt t.endpoints addr with
+  match Addr_tbl.find_opt t.endpoints addr with
   | Some ep -> ep.alive
   | None -> false
 
@@ -105,13 +123,14 @@ let set_latency_factor t f = t.latency_factor <- Float.max 0.0 f
 let latency_factor t = t.latency_factor
 
 let set_link_factor t ~src ~dst f =
-  if f = 1.0 then Hashtbl.remove t.link_factors (src, dst)
-  else Hashtbl.replace t.link_factors (src, dst) (Float.max 0.0 f)
+  if f = 1.0 then Link_tbl.remove t.link_factors (src, dst)
+  else Link_tbl.replace t.link_factors (src, dst) (Float.max 0.0 f)
 
 let link_factor t ~src ~dst =
-  match Hashtbl.find_opt t.link_factors (src, dst) with Some f -> f | None -> 1.0
+  if Link_tbl.length t.link_factors = 0 then 1.0
+  else match Link_tbl.find_opt t.link_factors (src, dst) with Some f -> f | None -> 1.0
 
-let clear_link_factors t = Hashtbl.reset t.link_factors
+let clear_link_factors t = Link_tbl.reset t.link_factors
 
 (* one delivery event fired: hand the channel's head message to the
    destination (or count the drop), retiring the channel when drained *)
@@ -119,8 +138,8 @@ let deliver_one t ch =
   let msg = Queue.pop ch.c_msgs in
   t.in_flight <- t.in_flight - 1;
   ch.c_load <- ch.c_load - 1;
-  if ch.c_load = 0 then Hashtbl.remove t.channels (ch.c_src, ch.c_dst);
-  match Hashtbl.find_opt t.endpoints ch.c_dst with
+  if ch.c_load = 0 then Link_tbl.remove t.channels (ch.c_src, ch.c_dst);
+  match Addr_tbl.find_opt t.endpoints ch.c_dst with
   | Some ep when ep.alive ->
       t.delivered <- t.delivered + 1;
       ep.handler ~src:ch.c_src msg
@@ -132,7 +151,7 @@ let deliver_one t ch =
       Hashtbl.replace t.drops_by_dst ch.c_dst (n + 1)
 
 let channel t key src dst =
-  match Hashtbl.find_opt t.channels key with
+  match Link_tbl.find_opt t.channels key with
   | Some ch -> ch
   | None ->
       let ch =
@@ -146,12 +165,12 @@ let channel t key src dst =
         }
       in
       ch.c_deliver <- (fun () -> deliver_one t ch);
-      Hashtbl.replace t.channels key ch;
+      Link_tbl.replace t.channels key ch;
       ch
 
 let send t ~src ~dst msg =
   let src_alive =
-    match Hashtbl.find_opt t.endpoints src with
+    match Addr_tbl.find_opt t.endpoints src with
     | Some ep -> ep.alive
     | None -> true (* unregistered senders (e.g. external clients) are fine *)
   in
@@ -192,9 +211,9 @@ let in_flight t = t.in_flight
 let in_flight_high_water t = t.in_flight_hwm
 
 let channel_in_flight t ~src ~dst =
-  match Hashtbl.find_opt t.channels (src, dst) with
+  match Link_tbl.find_opt t.channels (src, dst) with
   | Some ch -> ch.c_load
   | None -> 0
 
 let channel_high_water t = t.channel_hwm
-let channels_tracked t = Hashtbl.length t.channels
+let channels_tracked t = Link_tbl.length t.channels

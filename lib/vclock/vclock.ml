@@ -22,34 +22,48 @@ let merge a b =
   let clocks = Array.mapi (fun i v -> max v b.clocks.(i)) a.clocks in
   { a with clocks }
 
+(* [le]: no component of [a] exceeds [b]'s; [ge]: none falls below it.
+   A top-level loop over plain ints allocates nothing; it stops early once
+   both flags are false, since the answer is then [Concurrent]. *)
+let rec hb_loop (ac : int array) (bc : int array) i le ge =
+  if i = Array.length ac then
+    if le then if ge then Equal else Before else if ge then After else Concurrent
+  else begin
+    let av = ac.(i) and bv = bc.(i) in
+    let le = le && av <= bv and ge = ge && av >= bv in
+    if le || ge then hb_loop ac bc (i + 1) le ge else Concurrent
+  end
+
 let compare_hb a b =
   if a.epoch < b.epoch then Before
   else if a.epoch > b.epoch then After
   else begin
     assert (dim a = dim b);
-    let le = ref true and ge = ref true in
-    Array.iteri
-      (fun i av ->
-        let bv = b.clocks.(i) in
-        if av < bv then ge := false;
-        if av > bv then le := false)
-      a.clocks;
-    match (!le, !ge) with
-    | true, true -> Equal
-    | true, false -> Before
-    | false, true -> After
-    | false, false -> Concurrent
+    hb_loop a.clocks b.clocks 0 true true
   end
 
 let precedes a b = compare_hb a b = Before
 let concurrent a b = compare_hb a b = Concurrent
 
-let equal a b =
-  a.epoch = b.epoch && dim a = dim b
-  && Array.for_all2 Int.equal a.clocks b.clocks
+(* [Array.for_all2] would allocate a closure per call; [equal] runs on
+   every version-visibility check of a read ([Mgraph.at_or_before]) *)
+let rec clocks_equal (ac : int array) (bc : int array) i =
+  i = Array.length ac || (ac.(i) = bc.(i) && clocks_equal ac bc (i + 1))
+
+let equal a b = a.epoch = b.epoch && dim a = dim b && clocks_equal a.clocks b.clocks 0
 
 let sum t = Array.fold_left ( + ) 0 t.clocks
 
+(* Lexicographic order of equal-length clock arrays. *)
+let rec lex_compare (ac : int array) (bc : int array) i =
+  if i = Array.length ac then 0
+  else
+    let av = ac.(i) and bv = bc.(i) in
+    if av <> bv then compare av bv else lex_compare ac bc (i + 1)
+
+(* The polymorphic [compare] on two int arrays puts the shorter array
+   first and compares equal lengths lexicographically; this is that order
+   on ints, with no runtime call. *)
 let total_compare a b =
   let c = compare a.epoch b.epoch in
   if c <> 0 then c
@@ -57,8 +71,11 @@ let total_compare a b =
     let c = compare (sum a) (sum b) in
     if c <> 0 then c
     else
-      let c = compare a.clocks b.clocks in
-      if c <> 0 then c else compare a.origin b.origin
+      let c = compare (dim a) (dim b) in
+      if c <> 0 then c
+      else
+        let c = lex_compare a.clocks b.clocks 0 in
+        if c <> 0 then c else compare a.origin b.origin
 
 let key t =
   let b = Buffer.create 32 in

@@ -160,6 +160,30 @@ let test_consult_honours_latency_degrade () =
   Alcotest.(check bool) "resolved after the degraded round trip" true
     (has shard "a")
 
+(* The server-local decision cache answers by stamp value: a physically
+   distinct copy of a decided pair hits, and a stamp that differs only in
+   its origin is a different stamp and misses. *)
+let test_decision_cache_by_value () =
+  let rt = Runtime.create base_cfg in
+  let c = rt.Runtime.counters in
+  let cache = Runtime.create_cache () in
+  let a = stamp ~origin:0 [| 1; 0; 0; 0 |] and b = stamp ~origin:1 [| 0; 1; 0; 0 |] in
+  let d = Runtime.before cache rt a b ~prefer_first_on_tie:true in
+  Alcotest.(check int) "first decision consults" 1 c.Runtime.oracle_consults;
+  let copy s = Vclock.make ~epoch:s.Vclock.epoch ~origin:s.Vclock.origin s.Vclock.clocks in
+  let a' = copy a and b' = copy b in
+  Alcotest.(check bool) "copies are distinct" true (a' != a && b' != b);
+  Alcotest.(check (option bool)) "copy hits" (Some d) (Runtime.before_cached cache rt a' b');
+  Alcotest.(check (option bool)) "reversed copy hits" (Some (not d))
+    (Runtime.before_cached cache rt b' a');
+  Alcotest.(check bool) "before agrees" d
+    (Runtime.before cache rt a' b' ~prefer_first_on_tie:false);
+  Alcotest.(check int) "no further consult" 1 c.Runtime.oracle_consults;
+  Alcotest.(check int) "three hits" 3 c.Runtime.oracle_cache_hits;
+  let a_other = stamp ~origin:2 [| 1; 0; 0; 0 |] in
+  Alcotest.(check (option bool)) "other origin misses" None
+    (Runtime.before_cached cache rt a_other b)
+
 let suites =
   [
     ( "refinement",
@@ -170,5 +194,7 @@ let suites =
           test_midflight_conflict_coalesces;
         Alcotest.test_case "consult honours latency degrade" `Quick
           test_consult_honours_latency_degrade;
+        Alcotest.test_case "decision cache keys by value" `Quick
+          test_decision_cache_by_value;
       ] );
   ]

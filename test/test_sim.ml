@@ -248,6 +248,132 @@ let prop_engine_executes_in_time_order =
       in
       nondecreasing ts && List.length ts = List.length delays)
 
+(* An event program for the two-tier queue: each event is scheduled by
+   delay or at an absolute offset from the current time (negative offsets
+   are in the past), and schedules its children when it fires. *)
+type when_ = Delay of float | At of float
+type ev = { at : when_; children : ev list }
+
+let gen_when =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun d -> Delay d) (float_bound_inclusive 2_000.0)) (* near *);
+        (2, map (fun d -> Delay (100_000.0 +. d)) (float_bound_inclusive 1_000_000.0)) (* far *);
+        (2, map (fun d -> Delay d) (oneofl [ 0.0; 5.0; 99_999.0; 100_000.0; 100_001.0 ]))
+        (* equal times, both sides of the tier boundary *);
+        (1, map (fun d -> At (-.d)) (float_bound_inclusive 500.0)) (* past *);
+        (1, map (fun d -> At d) (float_bound_inclusive 300_000.0));
+      ])
+
+let gen_events =
+  QCheck.Gen.(
+    sized_size (0 -- 3)
+      (fix (fun self depth ->
+           list_size (0 -- 6)
+             (let* at = gen_when in
+              let* children = if depth = 0 then return [] else self (depth - 1) in
+              return { at; children }))))
+
+(* The reference queue: a list searched for its (time, seq) minimum. *)
+type ref_engine = {
+  mutable clock : float;
+  mutable seq : int;
+  mutable queue : (float * int * (unit -> unit)) list;
+  mutable hwm : int;
+}
+
+let ref_schedule r when_ action =
+  let time =
+    match when_ with
+    | Delay d -> Float.max (r.clock +. Float.max 0.0 d) r.clock
+    | At o -> Float.max (r.clock +. o) r.clock
+  in
+  r.seq <- r.seq + 1;
+  r.queue <- (time, r.seq, action) :: r.queue;
+  r.hwm <- max r.hwm (List.length r.queue)
+
+let ref_min r =
+  List.fold_left
+    (fun best ((t, s, _) as e) ->
+      match best with
+      | Some (bt, bs, _) when bt < t || (bt = t && bs < s) -> best
+      | _ -> Some e)
+    None r.queue
+
+let ref_run ?until r =
+  let rec go () =
+    match ref_min r with
+    | Some ((t, s, action)) when (match until with None -> true | Some l -> t <= l) ->
+        r.queue <- List.filter (fun (_, s', _) -> s' <> s) r.queue;
+        r.clock <- t;
+        action ();
+        go ()
+    | _ -> ( match until with Some l -> r.clock <- Float.max r.clock l | None -> ())
+  in
+  go ()
+
+let prop_engine_matches_reference_sort =
+  QCheck.Test.make ~name:"two-tier queue fires in reference (time, seq) order" ~count:300
+    QCheck.(
+      pair (make gen_events)
+        (make Gen.(list_size (0 -- 4) (float_bound_inclusive 400_000.0))))
+    (fun (events, limits) ->
+      (* run one event program on a scheduler; log (id, time) per firing and
+         (pending, high-water) after every [run ~until] *)
+      let drive ~schedule ~now ~run ~pending ~hwm =
+        let log = ref [] and next_id = ref 0 in
+        let rec add ev =
+          let id = !next_id in
+          incr next_id;
+          schedule ev.at (fun () ->
+              log := `Fired (id, now ()) :: !log;
+              List.iter add ev.children)
+        in
+        List.iter add events;
+        List.iter
+          (fun l ->
+            run (Some l);
+            log := `Paused (pending (), hwm (), now ()) :: !log)
+          (List.sort Float.compare limits);
+        run None;
+        log := `Paused (pending (), hwm (), now ()) :: !log;
+        List.rev !log
+      in
+      let e = Engine.create () in
+      let got =
+        drive
+          ~schedule:(fun w action ->
+            match w with
+            | Delay d -> Engine.schedule e ~delay:d action
+            | At o -> Engine.schedule_at e ~time:(Engine.now e +. o) action)
+          ~now:(fun () -> Engine.now e)
+          ~run:(fun until -> Engine.run ?until e)
+          ~pending:(fun () -> Engine.pending e)
+          ~hwm:(fun () -> Engine.max_pending e)
+      in
+      let r = { clock = 0.0; seq = 0; queue = []; hwm = 0 } in
+      let want =
+        drive ~schedule:(ref_schedule r)
+          ~now:(fun () -> r.clock)
+          ~run:(fun until -> ref_run ?until r)
+          ~pending:(fun () -> List.length r.queue)
+          ~hwm:(fun () -> r.hwm)
+      in
+      got = want)
+
+let test_engine_pending_counts_both_tiers () =
+  let e = Engine.create () in
+  Engine.schedule e ~delay:10.0 (fun () -> ());
+  Engine.schedule e ~delay:3_000_000.0 (fun () -> ());
+  Engine.schedule e ~delay:5_000_000.0 (fun () -> ());
+  Alcotest.(check int) "pending" 3 (Engine.pending e);
+  Alcotest.(check int) "high-water" 3 (Engine.max_pending e);
+  Engine.run ~until:4_000_000.0 e;
+  Alcotest.(check int) "far event left" 1 (Engine.pending e);
+  Alcotest.(check int) "processed" 2 (Engine.events_processed e);
+  Alcotest.(check int) "high-water kept" 3 (Engine.max_pending e)
+
 let prop_net_fifo =
   QCheck.Test.make ~name:"network preserves per-channel FIFO under jitter" ~count:50
     QCheck.(pair small_nat (int_range 1 60))
@@ -304,6 +430,9 @@ let suites =
           test_engine_every_nonpositive;
         Alcotest.test_case "counters" `Quick test_engine_counters;
         QCheck_alcotest.to_alcotest prop_engine_executes_in_time_order;
+        Alcotest.test_case "pending counts both tiers" `Quick
+          test_engine_pending_counts_both_tiers;
+        QCheck_alcotest.to_alcotest prop_engine_matches_reference_sort;
       ] );
     ( "sim.net",
       [

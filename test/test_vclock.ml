@@ -143,6 +143,114 @@ let prop_key_injective_on_distinct =
       in
       keys_eq = all_eq)
 
+(* The closure-and-refs definitions the allocation-free loops replaced,
+   kept as the reference they must agree with. *)
+module Reference = struct
+  open Vclock
+
+  let compare_hb a b =
+    if a.epoch < b.epoch then Before
+    else if a.epoch > b.epoch then After
+    else begin
+      assert (dim a = dim b);
+      let le = ref true and ge = ref true in
+      Array.iteri
+        (fun i av ->
+          let bv = b.clocks.(i) in
+          if av < bv then ge := false;
+          if av > bv then le := false)
+        a.clocks;
+      match (!le, !ge) with
+      | true, true -> Equal
+      | true, false -> Before
+      | false, true -> After
+      | false, false -> Concurrent
+    end
+
+  let equal a b =
+    a.epoch = b.epoch && dim a = dim b && Array.for_all2 Int.equal a.clocks b.clocks
+
+  let sum t = Array.fold_left ( + ) 0 t.clocks
+
+  let total_compare a b =
+    let c = compare a.epoch b.epoch in
+    if c <> 0 then c
+    else
+      let c = compare (sum a) (sum b) in
+      if c <> 0 then c
+      else
+        let c = compare a.clocks b.clocks in
+        if c <> 0 then c else compare a.origin b.origin
+end
+
+(* stamps over epochs 0-2 and dimensions 1-4 with small components, so
+   equal sums, equal clocks and equal stamps with different origins all
+   come up often *)
+let gen_stamp =
+  QCheck.Gen.(
+    let* epoch = 0 -- 2 in
+    let* n = 1 -- 4 in
+    let* clocks = array_size (return n) (0 -- 3) in
+    let* origin = 0 -- (n - 1) in
+    return (Vclock.make ~epoch ~origin clocks))
+
+let arb_any_pair =
+  QCheck.make
+    ~print:(fun (a, b) ->
+      Printf.sprintf "%s@%d %s@%d" (Vclock.to_string a) a.Vclock.origin
+        (Vclock.to_string b) b.Vclock.origin)
+    QCheck.Gen.(
+      let* a = gen_stamp in
+      (* half the pairs share the epoch and dimension, so the clock loops
+         run rather than stopping at the epoch test *)
+      let same_shape =
+        let* clocks = array_size (return (Vclock.dim a)) (0 -- 3) in
+        let* origin = 0 -- (Vclock.dim a - 1) in
+        return (Vclock.make ~epoch:a.Vclock.epoch ~origin clocks)
+      in
+      let* b = frequency [ (1, gen_stamp); (1, same_shape) ] in
+      return (a, b))
+
+(* [Error ()] when the comparison refuses the pair (same epoch, different
+   dimensions) *)
+let outcome f = try Ok (f ()) with Assert_failure _ -> Error ()
+
+let prop_loops_match_reference =
+  QCheck.Test.make ~name:"compare_hb, total_compare, equal match the reference" ~count:2000
+    arb_any_pair
+    (fun (a, b) ->
+      outcome (fun () -> Vclock.compare_hb a b) = outcome (fun () -> Reference.compare_hb a b)
+      && Vclock.total_compare a b = Reference.total_compare a b
+      && Vclock.equal a b = Reference.equal a b)
+
+let test_compare_allocates_nothing () =
+  (* the reference compare_hb allocates a closure and two refs per call
+     and the reference equal a closure; these must allocate nothing *)
+  let a = vc 0 0 [| 3; 1; 4; 1 |] and b = vc 0 1 [| 3; 2; 4; 0 |] in
+  let c = vc 0 2 [| 3; 1; 5; 1 |] in
+  let n = 100_000 in
+  List.iter
+    (fun (name, f) ->
+      let loop () =
+        for _ = 1 to n do
+          f a b;
+          f a c
+        done
+      in
+      loop ();
+      let before = Gc.minor_words () in
+      loop ();
+      let words = Gc.minor_words () -. before in
+      (* a few words of slack for boxing the counter reading itself *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words for %d calls" name words (2 * n))
+        true (words < 16.0))
+    [
+      ("compare_hb", fun x y -> ignore (Sys.opaque_identity (Vclock.compare_hb x y)));
+      ("total_compare", fun x y -> ignore (Sys.opaque_identity (Vclock.total_compare x y)));
+      ("equal", fun x y -> ignore (Sys.opaque_identity (Vclock.equal x y)));
+    ]
+
 let suites =
   [
     ( "vclock",
@@ -163,5 +271,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_tick_strictly_after;
         QCheck_alcotest.to_alcotest prop_total_compare_total_order;
         QCheck_alcotest.to_alcotest prop_key_injective_on_distinct;
+        QCheck_alcotest.to_alcotest prop_loops_match_reference;
+        Alcotest.test_case "compares allocate nothing" `Quick test_compare_allocates_nothing;
       ] );
   ]
