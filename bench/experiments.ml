@@ -3,7 +3,16 @@
    rows/series the paper reports; EXPERIMENTS.md records paper-vs-measured.
 
    All "time" below is virtual simulation time; see DESIGN.md for why the
-   shapes (not the absolute numbers) are the reproduction target. *)
+   shapes (not the absolute numbers) are the reproduction target.
+
+   The experiments that weaver_cli also runs as quick-looks are modules
+   (Fig14, Breakdown, Chaos, Overload, Snapshot, Rebalance, Replication):
+   [run] takes an options record of the settings the CLI's flags set,
+   whose [defaults] are the bench's values (the other settings are module
+   constants, which [document] prints too); [table] prints the console
+   table and [document] builds the JSON fields, and [bench] adds the
+   gates, the deterministic rerun and the BENCH file. The CLI calls [run] with its flags, then [table] or
+   [document]. *)
 
 open Weaver_core
 open Weaver_workloads
@@ -12,11 +21,22 @@ module Xrand = Weaver_util.Xrand
 module Stats = Weaver_util.Stats
 module Partition = Weaver_partition.Partition
 module Programs = Weaver_programs.Std_programs
+module Json = Weaver_util.Json
 
 let line fmt = Printf.printf (fmt ^^ "\n%!")
 let header title = line "\n==== %s ====" title
 
-let mk_cluster cfg =
+(* one BENCH_<name>.json in the working directory *)
+let write_bench name fields =
+  let file = "BENCH_" ^ name ^ ".json" in
+  let oc = open_out file in
+  output_string oc (Json.to_string (Json.Obj fields));
+  output_char oc '\n';
+  close_out oc;
+  line "wrote %s" file
+
+(* a cluster under [cfg] with the standard node programs registered *)
+let cluster cfg =
   let c = Cluster.create cfg in
   Programs.Std.register_all (Cluster.registry c);
   c
@@ -41,7 +61,91 @@ let timed_program cluster client ~prog ~params ~starts =
   match !result with
   | Some (lat, Ok v) -> (lat, v)
   | Some (_, Error e) -> failwith ("timed_program: " ^ e)
-  | None -> failwith "timed_program: stalled" 
+  | None -> failwith "timed_program: stalled"
+
+(* one transaction creating the vertices [ids], through a fresh client *)
+let create_vertices c ~what ids =
+  let setup = Cluster.client c in
+  let tx = Client.Tx.begin_ setup in
+  List.iter (fun id -> ignore (Client.Tx.create_vertex tx ~id ())) ids;
+  ok_exn what (Client.commit setup tx)
+
+(* load [g] into [c], let the install settle, and return its vertex ids *)
+let install c g =
+  Loader.fast_install c g;
+  Cluster.run_for c 5_000.0;
+  Array.of_list (Graphgen.vertex_ids g)
+
+(* [clients] closed-loop sessions, each issuing [prog] again as soon as
+   its last run returns; [start ()] runs once per session, after the
+   session is created, and returns the picker of each run's start vertex.
+   Returns the completion counter. *)
+let closed_loop_programs c ~clients ~prog ?consistency ~start () =
+  let completed = ref 0 in
+  for _ = 1 to clients do
+    let client = Cluster.client c in
+    let pick = start () in
+    let rec loop () =
+      Client.run_program_async client ~prog ~params:Progval.Null ~starts:[ pick () ]
+        ?consistency
+        ~on_result:(fun _ ->
+          incr completed;
+          loop ())
+        ()
+    in
+    loop ()
+  done;
+  completed
+
+(* a start picker drawing uniformly from [vertices] with its own split of
+   the engine RNG *)
+let uniform_start c vertices () =
+  let vrng = Xrand.split (Weaver_sim.Engine.rng (Cluster.runtime c).Runtime.engine) in
+  fun () -> vertices.(Xrand.int vrng (Array.length vertices))
+
+(* [writers] closed-loop sessions, each committing [per_writer]
+   single-vertex property writes and retrying aborted commits. Writer [i]
+   is [setup i] after creation, draws from its own RNG seeded
+   [seed_of i] and writes the vertex [vid (pick rng)];
+   [on_commit key latency] sees each commit of [key]. Returns the count
+   of finished writers. *)
+let closed_loop_writers c ~writers ~per_writer ~seed_of ?(setup = fun _ _ -> ()) ~pick ~vid
+    ?(on_commit = fun _ _ -> ()) () =
+  let done_writers = ref 0 in
+  for i = 0 to writers - 1 do
+    let client = Cluster.client c in
+    setup i client;
+    let rng = Xrand.create ~seed:(seed_of i) () in
+    let committed = ref 0 and attempt = ref 0 in
+    let rec next () =
+      if !committed < per_writer then begin
+        incr attempt;
+        let key = pick rng in
+        let t0 = Cluster.now c in
+        let tx = Client.Tx.begin_ client in
+        Client.Tx.set_vertex_prop tx ~vid:(vid key) ~key:"n" ~value:(string_of_int !attempt);
+        Client.commit_async client tx ~on_result:(fun r ->
+            (match r with
+            | Ok () ->
+                incr committed;
+                on_commit key (Cluster.now c -. t0)
+            | Error _ -> () (* an OCC abort: retry with a fresh stamp *));
+            next ())
+      end
+      else incr done_writers
+    in
+    next ()
+  done;
+  done_writers
+
+(* run until all [writers] are done, in 1 ms steps, for at most 4 s *)
+let drain c ~done_writers ~writers ~label =
+  let budget = ref 4_000 in
+  while !done_writers < writers && !budget > 0 do
+    decr budget;
+    Cluster.run_for c 1_000.0
+  done;
+  if !done_writers < writers then failwith (label ^ ": writers stalled")
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: the TAO operation mix our generator produces vs the paper.  *)
@@ -94,7 +198,7 @@ let fig7 () =
       Config.vertex_read_cost = coingraph_vertex_cost;
     }
   in
-  let c = mk_cluster cfg in
+  let c = cluster cfg in
   let app = Weaver_apps.Coingraph.create c in
   List.iter (fun h -> ignore (Weaver_apps.Coingraph.preload_block app ~height:h)) fig7_heights;
   Cluster.run_for c 10_000.0;
@@ -130,24 +234,15 @@ let fig8 () =
           Config.vertex_read_cost = coingraph_vertex_cost;
         }
       in
-      let c = mk_cluster cfg in
+      let c = cluster cfg in
       let app = Weaver_apps.Coingraph.create c in
       ignore (Weaver_apps.Coingraph.preload_block app ~height:h);
       Cluster.run_for c 10_000.0;
-      let completed = ref 0 in
-      let clients = 16 in
-      for _ = 1 to clients do
-        let client = Cluster.client c in
-        let rec loop () =
-          Client.run_program_async client ~prog:"block_render" ~params:Progval.Null
-            ~starts:[ Blockchain.block_vid h ]
-            ~on_result:(fun _ ->
-              incr completed;
-              loop ())
-            ()
-        in
-        loop ()
-      done;
+      let completed =
+        closed_loop_programs c ~clients:16 ~prog:"block_render"
+          ~start:(fun () () -> Blockchain.block_vid h)
+          ()
+      in
       let v0 = (Cluster.counters c).Runtime.vertices_read in
       let duration = 1_000_000.0 in
       Cluster.run_for c duration;
@@ -181,11 +276,9 @@ let run_weaver_social ~read_fraction ~clients ~seed =
       Config.store_op_cost = social_store_op_cost;
     }
   in
-  let c = mk_cluster cfg in
+  let c = cluster cfg in
   let g = social_graph seed in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
+  let vertices = install c g in
   ( Tao.Driver.run c ~vertices ~clients ~duration:400_000.0 ~read_fraction
       ~warmup:50_000.0 (),
     c )
@@ -244,9 +337,8 @@ let fig11 () =
      varies greatly across requests (the spread in Fig. 11) *)
   let g = Graphgen.rmat ~rng ~prefix:"t" ~vertices:4_096 ~edges:84_000 () in
   let cfg = { Config.default with Config.n_shards = 8; Config.seed = 11 } in
-  let c = mk_cluster cfg in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
+  let c = cluster cfg in
+  ignore (install c g);
   let client = Cluster.client c in
   let gl = Graphlab_like.load g in
   let costs = Graphlab_like.default_costs in
@@ -291,28 +383,14 @@ let fig12 () =
       let cfg =
         { Config.default with Config.n_gatekeepers = n_gk; Config.n_shards = 4; Config.seed = 12 }
       in
-      let c = mk_cluster cfg in
+      let c = cluster cfg in
       let rng = Xrand.create ~seed:12 () in
       let g = Graphgen.rmat ~rng ~prefix:"w" ~vertices:4_000 ~edges:40_000 () in
-      Loader.fast_install c g;
-      Cluster.run_for c 5_000.0;
-      let vertices = Array.of_list (Graphgen.vertex_ids g) in
-      let completed = ref 0 in
-      let clients = 60 * n_gk in
-      for _ = 1 to clients do
-        let client = Cluster.client c in
-        let vrng = Xrand.split (Weaver_sim.Engine.rng (Cluster.runtime c).Runtime.engine) in
-        let rec loop () =
-          let v = vertices.(Xrand.int vrng (Array.length vertices)) in
-          Client.run_program_async client ~prog:"get_node" ~params:Progval.Null
-            ~starts:[ v ]
-            ~on_result:(fun _ ->
-              incr completed;
-              loop ())
-            ()
-        in
-        loop ()
-      done;
+      let vertices = install c g in
+      let completed =
+        closed_loop_programs c ~clients:(60 * n_gk) ~prog:"get_node"
+          ~start:(uniform_start c vertices) ()
+      in
       let duration = 200_000.0 in
       Cluster.run_for c duration;
       line "%-14d %12.0f" n_gk (float_of_int !completed /. (duration /. 1e6)))
@@ -337,27 +415,14 @@ let fig13 () =
           Config.vertex_read_cost = 50.0;
         }
       in
-      let c = mk_cluster cfg in
+      let c = cluster cfg in
       let rng = Xrand.create ~seed:13 () in
       let g = Graphgen.uniform ~rng ~prefix:"t" ~vertices:2_000 ~edges:42_000 () in
-      Loader.fast_install c g;
-      Cluster.run_for c 5_000.0;
-      let vertices = Array.of_list (Graphgen.vertex_ids g) in
-      let completed = ref 0 in
-      for _ = 1 to 100 do
-        let client = Cluster.client c in
-        let vrng = Xrand.split (Weaver_sim.Engine.rng (Cluster.runtime c).Runtime.engine) in
-        let rec loop () =
-          let v = vertices.(Xrand.int vrng (Array.length vertices)) in
-          Client.run_program_async client ~prog:"clustering" ~params:Progval.Null
-            ~starts:[ v ]
-            ~on_result:(fun _ ->
-              incr completed;
-              loop ())
-            ()
-        in
-        loop ()
-      done;
+      let vertices = install c g in
+      let completed =
+        closed_loop_programs c ~clients:100 ~prog:"clustering"
+          ~start:(uniform_start c vertices) ()
+      in
       let duration = 200_000.0 in
       Cluster.run_for c duration;
       line "%-10d %12.0f" n_shards (float_of_int !completed /. (duration /. 1e6)))
@@ -366,27 +431,47 @@ let fig13 () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 14: proactive vs reactive coordination cost as τ varies.       *)
 
-let fig14 () =
-  header "Fig 14: coordination overhead vs timestamp announce period";
-  line "%-12s %20s %22s" "tau (us)" "announces/query" "oracle msgs/query";
-  List.iter
-    (fun tau ->
-      let cfg =
-        { Config.default with Config.tau; Config.n_shards = 4; Config.seed = 14 }
-      in
-      let c = mk_cluster cfg in
-      let rng = Xrand.create ~seed:14 () in
-      let g = Graphgen.uniform ~rng ~prefix:"f" ~vertices:1_000 ~edges:8_000 () in
-      Loader.fast_install c g;
-      Cluster.run_for c 5_000.0;
-      let vertices = Array.of_list (Graphgen.vertex_ids g) in
-      let r = Tao.Driver.run c ~vertices ~clients:20 ~duration:200_000.0 ~read_fraction:0.9 () in
-      let ops = max 1 r.Tao.Driver.completed in
-      let ctr = Cluster.counters c in
-      line "%-12.0f %20.3f %22.3f" tau
-        (float_of_int ctr.Runtime.announce_msgs /. float_of_int ops)
-        (float_of_int ctr.Runtime.oracle_consults /. float_of_int ops))
-    [ 10.0; 100.0; 1_000.0; 10_000.0; 100_000.0; 1_000_000.0 ]
+module Fig14 = struct
+  type opts = { seed : int; gatekeepers : int; shards : int }
+
+  let defaults = { seed = 14; gatekeepers = Config.default.Config.n_gatekeepers; shards = 4 }
+  let taus = [ 10.0; 100.0; 1_000.0; 10_000.0; 100_000.0; 1_000_000.0 ]
+
+  (* [(tau, announces per op, oracle consults per op)] *)
+  let run o =
+    List.map
+      (fun tau ->
+        let cfg =
+          {
+            Config.default with
+            Config.tau;
+            Config.n_gatekeepers = o.gatekeepers;
+            Config.n_shards = o.shards;
+            Config.seed = o.seed;
+          }
+        in
+        let c = cluster cfg in
+        let rng = Xrand.create ~seed:o.seed () in
+        let g = Graphgen.uniform ~rng ~prefix:"f" ~vertices:1_000 ~edges:8_000 () in
+        let vertices = install c g in
+        let r =
+          Tao.Driver.run c ~vertices ~clients:20 ~duration:200_000.0 ~read_fraction:0.9 ()
+        in
+        let ops = float_of_int (max 1 r.Tao.Driver.completed) in
+        let ctr = Cluster.counters c in
+        ( tau,
+          float_of_int ctr.Runtime.announce_msgs /. ops,
+          float_of_int ctr.Runtime.oracle_consults /. ops ))
+      taus
+
+  let table rows =
+    line "%-12s %20s %22s" "tau (us)" "announces/query" "oracle msgs/query";
+    List.iter (fun (tau, a, o) -> line "%-12.0f %20.3f %22.3f" tau a o) rows
+
+  let bench () =
+    header "Fig 14: coordination overhead vs timestamp announce period";
+    table (run defaults)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (ours; DESIGN.md A1-A3).                                  *)
@@ -397,11 +482,10 @@ let ablation_cache () =
     let cfg =
       { Config.default with Config.enable_memoization = memo; Config.n_gatekeepers = 1; Config.seed = 21 }
     in
-    let c = mk_cluster cfg in
+    let c = cluster cfg in
     let rng = Xrand.create ~seed:21 () in
     let g = Graphgen.uniform ~rng ~prefix:"m" ~vertices:500 ~edges:4_000 () in
-    Loader.fast_install c g;
-    Cluster.run_for c 5_000.0;
+    ignore (install c g);
     let client = Cluster.client c in
     let lat = Stats.create () in
     (* hot query set with occasional invalidating writes *)
@@ -429,7 +513,7 @@ let ablation_truetime () =
   (* measure Weaver's actual commit latency, then show what a TrueTime
      first stage would add: a commit-wait of 2*eps per transaction *)
   let cfg = { Config.default with Config.seed = 22 } in
-  let c = mk_cluster cfg in
+  let c = cluster cfg in
   let client = Cluster.client c in
   let tx0 = Client.Tx.begin_ client in
   ignore (Client.Tx.create_vertex tx0 ~id:"tt" ());
@@ -468,41 +552,16 @@ let ablation_partition () =
       ("restream5", Partition.restream ~shards ~rounds:5 adjacency);
     ]
   in
-  line "%-12s %10s %10s %22s" "scheme" "edge-cut" "balance" "prog msgs / query";
-  List.iter
-    (fun (name, assign) ->
-      let cfg = { Config.default with Config.n_shards = shards; Config.seed = 23 } in
-      let c = mk_cluster cfg in
-      Loader.fast_install_with_assignment c assign g;
-      Cluster.run_for c 5_000.0;
-      let client = Cluster.client c in
-      let m0 = (Cluster.counters c).Runtime.prog_batch_msgs in
-      let qrng = Xrand.create ~seed:231 () in
-      let queries = 30 in
-      for _ = 1 to queries do
-        let src = Graphgen.vid g (Xrand.int qrng g.Graphgen.n_vertices) in
-        ignore
-          (ok_exn "nhop"
-             (Client.run_program client ~prog:"nhop_count"
-                ~params:(Progval.Assoc [ ("depth", Progval.Int 2) ])
-                ~starts:[ src ] ()))
-      done;
-      let msgs = (Cluster.counters c).Runtime.prog_batch_msgs - m0 in
-      line "%-12s %10.3f %10.3f %22.1f" name
-        (Partition.edge_cut assign adjacency)
-        (Partition.balance assign ~shards)
-        (float_of_int msgs /. float_of_int queries))
-    schemes;
-  (* live rebalancing (§4.6): start from hash placement and migrate vertices
-     while the cluster is running, then measure again *)
-  let cfg = { Config.default with Config.n_shards = shards; Config.seed = 23 } in
-  let c = mk_cluster cfg in
-  Loader.fast_install_with_assignment c hash_assign g;
-  Cluster.run_for c 5_000.0;
-  let client = Cluster.client c in
-  let run_queries () =
+  let placed assign =
+    let c = cluster { Config.default with Config.n_shards = shards; Config.seed = 23 } in
+    Loader.fast_install_with_assignment c assign g;
+    Cluster.run_for c 5_000.0;
+    (c, Cluster.client c)
+  in
+  (* program messages per 2-hop query, over 30 sources drawn from [seed] *)
+  let msgs_per_query c client ~seed =
     let m0 = (Cluster.counters c).Runtime.prog_batch_msgs in
-    let qrng = Xrand.create ~seed:232 () in
+    let qrng = Xrand.create ~seed () in
     for _ = 1 to 30 do
       let src = Graphgen.vid g (Xrand.int qrng g.Graphgen.n_vertices) in
       ignore
@@ -513,6 +572,20 @@ let ablation_partition () =
     done;
     float_of_int ((Cluster.counters c).Runtime.prog_batch_msgs - m0) /. 30.0
   in
+  line "%-12s %10s %10s %22s" "scheme" "edge-cut" "balance" "prog msgs / query";
+  List.iter
+    (fun (name, assign) ->
+      let c, client = placed assign in
+      let msgs = msgs_per_query c client ~seed:231 in
+      line "%-12s %10.3f %10.3f %22.1f" name
+        (Partition.edge_cut assign adjacency)
+        (Partition.balance assign ~shards)
+        msgs)
+    schemes;
+  (* live rebalancing (§4.6): start from hash placement and migrate vertices
+     while the cluster is running, then measure again *)
+  let c, client = placed hash_assign in
+  let run_queries () = msgs_per_query c client ~seed:232 in
   let before_msgs = run_queries () in
   let r = Rebalance.run c client ~max_moves:2_000 ~rounds:3 () in
   let after_msgs = run_queries () in
@@ -537,11 +610,10 @@ let ablation_nop () =
           Config.seed = 24;
         }
       in
-      let c = mk_cluster cfg in
+      let c = cluster cfg in
       let rng = Xrand.create ~seed:24 () in
       let g = Graphgen.uniform ~rng ~prefix:"n" ~vertices:200 ~edges:1_000 () in
-      Loader.fast_install c g;
-      Cluster.run_for c 5_000.0;
+      ignore (install c g);
       let client = Cluster.client c in
       let lat = Stats.create () in
       for i = 0 to 99 do
@@ -566,27 +638,14 @@ let ablation_replicas () =
         Config.seed = 25;
       }
     in
-    let c = mk_cluster cfg in
+    let c = cluster cfg in
     let rng = Xrand.create ~seed:25 () in
     let g = Graphgen.uniform ~rng ~prefix:"r" ~vertices:1_000 ~edges:20_000 () in
-    Loader.fast_install c g;
-    Cluster.run_for c 5_000.0;
-    let vertices = Array.of_list (Graphgen.vertex_ids g) in
-    let completed = ref 0 in
-    for _ = 1 to 80 do
-      let client = Cluster.client c in
-      let vrng = Xrand.split (Weaver_sim.Engine.rng (Cluster.runtime c).Runtime.engine) in
-      let rec loop () =
-        let v = vertices.(Xrand.int vrng (Array.length vertices)) in
-        Client.run_program_async client ~prog:"clustering" ~params:Progval.Null
-          ~starts:[ v ] ~consistency
-          ~on_result:(fun _ ->
-            incr completed;
-            loop ())
-          ()
-      in
-      loop ()
-    done;
+    let vertices = install c g in
+    let completed =
+      closed_loop_programs c ~clients:80 ~prog:"clustering" ~consistency
+        ~start:(uniform_start c vertices) ()
+    in
     let duration = 200_000.0 in
     Cluster.run_for c duration;
     float_of_int !completed /. (duration /. 1e6)
@@ -612,12 +671,10 @@ let ablation_adaptive_tau () =
         Config.seed = 26;
       }
     in
-    let c = mk_cluster cfg in
+    let c = cluster cfg in
     let rng = Xrand.create ~seed:26 () in
     let g = Graphgen.uniform ~rng ~prefix:"a" ~vertices:500 ~edges:4_000 () in
-    Loader.fast_install c g;
-    Cluster.run_for c 5_000.0;
-    let vertices = Array.of_list (Graphgen.vertex_ids g) in
+    let vertices = install c g in
     let r = Tao.Driver.run c ~vertices ~clients ~duration:500_000.0 ~read_fraction:0.9 () in
     let ops = max 1 r.Tao.Driver.completed in
     let ctr = Cluster.counters c in
@@ -643,7 +700,7 @@ let ablation_freshness () =
   (* Weaver: a write is readable as soon as its commit returns; measure the
      gap between commit time and first successful strong read *)
   let cfg = { Config.default with Config.seed = 27 } in
-  let c = mk_cluster cfg in
+  let c = cluster cfg in
   let client = Cluster.client c in
   let tx0 = Client.Tx.begin_ client in
   ignore (Client.Tx.create_vertex tx0 ~id:"fresh" ());
@@ -697,53 +754,73 @@ refinable timestamps make them visible within a commit round trip)"
    shard queueing, oracle waits) and what it costs in messages. Emits
    BENCH_breakdown.json next to the console table. *)
 
-let breakdown () =
-  header "Latency breakdown (traced mixed run)";
-  let cfg =
+module Breakdown = struct
+  type opts = {
+    seed : int;
+    gatekeepers : int;
+    shards : int;
+    tau : float;
+    txs : int;
+    progs : int;
+  }
+
+  let defaults =
     {
-      Config.default with
-      Config.n_gatekeepers = 2;
-      Config.n_shards = 4;
-      Config.enable_tracing = true;
-      Config.trace_capacity = 4096;
+      seed = Config.default.Config.seed;
+      gatekeepers = 2;
+      shards = 4;
+      tau = Config.default.Config.tau;
+      txs = 200;
+      progs = 50;
     }
-  in
-  let c = mk_cluster cfg in
-  let client = Cluster.client c in
-  let rng = Xrand.create ~seed:11 () in
-  let g = Graphgen.uniform ~rng ~prefix:"bd" ~vertices:500 ~edges:2_000 () in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
-  let n_txs = 200 and n_progs = 50 in
-  let traces = ref [] in
-  for i = 1 to n_txs do
-    let tx = Client.Tx.begin_ client in
-    let src = Xrand.pick rng vertices in
-    ignore (Client.Tx.create_edge tx ~src ~dst:(Xrand.pick rng vertices));
-    Client.Tx.set_vertex_prop tx ~vid:src ~key:"n" ~value:(string_of_int i);
-    ignore (Client.commit client tx);
-    traces := Client.last_request_id client :: !traces
-  done;
-  for _ = 1 to n_progs do
-    ignore
-      (Client.run_program client ~prog:"get_edges" ~params:Progval.Null
-         ~starts:[ Xrand.pick rng vertices ] ())
-  done;
-  Cluster.run_for c 10_000.0;
-  let m = Cluster.metrics c in
-  let tr = Option.get (Cluster.request_tracer c) in
-  let msgs_per_tx = Stats.create () in
-  List.iter
-    (fun id ->
-      let n = Weaver_obs.Trace.message_count tr id in
-      if n > 0 then Stats.add msgs_per_tx (float_of_int n))
-    !traces;
-  let ctr = Cluster.counters c in
-  let committed = max 1 ctr.Runtime.tx_committed in
-  let announce_per_tx =
-    float_of_int ctr.Runtime.announce_msgs /. float_of_int committed
-  in
+
+  (* The traced mixed run: [o.txs] edge-and-property transactions, then
+     [o.progs] [get_edges] programs, one at a time against a small graph.
+     Returns the cluster and the trace ids of the transactions and of the
+     programs, each in issue order. *)
+  let run o =
+    let cfg =
+      {
+        Config.default with
+        Config.seed = o.seed;
+        Config.n_gatekeepers = o.gatekeepers;
+        Config.n_shards = o.shards;
+        Config.tau = o.tau;
+        Config.enable_tracing = true;
+        Config.trace_capacity = 4096;
+      }
+    in
+    let c = cluster cfg in
+    let client = Cluster.client c in
+    let rng = Xrand.create ~seed:11 () in
+    let g = Graphgen.uniform ~rng ~prefix:"bd" ~vertices:500 ~edges:2_000 () in
+    let vertices = install c g in
+    let txs =
+      List.init o.txs (fun i ->
+          let tx = Client.Tx.begin_ client in
+          let src = Xrand.pick rng vertices in
+          ignore (Client.Tx.create_edge tx ~src ~dst:(Xrand.pick rng vertices));
+          Client.Tx.set_vertex_prop tx ~vid:src ~key:"n" ~value:(string_of_int (i + 1));
+          ignore (Client.commit client tx);
+          Client.last_request_id client)
+    in
+    let progs =
+      List.init o.progs (fun _ ->
+          ignore
+            (Client.run_program client ~prog:"get_edges" ~params:Progval.Null
+               ~starts:[ Xrand.pick rng vertices ] ());
+          Client.last_request_id client)
+    in
+    Cluster.run_for c 10_000.0;
+    (c, txs, progs)
+
+  type summary = {
+    rows : (string * int * float * float) list;  (** phase, n, p50 µs, p99 µs *)
+    msgs_per_tx : Stats.t;
+    announces : int;
+    announce_per_tx : float;
+  }
+
   let phases =
     [
       ("admission", "gk.admission_wait");
@@ -753,45 +830,79 @@ let breakdown () =
       ("tx_service", "gk.tx_service");
       ("prog_service", "gk.prog_service");
     ]
-  in
-  let reservoirs = Weaver_obs.Metrics.reservoirs m in
-  line "%-14s %10s %10s %8s" "phase" "p50 (us)" "p99 (us)" "n";
-  let rows =
-    List.map
-      (fun (label, name) ->
-        match List.assoc_opt name reservoirs with
-        | None ->
-            line "%-14s %10s %10s %8d" label "-" "-" 0;
-            (label, 0, 0.0, 0.0)
-        | Some s ->
-            let p50 = Stats.percentile s 50.0 and p99 = Stats.percentile s 99.0 in
-            line "%-14s %10.1f %10.1f %8d" label p50 p99 (Stats.count s);
-            (label, Stats.count s, p50, p99))
-      phases
-  in
-  line "messages/tx: mean %.1f p99 %.0f | announces/committed tx: %.2f"
-    (Stats.mean msgs_per_tx)
-    (Stats.percentile msgs_per_tx 99.0)
-    announce_per_tx;
-  let oc = open_out "BENCH_breakdown.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"breakdown\",\n  \"phases\": {";
-  List.iteri
-    (fun i (label, n, p50, p99) ->
-      j "%s\n    \"%s\": {\"n\": %d, \"p50_us\": %.1f, \"p99_us\": %.1f}"
-        (if i = 0 then "" else ",")
-        label n p50 p99)
-    rows;
-  j "\n  },\n";
-  j "  \"messages_per_tx\": {\"mean\": %.2f, \"p50\": %.0f, \"p99\": %.0f},\n"
-    (Stats.mean msgs_per_tx)
-    (Stats.percentile msgs_per_tx 50.0)
-    (Stats.percentile msgs_per_tx 99.0);
-  j "  \"announce_overhead\": {\"announces\": %d, \"per_committed_tx\": %.3f}\n"
-    ctr.Runtime.announce_msgs announce_per_tx;
-  j "}\n";
-  close_out oc;
-  line "wrote BENCH_breakdown.json"
+
+  (* where the latency of the run went, and the messages per transaction
+     from the trace ledgers of [txs] *)
+  let summarize c txs =
+    let reservoirs = Weaver_obs.Metrics.reservoirs (Cluster.metrics c) in
+    let tr = Option.get (Cluster.request_tracer c) in
+    let msgs_per_tx = Stats.create () in
+    List.iter
+      (fun id ->
+        let n = Weaver_obs.Trace.message_count tr id in
+        if n > 0 then Stats.add msgs_per_tx (float_of_int n))
+      txs;
+    let ctr = Cluster.counters c in
+    {
+      rows =
+        List.map
+          (fun (label, name) ->
+            match List.assoc_opt name reservoirs with
+            | None -> (label, 0, 0.0, 0.0)
+            | Some s -> (label, Stats.count s, Stats.percentile s 50.0, Stats.percentile s 99.0))
+          phases;
+      msgs_per_tx;
+      announces = ctr.Runtime.announce_msgs;
+      announce_per_tx =
+        float_of_int ctr.Runtime.announce_msgs /. float_of_int (max 1 ctr.Runtime.tx_committed);
+    }
+
+  let table s =
+    line "%-14s %10s %10s %8s" "phase" "p50 (us)" "p99 (us)" "n";
+    List.iter
+      (fun (label, n, p50, p99) ->
+        if n = 0 then line "%-14s %10s %10s %8d" label "-" "-" 0
+        else line "%-14s %10.1f %10.1f %8d" label p50 p99 n)
+      s.rows;
+    line "messages/tx: mean %.1f p99 %.0f | announces/committed tx: %.2f"
+      (Stats.mean s.msgs_per_tx)
+      (Stats.percentile s.msgs_per_tx 99.0)
+      s.announce_per_tx
+
+  let document s =
+    [
+      ("experiment", Json.Str "breakdown");
+      ( "phases",
+        Json.Obj
+          (List.map
+             (fun (label, n, p50, p99) ->
+               ( label,
+                 Json.Obj
+                   [ ("n", Json.int n); ("p50_us", Json.fixed 1 p50); ("p99_us", Json.fixed 1 p99) ]
+               ))
+             s.rows) );
+      ( "messages_per_tx",
+        Json.Obj
+          [
+            ("mean", Json.fixed 2 (Stats.mean s.msgs_per_tx));
+            ("p50", Json.fixed 0 (Stats.percentile s.msgs_per_tx 50.0));
+            ("p99", Json.fixed 0 (Stats.percentile s.msgs_per_tx 99.0));
+          ] );
+      ( "announce_overhead",
+        Json.Obj
+          [
+            ("announces", Json.int s.announces);
+            ("per_committed_tx", Json.fixed 3 s.announce_per_tx);
+          ] );
+    ]
+
+  let bench () =
+    header "Latency breakdown (traced mixed run)";
+    let c, txs, _ = run defaults in
+    let s = summarize c txs in
+    table s;
+    write_bench "breakdown" (document s)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Timeline: TAO-mix throughput sampled across a mid-run shard crash —
@@ -813,12 +924,10 @@ let timeline () =
       Config.timeline_period = period;
     }
   in
-  let c = mk_cluster cfg in
+  let c = cluster cfg in
   let rng = Xrand.create ~seed:5 () in
   let g = Graphgen.uniform ~rng ~prefix:"tl" ~vertices:1_000 ~edges:4_000 () in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
+  let vertices = install c g in
   let rt = Cluster.runtime c in
   Weaver_sim.Engine.schedule rt.Runtime.engine
     ~delay:(crash_at -. Cluster.now c)
@@ -859,26 +968,27 @@ let timeline () =
   line "pre-crash %.0f ops/s | dip %.0f ops/s | post-recovery %.0f ops/s" pre dip post;
   line "recoveries: %d | epoch: %d" (Cluster.counters c).Runtime.recoveries
     (Cluster.epoch c);
-  let oc = open_out "BENCH_timeline.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"timeline\",\n";
-  j "  \"period_us\": %.0f, \"crash_at_us\": %.0f, \"duration_us\": %.0f,\n" period
-    crash_at duration;
-  j "  \"series\": {\n    \"time_us\": [";
-  List.iteri
-    (fun i (t, _) -> j "%s%.0f" (if i = 0 then "" else ", ") t)
-    ops_series;
-  j "],\n    \"ops_per_s\": [";
-  List.iteri
-    (fun i (_, v) -> j "%s%.0f" (if i = 0 then "" else ", ") v)
-    ops_series;
-  j "]\n  },\n";
-  j "  \"summary\": {\"pre_crash_ops_s\": %.0f, \"dip_ops_s\": %.0f, \
-     \"post_recovery_ops_s\": %.0f, \"recoveries\": %d}\n"
-    pre dip post (Cluster.counters c).Runtime.recoveries;
-  j "}\n";
-  close_out oc;
-  line "wrote BENCH_timeline.json"
+  write_bench "timeline"
+    [
+      ("experiment", Json.Str "timeline");
+      ("period_us", Json.fixed 0 period);
+      ("crash_at_us", Json.fixed 0 crash_at);
+      ("duration_us", Json.fixed 0 duration);
+      ( "series",
+        Json.Obj
+          [
+            ("time_us", Json.List (List.map (fun (t, _) -> Json.fixed 0 t) ops_series));
+            ("ops_per_s", Json.List (List.map (fun (_, v) -> Json.fixed 0 v) ops_series));
+          ] );
+      ( "summary",
+        Json.Obj
+          [
+            ("pre_crash_ops_s", Json.fixed 0 pre);
+            ("dip_ops_s", Json.fixed 0 dip);
+            ("post_recovery_ops_s", Json.fixed 0 post);
+            ("recoveries", Json.int (Cluster.counters c).Runtime.recoveries);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: TAO-style mix under a rolling crash/restart fault plan, client
@@ -886,31 +996,44 @@ let timeline () =
    and recovery-time deltas isolate what retries + failure-aware routing +
    duplicate suppression buy. Emits BENCH_chaos.json with both runs. *)
 
-let chaos () =
-  header "Chaos: availability under rolling crashes, reliability off vs on";
-  let base = { Chaosbench.default_opts with Chaosbench.co_seed = 42 } in
-  let off = Chaosbench.run { base with Chaosbench.co_reliable = false } in
-  let on_ = Chaosbench.run { base with Chaosbench.co_reliable = true } in
-  let show tag (r : Chaosbench.result) =
-    line "%-4s availability %.3f | ok %d err %d | p99 %.1f ms | recovery %s | retries %d dedup %d late %d"
-      tag r.Chaosbench.r_availability r.Chaosbench.r_total_ok r.Chaosbench.r_total_err
-      (r.Chaosbench.r_p99 /. 1_000.0)
-      (match r.Chaosbench.r_recovery_time with
-      | Some t -> Printf.sprintf "%.0f ms" (t /. 1_000.0)
-      | None -> "never")
-      r.Chaosbench.r_retries r.Chaosbench.r_dedup_hits r.Chaosbench.r_late_replies
-  in
-  show "off" off;
-  show "on" on_;
-  line "availability delta: +%.3f"
-    (on_.Chaosbench.r_availability -. off.Chaosbench.r_availability);
-  let oc = open_out "BENCH_chaos.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"chaos\",\n  \"seed\": %d,\n  \"off\": %s,\n  \"on\": %s\n}\n"
-    base.Chaosbench.co_seed
-    (Chaosbench.to_json off) (Chaosbench.to_json on_);
-  close_out oc;
-  line "wrote BENCH_chaos.json"
+module Chaos = struct
+  (* the same options and fault plan, reliability layer off then on *)
+  let run (o : Chaosbench.opts) =
+    let off = Chaosbench.run { o with Chaosbench.co_reliable = false } in
+    (off, Chaosbench.run { o with Chaosbench.co_reliable = true })
+
+  let table (off, on_) =
+    let show tag (r : Chaosbench.result) =
+      line
+        "%-4s availability %.3f | ok %d err %d | p99 %.1f ms | recovery %s | retries %d \
+         dedup %d late %d"
+        tag r.Chaosbench.r_availability r.Chaosbench.r_total_ok r.Chaosbench.r_total_err
+        (r.Chaosbench.r_p99 /. 1_000.0)
+        (match r.Chaosbench.r_recovery_time with
+        | Some t -> Printf.sprintf "%.0f ms" (t /. 1_000.0)
+        | None -> "never")
+        r.Chaosbench.r_retries r.Chaosbench.r_dedup_hits r.Chaosbench.r_late_replies
+    in
+    show "off" off;
+    show "on" on_;
+    line "availability delta: +%.3f"
+      (on_.Chaosbench.r_availability -. off.Chaosbench.r_availability)
+
+  let document (o : Chaosbench.opts) (off, on_) =
+    [
+      ("experiment", Json.Str "chaos");
+      ("seed", Json.int o.Chaosbench.co_seed);
+      ("off", Chaosbench.to_json off);
+      ("on", Chaosbench.to_json on_);
+    ]
+
+  let bench () =
+    header "Chaos: availability under rolling crashes, reliability off vs on";
+    let o = Chaosbench.default_opts in
+    let r = run o in
+    table r;
+    write_bench "chaos" (document o r)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Contention: write-contention sweep over zipf-skewed keys on a single
@@ -951,48 +1074,21 @@ let contention_arm ~theta ~seed =
       Config.nop_period = 400.0;
     }
   in
-  let c = mk_cluster cfg in
+  let c = cluster cfg in
   let n_keys = 16 in
-  let setup = Cluster.client c in
-  let tx = Client.Tx.begin_ setup in
-  for i = 0 to n_keys - 1 do
-    ignore (Client.Tx.create_vertex tx ~id:(Printf.sprintf "k%d" i) ())
-  done;
-  ok_exn "contention setup" (Client.commit setup tx);
-  let writers = 9 and per_writer = 40 in
-  let ack = Stats.create () in
-  let done_writers = ref 0 in
-  for i = 0 to writers - 1 do
-    let client = Cluster.client c in
-    Client.set_gatekeeper client (Some (i mod cfg.Config.n_gatekeepers));
-    let rng = Xrand.create ~seed:(seed + (1_000 * (i + 1))) () in
-    let committed = ref 0 and attempt = ref 0 in
-    let rec next () =
-      if !committed < per_writer then begin
-        incr attempt;
-        let k = Xrand.zipf rng ~n:n_keys ~theta in
-        let t0 = Cluster.now c in
-        let tx = Client.Tx.begin_ client in
-        Client.Tx.set_vertex_prop tx ~vid:(Printf.sprintf "k%d" k) ~key:"n"
-          ~value:(string_of_int !attempt);
-        Client.commit_async client tx ~on_result:(fun r ->
-            (match r with
-            | Ok () ->
-                incr committed;
-                Stats.add ack (Cluster.now c -. t0)
-            | Error _ -> () (* same-key OCC abort: retry with a fresh stamp *));
-            next ())
-      end
-      else incr done_writers
-    in
-    next ()
-  done;
-  let budget = ref 4_000 in
-  while !done_writers < writers && !budget > 0 do
-    decr budget;
-    Cluster.run_for c 1_000.0
-  done;
-  if !done_writers < writers then failwith "contention: writers stalled";
+  create_vertices c ~what:"contention setup" (List.init n_keys (Printf.sprintf "k%d"));
+  let writers = 9 and ack = Stats.create () in
+  let done_writers =
+    closed_loop_writers c ~writers ~per_writer:40
+      ~seed_of:(fun i -> seed + (1_000 * (i + 1)))
+      ~setup:(fun i client ->
+        Client.set_gatekeeper client (Some (i mod cfg.Config.n_gatekeepers)))
+      ~pick:(fun rng -> Xrand.zipf rng ~n:n_keys ~theta)
+      ~vid:(Printf.sprintf "k%d")
+      ~on_commit:(fun _ latency -> Stats.add ack latency)
+      ()
+  in
+  drain c ~done_writers ~writers ~label:"contention";
   Cluster.run_for c 50_000.0;
   let ctr = Cluster.counters c in
   let rt = Cluster.runtime c in
@@ -1074,21 +1170,36 @@ let contention () =
              "contention: latency not below the blocking baseline at theta %.1f"
              theta))
     sweep contention_blocking_baseline;
-  let oc = open_out "BENCH_contention.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"contention\",\n  \"seed\": %d,\n" seed;
-  j "  \"workload\": {\"writers\": 9, \"commits_per_writer\": 40, \"keys\": 16, \"shards\": 1, \"gatekeepers\": 3},\n";
-  j "  \"sweep\": [";
-  List.iteri
-    (fun i (theta, (r : contention_run)) ->
-      j "%s\n    {\"theta\": %.1f, \"committed\": %d, \"aborted\": %d, \"consults\": %d, \"batched\": %d, \"consults_per_committed_tx\": %.4f, \"p50_commit_apply_us\": %.1f, \"p99_commit_apply_us\": %.1f, \"p99_commit_ack_us\": %.1f}"
-        (if i = 0 then "" else ",")
-        theta r.cr_committed r.cr_aborted r.cr_consults r.cr_batched
-        r.cr_consults_per_tx r.cr_p50_apply r.cr_p99_apply r.cr_p99_ack)
-    sweep;
-  j "\n  ],\n  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_contention.json"
+  let run (theta, (r : contention_run)) =
+    Json.Obj
+      [
+        ("theta", Json.fixed 1 theta);
+        ("committed", Json.int r.cr_committed);
+        ("aborted", Json.int r.cr_aborted);
+        ("consults", Json.int r.cr_consults);
+        ("batched", Json.int r.cr_batched);
+        ("consults_per_committed_tx", Json.fixed 4 r.cr_consults_per_tx);
+        ("p50_commit_apply_us", Json.fixed 1 r.cr_p50_apply);
+        ("p99_commit_apply_us", Json.fixed 1 r.cr_p99_apply);
+        ("p99_commit_ack_us", Json.fixed 1 r.cr_p99_ack);
+      ]
+  in
+  write_bench "contention"
+    [
+      ("experiment", Json.Str "contention");
+      ("seed", Json.int seed);
+      ( "workload",
+        Json.Obj
+          [
+            ("writers", Json.int 9);
+            ("commits_per_writer", Json.int 40);
+            ("keys", Json.int 16);
+            ("shards", Json.int 1);
+            ("gatekeepers", Json.int 3);
+          ] );
+      ("sweep", Json.List (List.map run sweep));
+      ("deterministic_rerun", Json.Bool deterministic);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Overload: open-loop offered-load sweep across the admission-capacity
@@ -1099,89 +1210,107 @@ let contention () =
    Control traffic (NOPs, heartbeats) is exempt from shedding, so its
    counters must match across arms. Emits BENCH_overload.json. *)
 
-let overload () =
-  header "Overload: open-loop goodput sweep, flow control off vs on";
-  let base = Overloadbench.default_opts in
-  let sat =
-    Overloadbench.saturation_rate ~gatekeepers:base.Overloadbench.ov_gatekeepers
+module Overload = struct
+  type opts = { base : Overloadbench.opts; mults : float list  (** of saturation *) }
+
+  let defaults = { base = Overloadbench.default_opts; mults = [ 0.25; 0.5; 1.0; 2.0; 4.0 ] }
+
+  let saturation o =
+    Overloadbench.saturation_rate ~gatekeepers:o.base.Overloadbench.ov_gatekeepers
       ~gk_op_cost:Config.default.Config.gk_op_cost
-  in
-  line "saturation ~= %.0f req/s (%d gatekeepers x %.0f us/admit)" sat
-    base.Overloadbench.ov_gatekeepers Config.default.Config.gk_op_cost;
-  let mults = [ 0.25; 0.5; 1.0; 2.0; 4.0 ] in
-  let arm ~flow mult =
+
+  let arm o ~flow mult =
     Overloadbench.run
-      { base with Overloadbench.ov_flow = flow; Overloadbench.ov_rate = sat *. mult }
-  in
-  let sweep =
-    List.map (fun mult -> (mult, arm ~flow:false mult, arm ~flow:true mult)) mults
-  in
-  line "%-6s %-5s %9s %9s %8s %8s %8s %10s %10s %9s" "load" "arm" "offered"
-    "ok" "shed" "timeout" "goodput" "p50 us" "p99 us" "shed%";
-  List.iter
-    (fun (mult, off, on_) ->
-      let row tag (r : Overloadbench.result) =
-        line "%-6.2f %-5s %9d %9d %8d %8d %8.0f %10.1f %10.1f %9.1f" mult tag
-          r.Overloadbench.v_offered r.Overloadbench.v_ok r.Overloadbench.v_shed
-          r.Overloadbench.v_timeout r.Overloadbench.v_goodput
-          r.Overloadbench.v_p50 r.Overloadbench.v_p99
-          (100.0 *. r.Overloadbench.v_shed_rate)
-      in
-      row "off" off;
-      row "on" on_)
-    sweep;
-  let find mult = List.find (fun (m, _, _) -> m = mult) sweep in
-  (* peak-capacity goodput: the on arm at the knee *)
-  let _, _, on_1x = find 1.0 in
-  let _, off_2x, on_2x = find 2.0 in
-  let peak = on_1x.Overloadbench.v_goodput in
-  line "at 2x: goodput on %.0f (peak %.0f) vs off %.0f | p99 on %.1f us vs off %.1f us"
-    on_2x.Overloadbench.v_goodput peak off_2x.Overloadbench.v_goodput
-    on_2x.Overloadbench.v_p99 off_2x.Overloadbench.v_p99;
-  if on_2x.Overloadbench.v_goodput < 0.9 *. peak then
-    failwith "overload: on-arm goodput at 2x fell below 90% of peak";
-  if off_2x.Overloadbench.v_goodput > 0.7 *. peak then
-    failwith "overload: off arm did not collapse at 2x saturation";
-  if on_2x.Overloadbench.v_p99 > 10.0 *. on_1x.Overloadbench.v_p99 then
-    failwith "overload: on-arm p99 not bounded at 2x saturation";
-  (* control traffic is never shed: NOP and heartbeat counts are timer
-     driven and must be identical across arms at every offered load *)
-  List.iter
-    (fun (mult, off, on_) ->
-      if
-        off.Overloadbench.v_nop_msgs <> on_.Overloadbench.v_nop_msgs
-        || off.Overloadbench.v_heartbeats <> on_.Overloadbench.v_heartbeats
-      then
-        failwith
-          (Printf.sprintf "overload: control traffic diverged at %.2fx" mult))
-    sweep;
-  (* determinism: the on arm at 2x reruns to the identical fingerprint *)
-  let again = arm ~flow:true 2.0 in
-  let deterministic =
-    again.Overloadbench.v_fingerprint = on_2x.Overloadbench.v_fingerprint
-  in
-  line "deterministic rerun (2x, flow on): %b" deterministic;
-  if not deterministic then failwith "overload: rerun diverged";
-  let oc = open_out "BENCH_overload.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"overload\",\n  \"seed\": %d,\n"
-    base.Overloadbench.ov_seed;
-  j "  \"saturation_rps\": %.0f,\n" sat;
-  j "  \"knobs\": {\"admission_limit\": %d, \"deadline_budget_us\": %.0f, \"shard_credits\": %d},\n"
-    base.Overloadbench.ov_admission_limit base.Overloadbench.ov_deadline_budget
-    base.Overloadbench.ov_shard_credits;
-  j "  \"sweep\": [";
-  List.iteri
-    (fun i (mult, off, on_) ->
-      j "%s\n    {\"load_multiplier\": %.2f,\n     \"off\": %s,\n     \"on\": %s}"
-        (if i = 0 then "" else ",")
-        mult
-        (Overloadbench.to_json off)
-        (Overloadbench.to_json on_))
-    sweep;
-  j "\n  ],\n  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_overload.json"
+      { o.base with Overloadbench.ov_flow = flow; Overloadbench.ov_rate = saturation o *. mult }
+
+  (* [(multiplier, flow off, flow on)] at each offered load *)
+  let run o =
+    List.map
+      (fun mult ->
+        let off = arm o ~flow:false mult in
+        (mult, off, arm o ~flow:true mult))
+      o.mults
+
+  let table o sweep =
+    line "saturation ~= %.0f req/s (%d gatekeepers x %.0f us/admit)" (saturation o)
+      o.base.Overloadbench.ov_gatekeepers Config.default.Config.gk_op_cost;
+    line "%-6s %-5s %9s %9s %8s %8s %8s %10s %10s %9s" "load" "arm" "offered" "ok" "shed"
+      "timeout" "goodput" "p50 us" "p99 us" "shed%";
+    List.iter
+      (fun (mult, off, on_) ->
+        let row tag (r : Overloadbench.result) =
+          line "%-6.2f %-5s %9d %9d %8d %8d %8.0f %10.1f %10.1f %9.1f" mult tag
+            r.Overloadbench.v_offered r.Overloadbench.v_ok r.Overloadbench.v_shed
+            r.Overloadbench.v_timeout r.Overloadbench.v_goodput r.Overloadbench.v_p50
+            r.Overloadbench.v_p99
+            (100.0 *. r.Overloadbench.v_shed_rate)
+        in
+        row "off" off;
+        row "on" on_)
+      sweep
+
+  let document o sweep =
+    [
+      ("experiment", Json.Str "overload");
+      ("seed", Json.int o.base.Overloadbench.ov_seed);
+      ("saturation_rps", Json.fixed 0 (saturation o));
+      ( "knobs",
+        Json.Obj
+          [
+            ("admission_limit", Json.int o.base.Overloadbench.ov_admission_limit);
+            ("deadline_budget_us", Json.fixed 0 o.base.Overloadbench.ov_deadline_budget);
+            ("shard_credits", Json.int o.base.Overloadbench.ov_shard_credits);
+          ] );
+      ( "sweep",
+        Json.List
+          (List.map
+             (fun (mult, off, on_) ->
+               Json.Obj
+                 [
+                   ("load_multiplier", Json.fixed 2 mult);
+                   ("off", Overloadbench.to_json off);
+                   ("on", Overloadbench.to_json on_);
+                 ])
+             sweep) );
+    ]
+
+  let bench () =
+    header "Overload: open-loop goodput sweep, flow control off vs on";
+    let o = defaults in
+    let sweep = run o in
+    table o sweep;
+    let find mult = List.find (fun (m, _, _) -> m = mult) sweep in
+    (* peak-capacity goodput: the on arm at the knee *)
+    let _, _, on_1x = find 1.0 in
+    let _, off_2x, on_2x = find 2.0 in
+    let peak = on_1x.Overloadbench.v_goodput in
+    line "at 2x: goodput on %.0f (peak %.0f) vs off %.0f | p99 on %.1f us vs off %.1f us"
+      on_2x.Overloadbench.v_goodput peak off_2x.Overloadbench.v_goodput
+      on_2x.Overloadbench.v_p99 off_2x.Overloadbench.v_p99;
+    if on_2x.Overloadbench.v_goodput < 0.9 *. peak then
+      failwith "overload: on-arm goodput at 2x fell below 90% of peak";
+    if off_2x.Overloadbench.v_goodput > 0.7 *. peak then
+      failwith "overload: off arm did not collapse at 2x saturation";
+    if on_2x.Overloadbench.v_p99 > 10.0 *. on_1x.Overloadbench.v_p99 then
+      failwith "overload: on-arm p99 not bounded at 2x saturation";
+    (* control traffic is never shed: NOP and heartbeat counts are timer
+       driven and must be identical across arms at every offered load *)
+    List.iter
+      (fun (mult, off, on_) ->
+        if
+          off.Overloadbench.v_nop_msgs <> on_.Overloadbench.v_nop_msgs
+          || off.Overloadbench.v_heartbeats <> on_.Overloadbench.v_heartbeats
+        then failwith (Printf.sprintf "overload: control traffic diverged at %.2fx" mult))
+      sweep;
+    (* determinism: the on arm at 2x reruns to the identical fingerprint *)
+    let again = arm o ~flow:true 2.0 in
+    let deterministic =
+      again.Overloadbench.v_fingerprint = on_2x.Overloadbench.v_fingerprint
+    in
+    line "deterministic rerun (2x, flow on): %b" deterministic;
+    if not deterministic then failwith "overload: rerun diverged";
+    write_bench "overload" (document o sweep @ [ ("deterministic_rerun", Json.Bool deterministic) ])
+end
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot reads: historical analytics latency and concurrent write
@@ -1206,156 +1335,194 @@ type snapshot_run = {
   sr_fingerprint : int * int * int * int * int * int;
 }
 
-let snapshot_arm ~snap ~seed =
-  let cfg =
-    {
-      Config.default with
-      Config.seed;
-      Config.n_gatekeepers = 2;
-      Config.n_shards = 4;
-      Config.snapshot_reads = snap;
-      Config.gc_period = 5_000.0;
-      Config.shard_capacity = Some 120;
-    }
-  in
-  let c = mk_cluster cfg in
-  let n_vertices = 600 in
-  let vid i = Printf.sprintf "s%03d" i in
-  let setup = Cluster.client c in
-  let i = ref 0 in
-  while !i < n_vertices do
-    let tx = Client.Tx.begin_ setup in
-    for k = !i to min (n_vertices - 1) (!i + 49) do
-      ignore (Client.Tx.create_vertex tx ~id:(vid k) ())
-    done;
-    i := !i + 50;
-    ok_exn "snapshot setup" (Client.commit setup tx)
-  done;
-  Cluster.run_for c 50_000.0;
-  (* the analytics cut: everything below this stamp is history *)
-  let at0 = Cluster.gk_clock c 0 in
-  let starts = List.init 64 (fun k -> vid (k * 9 mod n_vertices)) in
-  let stop = ref false in
-  (* TAO-style write mix: continuous single-vertex property updates across
-     the whole key range, hot enough to keep every shard's queues fed *)
-  let writes = ref 0 in
-  for w = 0 to 3 do
-    let client = Cluster.client c in
-    Client.set_gatekeeper client (Some (w mod cfg.Config.n_gatekeepers));
-    let rng = Xrand.create ~seed:(seed + (1_000 * (w + 1))) () in
-    let n = ref 0 in
-    let rec next () =
-      if not !stop then begin
-        incr n;
-        let tx = Client.Tx.begin_ client in
-        Client.Tx.set_vertex_prop tx
-          ~vid:(vid (Xrand.int rng n_vertices))
-          ~key:"n" ~value:(string_of_int !n);
-        Client.commit_async client tx ~on_result:(fun r ->
-            (match r with Ok () -> incr writes | Error _ -> ());
-            next ())
-      end
-    in
-    next ()
-  done;
-  (* analytics: repeated multi-start historical reads at the pinned cut.
-     When the cut falls below the compaction watermark the shard replies
-     the retryable "snapshot-gced" (the silent-stale-read bugfix); the
-     client then re-captures a fresh cut, exactly what a real analytics
-     driver would do. The on arm pins published snapshots, so its cut
-     stays readable far longer. *)
-  let lat = Stats.create () in
-  let reads = ref 0 and gced = ref 0 in
-  let at = ref at0 in
-  let analyst = Cluster.client c in
-  Client.set_retry_policy analyst Client.no_retry_policy;
-  let rec read_next () =
-    if not !stop then begin
-      let t0 = Cluster.now c in
-      Client.run_program_async analyst ~prog:"get_node" ~params:Progval.Null
-        ~starts ~at:!at
-        ~on_result:(fun r ->
-          (match r with
-          | Ok _ ->
-              incr reads;
-              Stats.add lat (Cluster.now c -. t0)
-          | Error "snapshot-gced" ->
-              incr gced;
-              at := Cluster.gk_clock c 0
-          | Error e -> failwith ("snapshot: analytics failed: " ^ e));
-          read_next ())
-        ()
-    end
-  in
-  read_next ();
-  Cluster.run_for c 400_000.0;
-  stop := true;
-  Cluster.run_for c 50_000.0;
-  let ctr = Cluster.counters c in
-  let rt = Cluster.runtime c in
-  {
-    sr_writes = !writes;
-    sr_reads = !reads;
-    sr_gced = !gced;
-    sr_p50_read = Stats.percentile lat 50.0;
-    sr_p99_read = Stats.percentile lat 99.0;
-    sr_published = ctr.Runtime.snap_published;
-    sr_pinned = ctr.Runtime.snap_pinned_reads;
-    sr_deferred = ctr.Runtime.snap_gc_deferred;
-    sr_fingerprint =
-      ( !writes,
-        !reads,
-        ctr.Runtime.tx_committed,
-        ctr.Runtime.snap_published,
-        ctr.Runtime.snap_pinned_reads,
-        Weaver_sim.Net.messages_sent rt.Runtime.net );
+module Snapshot = struct
+  type opts = {
+    seed : int;
+    gatekeepers : int;
+    shards : int;
+    window : float;  (** virtual µs of writers racing the analytics *)
   }
 
-let snapshot () =
-  header "Snapshot reads: pinned historical analytics vs live write mix";
-  let seed = 11 in
-  let off = snapshot_arm ~snap:false ~seed in
-  let on_ = snapshot_arm ~snap:true ~seed in
-  let row tag (r : snapshot_run) =
-    line "%-4s %8d %8d %6d %12.1f %12.1f %10d %8d %9d" tag r.sr_writes
-      r.sr_reads r.sr_gced r.sr_p50_read r.sr_p99_read r.sr_published
-      r.sr_pinned r.sr_deferred
-  in
-  line "%-4s %8s %8s %6s %12s %12s %10s %8s %9s" "arm" "writes" "reads" "gced"
-    "p50 us" "p99 us" "published" "pinned" "deferred";
-  row "off" off;
-  row "on" on_;
-  (* the tail is where gate waits and demand paging land; the median is
-     dominated by network round trips in both arms, so require a solid
-     tail win and a no-worse median *)
-  if on_.sr_p99_read >= 0.8 *. off.sr_p99_read || on_.sr_p50_read > off.sr_p50_read
-  then failwith "snapshot: analytics latency did not improve";
-  if float_of_int off.sr_writes > 1.1 *. float_of_int on_.sr_writes then
-    failwith "snapshot: write throughput regressed beyond noise";
-  if on_.sr_published = 0 || on_.sr_pinned = 0 then
-    failwith "snapshot: on arm never pinned a snapshot";
-  if off.sr_published <> 0 || off.sr_pinned <> 0 then
-    failwith "snapshot: off arm touched snapshot counters";
-  (* determinism: the on arm reruns to the identical fingerprint *)
-  let again = snapshot_arm ~snap:true ~seed in
-  let deterministic = again.sr_fingerprint = on_.sr_fingerprint in
-  line "deterministic rerun (snapshots on): %b" deterministic;
-  if not deterministic then failwith "snapshot: rerun diverged";
-  let oc = open_out "BENCH_snapshot.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"snapshot\",\n  \"seed\": %d,\n" seed;
-  j "  \"workload\": {\"vertices\": 600, \"writers\": 4, \"analytics_starts\": 64, \"shards\": 4, \"gatekeepers\": 2, \"shard_capacity\": 120, \"gc_period_us\": 5000},\n";
-  j "  \"arms\": {";
-  let arm (r : snapshot_run) =
-    Printf.sprintf
-      "{\"writes\": %d, \"reads\": %d, \"cut_recaptures\": %d, \"p50_read_us\": %.1f, \"p99_read_us\": %.1f, \"snapshots_published\": %d, \"pinned_reads\": %d, \"gc_deferred\": %d}"
-      r.sr_writes r.sr_reads r.sr_gced r.sr_p50_read r.sr_p99_read
-      r.sr_published r.sr_pinned r.sr_deferred
-  in
-  j "\n    \"off\": %s,\n    \"on\": %s\n  },\n" (arm off) (arm on_);
-  j "  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_snapshot.json"
+  let defaults = { seed = 11; gatekeepers = 2; shards = 4; window = 400_000.0 }
+  let vertices = 600
+  let writers = 4
+  let analytics_starts = 64  (* start vertices of each analytics read *)
+  let shard_capacity = 120  (* resident vertices per shard *)
+  let gc_period = 5_000.0  (* µs *)
+
+  let arm o ~snap =
+    let cfg =
+      {
+        Config.default with
+        Config.seed = o.seed;
+        Config.n_gatekeepers = o.gatekeepers;
+        Config.n_shards = o.shards;
+        Config.snapshot_reads = snap;
+        Config.gc_period;
+        Config.shard_capacity = Some shard_capacity;
+      }
+    in
+    let c = cluster cfg in
+    let vid i = Printf.sprintf "s%03d" i in
+    let setup = Cluster.client c in
+    let i = ref 0 in
+    while !i < vertices do
+      let tx = Client.Tx.begin_ setup in
+      for k = !i to min (vertices - 1) (!i + 49) do
+        ignore (Client.Tx.create_vertex tx ~id:(vid k) ())
+      done;
+      i := !i + 50;
+      ok_exn "snapshot setup" (Client.commit setup tx)
+    done;
+    Cluster.run_for c 50_000.0;
+    (* the analytics cut: everything below this stamp is history *)
+    let at0 = Cluster.gk_clock c 0 in
+    let starts = List.init analytics_starts (fun k -> vid (k * 9 mod vertices)) in
+    let stop = ref false in
+    (* TAO-style write mix: continuous single-vertex property updates across
+       the whole key range, hot enough to keep every shard's queues fed *)
+    let writes = ref 0 in
+    for w = 0 to writers - 1 do
+      let client = Cluster.client c in
+      Client.set_gatekeeper client (Some (w mod o.gatekeepers));
+      let rng = Xrand.create ~seed:(o.seed + (1_000 * (w + 1))) () in
+      let n = ref 0 in
+      let rec next () =
+        if not !stop then begin
+          incr n;
+          let tx = Client.Tx.begin_ client in
+          Client.Tx.set_vertex_prop tx
+            ~vid:(vid (Xrand.int rng vertices))
+            ~key:"n" ~value:(string_of_int !n);
+          Client.commit_async client tx ~on_result:(fun r ->
+              (match r with Ok () -> incr writes | Error _ -> ());
+              next ())
+        end
+      in
+      next ()
+    done;
+    (* analytics: repeated multi-start historical reads at the pinned cut.
+       When the cut falls below the compaction watermark the shard replies
+       the retryable "snapshot-gced" (the silent-stale-read bugfix); the
+       client then re-captures a fresh cut, exactly what a real analytics
+       driver would do. The on arm pins published snapshots, so its cut
+       stays readable far longer. *)
+    let lat = Stats.create () in
+    let reads = ref 0 and gced = ref 0 in
+    let at = ref at0 in
+    let analyst = Cluster.client c in
+    Client.set_retry_policy analyst Client.no_retry_policy;
+    let rec read_next () =
+      if not !stop then begin
+        let t0 = Cluster.now c in
+        Client.run_program_async analyst ~prog:"get_node" ~params:Progval.Null
+          ~starts ~at:!at
+          ~on_result:(fun r ->
+            (match r with
+            | Ok _ ->
+                incr reads;
+                Stats.add lat (Cluster.now c -. t0)
+            | Error "snapshot-gced" ->
+                incr gced;
+                at := Cluster.gk_clock c 0
+            | Error e -> failwith ("snapshot: analytics failed: " ^ e));
+            read_next ())
+          ()
+      end
+    in
+    read_next ();
+    Cluster.run_for c o.window;
+    stop := true;
+    Cluster.run_for c 50_000.0;
+    let ctr = Cluster.counters c in
+    let rt = Cluster.runtime c in
+    {
+      sr_writes = !writes;
+      sr_reads = !reads;
+      sr_gced = !gced;
+      sr_p50_read = Stats.percentile lat 50.0;
+      sr_p99_read = Stats.percentile lat 99.0;
+      sr_published = ctr.Runtime.snap_published;
+      sr_pinned = ctr.Runtime.snap_pinned_reads;
+      sr_deferred = ctr.Runtime.snap_gc_deferred;
+      sr_fingerprint =
+        ( !writes,
+          !reads,
+          ctr.Runtime.tx_committed,
+          ctr.Runtime.snap_published,
+          ctr.Runtime.snap_pinned_reads,
+          Weaver_sim.Net.messages_sent rt.Runtime.net );
+    }
+
+  (* [(off, on)], run in that order *)
+  let run o =
+    let off = arm o ~snap:false in
+    (off, arm o ~snap:true)
+
+  let table (off, on_) =
+    let row tag (r : snapshot_run) =
+      line "%-4s %8d %8d %6d %12.1f %12.1f %10d %8d %9d" tag r.sr_writes r.sr_reads r.sr_gced
+        r.sr_p50_read r.sr_p99_read r.sr_published r.sr_pinned r.sr_deferred
+    in
+    line "%-4s %8s %8s %6s %12s %12s %10s %8s %9s" "arm" "writes" "reads" "gced" "p50 us"
+      "p99 us" "published" "pinned" "deferred";
+    row "off" off;
+    row "on" on_
+
+  let document o (off, on_) =
+    let arm (r : snapshot_run) =
+      Json.Obj
+        [
+          ("writes", Json.int r.sr_writes);
+          ("reads", Json.int r.sr_reads);
+          ("cut_recaptures", Json.int r.sr_gced);
+          ("p50_read_us", Json.fixed 1 r.sr_p50_read);
+          ("p99_read_us", Json.fixed 1 r.sr_p99_read);
+          ("snapshots_published", Json.int r.sr_published);
+          ("pinned_reads", Json.int r.sr_pinned);
+          ("gc_deferred", Json.int r.sr_deferred);
+        ]
+    in
+    [
+      ("experiment", Json.Str "snapshot");
+      ("seed", Json.int o.seed);
+      ( "workload",
+        Json.Obj
+          [
+            ("vertices", Json.int vertices);
+            ("writers", Json.int writers);
+            ("analytics_starts", Json.int analytics_starts);
+            ("shards", Json.int o.shards);
+            ("gatekeepers", Json.int o.gatekeepers);
+            ("shard_capacity", Json.int shard_capacity);
+            ("gc_period_us", Json.fixed 0 gc_period);
+          ] );
+      ("arms", Json.Obj [ ("off", arm off); ("on", arm on_) ]);
+    ]
+
+  let bench () =
+    header "Snapshot reads: pinned historical analytics vs live write mix";
+    let o = defaults in
+    let ((off, on_) as r) = run o in
+    table r;
+    (* the tail is where gate waits and demand paging land; the median is
+       dominated by network round trips in both arms, so require a solid
+       tail win and a no-worse median *)
+    if on_.sr_p99_read >= 0.8 *. off.sr_p99_read || on_.sr_p50_read > off.sr_p50_read then
+      failwith "snapshot: analytics latency did not improve";
+    if float_of_int off.sr_writes > 1.1 *. float_of_int on_.sr_writes then
+      failwith "snapshot: write throughput regressed beyond noise";
+    if on_.sr_published = 0 || on_.sr_pinned = 0 then
+      failwith "snapshot: on arm never pinned a snapshot";
+    if off.sr_published <> 0 || off.sr_pinned <> 0 then
+      failwith "snapshot: off arm touched snapshot counters";
+    (* determinism: the on arm reruns to the identical fingerprint *)
+    let again = arm o ~snap:true in
+    let deterministic = again.sr_fingerprint = on_.sr_fingerprint in
+    line "deterministic rerun (snapshots on): %b" deterministic;
+    if not deterministic then failwith "snapshot: rerun diverged";
+    write_bench "snapshot" (document o r @ [ ("deterministic_rerun", Json.Bool deterministic) ])
+end
 
 (* ------------------------------------------------------------------ *)
 (* Skew: heat-attribution accuracy and cost under zipf-skewed writes.
@@ -1418,39 +1585,12 @@ let skew_merged_top c ~k =
    single-key property writes with zipf(theta)-ranked key selection
    through [rank_to_key]; tallies ground truth into [true_counts] *)
 let skew_writers c ~writers ~per_writer ~theta ~seed ~rank_to_key ~true_counts =
-  let done_writers = ref 0 in
-  for i = 0 to writers - 1 do
-    let client = Cluster.client c in
-    let rng = Xrand.create ~seed:(seed + (1_000 * (i + 1))) () in
-    let committed = ref 0 and attempt = ref 0 in
-    let rec next () =
-      if !committed < per_writer then begin
-        incr attempt;
-        let key_ix = rank_to_key (Xrand.zipf rng ~n:skew_keys ~theta) in
-        let tx = Client.Tx.begin_ client in
-        Client.Tx.set_vertex_prop tx ~vid:(skew_key key_ix) ~key:"n"
-          ~value:(string_of_int !attempt);
-        Client.commit_async client tx ~on_result:(fun r ->
-            (match r with
-            | Ok () ->
-                incr committed;
-                true_counts.(key_ix) <- true_counts.(key_ix) + 1
-            | Error _ -> ());
-            next ())
-      end
-      else incr done_writers
-    in
-    next ()
-  done;
-  done_writers
-
-let skew_drain c ~done_writers ~writers ~label =
-  let budget = ref 4_000 in
-  while !done_writers < writers && !budget > 0 do
-    decr budget;
-    Cluster.run_for c 1_000.0
-  done;
-  if !done_writers < writers then failwith (label ^ ": writers stalled")
+  closed_loop_writers c ~writers ~per_writer
+    ~seed_of:(fun i -> seed + (1_000 * (i + 1)))
+    ~pick:(fun rng -> rank_to_key (Xrand.zipf rng ~n:skew_keys ~theta))
+    ~vid:skew_key
+    ~on_commit:(fun k _ -> true_counts.(k) <- true_counts.(k) + 1)
+    ()
 
 (* tie-tolerant scoring: a pick is correct if its true tally reaches the
    K-th largest tally; recall is over the keys strictly above that bar
@@ -1477,15 +1617,10 @@ let skew_score ~true_counts picks =
 
 let skew_arm ~heat ~theta ~seed =
   let cpu0 = Sys.time () in
-  let c = mk_cluster (skew_cfg ~heat ~seed) in
-  let setup = Cluster.client c in
-  let tx = Client.Tx.begin_ setup in
-  for i = 0 to skew_keys - 1 do
-    ignore (Client.Tx.create_vertex tx ~id:(skew_key i) ())
-  done;
+  let c = cluster (skew_cfg ~heat ~seed) in
   (* one 128-key create fanning out to all 4 shards: the cross-shard touch
      path gets exercised before the single-shard writer phase *)
-  ok_exn "skew setup" (Client.commit setup tx);
+  create_vertices c ~what:"skew setup" (List.init skew_keys skew_key);
   Cluster.run_for c 5_000.0;
   let true_counts = Array.make skew_keys 1 (* the setup create *) in
   let t0 = Cluster.now c in
@@ -1493,7 +1628,7 @@ let skew_arm ~heat ~theta ~seed =
     skew_writers c ~writers:8 ~per_writer:60 ~theta ~seed ~rank_to_key:(fun r -> r)
       ~true_counts
   in
-  skew_drain c ~done_writers ~writers:8 ~label:"skew";
+  drain c ~done_writers ~writers:8 ~label:"skew";
   let t1 = Cluster.now c in
   Cluster.run_for c 20_000.0;
   let ctr = Cluster.counters c in
@@ -1538,20 +1673,15 @@ let skew_arm ~heat ~theta ~seed =
    the new hottest key appears *)
 let skew_flip ~seed =
   let theta = 0.9 in
-  let c = mk_cluster (skew_cfg ~heat:true ~seed) in
-  let setup = Cluster.client c in
-  let tx = Client.Tx.begin_ setup in
-  for i = 0 to skew_keys - 1 do
-    ignore (Client.Tx.create_vertex tx ~id:(skew_key i) ())
-  done;
-  ok_exn "skew flip setup" (Client.commit setup tx);
+  let c = cluster (skew_cfg ~heat:true ~seed) in
+  create_vertices c ~what:"skew flip setup" (List.init skew_keys skew_key);
   Cluster.run_for c 5_000.0;
   let true_counts = Array.make skew_keys 1 in
   let done_a =
     skew_writers c ~writers:8 ~per_writer:50 ~theta ~seed ~rank_to_key:(fun r -> r)
       ~true_counts
   in
-  skew_drain c ~done_writers:done_a ~writers:8 ~label:"skew flip phase A";
+  drain c ~done_writers:done_a ~writers:8 ~label:"skew flip phase A";
   let flip_at = Cluster.now c in
   let new_hot = skew_key (skew_keys / 2) in
   let done_b =
@@ -1615,29 +1745,53 @@ let skew () =
   line "deterministic rerun (theta 0.9): %b" deterministic;
   if not deterministic then failwith "skew: rerun diverged";
   let flip_lat = match skew_flip ~seed with Some l -> l | None -> 0.0 in
-  let oc = open_out "BENCH_skew.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"skew\",\n  \"seed\": %d,\n" seed;
-  j "  \"workload\": {\"writers\": 8, \"commits_per_writer\": 60, \"keys\": %d, \"shards\": 4, \"gatekeepers\": 2, \"sketch_k\": 16, \"reported_k\": %d},\n"
-    skew_keys skew_k;
-  j "  \"sweep\": [";
-  List.iteri
-    (fun i (theta, r) ->
-      j
-        "%s\n    {\"theta\": %.1f, \"committed\": %d, \"aborted\": %d, \"precision_at_k\": %.4f, \"recall_at_k\": %.4f, \"writes_per_s\": %.0f, \"cross_touches\": %d}"
-        (if i = 0 then "" else ",")
-        theta r.sk_committed r.sk_aborted r.sk_precision r.sk_recall r.sk_throughput
-        r.sk_cross)
-    sweep;
-  j "\n  ],\n";
-  j
-    "  \"overhead\": {\"heat_off_writes_per_s\": %.0f, \"heat_on_writes_per_s\": %.0f, \"throughput_overhead\": %.4f, \"cpu_s_off\": %.4f, \"cpu_s_on\": %.4f, \"fingerprint_identical\": true},\n"
-    off.sk_throughput hot.sk_throughput tp_overhead off.sk_cpu_s hot.sk_cpu_s;
-  j "  \"flip\": {\"theta\": 0.9, \"detection_latency_us\": %.0f, \"budget_us\": %.0f},\n"
-    flip_lat flip_budget;
-  j "  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_skew.json"
+  let run (theta, r) =
+    Json.Obj
+      [
+        ("theta", Json.fixed 1 theta);
+        ("committed", Json.int r.sk_committed);
+        ("aborted", Json.int r.sk_aborted);
+        ("precision_at_k", Json.fixed 4 r.sk_precision);
+        ("recall_at_k", Json.fixed 4 r.sk_recall);
+        ("writes_per_s", Json.fixed 0 r.sk_throughput);
+        ("cross_touches", Json.int r.sk_cross);
+      ]
+  in
+  write_bench "skew"
+    [
+      ("experiment", Json.Str "skew");
+      ("seed", Json.int seed);
+      ( "workload",
+        Json.Obj
+          [
+            ("writers", Json.int 8);
+            ("commits_per_writer", Json.int 60);
+            ("keys", Json.int skew_keys);
+            ("shards", Json.int 4);
+            ("gatekeepers", Json.int 2);
+            ("sketch_k", Json.int 16);
+            ("reported_k", Json.int skew_k);
+          ] );
+      ("sweep", Json.List (List.map run sweep));
+      ( "overhead",
+        Json.Obj
+          [
+            ("heat_off_writes_per_s", Json.fixed 0 off.sk_throughput);
+            ("heat_on_writes_per_s", Json.fixed 0 hot.sk_throughput);
+            ("throughput_overhead", Json.fixed 4 tp_overhead);
+            ("cpu_s_off", Json.fixed 4 off.sk_cpu_s);
+            ("cpu_s_on", Json.fixed 4 hot.sk_cpu_s);
+            ("fingerprint_identical", Json.Bool true);
+          ] );
+      ( "flip",
+        Json.Obj
+          [
+            ("theta", Json.fixed 1 0.9);
+            ("detection_latency_us", Json.fixed 0 flip_lat);
+            ("budget_us", Json.fixed 0 flip_budget);
+          ] );
+      ("deterministic_rerun", Json.Bool deterministic);
+    ]
 
 (* -------------------------------------------------------------------- *)
 (* Rebalance: elasticity under a migrating hot spot (§4.6). Closed-loop
@@ -1650,20 +1804,6 @@ let skew () =
    and the whole run — move log included — reruns bit-identically.
    Emits BENCH_rebalance.json. *)
 
-let reb_keys = 128
-let reb_key i = Printf.sprintf "e%03d" i
-
-let reb_cfg ~rebalance ~seed =
-  {
-    Config.default with
-    Config.seed;
-    Config.n_gatekeepers = 2;
-    Config.n_shards = 4;
-    Config.enable_heat = true;
-    Config.enable_rebalance = rebalance;
-    Config.rebalance_period = 10_000.0;
-  }
-
 type reb_arm = {
   rb_committed : int;
   rb_aborted : int;
@@ -1674,164 +1814,189 @@ type reb_arm = {
   rb_rounds : int;
   rb_moves : int;
   rb_skipped : int;
-  rb_move_json : string;
+  rb_move_log : Json.t;
   rb_fingerprint : int * int * int * int * int;
 }
 
-(* closed-loop single-key writers uniform over the hot set; aborted
-   commits retry (they cost time, not commits — that is the goodput) *)
-let reb_writers c ~writers ~per_writer ~seed ~hot =
-  let done_writers = ref 0 in
-  for i = 0 to writers - 1 do
-    let client = Cluster.client c in
-    let rng = Xrand.create ~seed:(seed + (101 * (i + 1))) () in
-    let committed = ref 0 and attempt = ref 0 in
-    let rec next () =
-      if !committed < per_writer then begin
-        incr attempt;
-        let vid = hot.(Xrand.int rng (Array.length hot)) in
-        let tx = Client.Tx.begin_ client in
-        Client.Tx.set_vertex_prop tx ~vid ~key:"n" ~value:(string_of_int !attempt);
-        Client.commit_async client tx ~on_result:(fun r ->
-            (match r with Ok () -> incr committed | Error _ -> ());
-            next ())
-      end
-      else incr done_writers
-    in
-    next ()
-  done;
-  done_writers
-
-let reb_arm ~rebalance ~seed =
-  let c = mk_cluster (reb_cfg ~rebalance ~seed) in
-  let setup = Cluster.client c in
-  let tx = Client.Tx.begin_ setup in
-  for i = 0 to reb_keys - 1 do
-    ignore (Client.Tx.create_vertex tx ~id:(reb_key i) ())
-  done;
-  ok_exn "rebalance setup" (Client.commit setup tx);
-  Cluster.run_for c 5_000.0;
-  (* hot sets by *initial* residency: phase A hammers shard 0's vertices,
-     phase B shard 1's (untouched by phase A's moves, so the flip really
-     does land the load on one cold shard) *)
-  let residents s =
-    Array.of_list
-      (List.filter
-         (fun v -> Cluster.shard_of_vertex c v = s)
-         (List.init reb_keys reb_key))
-  in
-  let take16 a = Array.sub a 0 (min 16 (Array.length a)) in
-  let hot_a = take16 (residents 0) and hot_b = take16 (residents 1) in
-  let h = Option.get (Cluster.heat c) in
-  let t0 = Cluster.now c in
-  let done_a = reb_writers c ~writers:8 ~per_writer:120 ~seed ~hot:hot_a in
-  skew_drain c ~done_writers:done_a ~writers:8 ~label:"rebalance phase A";
-  let skew_pre = Weaver_obs.Heat.skew h ~now:(Cluster.now c) in
-  let done_b =
-    reb_writers c ~writers:8 ~per_writer:120 ~seed:(seed + 7) ~hot:hot_b
-  in
-  Cluster.run_for c 5_000.0;
-  let skew_spike = Weaver_obs.Heat.skew h ~now:(Cluster.now c) in
-  skew_drain c ~done_writers:done_b ~writers:8 ~label:"rebalance phase B";
-  let skew_post = Weaver_obs.Heat.skew h ~now:(Cluster.now c) in
-  let t1 = Cluster.now c in
-  let ctr = Cluster.counters c in
-  let rt = Cluster.runtime c in
-  let move_json =
-    match Cluster.balancer c with
-    | None -> "[]"
-    | Some b ->
-        "["
-        ^ String.concat ", "
-            (List.map
-               (fun m ->
-                 Printf.sprintf
-                   "{\"t_us\": %.0f, \"vid\": \"%s\", \"from\": %d, \"to\": %d}"
-                   m.Balancer.mv_time m.Balancer.mv_vid m.Balancer.mv_from
-                   m.Balancer.mv_to)
-               (Balancer.move_log b))
-        ^ "]"
-  in
-  {
-    rb_committed = ctr.Runtime.tx_committed;
-    rb_aborted = ctr.Runtime.tx_aborted;
-    rb_skew_pre = skew_pre;
-    rb_skew_spike = skew_spike;
-    rb_skew_post = skew_post;
-    rb_goodput = float_of_int (2 * 8 * 120) /. (t1 -. t0) *. 1.0e6;
-    rb_rounds = ctr.Runtime.rebal_rounds;
-    rb_moves = ctr.Runtime.rebal_moves;
-    rb_skipped = ctr.Runtime.rebal_skipped;
-    rb_move_json = move_json;
-    rb_fingerprint =
-      ( ctr.Runtime.tx_committed,
-        ctr.Runtime.tx_aborted,
-        ctr.Runtime.oracle_consults,
-        Weaver_sim.Net.messages_sent rt.Runtime.net,
-        ctr.Runtime.nop_msgs );
+module Rebalance = struct
+  type opts = {
+    seed : int;
+    gatekeepers : int;
+    shards : int;  (** at least 2: the hot set moves from shard 0 to shard 1 *)
+    tau : float;
+    writers : int;
   }
 
-let rebalance () =
-  header "Rebalance: closing the sense-plan-act loop on a hot-spot flip";
-  let seed = 19 in
-  let on = reb_arm ~rebalance:true ~seed in
-  let off = reb_arm ~rebalance:false ~seed in
-  line "%-4s %10s %9s %10s %10s %10s %7s %7s" "arm" "committed" "goodput"
-    "skew pre" "spike" "post" "moves" "skips";
-  let row tag (r : reb_arm) =
-    line "%-4s %10d %9.0f %10.3f %10.3f %10.3f %7d %7d" tag r.rb_committed
-      r.rb_goodput r.rb_skew_pre r.rb_skew_spike r.rb_skew_post r.rb_moves
-      r.rb_skipped
-  in
-  row "off" off;
-  row "on" on;
-  (* the loop must close: post-flip skew back within 1.2x of pre-flip *)
-  if on.rb_moves = 0 then failwith "rebalance: planner never moved anything";
-  if on.rb_skew_post > 1.2 *. on.rb_skew_pre then
-    failwith
-      (Printf.sprintf "rebalance: skew %.3f did not recover (pre-flip %.3f)"
-         on.rb_skew_post on.rb_skew_pre);
-  (* without the planner the hot spot stays pinned above the hysteresis bar *)
-  if off.rb_skew_post < Balancer.hysteresis then
-    failwith
-      (Printf.sprintf "rebalance: off arm unexpectedly balanced (skew %.3f)"
-         off.rb_skew_post);
-  let goodput_delta =
-    abs_float (on.rb_goodput -. off.rb_goodput) /. off.rb_goodput
-  in
-  line "goodput delta %.2f%% (migrations abort racing writers, bounded)"
-    (100.0 *. goodput_delta);
-  if goodput_delta > 0.10 then failwith "rebalance: goodput delta above 10%";
-  let again = reb_arm ~rebalance:true ~seed in
-  let deterministic =
-    again.rb_fingerprint = on.rb_fingerprint && again.rb_move_json = on.rb_move_json
-  in
-  line "deterministic rerun: %b" deterministic;
-  if not deterministic then failwith "rebalance: rerun diverged";
-  let oc = open_out "BENCH_rebalance.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"rebalance\",\n  \"seed\": %d,\n" seed;
-  j
-    "  \"workload\": {\"writers\": 8, \"commits_per_writer_per_phase\": 120, \
-     \"hot_set\": 16, \"keys\": %d, \"shards\": 4, \"gatekeepers\": 2, \
-     \"rebalance_period_us\": 10000},\n"
-    reb_keys;
-  let arm tag (r : reb_arm) last =
-    j
-      "  \"%s\": {\"committed\": %d, \"aborted\": %d, \"goodput_per_s\": %.0f, \
-       \"skew_pre_flip\": %.4f, \"skew_spike\": %.4f, \"skew_post_flip\": \
-       %.4f, \"rounds\": %d, \"moves\": %d, \"skipped\": %d, \"move_log\": \
-       %s}%s\n"
-      tag r.rb_committed r.rb_aborted r.rb_goodput r.rb_skew_pre r.rb_skew_spike
-      r.rb_skew_post r.rb_rounds r.rb_moves r.rb_skipped r.rb_move_json
-      (if last then "" else ",")
-  in
-  arm "off" off false;
-  arm "on" on false;
-  j "  \"goodput_delta\": %.4f,\n" goodput_delta;
-  j "  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_rebalance.json"
+  let defaults =
+    { seed = 19; gatekeepers = 2; shards = 4; tau = Config.default.Config.tau; writers = 8 }
+
+  let per_writer = 120  (* commits per writer in each phase *)
+  let hot_set = 16
+  let keys = 128
+  let period = 10_000.0  (* µs between planner rounds *)
+
+  let arm o ~rebalance =
+    let cfg =
+      {
+        Config.default with
+        Config.seed = o.seed;
+        Config.n_gatekeepers = o.gatekeepers;
+        Config.n_shards = o.shards;
+        Config.tau = o.tau;
+        Config.enable_heat = true;
+        Config.enable_rebalance = rebalance;
+        Config.rebalance_period = period;
+      }
+    in
+    let c = cluster cfg in
+    let key i = Printf.sprintf "e%03d" i in
+    create_vertices c ~what:"rebalance setup" (List.init keys key);
+    Cluster.run_for c 5_000.0;
+    (* hot sets by *initial* residency: phase A hammers shard 0's vertices,
+       phase B shard 1's (untouched by phase A's moves, so the flip really
+       does land the load on one cold shard) *)
+    let hot s =
+      let residents =
+        Array.of_list
+          (List.filter (fun v -> Cluster.shard_of_vertex c v = s) (List.init keys key))
+      in
+      if Array.length residents = 0 then
+        failwith (Printf.sprintf "rebalance: shard %d holds none of the keys" s);
+      Array.sub residents 0 (min hot_set (Array.length residents))
+    in
+    let hot_a = hot 0 and hot_b = hot 1 in
+    let h = Option.get (Cluster.heat c) in
+    let t0 = Cluster.now c in
+    (* closed-loop writers uniform over the hot set; aborted commits retry
+       (they cost time, not commits — that is the goodput) *)
+    let phase ~seed ~hot =
+      closed_loop_writers c ~writers:o.writers ~per_writer
+        ~seed_of:(fun i -> seed + (101 * (i + 1)))
+        ~pick:(fun rng -> hot.(Xrand.int rng (Array.length hot)))
+        ~vid:Fun.id
+        ()
+    in
+    let done_a = phase ~seed:o.seed ~hot:hot_a in
+    drain c ~done_writers:done_a ~writers:o.writers ~label:"rebalance phase A";
+    let skew_pre = Weaver_obs.Heat.skew h ~now:(Cluster.now c) in
+    let done_b = phase ~seed:(o.seed + 7) ~hot:hot_b in
+    Cluster.run_for c 5_000.0;
+    let skew_spike = Weaver_obs.Heat.skew h ~now:(Cluster.now c) in
+    drain c ~done_writers:done_b ~writers:o.writers ~label:"rebalance phase B";
+    let skew_post = Weaver_obs.Heat.skew h ~now:(Cluster.now c) in
+    let t1 = Cluster.now c in
+    let ctr = Cluster.counters c in
+    let rt = Cluster.runtime c in
+    let move m =
+      Json.Obj
+        [
+          ("t_us", Json.fixed 0 m.Balancer.mv_time);
+          ("vid", Json.Str m.Balancer.mv_vid);
+          ("from", Json.int m.Balancer.mv_from);
+          ("to", Json.int m.Balancer.mv_to);
+        ]
+    in
+    {
+      rb_committed = ctr.Runtime.tx_committed;
+      rb_aborted = ctr.Runtime.tx_aborted;
+      rb_skew_pre = skew_pre;
+      rb_skew_spike = skew_spike;
+      rb_skew_post = skew_post;
+      rb_goodput = float_of_int (2 * o.writers * per_writer) /. (t1 -. t0) *. 1.0e6;
+      rb_rounds = ctr.Runtime.rebal_rounds;
+      rb_moves = ctr.Runtime.rebal_moves;
+      rb_skipped = ctr.Runtime.rebal_skipped;
+      rb_move_log =
+        Json.List
+          (match Cluster.balancer c with
+          | None -> []
+          | Some b -> List.map move (Balancer.move_log b));
+      rb_fingerprint =
+        ( ctr.Runtime.tx_committed,
+          ctr.Runtime.tx_aborted,
+          ctr.Runtime.oracle_consults,
+          Weaver_sim.Net.messages_sent rt.Runtime.net,
+          ctr.Runtime.nop_msgs );
+    }
+
+  (* [(off, on)]; the on arm runs first *)
+  let run o =
+    let on = arm o ~rebalance:true in
+    (arm o ~rebalance:false, on)
+
+  let goodput_delta (off, on) = abs_float (on.rb_goodput -. off.rb_goodput) /. off.rb_goodput
+
+  let table ((off, on) as r) =
+    line "%-4s %10s %9s %10s %10s %10s %7s %7s" "arm" "committed" "goodput" "skew pre"
+      "spike" "post" "moves" "skips";
+    let row tag (r : reb_arm) =
+      line "%-4s %10d %9.0f %10.3f %10.3f %10.3f %7d %7d" tag r.rb_committed r.rb_goodput
+        r.rb_skew_pre r.rb_skew_spike r.rb_skew_post r.rb_moves r.rb_skipped
+    in
+    row "off" off;
+    row "on" on;
+    line "goodput delta %.2f%% (migrations abort racing writers, bounded)"
+      (100.0 *. goodput_delta r)
+
+  let document o ((off, on) as r) =
+    let arm (r : reb_arm) =
+      Json.Obj
+        [
+          ("committed", Json.int r.rb_committed);
+          ("aborted", Json.int r.rb_aborted);
+          ("goodput_per_s", Json.fixed 0 r.rb_goodput);
+          ("skew_pre_flip", Json.fixed 4 r.rb_skew_pre);
+          ("skew_spike", Json.fixed 4 r.rb_skew_spike);
+          ("skew_post_flip", Json.fixed 4 r.rb_skew_post);
+          ("rounds", Json.int r.rb_rounds);
+          ("moves", Json.int r.rb_moves);
+          ("skipped", Json.int r.rb_skipped);
+          ("move_log", r.rb_move_log);
+        ]
+    in
+    [
+      ("experiment", Json.Str "rebalance");
+      ("seed", Json.int o.seed);
+      ( "workload",
+        Json.Obj
+          [
+            ("writers", Json.int o.writers);
+            ("commits_per_writer_per_phase", Json.int per_writer);
+            ("hot_set", Json.int hot_set);
+            ("keys", Json.int keys);
+            ("shards", Json.int o.shards);
+            ("gatekeepers", Json.int o.gatekeepers);
+            ("rebalance_period_us", Json.fixed 0 period);
+          ] );
+      ("off", arm off);
+      ("on", arm on);
+      ("goodput_delta", Json.fixed 4 (goodput_delta r));
+    ]
+
+  let bench () =
+    header "Rebalance: closing the sense-plan-act loop on a hot-spot flip";
+    let o = defaults in
+    let ((off, on) as r) = run o in
+    table r;
+    (* the loop must close: post-flip skew back within 1.2x of pre-flip *)
+    if on.rb_moves = 0 then failwith "rebalance: planner never moved anything";
+    if on.rb_skew_post > 1.2 *. on.rb_skew_pre then
+      failwith
+        (Printf.sprintf "rebalance: skew %.3f did not recover (pre-flip %.3f)" on.rb_skew_post
+           on.rb_skew_pre);
+    (* without the planner the hot spot stays pinned above the hysteresis bar *)
+    if off.rb_skew_post < Balancer.hysteresis then
+      failwith
+        (Printf.sprintf "rebalance: off arm unexpectedly balanced (skew %.3f)" off.rb_skew_post);
+    if goodput_delta r > 0.10 then failwith "rebalance: goodput delta above 10%";
+    let again = arm o ~rebalance:true in
+    let deterministic =
+      again.rb_fingerprint = on.rb_fingerprint && again.rb_move_log = on.rb_move_log
+    in
+    line "deterministic rerun: %b" deterministic;
+    if not deterministic then failwith "rebalance: rerun diverged";
+    write_bench "rebalance" (document o r @ [ ("deterministic_rerun", Json.Bool deterministic) ])
+end
 
 (* ------------------------------------------------------------------ *)
 (* Replication: read scale-out from timestamp-consistent partial
@@ -1853,190 +2018,227 @@ type repl_run = {
   rp_fingerprint : (int * int * int * int) * (int * int * int);
 }
 
-let repl_seed = 29
-
-let repl_bench_cfg ~factor ~seed =
-  {
-    Config.default with
-    Config.seed;
-    n_gatekeepers = 4;
-    n_shards = 4;
-    enable_heat = true;
-    enable_replication = factor > 0;
-    replication_factor = factor;
-    gc_period = 2_000.0;
-    (* reads must be the scarce resource for scale-out to show: with the
-       default 1 µs read the gatekeeper plane and the wire dominate and
-       every arm measures the same thing *)
-    vertex_read_cost = 40.0;
+module Replication = struct
+  type opts = {
+    seed : int;
+    gatekeepers : int;
+    shards : int;
+    readers : int;
+    duration : float;  (** measured window, virtual µs *)
+    thetas : float list;  (** reader skews *)
+    factors : int list;  (** replication factors; 0 disables *)
   }
 
-let repl_arm ~factor ~theta ~seed =
-  let c = mk_cluster (repl_bench_cfg ~factor ~seed) in
-  let rng = Xrand.create ~seed:(seed * 31) () in
-  let g = Graphgen.uniform ~rng ~vertices:64 ~edges:128 () in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
-  let r =
-    Readscale.run c ~vertices ~readers:48 ~writers:8 ~duration:250_000.0 ~theta
-      ~warmup:50_000.0 ()
-  in
-  let ctr = Cluster.counters c in
-  let rt = Cluster.runtime c in
-  {
-    rp_goodput = r.Readscale.read_goodput;
-    rp_reads_err = r.Readscale.reads_err;
-    rp_writes = r.Readscale.write_throughput;
-    rp_read_p50 = Stats.percentile r.Readscale.read_latencies 50.0;
-    rp_read_p99 = Stats.percentile r.Readscale.read_latencies 99.0;
-    rp_installs = ctr.Runtime.repl_installs;
-    rp_routed = ctr.Runtime.repl_routed;
-    rp_updates = ctr.Runtime.repl_updates;
-    rp_fingerprint =
-      ( ( ctr.Runtime.tx_committed,
-          ctr.Runtime.tx_aborted,
-          ctr.Runtime.progs_completed,
-          ctr.Runtime.vertices_read ),
-        ( Weaver_sim.Net.messages_sent rt.Runtime.net,
-          ctr.Runtime.oracle_consults,
-          ctr.Runtime.nop_msgs ) );
-  }
-
-(* owner crash under fire: warm a replicated range, pin a read at a
-   follower-covered stamp, crash the owner, re-issue — same answer *)
-let repl_chaos ~seed =
-  let cfg =
+  let defaults =
     {
-      (repl_bench_cfg ~factor:2 ~seed) with
-      Config.n_gatekeepers = 1;
-      vertex_read_cost = Config.default.Config.vertex_read_cost;
+      seed = 29;
+      gatekeepers = 4;
+      shards = 4;
+      readers = 48;
+      duration = 250_000.0;
+      thetas = [ 0.6; 0.9; 1.1 ];
+      factors = [ 0; 1; 2; 3 ];
     }
-  in
-  let c = mk_cluster cfg in
-  let client = Cluster.client c in
-  let tx = Client.Tx.begin_ client in
-  ignore (Client.Tx.create_vertex tx ~id:"hot" ());
-  ok_exn "replication chaos setup" (Client.commit client tx);
-  let owner = Cluster.shard_of_vertex c "hot" in
-  let ctr = Cluster.counters c in
-  let tries = ref 0 in
-  while ctr.Runtime.repl_routed = 0 && !tries < 300 do
-    incr tries;
-    ignore
-      (Client.run_program client ~prog:"get_node" ~params:Progval.Null
-         ~starts:[ "hot" ] ~consistency:`Weak ());
-    Cluster.run_for c 200.0
-  done;
-  if ctr.Runtime.repl_routed = 0 then
-    failwith "replication chaos: range never became replicated";
-  let tx = Client.Tx.begin_ client in
-  Client.Tx.set_vertex_prop tx ~vid:"hot" ~key:"v" ~value:"final";
-  ok_exn "replication chaos write" (Client.commit client tx);
-  Cluster.run_for c 6_000.0;
-  let ts = Cluster.gk_clock c 0 in
-  Cluster.run_for c 6_000.0;
-  let prop_v result =
-    match result with
-    | Progval.List [ s ] ->
-        Option.map Progval.to_str (Progval.assoc_opt "v" (Progval.assoc "props" s))
-    | _ -> failwith "replication chaos: unexpected get_node shape"
-  in
-  let read_at () =
-    ok_exn "replication chaos pinned read"
-      (Client.run_program client ~prog:"get_node" ~params:Progval.Null
-         ~starts:[ "hot" ] ~at:ts ())
-  in
-  let baseline = prop_v (read_at ()) in
-  if baseline <> Some "final" then
-    failwith "replication chaos: pinned read missed the write";
-  let crash_at = Cluster.now c +. 500.0 in
-  ignore
-    (Cluster.install_fault_plan c
-       (Weaver_sim.Fault.scripted
-          [ (crash_at, Weaver_sim.Fault.Crash (Weaver_sim.Fault.Shard owner)) ]));
-  Cluster.run_for c 1_000.0;
-  let after = prop_v (read_at ()) in
-  if after <> baseline then
-    failwith "replication chaos: covered read diverged after owner crash";
-  (owner, !tries)
 
-let replication () =
-  header "Replication: read scale-out from hot-range partial replication";
-  let factors = [ 0; 1; 2; 3 ] and thetas = [ 0.6; 0.9; 1.1 ] in
-  let runs =
+  let vertices = 64
+  let edges = 128
+  let writers = 8
+  let warmup = 50_000.0  (* virtual µs before the window *)
+
+  (* µs; reads must be the scarce resource for scale-out to show: with the
+     default 1 µs read the gatekeeper plane and the wire dominate and every
+     arm measures the same thing *)
+  let vertex_read_cost = 40.0
+
+  let cfg o ~factor =
+    {
+      Config.default with
+      Config.seed = o.seed;
+      n_gatekeepers = o.gatekeepers;
+      n_shards = o.shards;
+      enable_heat = true;
+      enable_replication = factor > 0;
+      replication_factor = factor;
+      gc_period = 2_000.0;
+      vertex_read_cost;
+    }
+
+  let arm o ~factor ~theta =
+    let c = cluster (cfg o ~factor) in
+    let rng = Xrand.create ~seed:(o.seed * 31) () in
+    let g = Graphgen.uniform ~rng ~vertices ~edges () in
+    let vertices = install c g in
+    let r =
+      Readscale.run c ~vertices ~readers:o.readers ~writers ~duration:o.duration ~theta ~warmup
+        ()
+    in
+    let ctr = Cluster.counters c in
+    let rt = Cluster.runtime c in
+    {
+      rp_goodput = r.Readscale.read_goodput;
+      rp_reads_err = r.Readscale.reads_err;
+      rp_writes = r.Readscale.write_throughput;
+      rp_read_p50 = Stats.percentile r.Readscale.read_latencies 50.0;
+      rp_read_p99 = Stats.percentile r.Readscale.read_latencies 99.0;
+      rp_installs = ctr.Runtime.repl_installs;
+      rp_routed = ctr.Runtime.repl_routed;
+      rp_updates = ctr.Runtime.repl_updates;
+      rp_fingerprint =
+        ( ( ctr.Runtime.tx_committed,
+            ctr.Runtime.tx_aborted,
+            ctr.Runtime.progs_completed,
+            ctr.Runtime.vertices_read ),
+          ( Weaver_sim.Net.messages_sent rt.Runtime.net,
+            ctr.Runtime.oracle_consults,
+            ctr.Runtime.nop_msgs ) );
+    }
+
+  (* [(theta, [(factor, run)])] over every skew and factor *)
+  let run o =
     List.map
-      (fun theta ->
-        (theta, List.map (fun f -> (f, repl_arm ~factor:f ~theta ~seed:repl_seed)) factors))
-      thetas
-  in
-  line "%-6s %-7s %9s %9s %9s %9s %9s %8s %8s" "theta" "factor" "reads/s"
-    "writes/s" "p50us" "p99us" "errs" "installs" "routed";
-  List.iter
-    (fun (theta, arms) ->
-      List.iter
-        (fun (f, r) ->
-          line "%-6.1f %-7d %9.0f %9.0f %9.0f %9.0f %9d %8d %8d" theta f
-            r.rp_goodput r.rp_writes r.rp_read_p50 r.rp_read_p99 r.rp_reads_err
-            r.rp_installs r.rp_routed)
-        arms)
-    runs;
-  let arm ~theta ~factor =
-    List.assoc factor (List.assoc theta runs)
-  in
-  let base = arm ~theta:0.9 ~factor:0 and best = arm ~theta:0.9 ~factor:3 in
-  let speedup = best.rp_goodput /. base.rp_goodput in
-  line "read goodput at theta 0.9: factor 0 -> 3 is %.2fx" speedup;
-  if speedup < 1.5 then
-    failwith
-      (Printf.sprintf "replication: %.2fx read scale-out below the 1.5x bar"
-         speedup);
-  if best.rp_writes < 0.95 *. base.rp_writes then
-    failwith
-      (Printf.sprintf
-         "replication: write throughput sagged %.0f -> %.0f (>5%%)"
-         base.rp_writes best.rp_writes);
-  let again = repl_arm ~factor:3 ~theta:0.9 ~seed:repl_seed in
-  let deterministic = again.rp_fingerprint = best.rp_fingerprint in
-  line "deterministic rerun: %b" deterministic;
-  if not deterministic then failwith "replication: rerun diverged";
-  let crashed_owner, warm_tries = repl_chaos ~seed:repl_seed in
-  line "chaos: covered pinned read survived crash of owner shard %d" crashed_owner;
-  let oc = open_out "BENCH_replication.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"replication\",\n  \"seed\": %d,\n" repl_seed;
-  j
-    "  \"workload\": {\"vertices\": 64, \"edges\": 128, \"readers\": 48, \
-     \"writers\": 8, \"duration_us\": 250000, \"warmup_us\": 50000, \
-     \"shards\": 4, \"gatekeepers\": 4, \"vertex_read_cost_us\": 40},\n";
-  j "  \"arms\": [\n";
-  let n_arms = List.length factors * List.length thetas in
-  let i = ref 0 in
-  List.iter
-    (fun (theta, arms) ->
-      List.iter
-        (fun (f, r) ->
-          incr i;
-          j
-            "    {\"theta\": %.1f, \"factor\": %d, \"read_goodput_per_s\": \
-             %.0f, \"write_throughput_per_s\": %.0f, \"read_p50_us\": %.0f, \
-             \"read_p99_us\": %.0f, \"read_errors\": %d, \"installs\": %d, \
-             \"routed\": %d, \"updates\": %d}%s\n"
-            theta f r.rp_goodput r.rp_writes r.rp_read_p50 r.rp_read_p99
-            r.rp_reads_err r.rp_installs r.rp_routed r.rp_updates
-            (if !i = n_arms then "" else ","))
-        arms)
-    runs;
-  j "  ],\n";
-  j "  \"read_scaleout_theta09_f3_vs_f0\": %.4f,\n" speedup;
-  j "  \"write_delta_theta09_f3_vs_f0\": %.4f,\n"
-    (best.rp_writes /. base.rp_writes);
-  j "  \"chaos\": {\"crashed_owner\": %d, \"warmup_reads\": %d, \
-     \"covered_read_survived\": true},\n"
-    crashed_owner warm_tries;
-  j "  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_replication.json"
+      (fun theta -> (theta, List.map (fun factor -> (factor, arm o ~factor ~theta)) o.factors))
+      o.thetas
+
+  let table runs =
+    line "%-6s %-7s %9s %9s %9s %9s %9s %8s %8s" "theta" "factor" "reads/s" "writes/s" "p50us"
+      "p99us" "errs" "installs" "routed";
+    List.iter
+      (fun (theta, arms) ->
+        List.iter
+          (fun (f, r) ->
+            line "%-6.1f %-7d %9.0f %9.0f %9.0f %9.0f %9d %8d %8d" theta f r.rp_goodput
+              r.rp_writes r.rp_read_p50 r.rp_read_p99 r.rp_reads_err r.rp_installs r.rp_routed)
+          arms)
+      runs
+
+  let document o runs =
+    let arm theta (f, r) =
+      Json.Obj
+        [
+          ("theta", Json.fixed 1 theta);
+          ("factor", Json.int f);
+          ("read_goodput_per_s", Json.fixed 0 r.rp_goodput);
+          ("write_throughput_per_s", Json.fixed 0 r.rp_writes);
+          ("read_p50_us", Json.fixed 0 r.rp_read_p50);
+          ("read_p99_us", Json.fixed 0 r.rp_read_p99);
+          ("read_errors", Json.int r.rp_reads_err);
+          ("installs", Json.int r.rp_installs);
+          ("routed", Json.int r.rp_routed);
+          ("updates", Json.int r.rp_updates);
+        ]
+    in
+    [
+      ("experiment", Json.Str "replication");
+      ("seed", Json.int o.seed);
+      ( "workload",
+        Json.Obj
+          [
+            ("vertices", Json.int vertices);
+            ("edges", Json.int edges);
+            ("readers", Json.int o.readers);
+            ("writers", Json.int writers);
+            ("duration_us", Json.fixed 0 o.duration);
+            ("warmup_us", Json.fixed 0 warmup);
+            ("shards", Json.int o.shards);
+            ("gatekeepers", Json.int o.gatekeepers);
+            ("vertex_read_cost_us", Json.fixed 0 vertex_read_cost);
+          ] );
+      ("arms", Json.List (List.concat_map (fun (theta, arms) -> List.map (arm theta) arms) runs));
+    ]
+
+  (* owner crash under fire: warm a replicated range, pin a read at a
+     follower-covered stamp, crash the owner, re-issue — same answer *)
+  let chaos o =
+    let cfg =
+      {
+        (cfg o ~factor:2) with
+        Config.n_gatekeepers = 1;
+        vertex_read_cost = Config.default.Config.vertex_read_cost;
+      }
+    in
+    let c = cluster cfg in
+    let client = Cluster.client c in
+    let tx = Client.Tx.begin_ client in
+    ignore (Client.Tx.create_vertex tx ~id:"hot" ());
+    ok_exn "replication chaos setup" (Client.commit client tx);
+    let owner = Cluster.shard_of_vertex c "hot" in
+    let ctr = Cluster.counters c in
+    let tries = ref 0 in
+    while ctr.Runtime.repl_routed = 0 && !tries < 300 do
+      incr tries;
+      ignore
+        (Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ "hot" ]
+           ~consistency:`Weak ());
+      Cluster.run_for c 200.0
+    done;
+    if ctr.Runtime.repl_routed = 0 then
+      failwith "replication chaos: range never became replicated";
+    let tx = Client.Tx.begin_ client in
+    Client.Tx.set_vertex_prop tx ~vid:"hot" ~key:"v" ~value:"final";
+    ok_exn "replication chaos write" (Client.commit client tx);
+    Cluster.run_for c 6_000.0;
+    let ts = Cluster.gk_clock c 0 in
+    Cluster.run_for c 6_000.0;
+    let prop_v result =
+      match result with
+      | Progval.List [ s ] ->
+          Option.map Progval.to_str (Progval.assoc_opt "v" (Progval.assoc "props" s))
+      | _ -> failwith "replication chaos: unexpected get_node shape"
+    in
+    let read_at () =
+      ok_exn "replication chaos pinned read"
+        (Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ "hot" ]
+           ~at:ts ())
+    in
+    let baseline = prop_v (read_at ()) in
+    if baseline <> Some "final" then failwith "replication chaos: pinned read missed the write";
+    let crash_at = Cluster.now c +. 500.0 in
+    ignore
+      (Cluster.install_fault_plan c
+         (Weaver_sim.Fault.scripted
+            [ (crash_at, Weaver_sim.Fault.Crash (Weaver_sim.Fault.Shard owner)) ]));
+    Cluster.run_for c 1_000.0;
+    let after = prop_v (read_at ()) in
+    if after <> baseline then
+      failwith "replication chaos: covered read diverged after owner crash";
+    (owner, !tries)
+
+  let bench () =
+    header "Replication: read scale-out from hot-range partial replication";
+    let o = defaults in
+    let runs = run o in
+    table runs;
+    let find ~theta ~factor = List.assoc factor (List.assoc theta runs) in
+    let base = find ~theta:0.9 ~factor:0 and best = find ~theta:0.9 ~factor:3 in
+    let speedup = best.rp_goodput /. base.rp_goodput in
+    line "read goodput at theta 0.9: factor 0 -> 3 is %.2fx" speedup;
+    if speedup < 1.5 then
+      failwith (Printf.sprintf "replication: %.2fx read scale-out below the 1.5x bar" speedup);
+    if best.rp_writes < 0.95 *. base.rp_writes then
+      failwith
+        (Printf.sprintf "replication: write throughput sagged %.0f -> %.0f (>5%%)"
+           base.rp_writes best.rp_writes);
+    let again = arm o ~factor:3 ~theta:0.9 in
+    let deterministic = again.rp_fingerprint = best.rp_fingerprint in
+    line "deterministic rerun: %b" deterministic;
+    if not deterministic then failwith "replication: rerun diverged";
+    let crashed_owner, warm_tries = chaos o in
+    line "chaos: covered pinned read survived crash of owner shard %d" crashed_owner;
+    write_bench "replication"
+      (document o runs
+      @ [
+          ("read_scaleout_theta09_f3_vs_f0", Json.fixed 4 speedup);
+          ("write_delta_theta09_f3_vs_f0", Json.fixed 4 (best.rp_writes /. base.rp_writes));
+          ( "chaos",
+            Json.Obj
+              [
+                ("crashed_owner", Json.int crashed_owner);
+                ("warmup_reads", Json.int warm_tries);
+                ("covered_read_survived", Json.Bool true);
+              ] );
+          ("deterministic_rerun", Json.Bool deterministic);
+        ])
+end
 
 let all =
   [
@@ -2048,7 +2250,7 @@ let all =
     ("fig11", fig11);
     ("fig12", fig12);
     ("fig13", fig13);
-    ("fig14", fig14);
+    ("fig14", Fig14.bench);
     ("ablation_cache", ablation_cache);
     ("ablation_truetime", ablation_truetime);
     ("ablation_partition", ablation_partition);
@@ -2056,13 +2258,13 @@ let all =
     ("ablation_replicas", ablation_replicas);
     ("ablation_adaptive_tau", ablation_adaptive_tau);
     ("ablation_freshness", ablation_freshness);
-    ("breakdown", breakdown);
+    ("breakdown", Breakdown.bench);
     ("timeline", timeline);
-    ("chaos", chaos);
+    ("chaos", Chaos.bench);
     ("contention", contention);
-    ("overload", overload);
-    ("snapshot", snapshot);
+    ("overload", Overload.bench);
+    ("snapshot", Snapshot.bench);
     ("skew", skew);
-    ("rebalance", rebalance);
-    ("replication", replication);
+    ("rebalance", Rebalance.bench);
+    ("replication", Replication.bench);
   ]

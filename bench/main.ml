@@ -6,24 +6,23 @@
      dune exec bench/main.exe -- fig7 fig14
    Use `list` to see the available names. *)
 
+let experiments =
+  Weaver_bench.Experiments.all @ [ ("micro", Micro.run); ("speed", Speed.run) ]
+
 let () =
-  let names = List.map fst Experiments.all in
+  let names = List.map fst experiments in
   match Array.to_list Sys.argv with
   | _ :: [] ->
-      List.iter (fun (_, f) -> f ()) Experiments.all;
+      List.iter (fun (_, f) -> f ()) Weaver_bench.Experiments.all;
       Micro.run ()
-  | _ :: [ "list" ] -> List.iter print_endline (names @ [ "micro"; "speed" ])
+  | _ :: [ "list" ] -> List.iter print_endline names
   | _ :: args ->
       List.iter
         (fun arg ->
-          if arg = "micro" then Micro.run ()
-          else if arg = "speed" then Speed.run ()
-          else
-            match List.assoc_opt arg Experiments.all with
-            | Some f -> f ()
-            | None ->
-                Printf.eprintf "unknown experiment %S (try: %s)\n" arg
-                  (String.concat " " (names @ [ "micro" ]));
-                exit 1)
+          match List.assoc_opt arg experiments with
+          | Some f -> f ()
+          | None ->
+              Printf.eprintf "unknown experiment %S (try: %s)\n" arg (String.concat " " names);
+              exit 1)
         args
   | [] -> assert false

@@ -105,8 +105,7 @@ let shard_paging =
       Config.shard_capacity = Some 64;
     }
   in
-  let c = Cluster.create cfg in
-  Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
+  let c = Weaver_bench.Experiments.cluster cfg in
   let rng = Xrand.create ~seed:5 () in
   let g =
     Weaver_workloads.Graphgen.uniform ~rng ~prefix:"pg" ~vertices:512 ~edges:1_024 ()

@@ -25,6 +25,7 @@ module Heap = Weaver_util.Heap
 module Xrand = Weaver_util.Xrand
 module Vclock = Weaver_vclock.Vclock
 module Mgraph = Weaver_graph.Mgraph
+module Json = Weaver_util.Json
 
 let line fmt = Printf.printf (fmt ^^ "\n%!")
 
@@ -136,8 +137,7 @@ let macro_arm () =
       Config.n_shards = 4;
     }
   in
-  let c = Cluster.create cfg in
-  Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
+  let c = Weaver_bench.Experiments.cluster cfg in
   let rng = Xrand.create ~seed:23 () in
   let g = Graphgen.uniform ~rng ~prefix:"sp" ~vertices:2_000 ~edges:4_000 () in
   Loader.fast_install c g;
@@ -182,26 +182,41 @@ let run () =
     baseline_macro_ops_per_cpu_s
     (m.m_ops_per_cpu_s /. baseline_macro_ops_per_cpu_s);
   line "deterministic rerun: %b" deterministic;
-  let oc = open_out "BENCH_micro.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"speed\",\n";
-  j "  \"micro_ns_per_op\": [";
-  List.iteri
-    (fun i (name, now) ->
-      let base = List.assoc name baseline_micro in
-      j "%s\n    {\"name\": %S, \"before\": %.1f, \"after\": %.1f, \"speedup\": %.2f}"
-        (if i = 0 then "" else ",")
-        name base now (base /. Float.max now 1e-9))
-    micro;
-  j "\n  ],\n";
-  j "  \"macro\": {\"workload\": \"table1 TAO mix, 2 gk / 4 shards, 32 clients, 400 ms virtual\",\n";
-  j "    \"completed\": %d, \"aborted\": %d, \"cpu_s\": %.4f,\n" m.m_completed
-    m.m_aborted m.m_cpu_s;
-  j "    \"ops_per_cpu_s_before\": %.0f, \"ops_per_cpu_s_after\": %.0f, \"speedup\": %.2f},\n"
-    baseline_macro_ops_per_cpu_s m.m_ops_per_cpu_s
-    (m.m_ops_per_cpu_s /. baseline_macro_ops_per_cpu_s);
-  j "  \"fingerprint\": {\"completed\": %d, \"aborted\": %d, \"tx_committed\": %d, \"progs_completed\": %d, \"messages_sent\": %d, \"nop_msgs\": %d},\n"
-    c1 a1 tc pc ms nm;
-  j "  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_micro.json"
+  let int k v = (k, Json.int v) in
+  let micro_row (name, now) =
+    let base = List.assoc name baseline_micro in
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("before", Json.fixed 1 base);
+        ("after", Json.fixed 1 now);
+        ("speedup", Json.fixed 2 (base /. Float.max now 1e-9));
+      ]
+  in
+  Weaver_bench.Experiments.write_bench "micro"
+    [
+      ("experiment", Json.Str "speed");
+      ("micro_ns_per_op", Json.List (List.map micro_row micro));
+      ( "macro",
+        Json.Obj
+          [
+            ("workload", Json.Str "table1 TAO mix, 2 gk / 4 shards, 32 clients, 400 ms virtual");
+            int "completed" m.m_completed;
+            int "aborted" m.m_aborted;
+            ("cpu_s", Json.fixed 4 m.m_cpu_s);
+            ("ops_per_cpu_s_before", Json.fixed 0 baseline_macro_ops_per_cpu_s);
+            ("ops_per_cpu_s_after", Json.fixed 0 m.m_ops_per_cpu_s);
+            ("speedup", Json.fixed 2 (m.m_ops_per_cpu_s /. baseline_macro_ops_per_cpu_s));
+          ] );
+      ( "fingerprint",
+        Json.Obj
+          [
+            int "completed" c1;
+            int "aborted" a1;
+            int "tx_committed" tc;
+            int "progs_completed" pc;
+            int "messages_sent" ms;
+            int "nop_msgs" nm;
+          ] );
+      ("deterministic_rerun", Json.Bool deterministic);
+    ]

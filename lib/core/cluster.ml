@@ -282,7 +282,6 @@ let shard_queue_depths t sid = Shard.queue_depths t.shards.(sid)
 let gk_tau t gid = Gatekeeper.current_tau t.gks.(gid)
 
 let gk_credits t ~gid ~shard = Gatekeeper.credits_available t.gks.(gid) shard
-let gk_repl_table t gid = Gatekeeper.repl_table t.gks.(gid)
 
 (* per-cluster ring buffer of recent messages, enabled on demand; composes
    with the observability hook so enabling the debug ring never silences

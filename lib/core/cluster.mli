@@ -109,9 +109,6 @@ val gk_credits : t -> gid:int -> shard:int -> int
 (** Flow-control credits gatekeeper [gid] currently holds towards [shard]
     ([Config.shard_credits] when flow control is off); for tests. *)
 
-val gk_repl_table : t -> int -> Weaver_repl.Repl.Table.t
-(** Gatekeeper [i]'s hot-range routing table, with the follower
-    watermarks it has heard advertised (tests and quick-looks). *)
 
 val report : t -> string
 (** Multi-line operational summary: virtual time, epoch, and every

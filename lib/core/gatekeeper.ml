@@ -1183,5 +1183,3 @@ let credits_available t shard = Flow.Credits.available t.credits shard
    in-flight Shard_txs carried will never be refunded — refill the column
    or admission towards that shard wedges shut permanently *)
 let on_shard_restart t shard = Flow.Credits.reset_peer t.credits shard
-
-let repl_table t = t.repl

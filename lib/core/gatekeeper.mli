@@ -46,7 +46,3 @@ val on_shard_restart : t -> int -> unit
 (** Called when a shard is restarted in place by a fault plan: its queues
     (holding our un-applied [Shard_tx]s) were dropped, so the credits they
     carried can never come back — refill that shard's credit column. *)
-
-val repl_table : t -> Weaver_repl.Repl.Table.t
-(** The replication routing table this gatekeeper maintains from
-    [Repl_install] / [Repl_cover] messages (tests and introspection). *)

@@ -11,18 +11,12 @@
      "f" (finish) at the receiver, sharing one flow id, so Perfetto draws
      an arrow per network message. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Weaver_util.Json
+
+let trace_document events =
+  Json.to_string
+    (Json.Obj [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.Str "ms") ])
+  ^ "\n"
 
 let chrome_trace tr ~traces ?(actor_of_addr = fun a -> "addr" ^ string_of_int a) () =
   let spans = List.concat_map (fun id -> Trace.spans tr id) traces in
@@ -45,58 +39,50 @@ let chrome_trace tr ~traces ?(actor_of_addr = fun a -> "addr" ^ string_of_int a)
   let pids = Hashtbl.create 16 in
   List.iteri (fun i a -> Hashtbl.replace pids a (i + 1)) actors;
   let pid a = try Hashtbl.find pids a with Not_found -> 0 in
-  let b = Buffer.create 4096 in
-  let first = ref true in
-  let event s =
-    if !first then first := false else Buffer.add_string b ",\n  ";
-    Buffer.add_string b s
+  let str k v = (k, Json.Str v) and num k n = (k, Json.int n) in
+  let process a =
+    Json.Obj
+      [
+        str "ph" "M"; str "name" "process_name"; num "pid" (pid a);
+        ("args", Json.Obj [ str "name" a ]);
+      ]
   in
-  Buffer.add_string b "{\"traceEvents\": [\n  ";
-  List.iter
-    (fun a ->
-      event
-        (Printf.sprintf
-           "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": %d, \"args\": {\"name\": \"%s\"}}"
-           (pid a) (json_escape a)))
-    actors;
-  List.iter
-    (fun sp ->
-      let stop = sp.Trace.sp_stop in
-      let dur =
-        if Float.is_nan stop then 0.0 else Float.max 0.0 (stop -. sp.Trace.sp_start)
-      in
-      let args =
-        String.concat ", "
-          (List.map
-             (fun (k, v) ->
-               Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
-             (("trace", string_of_int sp.Trace.sp_trace) :: sp.Trace.sp_meta))
-      in
-      event
-        (Printf.sprintf
-           "{\"ph\": \"X\", \"name\": \"%s\", \"cat\": \"span\", \"pid\": %d, \"tid\": %d, \
-            \"ts\": %.3f, \"dur\": %.3f, \"args\": {%s}}"
-           (json_escape sp.Trace.sp_name)
-           (pid sp.Trace.sp_actor) sp.Trace.sp_trace sp.Trace.sp_start dur args))
-    spans;
-  List.iteri
-    (fun flow_id (trace, (time, src, dst, kind)) ->
-      let common =
-        Printf.sprintf
-          "\"name\": \"%s\", \"cat\": \"msg\", \"id\": %d, \"tid\": %d, \"ts\": %.3f"
-          (json_escape kind) (flow_id + 1) trace time
-      in
-      event
-        (Printf.sprintf "{\"ph\": \"s\", %s, \"pid\": %d}" common
-           (pid (actor_of_addr src)));
-      (* the ledger records send time only; stamping the finish at the same
-         instant still draws the src→dst arrow *)
-      event
-        (Printf.sprintf "{\"ph\": \"f\", \"bp\": \"e\", %s, \"pid\": %d}" common
-           (pid (actor_of_addr dst))))
-    messages;
-  Buffer.add_string b "\n], \"displayTimeUnit\": \"ms\"}\n";
-  Buffer.contents b
+  let span sp =
+    let stop = sp.Trace.sp_stop in
+    let dur =
+      if Float.is_nan stop then 0.0 else Float.max 0.0 (stop -. sp.Trace.sp_start)
+    in
+    Json.Obj
+      [
+        str "ph" "X"; str "name" sp.Trace.sp_name; str "cat" "span";
+        num "pid" (pid sp.Trace.sp_actor); num "tid" sp.Trace.sp_trace;
+        ("ts", Json.fixed 3 sp.Trace.sp_start); ("dur", Json.fixed 3 dur);
+        ( "args",
+          Json.Obj
+            (List.map
+               (fun (k, v) -> str k v)
+               (("trace", string_of_int sp.Trace.sp_trace) :: sp.Trace.sp_meta)) );
+      ]
+  in
+  let flows flow_id (trace, (time, src, dst, kind)) =
+    let common =
+      [
+        str "name" kind; str "cat" "msg"; num "id" (flow_id + 1); num "tid" trace;
+        ("ts", Json.fixed 3 time);
+      ]
+    in
+    (* the ledger records send time only; stamping the finish at the same
+       instant still draws the src→dst arrow *)
+    [
+      Json.Obj ((str "ph" "s" :: common) @ [ num "pid" (pid (actor_of_addr src)) ]);
+      Json.Obj
+        ((str "ph" "f" :: str "bp" "e" :: common) @ [ num "pid" (pid (actor_of_addr dst)) ]);
+    ]
+  in
+  trace_document
+    (List.map process actors
+    @ List.map span spans
+    @ List.concat (List.mapi flows messages))
 
 (* RFC 4180 quoting: instrument names are normally dotted identifiers, but
    heat introduces names derived from vertex handles, which may embed
@@ -142,73 +128,61 @@ let timeline_csv tl =
 let counter_tracks tl ~names =
   let known = Timeline.names tl in
   let names = List.filter (fun n -> List.mem n known) names in
-  let b = Buffer.create 4096 in
-  let first = ref true in
-  let event s =
-    if !first then first := false else Buffer.add_string b ",\n  ";
-    Buffer.add_string b s
+  let process =
+    Json.Obj
+      [
+        ("ph", Json.Str "M"); ("name", Json.Str "process_name"); ("pid", Json.int 1);
+        ("args", Json.Obj [ ("name", Json.Str "counters") ]);
+      ]
   in
-  Buffer.add_string b "{\"traceEvents\": [\n  ";
-  event "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 1, \"args\": {\"name\": \"counters\"}}";
-  List.iter
-    (fun s ->
-      List.iter
-        (fun name ->
-          match
-            Array.find_opt (fun (k, _) -> String.equal k name) s.Timeline.s_values
-          with
-          | Some (_, v) ->
-              event
-                (Printf.sprintf
-                   "{\"ph\": \"C\", \"name\": \"%s\", \"pid\": 1, \"ts\": %.3f, \
-                    \"args\": {\"value\": %d}}"
-                   (json_escape name) s.Timeline.s_time v)
-          | None -> ())
-        names)
-    (Timeline.samples tl);
-  Buffer.add_string b "\n], \"displayTimeUnit\": \"ms\"}\n";
-  Buffer.contents b
+  let counter s name =
+    Option.map
+      (fun (_, v) ->
+        Json.Obj
+          [
+            ("ph", Json.Str "C"); ("name", Json.Str name); ("pid", Json.int 1);
+            ("ts", Json.fixed 3 s.Timeline.s_time);
+            ("args", Json.Obj [ ("value", Json.int v) ]);
+          ])
+      (Array.find_opt (fun (k, _) -> String.equal k name) s.Timeline.s_values)
+  in
+  trace_document
+    (process
+    :: List.concat_map (fun s -> List.filter_map (counter s) names) (Timeline.samples tl))
 
 let heat_json h ~now =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"shards\": %d, \"ranges\": %d, \"half_life_us\": %.1f, \"skew\": %.4f, \
-        \"per_shard\": ["
-       (Heat.shards h) (Heat.ranges h) (Heat.half_life h) (Heat.skew h ~now));
-  for s = 0 to Heat.shards h - 1 do
-    if s > 0 then Buffer.add_string b ", ";
+  let shard s =
     let reads, writes, cross = Heat.totals h ~shard:s in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"shard\": %d, \"reads\": %d, \"writes\": %d, \"cross\": %d, \
-          \"load\": %.4f, \"top\": ["
-         s reads writes cross
-         (Heat.shard_load h ~shard:s ~now));
-    List.iteri
-      (fun i (vid, count, err) ->
-        if i > 0 then Buffer.add_string b ", ";
-        Buffer.add_string b
-          (Printf.sprintf "{\"vid\": \"%s\", \"count\": %d, \"err\": %d}"
-             (json_escape vid) count err))
-      (Heat.top h ~shard:s);
-    Buffer.add_string b "]}"
-  done;
-  Buffer.add_string b "], \"range_heat\": [";
-  for r = 0 to Heat.ranges h - 1 do
-    if r > 0 then Buffer.add_string b ", ";
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"range\": %d, \"home\": %d, \"owner\": %d, \"reads\": %.4f, \
-          \"writes\": %.4f, \"cross\": %.4f}"
-         r (Heat.home_shard h r)
-         (Heat.range_owner h ~range:r ~now)
-         (Heat.range_load h ~range:r ~kind:Heat.Read ~now)
-         (Heat.range_load h ~range:r ~kind:Heat.Write ~now)
-         (Heat.range_load h ~range:r ~kind:Heat.Cross ~now))
-  done;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+    Json.Obj
+      [
+        ("shard", Json.int s); ("reads", Json.int reads); ("writes", Json.int writes);
+        ("cross", Json.int cross); ("load", Json.fixed 4 (Heat.shard_load h ~shard:s ~now));
+        ( "top",
+          Json.List
+            (List.map
+               (fun (vid, count, err) ->
+                 Json.Obj [ ("vid", Json.Str vid); ("count", Json.int count); ("err", Json.int err) ])
+               (Heat.top h ~shard:s)) );
+      ]
+  in
+  let range r =
+    let load kind = Json.fixed 4 (Heat.range_load h ~range:r ~kind ~now) in
+    Json.Obj
+      [
+        ("range", Json.int r); ("home", Json.int (Heat.home_shard h r));
+        ("owner", Json.int (Heat.range_owner h ~range:r ~now));
+        ("reads", load Heat.Read); ("writes", load Heat.Write); ("cross", load Heat.Cross);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("shards", Json.int (Heat.shards h)); ("ranges", Json.int (Heat.ranges h));
+         ("half_life_us", Json.fixed 1 (Heat.half_life h));
+         ("skew", Json.fixed 4 (Heat.skew h ~now));
+         ("per_shard", Json.List (List.init (Heat.shards h) shard));
+         ("range_heat", Json.List (List.init (Heat.ranges h) range));
+       ])
 
 let heat_csv h ~now =
   let b = Buffer.create 2048 in
@@ -224,29 +198,23 @@ let heat_csv h ~now =
   Buffer.contents b
 
 let timeline_json tl =
-  let names = Timeline.names tl in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"times_us\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "%.1f" s.Timeline.s_time))
-    (Timeline.samples tl);
-  Buffer.add_string b "], \"series\": {";
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": [" (json_escape name));
-      List.iteri
-        (fun j s ->
-          if j > 0 then Buffer.add_string b ", ";
-          match
-            Array.find_opt (fun (k, _) -> String.equal k name) s.Timeline.s_values
-          with
-          | Some (_, v) -> Buffer.add_string b (string_of_int v)
-          | None -> Buffer.add_string b "null")
-        (Timeline.samples tl);
-      Buffer.add_string b "]")
-    names;
-  Buffer.add_string b "}}\n";
-  Buffer.contents b
+  let samples = Timeline.samples tl in
+  let series name =
+    ( name,
+      Json.List
+        (List.map
+           (fun s ->
+             match
+               Array.find_opt (fun (k, _) -> String.equal k name) s.Timeline.s_values
+             with
+             | Some (_, v) -> Json.int v
+             | None -> Json.Null)
+           samples) )
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("times_us", Json.List (List.map (fun s -> Json.fixed 1 s.Timeline.s_time) samples));
+         ("series", Json.Obj (List.map series (Timeline.names tl)));
+       ])
+  ^ "\n"

@@ -256,20 +256,24 @@ let render t =
     (alerts t);
   Buffer.contents b
 
+module Json = Weaver_util.Json
+
 let to_json t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"checks\": %d, \"info\": %d, \"warn\": %d, \"crit\": %d, \"alerts\": ["
-       t.checks t.n_info t.n_warn t.n_crit);
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"t_us\": %.1f, \"severity\": \"%s\", \"signal\": \"%s\", \"detail\": \"%s\"}"
-           a.a_time (severity_name a.a_severity)
-           (Metrics.json_escape a.a_signal)
-           (Metrics.json_escape a.a_detail)))
-    (alerts t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let alert a =
+    Json.Obj
+      [
+        ("t_us", Json.fixed 1 a.a_time);
+        ("severity", Json.Str (severity_name a.a_severity));
+        ("signal", Json.Str a.a_signal);
+        ("detail", Json.Str a.a_detail);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("checks", Json.int t.checks);
+         ("info", Json.int t.n_info);
+         ("warn", Json.int t.n_warn);
+         ("crit", Json.int t.n_crit);
+         ("alerts", Json.List (List.map alert (alerts t)));
+       ])

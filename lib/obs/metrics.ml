@@ -1,4 +1,5 @@
 module Stats = Weaver_util.Stats
+module Json = Weaver_util.Json
 
 type counter = { mutable c : int }
 
@@ -89,41 +90,21 @@ let render t =
         rs);
   Buffer.contents b
 
-(* hand-rolled JSON: names are dotted identifiers, values numbers, so no
-   escaping beyond the basics is needed *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-    (int_values t);
-  Buffer.add_string b "},\"reservoirs\":{";
-  List.iteri
-    (fun i (name, s) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"%s\":{\"n\":%d,\"mean\":%.3f,\"p50\":%.3f,\"p90\":%.3f,\"p99\":%.3f,\"max\":%.3f}"
-           (json_escape name) (Stats.count s) (Stats.mean s)
-           (Stats.percentile s 50.0)
-           (Stats.percentile s 90.0)
-           (Stats.percentile s 99.0)
-           (Stats.max_val s)))
-    (reservoirs t);
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let reservoir s =
+    Json.Obj
+      [
+        ("n", Json.int (Stats.count s));
+        ("mean", Json.fixed 3 (Stats.mean s));
+        ("p50", Json.fixed 3 (Stats.percentile s 50.0));
+        ("p90", Json.fixed 3 (Stats.percentile s 90.0));
+        ("p99", Json.fixed 3 (Stats.percentile s 99.0));
+        ("max", Json.fixed 3 (Stats.max_val s));
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("counters", Json.Obj (List.map (fun (name, v) -> (name, Json.int v)) (int_values t)));
+         ("reservoirs", Json.Obj (List.map (fun (name, s) -> (name, reservoir s)) (reservoirs t)));
+       ])

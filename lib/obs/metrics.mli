@@ -48,11 +48,6 @@ val int_values : t -> (string * int) list
 val reservoirs : t -> (string * Weaver_util.Stats.t) list
 (** Every non-empty reservoir, sorted by name. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (quotes,
-    backslashes, control characters) — shared by every hand-rolled JSON
-    emitter in the observability layer. *)
-
 val render : t -> string
 (** Human-readable table: counters/gauges first, then reservoirs with
     n/mean/p50/p99/max. *)

@@ -76,37 +76,20 @@ let render t =
     t.entries;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Weaver_util.Json
 
 let to_json t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b (Printf.sprintf "{\"recorded\": %d, \"entries\": [" t.recorded);
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"trace\": %d, \"kind\": \"%s\", \"start_us\": %.1f, \"duration_us\": %.1f, \
-            \"result\": \"%s\", \"phases\": {"
-           e.e_trace (json_escape e.e_kind) e.e_start (duration e)
-           (json_escape e.e_result));
-      List.iteri
-        (fun j (name, d) ->
-          if j > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b (Printf.sprintf "\"%s\": %.1f" (json_escape name) d))
-        e.e_phases;
-      Buffer.add_string b "}}")
-    t.entries;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let entry e =
+    Json.Obj
+      [
+        ("trace", Json.int e.e_trace);
+        ("kind", Json.Str e.e_kind);
+        ("start_us", Json.fixed 1 e.e_start);
+        ("duration_us", Json.fixed 1 (duration e));
+        ("result", Json.Str e.e_result);
+        ("phases", Json.Obj (List.map (fun (name, d) -> (name, Json.fixed 1 d)) e.e_phases));
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("recorded", Json.int t.recorded); ("entries", Json.List (List.map entry t.entries)) ])

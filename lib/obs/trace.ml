@@ -164,32 +164,3 @@ let render t trace =
     (fun (time, src, dst, kind) -> line "    %10.1f  %3d -> %3d  %s" time src dst kind)
     msgs;
   Buffer.contents b
-
-let to_json t trace =
-  let b = Buffer.create 1024 in
-  let rec span_json { node = sp; children } =
-    let meta =
-      String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" k v)
-           (List.rev sp.sp_meta))
-    in
-    Printf.sprintf
-      "{\"name\":\"%s\",\"actor\":\"%s\",\"start\":%.3f,\"stop\":%s,\"meta\":{%s},\"children\":[%s]}"
-      sp.sp_name sp.sp_actor sp.sp_start
-      (if Float.is_nan sp.sp_stop then "null" else Printf.sprintf "%.3f" sp.sp_stop)
-      meta
-      (String.concat "," (List.map span_json children))
-  in
-  Buffer.add_string b (Printf.sprintf "{\"trace\":%d,\"spans\":[" trace);
-  Buffer.add_string b (String.concat "," (List.map span_json (assemble t trace)));
-  Buffer.add_string b "],\"messages\":[";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun (time, src, dst, kind) ->
-            Printf.sprintf "{\"time\":%.3f,\"src\":%d,\"dst\":%d,\"kind\":\"%s\"}" time src
-              dst kind)
-          (messages t trace)));
-  Buffer.add_string b "]}";
-  Buffer.contents b

@@ -78,7 +78,3 @@ val assemble : t -> int -> tree list
 
 val render : t -> int -> string
 (** Indented text rendering of the span forest plus the message ledger. *)
-
-val to_json : t -> int -> string
-(** [{"trace": id, "spans": [...], "messages": [...]}] with nested
-    children mirroring {!assemble}. *)

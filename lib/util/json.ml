@@ -1,8 +1,8 @@
-(* Minimal JSON: just enough to parse back the documents this repository
-   emits (metrics registries, Chrome trace events, timeline exports). The
-   toolchain ships no JSON library, and the emitters are hand-rolled
-   Printf — this parser is the matching validator, used by tests and
-   tools, not by the simulation itself. *)
+(* Minimal JSON: the one printer every document in this repository goes
+   through (metrics registries, Chrome trace events, timeline exports, the
+   BENCH files), and the matching parser that tests and tools read them
+   back with. The toolchain ships no JSON library. Neither half is used by
+   the simulation itself. *)
 
 type t =
   | Null
@@ -171,8 +171,118 @@ let member key = function
   | _ -> None
 
 let to_list = function List l -> Some l | _ -> None
-let to_string = function Str s -> Some s | _ -> None
 let to_number = function Num f -> Some f | _ -> None
 
-let string_member key v = Option.bind (member key v) to_string
+let string_member key v = match member key v with Some (Str s) -> Some s | _ -> None
 let number_member key v = Option.bind (member key v) to_number
+
+(* ------------------------------------------------------------------ *)
+(* Printer *)
+
+let int n = Num (float_of_int n)
+
+(* the value [Printf "%.*f"] prints, so a field rounded to [digits]
+   decimals reads back as exactly that decimal *)
+let fixed digits x =
+  if Float.is_finite x then Num (float_of_string (Printf.sprintf "%.*f" digits x))
+  else Num x
+
+(* integers print without a fraction; anything else in the fewest digits
+   that read back to the same float *)
+let number x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 9007199254740992.0 then Printf.sprintf "%.0f" x
+  else
+    let shortest digits = Printf.sprintf "%.*g" digits x in
+    let s = shortest 15 in
+    if float_of_string s = x then s
+    else
+      let s = shortest 16 in
+      if float_of_string s = x then s else shortest 17
+
+let escape b s =
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+exception Too_wide
+
+(* [v] on one line into [b]; raises [Too_wide] as soon as [b] holds more
+   than [limit] bytes, so a long document is never flattened whole *)
+let rec inline ~limit b v =
+  (match v with
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Num x -> Buffer.add_string b (number x)
+  | Str s -> escape b s
+  | List items ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string b ", ";
+          inline ~limit b v)
+        items;
+      Buffer.add_char b ']'
+  | Obj fields ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string b ", ";
+          escape b k;
+          Buffer.add_string b ": ";
+          inline ~limit b v)
+        fields;
+      Buffer.add_char b '}');
+  if Buffer.length b > limit then raise Too_wide
+
+let width = 80
+
+(* A container goes on one line when that line, its trailing comma
+   included, fits in [width] columns; otherwise each element gets its own
+   line, indented two more. *)
+let to_string v =
+  let b = Buffer.create 1024 in
+  let pad n = Buffer.add_string b (String.make n ' ') in
+  let rec pretty indent column v =
+    let flat = Buffer.create 80 in
+    let fits =
+      match inline ~limit:(width - column - 1) flat v with
+      | () -> true
+      | exception Too_wide -> false
+    in
+    match v with
+    | _ when fits -> Buffer.add_buffer b flat
+    | List (_ :: _ as items) -> block indent '[' ']' (List.map (fun x -> (None, x)) items)
+    | Obj (_ :: _ as fields) -> block indent '{' '}' (List.map (fun (k, x) -> (Some k, x)) fields)
+    | _ -> inline ~limit:max_int b v
+  and block indent open_ close elems =
+    let inner = indent + 2 in
+    Buffer.add_char b open_;
+    List.iteri
+      (fun i (key, x) ->
+        Buffer.add_string b (if i = 0 then "\n" else ",\n");
+        pad inner;
+        let start = Buffer.length b in
+        Option.iter
+          (fun k ->
+            escape b k;
+            Buffer.add_string b ": ")
+          key;
+        pretty inner (inner + Buffer.length b - start) x)
+      elems;
+    Buffer.add_char b '\n';
+    pad indent;
+    Buffer.add_char b close
+  in
+  pretty 0 0 v;
+  Buffer.contents b

@@ -1,6 +1,7 @@
 open Weaver_core
 module Xrand = Weaver_util.Xrand
 module Stats = Weaver_util.Stats
+module Json = Weaver_util.Json
 module Fault = Weaver_sim.Fault
 
 type opts = {
@@ -192,25 +193,25 @@ let run opts =
     r_fault_events = cnt.Runtime.fault_events;
   }
 
-(* hand-rolled, canonical-order JSON: determinism of the rendered bytes is
-   part of the contract (the chaos experiment diffs two runs' strings) *)
+(* canonical field order: determinism of the rendered document is part of
+   the contract (tests compare two runs' strings) *)
 let to_json r =
-  let b = Buffer.create 1_024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"reliable\": %b, \"seed\": %d" r.r_reliable r.r_seed;
-  add ", \"total_ok\": %d, \"total_err\": %d" r.r_total_ok r.r_total_err;
-  add ", \"availability\": %.4f" r.r_availability;
-  add ", \"p50_us\": %.1f, \"p99_us\": %.1f" r.r_p50 r.r_p99;
-  (match r.r_recovery_time with
-  | Some t -> add ", \"recovery_us\": %.0f" t
-  | None -> add ", \"recovery_us\": null");
-  add ", \"retries\": %d, \"dedup_hits\": %d" r.r_retries r.r_dedup_hits;
-  add ", \"late_replies\": %d, \"fault_events\": %d" r.r_late_replies r.r_fault_events;
-  add ", \"windows\": [";
-  List.iteri
-    (fun i w ->
-      if i > 0 then add ", ";
-      add "{\"start_us\": %.0f, \"ok\": %d, \"err\": %d}" w.w_start w.w_ok w.w_err)
-    r.r_windows;
-  add "]}";
-  Buffer.contents b
+  let window w =
+    Json.Obj [ ("start_us", Json.fixed 0 w.w_start); ("ok", Json.int w.w_ok); ("err", Json.int w.w_err) ]
+  in
+  Json.Obj
+    [
+      ("reliable", Json.Bool r.r_reliable);
+      ("seed", Json.int r.r_seed);
+      ("total_ok", Json.int r.r_total_ok);
+      ("total_err", Json.int r.r_total_err);
+      ("availability", Json.fixed 4 r.r_availability);
+      ("p50_us", Json.fixed 1 r.r_p50);
+      ("p99_us", Json.fixed 1 r.r_p99);
+      ("recovery_us", match r.r_recovery_time with Some t -> Json.fixed 0 t | None -> Json.Null);
+      ("retries", Json.int r.r_retries);
+      ("dedup_hits", Json.int r.r_dedup_hits);
+      ("late_replies", Json.int r.r_late_replies);
+      ("fault_events", Json.int r.r_fault_events);
+      ("windows", Json.List (List.map window r.r_windows));
+    ]

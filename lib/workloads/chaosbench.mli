@@ -9,8 +9,8 @@
     in place, so the availability difference between the two runs is
     attributable to the client policy alone, not to replacement servers.
 
-    Everything is deterministic in [co_seed]: the same options produce a
-    bit-identical {!to_json} string. *)
+    Everything is deterministic in [co_seed]: the same options produce an
+    identical {!to_json} document. *)
 
 type opts = {
   co_seed : int;
@@ -64,6 +64,6 @@ val plan_of : opts -> base:float -> Weaver_sim.Fault.plan
 
 val run : opts -> result
 
-val to_json : result -> string
-(** Canonical JSON rendering (stable field order, fixed float precision) —
-    byte-identical across runs with equal options. *)
+val to_json : result -> Weaver_util.Json.t
+(** Canonical JSON tree (stable field order, floats rounded to fixed
+    decimals) — identical across runs with equal options. *)

@@ -1,6 +1,7 @@
 open Weaver_core
 module Xrand = Weaver_util.Xrand
 module Stats = Weaver_util.Stats
+module Json = Weaver_util.Json
 
 type opts = {
   ov_seed : int;
@@ -173,20 +174,29 @@ let run opts =
         cnt.Runtime.nop_msgs );
   }
 
-(* canonical-order JSON, hand-rolled like the other workload reporters:
-   byte determinism of the rendering is part of the contract *)
+(* canonical field order: determinism of the rendered document is part of
+   the contract *)
 let to_json r =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"flow\": %b, \"seed\": %d, \"rate_rps\": %.0f" r.v_flow r.v_seed r.v_rate;
-  add ", \"offered\": %d, \"ok\": %d, \"timeout\": %d, \"shed\": %d, \"other_err\": %d"
-    r.v_offered r.v_ok r.v_timeout r.v_shed r.v_other_err;
-  add ", \"goodput_rps\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f" r.v_goodput
-    r.v_p50 r.v_p99;
-  add ", \"shed_rate\": %.4f" r.v_shed_rate;
-  add ", \"shed_queue\": %d, \"shed_deadline\": %d, \"shed_credit\": %d"
-    r.v_shed_queue r.v_shed_deadline r.v_shed_credit;
-  add ", \"credit_msgs\": %d, \"nop_msgs\": %d, \"heartbeats\": %d, \"retries\": %d"
-    r.v_credit_msgs r.v_nop_msgs r.v_heartbeats r.v_retries;
-  add "}";
-  Buffer.contents b
+  let int k v = (k, Json.int v) in
+  Json.Obj
+    [
+      ("flow", Json.Bool r.v_flow);
+      int "seed" r.v_seed;
+      ("rate_rps", Json.fixed 0 r.v_rate);
+      int "offered" r.v_offered;
+      int "ok" r.v_ok;
+      int "timeout" r.v_timeout;
+      int "shed" r.v_shed;
+      int "other_err" r.v_other_err;
+      ("goodput_rps", Json.fixed 0 r.v_goodput);
+      ("p50_us", Json.fixed 1 r.v_p50);
+      ("p99_us", Json.fixed 1 r.v_p99);
+      ("shed_rate", Json.fixed 4 r.v_shed_rate);
+      int "shed_queue" r.v_shed_queue;
+      int "shed_deadline" r.v_shed_deadline;
+      int "shed_credit" r.v_shed_credit;
+      int "credit_msgs" r.v_credit_msgs;
+      int "nop_msgs" r.v_nop_msgs;
+      int "heartbeats" r.v_heartbeats;
+      int "retries" r.v_retries;
+    ]

@@ -7,8 +7,8 @@
 
     Clients run single-attempt ([no_retry_policy]) so each issued request
     is classified exactly once: ok, timeout, shed, or other. Everything is
-    deterministic in [ov_seed]: the same options produce a bit-identical
-    {!to_json} string, and the issuance RNG is a private stream shared by
+    deterministic in [ov_seed]: the same options produce an identical
+    {!to_json} document, and the issuance RNG is a private stream shared by
     both arms so the offered workloads are identical. *)
 
 type opts = {
@@ -64,6 +64,6 @@ type result = {
 
 val run : opts -> result
 
-val to_json : result -> string
-(** Canonical JSON rendering (stable field order, fixed float precision) —
-    byte-identical across runs with equal options. *)
+val to_json : result -> Weaver_util.Json.t
+(** Canonical JSON tree (stable field order, floats rounded to fixed
+    decimals) — identical across runs with equal options. *)

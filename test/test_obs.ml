@@ -8,6 +8,7 @@ module Net = Weaver_sim.Net
 module Metrics = Weaver_obs.Metrics
 module Trace = Weaver_obs.Trace
 module Stats = Weaver_util.Stats
+module Json = Weaver_util.Json
 module Programs = Weaver_programs.Std_programs
 
 let mk_cluster cfg =
@@ -38,15 +39,17 @@ let test_metrics_registry () =
       Alcotest.(check int) "samples" 2 (Stats.count s);
       Alcotest.(check (float 0.01)) "mean" 20.0 (Stats.mean s)
   | l -> Alcotest.failf "unexpected reservoirs (%d)" (List.length l));
-  let json = Metrics.to_json m in
-  Alcotest.(check bool) "json counters" true (String.length json > 0);
-  let has needle =
-    let n = String.length needle and h = String.length json in
-    let rec go i = i + n <= h && (String.sub json i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "json has counter" true (has "\"c.a\":5");
-  Alcotest.(check bool) "json has reservoir" true (has "\"r.lat\"")
+  (* a name that needs escaping must survive the JSON round trip *)
+  Metrics.incr (Metrics.counter m "a\"b\\c");
+  let json = Json.parse_exn (Metrics.to_json m) in
+  let counter name = Option.bind (Json.member "counters" json) (Json.number_member name) in
+  Alcotest.(check (option (float 0.0))) "json has counter" (Some 5.0) (counter "c.a");
+  Alcotest.(check (option (float 0.0))) "json has escaped counter" (Some 1.0)
+    (counter "a\"b\\c");
+  Alcotest.(check (option (float 0.0))) "json has reservoir" (Some 2.0)
+    (Option.bind
+       (Option.bind (Json.member "reservoirs" json) (Json.member "r.lat"))
+       (Json.number_member "n"))
 
 (* ------------------------------------------------------------------ *)
 (* Trace collector units: span-tree assembly, message ledger, eviction. *)

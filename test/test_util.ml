@@ -1,5 +1,5 @@
 (* Tests for the weaver_util substrate: RNG determinism and distributions,
-   binary heap ordering, statistics, and id generation. *)
+   binary heap ordering, statistics, id generation, and the JSON printer. *)
 
 open Weaver_util
 
@@ -353,6 +353,67 @@ let prop_rng_zipf_in_range =
       let v = Xrand.zipf r ~n ~theta in
       v >= 0 && v < n)
 
+(* JSON printer: every tree reads back as itself. Strings mix quotes,
+   backslashes, control characters and multi-byte UTF-8; numbers mix
+   negatives, integers up to 2^53, tiny fractions and arbitrary finite
+   floats. *)
+let json_gen =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        map (String.make 1) printable;
+        oneofl [ "\""; "\\"; "\n"; "\t"; "\r"; "\b"; "\012"; "é"; "€"; "😀" ];
+        map (fun c -> String.make 1 (Char.chr c)) (int_range 0 31);
+      ]
+  in
+  let str = map (String.concat "") (list_size (int_range 0 8) piece) in
+  let limit = 1 lsl 53 in
+  let number =
+    oneof
+      [
+        map float_of_int (int_range (-limit) limit);
+        map (fun x -> x *. 1e-12) (float_range (-1.0) 1.0);
+        map (fun x -> if Float.is_finite x then x else 0.0) float;
+      ]
+  in
+  sized_size (int_range 0 3)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun x -> Json.Num x) number;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> Json.List l) (list_size (int_range 0 5) (self (depth - 1))));
+               ( 2,
+                 map (fun l -> Json.Obj l)
+                   (list_size (int_range 0 5) (pair str (self (depth - 1)))) );
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) = v" ~count:500 (QCheck.make json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+let test_json_non_finite () =
+  Alcotest.(check string) "nan and infinities print as null" "[null, null, null]"
+    (Json.to_string (Json.List [ Json.Num Float.nan; Json.Num infinity; Json.Num neg_infinity ]))
+
+(* 15, 16 and 17 significant digits: each number in as few as round-trip *)
+let test_json_shortest_digits () =
+  Alcotest.(check string)
+    "fewest digits" "[0.1, 0.3333333333333333, 0.30000000000000004, 2.5e-07]"
+    (Json.to_string
+       (Json.List (List.map (fun x -> Json.Num x) [ 0.1; 1. /. 3.; 0.1 +. 0.2; 2.5e-7 ])))
+
 let suites =
   [
     ( "util.rng",
@@ -395,4 +456,10 @@ let suites =
         QCheck_alcotest.to_alcotest prop_stats_percentile_bounds;
       ] );
     ("util.idgen", [ Alcotest.test_case "sequence" `Quick test_idgen ]);
+    ( "util.json",
+      [
+        QCheck_alcotest.to_alcotest prop_json_round_trip;
+        Alcotest.test_case "non-finite numbers print null" `Quick test_json_non_finite;
+        Alcotest.test_case "numbers print in the fewest digits" `Quick test_json_shortest_digits;
+      ] );
   ]
