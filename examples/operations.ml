@@ -23,12 +23,13 @@ let () =
   ok (Client.commit client tx);
   Cluster.run_for c1 50_000.0;
 
-  (* weak reads are served by replicas: cheaper, possibly stale *)
+  (* weak reads may be served by a replica: cheaper, and one consistent
+     cut up to about one gc_period old *)
   (match
      Client.run_program client ~prog:"count_edges" ~params:Progval.Null ~starts:[ "a" ]
        ~consistency:`Weak ()
    with
-  | Ok (Progval.Int n) -> Printf.printf "weak read from replica: a has %d edge(s)\n" n
+  | Ok (Progval.Int n) -> Printf.printf "weak read: a has %d edge(s)\n" n
   | _ -> failwith "weak read failed");
 
   (* --- crash a shard; the manager detects, bumps the epoch, recovers --- *)

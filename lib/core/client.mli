@@ -128,9 +128,10 @@ val run_program_async :
 (** Invoke a registered node program. [?at] targets a past snapshot
     (historical query on the multi-version graph); omit it for "now".
     [?consistency] defaults to [`Strong] (strictly serializable, on the
-    primaries); [`Weak] routes to read-only shard replicas when the
-    deployment has them (§6.4) — lower load on primaries, but reads may
-    miss recently committed writes. Retries transparently on gatekeeper
+    primaries); [`Weak] may route to follower copies (the §6.4 read
+    replicas, hot-range followers) and then reads one consistent cut up
+    to about one [Config.gc_period] old — lower load on primaries, but
+    reads may miss recently committed writes. Retries transparently on gatekeeper
     failure (programs are read-only). *)
 
 val run_program :

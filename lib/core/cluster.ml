@@ -20,7 +20,8 @@ type t = {
   rt : Runtime.t;
   mutable gks : Gatekeeper.t array;
   mutable shards : Shard.t array;
-  mutable replicas : Replica.t array array; (* [shard].[replica] *)
+      (* every shard server: the shards, then their read replicas
+         ([Runtime.replica_server]) *)
   mgr : manager;
   trace_ring : (float * int * int * string) Queue.t;
   health : Health.t option;  (* Some iff [Config.enable_health] *)
@@ -87,7 +88,7 @@ let recover cluster failures =
     Runtime.send rt ~src:mgr.m_addr ~dst:(Runtime.gk_addr rt g)
       (Msg.Epoch_change { epoch = new_epoch })
   done;
-  for s = 0 to rt.Runtime.cfg.Config.n_shards - 1 do
+  for s = 0 to Runtime.n_servers rt - 1 do
     Runtime.send rt ~src:mgr.m_addr ~dst:(Runtime.shard_addr rt s)
       (Msg.Epoch_change { epoch = new_epoch })
   done
@@ -149,7 +150,6 @@ let create cfg =
       rt;
       gks = [||];
       shards = [||];
-      replicas = [||];
       mgr;
       trace_ring = Queue.create ();
       health =
@@ -175,21 +175,17 @@ let create cfg =
   in
   cluster.gks <-
     Array.init cfg.Config.n_gatekeepers (fun gid -> Gatekeeper.spawn rt ~gid ~epoch:0);
-  cluster.shards <-
-    Array.init cfg.Config.n_shards (fun sid -> Shard.spawn rt ~sid ~epoch:0);
-  cluster.replicas <-
-    Array.init cfg.Config.n_shards (fun sid ->
-        Array.init cfg.Config.read_replicas (fun rid -> Replica.spawn rt ~sid ~rid));
+  cluster.shards <- Array.init (Runtime.n_servers rt) (fun sid -> Shard.spawn rt ~sid ~epoch:0);
   Array.iter
     (fun gk ->
       Membership.register mgr.membership ~id:(Runtime.gk_addr rt (Gatekeeper.gid gk))
         ~role:Membership.Gatekeeper ~now:0.0)
     cluster.gks;
-  Array.iter
-    (fun sh ->
-      Membership.register mgr.membership ~id:(Runtime.shard_addr rt (Shard.sid sh))
-        ~role:Membership.Shard ~now:0.0)
-    cluster.shards;
+  (* read replicas are not failure-detected: they send no heartbeats *)
+  for sid = 0 to cfg.Config.n_shards - 1 do
+    Membership.register mgr.membership ~id:(Runtime.shard_addr rt sid)
+      ~role:Membership.Shard ~now:0.0
+  done;
   start_manager cluster;
   (* the live rebalancer: created only when enabled, AFTER the server
      actors, so the planner's private client takes the first dynamic
@@ -270,12 +266,11 @@ let shard_snapshots t sid = Shard.snapshots_retained t.shards.(sid)
 let shard_snapshots_pinned t sid = Shard.snapshots_pinned t.shards.(sid)
 let shard_gc_floor t sid = Shard.gc_floor t.shards.(sid)
 
-let reload_shards t =
-  Array.iter Shard.reload t.shards;
-  Array.iter (Array.iter Replica.reload) t.replicas
+let reload_shards t = Array.iter Shard.reload t.shards
 
-let replica_vertex t ~shard ~replica vid = Replica.vertex t.replicas.(shard).(replica) vid
-let replica_applied t ~shard ~replica = Replica.applied t.replicas.(shard).(replica)
+let replica t ~shard ~replica = t.shards.(Runtime.replica_server t.rt ~shard ~replica)
+let replica_vertex t ~shard ~replica:r vid = Shard.copy_vertex (replica t ~shard ~replica:r) vid
+let replica_applied t ~shard ~replica:r = Shard.repl_applied (replica t ~shard ~replica:r)
 
 let shard_queue_depths t sid = Shard.queue_depths t.shards.(sid)
 
@@ -403,10 +398,16 @@ let oracle_live_replicas t =
 
 module Fault = Weaver_sim.Fault
 
+(* the shard server a shard or read-replica target names *)
+let fault_server t = function
+  | Fault.Shard s -> s
+  | Fault.Replica { shard; replica } -> Runtime.replica_server t.rt ~shard ~replica
+  | Fault.Gatekeeper _ | Fault.Oracle_replica _ -> invalid_arg "fault_server"
+
 let fault_addr t = function
   | Fault.Gatekeeper g -> Runtime.gk_addr t.rt g
-  | Fault.Shard s -> Runtime.shard_addr t.rt s
-  | Fault.Replica { shard; replica } -> Runtime.replica_addr t.rt ~shard ~replica
+  | (Fault.Shard _ | Fault.Replica _) as target ->
+      Runtime.shard_addr t.rt (fault_server t target)
   | Fault.Oracle_replica _ ->
       (* the oracle chain is not a network actor; no address *)
       invalid_arg "fault_addr: oracle replicas have no network address"
@@ -430,22 +431,22 @@ let apply_fault t action =
   | Fault.Restart (Fault.Gatekeeper g as target) ->
       Gatekeeper.on_revive t.gks.(g);
       Net.set_alive net (fault_addr t target) true
-  | Fault.Restart (Fault.Shard s as target) ->
+  | Fault.Restart ((Fault.Shard _ | Fault.Replica _) as target) ->
+      let s = fault_server t target in
       (* resync BEFORE reviving the endpoint: it re-baselines the FIFO
          sequence channels, which must happen before any message arrives *)
       Shard.resync t.shards.(s);
       (* the dropped queues held Shard_txs whose flow-control credits will
-         never be refunded: refill that column at every gatekeeper *)
-      Array.iter (fun gk -> Gatekeeper.on_shard_restart gk s) t.gks;
-      (* the restart also dropped any follower copies the shard held:
+         never be refunded: refill that column at every gatekeeper (a read
+         replica has no queue and carries no credit) *)
+      if s < rt.Runtime.cfg.Config.n_shards then
+        Array.iter (fun gk -> Gatekeeper.on_shard_restart gk s) t.gks;
+      (* the restart also dropped any follower copies the server held:
          owners streaming to it must mark it dirty and reseed at the next
          watermark instead of resuming a broken stream *)
       Array.iteri
         (fun sid sh -> if sid <> s then Shard.on_peer_restart sh ~peer:s)
         t.shards;
-      Net.set_alive net (fault_addr t target) true
-  | Fault.Restart (Fault.Replica { shard; replica } as target) ->
-      Replica.reload t.replicas.(shard).(replica);
       Net.set_alive net (fault_addr t target) true
   | Fault.Net_degrade f -> Net.set_latency_factor net f
   | Fault.Link_degrade { src; dst; factor } ->

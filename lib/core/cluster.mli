@@ -56,7 +56,8 @@ val apply_fault : t -> Weaver_sim.Fault.action -> unit
     oracle replicas); restarts revive the same instance in place —
     gatekeepers drop their memo table ({!Gatekeeper.on_revive}), shards
     resynchronize their FIFO channels and reload from the store
-    ({!Shard.resync}), replicas reload, and oracle-replica restarts are
+    ({!Shard.resync}; a read replica is a shard server and is then
+    reseeded by its owner), and oracle-replica restarts are
     documented no-ops (the chain has no state-transfer rejoin).
     [Net_degrade]/[Link_degrade] scale simulated latencies. *)
 
@@ -97,10 +98,10 @@ val shard_queue_depths : t -> int -> int array
 
 val replica_vertex :
   t -> shard:int -> replica:int -> string -> Weaver_graph.Mgraph.vertex option
-(** In-memory record at a read-only replica (tests). *)
+(** A vertex's record in a read replica's follower copy (tests). *)
 
 val replica_applied : t -> shard:int -> replica:int -> int
-(** Replication-stream transactions applied by a replica (tests). *)
+(** Stream updates and seeds a read replica has applied (tests). *)
 
 val gk_tau : t -> int -> float
 (** Gatekeeper [i]'s current announce period (§3.5 adaptive τ). *)

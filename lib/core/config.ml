@@ -124,4 +124,6 @@ let validate t =
   (* followers advertise coverage at watermark boundaries, which only
      exist while the GC gossip timer runs *)
   req "enable_replication (requires gc_period > 0)"
-    ((not t.enable_replication) || t.gc_period > 0.0)
+    ((not t.enable_replication) || t.gc_period > 0.0);
+  (* read replicas are followers on the same stream *)
+  req "read_replicas (requires gc_period > 0)" (t.read_replicas = 0 || t.gc_period > 0.0)

@@ -34,9 +34,11 @@ type t = {
   page_in_cost : float;  (** µs to demand-page one vertex from the store *)
   read_replicas : int;
       (** read-only replicas per shard (paper §6.4, "similar to TAO"):
-          primaries stream applied transactions to them asynchronously and
-          clients may direct node programs at them with weak consistency —
-          reads can be stale, in exchange for extra read capacity *)
+          follower-only shard servers that follow every range of their
+          shard on the partial-replication stream; weak node programs
+          rotate over a range's owner and its covering replicas and read
+          one consistent cut, up to about one [gc_period] stale, in
+          exchange for extra read capacity. Requires [gc_period > 0] *)
   adaptive_tau : bool;
       (** dynamic clock-synchronization period (§3.5): each gatekeeper
           adjusts its announce period to the observed request rate —

@@ -4,10 +4,10 @@ module Net = Weaver_sim.Net
 module Store = Weaver_store.Store
 module Mgraph = Weaver_graph.Mgraph
 module Flow = Weaver_flow.Flow
-module Heat = Weaver_obs.Heat
 module Repl = Weaver_repl.Repl
 
 type prog_run = {
+  pr_id : int; (* the client's request id; a re-run is keyed by its negation *)
   pr_client : int;
   pr_prog : string;
   pr_params : Progval.t;
@@ -15,6 +15,9 @@ type prog_run = {
   pr_ts : Vclock.t;
   pr_memo_key : string option; (* None: historical run or memoization off *)
   pr_historical : bool; (* [at] was set: pinned to a past snapshot *)
+  pr_restamped : bool;
+      (* a weak run stamped at its followers' watermark: it holds no GC
+         watermark back ([oldest_active_stamp]) *)
   pr_started : float; (* virtual time the run was admitted, for tracing *)
   mutable pr_outstanding : int;
   mutable pr_acc : Progval.t;
@@ -47,13 +50,16 @@ type t = {
      all-zero Config knobs, keeping the baseline arm bit-identical. *)
   adm : Flow.Admission.t;
   credits : Flow.Credits.t;
-  mutable next_replica : int; (* round-robin over read replicas (§6.4) *)
-  (* partial replication of hot ranges ([Config.enable_replication]): the
-     controller-installed range → owner/followers table with the coverage
-     watermarks the followers advertise. Empty (and never consulted) when
-     the subsystem is off. *)
+  (* replication: the range → owner/followers table with the coverage
+     watermarks the followers advertise — the standing plan of the read
+     replicas ([Config.read_replicas]) plus the controller's hot-range
+     installs ([Config.enable_replication]). Empty (and never consulted)
+     when both are off. *)
   repl : Repl.Table.t;
-  mutable repl_rr : int; (* round-robin over covering followers *)
+  repl_rr : (int, int) Hashtbl.t;
+      (* per-range round-robin over the range's live copies: one shared
+         counter would alias with the request pattern and pin a range to
+         one copy *)
   mutable cur_tau : float; (* current announce period (adaptive, §3.5) *)
   mutable requests_seen : int; (* client requests since the last window *)
   mutable retired : bool;
@@ -550,6 +556,79 @@ let memo_key prog params starts ~weak =
   (if weak then "weak!" else "strong!")
   ^ prog ^ "?" ^ Progval.key params ^ "@" ^ String.concat "," starts
 
+(* Replicated reads ([Weaver_repl]; the §6.4 read replicas are followers
+   of every range of their home shard): a follower copy whose replication
+   watermark covers a stamp answers reads at that stamp exactly as the
+   owner would. With [replicated], a start goes, in rotation, to its live
+   owner or a live follower of its range — for a historical run ([at] set)
+   one covering the pinned stamp, for a weak run one advertising coverage
+   in this epoch, together with that watermark, at which the run is then
+   re-stamped. Returns [(vid, server, follower-chosen, watermark)]. *)
+let route t ~replicated ~at vid =
+  let owner = Runtime.shard_of_vertex t.rt vid in
+  if not replicated then (vid, owner, false, None)
+  else
+    let alive_server s = Net.is_alive t.rt.Runtime.net (Runtime.shard_addr t.rt s) in
+    let range = Runtime.repl_range t.rt vid in
+    let followers =
+      match at with
+      | Some ts -> List.map (fun f -> (f, None)) (Repl.Table.covering t.repl ~range ~at:ts)
+      | None ->
+          List.filter_map
+            (fun (f, wm) ->
+              match wm with
+              | Some wm when wm.Vclock.epoch = t.epoch -> Some (f, Some wm)
+              | _ -> None)
+            (Repl.Table.followers t.repl ~range)
+    in
+    let followers = List.filter (fun (f, _) -> f <> owner && alive_server f) followers in
+    let cands = if alive_server owner then (owner, None) :: followers else followers in
+    let server, wm =
+      match cands with
+      | [] -> (owner, None)
+      | [ only ] -> only
+      | _ ->
+          let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.repl_rr range) in
+          Hashtbl.replace t.repl_rr range n;
+          List.nth cands (n mod List.length cands)
+    in
+    (vid, server, server <> owner, wm)
+
+(* Send one batch per server to the routed starts of the run registered
+   under [key]; a run with no live start vertex is answered at once. *)
+let dispatch t ~key run routes =
+  let by_dst = Hashtbl.create 4 in
+  let routed = Hashtbl.create 4 in
+  List.iter
+    (fun (vid, server, to_follower, _) ->
+      let l = try Hashtbl.find by_dst server with Not_found -> [] in
+      Hashtbl.replace by_dst server ((vid, run.pr_params) :: l);
+      if to_follower then Hashtbl.replace routed server ())
+    routes;
+  Hashtbl.iter
+    (fun server items ->
+      run.pr_outstanding <- run.pr_outstanding + 1;
+      (counters t).Runtime.prog_batch_msgs <- (counters t).Runtime.prog_batch_msgs + 1;
+      if Hashtbl.mem routed server then
+        (counters t).Runtime.repl_routed <- (counters t).Runtime.repl_routed + 1;
+      send t ~dst:(Runtime.shard_addr t.rt server)
+        (Msg.Prog_batch
+           {
+             coord = t.addr;
+             prog_id = key;
+             ts = run.pr_ts;
+             prog = run.pr_prog;
+             historical = run.pr_historical;
+             items;
+             sent_at = now t;
+           }))
+    by_dst;
+  if run.pr_outstanding = 0 then begin
+    Hashtbl.remove t.active key;
+    (counters t).Runtime.progs_completed <- (counters t).Runtime.progs_completed + 1;
+    send t ~dst:run.pr_client (Msg.Prog_reply { prog_id = run.pr_id; result = Ok run.pr_acc })
+  end
+
 let handle_prog_req t ~client ~prog_id ~prog ~params ~starts ~at ~weak =
   match Nodeprog.find t.rt.Runtime.registry prog with
   | None ->
@@ -572,85 +651,28 @@ let handle_prog_req t ~client ~prog_id ~prog ~params ~starts ~at ~weak =
             ~start:(now t) ~stop:(now t) ~meta:[ ("memo", "hit") ] ();
           send t ~dst:client (Msg.Prog_reply { prog_id; result = Ok entry.m_result })
       | None ->
-          let n_replicas = (cfg t).Config.read_replicas in
+          (* A weak run is stamped at the minimum watermark of the
+             followers chosen, which every one of them covers and every
+             owner gates on, or fresh if only owners were chosen. Fresh
+             strong reads never route to followers (a stamp minted now is
+             never covered by a watermark gossiped earlier), nor do
+             snapshot-served historical runs: only owners publish and pin
+             snapshots. *)
           let snapshot_routed = historical && (cfg t).Config.snapshot_reads in
-          (* Partial replication (ROADMAP item 3, [Weaver_repl]): when the
-             cluster has installed follower copies of hot ranges, read-only
-             work can be served by them instead of the owner. A follower is
-             safe for any stamp its replication watermark covers, so:
-             historical runs go to any live copy covering their pinned
-             stamp, and weak runs are re-stamped at the componentwise
-             minimum of the chosen followers' watermarks — a stamp every
-             one of them covers by construction. Fresh strong reads never
-             route here: a stamp minted now is never covered by a watermark
-             gossiped earlier, so they keep the legacy owner path. *)
-          let repl_heat =
-            if (cfg t).Config.enable_replication && Repl.Table.size t.repl > 0
-            then t.rt.Runtime.heat
-            else None
+          let replicated =
+            (weak || historical) && (not snapshot_routed) && Repl.Table.size t.repl > 0
           in
-          let alive_shard s =
-            Net.is_alive t.rt.Runtime.net (Runtime.shard_addr t.rt s)
-          in
-          let rotate l =
-            t.repl_rr <- t.repl_rr + 1;
-            List.nth l (t.repl_rr mod List.length l)
-          in
-          (* weak plan: one live, coverage-advertising follower per start
-             range — or None (any uncovered start falls back wholesale:
-             mixing re-stamped and fresh-stamped batches in one run would
-             not be one consistent cut) *)
-          let weak_choices =
-            match repl_heat with
-            | Some h when weak && not historical ->
-                let choices = Hashtbl.create 4 in
-                let ok =
-                  List.for_all
-                    (fun vid ->
-                      let range = Heat.range_of h vid in
-                      Hashtbl.mem choices range
-                      ||
-                      let live =
-                        List.filter_map
-                          (fun (f, wm) ->
-                            match wm with
-                            | Some wm
-                              when wm.Vclock.epoch = t.epoch && alive_shard f
-                              ->
-                                Some (f, wm)
-                            | _ -> None)
-                          (Repl.Table.followers t.repl ~range)
-                      in
-                      match live with
-                      | [] -> false
-                      | _ ->
-                          Hashtbl.replace choices range (rotate live);
-                          true)
-                    starts
-                in
-                if ok && Hashtbl.length choices > 0 then Some choices else None
-            | _ -> None
-          in
+          let routes = List.map (route t ~replicated ~at) starts in
+          let cut = List.filter_map (fun (_, _, _, wm) -> wm) routes in
           let ts =
-            match at with
-            | Some ts -> ts
-            | None -> (
-                match weak_choices with
-                | Some choices -> (
-                    match
-                      Hashtbl.fold
-                        (fun _ (_, wm) acc ->
-                          match acc with
-                          | None -> Some wm
-                          | Some m -> Some (Runtime.stamp_min m wm))
-                        choices None
-                    with
-                    | Some ts -> ts
-                    | None -> tick t)
-                | None -> tick t)
+            match (at, cut) with
+            | Some ts, _ -> ts
+            | None, [] -> tick t
+            | None, wm :: wms -> List.fold_left Runtime.stamp_min wm wms
           in
           let run =
             {
+              pr_id = prog_id;
               pr_client = client;
               pr_prog = prog;
               pr_params = params;
@@ -658,6 +680,7 @@ let handle_prog_req t ~client ~prog_id ~prog ~params ~starts ~at ~weak =
               pr_ts = ts;
               pr_memo_key = mkey;
               pr_historical = historical;
+              pr_restamped = at = None && cut <> [];
               pr_started = now t;
               pr_outstanding = 0;
               pr_acc = P.empty;
@@ -665,207 +688,82 @@ let handle_prog_req t ~client ~prog_id ~prog ~params ~starts ~at ~weak =
             }
           in
           Hashtbl.replace t.active prog_id run;
-          let batch items =
-            Msg.Prog_batch
-              {
-                coord = t.addr;
-                prog_id;
-                ts;
-                prog;
-                historical;
-                items;
-                sent_at = now t;
-              }
-          in
-          (match (weak_choices, repl_heat) with
-          | Some choices, Some h ->
-              (* replication-routed weak run: every start range has a
-                 chosen follower; the whole run reads the re-stamped cut *)
-              let by_dst = Hashtbl.create 4 in
-              let routed = Hashtbl.create 4 in
-              List.iter
-                (fun vid ->
-                  let owner = Runtime.shard_of_vertex t.rt vid in
-                  let dst, is_follower =
-                    match Hashtbl.find_opt choices (Heat.range_of h vid) with
-                    | Some (f, _) -> (f, f <> owner)
-                    | None -> (owner, false)
-                  in
-                  let l = try Hashtbl.find by_dst dst with Not_found -> [] in
-                  Hashtbl.replace by_dst dst ((vid, params) :: l);
-                  if is_follower then Hashtbl.replace routed dst ())
-                starts;
-              Hashtbl.iter
-                (fun shard items ->
-                  run.pr_outstanding <- run.pr_outstanding + 1;
-                  (counters t).Runtime.prog_batch_msgs <-
-                    (counters t).Runtime.prog_batch_msgs + 1;
-                  if Hashtbl.mem routed shard then
-                    (counters t).Runtime.repl_routed <-
-                      (counters t).Runtime.repl_routed + 1;
-                  send t ~dst:(Runtime.shard_addr t.rt shard) (batch items))
-                by_dst
-          | None, Some h when historical && not snapshot_routed ->
-              (* pinned stamp: rotate each start over the live copies that
-                 cover it — owner plus covering followers. With the owner
-                 crashed, covered reads keep flowing to the survivors. *)
-              let by_dst = Hashtbl.create 4 in
-              let routed = Hashtbl.create 4 in
-              List.iter
-                (fun vid ->
-                  let owner = Runtime.shard_of_vertex t.rt vid in
-                  let range = Heat.range_of h vid in
-                  let covering =
-                    List.filter
-                      (fun f -> f <> owner && alive_shard f)
-                      (Repl.Table.covering t.repl ~range ~at:ts)
-                  in
-                  let cands =
-                    if alive_shard owner then owner :: covering else covering
-                  in
-                  let dst, is_follower =
-                    match cands with
-                    | [] -> (owner, false)
-                    | [ only ] -> (only, only <> owner)
-                    | _ ->
-                        let f = rotate cands in
-                        (f, f <> owner)
-                  in
-                  let l = try Hashtbl.find by_dst dst with Not_found -> [] in
-                  Hashtbl.replace by_dst dst ((vid, params) :: l);
-                  if is_follower then Hashtbl.replace routed dst ())
-                starts;
-              Hashtbl.iter
-                (fun shard items ->
-                  run.pr_outstanding <- run.pr_outstanding + 1;
-                  (counters t).Runtime.prog_batch_msgs <-
-                    (counters t).Runtime.prog_batch_msgs + 1;
-                  if Hashtbl.mem routed shard then
-                    (counters t).Runtime.repl_routed <-
-                      (counters t).Runtime.repl_routed + 1;
-                  send t ~dst:(Runtime.shard_addr t.rt shard) (batch items))
-                by_dst
-          | _ ->
-              let by_shard = Hashtbl.create 4 in
-              List.iter
-                (fun vid ->
-                  let shard = Runtime.shard_of_vertex t.rt vid in
-                  let l = try Hashtbl.find by_shard shard with Not_found -> [] in
-                  Hashtbl.replace by_shard shard ((vid, params) :: l))
-                starts;
-              (* weak reads rotate across the primary and its read replicas,
-                 so every replica adds read capacity (§6.4) — except
-                 historical reads when snapshot serving is on: only
-                 primaries publish and pin snapshots, so route those to the
-                 primary where they run lock-free instead of against a
-                 replica's unversioned-floor state *)
-              let slot =
-                if weak && n_replicas > 0 && not snapshot_routed then begin
-                  (* skip rotation slots with a crashed replica on any
-                     target shard: a read routed to a dead endpoint burns
-                     the client's whole timeout before it retries. The
-                     primary slot is always eligible, and with every
-                     replica alive the rotation is unchanged. *)
-                  let eligible slot =
-                    slot >= n_replicas
-                    || Hashtbl.fold
-                         (fun shard _ acc ->
-                           acc
-                           && Net.is_alive t.rt.Runtime.net
-                                (Runtime.replica_addr t.rt ~shard ~replica:slot))
-                         by_shard true
-                  in
-                  let rec advance tries =
-                    t.next_replica <- (t.next_replica + 1) mod (n_replicas + 1);
-                    if eligible t.next_replica || tries = 0 then t.next_replica
-                    else advance (tries - 1)
-                  in
-                  advance n_replicas
-                end
-                else n_replicas (* the primary *)
-              in
-              Hashtbl.iter
-                (fun shard items ->
-                  run.pr_outstanding <- run.pr_outstanding + 1;
-                  (counters t).Runtime.prog_batch_msgs <-
-                    (counters t).Runtime.prog_batch_msgs + 1;
-                  let dst =
-                    if slot < n_replicas then
-                      Runtime.replica_addr t.rt ~shard ~replica:slot
-                    else Runtime.shard_addr t.rt shard
-                  in
-                  send t ~dst (batch items))
-                by_shard);
-          if run.pr_outstanding = 0 then begin
-            (* no live start vertices: answer immediately *)
-            Hashtbl.remove t.active prog_id;
-            (counters t).Runtime.progs_completed <-
-              (counters t).Runtime.progs_completed + 1;
-            send t ~dst:client (Msg.Prog_reply { prog_id; result = Ok P.empty })
-          end)
+          dispatch t ~key:prog_id run routes)
+
+(* release per-vertex program state on every shard server (§4.5) *)
+let gc_everywhere t prog_id =
+  for s = 0 to Runtime.n_servers t.rt - 1 do
+    send t ~dst:(Runtime.shard_addr t.rt s) (Msg.Prog_gc { prog_id })
+  done
 
 let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
   match Hashtbl.find_opt t.active prog_id with
-  | None -> () (* stale partial from a pre-epoch run *)
+  | None -> () (* stale partial from a pre-epoch or abandoned run *)
   | Some run -> (
-      match error with
-      | Some reason ->
-          (* a shard failed the whole run (e.g. "snapshot-gced": the
-             requested historical timestamp fell below its compaction
-             floor). Fail fast and retryably; partials from other shards
-             arriving after the removal are dropped as stale. *)
-          Hashtbl.remove t.active prog_id;
-          Runtime.trace_span t.rt ~trace:prog_id ~name:"gk.prog" ~actor:(actor t)
-            ~start:run.pr_started ~stop:(now t)
-            ~meta:[ ("prog", run.pr_prog); ("error", reason) ]
-            ();
-          send t ~dst:run.pr_client
-            (Msg.Prog_reply { prog_id; result = Error reason });
-          for s = 0 to (cfg t).Config.n_shards - 1 do
-            send t ~dst:(Runtime.shard_addr t.rt s) (Msg.Prog_gc { prog_id });
-            for r = 0 to (cfg t).Config.read_replicas - 1 do
-              send t
-                ~dst:(Runtime.replica_addr t.rt ~shard:s ~replica:r)
-                (Msg.Prog_gc { prog_id })
-            done
-          done
-      | None -> (
       match Nodeprog.find t.rt.Runtime.registry run.pr_prog with
       | None -> ()
-      | Some (module P : Nodeprog.PROGRAM) ->
-          run.pr_outstanding <- run.pr_outstanding + sent - 1;
-          run.pr_acc <- P.merge run.pr_acc acc;
-          run.pr_visited <- List.rev_append visited run.pr_visited;
-          if run.pr_outstanding = 0 then begin
-            Hashtbl.remove t.active prog_id;
-            (counters t).Runtime.progs_completed <-
-              (counters t).Runtime.progs_completed + 1;
-            Runtime.observe t.rt "gk.prog_service" (now t -. run.pr_started);
-            if Runtime.tracing t.rt ~trace:prog_id then
-              Runtime.trace_span t.rt ~trace:prog_id ~name:"gk.prog" ~actor:(actor t)
+      | Some (module P : Nodeprog.PROGRAM) -> (
+          match error with
+          | Some "snapshot-gced" when run.pr_restamped ->
+              (* a weak run re-stamped at its followers' watermark reached
+                 an owner that had already compacted past that stamp (such
+                 runs hold no GC watermark back). Run it again, fresh, on
+                 the owners alone, under the negated id: the first
+                 attempt's outstanding partials then find no run and drop. *)
+              Hashtbl.remove t.active prog_id;
+              gc_everywhere t prog_id;
+              let again =
+                {
+                  run with
+                  pr_ts = tick t;
+                  pr_restamped = false;
+                  pr_outstanding = 0;
+                  pr_acc = P.empty;
+                  pr_visited = [];
+                }
+              in
+              Hashtbl.replace t.active (-prog_id) again;
+              dispatch t ~key:(-prog_id) again
+                (List.map (route t ~replicated:false ~at:None) run.pr_starts)
+          | Some reason ->
+              (* a shard failed the whole run (e.g. "snapshot-gced": the
+                 requested historical timestamp fell below its compaction
+                 floor). Fail fast and retryably; partials from other shards
+                 arriving after the removal are dropped as stale. *)
+              Hashtbl.remove t.active prog_id;
+              Runtime.trace_span t.rt ~trace:run.pr_id ~name:"gk.prog" ~actor:(actor t)
                 ~start:run.pr_started ~stop:(now t)
-                ~meta:[ ("prog", run.pr_prog) ]
+                ~meta:[ ("prog", run.pr_prog); ("error", reason) ]
                 ();
-            send t ~dst:run.pr_client
-              (Msg.Prog_reply { prog_id; result = Ok run.pr_acc });
-            (* release per-vertex program state on every shard (§4.5) *)
-            for s = 0 to (cfg t).Config.n_shards - 1 do
-              send t ~dst:(Runtime.shard_addr t.rt s) (Msg.Prog_gc { prog_id });
-              for r = 0 to (cfg t).Config.read_replicas - 1 do
-                send t
-                  ~dst:(Runtime.replica_addr t.rt ~shard:s ~replica:r)
-                  (Msg.Prog_gc { prog_id })
-              done
-            done;
-            (* only non-historical runs ever carry a memo key (see
-               [memo_key]): a snapshot-bound result must not serve, or be
-               served to, current reads *)
-            match run.pr_memo_key with
-            | Some k ->
-                Hashtbl.replace t.memo k
-                  { m_result = run.pr_acc; m_reads = run.pr_visited }
-            | None -> ()
-          end))
+              send t ~dst:run.pr_client
+                (Msg.Prog_reply { prog_id = run.pr_id; result = Error reason });
+              gc_everywhere t prog_id
+          | None ->
+              run.pr_outstanding <- run.pr_outstanding + sent - 1;
+              run.pr_acc <- P.merge run.pr_acc acc;
+              run.pr_visited <- List.rev_append visited run.pr_visited;
+              if run.pr_outstanding = 0 then begin
+                Hashtbl.remove t.active prog_id;
+                (counters t).Runtime.progs_completed <-
+                  (counters t).Runtime.progs_completed + 1;
+                Runtime.observe t.rt "gk.prog_service" (now t -. run.pr_started);
+                if Runtime.tracing t.rt ~trace:run.pr_id then
+                  Runtime.trace_span t.rt ~trace:run.pr_id ~name:"gk.prog" ~actor:(actor t)
+                    ~start:run.pr_started ~stop:(now t)
+                    ~meta:[ ("prog", run.pr_prog) ]
+                    ();
+                send t ~dst:run.pr_client
+                  (Msg.Prog_reply { prog_id = run.pr_id; result = Ok run.pr_acc });
+                gc_everywhere t prog_id;
+                (* only non-historical runs ever carry a memo key (see
+                   [memo_key]): a snapshot-bound result must not serve, or be
+                   served to, current reads *)
+                match run.pr_memo_key with
+                | Some k ->
+                    Hashtbl.replace t.memo k
+                      { m_result = run.pr_acc; m_reads = run.pr_visited }
+                | None -> ()
+              end))
 
 (* ------------------------------------------------------------------ *)
 (* Epochs and failure handling (§4.3). *)
@@ -893,9 +791,9 @@ let handle_epoch_change t new_epoch =
     Repl.Table.clear_wms t.repl;
     (* in-flight programs are lost; clients re-submit (§4.3) *)
     Hashtbl.iter
-      (fun prog_id run ->
+      (fun _ run ->
         send t ~dst:run.pr_client
-          (Msg.Prog_reply { prog_id; result = Error "epoch-change" }))
+          (Msg.Prog_reply { prog_id = run.pr_id; result = Error "epoch-change" }))
       t.active;
     Hashtbl.reset t.active;
     send t ~dst:(Runtime.manager_addr t.rt)
@@ -911,11 +809,19 @@ let oldest_active_stamp t =
      shard has published a snapshot that does, so the retry pins it).
      This is the point of the subsystem: a long-running analytics query at
      an old timestamp no longer stalls multi-version GC cluster-wide.
-     Without snapshots they keep today's behavior and clamp the gossip. *)
+     Without snapshots they keep today's behavior and clamp the gossip.
+     Weak runs re-stamped at their followers' watermark do not hold it back
+     either: owners advance their followers only to watermarks, so a run
+     that held the gossip at its followers' cut would keep every later
+     cut there too, and the replicas would never advance under steady weak
+     load. Their follower reads need no compaction hold (follower copies
+     are floored at their seed cut, not compacted), and an owner that has
+     compacted past their stamp fails them with "snapshot-gced", which
+     [handle_prog_partial] answers by re-running them fresh. *)
   let snap = (cfg t).Config.snapshot_reads in
   Hashtbl.fold
     (fun _ run acc ->
-      if snap && run.pr_historical then acc
+      if (snap && run.pr_historical) || run.pr_restamped then acc
       else
         match acc with
         | None -> Some run.pr_ts
@@ -1155,14 +1061,16 @@ let spawn rt ~gid ~epoch =
       credits =
         Flow.Credits.create ~peers:rt.Runtime.cfg.Config.n_shards
           ~credits:rt.Runtime.cfg.Config.shard_credits;
-      next_replica = 0;
       repl = Repl.Table.create ();
-      repl_rr = 0;
+      repl_rr = Hashtbl.create 16;
       cur_tau = rt.Runtime.cfg.Config.tau;
       requests_seen = 0;
       retired = false;
     }
   in
+  List.iter
+    (fun (range, owner, followers) -> Repl.Table.install t.repl ~range ~owner ~followers)
+    (Runtime.standing_plan rt);
   Runtime.register rt t.addr (fun ~src msg -> handle t ~src msg);
   (* per-actor utilization gauge: busy time accumulated so far, as µs. A
      replacement spawned at the same address after a crash re-registers

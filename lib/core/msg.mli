@@ -39,8 +39,8 @@ type t =
       at : Weaver_vclock.Vclock.t option;
       weak : bool;
     }
-      (** client → gatekeeper: run a node program; [weak] requests routing
-          to read-only shard replicas (stale reads allowed, §6.4) *)
+      (** client → gatekeeper: run a node program; [weak] allows routing
+          to follower copies at an older, consistent stamp (§6.4) *)
   | Prog_reply of { prog_id : int; result : (Progval.t, string) result }
   | Announce of { gk : int; clock : Weaver_vclock.Vclock.t }
       (** gatekeeper → gatekeeper: τ-periodic vector-clock exchange (§3.3) *)
@@ -76,10 +76,11 @@ type t =
       visited : string list;
       error : string option;
           (** [Some reason] fails the whole program run (e.g.
-              ["snapshot-gced"]: the requested historical timestamp fell
-              below the shard's compaction floor with no pinned snapshot
-              covering it); the gatekeeper replies [Error reason] and GCs
-              the run *)
+              ["snapshot-gced"]: the run's timestamp fell below the
+              shard's compaction floor with no pinned snapshot covering
+              it); the gatekeeper replies [Error reason] and GCs the run,
+              except that a weak run re-stamped at a follower watermark is
+              re-run once at a fresh stamp on the owners *)
     }
       (** shard → coordinating gatekeeper: batch finished; drives
           termination detection by message counting *)

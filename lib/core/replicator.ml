@@ -78,7 +78,9 @@ let run_round t =
       | None -> ())
     (Repl.Table.ranges t.table);
   let factor = cfg.Config.replication_factor in
-  if factor > 0 then begin
+  (* with read replicas every range already follows the standing plan
+     ([Runtime.standing_plan]): there is nothing left to install *)
+  if factor > 0 && cfg.Config.read_replicas = 0 then begin
     let n = cfg.Config.n_shards in
     let now = Engine.now t.rt.Runtime.engine in
     let loads = Array.init n (fun s -> Heat.shard_load t.heat ~shard:s ~now) in

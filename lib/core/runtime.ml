@@ -168,10 +168,42 @@ let obs_net_hook t =
 (* Samples a timeline keeps before its ring overwrites the oldest. *)
 let timeline_slots = 4096
 
+(* §6.4 read replicas are follower-only shard servers: with
+   [Config.read_replicas = R], replica [r] of shard [s] is server
+   [n_shards + s·R + r], addressed like any shard *)
+let n_servers t = t.cfg.Config.n_shards * (1 + t.cfg.Config.read_replicas)
+
+let replica_server t ~shard ~replica =
+  t.cfg.Config.n_shards + (shard * t.cfg.Config.read_replicas) + replica
+
+let home_shard t server =
+  let n = t.cfg.Config.n_shards in
+  if server < n then server else (server - n) / t.cfg.Config.read_replicas
+
+let sibling t server ~shard =
+  let n = t.cfg.Config.n_shards in
+  if server < n then shard
+  else replica_server t ~shard ~replica:((server - n) mod t.cfg.Config.read_replicas)
+
 (* Key-range heat buckets: the smallest multiple of the shard count at or
    above 64, so every range nests inside exactly one home shard under
    hashed placement (see [Heat.home_shard]). *)
 let heat_range_count ~shards = (64 + shards - 1) / shards * shards
+
+let repl_range t vid =
+  Weaver_util.Fnv.hash vid mod heat_range_count ~shards:t.cfg.Config.n_shards
+
+(* with read replicas every range is installed: the replicas of a range's
+   home shard follow it. Ranges nest in home shards because the range
+   count is a multiple of the shard count, so [range mod n_shards] is the
+   shard that hashed placement puts the range's vertices on. *)
+let standing_plan t =
+  let n = t.cfg.Config.n_shards and r = t.cfg.Config.read_replicas in
+  if r = 0 then []
+  else
+    List.init (heat_range_count ~shards:n) (fun range ->
+        let owner = range mod n in
+        (range, owner, List.init r (fun replica -> replica_server t ~shard:owner ~replica)))
 
 let create cfg =
   Config.validate cfg;
@@ -317,14 +349,7 @@ let tracing t ~trace = trace <> 0 && Option.is_some t.tracer
 let gk_addr _t i = i
 let shard_addr t j = t.cfg.Config.n_gatekeepers + j
 
-let replica_addr t ~shard ~replica =
-  t.cfg.Config.n_gatekeepers + t.cfg.Config.n_shards
-  + (shard * t.cfg.Config.read_replicas)
-  + replica
-
-let manager_addr t =
-  t.cfg.Config.n_gatekeepers + t.cfg.Config.n_shards
-  + (t.cfg.Config.n_shards * t.cfg.Config.read_replicas)
+let manager_addr t = t.cfg.Config.n_gatekeepers + n_servers t
 
 let fresh_client_addr t =
   t.next_client <- t.next_client + 1;
@@ -342,7 +367,7 @@ let actor_of_addr t a =
   if a < 0 then "addr" ^ string_of_int a
   else if a < n_gk then "gk" ^ string_of_int a
   else if a < n_gk + n_sh then "shard" ^ string_of_int (a - n_gk)
-  else if a < n_gk + n_sh + (n_sh * n_rep) then begin
+  else if a < n_gk + n_servers t then begin
     let r = a - n_gk - n_sh in
     Printf.sprintf "replica%d.%d" (r / n_rep) (r mod n_rep)
   end

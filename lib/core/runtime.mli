@@ -214,10 +214,28 @@ val heat_cross : t -> string -> unit
     more than one shard. *)
 
 val gk_addr : t -> int -> int
-val shard_addr : t -> int -> int
 
-val replica_addr : t -> shard:int -> replica:int -> int
-(** Address of read-only replica [replica] of [shard] (§6.4). *)
+val shard_addr : t -> int -> int
+(** Address of shard server [i]. Servers [0 .. n_shards - 1] are the
+    shards; with [Config.read_replicas = R], the §6.4 read replicas are
+    follower-only shard servers numbered after them (see
+    {!replica_server}). *)
+
+val n_servers : t -> int
+(** Shard servers, replicas included: [n_shards · (1 + read_replicas)]. *)
+
+val replica_server : t -> shard:int -> replica:int -> int
+(** Server index of read replica [replica] of [shard]:
+    [n_shards + shard · read_replicas + replica]. *)
+
+val home_shard : t -> int -> int
+(** The shard a server belongs to: itself for a shard, the shard it
+    replicates for a read replica. *)
+
+val sibling : t -> int -> shard:int -> int
+(** [sibling t server ~shard]: the server of [shard] in [server]'s place —
+    [shard] itself from a shard, the same-index read replica of [shard]
+    from a read replica. *)
 
 val manager_addr : t -> int
 val fresh_client_addr : t -> int
@@ -234,6 +252,15 @@ val shard_of_vertex : t -> string -> int
 (** Shard index owning a vertex: the directory entry if present, hashed
     placement otherwise (the mapping every server can compute for
     yet-unknown vertices). *)
+
+val repl_range : t -> string -> int
+(** Key range of a vertex for replication: the heat sensor's bucket
+    ({!Weaver_obs.Heat.range_of}), computed without the sensor. *)
+
+val standing_plan : t -> (int * int * int list) list
+(** [(range, owner, followers)] for every range when
+    [Config.read_replicas > 0]: each range is followed by the read
+    replicas of its home shard. Empty without read replicas. *)
 
 (** {1 Store keys} *)
 

@@ -7,11 +7,9 @@ module Oracle = Weaver_oracle.Oracle
 module Mgraph = Weaver_graph.Mgraph
 module Intern = Weaver_util.Intern
 module Flow = Weaver_flow.Flow
-module Heat = Weaver_obs.Heat
 module Repl = Weaver_repl.Repl
 
 type queued_tx = {
-  q_seq : int;
   q_ts : Vclock.t;
   q_ops : Msg.shard_op list;
   q_trace : int; (* originating request's trace id (0 for NOPs) *)
@@ -69,7 +67,11 @@ type repl_in = {
 type t = {
   rt : Runtime.t;
   sid : int;
+  home : int;
+      (* the shard this server serves: [sid] for a shard, the shard it
+         replicates for a read replica ([Runtime.home_shard]) *)
   addr : int;
+  actor : string; (* span and gauge name: "shard2", "replica1.0" *)
   names : Intern.t;
       (* hash-consed vertex-id handles: every shard-internal table below is
          keyed by a dense int handle, so the hot path (apply_op, node-program
@@ -117,9 +119,9 @@ type t = {
   pins : (int, snap_graph Snapshot.entry) Hashtbl.t; (* prog_id -> pin *)
   mutable gc_floor : Vclock.t option;
       (* effective watermark of the last compaction: versions strictly
-         below it are gone from the in-memory copies, so a historical read
-         below it (with no pinned snapshot) must fail retryably instead of
-         silently reading post-compaction state *)
+         below it are gone from the in-memory copies, so a read below it
+         (with no pinned snapshot) must fail retryably instead of silently
+         reading post-compaction state *)
   repl_out : (int, repl_out) Hashtbl.t;  (* ranges owned here, replicated out *)
   repl_in : (int, repl_in) Hashtbl.t;  (* ranges followed here *)
   repl_graph : (string, Mgraph.vertex) Hashtbl.t;
@@ -127,19 +129,30 @@ type t = {
          string and kept strictly apart from [graph]: these records are
          never owned, never paged, never compacted here *)
   repl_credits : Flow.Credits.t;
-      (* owner→follower stream credits (one column per peer shard, sized
+      (* owner→follower stream credits (one column per shard server, sized
          by [Config.shard_credits]): a slow follower drains its column and
          the stream is interrupted (dirty + reseed) instead of growing the
          follower's queue without bound *)
+  mutable repl_applied : int; (* stream updates and seeds applied here *)
   mutable retired : bool;
 }
 
 let sid t = t.sid
 let epoch t = t.epoch
+
+(* A §6.4 read replica is a shard server that owns no vertex and has no
+   gatekeeper queue: it only follows its home shard's ranges on the
+   replication stream. With no queue the §4.1 gate is vacuous, and no
+   NOP or Shard_tx ever reaches it. *)
+let is_replica t = t.sid <> t.home
+
 let vertex t vid =
   match Intern.find t.names vid with
   | Some h -> Hashtbl.find_opt t.graph h
   | None -> None
+
+let copy_vertex t vid = Hashtbl.find_opt t.repl_graph vid
+let repl_applied t = t.repl_applied
 
 let resident_vertices t = Hashtbl.length t.graph
 
@@ -155,7 +168,7 @@ let gc_floor t = t.gc_floor
 let cfg t = t.rt.Runtime.cfg
 let counters t = t.rt.Runtime.counters
 let send t ~dst msg = Runtime.send t.rt ~src:t.addr ~dst msg
-let actor t = "shard" ^ string_of_int t.sid
+let actor t = t.actor
 let now t = Engine.now t.rt.Runtime.engine
 
 (* the decision procedure for version stamps: vector clocks, then cached or
@@ -168,8 +181,7 @@ let before t a b = Runtime.before t.cache t.rt a b ~prefer_first_on_tie:true
 
 (* the heat range a vertex falls in; replication candidates and follower
    copies are keyed by these ranges, so owner and controller must agree *)
-let repl_range t vid =
-  match t.rt.Runtime.heat with Some h -> Heat.range_of h vid | None -> -1
+let repl_range t vid = Runtime.repl_range t.rt vid
 
 let repl_followed_ranges t =
   List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.repl_in [])
@@ -337,21 +349,12 @@ let apply_tx t ~gk (qt : queued_tx) =
     +. ((cfg t).Config.vertex_write_cost *. float_of_int (List.length qt.q_ops));
   t.busy_us <-
     t.busy_us +. ((cfg t).Config.vertex_write_cost *. float_of_int (List.length qt.q_ops));
-  (* stream the applied transaction to read-only replicas, in this
-     primary's execution order (asynchronous fan-out, §6.4) *)
   if qt.q_ops <> [] then begin
-    for r = 0 to (cfg t).Config.read_replicas - 1 do
-      send t
-        ~dst:(Runtime.replica_addr t.rt ~shard:t.sid ~replica:r)
-        (Msg.Shard_tx
-           { gk = 0; seq = qt.q_seq; ts = qt.q_ts; ops = qt.q_ops; trace = qt.q_trace })
-    done;
-    (* partial replication: stream the ops that land in replicated hot
-       ranges to their followers, in this owner's execution order (FIFO
-       channels make in-order application converge, like the §6.4 replica
-       stream). A follower whose credit column ran dry is marked dirty and
-       skipped — it gets a wholesale reseed at the next watermark instead
-       of an unbounded queue. *)
+    (* replication: stream the ops that land in replicated ranges to their
+       followers, in this owner's execution order (FIFO channels make
+       in-order application converge). A follower whose credit column ran
+       dry is marked dirty and skipped — it gets a wholesale reseed at the
+       next watermark instead of an unbounded queue. *)
     if Hashtbl.length t.repl_out > 0 then begin
       let by_range = Hashtbl.create 4 in
       List.iter
@@ -430,6 +433,27 @@ let advertise_cover t range ts =
     send t ~dst:(Runtime.gk_addr t.rt g) (Msg.Repl_cover { range; follower = t.sid; ts })
   done
 
+(* Register a replication plan entry. Idempotent: the controller
+   re-broadcasts its plan every round so a crash-restarted owner (whose
+   streaming state died with it) re-learns its ranges and reseeds; an
+   already-known range is left untouched. A new owner entry starts with
+   every follower dirty, so the next watermark seeds them. *)
+let install_plan t (range, owner, followers) =
+  if owner = t.sid && not (Hashtbl.mem t.repl_out range) then begin
+    let dirty = Hashtbl.create 4 in
+    List.iter (fun f -> Hashtbl.replace dirty f ()) followers;
+    Hashtbl.replace t.repl_out range { ro_followers = followers; ro_dirty = dirty }
+  end;
+  if List.mem t.sid followers && not (Hashtbl.mem t.repl_in range) then
+    Hashtbl.replace t.repl_in range { rin_owner = owner; rin_wm = None; rin_floor = None }
+
+(* the stream was interrupted for every follower (epoch barrier, bulk
+   reload): reseed them all at the next watermark *)
+let mark_followers_dirty t =
+  Hashtbl.iter
+    (fun _ out -> List.iter (fun f -> Hashtbl.replace out.ro_dirty f ()) out.ro_followers)
+    t.repl_out
+
 (* ------------------------------------------------------------------ *)
 (* Node program execution (§4.1). *)
 
@@ -455,15 +479,19 @@ let prog_state_set t prog_id h state =
    shard are processed in the same batch, hops elsewhere are grouped into
    per-shard messages. Results are delivered after the modelled CPU cost. *)
 let execute_prog_batch t (p : parked_prog) =
-  (* historical read below the compaction floor with no pinned snapshot:
-     the versions it needs are gone from the in-memory copy, and reading
-     post-compaction state would silently violate the query's timestamp.
-     Fail the whole run retryably instead. *)
+  (* a read below the compaction floor with no pinned snapshot: the
+     versions it needs are gone from the in-memory copy, and reading
+     post-compaction state would silently violate the read's timestamp.
+     Fail the whole run retryably instead. Historical runs reach this with
+     any past stamp; a current-epoch run only when it is a weak run
+     re-stamped at a replica's watermark, since a fresh stamp holds its
+     gatekeeper's GC watermark, and so this floor, at or below it. *)
   let own_gced =
-    p.p_historical
-    && (match p.p_snap with None -> true | Some _ -> false)
+    (match p.p_snap with None -> true | Some _ -> false)
     && match t.gc_floor with
-       | Some floor -> Vclock.precedes p.p_ts floor
+       | Some floor ->
+           Vclock.precedes p.p_ts floor
+           && (p.p_historical || p.p_ts.Vclock.epoch = floor.Vclock.epoch)
        | None -> false
   in
   (* ...but a follower batch whose items all live in other shards'
@@ -544,7 +572,7 @@ let execute_prog_batch t (p : parked_prog) =
         let vrec, pc =
           match pinned with
           | Some sg -> (Hashtbl.find_opt sg.sg_graph h, 0.0)
-          | None -> lookup_vertex t h vid
+          | None -> if is_replica t then (None, 0.0) else lookup_vertex t h vid
         in
         (* not owned here: a followed hot-range copy whose replication
            watermark covers the read stamp serves it in place of the
@@ -564,7 +592,9 @@ let execute_prog_batch t (p : parked_prog) =
               visited := vid :: !visited;
               (counters t).Runtime.vertices_read <-
                 (counters t).Runtime.vertices_read + 1;
-              Runtime.heat_read t.rt ~shard:t.sid vid;
+              (* a replica-served read is load on its home shard's
+                 partition all the same *)
+              Runtime.heat_read t.rt ~shard:t.home vid;
               let ctx = { Nodeprog.vid; at = p.p_ts; before = bf; vertex } in
               let state = prog_state_find t p.p_id h in
               (* a repeat visit only touches the per-program state, not the
@@ -576,9 +606,14 @@ let execute_prog_batch t (p : parked_prog) =
               acc := P.merge !acc partial;
               List.iter
                 (fun (hvid, hparams) ->
-                  let hshard = Runtime.shard_of_vertex t.rt hvid in
-                  if hshard = t.sid then Queue.push (hvid, hparams) work
-                  else forward_item hshard (hvid, hparams))
+                  (* from a read replica, hops go to the same-index replica
+                     of the hop's shard, so a weak traversal stays on
+                     replicas (§6.4) *)
+                  let dst =
+                    Runtime.sibling t.rt t.sid ~shard:(Runtime.shard_of_vertex t.rt hvid)
+                  in
+                  if dst = t.sid then Queue.push (hvid, hparams) work
+                  else forward_item dst (hvid, hparams))
                 hops
             end
         end
@@ -891,7 +926,9 @@ let reload_from_store t =
   Hashtbl.reset t.gc_pending;
   Queue.clear t.lru;
   Hashtbl.reset t.lru_count;
-  let records = Store.scan_prefix t.rt.Runtime.store ~prefix:"v/" in
+  let records =
+    if is_replica t then [] else Store.scan_prefix t.rt.Runtime.store ~prefix:"v/"
+  in
   let cap = (cfg t).Config.shard_capacity in
   List.iter
     (fun (key, value) ->
@@ -933,10 +970,7 @@ let handle_epoch_change t new_epoch =
        cover new-epoch reads, and in-flight stream traffic died with the
        queues — stop advertising and reseed every follower *)
     Hashtbl.iter (fun _ rin -> rin.rin_wm <- None) t.repl_in;
-    Hashtbl.iter
-      (fun _ out ->
-        List.iter (fun f -> Hashtbl.replace out.ro_dirty f ()) out.ro_followers)
-      t.repl_out;
+    mark_followers_dirty t;
     Flow.Credits.reset t.repl_credits;
     reload_from_store t;
     send t ~dst:(Runtime.manager_addr t.rt)
@@ -1107,7 +1141,7 @@ let handle t ~src:_ msg =
           | _ -> ());
           t.last_arrived.(gk) <- Some ts;
           Queue.push
-            { q_seq = seq; q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t }
+            { q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t }
             t.queues.(gk);
           try_advance t
         end
@@ -1159,18 +1193,7 @@ let handle t ~src:_ msg =
     | Msg.Watermark { gk; ts } -> handle_watermark t gk ts
     | Msg.Epoch_change { epoch } -> handle_epoch_change t epoch
     | Msg.Repl_install { range; owner; followers } ->
-        (* idempotent: the controller re-broadcasts its plan every round so
-           a crash-restarted owner (whose streaming state died with it)
-           re-learns its ranges and reseeds; an already-known range is
-           left untouched *)
-        if owner = t.sid && not (Hashtbl.mem t.repl_out range) then begin
-          let dirty = Hashtbl.create 4 in
-          List.iter (fun f -> Hashtbl.replace dirty f ()) followers;
-          Hashtbl.replace t.repl_out range { ro_followers = followers; ro_dirty = dirty }
-        end;
-        if List.mem t.sid followers && not (Hashtbl.mem t.repl_in range) then
-          Hashtbl.replace t.repl_in range
-            { rin_owner = owner; rin_wm = None; rin_floor = None }
+        install_plan t (range, owner, followers)
     | Msg.Repl_update { range; owner; ts; ops } -> (
         match Hashtbl.find_opt t.repl_in range with
         | Some rin when rin.rin_wm <> None ->
@@ -1181,6 +1204,7 @@ let handle t ~src:_ msg =
               advertise_cover t range ts
             end
             else begin
+              t.repl_applied <- t.repl_applied + 1;
               List.iter (repl_apply_op t ts) ops;
               (* return the stream credit this update spent at the owner *)
               if (cfg t).Config.shard_credits > 0 then begin
@@ -1213,6 +1237,7 @@ let handle t ~src:_ msg =
         in
         List.iter (Hashtbl.remove t.repl_graph) stale;
         List.iter (fun (vid, v) -> Hashtbl.replace t.repl_graph vid v) vertices;
+        t.repl_applied <- t.repl_applied + 1;
         rin.rin_wm <- Some ts;
         rin.rin_floor <- Some ts;
         advertise_cover t range ts
@@ -1235,22 +1260,28 @@ let start_timers t =
 
 let spawn rt ~sid ~epoch =
   let n_g = rt.Runtime.cfg.Config.n_gatekeepers in
+  let home = Runtime.home_shard rt sid in
+  let addr = Runtime.shard_addr rt sid in
+  (* one FIFO queue per gatekeeper; a read replica has none *)
+  let n_q = if home = sid then n_g else 0 in
   let t =
     {
       rt;
       sid;
-      addr = Runtime.shard_addr rt sid;
+      home;
+      addr;
+      actor = Runtime.actor_of_addr rt addr;
       names = Intern.create ~capacity:4096 ();
       graph = Hashtbl.create 4096;
       gc_pending = Hashtbl.create 64;
       lru = Queue.create ();
       lru_count = Hashtbl.create 4096;
-      queues = Array.init n_g (fun _ -> Queue.create ());
-      last_seq = Array.make n_g 0;
-      seq_epoch = Array.make n_g (-1); (* sentinel: re-baseline per channel *)
+      queues = Array.init n_q (fun _ -> Queue.create ());
+      last_seq = Array.make n_q 0;
+      seq_epoch = Array.make n_q (-1); (* sentinel: re-baseline per channel *)
       cache = Runtime.create_cache ();
-      last_applied = Array.make n_g None;
-      last_arrived = Array.make n_g None;
+      last_applied = Array.make n_q None;
+      last_arrived = Array.make n_q None;
       prog_state = Hashtbl.create 32;
       parked = [];
       oracle_inflight = false;
@@ -1268,8 +1299,9 @@ let spawn rt ~sid ~epoch =
       repl_in = Hashtbl.create 8;
       repl_graph = Hashtbl.create 256;
       repl_credits =
-        Flow.Credits.create ~peers:rt.Runtime.cfg.Config.n_shards
+        Flow.Credits.create ~peers:(Runtime.n_servers rt)
           ~credits:rt.Runtime.cfg.Config.shard_credits;
+      repl_applied = 0;
       retired = false;
     }
   in
@@ -1277,21 +1309,29 @@ let spawn rt ~sid ~epoch =
   (* utilization gauges (see the gatekeeper note on respawn semantics):
      busy time and the aggregate depth of the per-gatekeeper FIFO queues *)
   Weaver_obs.Metrics.gauge rt.Runtime.metrics
-    (Printf.sprintf "util.shard%d.busy_us" sid)
+    (Printf.sprintf "util.%s.busy_us" t.actor)
     (fun () -> int_of_float t.busy_us);
-  Weaver_obs.Metrics.gauge rt.Runtime.metrics
-    (Printf.sprintf "util.shard%d.queue_depth" sid)
-    (fun () -> Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues);
-  start_timers t;
+  List.iter (install_plan t) (Runtime.standing_plan rt);
+  (* read replicas are not failure-detected: no queue gauge, no heartbeat *)
+  if not (is_replica t) then begin
+    Weaver_obs.Metrics.gauge rt.Runtime.metrics
+      (Printf.sprintf "util.%s.queue_depth" t.actor)
+      (fun () -> Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues);
+    start_timers t
+  end;
   if epoch > 0 then reload_from_store t;
   t
 
 let retire t = t.retired <- true
 
-let reload = reload_from_store
+(* a bulk load bypassed the stream: reseed every follower at the next
+   watermark *)
+let reload t =
+  reload_from_store t;
+  mark_followers_dirty t
 
-(* A peer shard crash-restarted: any follower copies it held died with it,
-   so if it follows one of our replicated ranges, mark it dirty for a
+(* A peer server crash-restarted: any follower copies it held died with
+   it, so if it follows one of our replicated ranges, mark it dirty for a
    wholesale reseed at the next watermark and refill its credit column
    (stream credits it carried can never be refunded). *)
 let on_peer_restart t ~peer =
@@ -1331,11 +1371,13 @@ let resync t =
   t.gc_floor <- None;
   (* replication state died with the crash: as a follower, the copies and
      watermarks are stale-but-safe at the gatekeepers (routed reads miss
-     here and chase the owner) until the controller's next re-broadcast
-     reinstalls us; as an owner, the re-broadcast re-marks every follower
-     dirty and the next watermark reseeds them *)
+     here and chase the owner) until the owner's next seed; as an owner,
+     the controller's next re-broadcast (or, for read replicas, the
+     standing plan reinstalled here) re-marks every follower dirty and the
+     next watermark reseeds them *)
   Hashtbl.reset t.repl_out;
   Hashtbl.reset t.repl_in;
   Hashtbl.reset t.repl_graph;
   Flow.Credits.reset t.repl_credits;
+  List.iter (install_plan t) (Runtime.standing_plan t.rt);
   reload_from_store t

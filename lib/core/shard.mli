@@ -8,15 +8,23 @@
     timeline oracle, whose irrevocable decisions are cached locally. Node
     programs are delayed until every preceding or concurrent transaction
     has executed, then run against the snapshot at their timestamp,
-    propagating hops to peer shards. *)
+    propagating hops to peer shards.
+
+    The same server type is the paper's §6.4 read replica: a server with
+    index [>= n_shards] ({!Runtime.replica_server}) owns no vertex and has
+    no gatekeeper queue. It follows every range of its home shard on the
+    replication stream below, serves weak reads its coverage allows,
+    forwards hops to the same-index replica of the hop's shard, and sends
+    misses to the owner. *)
 
 type t
 
 val spawn : Runtime.t -> sid:int -> epoch:int -> t
-(** Create shard [sid], register its handler at {!Runtime.shard_addr}, and
-    start its heartbeat timer. A replacement spawned after a failure
-    (with the current [epoch]) restores its partition from the backing
-    store. *)
+(** Create shard server [sid], register its handler at
+    {!Runtime.shard_addr}, install its part of {!Runtime.standing_plan},
+    and (for a shard, not a read replica) start its heartbeat timer. A
+    replacement spawned after a failure (with the current [epoch])
+    restores its partition from the backing store. *)
 
 val retire : t -> unit
 
@@ -52,12 +60,13 @@ val snapshots_pinned : t -> int
 
 val gc_floor : t -> Weaver_vclock.Vclock.t option
 (** Effective watermark of the last compaction: versions strictly below it
-    are gone from the in-memory copy, so unpinned historical reads below
-    it are answered with a retryable ["snapshot-gced"] error. *)
+    are gone from the in-memory copy, so unpinned reads below it
+    (historical ones, or weak ones re-stamped at a follower watermark)
+    are answered with a retryable ["snapshot-gced"] error. *)
 
 val reload : t -> unit
-(** Re-read this shard's partition from the backing store (recovery path;
-    also used by bulk preloading). *)
+(** Re-read this shard's partition from the backing store after a bulk
+    load, and mark every follower dirty so the next watermark reseeds it. *)
 
 val resync : t -> unit
 (** Crash-restart resynchronization within the current epoch: drop queued
@@ -82,8 +91,14 @@ val repl_owned_ranges : t -> int list
 val repl_followed_ranges : t -> int list
 (** Ranges this shard follows copies of (sorted; tests/CLI). *)
 
+val copy_vertex : t -> string -> Weaver_graph.Mgraph.vertex option
+(** A vertex's record in this server's follower copies (tests). *)
+
+val repl_applied : t -> int
+(** Stream updates and seeds this server has applied as a follower. *)
+
 val on_peer_restart : t -> peer:int -> unit
-(** A peer shard crash-restarted, losing any follower copies it held: mark
-    it dirty in every replicated range it follows (reseeded at the next
-    watermark) and refill its stream-credit column. Called by the cluster
-    fault layer alongside the gatekeepers' [on_shard_restart]. *)
+(** A peer server crash-restarted, losing any follower copies it held:
+    mark it dirty in every replicated range it follows (reseeded at the
+    next watermark) and refill its stream-credit column. Called by the
+    cluster fault layer alongside the gatekeepers' [on_shard_restart]. *)

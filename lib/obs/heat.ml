@@ -146,18 +146,7 @@ let ranges t = t.n_ranges
 let half_life t = t.half_life
 let sketch t ~shard = t.sketches.(shard)
 
-(* FNV-1a, identical to [Weaver_partition.Partition.hash_vertex]'s hash
-   (duplicated to keep the obs layer dependency-free) *)
-let fnv1a s =
-  let h = ref 0x3bf29ce484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    s;
-  !h land max_int
-
-let range_of t vid = fnv1a vid mod t.n_ranges
+let range_of t vid = Weaver_util.Fnv.hash vid mod t.n_ranges
 
 (* the home shard of a range under pure hashed placement — exact because
    [create] enforces [ranges mod shards = 0], so

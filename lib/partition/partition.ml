@@ -1,17 +1,8 @@
 type assignment = (string, int) Hashtbl.t
 
-let fnv1a s =
-  let h = ref 0x3bf29ce484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    s;
-  !h land max_int
-
 let hash_vertex ~shards id =
   assert (shards > 0);
-  fnv1a id mod shards
+  Weaver_util.Fnv.hash id mod shards
 
 (* One streaming pass. [placed] answers "where is this neighbour?" — for
    plain LDG that is the assignment built so far; for restreaming it falls

@@ -2,15 +2,15 @@
     (ROADMAP item 3; Sutra & Shapiro's fault-tolerant partial replication
     adapted to refinable timestamps).
 
-    The paper's own replicas (§6.4, [Replica]) copy a whole shard and serve
-    weak reads with no freshness bound. This module supplies the pure logic
-    for the stronger scheme built on top of the watermark machinery: owners
-    of {e hot ranges} (as identified by [Obs.Heat]) stream applied updates
-    to follower shards together with their gossiped GC watermarks, and a
-    follower may serve any read at stamp [t] that its replication watermark
-    {e covers} — the result is then bit-identical to the owner's answer at
-    the same cut, because both resolve the same multi-version records at
-    the same timestamp.
+    The paper's own read replicas (§6.4) are the full case: followers of
+    every range of their shard. This module supplies the pure logic built
+    on top of the watermark machinery: owners of replicated ranges (every
+    range with read replicas, else the {e hot ranges} [Obs.Heat]
+    identifies) stream applied updates to followers together with their
+    gossiped GC watermarks, and a follower may serve any read at stamp [t]
+    that its replication watermark {e covers} — the result is then
+    bit-identical to the owner's answer at the same cut, because both
+    resolve the same multi-version records at the same timestamp.
 
     Everything here is deterministic bookkeeping over vector clocks: no
     randomness, no events, no I/O. The actor-facing controller lives in

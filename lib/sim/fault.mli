@@ -16,7 +16,9 @@ type target =
   | Gatekeeper of int
   | Shard of int
   | Replica of { shard : int; replica : int }
-      (** read-only replica [replica] of [shard] (§6.4) *)
+      (** read-only replica [replica] of [shard] (§6.4): a follower-only
+          shard server; a restart drops its copies and its owner reseeds
+          it at the next watermark *)
   | Oracle_replica of int  (** one replica of the oracle chain (§3.4) *)
 
 type action =

@@ -97,6 +97,9 @@ let test_config_validation_flow () =
   bad "shard_credits" (fun c -> { c with Config.shard_credits = -2 });
   bad "trace_capacity" (fun c -> { c with Config.trace_capacity = 0 });
   bad "slow_log_capacity" (fun c -> { c with Config.slow_log_capacity = 0 });
+  (* read replicas advertise coverage at watermark boundaries *)
+  bad "read_replicas (requires gc_period > 0)" (fun c ->
+      { c with Config.read_replicas = 1; gc_period = 0.0 });
   (* flow knobs at their defaults (off) and enabled values both validate *)
   Config.validate Config.default;
   Config.validate

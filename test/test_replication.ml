@@ -85,10 +85,10 @@ let test_covers_and_table () =
 (* ------------------------------------------------------------------ *)
 (* Satellite: replica-served reads must feed heat attribution.
 
-   With one legacy read replica, weak reads alternate between the primary
-   and the replica; before the fix only primary-side visits called
-   [Runtime.heat_read], so a vertex served half from its replica looked
-   half as hot to the balancer and the replication controller. *)
+   With one §6.4 read replica, weak reads alternate between the primary
+   and the replica once the replica is seeded; if only primary-side visits
+   called [Runtime.heat_read], a vertex served half from its replica would
+   look half as hot to the balancer and the replication controller. *)
 
 let test_replica_reads_feed_heat () =
   let cfg =
@@ -97,8 +97,8 @@ let test_replica_reads_feed_heat () =
   let c = mk_cluster cfg in
   let client = Cluster.client c in
   create_vertex client "hh";
-  (* let the §6.4 replication stream deliver the create to the replica *)
-  Cluster.run_for c 5_000.0;
+  (* past the first watermark round: the owner has seeded the replica *)
+  Cluster.run_for c 60_000.0;
   for _ = 1 to 20 do
     match weak_read client "hh" with
     | Ok _ -> ()
@@ -107,6 +107,7 @@ let test_replica_reads_feed_heat () =
   let ctr = Cluster.counters c in
   let h = Option.get (Cluster.heat c) in
   Alcotest.(check bool) "reads actually happened" true (ctr.Runtime.vertices_read >= 20);
+  Alcotest.(check bool) "some were replica-served" true (ctr.Runtime.repl_routed > 0);
   Alcotest.(check int) "every visit attributed, replica-served included"
     ctr.Runtime.vertices_read
     (Heat.total h ~shard:0 ~kind:Heat.Read)
@@ -114,17 +115,17 @@ let test_replica_reads_feed_heat () =
 (* ------------------------------------------------------------------ *)
 (* Satellite: weak-read routing must skip dead replicas.
 
-   Before the fix the gatekeeper's round-robin kept dealing weak reads to
-   a crashed replica, burning a timeout + client retry on every other
-   request; now the slot rotation checks replica liveness and falls
-   through to live slots (ultimately the primary). *)
+   A round-robin that kept dealing weak reads to a crashed replica would
+   burn a timeout + client retry on every other request; the rotation
+   only takes live copies (ultimately the primary). *)
 
 let test_dead_replica_routed_around () =
   let cfg = { Config.default with Config.n_shards = 2; read_replicas = 1 } in
   let c = mk_cluster cfg in
   let client = Cluster.client c in
   create_vertex client "wk";
-  Cluster.run_for c 5_000.0;
+  (* past the first watermark round: the replica advertises coverage *)
+  Cluster.run_for c 60_000.0;
   let shard = Cluster.shard_of_vertex c "wk" in
   let crash_at = Cluster.now c +. 1_000.0 in
   ignore
