@@ -780,8 +780,9 @@ module Breakdown = struct
   (* The traced mixed run: [o.txs] edge-and-property transactions, then
      [o.progs] [get_edges] programs, one at a time against a small graph.
      Returns the cluster and the trace ids of the transactions and of the
-     programs, each in issue order. *)
-  let run o =
+     programs, each in issue order. With [prof], every handler dispatch
+     of the run is charged to it; the events are the same either way. *)
+  let run ?prof o =
     let cfg =
       {
         Config.default with
@@ -794,6 +795,7 @@ module Breakdown = struct
       }
     in
     let c = cluster cfg in
+    (Cluster.runtime c).Runtime.profiler <- prof;
     let client = Cluster.client c in
     let rng = Xrand.create ~seed:11 () in
     let g = Graphgen.uniform ~rng ~prefix:"bd" ~vertices:500 ~edges:2_000 () in

@@ -17,6 +17,7 @@
      replication hot-range partial replication: read goodput, installs, routed reads
      backup      backup/restore demo
      stats       mixed run with tracing on; per-phase latency breakdown
+     profile     the same mixed run; CPU and allocation per message handler
      trace       span tree of one traced transaction and node program
      timeline    sampled time series under TAO-mix load
      export      Chrome trace-event JSON of a traced mixed run
@@ -246,6 +247,64 @@ let stats gatekeepers shards tau seed txs progs json =
       (fun (dst, n) ->
         Printf.printf "  -> %-10s %d\n" (Cluster.actor_of_addr c dst) n)
       (Weaver_sim.Net.drops_by_dst net)
+  end
+
+(* [profile]: the mixed run with handler attribution attached. Time is
+   read from the monotonic clock, which on this single-threaded simulator
+   is the handler's CPU time; per-op figures divide by txs + progs. *)
+let profile gatekeepers shards tau seed txs progs json =
+  let prof =
+    Weaver_obs.Prof.create ~clock:(fun () -> Int64.to_int (Monotonic_clock.now ()))
+  in
+  let cpu0 = Sys.time () in
+  ignore (X.Breakdown.run ~prof { X.Breakdown.seed; gatekeepers; shards; tau; txs; progs });
+  let cpu_ns = (Sys.time () -. cpu0) *. 1e9 in
+  let rows = Weaver_obs.Prof.rows prof in
+  let total = Weaver_obs.Prof.total_ns prof in
+  let ops = float_of_int (max 1 (txs + progs)) in
+  let per_call n (r : Weaver_obs.Prof.row) = n /. float_of_int (max 1 r.calls) in
+  if json then
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            [
+              ("experiment", Json.Str "profile");
+              ("ops", Json.int (txs + progs));
+              ("run_cpu_ns", Json.fixed 0 cpu_ns);
+              ("attributed_ns", Json.int total);
+              ( "handlers",
+                Json.List
+                  (List.map
+                     (fun (r : Weaver_obs.Prof.row) ->
+                       Json.Obj
+                         [
+                           ("actor", Json.Str r.actor);
+                           ("kind", Json.Str r.kind);
+                           ("calls", Json.int r.calls);
+                           ("ns", Json.int r.ns);
+                           ("ns_per_call", Json.fixed 1 (per_call (float_of_int r.ns) r));
+                           ("ns_per_op", Json.fixed 1 (float_of_int r.ns /. ops));
+                           ("minor_words_per_call", Json.fixed 1 (per_call r.minor_words r));
+                         ])
+                     rows) );
+            ]))
+  else begin
+    Printf.printf "mixed run: %d transactions, %d node programs (%d gks, %d shards)\n\n" txs
+      progs gatekeepers shards;
+    Printf.printf "%-11s %-14s %8s %10s %9s %9s %9s\n" "actor" "message" "calls" "total_us"
+      "ns/call" "ns/op" "words/call";
+    List.iter
+      (fun (r : Weaver_obs.Prof.row) ->
+        Printf.printf "%-11s %-14s %8d %10.0f %9.0f %9.0f %9.1f\n" r.actor r.kind r.calls
+          (float_of_int r.ns /. 1e3)
+          (per_call (float_of_int r.ns) r)
+          (float_of_int r.ns /. ops)
+          (per_call r.minor_words r))
+      rows;
+    Printf.printf "\nhandlers: %.1f ms of %.1f ms run CPU (%.0f%%); the rest is set-up, the \
+                   engine and timers\n"
+      (float_of_int total /. 1e6) (cpu_ns /. 1e6)
+      (100.0 *. float_of_int total /. Float.max 1.0 cpu_ns)
   end
 
 (* Timeline: sustained TAO-mix load with registry sampling on; windowed
@@ -513,6 +572,12 @@ let commands =
       Term.(
         const stats $ gatekeepers $ shards $ tau $ seed $ txs 40 $ progs 10
         $ json "Emit the registry as JSON.");
+    cmd "profile"
+      "The mixed run of stats with handler attribution: CPU time and minor-heap words per \
+       actor kind and message kind"
+      Term.(
+        const profile $ gatekeepers $ shards $ tau $ seed $ txs 200 $ progs 50
+        $ json "Emit the attribution table as JSON.");
     cmd "trace" "Span tree of one traced transaction and node program"
       Term.(const trace_cmd_impl $ gatekeepers $ shards $ tau $ seed);
     cmd "timeline" "Sampled time series (throughput, messages, utilization) under TAO-mix load"

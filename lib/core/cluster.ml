@@ -266,7 +266,7 @@ let shard_snapshots t sid = Shard.snapshots_retained t.shards.(sid)
 let shard_snapshots_pinned t sid = Shard.snapshots_pinned t.shards.(sid)
 let shard_gc_floor t sid = Shard.gc_floor t.shards.(sid)
 
-let reload_shards t = Array.iter Shard.reload t.shards
+let reload_shards t = Shard.reload_all t.rt t.shards
 
 let replica t ~shard ~replica = t.shards.(Runtime.replica_server t.rt ~shard ~replica)
 let replica_vertex t ~shard ~replica:r vid = Shard.copy_vertex (replica t ~shard ~replica:r) vid

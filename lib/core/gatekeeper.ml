@@ -5,6 +5,8 @@ module Store = Weaver_store.Store
 module Mgraph = Weaver_graph.Mgraph
 module Flow = Weaver_flow.Flow
 module Repl = Weaver_repl.Repl
+module Stats = Weaver_util.Stats
+module Tbl = Weaver_util.Tbl
 
 type prog_run = {
   pr_id : int; (* the client's request id; a re-run is keyed by its negation *)
@@ -34,7 +36,7 @@ type t = {
   mutable epoch : int;
   seqs : int array; (* next FIFO sequence number per shard *)
   cache : Runtime.decision_cache;
-  active : (int, prog_run) Hashtbl.t;
+  active : prog_run Tbl.Int.t;
   memo : (string, memo_entry) Hashtbl.t;
   (* duplicate suppression: committed (client, tx_id) pairs — local commits
      and peers' commit notes — with the reads their Tx_reply carried, so a
@@ -62,6 +64,8 @@ type t = {
          one copy *)
   mutable cur_tau : float; (* current announce period (adaptive, §3.5) *)
   mutable requests_seen : int; (* client requests since the last window *)
+  prog_service : Stats.t;
+  admission_wait : Stats.t; (* hot-path reservoirs, resolved once at spawn *)
   mutable retired : bool;
 }
 
@@ -597,15 +601,15 @@ let route t ~replicated ~at vid =
 (* Send one batch per server to the routed starts of the run registered
    under [key]; a run with no live start vertex is answered at once. *)
 let dispatch t ~key run routes =
-  let by_dst = Hashtbl.create 4 in
+  let by_dst = Tbl.Int.create 4 in
   let routed = Hashtbl.create 4 in
   List.iter
     (fun (vid, server, to_follower, _) ->
-      let l = try Hashtbl.find by_dst server with Not_found -> [] in
-      Hashtbl.replace by_dst server ((vid, run.pr_params) :: l);
+      let l = try Tbl.Int.find by_dst server with Not_found -> [] in
+      Tbl.Int.replace by_dst server ((vid, run.pr_params) :: l);
       if to_follower then Hashtbl.replace routed server ())
     routes;
-  Hashtbl.iter
+  Tbl.Int.iter
     (fun server items ->
       run.pr_outstanding <- run.pr_outstanding + 1;
       (counters t).Runtime.prog_batch_msgs <- (counters t).Runtime.prog_batch_msgs + 1;
@@ -624,7 +628,7 @@ let dispatch t ~key run routes =
            }))
     by_dst;
   if run.pr_outstanding = 0 then begin
-    Hashtbl.remove t.active key;
+    Tbl.Int.remove t.active key;
     (counters t).Runtime.progs_completed <- (counters t).Runtime.progs_completed + 1;
     send t ~dst:run.pr_client (Msg.Prog_reply { prog_id = run.pr_id; result = Ok run.pr_acc })
   end
@@ -687,7 +691,7 @@ let handle_prog_req t ~client ~prog_id ~prog ~params ~starts ~at ~weak =
               pr_visited = [];
             }
           in
-          Hashtbl.replace t.active prog_id run;
+          Tbl.Int.replace t.active prog_id run;
           dispatch t ~key:prog_id run routes)
 
 (* release per-vertex program state on every shard server (§4.5) *)
@@ -697,7 +701,7 @@ let gc_everywhere t prog_id =
   done
 
 let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
-  match Hashtbl.find_opt t.active prog_id with
+  match Tbl.Int.find_opt t.active prog_id with
   | None -> () (* stale partial from a pre-epoch or abandoned run *)
   | Some run -> (
       match Nodeprog.find t.rt.Runtime.registry run.pr_prog with
@@ -710,7 +714,7 @@ let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
                  runs hold no GC watermark back). Run it again, fresh, on
                  the owners alone, under the negated id: the first
                  attempt's outstanding partials then find no run and drop. *)
-              Hashtbl.remove t.active prog_id;
+              Tbl.Int.remove t.active prog_id;
               gc_everywhere t prog_id;
               let again =
                 {
@@ -722,7 +726,7 @@ let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
                   pr_visited = [];
                 }
               in
-              Hashtbl.replace t.active (-prog_id) again;
+              Tbl.Int.replace t.active (-prog_id) again;
               dispatch t ~key:(-prog_id) again
                 (List.map (route t ~replicated:false ~at:None) run.pr_starts)
           | Some reason ->
@@ -730,7 +734,7 @@ let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
                  requested historical timestamp fell below its compaction
                  floor). Fail fast and retryably; partials from other shards
                  arriving after the removal are dropped as stale. *)
-              Hashtbl.remove t.active prog_id;
+              Tbl.Int.remove t.active prog_id;
               Runtime.trace_span t.rt ~trace:run.pr_id ~name:"gk.prog" ~actor:(actor t)
                 ~start:run.pr_started ~stop:(now t)
                 ~meta:[ ("prog", run.pr_prog); ("error", reason) ]
@@ -743,10 +747,10 @@ let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
               run.pr_acc <- P.merge run.pr_acc acc;
               run.pr_visited <- List.rev_append visited run.pr_visited;
               if run.pr_outstanding = 0 then begin
-                Hashtbl.remove t.active prog_id;
+                Tbl.Int.remove t.active prog_id;
                 (counters t).Runtime.progs_completed <-
                   (counters t).Runtime.progs_completed + 1;
-                Runtime.observe t.rt "gk.prog_service" (now t -. run.pr_started);
+                Stats.add t.prog_service (now t -. run.pr_started);
                 if Runtime.tracing t.rt ~trace:run.pr_id then
                   Runtime.trace_span t.rt ~trace:run.pr_id ~name:"gk.prog" ~actor:(actor t)
                     ~start:run.pr_started ~stop:(now t)
@@ -790,12 +794,12 @@ let handle_epoch_change t new_epoch =
        owners reseed them in the new epoch *)
     Repl.Table.clear_wms t.repl;
     (* in-flight programs are lost; clients re-submit (§4.3) *)
-    Hashtbl.iter
+    Tbl.Int.iter
       (fun _ run ->
         send t ~dst:run.pr_client
           (Msg.Prog_reply { prog_id = run.pr_id; result = Error "epoch-change" }))
       t.active;
-    Hashtbl.reset t.active;
+    Tbl.Int.reset t.active;
     send t ~dst:(Runtime.manager_addr t.rt)
       (Msg.Epoch_ack { server = t.addr; epoch = new_epoch })
   end
@@ -819,7 +823,7 @@ let oldest_active_stamp t =
      compacted past their stamp fails them with "snapshot-gced", which
      [handle_prog_partial] answers by re-running them fresh. *)
   let snap = (cfg t).Config.snapshot_reads in
-  Hashtbl.fold
+  Tbl.Int.fold
     (fun _ run acc ->
       if (snap && run.pr_historical) || run.pr_restamped then acc
       else
@@ -845,7 +849,7 @@ let admit t ~trace work =
         let served = Engine.now t.rt.Runtime.engine in
         (* wait in the serial admission queue plus the admission service
            itself — the gatekeeper-bottleneck phase of Fig. 12 *)
-        Runtime.observe t.rt "gk.admission_wait" (served -. arrived);
+        Stats.add t.admission_wait (served -. arrived);
         if Runtime.tracing t.rt ~trace then
           Runtime.trace_span t.rt ~trace ~name:"gk.admission" ~actor:(actor t)
             ~start:arrived ~stop:served ();
@@ -1047,7 +1051,7 @@ let spawn rt ~gid ~epoch =
       epoch;
       seqs = Array.make rt.Runtime.cfg.Config.n_shards 0;
       cache = Runtime.create_cache ();
-      active = Hashtbl.create 16;
+      active = Tbl.Int.create 16;
       memo = Hashtbl.create 64;
       dedup = Hashtbl.create 256;
       dedup_q = Queue.create ();
@@ -1065,6 +1069,8 @@ let spawn rt ~gid ~epoch =
       repl_rr = Hashtbl.create 16;
       cur_tau = rt.Runtime.cfg.Config.tau;
       requests_seen = 0;
+      prog_service = Runtime.reservoir rt "gk.prog_service";
+      admission_wait = Runtime.reservoir rt "gk.admission_wait";
       retired = false;
     }
   in

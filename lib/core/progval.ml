@@ -49,8 +49,15 @@ let to_float = function
 let to_str = function Str s -> s | v -> invalid_arg ("Progval.to_str: " ^ to_string v)
 let to_list = function List l -> l | v -> invalid_arg ("Progval.to_list: " ^ to_string v)
 
+(* keys are strings: compare them as such, not through the generic
+   structural compare *)
 let assoc_opt k = function
-  | Assoc l -> List.assoc_opt k l
+  | Assoc l ->
+      let rec find = function
+        | [] -> None
+        | (k', v) :: rest -> if String.equal k k' then Some v else find rest
+      in
+      find l
   | _ -> None
 
 let assoc k v = match assoc_opt k v with Some x -> x | None -> Null

@@ -11,6 +11,8 @@ module Trace = Weaver_obs.Trace
 module Timeline = Weaver_obs.Timeline
 module Slowlog = Weaver_obs.Slowlog
 module Heat = Weaver_obs.Heat
+module Prof = Weaver_obs.Prof
+module Tbl = Weaver_util.Tbl
 
 type stored = Vrec of Mgraph.vertex | Stamp of Vclock.t | Dir of int
 
@@ -74,6 +76,12 @@ type t = {
   timeline : Timeline.t option;  (* Some iff [Config.enable_timeline] *)
   slowlog : Slowlog.t;  (* always on; phases only when tracing is on *)
   heat : Heat.t option;  (* Some iff [Config.enable_heat] *)
+  dir : int Tbl.Str.t;
+      (* vid -> shard, mirroring every committed "dir/" key: kept exact by
+         the store's apply hook, so the store stays authoritative and this
+         table only saves the key build and the probe of the whole store *)
+  mutable dir_gen : int;  (* bumped by every change to [dir] *)
+  mutable profiler : Prof.t option;  (* handler attribution, default off *)
   mutable next_client : int;
 }
 
@@ -287,9 +295,20 @@ let create cfg =
                 ~ranges:(heat_range_count ~shards:cfg.Config.n_shards)
                 ~half_life:Heat.default_half_life)
          else None);
+      dir = Tbl.Str.create 1024;
+      dir_gen = 0;
+      profiler = None;
       next_client = 0;
     }
   in
+  Store.on_apply t.store (fun key value ->
+      if String.starts_with ~prefix:"dir/" key then begin
+        let vid = String.sub key 4 (String.length key - 4) in
+        (match value with
+        | Some (Dir s) -> Tbl.Str.replace t.dir vid s
+        | _ -> Tbl.Str.remove t.dir vid);
+        t.dir_gen <- t.dir_gen + 1
+      end);
   register_counter_gauges metrics t.counters;
   (* per-shard cumulative touch totals; only present when heat is on, so
      a heat-off registry snapshot stays bit-identical to the pre-heat one *)
@@ -331,9 +350,9 @@ let create cfg =
   t
 
 let send t ~src ~dst msg = Net.send t.net ~src ~dst msg
-let register t addr handler = Net.register t.net addr handler
 
 let observe t name v = Metrics.observe t.metrics name v
+let reservoir t name = Metrics.reservoir t.metrics name
 
 (* record a completed span against a trace; a no-op when tracing is off or
    the traffic is untraced (trace = 0) *)
@@ -373,6 +392,23 @@ let actor_of_addr t a =
   end
   else if a = manager_addr t then "manager"
   else "client" ^ string_of_int (a - manager_addr t)
+
+let actor_kind t a =
+  let n_gk = t.cfg.Config.n_gatekeepers in
+  if is_gk_addr t a then "gatekeeper"
+  else if a >= n_gk && a < n_gk + t.cfg.Config.n_shards then "shard"
+  else if a >= n_gk && a < n_gk + n_servers t then "replica"
+  else if a = manager_addr t then "manager"
+  else "client"
+
+(* while a profiler is attached, every delivery is charged to the
+   receiving actor's kind and the message's kind *)
+let register t addr handler =
+  let actor = actor_kind t addr in
+  Net.register t.net addr (fun ~src msg ->
+      match t.profiler with
+      | None -> handler ~src msg
+      | Some p -> Prof.measure p ~actor ~kind:(Msg.kind msg) (fun () -> handler ~src msg))
 
 (* record a resolved client request into the slow-request log; when tracing
    is on the entry carries the per-phase breakdown (durations summed per
@@ -414,9 +450,15 @@ let lukey vid = "lu/" ^ vid
 let dirkey vid = "dir/" ^ vid
 
 let shard_of_vertex t vid =
-  match Store.get_now t.store (dirkey vid) with
-  | Some (Dir s) -> s
-  | _ -> Partition.hash_vertex ~shards:t.cfg.Config.n_shards vid
+  match Tbl.Str.find t.dir vid with
+  | s -> s
+  | exception Not_found -> Partition.hash_vertex ~shards:t.cfg.Config.n_shards vid
+
+let directory_generation t = t.dir_gen
+
+let directory t =
+  Tbl.Str.fold (fun vid s acc -> (vid, s) :: acc) t.dir []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* heat touch recording: O(1) pure bookkeeping against the sketch and
    decay cells — never schedules events, consumes RNG, or sends messages —

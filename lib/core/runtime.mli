@@ -135,6 +135,20 @@ type t = {
       (** per-shard heavy-hitter sketches + per-range decayed load
           accumulators; [Some] iff [Config.enable_heat]. Touch recording
           is pure bookkeeping, so outcomes are unaffected *)
+  dir : int Weaver_util.Tbl.Str.t;
+      (** the directory mirror: vid → shard for every committed ["dir/"]
+          key, kept exact by the store's apply hook
+          ({!Weaver_store.Store.on_apply}) through creates, migrations,
+          restores and aborted commits. Read it through
+          {!shard_of_vertex}; the store stays authoritative for
+          transactional reads *)
+  mutable dir_gen : int;
+      (** bumped by every change to {!dir}; read it through
+          {!directory_generation} *)
+  mutable profiler : Weaver_obs.Prof.t option;
+      (** handler CPU attribution, off by default; while [Some], every
+          handler registered through {!register} is measured per actor
+          kind and [Msg.kind]. Measuring never perturbs the simulation *)
   mutable next_client : int;  (** bump via {!fresh_client_addr} only *)
 }
 
@@ -159,7 +173,11 @@ val create : Config.t -> t
     on the runtime's network. *)
 
 val send : t -> src:int -> dst:int -> Msg.t -> unit
+
 val register : t -> int -> (src:int -> Msg.t -> unit) -> unit
+(** Install the handler of an address. While {!profiler} is set, each
+    delivery is charged to the address's actor kind ("gatekeeper",
+    "shard", "replica", "manager" or "client") and the message's kind. *)
 
 (** {1 Observability} *)
 
@@ -167,6 +185,11 @@ val observe : t -> string -> float -> unit
 (** Add one sample to the named metrics reservoir (e.g.
     ["gk.admission_wait"]). Always on — recording never perturbs the
     simulation. *)
+
+val reservoir : t -> string -> Weaver_util.Stats.t
+(** The named reservoir, created on first use. Hot paths resolve it once
+    and feed it with {!Weaver_util.Stats.add} instead of looking the name
+    up per sample. *)
 
 val trace_span :
   t ->
@@ -251,7 +274,14 @@ val actor_of_addr : t -> int -> string
 val shard_of_vertex : t -> string -> int
 (** Shard index owning a vertex: the directory entry if present, hashed
     placement otherwise (the mapping every server can compute for
-    yet-unknown vertices). *)
+    yet-unknown vertices). One probe of the directory mirror. *)
+
+val directory_generation : t -> int
+(** A counter bumped by every committed change to the directory: an
+    answer of {!shard_of_vertex} stays exact while it is unchanged. *)
+
+val directory : t -> (string * int) list
+(** The directory mirror's bindings, sorted by vid (tests). *)
 
 val repl_range : t -> string -> int
 (** Key range of a vertex for replication: the heat sensor's bucket

@@ -8,6 +8,9 @@ module Mgraph = Weaver_graph.Mgraph
 module Intern = Weaver_util.Intern
 module Flow = Weaver_flow.Flow
 module Repl = Weaver_repl.Repl
+module Tbl = Weaver_util.Tbl
+module Ring = Weaver_util.Ring
+module Stats = Weaver_util.Stats
 
 type queued_tx = {
   q_ts : Vclock.t;
@@ -23,7 +26,7 @@ type queued_tx = {
    answers any read at [at ≺ sg_ts] exactly. *)
 type snap_graph = {
   sg_ts : Vclock.t;
-  sg_graph : (int, Mgraph.vertex) Hashtbl.t;
+  sg_graph : Mgraph.vertex Tbl.Int.t;
       (* keyed by this shard's interned vertex handles *)
 }
 
@@ -78,18 +81,28 @@ type t = {
          visits, eviction) compares and hashes machine integers instead of
          re-hashing vid strings. Interning is append-only and survives epoch
          changes — a handle, once issued, stays valid for the shard's life. *)
-  graph : (int, Mgraph.vertex) Hashtbl.t;
-  gc_pending : (int, unit) Hashtbl.t;
+  graph : Mgraph.vertex Tbl.Int.t;
+  gc_pending : unit Tbl.Int.t;
       (* handles the next watermark round must compact. Invariant: every
          resident vertex whose record holds a closed lifespan is in here.
          Ops that can close one add their vertex by op kind; records that
          enter from the durable store (which keeps the full history) are
          checked once with [Mgraph.has_closed]. A round visits only this
          set and drops each handle whose record has nothing closed left. *)
-  lru : int Queue.t; (* approximate recency for demand paging *)
-  lru_count : (int, int) Hashtbl.t;
-      (* occurrences of each vertex in [lru]; lets eviction skip stale
-         duplicate entries in O(1) instead of scanning the whole queue *)
+  lru : Ring.t; (* approximate recency for demand paging *)
+  mutable lru_count : int array;
+      (* occurrences of each handle in [lru], indexed by handle (grown on
+         demand); lets eviction skip stale duplicate entries in O(1)
+         instead of scanning the whole queue *)
+  mutable hop_out : Mgraph.edge array array;
+  mutable hop_dst : int array array;
+  mutable hop_gen : int array;
+      (* hop routing memo, indexed by handle: [hop_dst.(h).(i)] is the
+         server a hop to the destination of edge [i] of [hop_out.(h)] goes
+         to, valid while [hop_out.(h)] is the resident record's out array
+         and the directory is at generation [hop_gen.(h)] (-1: none). A
+         hop naming one of the visited vertex's own edge destinations
+         reads it here instead of probing the directory. *)
   queues : queued_tx Queue.t array; (* one FIFO per gatekeeper *)
   last_seq : int array;
   seq_epoch : int array; (* epoch in which last_seq was recorded *)
@@ -98,7 +111,8 @@ type t = {
   last_arrived : Vclock.t option array;
       (* stamp of the previous Shard_tx from each gk, for the
          [stamp_inversions] count only *)
-  prog_state : (int, (int, Progval.t) Hashtbl.t) Hashtbl.t;
+  prog_state : Progval.t Tbl.Int.t Tbl.Int.t;
+      (* prog_id -> vertex handle -> that program's state there *)
   mutable parked : parked_prog list;
   mutable oracle_inflight : bool;
       (* a serialize round trip to the timeline oracle is outstanding *)
@@ -134,6 +148,10 @@ type t = {
          the stream is interrupted (dirty + reseed) instead of growing the
          follower's queue without bound *)
   mutable repl_applied : int; (* stream updates and seeds applied here *)
+  queue_wait : Stats.t;
+  prog_gate_wait : Stats.t;
+  prog_hop_wait : Stats.t;
+      (* hot-path reservoirs, resolved once at spawn *)
   mutable retired : bool;
 }
 
@@ -148,16 +166,16 @@ let is_replica t = t.sid <> t.home
 
 let vertex t vid =
   match Intern.find t.names vid with
-  | Some h -> Hashtbl.find_opt t.graph h
+  | Some h -> Tbl.Int.find_opt t.graph h
   | None -> None
 
 let copy_vertex t vid = Hashtbl.find_opt t.repl_graph vid
 let repl_applied t = t.repl_applied
 
-let resident_vertices t = Hashtbl.length t.graph
+let resident_vertices t = Tbl.Int.length t.graph
 
 let resident_ids t =
-  Hashtbl.fold (fun h _ acc -> Intern.name t.names h :: acc) t.graph []
+  Tbl.Int.fold (fun h _ acc -> Intern.name t.names h :: acc) t.graph []
   |> List.sort String.compare
 
 let queue_depths t = Array.map Queue.length t.queues
@@ -206,12 +224,66 @@ let repl_lookup t vid at =
 (* Demand paging (§6.1): vertices are fetched from the backing store on a
    miss and evicted in approximate LRU order when over capacity. *)
 
+(* [a] grown to hold index [h], new cells set to [fill] *)
+let grown a h fill =
+  let len = Array.length a in
+  if h < len then a
+  else begin
+    let a' = Array.make (max (2 * len) (h + 1)) fill in
+    Array.blit a 0 a' 0 len;
+    a'
+  end
+
 let touch t h =
   if (cfg t).Config.shard_capacity <> None then begin
-    Queue.push h t.lru;
-    let n = Option.value ~default:0 (Hashtbl.find_opt t.lru_count h) in
-    Hashtbl.replace t.lru_count h (n + 1)
+    Ring.push t.lru h;
+    t.lru_count <- grown t.lru_count h 0;
+    t.lru_count.(h) <- t.lru_count.(h) + 1
   end
+
+(* a record left memory: drop its routing memo with it *)
+let forget_hops t h =
+  if h < Array.length t.hop_gen then begin
+    t.hop_gen.(h) <- -1;
+    t.hop_out.(h) <- [||];
+    t.hop_dst.(h) <- [||]
+  end
+
+(* the server each out-edge destination of [v] (handle [h]) is routed to,
+   memoised per handle *)
+let hop_dsts t h (v : Mgraph.vertex) =
+  let gen = Runtime.directory_generation t.rt in
+  if h < Array.length t.hop_gen && t.hop_gen.(h) = gen && t.hop_out.(h) == v.Mgraph.out
+  then t.hop_dst.(h)
+  else begin
+    let dsts =
+      Array.map
+        (fun (e : Mgraph.edge) ->
+          (* from a read replica, hops go to the same-index replica of the
+             hop's shard, so a weak traversal stays on replicas (§6.4) *)
+          Runtime.sibling t.rt t.sid ~shard:(Runtime.shard_of_vertex t.rt e.Mgraph.dst))
+        v.Mgraph.out
+    in
+    t.hop_gen <- grown t.hop_gen h (-1);
+    t.hop_out <- grown t.hop_out h [||];
+    t.hop_dst <- grown t.hop_dst h [||];
+    t.hop_gen.(h) <- gen;
+    t.hop_out.(h) <- v.Mgraph.out;
+    t.hop_dst.(h) <- dsts;
+    dsts
+  end
+
+(* the index of the edge of [out] whose destination is the very string
+   [dst], scanning from [from] and wrapping; -1 if none *)
+let edge_slot (out : Mgraph.edge array) dst from =
+  let n = Array.length out in
+  let rec scan i left =
+    if left = 0 then -1
+    else
+      let i = if i >= n then 0 else i in
+      if out.(i).Mgraph.dst == dst then i else scan (i + 1) (left - 1)
+  in
+  scan from n
 
 (* Pop recency entries until under capacity. A popped entry is a genuine
    LRU victim only when it is the vertex's *last* occurrence in the queue
@@ -221,21 +293,15 @@ let evict_to_capacity t ~keep =
   match (cfg t).Config.shard_capacity with
   | None -> ()
   | Some cap ->
-      while Hashtbl.length t.graph > cap && not (Queue.is_empty t.lru) do
-        let victim = Queue.pop t.lru in
-        let remaining =
-          match Hashtbl.find_opt t.lru_count victim with
-          | Some n when n > 1 ->
-              Hashtbl.replace t.lru_count victim (n - 1);
-              n - 1
-          | _ ->
-              Hashtbl.remove t.lru_count victim;
-              0
-        in
-        if remaining = 0 && victim <> keep && Hashtbl.mem t.graph victim
+      while Tbl.Int.length t.graph > cap && not (Ring.is_empty t.lru) do
+        let victim = Ring.pop t.lru in
+        let remaining = t.lru_count.(victim) - 1 in
+        t.lru_count.(victim) <- remaining;
+        if remaining = 0 && victim <> keep && Tbl.Int.mem t.graph victim
         then begin
-          Hashtbl.remove t.graph victim;
-          Hashtbl.remove t.gc_pending victim;
+          Tbl.Int.remove t.graph victim;
+          forget_hops t victim;
+          Tbl.Int.remove t.gc_pending victim;
           (counters t).Runtime.evictions <- (counters t).Runtime.evictions + 1
         end
       done
@@ -243,14 +309,14 @@ let evict_to_capacity t ~keep =
 (* a record read from the durable store carries its full version history:
    enrol it for compaction if any of that history is closed *)
 let adopt t h v =
-  Hashtbl.replace t.graph h v;
-  if Mgraph.has_closed v then Hashtbl.replace t.gc_pending h ()
+  Tbl.Int.replace t.graph h v;
+  if Mgraph.has_closed v then Tbl.Int.replace t.gc_pending h ()
 
 (* Look up a vertex by its interned handle [h] (of the vid string [vid]),
    demand-paging from the backing store when it is not resident. Returns
    the record and the paging cost incurred. *)
 let lookup_vertex t h vid =
-  match Hashtbl.find_opt t.graph h with
+  match Tbl.Int.find_opt t.graph h with
   | Some v ->
       touch t h;
       (Some v, 0.0)
@@ -298,13 +364,13 @@ let apply_op t ts (op : Msg.shard_op) =
   let update ?(closes = true) f =
     match lookup_vertex t h vid with
     | Some v, _ ->
-        Hashtbl.replace t.graph h (f v);
-        if closes then Hashtbl.replace t.gc_pending h ()
+        Tbl.Int.replace t.graph h (f v);
+        if closes then Tbl.Int.replace t.gc_pending h ()
     | None, _ -> ()
   in
   match op with
   | Msg.S_create_vertex _ ->
-      Hashtbl.replace t.graph h (Mgraph.create_vertex ~vid ~at:ts);
+      Tbl.Int.replace t.graph h (Mgraph.create_vertex ~vid ~at:ts);
       touch t h;
       evict_to_capacity t ~keep:h
   | Msg.S_delete_vertex _ -> update (fun v -> Mgraph.delete_vertex v ~at:ts)
@@ -329,14 +395,15 @@ let apply_op t ts (op : Msg.shard_op) =
           evict_to_capacity t ~keep:h
       | _ -> ())
   | Msg.S_migrate_out _ ->
-      Hashtbl.remove t.graph h;
-      Hashtbl.remove t.gc_pending h
+      Tbl.Int.remove t.graph h;
+      forget_hops t h;
+      Tbl.Int.remove t.gc_pending h
 
 let apply_tx t ~gk (qt : queued_tx) =
   if qt.q_ops <> [] then begin
     (* time between arrival on the FIFO queue and execution — the
        timestamp-ordering wait the paper's Fig. 9 latency includes *)
-    Runtime.observe t.rt "shard.queue_wait" (now t -. qt.q_enq);
+    Stats.add t.queue_wait (now t -. qt.q_enq);
     if Runtime.tracing t.rt ~trace:qt.q_trace then
       Runtime.trace_span t.rt ~trace:qt.q_trace ~name:"shard.queue" ~actor:(actor t)
         ~start:qt.q_enq ~stop:(now t)
@@ -459,20 +526,17 @@ let mark_followers_dirty t =
 
 (* Per-program vertex state lives in a table created on the first state a
    program stores here: most programs visit one vertex and keep none, and
-   the tables are only ever probed, never iterated. *)
-let prog_state_find t prog_id h =
-  match Hashtbl.find_opt t.prog_state prog_id with
-  | Some tbl -> Hashtbl.find_opt tbl h
-  | None -> None
-
-let prog_state_set t prog_id h state =
-  match (Hashtbl.find_opt t.prog_state prog_id, state) with
-  | Some tbl, Some s -> Hashtbl.replace tbl h s
-  | Some tbl, None -> Hashtbl.remove tbl h
+   the tables are only ever probed, never iterated. A batch resolves its
+   program's table once ([table]) and keeps it current. *)
+let prog_state_set t prog_id table h state =
+  match (!table, state) with
+  | Some tbl, Some s -> Tbl.Int.replace tbl h s
+  | Some tbl, None -> Tbl.Int.remove tbl h
   | None, Some s ->
-      let tbl = Hashtbl.create 1 in
-      Hashtbl.replace tbl h s;
-      Hashtbl.replace t.prog_state prog_id tbl
+      let tbl = Tbl.Int.create 1 in
+      Tbl.Int.replace tbl h s;
+      Tbl.Int.replace t.prog_state prog_id tbl;
+      table := Some tbl
   | None, None -> ()
 
 (* Run a batch of (vertex, params) visits locally; hops to vertices on this
@@ -526,7 +590,7 @@ let execute_prog_batch t (p : parked_prog) =
            { prog_id = p.p_id; sent = 0; acc = Progval.Null; visited = []; error = None })
   | Some (module P : Nodeprog.PROGRAM) ->
       (* time this batch spent parked behind the refinable-timestamp gate *)
-      Runtime.observe t.rt "shard.prog_gate_wait" (now t -. p.p_since);
+      Stats.add t.prog_gate_wait (now t -. p.p_since);
       if Runtime.tracing t.rt ~trace:p.p_id then
         Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_gate" ~actor:(actor t)
           ~start:p.p_since ~stop:(now t) ();
@@ -550,28 +614,38 @@ let execute_prog_batch t (p : parked_prog) =
           Runtime.before t.cache t.rt a b ~prefer_first_on_tie:(not (Vclock.equal b p.p_ts))
         else before t
       in
+      (* work items carry their vertex handle: each is interned as it is
+         queued, so handles are issued in queue order, which is the order
+         items are visited in. A run that may abort on a hop into this
+         shard's compacted partition interns on visit instead, so items
+         left behind by the abort are never interned. *)
       let work = Queue.create () in
-      List.iter (fun item -> Queue.push item work) p.p_items;
-      let remote : (int, (string * Progval.t) list) Hashtbl.t = Hashtbl.create 4 in
+      let enqueue vid params =
+        Queue.push (vid, (if own_gced then -1 else Intern.id t.names vid), params) work
+      in
+      List.iter (fun (vid, params) -> enqueue vid params) p.p_items;
+      let remote : (string * Progval.t) list ref Tbl.Int.t = Tbl.Int.create 4 in
       let acc = ref P.empty in
       let visited = ref [] in
       let read_cost_units = ref 0.0 in
       let page_cost = ref 0.0 in
       let forward_item hshard item =
-        let l = try Hashtbl.find remote hshard with Not_found -> [] in
-        Hashtbl.replace remote hshard (item :: l)
+        match Tbl.Int.find remote hshard with
+        | l -> l := item :: !l
+        | exception Not_found -> Tbl.Int.replace remote hshard (ref [ item ])
       in
+      let pstate = ref (Tbl.Int.find_opt t.prog_state p.p_id) in
       let aborted = ref false in
       while (not !aborted) && not (Queue.is_empty work) do
-        let vid, params = Queue.pop work in
+        let vid, h, params = Queue.pop work in
         if own_gced && Runtime.shard_of_vertex t.rt vid = t.sid then
           (* a hop landed on this shard's own compacted partition *)
           aborted := true
         else begin
-        let h = Intern.id t.names vid in
+        let h = if h >= 0 then h else Intern.id t.names vid in
         let vrec, pc =
           match pinned with
-          | Some sg -> (Hashtbl.find_opt sg.sg_graph h, 0.0)
+          | Some sg -> (Tbl.Int.find_opt sg.sg_graph h, 0.0)
           | None -> if is_replica t then (None, 0.0) else lookup_vertex t h vid
         in
         (* not owned here: a followed hot-range copy whose replication
@@ -596,25 +670,38 @@ let execute_prog_batch t (p : parked_prog) =
                  partition all the same *)
               Runtime.heat_read t.rt ~shard:t.home vid;
               let ctx = { Nodeprog.vid; at = p.p_ts; before = bf; vertex } in
-              let state = prog_state_find t p.p_id h in
+              let state =
+                match !pstate with Some tbl -> Tbl.Int.find_opt tbl h | None -> None
+              in
               (* a repeat visit only touches the per-program state, not the
                  full vertex record: charge a tenth of a read *)
               read_cost_units :=
-                !read_cost_units +. (if state = None then 1.0 else 0.1);
+                !read_cost_units +. (match state with None -> 1.0 | Some _ -> 0.1);
               let state', hops, partial = P.run ctx ~params ~state in
-              prog_state_set t p.p_id h state';
+              (* a visit that hands the state back as it got it stores
+                 nothing *)
+              if state' != state then prog_state_set t p.p_id pstate h state';
               acc := P.merge !acc partial;
-              List.iter
-                (fun (hvid, hparams) ->
-                  (* from a read replica, hops go to the same-index replica
-                     of the hop's shard, so a weak traversal stays on
-                     replicas (§6.4) *)
-                  let dst =
-                    Runtime.sibling t.rt t.sid ~shard:(Runtime.shard_of_vertex t.rt hvid)
-                  in
-                  if dst = t.sid then Queue.push (hvid, hparams) work
-                  else forward_item dst (hvid, hparams))
-                hops
+              (match hops with
+              | [] -> ()
+              | hops ->
+                  let out = vertex.Mgraph.out in
+                  let dsts = hop_dsts t h vertex in
+                  (* programs usually hop along their edges in edge order *)
+                  let next = ref 0 in
+                  List.iter
+                    (fun ((hvid, hparams) as hop) ->
+                      let dst =
+                        match edge_slot out hvid !next with
+                        | -1 ->
+                            Runtime.sibling t.rt t.sid
+                              ~shard:(Runtime.shard_of_vertex t.rt hvid)
+                        | i ->
+                            next := i + 1;
+                            dsts.(i)
+                      in
+                      if dst = t.sid then enqueue hvid hparams else forward_item dst hop)
+                    hops)
             end
         end
       done;
@@ -641,9 +728,9 @@ let execute_prog_batch t (p : parked_prog) =
                 ~actor:(actor t) ~start:exec_start ~stop:(now t)
                 ~meta:[ ("visited", string_of_int (List.length visited)) ]
                 ();
-            let sent = Hashtbl.length remote in
-            Hashtbl.iter
-              (fun hshard items ->
+            let sent = Tbl.Int.length remote in
+            Tbl.Int.iter
+              (fun hshard { contents = items } ->
                 (counters t).Runtime.prog_batch_msgs <-
                   (counters t).Runtime.prog_batch_msgs + 1;
                 send t
@@ -738,10 +825,14 @@ let prog_runnable t (p : parked_prog) =
   done;
   !ok
 
+(* every parked batch is checked once, in order; the list is rebuilt only
+   when some batch can run *)
 let try_run_parked t =
-  let runnable, still = List.partition (prog_runnable t) t.parked in
-  t.parked <- still;
-  List.iter (execute_prog_batch t) runnable
+  match List.filter (prog_runnable t) t.parked with
+  | [] -> ()
+  | runnable ->
+      t.parked <- List.filter (fun p -> not (List.memq p runnable)) t.parked;
+      List.iter (execute_prog_batch t) runnable
 
 (* ------------------------------------------------------------------ *)
 (* The event loop over gatekeeper queues (§4.2, Fig. 6).
@@ -921,32 +1012,46 @@ and try_advance t =
 (* ------------------------------------------------------------------ *)
 (* Recovery (§4.3): restore this shard's partition from the backing store. *)
 
-let reload_from_store t =
-  Hashtbl.reset t.graph;
-  Hashtbl.reset t.gc_pending;
-  Queue.clear t.lru;
-  Hashtbl.reset t.lru_count;
-  let records =
-    if is_replica t then [] else Store.scan_prefix t.rt.Runtime.store ~prefix:"v/"
-  in
-  let cap = (cfg t).Config.shard_capacity in
+(* every durable vertex record, split by the directory into per-shard
+   lists in key order *)
+let records_by_shard rt =
+  let by_shard = Array.make rt.Runtime.cfg.Config.n_shards [] in
   List.iter
     (fun (key, value) ->
       match value with
       | Runtime.Vrec v ->
           let vid = String.sub key 2 (String.length key - 2) in
-          if Runtime.shard_of_vertex t.rt vid = t.sid then begin
-            let under_cap =
-              match cap with None -> true | Some c -> Hashtbl.length t.graph < c
-            in
-            if under_cap then begin
-              let h = Intern.id t.names vid in
-              adopt t h v;
-              touch t h
-            end
-          end
+          let s = Runtime.shard_of_vertex rt vid in
+          by_shard.(s) <- (vid, v) :: by_shard.(s)
       | _ -> ())
-    records
+    (Store.scan_prefix rt.Runtime.store ~prefix:"v/");
+  Array.map List.rev by_shard
+
+(* adopt this server's list of [by_shard] ([records_by_shard]; a read
+   replica owns none) in key order, up to the capacity *)
+let load_records t by_shard =
+  Tbl.Int.reset t.graph;
+  Tbl.Int.reset t.gc_pending;
+  Ring.clear t.lru;
+  Array.fill t.lru_count 0 (Array.length t.lru_count) 0;
+  Array.fill t.hop_gen 0 (Array.length t.hop_gen) (-1);
+  Array.fill t.hop_out 0 (Array.length t.hop_out) [||];
+  Array.fill t.hop_dst 0 (Array.length t.hop_dst) [||];
+  let cap = (cfg t).Config.shard_capacity in
+  List.iter
+    (fun (vid, v) ->
+      let under_cap =
+        match cap with None -> true | Some c -> Tbl.Int.length t.graph < c
+      in
+      if under_cap then begin
+        let h = Intern.id t.names vid in
+        adopt t h v;
+        touch t h
+      end)
+    (if is_replica t then [] else by_shard.(t.sid))
+
+let reload_from_store t =
+  load_records t (if is_replica t then [||] else records_by_shard t.rt)
 
 let handle_epoch_change t new_epoch =
   if new_epoch > t.epoch then begin
@@ -1006,14 +1111,14 @@ let handle_watermark t gk ts =
         | None -> true
       in
       if fresh then begin
-        let sg_graph = Hashtbl.create 1024 in
+        let sg_graph = Tbl.Int.create 1024 in
         List.iter
           (fun (k, value) ->
             match value with
             | Runtime.Vrec v ->
                 let vid = String.sub k 2 (String.length k - 2) in
                 if Runtime.shard_of_vertex t.rt vid = t.sid then
-                  Hashtbl.replace sg_graph (Intern.id t.names vid) v
+                  Tbl.Int.replace sg_graph (Intern.id t.names vid) v
             | _ -> ())
           (Store.scan_prefix t.rt.Runtime.store ~prefix:"v/");
         ignore (Snapshot.publish t.snaps ~key { sg_ts = wm; sg_graph });
@@ -1049,19 +1154,20 @@ let handle_watermark t gk ts =
        returns every other record unchanged. Replacing an existing key
        updates its binding in place and removals commute, so [t.graph]
        ends exactly as a compaction of every resident vertex leaves it. *)
-    Hashtbl.filter_map_inplace
+    Tbl.Int.filter_map_inplace
       (fun h () ->
         (counters t).Runtime.gc_compact_visits <-
           (counters t).Runtime.gc_compact_visits + 1;
-        match Hashtbl.find_opt t.graph h with
+        match Tbl.Int.find_opt t.graph h with
         | None -> None
         | Some v -> (
             match Mgraph.compact vb v ~watermark:wm with
             | None ->
-                Hashtbl.remove t.graph h;
+                Tbl.Int.remove t.graph h;
+                forget_hops t h;
                 None
             | Some v' ->
-                if v' != v then Hashtbl.replace t.graph h v';
+                if v' != v then Tbl.Int.replace t.graph h v';
                 if Mgraph.has_closed v' then Some () else None))
       t.gc_pending;
     (* partial replication, owner side: advance followers at the watermark
@@ -1090,7 +1196,7 @@ let handle_watermark t gk ts =
           (fun range ->
             let out = Hashtbl.find t.repl_out range in
             let seed = lazy (
-              Hashtbl.fold
+              Tbl.Int.fold
                 (fun h v acc ->
                   let vid = Intern.name t.names h in
                   if repl_range t vid = range then (vid, v) :: acc else acc)
@@ -1151,7 +1257,7 @@ let handle t ~src:_ msg =
         (* the network/fan-out leg of a node program, from the sender's
            dispatch to arrival here — the phase client-tx slow-log entries
            already had and program entries were missing *)
-        Runtime.observe t.rt "shard.prog_hop_wait" (now t -. sent_at);
+        Stats.add t.prog_hop_wait (now t -. sent_at);
         if Runtime.tracing t.rt ~trace:prog_id then
           Runtime.trace_span t.rt ~trace:prog_id ~name:"shard.prog_hop"
             ~actor:(actor t) ~start:sent_at ~stop:(now t) ();
@@ -1184,7 +1290,7 @@ let handle t ~src:_ msg =
           :: t.parked;
         try_run_parked t
     | Msg.Prog_gc { prog_id } ->
-        Hashtbl.remove t.prog_state prog_id;
+        Tbl.Int.remove t.prog_state prog_id;
         (match Hashtbl.find_opt t.pins prog_id with
         | Some e ->
             Snapshot.release t.snaps e;
@@ -1272,17 +1378,20 @@ let spawn rt ~sid ~epoch =
       addr;
       actor = Runtime.actor_of_addr rt addr;
       names = Intern.create ~capacity:4096 ();
-      graph = Hashtbl.create 4096;
-      gc_pending = Hashtbl.create 64;
-      lru = Queue.create ();
-      lru_count = Hashtbl.create 4096;
+      graph = Tbl.Int.create 4096;
+      gc_pending = Tbl.Int.create 64;
+      lru = Ring.create ();
+      lru_count = [||];
+      hop_out = [||];
+      hop_dst = [||];
+      hop_gen = [||];
       queues = Array.init n_q (fun _ -> Queue.create ());
       last_seq = Array.make n_q 0;
       seq_epoch = Array.make n_q (-1); (* sentinel: re-baseline per channel *)
       cache = Runtime.create_cache ();
       last_applied = Array.make n_q None;
       last_arrived = Array.make n_q None;
-      prog_state = Hashtbl.create 32;
+      prog_state = Tbl.Int.create 32;
       parked = [];
       oracle_inflight = false;
       oracle_batch = Hashtbl.create 8;
@@ -1302,6 +1411,9 @@ let spawn rt ~sid ~epoch =
         Flow.Credits.create ~peers:(Runtime.n_servers rt)
           ~credits:rt.Runtime.cfg.Config.shard_credits;
       repl_applied = 0;
+      queue_wait = Runtime.reservoir rt "shard.queue_wait";
+      prog_gate_wait = Runtime.reservoir rt "shard.prog_gate_wait";
+      prog_hop_wait = Runtime.reservoir rt "shard.prog_hop_wait";
       retired = false;
     }
   in
@@ -1324,11 +1436,15 @@ let spawn rt ~sid ~epoch =
 
 let retire t = t.retired <- true
 
-(* a bulk load bypassed the stream: reseed every follower at the next
-   watermark *)
-let reload t =
-  reload_from_store t;
-  mark_followers_dirty t
+(* A bulk load bypassed the stream: reload every server and reseed every
+   follower at the next watermark. One scan of the store serves them all. *)
+let reload_all rt servers =
+  let by_shard = records_by_shard rt in
+  Array.iter
+    (fun t ->
+      load_records t by_shard;
+      mark_followers_dirty t)
+    servers
 
 (* A peer server crash-restarted: any follower copies it held died with
    it, so if it follows one of our replicated ranges, mark it dirty for a

@@ -64,14 +64,15 @@ val gc_floor : t -> Weaver_vclock.Vclock.t option
     (historical ones, or weak ones re-stamped at a follower watermark)
     are answered with a retryable ["snapshot-gced"] error. *)
 
-val reload : t -> unit
-(** Re-read this shard's partition from the backing store after a bulk
-    load, and mark every follower dirty so the next watermark reseeds it. *)
+val reload_all : Runtime.t -> t array -> unit
+(** Re-read every server's partition from the backing store after a bulk
+    load, and mark every follower dirty so the next watermark reseeds it.
+    The store is scanned once for all servers. *)
 
 val resync : t -> unit
 (** Crash-restart resynchronization within the current epoch: drop queued
     transactions and parked programs, re-baseline every per-gatekeeper
-    FIFO channel, and {!reload} from the backing store. Used by fault-plan
+    FIFO channel, and reload its partition from the backing store. Used by fault-plan
     restarts that revive a shard in place before the failure detector
     replaces it; must be called before the network endpoint is marked
     alive again. *)

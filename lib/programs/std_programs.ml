@@ -92,7 +92,8 @@ module Nhop_count = struct
   let name = "nhop_count"
   let empty = Progval.Int 0
 
-  (* state = deepest remaining budget seen; revisit only with more budget *)
+  (* state = deepest remaining budget seen; revisit only with more budget.
+     Every hop of one visit shares one params value. *)
   let run ctx ~params ~state =
     let depth = Progval.to_int (Progval.assoc "depth" params) in
     let seen_depth = match state with Some (Progval.Int d) -> Some d | _ -> None in
@@ -102,10 +103,8 @@ module Nhop_count = struct
     else begin
       let hops =
         if depth > 0 then
-          List.map
-            (fun (e : Mgraph.edge) ->
-              (e.Mgraph.dst, Progval.Assoc [ ("depth", Progval.Int (depth - 1)) ]))
-            (Nodeprog.out_edges ctx)
+          let params' = Progval.Assoc [ ("depth", Progval.Int (depth - 1)) ] in
+          List.map (fun (e : Mgraph.edge) -> (e.Mgraph.dst, params')) (Nodeprog.out_edges ctx)
         else []
       in
       (Some (Progval.Int depth), hops, Progval.Int (if first_visit then 1 else 0))
@@ -205,10 +204,8 @@ module Block_render = struct
             (Nodeprog.out_edges ctx)
         in
         let hops =
-          List.map
-            (fun (e : Mgraph.edge) ->
-              (e.Mgraph.dst, Progval.Assoc [ ("phase", Progval.Str "tx") ]))
-            tx_edges
+          let params' = Progval.Assoc [ ("phase", Progval.Str "tx") ] in
+          List.map (fun (e : Mgraph.edge) -> (e.Mgraph.dst, params')) tx_edges
         in
         let block_summary =
           Progval.Assoc
@@ -244,10 +241,8 @@ module Taint = struct
         let depth = Progval.to_int (Progval.assoc "depth" params) in
         let hops =
           if depth > 0 then
-            List.map
-              (fun (e : Mgraph.edge) ->
-                (e.Mgraph.dst, Progval.Assoc [ ("depth", Progval.Int (depth - 1)) ]))
-              (Nodeprog.out_edges ctx)
+            let params' = Progval.Assoc [ ("depth", Progval.Int (depth - 1)) ] in
+            List.map (fun (e : Mgraph.edge) -> (e.Mgraph.dst, params')) (Nodeprog.out_edges ctx)
           else []
         in
         (Some (Progval.Bool true), hops, Progval.List [ Progval.Str ctx.Nodeprog.vid ])
@@ -340,10 +335,8 @@ module Khop_collect = struct
     else begin
       let hops =
         if depth > 0 then
-          List.map
-            (fun (e : Mgraph.edge) ->
-              (e.Mgraph.dst, Progval.Assoc [ ("depth", Progval.Int (depth - 1)) ]))
-            (Nodeprog.out_edges ctx)
+          let params' = Progval.Assoc [ ("depth", Progval.Int (depth - 1)) ] in
+          List.map (fun (e : Mgraph.edge) -> (e.Mgraph.dst, params')) (Nodeprog.out_edges ctx)
         else []
       in
       ( Some (Progval.Int depth),

@@ -1,40 +1,46 @@
+module Tbl = Weaver_util.Tbl
+
 type 'v cell = { mutable value : 'v option; mutable ver : int }
 
 type 'v t = {
-  cells : (string, 'v cell) Hashtbl.t;
+  cells : 'v cell Tbl.Str.t;
   mutable live : int;
   mutable commits : int;
   mutable aborts : int;
   mutable journal : (string * 'v option) list list; (* newest first *)
   mutable journal_len : int;
+  mutable on_apply : string -> 'v option -> unit;
 }
 
 let create () =
   {
-    cells = Hashtbl.create 1024;
+    cells = Tbl.Str.create 1024;
     live = 0;
     commits = 0;
     aborts = 0;
     journal = [];
     journal_len = 0;
+    on_apply = (fun _ _ -> ());
   }
 
 let length t = t.live
 
 let version t k =
-  match Hashtbl.find_opt t.cells k with Some c -> c.ver | None -> 0
+  match Tbl.Str.find_opt t.cells k with Some c -> c.ver | None -> 0
 
 let get_now t k =
-  match Hashtbl.find_opt t.cells k with Some c -> c.value | None -> None
+  match Tbl.Str.find_opt t.cells k with Some c -> c.value | None -> None
 
 let scan_prefix t ~prefix =
-  Hashtbl.fold
+  Tbl.Str.fold
     (fun k c acc ->
       match c.value with
       | Some v when String.starts_with ~prefix k -> (k, v) :: acc
       | _ -> acc)
     t.cells []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let on_apply t f = t.on_apply <- f
 
 let commits t = t.commits
 let aborts t = t.aborts
@@ -44,8 +50,8 @@ module Tx = struct
 
   type 'v tx = {
     store : 'v t;
-    reads : (string, int) Hashtbl.t; (* key -> version observed *)
-    writes : (string, 'v op) Hashtbl.t;
+    reads : int Tbl.Str.t; (* key -> version observed *)
+    writes : 'v op Tbl.Str.t;
     mutable order : string list; (* write keys, newest first, for determinism *)
     mutable finished : bool;
   }
@@ -53,8 +59,8 @@ module Tx = struct
   let begin_ store =
     {
       store;
-      reads = Hashtbl.create 8;
-      writes = Hashtbl.create 8;
+      reads = Tbl.Str.create 8;
+      writes = Tbl.Str.create 8;
       order = [];
       finished = false;
     }
@@ -63,29 +69,29 @@ module Tx = struct
 
   let get tx k =
     check_open tx;
-    match Hashtbl.find_opt tx.writes k with
+    match Tbl.Str.find_opt tx.writes k with
     | Some (Put v) -> Some v
     | Some Delete -> None
     | None ->
-        if not (Hashtbl.mem tx.reads k) then
-          Hashtbl.replace tx.reads k (version tx.store k);
+        if not (Tbl.Str.mem tx.reads k) then
+          Tbl.Str.replace tx.reads k (version tx.store k);
         get_now tx.store k
 
   let record_write tx k op =
     check_open tx;
-    if not (Hashtbl.mem tx.writes k) then tx.order <- k :: tx.order;
-    Hashtbl.replace tx.writes k op
+    if not (Tbl.Str.mem tx.writes k) then tx.order <- k :: tx.order;
+    Tbl.Str.replace tx.writes k op
 
   let put tx k v = record_write tx k (Put v)
   let delete tx k = record_write tx k Delete
 
   let apply store k op =
     let cell =
-      match Hashtbl.find_opt store.cells k with
+      match Tbl.Str.find_opt store.cells k with
       | Some c -> c
       | None ->
           let c = { value = None; ver = 0 } in
-          Hashtbl.replace store.cells k c;
+          Tbl.Str.replace store.cells k c;
           c
     in
     let was_live = cell.value <> None in
@@ -95,13 +101,14 @@ module Tx = struct
     let is_live = cell.value <> None in
     if was_live && not is_live then store.live <- store.live - 1;
     if (not was_live) && is_live then store.live <- store.live + 1;
-    cell.ver <- cell.ver + 1
+    cell.ver <- cell.ver + 1;
+    store.on_apply k cell.value
 
   let commit tx =
     check_open tx;
     tx.finished <- true;
     let stale =
-      Hashtbl.fold
+      Tbl.Str.fold
         (fun k ver acc ->
           match acc with
           | Some _ -> acc
@@ -118,7 +125,7 @@ module Tx = struct
         let entry =
           List.map
             (fun k ->
-              match Hashtbl.find tx.writes k with
+              match Tbl.Str.find tx.writes k with
               | Put v -> (k, Some v)
               | Delete -> (k, None))
             ordered
@@ -126,7 +133,7 @@ module Tx = struct
         tx.store.journal <- entry :: tx.store.journal;
         tx.store.journal_len <- tx.store.journal_len + 1;
         List.iter
-          (fun k -> apply tx.store k (Hashtbl.find tx.writes k))
+          (fun k -> apply tx.store k (Tbl.Str.find tx.writes k))
           ordered;
         tx.store.commits <- tx.store.commits + 1;
         Ok ()
@@ -136,7 +143,7 @@ module Tx = struct
     tx.finished <- true;
     tx.store.aborts <- tx.store.aborts + 1
 
-  let read_set tx = Hashtbl.fold (fun k _ acc -> k :: acc) tx.reads []
+  let read_set tx = Tbl.Str.fold (fun k _ acc -> k :: acc) tx.reads []
   let write_set tx = List.rev tx.order
 end
 

@@ -38,6 +38,14 @@ val scan_prefix : 'v t -> prefix:string -> (string * 'v) list
     publication, both of which must be bit-identical across runs and
     OCaml hash-table layouts. *)
 
+val on_apply : 'v t -> (string -> 'v option -> unit) -> unit
+(** [on_apply t f] makes every committed write call [f key value] right
+    after the cell changes ([None] = deleted), in application order.
+    Aborted transactions call nothing. One hook per store; a later call
+    replaces it. Derived indexes (the runtime's directory mirror) stay
+    exact this way, whatever path the write took. The hook must not
+    touch the store. {!replay}'s fresh store starts without one. *)
+
 val commits : 'v t -> int
 val aborts : 'v t -> int
 

@@ -1,18 +1,18 @@
 type t = {
-  ids : (string, int) Hashtbl.t;
+  ids : int Tbl.Str.t;
   mutable names : string array;
   mutable n : int;
 }
 
 let create ?(capacity = 1024) () =
-  { ids = Hashtbl.create capacity; names = [||]; n = 0 }
+  { ids = Tbl.Str.create capacity; names = [||]; n = 0 }
 
 let count t = t.n
 
 let id t name =
-  match Hashtbl.find_opt t.ids name with
-  | Some h -> h
-  | None ->
+  match Tbl.Str.find t.ids name with
+  | h -> h
+  | exception Not_found ->
       let h = t.n in
       let cap = Array.length t.names in
       if h = cap then begin
@@ -23,10 +23,10 @@ let id t name =
       end;
       t.names.(h) <- name;
       t.n <- h + 1;
-      Hashtbl.replace t.ids name h;
+      Tbl.Str.replace t.ids name h;
       h
 
-let find t name = Hashtbl.find_opt t.ids name
+let find t name = Tbl.Str.find_opt t.ids name
 
 let name t h =
   if h < 0 || h >= t.n then invalid_arg "Intern.name: unknown handle";

@@ -59,9 +59,11 @@ let bulk_load cluster client ?(batch = 64) ?(pipeline = 16) (g : Graphgen.t) =
 let zero_stamp cluster =
   Vclock.zero ~n:(Cluster.config cluster).Config.n_gatekeepers
 
-let install_record cluster ?shard vid (record : Mgraph.vertex) =
+(* Every preloaded version is stamped [ts], the zero stamp. Stamps are
+   immutable, so a whole install shares one instead of allocating two per
+   vertex. *)
+let install_record cluster ~ts ?shard vid (record : Mgraph.vertex) =
   let rt = Cluster.runtime cluster in
-  let ts = zero_stamp cluster in
   let shard =
     match shard with
     | Some s -> s
@@ -77,8 +79,7 @@ let install_record cluster ?shard vid (record : Mgraph.vertex) =
   | Ok () -> ()
   | Error _ -> invalid_arg "fast_install: store conflict during preload"
 
-let install_vertex cluster ~vid ?shard ?(props = []) ~edges () =
-  let ts = zero_stamp cluster in
+let install_at cluster ~ts ~vid ?shard ?(props = []) ~edges () =
   let before a b = Vclock.precedes a b in
   let v = Mgraph.create_vertex ~vid ~at:ts in
   let v =
@@ -89,7 +90,7 @@ let install_vertex cluster ~vid ?shard ?(props = []) ~edges () =
   let _, v =
     List.fold_left
       (fun (i, v) (dst, eprops) ->
-        let eid = Printf.sprintf "pre_%s_%d" vid i in
+        let eid = "pre_" ^ vid ^ "_" ^ string_of_int i in
         let v = Mgraph.add_edge v ~eid ~dst ~at:ts in
         let v =
           List.fold_left
@@ -99,15 +100,19 @@ let install_vertex cluster ~vid ?shard ?(props = []) ~edges () =
         (i + 1, v))
       (0, v) edges
   in
-  install_record cluster ?shard vid v
+  install_record cluster ~ts ?shard vid v
+
+let install_vertex cluster ~vid ?shard ?props ~edges () =
+  install_at cluster ~ts:(zero_stamp cluster) ~vid ?shard ?props ~edges ()
 
 let install_all cluster ?assignment (g : Graphgen.t) =
+  let ts = zero_stamp cluster in
   let nbrs = Array.make g.Graphgen.n_vertices [] in
   List.iter (fun (s, d) -> nbrs.(s) <- Graphgen.vid g d :: nbrs.(s)) g.Graphgen.edges;
   for i = 0 to g.Graphgen.n_vertices - 1 do
     let vid = Graphgen.vid g i in
     let shard = Option.bind assignment (fun a -> Hashtbl.find_opt a vid) in
-    install_vertex cluster ~vid ?shard
+    install_at cluster ~ts ~vid ?shard
       ~edges:(List.map (fun d -> (d, [])) nbrs.(i))
       ()
   done;

@@ -1,0 +1,237 @@
+(* Tests for the program-visit hot path: the runtime's directory mirror,
+   the specialised hash tables' iteration order, and the handler
+   profiler's neutrality. *)
+
+open Weaver_core
+module Store = Weaver_store.Store
+module Tbl = Weaver_util.Tbl
+module Prof = Weaver_obs.Prof
+module Fault = Weaver_sim.Fault
+module Programs = Weaver_programs.Std_programs
+
+let ok = function Ok v -> v | Error e -> Alcotest.failf "%s" e
+
+let mk_cluster ?(cfg = Config.default) () =
+  let c = Cluster.create cfg in
+  Programs.Std.register_all (Cluster.registry c);
+  c
+
+(* the committed "dir/" bindings, as (vid, shard) sorted by vid *)
+let committed_directory c =
+  let rt = Cluster.runtime c in
+  Store.scan_prefix rt.Runtime.store ~prefix:"dir/"
+  |> List.filter_map (fun (key, value) ->
+         match value with
+         | Runtime.Dir s -> Some (String.sub key 4 (String.length key - 4), s)
+         | _ -> None)
+
+let check_mirror c what =
+  let rt = Cluster.runtime c in
+  let committed = committed_directory c in
+  Alcotest.(check bool) (what ^ ": some entries") true (committed <> []);
+  Alcotest.(check (list (pair string int))) what committed (Runtime.directory rt);
+  List.iter
+    (fun (vid, s) ->
+      Alcotest.(check int) (what ^ ": shard of " ^ vid) s (Runtime.shard_of_vertex rt vid))
+    committed
+
+let create_vertices c ids =
+  let client = Cluster.client c in
+  let tx = Client.Tx.begin_ client in
+  List.iter (fun id -> ignore (Client.Tx.create_vertex tx ~id ())) ids;
+  ok (Client.commit client tx)
+
+let test_mirror_tracks_commits () =
+  let c = mk_cluster () in
+  let n_shards = (Cluster.config c).Config.n_shards in
+  create_vertices c (List.init 12 (fun i -> "m" ^ string_of_int i));
+  check_mirror c "after creates";
+  (* a migration rewrites one directory entry *)
+  let from_shard = Cluster.shard_of_vertex c "m3" in
+  let to_shard = (from_shard + 1) mod n_shards in
+  ok (Client.migrate (Cluster.client c) ~vid:"m3" ~to_shard);
+  Cluster.run_for c 20_000.0;
+  Alcotest.(check int) "migrated" to_shard (Cluster.shard_of_vertex c "m3");
+  check_mirror c "after a migration";
+  (* a shard crash and in-place restart reloads from the store and leaves
+     the directory alone *)
+  Cluster.apply_fault c (Fault.Crash (Fault.Shard to_shard));
+  Cluster.run_for c 5_000.0;
+  Cluster.apply_fault c (Fault.Restart (Fault.Shard to_shard));
+  Cluster.run_for c 20_000.0;
+  check_mirror c "after a shard restart";
+  (* a commit that fails validation changes nothing *)
+  let rt = Cluster.runtime c in
+  let key = Runtime.dirkey "m5" in
+  let stale = Store.Tx.begin_ rt.Runtime.store in
+  ignore (Store.Tx.get stale key);
+  let winner = Store.Tx.begin_ rt.Runtime.store in
+  Store.Tx.put winner key (Runtime.Dir 0);
+  ok (Result.map_error (fun _ -> "winner conflicted") (Store.Tx.commit winner));
+  Store.Tx.put stale key (Runtime.Dir 1);
+  Store.Tx.put stale (Runtime.dirkey "m6") (Runtime.Dir 1);
+  (match Store.Tx.commit stale with
+  | Error (`Conflict _) -> ()
+  | Ok () -> Alcotest.fail "a stale commit went through");
+  Alcotest.(check int) "the winner's value" 0 (Runtime.shard_of_vertex rt "m5");
+  check_mirror c "after a commit that failed validation"
+
+let test_mirror_after_restore () =
+  let c1 = mk_cluster () in
+  create_vertices c1 [ "r0"; "r1"; "r2"; "r3" ];
+  let n_shards = (Cluster.config c1).Config.n_shards in
+  let to_shard = (Cluster.shard_of_vertex c1 "r1" + 1) mod n_shards in
+  ok (Client.migrate (Cluster.client c1) ~vid:"r1" ~to_shard);
+  Cluster.run_for c1 20_000.0;
+  let image = Backup.dump c1 in
+  let c2 = mk_cluster () in
+  Backup.restore c2 image;
+  Alcotest.(check int) "restored placement" to_shard (Cluster.shard_of_vertex c2 "r1");
+  check_mirror c2 "after a restore";
+  Alcotest.(check (list (pair string int)))
+    "same directory as the source" (committed_directory c1) (committed_directory c2)
+
+(* A hop is routed by the directory as it stands: after its target
+   migrates, a traversal from the same (unchanged) source record sends the
+   hop straight to the new owner, not through the old one. *)
+let test_hop_routing_follows_migration () =
+  let c = mk_cluster () in
+  let client = Cluster.client c in
+  let n_shards = (Cluster.config c).Config.n_shards in
+  let tx = Client.Tx.begin_ client in
+  ignore (Client.Tx.create_vertex tx ~id:"src" ());
+  ignore (Client.Tx.create_vertex tx ~id:"dst" ());
+  ignore (Client.Tx.create_edge tx ~src:"src" ~dst:"dst");
+  ok (Client.commit client tx);
+  let home = Cluster.shard_of_vertex c "src" in
+  let move_dst ~avoid =
+    let rec pick s = if List.mem s avoid then pick ((s + 1) mod n_shards) else s in
+    let to_shard = pick (Cluster.shard_of_vertex c "dst") in
+    if to_shard <> Cluster.shard_of_vertex c "dst" then begin
+      ok (Client.migrate client ~vid:"dst" ~to_shard);
+      Cluster.run_for c 20_000.0
+    end;
+    Alcotest.(check int) "dst placed" to_shard (Cluster.shard_of_vertex c "dst")
+  in
+  let traverse what =
+    let before = (Cluster.counters c).Runtime.prog_batch_msgs in
+    (match
+       Client.run_program client ~prog:"nhop_count"
+         ~params:(Progval.Assoc [ ("depth", Progval.Int 1) ])
+         ~starts:[ "src" ] ()
+     with
+    | Ok (Progval.Int 2) -> ()
+    | Ok v -> Alcotest.failf "%s: %s" what (Progval.to_string v)
+    | Error e -> Alcotest.failf "%s: %s" what e);
+    (* one batch to the source's shard, one hop to the target's *)
+    Alcotest.(check int) (what ^ ": batches") 2
+      ((Cluster.counters c).Runtime.prog_batch_msgs - before)
+  in
+  move_dst ~avoid:[ home ];
+  traverse "before the move";
+  move_dst ~avoid:[ home; Cluster.shard_of_vertex c "dst" ];
+  traverse "after the move"
+
+(* Random insert/replace/remove sequences applied to a specialised table
+   and to the polymorphic one leave the same iteration order, before and
+   after an in-place filter. *)
+type op = Add of int * int | Replace of int * int | Remove of int
+
+let op_gen key =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun k v -> Replace (k, v)) key small_nat);
+        (1, map2 (fun k v -> Add (k, v)) key small_nat);
+        (2, map (fun k -> Remove k) key);
+      ])
+
+let int_key = QCheck.Gen.(frequency [ (6, int_range (-50) 200); (1, int) ])
+
+let pp_op = function
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+
+let same_order (type k) (module T : Hashtbl.S with type key = k) (key_of : int -> k) ops =
+  let poly = Hashtbl.create 4 and spec = T.create 4 in
+  List.iter
+    (function
+      | Add (k, v) ->
+          Hashtbl.add poly (key_of k) v;
+          T.add spec (key_of k) v
+      | Replace (k, v) ->
+          Hashtbl.replace poly (key_of k) v;
+          T.replace spec (key_of k) v
+      | Remove k ->
+          Hashtbl.remove poly (key_of k);
+          T.remove spec (key_of k))
+    ops;
+  let folds () =
+    ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) poly [],
+      T.fold (fun k v acc -> (k, v) :: acc) spec [] )
+  in
+  let iters () =
+    let p = ref [] and q = ref [] in
+    Hashtbl.iter (fun k v -> p := (k, v) :: !p) poly;
+    T.iter (fun k v -> q := (k, v) :: !q) spec;
+    (!p, !q)
+  in
+  let keep _ v = if v mod 3 = 0 then None else Some (v + 1) in
+  let f1, f2 = folds () and i1, i2 = iters () in
+  Hashtbl.filter_map_inplace keep poly;
+  T.filter_map_inplace keep spec;
+  let g1, g2 = folds () in
+  f1 = f2 && i1 = i2 && g1 = g2
+
+let ops_arb key =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    QCheck.Gen.(list_size (int_range 0 300) (op_gen key))
+
+let prop_int_table_order =
+  QCheck.Test.make ~count:500 ~name:"Tbl.Int iterates like Hashtbl" (ops_arb int_key)
+    (same_order (module Tbl.Int) Fun.id)
+
+let prop_str_table_order =
+  QCheck.Test.make ~count:300 ~name:"Tbl.Str iterates like Hashtbl"
+    (ops_arb (QCheck.Gen.int_range 0 150))
+    (same_order (module Tbl.Str) (fun k -> "v" ^ string_of_int k))
+
+(* a counting clock keeps the profiler's own readings deterministic *)
+let test_profiler_keeps_fingerprint () =
+  let ticks = ref 0 in
+  let prof =
+    Prof.create ~clock:(fun () ->
+        incr ticks;
+        !ticks)
+  in
+  Alcotest.(check string)
+    "golden fingerprint with the profiler attached" Test_golden.expected
+    (Test_golden.run ~prof ());
+  let rows = Prof.rows prof in
+  let calls kind =
+    List.fold_left (fun n (r : Prof.row) -> if r.Prof.kind = kind then n + r.Prof.calls else n) 0 rows
+  in
+  Alcotest.(check bool) "program batches measured" true (calls "Prog_batch" > 0);
+  Alcotest.(check bool) "NOPs measured" true (calls "Shard_tx(nop)" > 0);
+  Alcotest.(check bool) "time charged" true (Prof.total_ns prof > 0);
+  Alcotest.(check bool) "shards and gatekeepers seen" true
+    (List.exists (fun (r : Prof.row) -> r.Prof.actor = "shard") rows
+    && List.exists (fun (r : Prof.row) -> r.Prof.actor = "gatekeeper") rows)
+
+let suites =
+  [
+    ( "hotpath",
+      [
+        Alcotest.test_case "directory mirror tracks every commit" `Quick
+          test_mirror_tracks_commits;
+        Alcotest.test_case "directory mirror after a restore" `Quick test_mirror_after_restore;
+        Alcotest.test_case "hop routing follows a migration" `Quick
+          test_hop_routing_follows_migration;
+        QCheck_alcotest.to_alcotest prop_int_table_order;
+        QCheck_alcotest.to_alcotest prop_str_table_order;
+        Alcotest.test_case "profiler keeps the golden fingerprint" `Quick
+          test_profiler_keeps_fingerprint;
+      ] );
+  ]
