@@ -251,7 +251,9 @@ let stats gatekeepers shards tau seed txs progs json =
 
 (* [profile]: the mixed run with handler attribution attached. Time is
    read from the monotonic clock, which on this single-threaded simulator
-   is the handler's CPU time; per-op figures divide by txs + progs. *)
+   is the handler's CPU time; per-op figures divide by txs + progs. Time
+   inside the timeline oracle is its own "oracle" row, left out of the
+   handler that called it. *)
 let profile gatekeepers shards tau seed txs progs json =
   let prof =
     Weaver_obs.Prof.create ~clock:(fun () -> Int64.to_int (Monotonic_clock.now ()))
@@ -301,8 +303,8 @@ let profile gatekeepers shards tau seed txs progs json =
           (float_of_int r.ns /. ops)
           (per_call r.minor_words r))
       rows;
-    Printf.printf "\nhandlers: %.1f ms of %.1f ms run CPU (%.0f%%); the rest is set-up, the \
-                   engine and timers\n"
+    Printf.printf "\nhandlers and oracle calls: %.1f ms of %.1f ms run CPU (%.0f%%); the rest \
+                   is set-up, the engine and timers\n"
       (float_of_int total /. 1e6) (cpu_ns /. 1e6)
       (100.0 *. float_of_int total /. Float.max 1.0 cpu_ns)
   end

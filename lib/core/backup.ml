@@ -49,6 +49,7 @@ let restore cluster data =
         in
         (key, value))
   in
+  rt.Runtime.foreign_stamps <- true;
   let stx = Store.Tx.begin_ rt.Runtime.store in
   List.iter (fun (key, value) -> Store.Tx.put stx key value) entries;
   (match Store.Tx.commit stx with

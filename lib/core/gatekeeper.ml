@@ -602,18 +602,20 @@ let route t ~replicated ~at vid =
    under [key]; a run with no live start vertex is answered at once. *)
 let dispatch t ~key run routes =
   let by_dst = Tbl.Int.create 4 in
-  let routed = Hashtbl.create 4 in
+  (* servers some start was routed to as a follower: none, unless a weak
+     or historical run met a covering follower *)
+  let routed = ref [] in
   List.iter
     (fun (vid, server, to_follower, _) ->
       let l = try Tbl.Int.find by_dst server with Not_found -> [] in
       Tbl.Int.replace by_dst server ((vid, run.pr_params) :: l);
-      if to_follower then Hashtbl.replace routed server ())
+      if to_follower && not (List.mem server !routed) then routed := server :: !routed)
     routes;
   Tbl.Int.iter
     (fun server items ->
       run.pr_outstanding <- run.pr_outstanding + 1;
       (counters t).Runtime.prog_batch_msgs <- (counters t).Runtime.prog_batch_msgs + 1;
-      if Hashtbl.mem routed server then
+      if List.mem server !routed then
         (counters t).Runtime.repl_routed <- (counters t).Runtime.repl_routed + 1;
       send t ~dst:(Runtime.shard_addr t.rt server)
         (Msg.Prog_batch

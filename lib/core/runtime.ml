@@ -62,6 +62,8 @@ type counters = {
   mutable stamp_inversions : int;
 }
 
+type probe_audit = { mutable skipped : int; mutable would_hit : int }
+
 type t = {
   cfg : Config.t;
   engine : Engine.t;
@@ -82,25 +84,50 @@ type t = {
          table only saves the key build and the probe of the whole store *)
   mutable dir_gen : int;  (* bumped by every change to [dir] *)
   mutable profiler : Prof.t option;  (* handler attribution, default off *)
+  mutable probe_audit : probe_audit option;
+      (* shadow lookups of the cache probes the ordering gate skips,
+         default off *)
+  mutable foreign_stamps : bool;
+      (* a restored image put version stamps minted by another cluster
+         into the store *)
   mutable next_client : int;
 }
 
 (* the ordering service facade: a chain when configured, else the single
-   instance; answers and commitments are identical either way *)
-let oracle_order t ~first ~second =
+   instance; answers and commitments are identical either way. While a
+   profiler is attached, each call is charged to an "oracle" row (and left
+   out of the handler that made it). *)
+let order_direct t ~first ~second =
   match t.oracle_chain with
   | Some chain -> Chain.order chain ~first ~second
   | None -> Oracle.order t.oracle ~first ~second
 
-let oracle_query t a b =
+let query_direct t a b =
   match t.oracle_chain with
   | Some chain -> Chain.query chain a b
   | None -> Oracle.query t.oracle a b
 
-let oracle_serialize t events =
+let serialize_direct t events =
   match t.oracle_chain with
   | Some chain -> Chain.serialize chain events
   | None -> Oracle.serialize t.oracle events
+
+let oracle_order t ~first ~second =
+  match t.profiler with
+  | None -> order_direct t ~first ~second
+  | Some p ->
+      Prof.measure p ~actor:"oracle" ~kind:"order" (fun () -> order_direct t ~first ~second)
+
+let oracle_query t a b =
+  match t.profiler with
+  | None -> query_direct t a b
+  | Some p -> Prof.measure p ~actor:"oracle" ~kind:"query" (fun () -> query_direct t a b)
+
+let oracle_serialize t events =
+  match t.profiler with
+  | None -> serialize_direct t events
+  | Some p ->
+      Prof.measure p ~actor:"oracle" ~kind:"serialize" (fun () -> serialize_direct t events)
 
 let oracle_gc t ~watermark =
   match t.oracle_chain with
@@ -298,6 +325,8 @@ let create cfg =
       dir = Tbl.Str.create 1024;
       dir_gen = 0;
       profiler = None;
+      probe_audit = None;
+      foreign_stamps = false;
       next_client = 0;
     }
   in
@@ -491,25 +520,10 @@ let heat_cross t vid =
 module Stamp_pair = struct
   type t = Vclock.t * Vclock.t
 
-  let same (a : Vclock.t) (b : Vclock.t) =
-    a == b || (a.Vclock.origin = b.Vclock.origin && Vclock.equal a b)
-
-  let equal (a, b) (a', b') = same a a' && same b b'
-
-  (* 64-bit FNV-1a style mixing, word by word *)
-  let[@inline] mix h x = (h lxor x) * 0x100000001b3
-
-  let stamp_hash h (s : Vclock.t) =
-    let h = mix (mix h s.Vclock.epoch) s.Vclock.origin in
-    let c = s.Vclock.clocks in
-    let h = ref h in
-    for i = 0 to Array.length c - 1 do
-      h := mix !h c.(i)
-    done;
-    !h
+  let equal (a, b) (a', b') = Vclock.identical a a' && Vclock.identical b b'
 
   let hash (a, b) =
-    let h = stamp_hash (stamp_hash 0x2bf29ce484222325 a) b in
+    let h = Vclock.fold_hash (Vclock.fold_hash 0x2bf29ce484222325 a) b in
     (h lxor (h lsr 29)) land max_int
 end
 
@@ -524,9 +538,31 @@ let create_cache () : decision_cache = Decisions.create 256
 let cached cache a b =
   if Decisions.length cache = 0 then None else Decisions.find_opt cache (a, b)
 
+(* Entries are only ever added, and a decision never changes, so the size
+   versions the cache: a lookup that missed still misses while it holds. *)
+let cache_size cache = Decisions.length cache
+
 let cache_put cache a b first_before =
   Decisions.replace cache (a, b) first_before;
   Decisions.replace cache (b, a) (not first_before)
+
+(* a cache lookup that counts its hit *)
+let probe cache t a b =
+  match cached cache a b with
+  | Some _ as d ->
+      t.counters.oracle_cache_hits <- t.counters.oracle_cache_hits + 1;
+      d
+  | None -> None
+
+(* a ≺ b where vector clocks decide it: not for a concurrent pair, nor
+   for equal clocks from two origins. The deciders below spell the same
+   match out: they run on every version a read filters. *)
+let[@inline] before_by_clock a b =
+  match Vclock.compare_hb a b with
+  | Vclock.Before -> Some true
+  | Vclock.After -> Some false
+  | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> Some false
+  | Vclock.Equal | Vclock.Concurrent -> None
 
 (* Decide a ≺ b. Vector clocks answer most pairs for free (the proactive
    stage); concurrent pairs go to the server-local cache of irreversible
@@ -538,10 +574,8 @@ let before cache t a b ~prefer_first_on_tie =
   | Vclock.After -> false
   | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> false
   | Vclock.Equal | Vclock.Concurrent -> (
-      match cached cache a b with
-      | Some d ->
-          t.counters.oracle_cache_hits <- t.counters.oracle_cache_hits + 1;
-          d
+      match probe cache t a b with
+      | Some d -> d
       | None ->
           t.counters.oracle_consults <- t.counters.oracle_consults + 1;
           let first, second = if prefer_first_on_tie then (a, b) else (b, a) in
@@ -553,26 +587,26 @@ let before cache t a b ~prefer_first_on_tie =
           cache_put cache a b d;
           d)
 
+let consult_established cache t a b =
+  t.counters.oracle_consults <- t.counters.oracle_consults + 1;
+  match oracle_query t a b with
+  | Some Oracle.First_first ->
+      cache_put cache a b true;
+      Some true
+  | Some Oracle.Second_first ->
+      cache_put cache a b false;
+      Some false
+  | None -> None
+
 let before_established cache t a b =
   match Vclock.compare_hb a b with
   | Vclock.Before -> Some true
   | Vclock.After -> Some false
   | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> Some false
   | Vclock.Equal | Vclock.Concurrent -> (
-      match cached cache a b with
-      | Some d ->
-          t.counters.oracle_cache_hits <- t.counters.oracle_cache_hits + 1;
-          Some d
-      | None -> (
-          t.counters.oracle_consults <- t.counters.oracle_consults + 1;
-          match oracle_query t a b with
-          | Some Oracle.First_first ->
-              cache_put cache a b true;
-              Some true
-          | Some Oracle.Second_first ->
-              cache_put cache a b false;
-              Some false
-          | None -> None))
+      match probe cache t a b with
+      | Some _ as d -> d
+      | None -> consult_established cache t a b)
 
 let stamp_min a b =
   let open Vclock in
@@ -588,9 +622,11 @@ let before_cached cache t a b =
   | Vclock.Before -> Some true
   | Vclock.After -> Some false
   | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> Some false
-  | Vclock.Equal | Vclock.Concurrent -> (
-      match cached cache a b with
-      | Some d ->
-          t.counters.oracle_cache_hits <- t.counters.oracle_cache_hits + 1;
-          Some d
-      | None -> None)
+  | Vclock.Equal | Vclock.Concurrent -> probe cache t a b
+
+let skipped_probe cache t a b =
+  match t.probe_audit with
+  | None -> ()
+  | Some au ->
+      au.skipped <- au.skipped + 1;
+      if Option.is_some (cached cache a b) then au.would_hit <- au.would_hit + 1

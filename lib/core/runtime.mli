@@ -104,6 +104,11 @@ type counters = {
           order *)
 }
 
+type probe_audit = {
+  mutable skipped : int;  (** cache probes the ordering gate skipped *)
+  mutable would_hit : int;  (** of those, shadow lookups that found an entry *)
+}
+
 type t = {
   cfg : Config.t;
   engine : Weaver_sim.Engine.t;
@@ -148,7 +153,18 @@ type t = {
   mutable profiler : Weaver_obs.Prof.t option;
       (** handler CPU attribution, off by default; while [Some], every
           handler registered through {!register} is measured per actor
-          kind and [Msg.kind]. Measuring never perturbs the simulation *)
+          kind and [Msg.kind], and every {!oracle_order}, {!oracle_query}
+          and {!oracle_serialize} call per call kind under actor
+          ["oracle"]. Measuring never perturbs the simulation *)
+  mutable probe_audit : probe_audit option;
+      (** off by default; while [Some], every decision-cache probe the
+          ordering gate skips ({!skipped_probe}) is done anyway as an
+          uncounted shadow lookup and tallied, so tests can check that no
+          skipped probe would have hit *)
+  mutable foreign_stamps : bool;
+      (** set by {!Backup.restore}: the store holds version stamps minted
+          by another cluster, which may equal this cluster's own, so the
+          ordering gate keeps every cache probe ([Gate.skips]) *)
   mutable next_client : int;  (** bump via {!fresh_client_addr} only *)
 }
 
@@ -333,3 +349,29 @@ val before_cached : decision_cache -> t -> Vclock.t -> Vclock.t -> bool option
     the oracle. Used where waiting is always safe (e.g. gating a node
     program on a NOP queue head) so that effect-free traffic generates no
     reactive-coordination cost. *)
+
+(** {2 The steps of a decision}
+
+    For callers that memoize a decision and must repeat exactly the
+    counted work a fresh one would do. *)
+
+val before_by_clock : Vclock.t -> Vclock.t -> bool option
+(** The first step of every decision: [a ≺ b] as vector clocks decide it
+    (two equal stamps of one origin are not ordered); [None] for a
+    concurrent pair or equal clocks from two origins. *)
+
+val probe : decision_cache -> t -> Vclock.t -> Vclock.t -> bool option
+(** The cache lookup of {!before_cached} alone, counting a hit. *)
+
+val consult_established : decision_cache -> t -> Vclock.t -> Vclock.t -> bool option
+(** What {!before_established} does after a cache miss: count a consult,
+    query the oracle, and cache an answer. *)
+
+val cache_size : decision_cache -> int
+(** Entries in the cache. Only {!before} and {!before_established} (and
+    {!consult_established}) add entries, none is ever removed or changed,
+    so a probe that missed keeps missing while the size is unchanged. *)
+
+val skipped_probe : decision_cache -> t -> Vclock.t -> Vclock.t -> unit
+(** Note a probe the caller skipped as unable to hit; a no-op unless
+    {!probe_audit} is set. *)

@@ -12,11 +12,12 @@ module Tbl = Weaver_util.Tbl
 module Ring = Weaver_util.Ring
 module Stats = Weaver_util.Stats
 
-type queued_tx = {
+type queued_tx = Gate.queued_tx = {
   q_ts : Vclock.t;
   q_ops : Msg.shard_op list;
   q_trace : int; (* originating request's trace id (0 for NOPs) *)
   q_enq : float; (* when it entered this queue, for queue-wait metrics *)
+  mutable q_ordered : bool;
 }
 
 (* An immutable copy of this shard's partition as of [sg_ts], rebuilt from
@@ -44,6 +45,9 @@ type parked_prog = {
   p_since : float;  (* when this batch was parked *)
   p_snap : snap_graph Snapshot.entry option;
       (* pinned snapshot this batch reads from; None = live graph *)
+  mutable p_memo : Gate.memo;
+      (* the gate's verdict per gatekeeper, kept from the first check that
+         failed ([Gate.no_memo] until then) *)
 }
 
 (* Partial replication ([Config.enable_replication], ROADMAP item 3).
@@ -107,7 +111,9 @@ type t = {
   last_seq : int array;
   seq_epoch : int array; (* epoch in which last_seq was recorded *)
   cache : Runtime.decision_cache;
-  last_applied : Vclock.t option array; (* newest executed stamp per gk *)
+  gate : Gate.t; (* the node-program gate's references and skip state *)
+  last_applied : queued_tx array;
+      (* newest executed entry per gk ([Gate.none] before the first) *)
   last_arrived : Vclock.t option array;
       (* stamp of the previous Shard_tx from each gk, for the
          [stamp_inversions] count only *)
@@ -624,15 +630,23 @@ let execute_prog_batch t (p : parked_prog) =
         Queue.push (vid, (if own_gced then -1 else Intern.id t.names vid), params) work
       in
       List.iter (fun (vid, params) -> enqueue vid params) p.p_items;
-      let remote : (string * Progval.t) list ref Tbl.Int.t = Tbl.Int.create 4 in
+      (* hops bound elsewhere, per server; the table is made by the first
+         one, as most batches forward nothing *)
+      let remote : (string * Progval.t) list ref Tbl.Int.t option ref = ref None in
       let acc = ref P.empty in
       let visited = ref [] in
       let read_cost_units = ref 0.0 in
       let page_cost = ref 0.0 in
       let forward_item hshard item =
-        match Tbl.Int.find remote hshard with
-        | l -> l := item :: !l
-        | exception Not_found -> Tbl.Int.replace remote hshard (ref [ item ])
+        match !remote with
+        | None ->
+            let tbl = Tbl.Int.create 4 in
+            Tbl.Int.replace tbl hshard (ref [ item ]);
+            remote := Some tbl
+        | Some tbl -> (
+            match Tbl.Int.find tbl hshard with
+            | l -> l := item :: !l
+            | exception Not_found -> Tbl.Int.replace tbl hshard (ref [ item ]))
       in
       let pstate = ref (Tbl.Int.find_opt t.prog_state p.p_id) in
       let aborted = ref false in
@@ -720,7 +734,7 @@ let execute_prog_batch t (p : parked_prog) =
       let start = Float.max (Engine.now t.rt.Runtime.engine) t.busy_until in
       t.busy_until <- start +. cost;
       t.busy_us <- t.busy_us +. cost;
-      let acc = !acc and visited = !visited in
+      let acc = !acc and visited = !visited and remote = !remote in
       Engine.schedule_at t.rt.Runtime.engine ~time:t.busy_until (fun () ->
           if not t.retired then begin
             if Runtime.tracing t.rt ~trace:p.p_id then
@@ -728,23 +742,23 @@ let execute_prog_batch t (p : parked_prog) =
                 ~actor:(actor t) ~start:exec_start ~stop:(now t)
                 ~meta:[ ("visited", string_of_int (List.length visited)) ]
                 ();
-            let sent = Tbl.Int.length remote in
-            Tbl.Int.iter
-              (fun hshard { contents = items } ->
-                (counters t).Runtime.prog_batch_msgs <-
-                  (counters t).Runtime.prog_batch_msgs + 1;
-                send t
-                  ~dst:(Runtime.shard_addr t.rt hshard)
-                  (Msg.Prog_batch
-                     {
-                       coord = p.p_coord;
-                       prog_id = p.p_id;
-                       ts = p.p_ts;
-                       prog = p.p_prog;
-                       historical = p.p_historical;
-                       items;
-                       sent_at = now t;
-                     }))
+            let sent = match remote with Some tbl -> Tbl.Int.length tbl | None -> 0 in
+            Option.iter
+              (Tbl.Int.iter (fun hshard { contents = items } ->
+                   (counters t).Runtime.prog_batch_msgs <-
+                     (counters t).Runtime.prog_batch_msgs + 1;
+                   send t
+                     ~dst:(Runtime.shard_addr t.rt hshard)
+                     (Msg.Prog_batch
+                        {
+                          coord = p.p_coord;
+                          prog_id = p.p_id;
+                          ts = p.p_ts;
+                          prog = p.p_prog;
+                          historical = p.p_historical;
+                          items;
+                          sent_at = now t;
+                        })))
               remote;
             send t ~dst:p.p_coord
               (Msg.Prog_partial
@@ -764,7 +778,7 @@ let execute_prog_batch t (p : parked_prog) =
    transaction-first by the visibility decisions at read time (§4.4) — the
    genuinely reactive cost. Effect-free NOP heads are checked against the
    local cache only; real transaction heads may additionally consult
-   pre-established oracle state.
+   pre-established oracle state. [Gate.check] makes each check.
 
    The FIFO channel does not make a gatekeeper's stamps monotone, so a
    cleared reference stamp does not bound every later arrival from that
@@ -773,32 +787,6 @@ let execute_prog_batch t (p : parked_prog) =
    ships newer stamps in between; a transaction stamped before a NOP can
    therefore arrive behind it ([Runtime.counters.stamp_inversions] counts
    such arrivals). *)
-let clears_stamp t (p : parked_prog) ~overdue ~is_nop ts =
-  let decision =
-    if is_nop then Runtime.before_cached t.cache t.rt p.p_ts ts
-    else Runtime.before_established t.cache t.rt p.p_ts ts
-  in
-  match decision with
-  | Some d -> d
-  | None ->
-      (* unordered: normally wait for clock propagation; past the
-         patience window, refine reactively — a NOP head may be ordered
-         after the program (it carries no effects), while a real
-         transaction is ordered before it (par. 4.4), which blocks until
-         that transaction is applied *)
-      overdue && Runtime.before t.cache t.rt p.p_ts ts ~prefer_first_on_tie:is_nop
-
-let clears t p ~overdue gk =
-  let q = t.queues.(gk) in
-  if not (Queue.is_empty q) then begin
-    let head = Queue.peek q in
-    clears_stamp t p ~overdue ~is_nop:(head.q_ops = []) head.q_ts
-  end
-  else
-    match t.last_applied.(gk) with
-    | Some last -> clears_stamp t p ~overdue ~is_nop:true last
-    | None -> false
-
 let prog_runnable t (p : parked_prog) =
   match p.p_snap with
   | Some _ ->
@@ -817,22 +805,34 @@ let prog_runnable t (p : parked_prog) =
     Float.min (2.0 *. ((cfg t).Config.tau +. (cfg t).Config.nop_period)) 10_000.0
   in
   let overdue = Engine.now t.rt.Runtime.engine -. p.p_since > patience in
-  (* every queue is checked, even after one fails: a check may count a
-     cache hit or consult the oracle *)
-  let ok = ref true in
-  for gk = 0 to Array.length t.queues - 1 do
-    if not (clears t p ~overdue gk) then ok := false
-  done;
-  !ok
+  (* The memo rule: the batch keeps its verdict per gatekeeper and
+     repeats it while a fresh check would reach it the same way. The
+     reference must be the same entry, and a verdict reached after a cache
+     miss stands only while the cache keeps its size and the batch is not
+     overdue. A repeat counts what the check would count (a cache hit, or
+     the oracle query an unsettled real transaction is put to), so the
+     counters move as if every queue were checked on every pass. *)
+  let ok = Gate.check t.gate ~ts:p.p_ts ~overdue p.p_memo in
+  if (not ok) && p.p_memo == Gate.no_memo then p.p_memo <- Gate.save t.gate;
+  ok
 
-(* every parked batch is checked once, in order; the list is rebuilt only
-   when some batch can run *)
+(* every parked batch is checked once, in order, against each gatekeeper's
+   reference as it stands: the queue head, or the last applied entry; the
+   list is rebuilt only when some batch can run *)
 let try_run_parked t =
-  match List.filter (prog_runnable t) t.parked with
+  match t.parked with
   | [] -> ()
-  | runnable ->
-      t.parked <- List.filter (fun p -> not (List.memq p runnable)) t.parked;
-      List.iter (execute_prog_batch t) runnable
+  | parked -> (
+      for gk = 0 to Array.length t.queues - 1 do
+        match Queue.peek_opt t.queues.(gk) with
+        | Some head -> Gate.set_ref t.gate gk head ~nop:(head.q_ops = [])
+        | None -> Gate.set_ref t.gate gk t.last_applied.(gk) ~nop:true
+      done;
+      match List.filter (prog_runnable t) parked with
+      | [] -> ()
+      | runnable ->
+          t.parked <- List.filter (fun p -> not (List.memq p runnable)) t.parked;
+          List.iter (execute_prog_batch t) runnable)
 
 (* ------------------------------------------------------------------ *)
 (* The event loop over gatekeeper queues (§4.2, Fig. 6).
@@ -861,10 +861,23 @@ let stalled t (h : queued_tx) = t.oracle_inflight && Hashtbl.mem t.oracle_batch 
    not monotone in FIFO order (see [prog_runnable]), a real transaction
    queued there may already be ordered before the passing head. *)
 let le t conflict (h : queued_tx) (h' : queued_tx) =
-  match Runtime.before_cached t.cache t.rt h.q_ts h'.q_ts with
+  let nop_pair = h.q_ops = [] || h'.q_ops = [] in
+  let cached =
+    if nop_pair && Gate.fresh_only t.gate then begin
+      (* no cache entry holds a queued NOP's stamp and another queued
+         stamp (the invariant at [Gate.skips]): skip the probe *)
+      match Runtime.before_by_clock h.q_ts h'.q_ts with
+      | Some _ as d -> d
+      | None ->
+          Runtime.skipped_probe t.cache t.rt h.q_ts h'.q_ts;
+          None
+    end
+    else Runtime.before_cached t.cache t.rt h.q_ts h'.q_ts
+  in
+  match cached with
   | Some d -> d
   | None ->
-      if h.q_ops = [] || h'.q_ops = [] then Vclock.total_compare h.q_ts h'.q_ts < 0
+      if nop_pair then Vclock.total_compare h.q_ts h'.q_ts < 0
       else begin
         match Runtime.before_established t.cache t.rt h.q_ts h'.q_ts with
         | Some d -> d
@@ -946,7 +959,7 @@ and try_advance t =
         match minimal_head t conflict 0 with
         | g when g >= 0 ->
             let qt = Queue.pop t.queues.(g) in
-            t.last_applied.(g) <- Some qt.q_ts;
+            t.last_applied.(g) <- qt;
             apply_tx t ~gk:g qt;
             continue := true
         | _ ->
@@ -996,7 +1009,7 @@ and try_advance t =
             match List.sort cmp nops with
             | (g, _) :: _ ->
                 let qt = Queue.pop t.queues.(g) in
-                t.last_applied.(g) <- Some qt.q_ts;
+                t.last_applied.(g) <- qt;
                 apply_tx t ~gk:g qt;
                 continue := true
             | [] ->
@@ -1059,7 +1072,7 @@ let handle_epoch_change t new_epoch =
     Array.iter Queue.clear t.queues;
     Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
     Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
-    Array.fill t.last_applied 0 (Array.length t.last_applied) None;
+    Array.fill t.last_applied 0 (Array.length t.last_applied) Gate.none;
     Array.fill t.last_arrived 0 (Array.length t.last_arrived) None;
     t.parked <- [];
     t.oracle_inflight <- false;
@@ -1247,7 +1260,7 @@ let handle t ~src:_ msg =
           | _ -> ());
           t.last_arrived.(gk) <- Some ts;
           Queue.push
-            { q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t }
+            { q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t; q_ordered = false }
             t.queues.(gk);
           try_advance t
         end
@@ -1261,6 +1274,9 @@ let handle t ~src:_ msg =
         if Runtime.tracing t.rt ~trace:prog_id then
           Runtime.trace_span t.rt ~trace:prog_id ~name:"shard.prog_hop"
             ~actor:(actor t) ~start:sent_at ~stop:(now t) ();
+        (* a historical run's stamp is the client's and may alias a queued
+           one (see [Gate.skips]) *)
+        if historical then Gate.stop_skipping t.gate;
         let snap =
           if historical && (cfg t).Config.snapshot_reads then
             match Hashtbl.find_opt t.pins prog_id with
@@ -1286,6 +1302,7 @@ let handle t ~src:_ msg =
             p_items = items;
             p_since = Engine.now t.rt.Runtime.engine;
             p_snap = snap;
+            p_memo = Gate.no_memo;
           }
           :: t.parked;
         try_run_parked t
@@ -1370,6 +1387,7 @@ let spawn rt ~sid ~epoch =
   let addr = Runtime.shard_addr rt sid in
   (* one FIFO queue per gatekeeper; a read replica has none *)
   let n_q = if home = sid then n_g else 0 in
+  let cache = Runtime.create_cache () in
   let t =
     {
       rt;
@@ -1388,8 +1406,15 @@ let spawn rt ~sid ~epoch =
       queues = Array.init n_q (fun _ -> Queue.create ());
       last_seq = Array.make n_q 0;
       seq_epoch = Array.make n_q (-1); (* sentinel: re-baseline per channel *)
-      cache = Runtime.create_cache ();
-      last_applied = Array.make n_q None;
+      cache;
+      gate =
+        Gate.create rt cache ~queues:n_q
+          ~fresh_only:
+            (* a cluster that follows ranges can re-stamp weak runs *)
+            (rt.Runtime.cfg.Config.read_replicas = 0
+            && (not rt.Runtime.cfg.Config.enable_replication)
+            && not rt.Runtime.foreign_stamps);
+      last_applied = Array.make n_q Gate.none;
       last_arrived = Array.make n_q None;
       prog_state = Tbl.Int.create 32;
       parked = [];
@@ -1442,6 +1467,7 @@ let reload_all rt servers =
   let by_shard = records_by_shard rt in
   Array.iter
     (fun t ->
+      if rt.Runtime.foreign_stamps then Gate.stop_skipping t.gate;
       load_records t by_shard;
       mark_followers_dirty t)
     servers
@@ -1472,10 +1498,13 @@ let on_peer_restart t ~peer =
    Shard_tx; the durable store stays authoritative and the next epoch
    barrier reconciles the in-memory copy. *)
 let resync t =
+  (* transactions that reached the store before the crash may be queued
+     again: end the probe skips that assume no stamp is queued twice *)
+  Gate.stop_skipping t.gate;
   Array.iter Queue.clear t.queues;
   Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
   Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
-  Array.fill t.last_applied 0 (Array.length t.last_applied) None;
+  Array.fill t.last_applied 0 (Array.length t.last_applied) Gate.none;
   Array.fill t.last_arrived 0 (Array.length t.last_arrived) None;
   t.parked <- [];
   t.oracle_inflight <- false;

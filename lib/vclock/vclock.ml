@@ -52,6 +52,32 @@ let rec clocks_equal (ac : int array) (bc : int array) i =
 
 let equal a b = a.epoch = b.epoch && dim a = dim b && clocks_equal a.clocks b.clocks 0
 
+(* A stamp's identity is its epoch, origin and clock vector, the fields
+   [key] spells out: two copies of one stamp are [identical]. *)
+let identical a b = a == b || (a.origin = b.origin && equal a b)
+
+(* 64-bit FNV-1a style mixing, word by word, of the fields [identical]
+   compares *)
+let[@inline] mix h x = (h lxor x) * 0x100000001b3
+
+let fold_hash h t =
+  let h = ref (mix (mix h t.epoch) t.origin) in
+  let c = t.clocks in
+  for i = 0 to Array.length c - 1 do
+    h := mix !h c.(i)
+  done;
+  !h
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = identical
+
+  let hash t =
+    let h = fold_hash 0x2bf29ce484222325 t in
+    (h lxor (h lsr 29)) land max_int
+end)
+
 let sum t = Array.fold_left ( + ) 0 t.clocks
 
 (* Lexicographic order of equal-length clock arrays. *)

@@ -26,14 +26,16 @@ let expected =
    shard.queue_wait=31.006/269.974 shard.prog_gate_wait=700.272/971.153 \
    now=45000.000 replies=01540119dbd650e199b766368a0f25f3"
 
-(* [prof], when given, is attached before any message flows; measuring
-   must leave the fingerprint unchanged *)
-let run ?prof () =
+(* [prof] and [audit], when given, are attached before any message
+   flows; measuring and shadow probes must leave the fingerprint
+   unchanged *)
+let run ?prof ?audit () =
   let cfg =
     { Config.default with Config.seed = 11; Config.n_gatekeepers = 2; Config.n_shards = 2 }
   in
   let c = Cluster.create cfg in
   (Cluster.runtime c).Runtime.profiler <- prof;
+  (Cluster.runtime c).Runtime.probe_audit <- audit;
   Programs.Std.register_all (Cluster.registry c);
   let vid i = Printf.sprintf "g%d" i in
   let setup = Cluster.client c in

@@ -1,6 +1,6 @@
 (* Tests for the program-visit hot path: the runtime's directory mirror,
    the specialised hash tables' iteration order, and the handler
-   profiler's neutrality. *)
+   profiler's neutrality and oracle attribution. *)
 
 open Weaver_core
 module Store = Weaver_store.Store
@@ -199,13 +199,20 @@ let prop_str_table_order =
     (same_order (module Tbl.Str) (fun k -> "v" ^ string_of_int k))
 
 (* a counting clock keeps the profiler's own readings deterministic *)
-let test_profiler_keeps_fingerprint () =
+let counting_clock =
   let ticks = ref 0 in
-  let prof =
-    Prof.create ~clock:(fun () ->
-        incr ticks;
-        !ticks)
-  in
+  fun () ->
+    incr ticks;
+    !ticks
+
+let oracle_calls rows kind =
+  List.fold_left
+    (fun n (r : Prof.row) ->
+      if r.Prof.actor = "oracle" && r.Prof.kind = kind then n + r.Prof.calls else n)
+    0 rows
+
+let test_profiler_keeps_fingerprint () =
+  let prof = Prof.create ~clock:counting_clock in
   Alcotest.(check string)
     "golden fingerprint with the profiler attached" Test_golden.expected
     (Test_golden.run ~prof ());
@@ -218,7 +225,52 @@ let test_profiler_keeps_fingerprint () =
   Alcotest.(check bool) "time charged" true (Prof.total_ns prof > 0);
   Alcotest.(check bool) "shards and gatekeepers seen" true
     (List.exists (fun (r : Prof.row) -> r.Prof.actor = "shard") rows
-    && List.exists (fun (r : Prof.row) -> r.Prof.actor = "gatekeeper") rows)
+    && List.exists (fun (r : Prof.row) -> r.Prof.actor = "gatekeeper") rows);
+  (* the golden run's 16 consults order pairs at the oracle *)
+  Alcotest.(check bool) "oracle orders measured" true (oracle_calls rows "order" > 0)
+
+(* The contended-write mix orders hundreds of pairs at the oracle; every
+   call is measured, and the run is the same as an unmeasured one. *)
+let test_profiler_oracle_rows () =
+  let fingerprint c =
+    String.concat " "
+      (List.map
+         (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+         (Weaver_obs.Metrics.int_values (Cluster.metrics c)))
+    ^ Printf.sprintf " now=%.3f" (Cluster.now c)
+  in
+  let plain = Test_gate.contended () in
+  let prof = Prof.create ~clock:counting_clock in
+  Alcotest.(check string) "same run with the profiler attached" (fingerprint plain)
+    (fingerprint (Test_gate.contended ~prof ()));
+  Alcotest.(check int) "every consult an oracle order"
+    (Cluster.counters plain).Runtime.oracle_consults
+    (oracle_calls (Prof.rows prof) "order")
+
+(* a nested measurement is charged to its own row only *)
+let test_profiler_nesting () =
+  let ticks = ref 0 in
+  let prof =
+    Prof.create ~clock:(fun () ->
+        incr ticks;
+        !ticks)
+  in
+  let v =
+    Prof.measure prof ~actor:"shard" ~kind:"Shard_tx" (fun () ->
+        ignore (Prof.measure prof ~actor:"oracle" ~kind:"query" (fun () -> ()));
+        Prof.measure prof ~actor:"oracle" ~kind:"order" (fun () -> 7))
+  in
+  Alcotest.(check int) "result passed through" 7 v;
+  let ns actor kind =
+    List.fold_left
+      (fun n (r : Prof.row) -> if r.Prof.actor = actor && r.Prof.kind = kind then n + r.Prof.ns else n)
+      0 (Prof.rows prof)
+  in
+  (* ticks: outer 1, query 2-3, order 4-5, outer 6 *)
+  Alcotest.(check int) "query" 1 (ns "oracle" "query");
+  Alcotest.(check int) "order" 1 (ns "oracle" "order");
+  Alcotest.(check int) "handler less its oracle calls" 3 (ns "shard" "Shard_tx");
+  Alcotest.(check int) "no time counted twice" 5 (Prof.total_ns prof)
 
 let suites =
   [
@@ -233,5 +285,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_str_table_order;
         Alcotest.test_case "profiler keeps the golden fingerprint" `Quick
           test_profiler_keeps_fingerprint;
+        Alcotest.test_case "profiler measures the oracle, run unchanged" `Quick
+          test_profiler_oracle_rows;
+        Alcotest.test_case "nested measurements are charged once" `Quick test_profiler_nesting;
       ] );
   ]
