@@ -2005,7 +2005,7 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Replication: read scale-out from timestamp-consistent partial
-   replication of hot ranges (ROADMAP item 3). A Zipf-skewed weak-read
+   replication of hot ranges (DESIGN §16). A Zipf-skewed weak-read
    pool saturates the hot range's owner; raising the replication factor
    spreads those reads over follower copies without touching the write
    path. The chaos arm pins a read at a covered stamp and crashes the

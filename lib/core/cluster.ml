@@ -269,7 +269,7 @@ let shard_gc_floor t sid = Shard.gc_floor t.shards.(sid)
 let reload_shards t = Shard.reload_all t.rt t.shards
 
 let replica t ~shard ~replica = t.shards.(Runtime.replica_server t.rt ~shard ~replica)
-let replica_vertex t ~shard ~replica:r vid = Shard.copy_vertex (replica t ~shard ~replica:r) vid
+let replica_vertex t ~shard ~replica:r vid = Shard.vertex (replica t ~shard ~replica:r) vid
 let replica_applied t ~shard ~replica:r = Shard.repl_applied (replica t ~shard ~replica:r)
 
 let shard_queue_depths t sid = Shard.queue_depths t.shards.(sid)

@@ -1,4 +1,4 @@
-(* Hot-range replication controller (ROADMAP item 3): the cluster-owned
+(* Hot-range replication controller (DESIGN §16): the cluster-owned
    planner that turns the heat sensor's hottest vertices into follower
    copies for read scale-out.
 

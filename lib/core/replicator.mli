@@ -1,4 +1,4 @@
-(** Hot-range replication controller (ROADMAP item 3): a periodic
+(** Hot-range replication controller (DESIGN §16): a periodic
     cluster-owned planner that installs follower copies of the hottest
     key ranges for read scale-out.
 

@@ -50,7 +50,7 @@ type parked_prog = {
          failed ([Gate.no_memo] until then) *)
 }
 
-(* Partial replication ([Config.enable_replication], ROADMAP item 3).
+(* Partial replication ([Config.enable_replication], DESIGN §16).
    Owner side: per-range follower lists plus the set of followers whose
    stream is interrupted (install just happened, or a credit column ran
    dry) and who therefore need a wholesale reseed at the next watermark
@@ -86,9 +86,18 @@ type t = {
          re-hashing vid strings. Interning is append-only and survives epoch
          changes — a handle, once issued, stays valid for the shard's life. *)
   graph : Mgraph.vertex Tbl.Int.t;
+      (* every in-memory record: the ones this server owns, and follower
+         copies of other owners' replicated ranges *)
+  copies : unit Tbl.Int.t;
+      (* the handles whose [graph] record is a follower copy. A copy is
+         written only by the replication stream and seeds, never paged,
+         touched, evicted or compacted, and not counted toward
+         [Config.shard_capacity]; a streamed op or seed record never
+         replaces a record this server owns. *)
   gc_pending : unit Tbl.Int.t;
       (* handles the next watermark round must compact. Invariant: every
-         resident vertex whose record holds a closed lifespan is in here.
+         resident owned vertex whose record holds a closed lifespan is in
+         here.
          Ops that can close one add their vertex by op kind; records that
          enter from the durable store (which keeps the full history) are
          checked once with [Mgraph.has_closed]. A round visits only this
@@ -144,10 +153,6 @@ type t = {
          reading post-compaction state *)
   repl_out : (int, repl_out) Hashtbl.t;  (* ranges owned here, replicated out *)
   repl_in : (int, repl_in) Hashtbl.t;  (* ranges followed here *)
-  repl_graph : (string, Mgraph.vertex) Hashtbl.t;
-      (* follower copies of other owners' hot ranges, keyed by the vid
-         string and kept strictly apart from [graph]: these records are
-         never owned, never paged, never compacted here *)
   repl_credits : Flow.Credits.t;
       (* owner→follower stream credits (one column per shard server, sized
          by [Config.shard_credits]): a slow follower drains its column and
@@ -175,13 +180,14 @@ let vertex t vid =
   | Some h -> Tbl.Int.find_opt t.graph h
   | None -> None
 
-let copy_vertex t vid = Hashtbl.find_opt t.repl_graph vid
 let repl_applied t = t.repl_applied
-
-let resident_vertices t = Tbl.Int.length t.graph
+let is_copy t h = Tbl.Int.mem t.copies h
+let resident_vertices t = Tbl.Int.length t.graph - Tbl.Int.length t.copies
 
 let resident_ids t =
-  Tbl.Int.fold (fun h _ acc -> Intern.name t.names h :: acc) t.graph []
+  Tbl.Int.fold
+    (fun h _ acc -> if is_copy t h then acc else Intern.name t.names h :: acc)
+    t.graph []
   |> List.sort String.compare
 
 let queue_depths t = Array.map Queue.length t.queues
@@ -207,24 +213,15 @@ let before t a b = Runtime.before t.cache t.rt a b ~prefer_first_on_tie:true
    copies are keyed by these ranges, so owner and controller must agree *)
 let repl_range t vid = Runtime.repl_range t.rt vid
 
-let repl_followed_ranges t =
-  List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.repl_in [])
-
-let repl_owned_ranges t =
-  List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.repl_out [])
-
-(* follower-side lookup: serve a vertex from a followed range copy iff the
-   range's replication watermark covers the read stamp — then the copy has
-   every version the read could see, and the answer is bit-identical to
-   the owner's at the same cut *)
-let repl_lookup t vid at =
-  if Hashtbl.length t.repl_in = 0 then None
-  else
-    match Hashtbl.find_opt t.repl_in (repl_range t vid) with
-    | Some { rin_wm = Some wm; rin_floor = Some floor; _ }
-      when Repl.covers ~wm at && not (Vclock.precedes at floor) ->
-        Hashtbl.find_opt t.repl_graph vid
-    | _ -> None
+(* a follower copy of [vid] may serve a read at [at] iff its range's
+   replication watermark covers the stamp — then the copy has every
+   version the read could see, and the answer is bit-identical to the
+   owner's at the same cut — and the stamp is not below the seed floor *)
+let copy_covers t vid at =
+  match Hashtbl.find_opt t.repl_in (repl_range t vid) with
+  | Some { rin_wm = Some wm; rin_floor = Some floor; _ } ->
+      Repl.covers ~wm at && not (Vclock.precedes at floor)
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Demand paging (§6.1): vertices are fetched from the backing store on a
@@ -291,53 +288,89 @@ let edge_slot (out : Mgraph.edge array) dst from =
   in
   scan from n
 
-(* Pop recency entries until under capacity. A popped entry is a genuine
-   LRU victim only when it is the vertex's *last* occurrence in the queue
-   (no fresher touch behind it) — tracked by the per-vertex occurrence
-   count, making each pop O(1) amortized instead of a full queue scan. *)
+(* a record left memory: drop it with its marks and routing memo *)
+let drop t h =
+  Tbl.Int.remove t.graph h;
+  Tbl.Int.remove t.copies h;
+  Tbl.Int.remove t.gc_pending h;
+  forget_hops t h
+
+(* Pop recency entries until the owned records fit the capacity. A popped
+   entry is a genuine LRU victim only when it is the vertex's *last*
+   occurrence in the queue (no fresher touch behind it) — tracked by the
+   per-vertex occurrence count, making each pop O(1) amortized instead of
+   a full queue scan. A handle that has since become a copy is skipped. *)
 let evict_to_capacity t ~keep =
   match (cfg t).Config.shard_capacity with
   | None -> ()
   | Some cap ->
-      while Tbl.Int.length t.graph > cap && not (Ring.is_empty t.lru) do
+      while resident_vertices t > cap && not (Ring.is_empty t.lru) do
         let victim = Ring.pop t.lru in
         let remaining = t.lru_count.(victim) - 1 in
         t.lru_count.(victim) <- remaining;
         if remaining = 0 && victim <> keep && Tbl.Int.mem t.graph victim
+           && not (is_copy t victim)
         then begin
-          Tbl.Int.remove t.graph victim;
-          forget_hops t victim;
-          Tbl.Int.remove t.gc_pending victim;
+          drop t victim;
           (counters t).Runtime.evictions <- (counters t).Runtime.evictions + 1
         end
       done
 
-(* a record read from the durable store carries its full version history:
-   enrol it for compaction if any of that history is closed *)
+(* [v] becomes the record this server owns under [h], replacing any
+   copy. A record read from the durable store carries its full version
+   history: enrol it for compaction if any of that history is closed. *)
 let adopt t h v =
+  Tbl.Int.remove t.copies h;
   Tbl.Int.replace t.graph h v;
   if Mgraph.has_closed v then Tbl.Int.replace t.gc_pending h ()
 
-(* Look up a vertex by its interned handle [h] (of the vid string [vid]),
-   demand-paging from the backing store when it is not resident. Returns
-   the record and the paging cost incurred. *)
+let own t h v =
+  adopt t h v;
+  touch t h;
+  evict_to_capacity t ~keep:h
+
+(* [v] becomes the follower copy under [h], unless this server owns the
+   record there: the balancer can migrate a vertex onto a shard that
+   follows its range, and its old owner then streams the migration *)
+let set_copy t h v =
+  if is_copy t h || not (Tbl.Int.mem t.graph h) then begin
+    Tbl.Int.replace t.graph h v;
+    Tbl.Int.replace t.copies h ()
+  end
+
+(* Demand-page the durable record of [vid] (handle [h]) in as an owned
+   record. Returns the record and the paging cost incurred. *)
+let page_in t h vid =
+  match (cfg t).Config.shard_capacity with
+  | None -> (None, 0.0)
+  | Some _ -> (
+      match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
+      | Some (Runtime.Vrec v) ->
+          own t h v;
+          (counters t).Runtime.page_ins <- (counters t).Runtime.page_ins + 1;
+          (Some v, (cfg t).Config.page_in_cost)
+      | _ -> (None, 0.0))
+
+(* the owned record under [h], demand-paged when not resident *)
 let lookup_vertex t h vid =
   match Tbl.Int.find_opt t.graph h with
+  | Some v when not (is_copy t h) ->
+      touch t h;
+      (Some v, 0.0)
+  | _ -> page_in t h vid
+
+(* The lookup rule of a program visit at [at]. An owned record is read
+   directly; on a miss it is paged in only when the directory assigns
+   [vid] to this server. A copy is read only when [copy_covers] it. Any
+   other read returns [None], and the visit goes to the owner. *)
+let visit_lookup t h vid at =
+  match Tbl.Int.find_opt t.graph h with
+  | Some v when is_copy t h -> ((if copy_covers t vid at then Some v else None), 0.0)
   | Some v ->
       touch t h;
       (Some v, 0.0)
-  | None -> (
-      match (cfg t).Config.shard_capacity with
-      | None -> (None, 0.0)
-      | Some _ -> (
-          match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
-          | Some (Runtime.Vrec v) ->
-              adopt t h v;
-              touch t h;
-              evict_to_capacity t ~keep:h;
-              (counters t).Runtime.page_ins <- (counters t).Runtime.page_ins + 1;
-              (Some v, (cfg t).Config.page_in_cost)
-          | _ -> (None, 0.0)))
+  | None when Runtime.shard_of_vertex t.rt vid = t.sid -> page_in t h vid
+  | None -> (None, 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Transaction application: mark the in-memory multi-version graph with the
@@ -358,27 +391,36 @@ let op_vertex (op : Msg.shard_op) =
   | Msg.S_del_eprop { src; _ } ->
       src
 
-let apply_op t ts (op : Msg.shard_op) =
+(* Apply one shard op: to the record this server owns, or with [~copy]
+   (a streamed op of a followed range) to its follower copy. A copy write
+   charges no heat (the owner charged it when it applied the
+   transaction), and pages, touches and enrols nothing for compaction.
+   Ops for vertices the copy does not hold are dropped — a later read of
+   such a vertex misses the copy and goes to the owner, so incompleteness
+   is never incorrectness. *)
+let apply_op t ~copy ts (op : Msg.shard_op) =
   (* every op lands on exactly [op_vertex op] (edge ops live on their
      source), so one intern covers all the table work below *)
   let vid = op_vertex op in
-  Runtime.heat_write t.rt ~shard:t.sid vid;
+  if not copy then Runtime.heat_write t.rt ~shard:t.sid vid;
   let h = Intern.id t.names vid in
   let bf = before t in
   (* [closes]: the op may close a lifespan, so the vertex joins the
      compaction set — by op kind, with no scan of the record *)
   let update ?(closes = true) f =
-    match lookup_vertex t h vid with
-    | Some v, _ ->
-        Tbl.Int.replace t.graph h (f v);
-        if closes then Tbl.Int.replace t.gc_pending h ()
-    | None, _ -> ()
+    if copy then begin
+      if is_copy t h then Tbl.Int.replace t.graph h (f (Tbl.Int.find t.graph h))
+    end
+    else
+      match lookup_vertex t h vid with
+      | Some v, _ ->
+          Tbl.Int.replace t.graph h (f v);
+          if closes then Tbl.Int.replace t.gc_pending h ()
+      | None, _ -> ()
   in
+  let place v = if copy then set_copy t h v else own t h v in
   match op with
-  | Msg.S_create_vertex _ ->
-      Tbl.Int.replace t.graph h (Mgraph.create_vertex ~vid ~at:ts);
-      touch t h;
-      evict_to_capacity t ~keep:h
+  | Msg.S_create_vertex _ -> place (Mgraph.create_vertex ~vid ~at:ts)
   | Msg.S_delete_vertex _ -> update (fun v -> Mgraph.delete_vertex v ~at:ts)
   | Msg.S_add_edge { eid; dst; _ } ->
       update ~closes:false (fun v -> Mgraph.add_edge v ~eid ~dst ~at:ts)
@@ -395,15 +437,9 @@ let apply_op t ts (op : Msg.shard_op) =
       (* adopt: pull the current durable record (it includes every write
          committed before this op's store transaction, §4.6) *)
       match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
-      | Some (Runtime.Vrec v) ->
-          adopt t h v;
-          touch t h;
-          evict_to_capacity t ~keep:h
+      | Some (Runtime.Vrec v) -> place v
       | _ -> ())
-  | Msg.S_migrate_out _ ->
-      Tbl.Int.remove t.graph h;
-      forget_hops t h;
-      Tbl.Int.remove t.gc_pending h
+  | Msg.S_migrate_out _ -> if (not copy) || is_copy t h then drop t h
 
 let apply_tx t ~gk (qt : queued_tx) =
   if qt.q_ops <> [] then begin
@@ -416,7 +452,7 @@ let apply_tx t ~gk (qt : queued_tx) =
         ~meta:[ ("ops", string_of_int (List.length qt.q_ops)) ]
         ()
   end;
-  List.iter (apply_op t qt.q_ts) qt.q_ops;
+  List.iter (apply_op t ~copy:false qt.q_ts) qt.q_ops;
   t.busy_until <-
     Float.max t.busy_until (Engine.now t.rt.Runtime.engine)
     +. ((cfg t).Config.vertex_write_cost *. float_of_int (List.length qt.q_ops));
@@ -464,42 +500,6 @@ let apply_tx t ~gk (qt : queued_tx) =
       send t ~dst:(Runtime.gk_addr t.rt gk) (Msg.Credit { shard = t.sid; gk; n = 1 })
     end
   end
-
-(* Apply one streamed op to a follower copy. Mirrors the owner's
-   [apply_op] onto [repl_graph]: same multi-version updates, but no heat
-   write attribution (the owner already recorded the touch when it applied
-   the transaction), no paging, no LRU. Ops for vertices the copy does not
-   hold are dropped — a later read of such a vertex misses the copy and is
-   forwarded to the owner, so incompleteness is never incorrectness. *)
-let repl_apply_op t ts (op : Msg.shard_op) =
-  let bf = before t in
-  let update vid f =
-    match Hashtbl.find_opt t.repl_graph vid with
-    | Some v -> Hashtbl.replace t.repl_graph vid (f v)
-    | None -> ()
-  in
-  match op with
-  | Msg.S_create_vertex vid ->
-      Hashtbl.replace t.repl_graph vid (Mgraph.create_vertex ~vid ~at:ts)
-  | Msg.S_delete_vertex vid -> update vid (fun v -> Mgraph.delete_vertex v ~at:ts)
-  | Msg.S_add_edge { src; eid; dst } ->
-      update src (fun v -> Mgraph.add_edge v ~eid ~dst ~at:ts)
-  | Msg.S_del_edge { src; eid } -> update src (fun v -> Mgraph.delete_edge v ~eid ~at:ts)
-  | Msg.S_set_vprop { vid; key; value } ->
-      update vid (fun v -> Mgraph.set_vertex_prop bf v ~key ~value ~at:ts)
-  | Msg.S_del_vprop { vid; key } ->
-      update vid (fun v -> Mgraph.del_vertex_prop bf v ~key ~at:ts)
-  | Msg.S_set_eprop { src; eid; key; value } ->
-      update src (fun v -> Mgraph.set_edge_prop bf v ~eid ~key ~value ~at:ts)
-  | Msg.S_del_eprop { src; eid; key } ->
-      update src (fun v -> Mgraph.del_edge_prop bf v ~eid ~key ~at:ts)
-  | Msg.S_migrate_in vid -> (
-      (* the vertex moved onto the owner: adopt the durable record, like
-         the owner itself does *)
-      match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
-      | Some (Runtime.Vrec v) -> Hashtbl.replace t.repl_graph vid v
-      | _ -> ())
-  | Msg.S_migrate_out vid -> Hashtbl.remove t.repl_graph vid
 
 let advertise_cover t range ts =
   for g = 0 to (cfg t).Config.n_gatekeepers - 1 do
@@ -566,7 +566,7 @@ let execute_prog_batch t (p : parked_prog) =
   in
   (* ...but a follower batch whose items all live in other shards'
      partitions never reads the compacted copy: followed-range lookups
-     carry their own seed floor ([repl_lookup]) and true misses are
+     carry their own seed floor ([copy_covers]) and true misses are
      forwarded to their owners. Only batches that would read *this*
      partition fail wholesale; a hop that lands here aborts below. *)
   let gced =
@@ -657,16 +657,13 @@ let execute_prog_batch t (p : parked_prog) =
           aborted := true
         else begin
         let h = if h >= 0 then h else Intern.id t.names vid in
+        (* a followed range's copy whose replication watermark covers the
+           read stamp serves it in place of the owner — this is where
+           follower capacity becomes read capacity *)
         let vrec, pc =
           match pinned with
           | Some sg -> (Tbl.Int.find_opt sg.sg_graph h, 0.0)
-          | None -> if is_replica t then (None, 0.0) else lookup_vertex t h vid
-        in
-        (* not owned here: a followed hot-range copy whose replication
-           watermark covers the read stamp serves it in place of the
-           owner — this is where follower capacity becomes read capacity *)
-        let vrec =
-          match vrec with Some _ -> vrec | None -> repl_lookup t vid p.p_ts
+          | None -> visit_lookup t h vid p.p_ts
         in
         page_cost := !page_cost +. pc;
         match vrec with
@@ -1041,9 +1038,14 @@ let records_by_shard rt =
   Array.map List.rev by_shard
 
 (* adopt this server's list of [by_shard] ([records_by_shard]; a read
-   replica owns none) in key order, up to the capacity *)
+   replica owns none) in key order, up to the capacity; follower copies
+   stay as they are *)
 let load_records t by_shard =
+  let kept =
+    Tbl.Int.fold (fun h () acc -> (h, Tbl.Int.find t.graph h) :: acc) t.copies []
+  in
   Tbl.Int.reset t.graph;
+  List.iter (fun (h, v) -> Tbl.Int.replace t.graph h v) kept;
   Tbl.Int.reset t.gc_pending;
   Ring.clear t.lru;
   Array.fill t.lru_count 0 (Array.length t.lru_count) 0;
@@ -1054,7 +1056,7 @@ let load_records t by_shard =
   List.iter
     (fun (vid, v) ->
       let under_cap =
-        match cap with None -> true | Some c -> Tbl.Int.length t.graph < c
+        match cap with None -> true | Some c -> resident_vertices t < c
       in
       if under_cap then begin
         let h = Intern.id t.names vid in
@@ -1066,30 +1068,35 @@ let load_records t by_shard =
 let reload_from_store t =
   load_records t (if is_replica t then [||] else records_by_shard t.rt)
 
+(* Drop what lived only in memory between barriers: queued transactions
+   and FIFO bookkeeping, parked programs, the in-flight consult, snapshots,
+   pins and stream credits. The store reload that follows restores the
+   full version history, so the compaction floor resets too. *)
+let drop_volatile t =
+  Array.iter Queue.clear t.queues;
+  Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
+  Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
+  Array.fill t.last_applied 0 (Array.length t.last_applied) Gate.none;
+  Array.fill t.last_arrived 0 (Array.length t.last_arrived) None;
+  t.parked <- [];
+  t.oracle_inflight <- false;
+  Hashtbl.reset t.oracle_batch;
+  t.oracle_batch_list <- [];
+  t.oracle_gen <- t.oracle_gen + 1;
+  Snapshot.clear t.snaps;
+  Hashtbl.reset t.pins;
+  t.gc_floor <- None;
+  Flow.Credits.reset t.repl_credits
+
 let handle_epoch_change t new_epoch =
   if new_epoch > t.epoch then begin
     t.epoch <- new_epoch;
-    Array.iter Queue.clear t.queues;
-    Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
-    Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
-    Array.fill t.last_applied 0 (Array.length t.last_applied) Gate.none;
-    Array.fill t.last_arrived 0 (Array.length t.last_arrived) None;
-    t.parked <- [];
-    t.oracle_inflight <- false;
-    Hashtbl.reset t.oracle_batch;
-    t.oracle_batch_list <- [];
-    t.oracle_gen <- t.oracle_gen + 1;
-    (* in-memory snapshots and pins die with the epoch; the reload below
-       restores the full version history, so the compaction floor resets *)
-    Snapshot.clear t.snaps;
-    Hashtbl.reset t.pins;
-    t.gc_floor <- None;
+    drop_volatile t;
     (* replication across the barrier: old-epoch watermarks can never
        cover new-epoch reads, and in-flight stream traffic died with the
        queues — stop advertising and reseed every follower *)
     Hashtbl.iter (fun _ rin -> rin.rin_wm <- None) t.repl_in;
     mark_followers_dirty t;
-    Flow.Credits.reset t.repl_credits;
     reload_from_store t;
     send t ~dst:(Runtime.manager_addr t.rt)
       (Msg.Epoch_ack { server = t.addr; epoch = new_epoch })
@@ -1212,7 +1219,8 @@ let handle_watermark t gk ts =
               Tbl.Int.fold
                 (fun h v acc ->
                   let vid = Intern.name t.names h in
-                  if repl_range t vid = range then (vid, v) :: acc else acc)
+                  if repl_range t vid = range && not (is_copy t h) then (vid, v) :: acc
+                  else acc)
                 t.graph [])
             in
             List.iter
@@ -1232,7 +1240,7 @@ let handle_watermark t gk ts =
                     ~dst:(Runtime.shard_addr t.rt f)
                     (Msg.Repl_update { range; owner = t.sid; ts = wm; ops = [] }))
               out.ro_followers)
-          (repl_owned_ranges t)
+          (List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.repl_out []))
     end
   end
 
@@ -1328,7 +1336,7 @@ let handle t ~src:_ msg =
             end
             else begin
               t.repl_applied <- t.repl_applied + 1;
-              List.iter (repl_apply_op t ts) ops;
+              List.iter (apply_op t ~copy:true ts) ops;
               (* return the stream credit this update spent at the owner *)
               if (cfg t).Config.shard_credits > 0 then begin
                 (counters t).Runtime.credit_msgs <-
@@ -1354,12 +1362,13 @@ let handle t ~src:_ msg =
         (* wholesale (re)sync: drop the stale copy of this range and adopt
            the owner's records at the [ts] cut verbatim *)
         let stale =
-          Hashtbl.fold
-            (fun vid _ acc -> if repl_range t vid = range then vid :: acc else acc)
-            t.repl_graph []
+          Tbl.Int.fold
+            (fun h () acc ->
+              if repl_range t (Intern.name t.names h) = range then h :: acc else acc)
+            t.copies []
         in
-        List.iter (Hashtbl.remove t.repl_graph) stale;
-        List.iter (fun (vid, v) -> Hashtbl.replace t.repl_graph vid v) vertices;
+        List.iter (drop t) stale;
+        List.iter (fun (vid, v) -> set_copy t (Intern.id t.names vid) v) vertices;
         t.repl_applied <- t.repl_applied + 1;
         rin.rin_wm <- Some ts;
         rin.rin_floor <- Some ts;
@@ -1397,6 +1406,7 @@ let spawn rt ~sid ~epoch =
       actor = Runtime.actor_of_addr rt addr;
       names = Intern.create ~capacity:4096 ();
       graph = Tbl.Int.create 4096;
+      copies = Tbl.Int.create 64;
       gc_pending = Tbl.Int.create 64;
       lru = Ring.create ();
       lru_count = [||];
@@ -1431,7 +1441,6 @@ let spawn rt ~sid ~epoch =
       gc_floor = None;
       repl_out = Hashtbl.create 8;
       repl_in = Hashtbl.create 8;
-      repl_graph = Hashtbl.create 256;
       repl_credits =
         Flow.Credits.create ~peers:(Runtime.n_servers rt)
           ~credits:rt.Runtime.cfg.Config.shard_credits;
@@ -1501,19 +1510,7 @@ let resync t =
   (* transactions that reached the store before the crash may be queued
      again: end the probe skips that assume no stamp is queued twice *)
   Gate.stop_skipping t.gate;
-  Array.iter Queue.clear t.queues;
-  Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
-  Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
-  Array.fill t.last_applied 0 (Array.length t.last_applied) Gate.none;
-  Array.fill t.last_arrived 0 (Array.length t.last_arrived) None;
-  t.parked <- [];
-  t.oracle_inflight <- false;
-  Hashtbl.reset t.oracle_batch;
-  t.oracle_batch_list <- [];
-  t.oracle_gen <- t.oracle_gen + 1;
-  Snapshot.clear t.snaps;
-  Hashtbl.reset t.pins;
-  t.gc_floor <- None;
+  drop_volatile t;
   (* replication state died with the crash: as a follower, the copies and
      watermarks are stale-but-safe at the gatekeepers (routed reads miss
      here and chase the owner) until the owner's next seed; as an owner,
@@ -1522,7 +1519,6 @@ let resync t =
      next watermark reseeds them *)
   Hashtbl.reset t.repl_out;
   Hashtbl.reset t.repl_in;
-  Hashtbl.reset t.repl_graph;
-  Flow.Credits.reset t.repl_credits;
+  Tbl.Int.reset t.copies; (* so the reload below keeps none *)
   List.iter (install_plan t) (Runtime.standing_plan t.rt);
   reload_from_store t

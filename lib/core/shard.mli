@@ -32,12 +32,14 @@ val sid : t -> int
 val epoch : t -> int
 
 val vertex : t -> string -> Weaver_graph.Mgraph.vertex option
-(** In-memory record of a vertex on this shard (tests/introspection). *)
+(** In-memory record of a vertex on this server: an owned record or a
+    follower copy (tests/introspection). *)
 
 val resident_vertices : t -> int
+(** Owned records in memory; follower copies do not count. *)
 
 val resident_ids : t -> string list
-(** Sorted vids of the vertices resident in shard memory
+(** Sorted vids of the owned records resident in shard memory
     (tests/introspection — crash-recovery determinism checks). *)
 
 val queue_depths : t -> int array
@@ -77,23 +79,22 @@ val resync : t -> unit
     replaces it; must be called before the network endpoint is marked
     alive again. *)
 
-(** {1 Partial replication} ([Config.enable_replication])
+(** {1 Partial replication} ([Config.enable_replication], DESIGN §16)
 
     Hot-range replication state ({!Weaver_repl.Repl}). As an {e owner},
     the shard streams ops landing in its replicated ranges to followers
     and advances them with watermark heartbeats (or wholesale seeds, when
     the stream was interrupted). As a {e follower}, it keeps
-    timestamp-consistent copies of other owners' hot ranges and serves
-    node-program reads whose stamp its replication watermark covers. *)
-
-val repl_owned_ranges : t -> int list
-(** Ranges this shard owns and replicates out (sorted; tests/CLI). *)
-
-val repl_followed_ranges : t -> int list
-(** Ranges this shard follows copies of (sorted; tests/CLI). *)
-
-val copy_vertex : t -> string -> Weaver_graph.Mgraph.vertex option
-(** A vertex's record in this server's follower copies (tests). *)
+    timestamp-consistent copies of other owners' ranges in the same
+    vertex table as its owned records, tagged as copies and written by
+    the same apply function. A program visit reads an owned record
+    directly, paging it in on a miss only when the directory assigns the
+    vertex here; reads a copy only when its range's watermark covers the
+    stamp and the stamp is not below the range's seed floor; and sends
+    anything else to the owner. A streamed op or seed record never
+    touches a record this server owns. Copies are never paged, evicted or
+    compacted, and do not count toward [Config.shard_capacity]; a reseed
+    replaces them. *)
 
 val repl_applied : t -> int
 (** Stream updates and seeds this server has applied as a follower. *)

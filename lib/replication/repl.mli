@@ -1,5 +1,5 @@
 (** Timestamp-consistent partial replication of hot vertex ranges
-    (ROADMAP item 3; Sutra & Shapiro's fault-tolerant partial replication
+    (DESIGN §16; Sutra & Shapiro's fault-tolerant partial replication
     adapted to refinable timestamps).
 
     The paper's own read replicas (§6.4) are the full case: followers of

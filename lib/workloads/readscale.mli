@@ -1,4 +1,4 @@
-(** Read-scale workload for partial replication (ROADMAP item 3): a pool of
+(** Read-scale workload for partial replication (DESIGN §16): a pool of
     closed-loop weak readers picking vertices Zipf-skewed (the hot ranges
     the replication controller should detect) races a pool of closed-loop
     property writers picking vertices uniformly (keeping every owner's

@@ -1,5 +1,5 @@
 (* Tests for timestamp-consistent partial replication of hot ranges
-   (ROADMAP item 3): the coverage predicate and controller table, the
+   (DESIGN §16): the coverage predicate and controller table, the
    end-to-end install → seed → stream → route pipeline, survival of
    covered reads across an owner crash, credit-starved stream resync,
    control-plane invisibility at replication factor 0, and the two fixes
@@ -298,6 +298,113 @@ let test_credit_exhaustion_forces_resync () =
   | Error e -> Alcotest.failf "post-resync weak read failed: %s" e
 
 (* ------------------------------------------------------------------ *)
+(* Owned records and follower copies share one vertex table, so a visit
+   must tell them apart. With memory below the partition, a vertex evicted
+   at its owner is missing from the seed; a follower that paged the
+   owner's durable record in as its own would keep serving it after the
+   stream updated the owner. The follower must forward the read instead. *)
+
+let test_follower_never_pages_in () =
+  let c = mk_cluster { (repl_cfg 11) with Config.shard_capacity = Some 3 } in
+  let client = Cluster.client c in
+  let rt = Cluster.runtime c in
+  create_vertex client "hot";
+  let owner = Cluster.shard_of_vertex c "hot" in
+  let range = Runtime.repl_range rt "hot" in
+  let rec first_in_range i =
+    let vid = Printf.sprintf "cold%d" i in
+    if Runtime.repl_range rt vid = range then vid else first_in_range (i + 1)
+  in
+  let cold = first_in_range 0 in
+  create_vertex client cold;
+  set_prop client cold "v" "0";
+  (* fillers on the owner, in other ranges, push [cold] out of its memory *)
+  let rec fill i n =
+    if n > 0 then begin
+      let vid = Printf.sprintf "fill%d" i in
+      if Runtime.shard_of_vertex rt vid = owner && Runtime.repl_range rt vid <> range
+      then begin
+        create_vertex client vid;
+        fill (i + 1) (n - 1)
+      end
+      else fill (i + 1) n
+    end
+  in
+  fill 0 4;
+  Alcotest.(check bool) "cold evicted at its owner" false
+    (List.mem cold (Cluster.shard_resident_ids c owner));
+  let ctr = Cluster.counters c in
+  let tries = ref 0 in
+  while ctr.Runtime.repl_routed = 0 && !tries < 300 do
+    incr tries;
+    ignore (weak_read client "hot");
+    Cluster.run_for c 200.0
+  done;
+  Alcotest.(check bool) "replication became active" true (ctr.Runtime.repl_routed > 0);
+  for _ = 1 to 6 do
+    ignore (weak_read client cold)
+  done;
+  set_prop client cold "v" "1";
+  Cluster.run_for c 20_000.0;
+  for i = 1 to 8 do
+    match weak_read client cold with
+    | Ok v ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "weak read %d sees the write" i)
+          (Some "1")
+          (Option.map Progval.to_str (prop_of v "v"))
+    | Error e -> Alcotest.failf "weak read %d failed: %s" i e
+  done
+
+(* A vertex can migrate onto a shard that follows its range. Its old owner
+   then streams the vertex's migration to that shard; the stream must
+   leave the new owner's record alone, and the new owner must serve the
+   next write. *)
+
+let test_migrate_onto_follower () =
+  let c = mk_cluster (repl_cfg 11) in
+  let client = Cluster.client c in
+  create_vertex client "hot";
+  let ctr = Cluster.counters c in
+  let tries = ref 0 in
+  while ctr.Runtime.repl_routed = 0 && !tries < 300 do
+    incr tries;
+    ignore (weak_read client "hot");
+    Cluster.run_for c 200.0
+  done;
+  Alcotest.(check bool) "replication became active" true (ctr.Runtime.repl_routed > 0);
+  let r = Option.get (Cluster.replicator c) in
+  let range = Runtime.repl_range (Cluster.runtime c) "hot" in
+  let follower =
+    match Repl.Table.followers (Replicator.table r) ~range with
+    | (f, _) :: _ -> f
+    | [] -> Alcotest.fail "no follower for the hot range"
+  in
+  set_prop client "hot" "v" "a";
+  Cluster.run_for c 6_000.0;
+  Alcotest.(check bool) "the follower holds a copy" true
+    (Cluster.shard_vertex c ~shard:follower "hot" <> None
+    && not (List.mem "hot" (Cluster.shard_resident_ids c follower)));
+  ok (Client.migrate client ~vid:"hot" ~to_shard:follower);
+  Cluster.run_for c 6_000.0;
+  Alcotest.(check int) "directory names the follower" follower
+    (Cluster.shard_of_vertex c "hot");
+  Alcotest.(check bool) "the new owner holds an owned record" true
+    (List.mem "hot" (Cluster.shard_resident_ids c follower));
+  set_prop client "hot" "v" "b";
+  Cluster.run_for c 6_000.0;
+  let strong =
+    Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ "hot" ] ()
+  in
+  (match strong with
+  | Ok v ->
+      Alcotest.(check (option string)) "the new owner served the write" (Some "b")
+        (Option.map Progval.to_str (prop_of v "v"))
+  | Error e -> Alcotest.failf "strong read failed: %s" e);
+  Alcotest.(check bool) "the owned record survived the stream" true
+    (List.mem "hot" (Cluster.shard_resident_ids c follower))
+
+(* ------------------------------------------------------------------ *)
 (* Replication factor 0 keeps the control plane dark: same seed, same
    workload, bit-identical counters with the subsystem enabled-but-idle
    versus absent. *)
@@ -357,5 +464,9 @@ let suites =
           test_credit_exhaustion_forces_resync;
         Alcotest.test_case "replication factor 0 is invisible" `Quick
           test_factor_zero_invisible;
+        Alcotest.test_case "follower never pages in a vertex it does not own" `Quick
+          test_follower_never_pages_in;
+        Alcotest.test_case "migration onto a follower keeps the owned record" `Quick
+          test_migrate_onto_follower;
       ] );
   ]
