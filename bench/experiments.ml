@@ -2005,11 +2005,10 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Replication: read scale-out from timestamp-consistent partial
-   replication of hot ranges (DESIGN §16). A Zipf-skewed weak-read
-   pool saturates the hot range's owner; raising the replication factor
-   spreads those reads over follower copies without touching the write
-   path. The chaos arm pins a read at a covered stamp and crashes the
-   owner mid-flight. *)
+   replication (DESIGN §16). A Zipf-skewed weak-read pool saturates the
+   hot range's owner; raising the replication factor spreads those reads
+   over follower copies without touching the write path. The chaos arm
+   pins a read at a covered stamp and crashes the owner mid-flight. *)
 
 type repl_run = {
   rp_goodput : float;
@@ -2017,7 +2016,6 @@ type repl_run = {
   rp_writes : float;
   rp_read_p50 : float;
   rp_read_p99 : float;
-  rp_installs : int;
   rp_routed : int;
   rp_updates : int;
   rp_fingerprint : (int * int * int * int) * (int * int * int);
@@ -2061,8 +2059,6 @@ module Replication = struct
       Config.seed = o.seed;
       n_gatekeepers = o.gatekeepers;
       n_shards = o.shards;
-      enable_heat = true;
-      enable_replication = factor > 0;
       replication_factor = factor;
       gc_period = 2_000.0;
       vertex_read_cost;
@@ -2085,7 +2081,6 @@ module Replication = struct
       rp_writes = r.Readscale.write_throughput;
       rp_read_p50 = Stats.percentile r.Readscale.read_latencies 50.0;
       rp_read_p99 = Stats.percentile r.Readscale.read_latencies 99.0;
-      rp_installs = ctr.Runtime.repl_installs;
       rp_routed = ctr.Runtime.repl_routed;
       rp_updates = ctr.Runtime.repl_updates;
       rp_fingerprint =
@@ -2105,14 +2100,14 @@ module Replication = struct
       o.thetas
 
   let table runs =
-    line "%-6s %-7s %9s %9s %9s %9s %9s %8s %8s" "theta" "factor" "reads/s" "writes/s" "p50us"
-      "p99us" "errs" "installs" "routed";
+    line "%-6s %-7s %9s %9s %9s %9s %9s %8s" "theta" "factor" "reads/s" "writes/s" "p50us"
+      "p99us" "errs" "routed";
     List.iter
       (fun (theta, arms) ->
         List.iter
           (fun (f, r) ->
-            line "%-6.1f %-7d %9.0f %9.0f %9.0f %9.0f %9d %8d %8d" theta f r.rp_goodput
-              r.rp_writes r.rp_read_p50 r.rp_read_p99 r.rp_reads_err r.rp_installs r.rp_routed)
+            line "%-6.1f %-7d %9.0f %9.0f %9.0f %9.0f %9d %8d" theta f r.rp_goodput
+              r.rp_writes r.rp_read_p50 r.rp_read_p99 r.rp_reads_err r.rp_routed)
           arms)
       runs
 
@@ -2127,7 +2122,6 @@ module Replication = struct
           ("read_p50_us", Json.fixed 0 r.rp_read_p50);
           ("read_p99_us", Json.fixed 0 r.rp_read_p99);
           ("read_errors", Json.int r.rp_reads_err);
-          ("installs", Json.int r.rp_installs);
           ("routed", Json.int r.rp_routed);
           ("updates", Json.int r.rp_updates);
         ]
@@ -2209,7 +2203,7 @@ module Replication = struct
     (owner, !tries)
 
   let bench () =
-    header "Replication: read scale-out from hot-range partial replication";
+    header "Replication: read scale-out from partial replication";
     let o = defaults in
     let runs = run o in
     table runs;

@@ -14,7 +14,7 @@
      heat        per-shard hottest vertices and per-range heat map under zipf load
      health      watchdog alerts across a mid-run gatekeeper crash
      rebalance   hot-spot flip across shards, live balancer off vs on
-     replication hot-range partial replication: read goodput, installs, routed reads
+     replication partial replication: read goodput, write rate, routed reads
      backup      backup/restore demo
      stats       mixed run with tracing on; per-phase latency breakdown
      profile     the same mixed run; CPU and allocation per message handler
@@ -499,7 +499,9 @@ let commands =
   in
   let factor =
     Arg.(
-      value & opt int 2 & info [ "f"; "factor" ] ~docv:"N" ~doc:"Replication factor (0 disables).")
+      value & opt int 2
+      & info [ "f"; "factor" ] ~docv:"N"
+          ~doc:"Replication factor: shards following each range (0 disables; below the shard count).")
   in
   let period =
     Arg.(
@@ -561,8 +563,8 @@ let commands =
         $ clients ~doc:"Closed-loop writers on the hot set." 16
         $ bench_json);
     cmd "replication"
-      "Hot-range partial replication quick-look: read goodput, write rate, installs and \
-       follower-routed reads under zipf readers"
+      "Partial replication quick-look: read goodput, write rate and follower-routed reads \
+       under zipf readers, each range followed by the next --factor shards"
       Term.(
         const replication $ gatekeepers $ shards $ seed
         $ clients ~doc:"Concurrent readers." 32

@@ -129,8 +129,8 @@ val run_program_async :
     (historical query on the multi-version graph); omit it for "now".
     [?consistency] defaults to [`Strong] (strictly serializable, on the
     primaries); [`Weak] may route to follower copies (the §6.4 read
-    replicas, hot-range followers) and then reads one consistent cut up
-    to about one [Config.gc_period] old — lower load on primaries, but
+    replicas, [replication_factor] followers) and then reads one
+    consistent cut up to about one [Config.gc_period] old — lower load on primaries, but
     reads may miss recently committed writes. Retries transparently on gatekeeper
     failure (programs are read-only). *)
 

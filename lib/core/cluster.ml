@@ -26,7 +26,6 @@ type t = {
   trace_ring : (float * int * int * string) Queue.t;
   health : Health.t option;  (* Some iff [Config.enable_health] *)
   mutable balancer : Balancer.t option;  (* Some iff [Config.enable_rebalance] *)
-  mutable replicator : Replicator.t option;  (* Some iff [Config.enable_replication] *)
 }
 
 let config t = t.rt.Runtime.cfg
@@ -50,7 +49,6 @@ let slow_log t = t.rt.Runtime.slowlog
 let heat t = t.rt.Runtime.heat
 let health t = t.health
 let balancer t = t.balancer
-let replicator t = t.replicator
 let actor_of_addr t a = Runtime.actor_of_addr t.rt a
 
 (* ------------------------------------------------------------------ *)
@@ -170,7 +168,6 @@ let create cfg =
          end
          else None);
       balancer = None;
-      replicator = None;
     }
   in
   cluster.gks <-
@@ -198,17 +195,6 @@ let create cfg =
      cluster.balancer <- Some b;
      Engine.every rt.Runtime.engine ~period:cfg.Config.rebalance_period (fun () ->
          Balancer.run_round b;
-         true)
-   end);
-  (* the hot-range replication controller: like the balancer, created only
-     when enabled so default-off runs schedule no extra events and keep
-     their fingerprints. Rounds share the watermark cadence — the stream
-     the installs start rides the same gossip *)
-  (if cfg.Config.enable_replication then begin
-     let r = Replicator.create rt in
-     cluster.replicator <- Some r;
-     Engine.every rt.Runtime.engine ~period:cfg.Config.gc_period (fun () ->
-         Replicator.run_round r;
          true)
    end);
   (* the health watchdog: a periodic check over the registry snapshot and
@@ -339,14 +325,6 @@ let report t =
       line "  rebalance: rounds %d, moves %d, skipped %d, in flight %d"
         c.Runtime.rebal_rounds c.Runtime.rebal_moves c.Runtime.rebal_skipped
         (Balancer.pending_moves b)
-  | None -> ());
-  (match t.replicator with
-  | Some r ->
-      line "  replication: rounds %d, ranges %d, installs %d, updates %d, resyncs %d, routed %d"
-        c.Runtime.repl_rounds
-        (Weaver_repl.Repl.Table.size (Replicator.table r))
-        c.Runtime.repl_installs c.Runtime.repl_updates c.Runtime.repl_resyncs
-        c.Runtime.repl_routed
   | None -> ());
   line "  net: dropped at dead endpoints %d"
     (Net.messages_dropped t.rt.Runtime.net);

@@ -143,10 +143,6 @@ val balancer : t -> Balancer.t option
 (** The live rebalancing planner (rounds every [Config.rebalance_period]
     µs); [Some] iff [Config.enable_rebalance]. *)
 
-val replicator : t -> Replicator.t option
-(** The hot-range replication controller (rounds every [Config.gc_period]
-    µs); [Some] iff [Config.enable_replication]. *)
-
 val actor_of_addr : t -> int -> string
 (** Name of the actor at a network address ("gk0", "shard2", ...) — the
     pid naming used by {!Weaver_obs.Export.chrome_trace}. *)

@@ -34,7 +34,6 @@ type t = {
   enable_rebalance : bool;
   rebalance_period : float;
   rebalance_max_moves : int;
-  enable_replication : bool;
   replication_factor : int;
   seed : int;
 }
@@ -76,8 +75,7 @@ let default =
     enable_rebalance = false;
     rebalance_period = 25_000.0;
     rebalance_max_moves = 8;
-    enable_replication = false;
-    replication_factor = 1;
+    replication_factor = 0;
     seed = 42;
   }
 
@@ -117,13 +115,14 @@ let validate t =
      nothing to plan from *)
   req "enable_rebalance (requires enable_heat)"
     ((not t.enable_rebalance) || t.enable_heat);
-  req "replication_factor" (t.replication_factor >= 0);
-  (* candidate ranges come straight from the heat sketches *)
-  req "enable_replication (requires enable_heat)"
-    ((not t.enable_replication) || t.enable_heat);
+  req "replication_factor" (t.replication_factor >= 0 && t.replication_factor < t.n_shards);
   (* followers advertise coverage at watermark boundaries, which only
      exist while the GC gossip timer runs *)
-  req "enable_replication (requires gc_period > 0)"
-    ((not t.enable_replication) || t.gc_period > 0.0);
+  req "replication_factor (requires gc_period > 0)"
+    (t.replication_factor = 0 || t.gc_period > 0.0);
+  (* one placement rule at a time: read replicas already follow every
+     range of their shard *)
+  req "replication_factor (excludes read_replicas)"
+    (t.replication_factor = 0 || t.read_replicas = 0);
   (* read replicas are followers on the same stream *)
   req "read_replicas (requires gc_period > 0)" (t.read_replicas = 0 || t.gc_period > 0.0)

@@ -140,21 +140,18 @@ type t = {
   rebalance_max_moves : int;
       (** max vertex migrations issued per planner round (bounds the
           background migration traffic a round may inject) *)
-  enable_replication : bool;
-      (** timestamp-consistent partial replication of hot vertex ranges
-          ({!Weaver_repl.Repl}, {!Replicator}): a periodic cluster-owned
-          controller reads the {!Weaver_obs.Heat} top-K sketches, picks hot
-          ranges, and installs follower copies on the least-loaded live
-          shards. Owners stream applied updates to followers over ordinary
-          [Net] channels and stamp them with their gossiped GC watermarks;
-          gatekeepers then route reads at stamp [t] to any live follower
-          whose replication watermark covers [t] (owner otherwise), while
-          all writes stay on the owner. Requires [enable_heat] and
-          [gc_period > 0]. Off by default: no controller is created and no
-          messages are added, so baseline runs are bit-identical *)
   replication_factor : int;
-      (** follower copies installed per replicated hot range (≥ 0; 0 keeps
-          the controller idle — useful to pin knob-neutrality) *)
+      (** timestamp-consistent partial replication ({!Weaver_repl.Repl},
+          DESIGN §16) over the existing shards: with [k > 0] every key
+          range is followed by the [k] shards after its home shard
+          ({!Runtime.standing_plan}). Owners stream applied updates to
+          followers over ordinary [Net] channels and stamp them with their
+          gossiped GC watermarks; gatekeepers then route weak and pinned
+          reads at stamp [t] over the owner and the live followers whose
+          replication watermark covers [t], while all writes stay on the
+          owner. [0] (the default) is off: the plan is empty and no
+          message is added. Requires [k < n_shards], [gc_period > 0] and
+          [read_replicas = 0] *)
   seed : int;  (** master RNG seed; runs are deterministic per seed *)
 }
 

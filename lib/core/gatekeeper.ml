@@ -52,11 +52,8 @@ type t = {
      all-zero Config knobs, keeping the baseline arm bit-identical. *)
   adm : Flow.Admission.t;
   credits : Flow.Credits.t;
-  (* replication: the range → owner/followers table with the coverage
-     watermarks the followers advertise — the standing plan of the read
-     replicas ([Config.read_replicas]) plus the controller's hot-range
-     installs ([Config.enable_replication]). Empty (and never consulted)
-     when both are off. *)
+  (* replication: the range → followers table of [Runtime.standing_plan]
+     with the coverage watermarks the followers advertise. Empty (and never consulted) when nothing follows. *)
   repl : Repl.Table.t;
   repl_rr : (int, int) Hashtbl.t;
       (* per-range round-robin over the range's live copies: one shared
@@ -955,13 +952,6 @@ let handle t ~src:_ msg =
     | Msg.Prog_partial { prog_id; sent; acc; visited; error } ->
         handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error
     | Msg.Epoch_change { epoch } -> handle_epoch_change t epoch
-    | Msg.Repl_install { range; owner; followers } ->
-        (* control-plane: the controller re-broadcasts its whole plan every
-           round to heal restarts, so only the first install may register —
-           re-installing would forget the followers' advertised watermarks
-           and stall routing until their next heartbeat *)
-        if not (Repl.Table.is_replicated t.repl ~range) then
-          Repl.Table.install t.repl ~range ~owner ~followers
     | Msg.Repl_cover { range; follower; ts } ->
         (* a follower advertises coverage through [ts]; stamps from an
            older epoch can never cover post-barrier reads, so drop them *)
@@ -1077,7 +1067,7 @@ let spawn rt ~gid ~epoch =
     }
   in
   List.iter
-    (fun (range, owner, followers) -> Repl.Table.install t.repl ~range ~owner ~followers)
+    (fun (range, _owner, followers) -> Repl.Table.install t.repl ~range ~followers)
     (Runtime.standing_plan rt);
   Runtime.register rt t.addr (fun ~src msg -> handle t ~src msg);
   (* per-actor utilization gauge: busy time accumulated so far, as µs. A

@@ -68,7 +68,6 @@ type t =
   | Watermark of { gk : int; ts : Vclock.t }
   | Overloaded of { req_id : int; reason : string }
   | Credit of { shard : int; gk : int; n : int }
-  | Repl_install of { range : int; owner : int; followers : int list }
   | Repl_update of { range : int; owner : int; ts : Vclock.t; ops : shard_op list }
   | Repl_seed of {
       range : int;
@@ -112,9 +111,6 @@ let pp fmt = function
   | Overloaded { req_id; reason } ->
       Format.fprintf fmt "Overloaded(#%d,%s)" req_id reason
   | Credit { shard; gk; n } -> Format.fprintf fmt "Credit(s%d->gk%d,%d)" shard gk n
-  | Repl_install { range; owner; followers } ->
-      Format.fprintf fmt "Repl_install(r%d,s%d,%d followers)" range owner
-        (List.length followers)
   | Repl_update { range; owner; ts; ops } ->
       Format.fprintf fmt "Repl_update(r%d,s%d,%a,%d ops)" range owner Vclock.pp ts
         (List.length ops)
@@ -140,8 +136,7 @@ let trace_of = function
   | Shard_tx { trace; _ } -> if trace = 0 then None else Some trace
   | Overloaded { req_id; _ } -> Some req_id
   | Announce _ | Heartbeat _ | Epoch_change _ | Epoch_ack _ | Watermark _ | Credit _
-  | Repl_install _ | Repl_update _ | Repl_seed _ | Repl_cover _ ->
-      None
+  | Repl_update _ | Repl_seed _ | Repl_cover _ -> None
 
 let kind = function
   | Tx_req _ -> "Tx_req"
@@ -162,7 +157,6 @@ let kind = function
   | Watermark _ -> "Watermark"
   | Overloaded _ -> "Overloaded"
   | Credit _ -> "Credit"
-  | Repl_install _ -> "Repl_install"
   | Repl_update _ -> "Repl_update"
   | Repl_seed _ -> "Repl_seed"
   | Repl_cover _ -> "Repl_cover"

@@ -120,14 +120,9 @@ type t =
   | Credit of { shard : int; gk : int; n : int }
       (** shard → gatekeeper, control-plane: [n] forwarded transactions
           were applied; return their flow-control credits. Also reused
-          follower-shard → owner-shard under partial replication
-          ([Config.enable_replication]): [shard] is then the follower id
+          follower-shard → owner-shard on the replication stream
+          (DESIGN §16): [shard] is then the follower id
           returning a replication-stream credit *)
-  | Repl_install of { range : int; owner : int; followers : int list }
-      (** replication controller → owner shard, follower shards, and all
-          gatekeepers: replicate hot range [range] (owned by [owner]) onto
-          [followers]. The owner starts streaming; followers await their
-          first [Repl_seed] before advertising coverage *)
   | Repl_update of {
       range : int;
       owner : int;
@@ -149,7 +144,7 @@ type t =
           watermark [ts] — the owner's multi-version records verbatim
           (immutable, so sharing is safe). Sent at the first watermark
           after install and whenever the stream was interrupted (credit
-          exhaustion); subsequent [Repl_update]s apply cleanly on top
+          exhaustion, the follower's restart); subsequent [Repl_update]s apply cleanly on top
           because FIFO order puts them after the seed *)
   | Repl_cover of { range : int; follower : int; ts : Weaver_vclock.Vclock.t }
       (** follower shard → all gatekeepers: this follower's copy of

@@ -53,8 +53,6 @@ type counters = {
   mutable rebal_rounds : int;
   mutable rebal_moves : int;
   mutable rebal_skipped : int;
-  mutable repl_rounds : int;
-  mutable repl_installs : int;
   mutable repl_updates : int;
   mutable repl_resyncs : int;
   mutable repl_routed : int;
@@ -180,8 +178,6 @@ let register_counter_gauges metrics (c : counters) =
   g "rebal.rounds" (fun () -> c.rebal_rounds);
   g "rebal.moves" (fun () -> c.rebal_moves);
   g "rebal.skipped" (fun () -> c.rebal_skipped);
-  g "repl.rounds" (fun () -> c.repl_rounds);
-  g "repl.installs" (fun () -> c.repl_installs);
   g "repl.updates" (fun () -> c.repl_updates);
   g "repl.resyncs" (fun () -> c.repl_resyncs);
   g "repl.routed" (fun () -> c.repl_routed);
@@ -228,17 +224,25 @@ let heat_range_count ~shards = (64 + shards - 1) / shards * shards
 let repl_range t vid =
   Weaver_util.Fnv.hash vid mod heat_range_count ~shards:t.cfg.Config.n_shards
 
-(* with read replicas every range is installed: the replicas of a range's
-   home shard follow it. Ranges nest in home shards because the range
-   count is a multiple of the shard count, so [range mod n_shards] is the
-   shard that hashed placement puts the range's vertices on. *)
+(* The one follower-placement rule (DESIGN §16). Every range is
+   installed when anything follows: with read replicas, the replicas of
+   the range's home shard; with [replication_factor = k], the k shards
+   after it. Ranges nest in home shards because the range count is a
+   multiple of the shard count, so [range mod n_shards] is the shard that
+   hashed placement puts the range's vertices on. *)
 let standing_plan t =
-  let n = t.cfg.Config.n_shards and r = t.cfg.Config.read_replicas in
-  if r = 0 then []
+  let n = t.cfg.Config.n_shards
+  and r = t.cfg.Config.read_replicas
+  and k = t.cfg.Config.replication_factor in
+  let follow owner =
+    if r > 0 then List.init r (fun replica -> replica_server t ~shard:owner ~replica)
+    else List.init k (fun i -> (owner + 1 + i) mod n)
+  in
+  if r = 0 && k = 0 then []
   else
     List.init (heat_range_count ~shards:n) (fun range ->
         let owner = range mod n in
-        (range, owner, List.init r (fun replica -> replica_server t ~shard:owner ~replica)))
+        (range, owner, follow owner))
 
 let create cfg =
   Config.validate cfg;
@@ -297,8 +301,6 @@ let create cfg =
           rebal_rounds = 0;
           rebal_moves = 0;
           rebal_skipped = 0;
-          repl_rounds = 0;
-          repl_installs = 0;
           repl_updates = 0;
           repl_resyncs = 0;
           repl_routed = 0;

@@ -80,15 +80,12 @@ type counters = {
       (** planner candidates passed over: stale sketch entries (vertex no
           longer on the overloaded shard), dead source/target shards, or
           moves that failed and were left for a later round *)
-  mutable repl_rounds : int;
-      (** replication-controller planner rounds ([Config.enable_replication]) *)
-  mutable repl_installs : int;
-      (** hot ranges the controller placed follower copies for *)
   mutable repl_updates : int;
       (** owner→follower streamed update messages carrying applied ops *)
   mutable repl_resyncs : int;
-      (** full range seeds shipped to followers (first sync after install,
-          and recovery from an interrupted stream after credit exhaustion) *)
+      (** full range seeds shipped to followers: the first sync after
+          install, and recovery from an interrupted stream (credit
+          exhaustion, a follower's restart, an epoch barrier) *)
   mutable repl_routed : int;
       (** node-program batches the gatekeepers routed to a covering
           follower instead of the owning shard *)
@@ -304,9 +301,11 @@ val repl_range : t -> string -> int
     ({!Weaver_obs.Heat.range_of}), computed without the sensor. *)
 
 val standing_plan : t -> (int * int * int list) list
-(** [(range, owner, followers)] for every range when
-    [Config.read_replicas > 0]: each range is followed by the read
-    replicas of its home shard. Empty without read replicas. *)
+(** [(range, owner, followers)] for every range, the one rule that places
+    followers: with [Config.read_replicas = R] each range is followed by
+    the R read replicas of its home shard [o]; with
+    [Config.replication_factor = k] by shards [o+1 … o+k mod n_shards].
+    Empty when both are 0. *)
 
 (** {1 Store keys} *)
 

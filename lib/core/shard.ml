@@ -50,7 +50,7 @@ type parked_prog = {
          failed ([Gate.no_memo] until then) *)
 }
 
-(* Partial replication ([Config.enable_replication], DESIGN §16).
+(* Partial replication ({!Runtime.standing_plan}, DESIGN §16).
    Owner side: per-range follower lists plus the set of followers whose
    stream is interrupted (install just happened, or a credit column ran
    dry) and who therefore need a wholesale reseed at the next watermark
@@ -209,8 +209,8 @@ let before t a b = Runtime.before t.cache t.rt a b ~prefer_first_on_tie:true
 (* ------------------------------------------------------------------ *)
 (* Partial replication plumbing shared by the owner and follower roles. *)
 
-(* the heat range a vertex falls in; replication candidates and follower
-   copies are keyed by these ranges, so owner and controller must agree *)
+(* the heat range a vertex falls in; the standing plan and follower
+   copies are keyed by these ranges *)
 let repl_range t vid = Runtime.repl_range t.rt vid
 
 (* a follower copy of [vid] may serve a read at [at] iff its range's
@@ -506,11 +506,10 @@ let advertise_cover t range ts =
     send t ~dst:(Runtime.gk_addr t.rt g) (Msg.Repl_cover { range; follower = t.sid; ts })
   done
 
-(* Register a replication plan entry. Idempotent: the controller
-   re-broadcasts its plan every round so a crash-restarted owner (whose
-   streaming state died with it) re-learns its ranges and reseeds; an
-   already-known range is left untouched. A new owner entry starts with
-   every follower dirty, so the next watermark seeds them. *)
+(* Register a standing-plan entry, at spawn and again after a crash
+   [resync] (whose streaming state died with the crash). An already-known
+   range is left untouched. A new owner entry starts with every follower
+   dirty, so the next watermark seeds them. *)
 let install_plan t (range, owner, followers) =
   if owner = t.sid && not (Hashtbl.mem t.repl_out range) then begin
     let dirty = Hashtbl.create 4 in
@@ -1323,8 +1322,6 @@ let handle t ~src:_ msg =
         | None -> ())
     | Msg.Watermark { gk; ts } -> handle_watermark t gk ts
     | Msg.Epoch_change { epoch } -> handle_epoch_change t epoch
-    | Msg.Repl_install { range; owner; followers } ->
-        install_plan t (range, owner, followers)
     | Msg.Repl_update { range; owner; ts; ops } -> (
         match Hashtbl.find_opt t.repl_in range with
         | Some rin when rin.rin_wm <> None ->
@@ -1348,9 +1345,8 @@ let handle t ~src:_ msg =
             end
         | _ -> () (* not following, or awaiting the first seed *))
     | Msg.Repl_seed { range; owner; ts; vertices } ->
-        (* a seed is self-sufficient: it may arrive before the controller's
-           (re-)install broadcast after a restart, so create the follower
-           entry on the fly rather than dropping the sync *)
+        (* a seed is self-sufficient: create the follower entry on the
+           fly rather than dropping the sync *)
         let rin =
           match Hashtbl.find_opt t.repl_in range with
           | Some rin -> rin
@@ -1397,6 +1393,7 @@ let spawn rt ~sid ~epoch =
   (* one FIFO queue per gatekeeper; a read replica has none *)
   let n_q = if home = sid then n_g else 0 in
   let cache = Runtime.create_cache () in
+  let plan = Runtime.standing_plan rt in
   let t =
     {
       rt;
@@ -1421,9 +1418,7 @@ let spawn rt ~sid ~epoch =
         Gate.create rt cache ~queues:n_q
           ~fresh_only:
             (* a cluster that follows ranges can re-stamp weak runs *)
-            (rt.Runtime.cfg.Config.read_replicas = 0
-            && (not rt.Runtime.cfg.Config.enable_replication)
-            && not rt.Runtime.foreign_stamps);
+            (plan = [] && not rt.Runtime.foreign_stamps);
       last_applied = Array.make n_q Gate.none;
       last_arrived = Array.make n_q None;
       prog_state = Tbl.Int.create 32;
@@ -1457,7 +1452,7 @@ let spawn rt ~sid ~epoch =
   Weaver_obs.Metrics.gauge rt.Runtime.metrics
     (Printf.sprintf "util.%s.busy_us" t.actor)
     (fun () -> int_of_float t.busy_us);
-  List.iter (install_plan t) (Runtime.standing_plan rt);
+  List.iter (install_plan t) plan;
   (* read replicas are not failure-detected: no queue gauge, no heartbeat *)
   if not (is_replica t) then begin
     Weaver_obs.Metrics.gauge rt.Runtime.metrics
@@ -1514,9 +1509,8 @@ let resync t =
   (* replication state died with the crash: as a follower, the copies and
      watermarks are stale-but-safe at the gatekeepers (routed reads miss
      here and chase the owner) until the owner's next seed; as an owner,
-     the controller's next re-broadcast (or, for read replicas, the
-     standing plan reinstalled here) re-marks every follower dirty and the
-     next watermark reseeds them *)
+     the standing plan reinstalled here re-marks every follower dirty and
+     the next watermark reseeds them *)
   Hashtbl.reset t.repl_out;
   Hashtbl.reset t.repl_in;
   Tbl.Int.reset t.copies; (* so the reload below keeps none *)

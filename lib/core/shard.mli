@@ -79,12 +79,14 @@ val resync : t -> unit
     replaces it; must be called before the network endpoint is marked
     alive again. *)
 
-(** {1 Partial replication} ([Config.enable_replication], DESIGN §16)
+(** {1 Partial replication} ({!Runtime.standing_plan}, DESIGN §16)
 
-    Hot-range replication state ({!Weaver_repl.Repl}). As an {e owner},
-    the shard streams ops landing in its replicated ranges to followers
-    and advances them with watermark heartbeats (or wholesale seeds, when
-    the stream was interrupted). As a {e follower}, it keeps
+    Follower state for the ranges of the standing plan
+    ({!Weaver_repl.Repl}), installed at spawn and again at {!resync}. As
+    an {e owner}, the shard streams ops landing in its replicated ranges
+    to followers and advances them with watermark heartbeats (or
+    wholesale seeds, when the stream was interrupted). As a
+    {e follower}, it keeps
     timestamp-consistent copies of other owners' ranges in the same
     vertex table as its owned records, tagged as copies and written by
     the same apply function. A program visit reads an owned record

@@ -8,7 +8,7 @@ type priority = Control | Client_req
 let priority_of_kind = function
   | "Announce" | "Shard_tx(nop)" | "Heartbeat" | "Commit_note" | "Credit"
   | "Epoch_change" | "Epoch_ack" | "Watermark" | "Prog_gc"
-  | "Repl_install" | "Repl_update" | "Repl_seed" | "Repl_cover" ->
+  | "Repl_update" | "Repl_seed" | "Repl_cover" ->
       Control
   | _ -> Client_req
 

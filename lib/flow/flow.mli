@@ -32,8 +32,8 @@ val priority_of_kind : string -> priority
 (** Classify a message by its [Msg.kind] string. Control covers
     ["Announce"], ["Shard_tx(nop)"], ["Heartbeat"], ["Commit_note"],
     ["Credit"], ["Epoch_change"], ["Epoch_ack"], ["Watermark"],
-    ["Prog_gc"], and the partial-replication plane (["Repl_install"],
-    ["Repl_update"], ["Repl_seed"], ["Repl_cover"] — shedding a
+    ["Prog_gc"], and the partial-replication stream (["Repl_update"],
+    ["Repl_seed"], ["Repl_cover"] — shedding a
     replication stream would silently desync follower copies); everything
     else — including unknown kinds — is [Client_req], so new message types
     are sheddable until explicitly exempted. *)

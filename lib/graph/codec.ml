@@ -12,6 +12,7 @@ let decode_stamp r =
   let epoch = Wire.Reader.varint r in
   let origin = Wire.Reader.varint r in
   let clocks = Array.of_list (Wire.Reader.list r (fun () -> Wire.Reader.varint r)) in
+  if origin >= Array.length clocks then raise (Wire.Reader.Corrupt "stamp origin out of range");
   Vclock.make ~epoch ~origin clocks
 
 let encode_life w (l : Mgraph.lifespan) =

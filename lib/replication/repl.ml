@@ -11,59 +11,35 @@ let covers ~(wm : Vclock.t) (at : Vclock.t) =
   !ok
 
 module Table = struct
-  type entry = {
-    e_owner : int;
-    mutable e_followers : (int * Vclock.t option) list;  (* install order *)
-  }
-
-  type t = { entries : (int, entry) Hashtbl.t }
+  (* range -> followers with their advertised watermarks, in install order *)
+  type t = { entries : (int, (int * Vclock.t option) list) Hashtbl.t }
 
   let create () = { entries = Hashtbl.create 16 }
 
-  let install t ~range ~owner ~followers =
-    Hashtbl.replace t.entries range
-      { e_owner = owner; e_followers = List.map (fun f -> (f, None)) followers }
+  let install t ~range ~followers =
+    Hashtbl.replace t.entries range (List.map (fun f -> (f, None)) followers)
 
-  let drop t ~range = Hashtbl.remove t.entries range
-  let is_replicated t ~range = Hashtbl.mem t.entries range
-
-  let owner t ~range =
-    match Hashtbl.find_opt t.entries range with
-    | Some e -> Some e.e_owner
-    | None -> None
-
-  let followers t ~range =
-    match Hashtbl.find_opt t.entries range with
-    | Some e -> e.e_followers
-    | None -> []
+  let followers t ~range = Option.value ~default:[] (Hashtbl.find_opt t.entries range)
 
   let set_wm t ~range ~follower wm =
     match Hashtbl.find_opt t.entries range with
     | None -> ()
-    | Some e ->
-        e.e_followers <-
-          List.map
-            (fun (f, old) -> if f = follower then (f, Some wm) else (f, old))
-            e.e_followers
+    | Some fs ->
+        Hashtbl.replace t.entries range
+          (List.map (fun (f, old) -> if f = follower then (f, Some wm) else (f, old)) fs)
 
   let clear_wms t =
-    Hashtbl.iter
-      (fun _ e -> e.e_followers <- List.map (fun (f, _) -> (f, None)) e.e_followers)
+    Hashtbl.filter_map_inplace
+      (fun _ fs -> Some (List.map (fun (f, _) -> (f, None)) fs))
       t.entries
 
   let covering t ~range ~at =
-    match Hashtbl.find_opt t.entries range with
-    | None -> []
-    | Some e ->
-        List.filter_map
-          (fun (f, wm) ->
-            match wm with
-            | Some wm when covers ~wm at -> Some f
-            | _ -> None)
-          e.e_followers
-
-  let ranges t =
-    List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.entries [])
+    List.filter_map
+      (fun (f, wm) ->
+        match wm with
+        | Some wm when covers ~wm at -> Some f
+        | _ -> None)
+      (followers t ~range)
 
   let size t = Hashtbl.length t.entries
 end

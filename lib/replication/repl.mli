@@ -1,21 +1,22 @@
-(** Timestamp-consistent partial replication of hot vertex ranges
-    (DESIGN §16; Sutra & Shapiro's fault-tolerant partial replication
-    adapted to refinable timestamps).
+(** Timestamp-consistent partial replication of vertex ranges (DESIGN
+    §16; Sutra & Shapiro's fault-tolerant partial replication adapted to
+    refinable timestamps).
 
     The paper's own read replicas (§6.4) are the full case: followers of
     every range of their shard. This module supplies the pure logic built
-    on top of the watermark machinery: owners of replicated ranges (every
-    range with read replicas, else the {e hot ranges} [Obs.Heat]
-    identifies) stream applied updates to followers together with their
-    gossiped GC watermarks, and a follower may serve any read at stamp [t]
-    that its replication watermark {e covers} — the result is then
-    bit-identical to the owner's answer at the same cut, because both
-    resolve the same multi-version records at the same timestamp.
+    on top of the watermark machinery: owners of followed ranges (every
+    range of the cluster's standing plan — the read replicas' home shards,
+    or the next [replication_factor] shards) stream applied updates to
+    followers together with their gossiped GC watermarks, and a follower
+    may serve any read at stamp [t] that its replication watermark
+    {e covers} — the result is then bit-identical to the owner's answer at
+    the same cut, because both resolve the same multi-version records at
+    the same timestamp.
 
     Everything here is deterministic bookkeeping over vector clocks: no
-    randomness, no events, no I/O. The actor-facing controller lives in
-    [Weaver_core.Replicator]; shards and gatekeepers keep a {!Table} each
-    and drive it from [Repl_install] / [Repl_cover] messages. *)
+    randomness, no events, no I/O. The plan itself is
+    [Weaver_core.Runtime.standing_plan]; gatekeepers keep a {!Table}
+    filled from it and advanced by [Repl_cover] messages. *)
 
 module Vclock = Weaver_vclock.Vclock
 
@@ -27,24 +28,18 @@ val covers : wm:Vclock.t -> Vclock.t -> bool
     been applied to the copy. Componentwise [<=] (not strict
     happens-before): a read re-stamped exactly at the watermark is safe. *)
 
-(** Range → owner/followers routing table, with per-follower monotone
-    replication watermarks. Gatekeepers use it to pick read destinations;
-    the controller uses it to remember what is already replicated. *)
+(** Range → followers routing table, with per-follower monotone
+    replication watermarks. Gatekeepers use it to pick read
+    destinations. *)
 module Table : sig
   type t
 
   val create : unit -> t
 
-  val install : t -> range:int -> owner:int -> followers:int list -> unit
-  (** Register (or overwrite) the replication plan for a range. Follower
+  val install : t -> range:int -> followers:int list -> unit
+  (** Register (or overwrite) the followers of a range. Follower
       watermarks start unset — a follower advertises coverage only after
       its first seed. *)
-
-  val drop : t -> range:int -> unit
-  val is_replicated : t -> range:int -> bool
-
-  val owner : t -> range:int -> int option
-  (** Owning shard of a replicated range, [None] if not replicated. *)
 
   val followers : t -> range:int -> (int * Vclock.t option) list
   (** Followers of a range with their last advertised watermarks, in
@@ -65,8 +60,6 @@ module Table : sig
   (** Followers whose advertised watermark {!covers} [at], in install
       order. Liveness filtering is the caller's business. *)
 
-  val ranges : t -> int list
-  (** Replicated ranges, sorted ascending (deterministic iteration). *)
-
   val size : t -> int
+  (** Ranges installed. *)
 end

@@ -10,7 +10,6 @@ module Nodeprog = Weaver_core.Nodeprog
 module Backup = Weaver_core.Backup
 module Rebalance = Weaver_core.Rebalance
 module Balancer = Weaver_core.Balancer
-module Replicator = Weaver_core.Replicator
 
 (* standard node programs *)
 module Programs = Weaver_programs.Std_programs

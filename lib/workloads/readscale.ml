@@ -1,8 +1,8 @@
 (* Read-scale workload: Zipf-skewed closed-loop weak readers versus
    uniform closed-loop property writers. The reader skew concentrates load
-   on a few key ranges — exactly what the replication controller looks for
-   — while the writers keep the owners' follower streams carrying real
-   updates instead of bare watermark heartbeats. *)
+   on a few key ranges, so one owner saturates unless followers share its
+   reads, while the writers keep the owners' follower streams carrying
+   real updates instead of bare watermark heartbeats. *)
 
 open Weaver_core
 module Xrand = Weaver_util.Xrand

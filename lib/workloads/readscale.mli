@@ -1,6 +1,6 @@
 (** Read-scale workload for partial replication (DESIGN §16): a pool of
-    closed-loop weak readers picking vertices Zipf-skewed (the hot ranges
-    the replication controller should detect) races a pool of closed-loop
+    closed-loop weak readers picking vertices Zipf-skewed (a few hot
+    ranges saturate their owners) races a pool of closed-loop
     property writers picking vertices uniformly (keeping every owner's
     update stream busy). Read goodput — completed weak reads per second of
     virtual time — is the metric replication factor is supposed to move;

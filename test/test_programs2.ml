@@ -197,6 +197,13 @@ let prop_decode_never_crashes =
       | exception Weaver_util.Wire.Reader.Corrupt _ -> true
       | exception _ -> false)
 
+(* a shrunk counterexample of the property above: a well-formed stamp
+   whose origin names no clock entry *)
+let test_decode_bad_origin () =
+  match Weaver_graph.Codec.decode_vertex "\001\006aaaaaaaa\005aaaaa" with
+  | _ -> Alcotest.fail "decoded a stamp whose origin is out of range"
+  | exception Weaver_util.Wire.Reader.Corrupt _ -> ()
+
 let suites =
   [
     ( "programs.extended",
@@ -217,5 +224,7 @@ let suites =
         Alcotest.test_case "history" `Quick test_history_program;
         Alcotest.test_case "match_prop" `Quick test_match_prop;
         QCheck_alcotest.to_alcotest prop_decode_never_crashes;
+        Alcotest.test_case "codec rejects an out-of-range stamp origin" `Quick
+          test_decode_bad_origin;
       ] );
   ]

@@ -1,10 +1,11 @@
-(* Tests for timestamp-consistent partial replication of hot ranges
-   (DESIGN §16): the coverage predicate and controller table, the
-   end-to-end install → seed → stream → route pipeline, survival of
-   covered reads across an owner crash, credit-starved stream resync,
-   control-plane invisibility at replication factor 0, and the two fixes
-   that ride along — replica-served reads feeding heat attribution, and
-   weak-read routing skipping dead replicas. *)
+(* Tests for timestamp-consistent partial replication (DESIGN §16): the
+   coverage predicate and routing table, the one follower-placement rule
+   ([Runtime.standing_plan]) and its [Config] limits, the end-to-end
+   install → seed → stream → route pipeline, survival of covered reads
+   across an owner crash, credit-starved stream resync, healing after a
+   follower-and-owner restart, and the two fixes that ride along —
+   replica-served reads feeding heat attribution, and weak-read routing
+   skipping dead replicas. *)
 
 open Weaver_core
 module Programs = Weaver_programs.Std_programs
@@ -26,7 +27,6 @@ let repl_cfg ?(factor = 2) seed =
     Config.seed;
     n_gatekeepers = 1;
     enable_heat = true;
-    enable_replication = true;
     replication_factor = factor;
     gc_period = 2_000.0;
   }
@@ -45,6 +45,14 @@ let weak_read client vid =
   Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ vid ]
     ~consistency:`Weak ()
 
+(* the followers [Runtime.standing_plan] gives [range] *)
+let plan_followers c range =
+  match
+    List.find_opt (fun (r, _, _) -> r = range) (Runtime.standing_plan (Cluster.runtime c))
+  with
+  | Some (_, _, followers) -> followers
+  | None -> []
+
 (* the value of vertex prop [key] out of a [get_node] result *)
 let prop_of result key =
   match result with
@@ -52,7 +60,7 @@ let prop_of result key =
   | _ -> Alcotest.fail "unexpected get_node result shape"
 
 (* ------------------------------------------------------------------ *)
-(* Coverage predicate and controller table. *)
+(* Coverage predicate and routing table. *)
 
 let vc clocks = Vclock.make ~epoch:0 ~origin:0 (Array.of_list clocks)
 
@@ -65,9 +73,9 @@ let test_covers_and_table () =
     (Repl.covers ~wm (Vclock.make ~epoch:1 ~origin:0 [| 1; 1 |]));
   let t = Repl.Table.create () in
   Alcotest.(check int) "empty" 0 (Repl.Table.size t);
-  Repl.Table.install t ~range:7 ~owner:1 ~followers:[ 2; 3 ];
-  Alcotest.(check bool) "replicated" true (Repl.Table.is_replicated t ~range:7);
-  Alcotest.(check (option int)) "owner" (Some 1) (Repl.Table.owner t ~range:7);
+  Repl.Table.install t ~range:7 ~followers:[ 2; 3 ];
+  Alcotest.(check (list int)) "replicated" [ 2; 3 ]
+    (List.map fst (Repl.Table.followers t ~range:7));
   Alcotest.(check (list int)) "no coverage yet" []
     (Repl.Table.covering t ~range:7 ~at:(vc [ 0; 0 ]));
   Repl.Table.set_wm t ~range:7 ~follower:2 (vc [ 4; 4 ]);
@@ -79,8 +87,8 @@ let test_covers_and_table () =
   Repl.Table.clear_wms t;
   Alcotest.(check (list int)) "epoch barrier clears coverage" []
     (Repl.Table.covering t ~range:7 ~at:(vc [ 1; 1 ]));
-  Alcotest.(check bool) "install survives the barrier" true
-    (Repl.Table.is_replicated t ~range:7)
+  Alcotest.(check (list int)) "install survives the barrier" [ 2; 3 ]
+    (List.map fst (Repl.Table.followers t ~range:7))
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: replica-served reads must feed heat attribution.
@@ -88,7 +96,7 @@ let test_covers_and_table () =
    With one §6.4 read replica, weak reads alternate between the primary
    and the replica once the replica is seeded; if only primary-side visits
    called [Runtime.heat_read], a vertex served half from its replica would
-   look half as hot to the balancer and the replication controller. *)
+   look half as hot to the balancer. *)
 
 let test_replica_reads_feed_heat () =
   let cfg =
@@ -145,9 +153,9 @@ let test_dead_replica_routed_around () =
   Alcotest.(check int) "no timeouts, no retries" retries0 ctr.Runtime.client_retries
 
 (* ------------------------------------------------------------------ *)
-(* Tentpole: a hot range gets installed by the controller, seeded and
-   streamed by its owner, advertised by its followers, and weak reads get
-   routed to follower copies — which stay convergent with the owner. *)
+(* A range of the standing plan gets seeded and streamed by its owner,
+   advertised by its followers, and weak reads get routed to follower
+   copies — which stay convergent with the owner. *)
 
 let test_install_stream_route_converge () =
   let c = mk_cluster (repl_cfg 11) in
@@ -165,14 +173,11 @@ let test_install_stream_route_converge () =
     Cluster.run_for c 200.0
   done;
   let ctr = Cluster.counters c in
-  Alcotest.(check bool) "controller installed a range" true
-    (ctr.Runtime.repl_installs >= 1);
+  Alcotest.(check int) "the plan follows the range" 2
+    (List.length (plan_followers c (Runtime.repl_range (Cluster.runtime c) "hot")));
   Alcotest.(check bool) "owner streamed updates" true (ctr.Runtime.repl_updates >= 1);
   Alcotest.(check bool) "gatekeeper routed reads to followers" true
     (ctr.Runtime.repl_routed >= 1);
-  let r = Option.get (Cluster.replicator c) in
-  Alcotest.(check bool) "controller table non-empty" true
-    (Repl.Table.size (Replicator.table r) >= 1);
   (* quiesce: the watermark passes the last write, follower copies cover
      it, and a weak read — wherever it lands — sees the final value *)
   Cluster.run_for c 20_000.0;
@@ -243,17 +248,16 @@ let test_credit_exhaustion_forces_resync () =
   create_vertex client "hot";
   let ctr = Cluster.counters c in
   let tries = ref 0 in
-  while ctr.Runtime.repl_installs = 0 && !tries < 300 do
+  while ctr.Runtime.repl_routed = 0 && !tries < 300 do
     incr tries;
     ignore (weak_read client "hot");
     Cluster.run_for c 200.0
   done;
-  Alcotest.(check bool) "range replicated" true (ctr.Runtime.repl_installs >= 1);
+  Alcotest.(check bool) "range replicated" true (ctr.Runtime.repl_routed >= 1);
   let owner = Cluster.shard_of_vertex c "hot" in
-  let r = Option.get (Cluster.replicator c) in
   let h = Option.get (Cluster.heat c) in
   let range = Heat.range_of h "hot" in
-  let followers = List.map fst (Repl.Table.followers (Replicator.table r) ~range) in
+  let followers = plan_followers c range in
   Alcotest.(check bool) "follower chosen" true (followers <> []);
   (* slow the stream's return path: refunds now lag the burst *)
   List.iter
@@ -262,6 +266,8 @@ let test_credit_exhaustion_forces_resync () =
         (Fault.Link_degrade
            { src = Fault.Shard f; dst = Fault.Shard owner; factor = 50.0 }))
     followers;
+  (* every range's first seed is counted too: the burst must add one *)
+  let seeded = ctr.Runtime.repl_resyncs in
   let pending = ref 0 in
   let committed = ref [] in
   for i = 0 to 9 do
@@ -279,6 +285,8 @@ let test_credit_exhaustion_forces_resync () =
   Alcotest.(check bool) "burst made progress" true (List.length !committed >= 2);
   Alcotest.(check bool) "stream interrupted and reseeded" true
     (ctr.Runtime.repl_resyncs >= 1);
+  Alcotest.(check bool) "reseeded beyond the first seeds" true
+    (ctr.Runtime.repl_resyncs > seeded);
   List.iter
     (fun f ->
       Cluster.apply_fault c
@@ -373,11 +381,10 @@ let test_migrate_onto_follower () =
     Cluster.run_for c 200.0
   done;
   Alcotest.(check bool) "replication became active" true (ctr.Runtime.repl_routed > 0);
-  let r = Option.get (Cluster.replicator c) in
   let range = Runtime.repl_range (Cluster.runtime c) "hot" in
   let follower =
-    match Repl.Table.followers (Replicator.table r) ~range with
-    | (f, _) :: _ -> f
+    match plan_followers c range with
+    | f :: _ -> f
     | [] -> Alcotest.fail "no follower for the hot range"
   in
   set_prop client "hot" "v" "a";
@@ -405,47 +412,139 @@ let test_migrate_onto_follower () =
     (List.mem "hot" (Cluster.shard_resident_ids c follower))
 
 (* ------------------------------------------------------------------ *)
-(* Replication factor 0 keeps the control plane dark: same seed, same
-   workload, bit-identical counters with the subsystem enabled-but-idle
-   versus absent. *)
+(* The one follower-placement rule. With [replication_factor = k] each
+   range is followed by the k shards after its home shard, so every range
+   has k distinct non-owner followers and every shard follows the same
+   number of ranges; with read replicas the plan is the §6.4 one. *)
 
-let run_fixed_workload cfg =
-  let c = mk_cluster cfg in
+let plan cfg = Runtime.standing_plan (Runtime.create cfg)
+
+let test_factor_plan () =
+  for n = 1 to 5 do
+    for k = 0 to n - 1 do
+      let name fmt = Printf.ksprintf (Printf.sprintf "n=%d k=%d: %s" n k) fmt in
+      let p = plan { Config.default with Config.n_shards = n; replication_factor = k } in
+      (* every range, numbered densely, nested in its home shard *)
+      let ranges = List.map (fun (r, _, _) -> r) p in
+      Alcotest.(check (list int)) (name "ranges") (List.init (List.length p) Fun.id) ranges;
+      Alcotest.(check bool) (name "range count") true
+        (if k = 0 then p = [] else List.length p >= 64 && List.length p mod n = 0);
+      let follows = Array.make n 0 in
+      List.iter
+        (fun (range, owner, followers) ->
+          Alcotest.(check int) (name "owner of r%d" range) (range mod n) owner;
+          Alcotest.(check int) (name "r%d has k followers" range) k
+            (List.length (List.sort_uniq compare followers));
+          Alcotest.(check bool) (name "r%d not followed by its owner" range) false
+            (List.mem owner followers);
+          List.iter
+            (fun f ->
+              Alcotest.(check bool) (name "r%d follower is a shard" range) true
+                (f >= 0 && f < n);
+              follows.(f) <- follows.(f) + 1)
+            followers)
+        p;
+      Array.iteri
+        (fun s m ->
+          Alcotest.(check int) (name "shard %d follows its share" s) follows.(0) m)
+        follows
+    done
+  done
+
+let test_read_replica_plan_pinned () =
+  (* the §6.4 plan: replica r of shard s is server 4 + 2s + r *)
+  let p = plan { Config.default with Config.read_replicas = 2 } in
+  Alcotest.(check (list int)) "every range" (List.init 64 Fun.id)
+    (List.map (fun (r, _, _) -> r) p);
+  List.iter
+    (fun (range, owner, followers) ->
+      Alcotest.(check int) "home shard" (range mod 4) owner;
+      Alcotest.(check (list int)) "the owner's replicas"
+        [ 4 + (2 * owner); 5 + (2 * owner) ]
+        followers)
+    p
+
+let test_factor_config_limits () =
+  let rejects name cfg =
+    match Config.validate cfg with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  let base = Config.default in
+  rejects "factor = n_shards" { base with Config.replication_factor = 4 };
+  rejects "factor > n_shards" { base with Config.n_shards = 2; replication_factor = 3 };
+  rejects "single shard" { base with Config.n_shards = 1; replication_factor = 1 };
+  rejects "factor with read replicas"
+    { base with Config.read_replicas = 1; replication_factor = 1 };
+  rejects "negative factor" { base with Config.replication_factor = -1 };
+  Config.validate { base with Config.replication_factor = 3 };
+  Config.validate { base with Config.read_replicas = 2 }
+
+(* ------------------------------------------------------------------ *)
+(* A crash-restart of a shard that both owns a range and follows another
+   heals by itself: the restarted owner reinstalls the plan at resync and
+   reseeds its followers, and the owner of the range it follows reseeds it
+   ([Shard.on_peer_restart]). Weak reads of both ranges converge. *)
+
+let test_restart_heals_both_roles () =
+  let c = mk_cluster (repl_cfg ~factor:1 19) in
   let client = Cluster.client c in
-  for i = 0 to 7 do
-    create_vertex client (Printf.sprintf "fw%d" i)
-  done;
-  for round = 1 to 5 do
-    for i = 0 to 7 do
-      let vid = Printf.sprintf "fw%d" i in
-      set_prop client vid "r" (string_of_int round);
-      ignore (weak_read client vid);
-      ignore
-        (Client.run_program client ~prog:"count_edges" ~params:Progval.Null
-           ~starts:[ vid ] ())
-    done;
-    Cluster.run_for c 3_000.0
-  done;
+  let rt = Cluster.runtime c in
+  let s = 1 in
+  (* a vertex in a range [s] owns, and one in a range [s] follows *)
+  let rec vertex_on shard i =
+    let vid = Printf.sprintf "v%d" i in
+    if Runtime.shard_of_vertex rt vid = shard then vid else vertex_on shard (i + 1)
+  in
+  let va = vertex_on s 0 and vb = vertex_on 0 0 in
+  Alcotest.(check (list int)) "s follows the range of vb" [ s ]
+    (plan_followers c (Runtime.repl_range rt vb));
+  Alcotest.(check (list int)) "s owns the range of va" [ s + 1 ]
+    (plan_followers c (Runtime.repl_range rt va));
+  create_vertex client va;
+  create_vertex client vb;
+  set_prop client va "v" "0";
+  set_prop client vb "v" "0";
   Cluster.run_for c 10_000.0;
   let ctr = Cluster.counters c in
-  let rt = Cluster.runtime c in
-  ( ( ctr.Runtime.tx_committed,
-      ctr.Runtime.tx_aborted,
-      ctr.Runtime.progs_completed,
-      ctr.Runtime.vertices_read ),
-    ( Weaver_sim.Net.messages_sent rt.Runtime.net,
-      Weaver_sim.Net.messages_delivered rt.Runtime.net,
-      ctr.Runtime.oracle_consults,
-      ctr.Runtime.nop_msgs ) )
-
-let test_factor_zero_invisible () =
-  let base = { Config.default with Config.seed = 23; enable_heat = true } in
-  let off = run_fixed_workload base in
-  let on_idle =
-    run_fixed_workload
-      { base with Config.enable_replication = true; replication_factor = 0 }
+  let resyncs0 = ctr.Runtime.repl_resyncs in
+  let t0 = Cluster.now c in
+  ignore
+    (Cluster.install_fault_plan c
+       (Fault.scripted
+          [
+            (t0 +. 500.0, Fault.Crash (Fault.Shard s));
+            (t0 +. 3_000.0, Fault.Restart (Fault.Shard s));
+          ]));
+  Cluster.run_for c 5_000.0;
+  set_prop client va "v" "1";
+  set_prop client vb "v" "1";
+  Cluster.run_for c 20_000.0;
+  Alcotest.(check bool) "the restart was reseeded" true (ctr.Runtime.repl_resyncs > resyncs0);
+  (* the live value of [vid]'s prop "v" in the copy [shard] holds *)
+  let copy_value shard vid =
+    let open Weaver_graph.Mgraph in
+    Option.bind (Cluster.shard_vertex c ~shard vid) (fun v ->
+        Array.find_map
+          (fun p -> if p.pkey = "v" && p.p_life.deleted = None then Some p.pval else None)
+          v.v_props)
   in
-  Alcotest.(check bool) "factor-0 control plane is bit-invisible" true (off = on_idle)
+  Alcotest.(check (option string)) "the restarted follower's copy converged" (Some "1")
+    (copy_value s vb);
+  Alcotest.(check (option string)) "the restarted owner's follower converged" (Some "1")
+    (copy_value (s + 1) va);
+  List.iter
+    (fun vid ->
+      for i = 1 to 4 do
+        match weak_read client vid with
+        | Ok v ->
+            Alcotest.(check (option string))
+              (Printf.sprintf "%s weak read %d sees the last write" vid i)
+              (Some "1")
+              (Option.map Progval.to_str (prop_of v "v"))
+        | Error e -> Alcotest.failf "%s weak read %d failed: %s" vid i e
+      done)
+    [ va; vb ]
 
 let suites =
   [
@@ -462,11 +561,16 @@ let suites =
           test_owner_crash_covered_reads_survive;
         Alcotest.test_case "credit exhaustion forces reseed, then converges" `Quick
           test_credit_exhaustion_forces_resync;
-        Alcotest.test_case "replication factor 0 is invisible" `Quick
-          test_factor_zero_invisible;
         Alcotest.test_case "follower never pages in a vertex it does not own" `Quick
           test_follower_never_pages_in;
         Alcotest.test_case "migration onto a follower keeps the owned record" `Quick
           test_migrate_onto_follower;
+        Alcotest.test_case "factor-k plan: k distinct non-owner followers, even load" `Quick
+          test_factor_plan;
+        Alcotest.test_case "read-replica plan pinned" `Quick test_read_replica_plan_pinned;
+        Alcotest.test_case "factor limits rejected by Config.validate" `Quick
+          test_factor_config_limits;
+        Alcotest.test_case "restart of an owner-and-follower heals both ranges" `Quick
+          test_restart_heals_both_roles;
       ] );
   ]

@@ -350,26 +350,8 @@ let test_snapshot_gate_neutral () =
   Alcotest.(check bool) "fingerprint identical with snapshot_reads on" true
     (run coalesce_cfg = run { coalesce_cfg with Config.snapshot_reads = true })
 
-(* The partial-replication gate must likewise be invisible while idle: with
-   the subsystem enabled but the factor at 0 the controller plans nothing,
-   owners stream nothing, gatekeepers route nothing — the forced-coalescing
-   race must replay to the identical counter fingerprint. *)
-let test_replication_gate_neutral () =
-  let base = { coalesce_cfg with Config.enable_heat = true } in
-  let run cfg =
-    let c, _, _ =
-      run_race ~cfg ~side_writers:6 ~pin_hub_writers:true ~seed:404 ~writers:3
-        ~readers:2 ~writes_per_writer:5 ()
-    in
-    coalesce_fingerprint c
-  in
-  Alcotest.(check bool) "fingerprint identical with idle replication on" true
-    (run base
-    = run
-        { base with Config.enable_replication = true; Config.replication_factor = 0 })
-
-(* The full race under live partial replication: hot-range installs, owner
-   streaming, and covered-read routing must not weaken the client-observable
+(* The full race under live partial replication: owner streaming and
+   covered-read routing must not weaken the client-observable
    history — strong reads stay strictly serializable and the final state is
    exact. *)
 let test_race_with_replication seed () =
@@ -378,7 +360,6 @@ let test_race_with_replication seed () =
       Config.default with
       Config.n_shards = 4;
       Config.enable_heat = true;
-      Config.enable_replication = true;
       Config.replication_factor = 2;
       Config.gc_period = 2_000.0;
     }
@@ -409,7 +390,6 @@ let test_replicated_pinned_cut () =
       Config.n_gatekeepers = 1;
       Config.n_shards = 4;
       Config.enable_heat = true;
-      Config.enable_replication = true;
       Config.replication_factor = 2;
       Config.gc_period = 2_000.0;
       Config.net_jitter = 0.0;
@@ -539,8 +519,6 @@ let suites =
           test_snapshot_analytics_consistent_cut;
         Alcotest.test_case "snapshot gate neutral" `Quick
           test_snapshot_gate_neutral;
-        Alcotest.test_case "replication gate neutral" `Quick
-          test_replication_gate_neutral;
         Alcotest.test_case "race with replication on" `Quick
           (test_race_with_replication 909);
         Alcotest.test_case "replicated pinned cut" `Quick
