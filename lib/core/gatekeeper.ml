@@ -564,10 +564,11 @@ let memo_key prog params starts ~weak =
    owner or a live follower of its range — for a historical run ([at] set)
    one covering the pinned stamp, for a weak run one advertising coverage
    in this epoch, together with that watermark, at which the run is then
-   re-stamped. Returns [(vid, server, follower-chosen, watermark)]. *)
+   re-stamped. Returns [(vid, handle, server, follower-chosen, watermark)]. *)
 let route t ~replicated ~at vid =
-  let owner = Runtime.shard_of_vertex t.rt vid in
-  if not replicated then (vid, owner, false, None)
+  let h = Runtime.vertex_handle t.rt vid in
+  let owner = Runtime.shard_of_handle t.rt h in
+  if not replicated then (vid, h, owner, false, None)
   else
     let alive_server s = Net.is_alive t.rt.Runtime.net (Runtime.shard_addr t.rt s) in
     let range = Runtime.repl_range t.rt vid in
@@ -593,7 +594,7 @@ let route t ~replicated ~at vid =
           Hashtbl.replace t.repl_rr range n;
           List.nth cands (n mod List.length cands)
     in
-    (vid, server, server <> owner, wm)
+    (vid, h, server, server <> owner, wm)
 
 (* Send one batch per server to the routed starts of the run registered
    under [key]; a run with no live start vertex is answered at once. *)
@@ -603,9 +604,9 @@ let dispatch t ~key run routes =
      or historical run met a covering follower *)
   let routed = ref [] in
   List.iter
-    (fun (vid, server, to_follower, _) ->
+    (fun (vid, h, server, to_follower, _) ->
       let l = try Tbl.Int.find by_dst server with Not_found -> [] in
-      Tbl.Int.replace by_dst server ((vid, run.pr_params) :: l);
+      Tbl.Int.replace by_dst server ((vid, h, run.pr_params) :: l);
       if to_follower && not (List.mem server !routed) then routed := server :: !routed)
     routes;
   Tbl.Int.iter
@@ -666,7 +667,7 @@ let handle_prog_req t ~client ~prog_id ~prog ~params ~starts ~at ~weak =
             (weak || historical) && (not snapshot_routed) && Repl.Table.size t.repl > 0
           in
           let routes = List.map (route t ~replicated ~at) starts in
-          let cut = List.filter_map (fun (_, _, _, wm) -> wm) routes in
+          let cut = List.filter_map (fun (_, _, _, _, wm) -> wm) routes in
           let ts =
             match (at, cut) with
             | Some ts, _ -> ts
@@ -744,7 +745,8 @@ let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
           | None ->
               run.pr_outstanding <- run.pr_outstanding + sent - 1;
               run.pr_acc <- P.merge run.pr_acc acc;
-              run.pr_visited <- List.rev_append visited run.pr_visited;
+              if Option.is_some run.pr_memo_key then
+                run.pr_visited <- List.rev_append visited run.pr_visited;
               if run.pr_outstanding = 0 then begin
                 Tbl.Int.remove t.active prog_id;
                 (counters t).Runtime.progs_completed <-

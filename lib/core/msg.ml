@@ -43,7 +43,7 @@ type t =
       ts : Vclock.t;
       prog : string;
       historical : bool;
-      items : (string * Progval.t) list;
+      items : (string * int * Progval.t) list;
       sent_at : float;
     }
   | Prog_partial of {

@@ -61,7 +61,9 @@ type t =
       ts : Weaver_vclock.Vclock.t;
       prog : string;
       historical : bool;
-      items : (string * Progval.t) list;  (** (vertex, params) to visit *)
+      items : (string * int * Progval.t) list;
+          (** (vertex, its handle in the cluster's numbering
+              ([Runtime.t.names]), params) to visit *)
       sent_at : float;  (** send time, for the [shard.prog_hop] span *)
     }
       (** gatekeeper → shard (start) or shard → shard (hop propagation);
@@ -74,6 +76,8 @@ type t =
       sent : int;  (** further [Prog_batch] messages this batch spawned *)
       acc : Progval.t;
       visited : string list;
+          (** the vertices the batch read, for the coordinator's memo
+              entry; empty unless [Config.enable_memoization] is on *)
       error : string option;
           (** [Some reason] fails the whole program run (e.g.
               ["snapshot-gced"]: the run's timestamp fell below the

@@ -12,7 +12,7 @@ module Timeline = Weaver_obs.Timeline
 module Slowlog = Weaver_obs.Slowlog
 module Heat = Weaver_obs.Heat
 module Prof = Weaver_obs.Prof
-module Tbl = Weaver_util.Tbl
+module Intern = Weaver_util.Intern
 
 type stored = Vrec of Mgraph.vertex | Stamp of Vclock.t | Dir of int
 
@@ -76,11 +76,12 @@ type t = {
   timeline : Timeline.t option;  (* Some iff [Config.enable_timeline] *)
   slowlog : Slowlog.t;  (* always on; phases only when tracing is on *)
   heat : Heat.t option;  (* Some iff [Config.enable_heat] *)
-  dir : int Tbl.Str.t;
-      (* vid -> shard, mirroring every committed "dir/" key: kept exact by
-         the store's apply hook, so the store stays authoritative and this
-         table only saves the key build and the probe of the whole store *)
-  mutable dir_gen : int;  (* bumped by every change to [dir] *)
+  names : Intern.t;  (* the one vertex numbering of the cluster *)
+  mutable dir : int array;
+      (* by handle: the shard of every committed "dir/" key, -1 where there
+         is none. Kept exact by the store's apply hook, so the store stays
+         authoritative and this array only saves the key build and the
+         probe of the whole store *)
   mutable profiler : Prof.t option;  (* handler attribution, default off *)
   mutable probe_audit : probe_audit option;
       (* shadow lookups of the cache probes the ordering gate skips,
@@ -324,8 +325,8 @@ let create cfg =
                 ~ranges:(heat_range_count ~shards:cfg.Config.n_shards)
                 ~half_life:Heat.default_half_life)
          else None);
-      dir = Tbl.Str.create 1024;
-      dir_gen = 0;
+      names = Intern.create ~capacity:4096 ();
+      dir = [||];
       profiler = None;
       probe_audit = None;
       foreign_stamps = false;
@@ -334,11 +335,14 @@ let create cfg =
   in
   Store.on_apply t.store (fun key value ->
       if String.starts_with ~prefix:"dir/" key then begin
-        let vid = String.sub key 4 (String.length key - 4) in
-        (match value with
-        | Some (Dir s) -> Tbl.Str.replace t.dir vid s
-        | _ -> Tbl.Str.remove t.dir vid);
-        t.dir_gen <- t.dir_gen + 1
+        let h = Intern.id t.names (String.sub key 4 (String.length key - 4)) in
+        let len = Array.length t.dir in
+        if h >= len then begin
+          let dir = Array.make (max (2 * len) (h + 1)) (-1) in
+          Array.blit t.dir 0 dir 0 len;
+          t.dir <- dir
+        end;
+        t.dir.(h) <- (match value with Some (Dir s) -> s | _ -> -1)
       end);
   register_counter_gauges metrics t.counters;
   (* per-shard cumulative touch totals; only present when heat is on, so
@@ -480,16 +484,27 @@ let vkey vid = "v/" ^ vid
 let lukey vid = "lu/" ^ vid
 let dirkey vid = "dir/" ^ vid
 
-let shard_of_vertex t vid =
-  match Tbl.Str.find t.dir vid with
-  | s -> s
-  | exception Not_found -> Partition.hash_vertex ~shards:t.cfg.Config.n_shards vid
+let vertex_handle t vid = Intern.id t.names vid
+let vertex_name t h = Intern.name t.names h
 
-let directory_generation t = t.dir_gen
+let hashed_placement t h =
+  Partition.hash_vertex ~shards:t.cfg.Config.n_shards (Intern.name t.names h)
+
+(* inlined into the hop loop: a placed vertex costs one bounds check and
+   one array read *)
+let[@inline] shard_of_handle t h =
+  let dir = t.dir in
+  if h < Array.length dir && dir.(h) >= 0 then dir.(h) else hashed_placement t h
+
+let shard_of_vertex t vid =
+  match Intern.find t.names vid with
+  | Some h -> shard_of_handle t h
+  | None -> Partition.hash_vertex ~shards:t.cfg.Config.n_shards vid
 
 let directory t =
-  Tbl.Str.fold (fun vid s acc -> (vid, s) :: acc) t.dir []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let acc = ref [] in
+  Array.iteri (fun h s -> if s >= 0 then acc := (Intern.name t.names h, s) :: !acc) t.dir;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 (* heat touch recording: O(1) pure bookkeeping against the sketch and
    decay cells — never schedules events, consumes RNG, or sends messages —

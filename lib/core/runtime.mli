@@ -137,16 +137,19 @@ type t = {
       (** per-shard heavy-hitter sketches + per-range decayed load
           accumulators; [Some] iff [Config.enable_heat]. Touch recording
           is pure bookkeeping, so outcomes are unaffected *)
-  dir : int Weaver_util.Tbl.Str.t;
-      (** the directory mirror: vid → shard for every committed ["dir/"]
-          key, kept exact by the store's apply hook
+  names : Weaver_util.Intern.t;
+      (** the one vertex numbering of the cluster, shared by every
+          server, by [Msg.Prog_batch] items and by every table keyed by
+          vertex handle. Handles are dense and append-only, so a handle
+          stays the same for the cluster's whole life and indexes arrays
+          directly *)
+  mutable dir : int array;
+      (** the directory by handle: the shard of every committed ["dir/"]
+          key, -1 where there is none. Kept exact by the store's apply hook
           ({!Weaver_store.Store.on_apply}) through creates, migrations,
           restores and aborted commits. Read it through
-          {!shard_of_vertex}; the store stays authoritative for
+          {!shard_of_handle}; the store stays authoritative for
           transactional reads *)
-  mutable dir_gen : int;
-      (** bumped by every change to {!dir}; read it through
-          {!directory_generation} *)
   mutable profiler : Weaver_obs.Prof.t option;
       (** handler CPU attribution, off by default; while [Some], every
           handler registered through {!register} is measured per actor
@@ -284,17 +287,23 @@ val actor_of_addr : t -> int -> string
 
 (** {1 Vertex placement} *)
 
-val shard_of_vertex : t -> string -> int
+val vertex_handle : t -> string -> int
+(** The vertex's handle in {!names}, interning it on first sight. *)
+
+val vertex_name : t -> int -> string
+(** The vid of a handle. *)
+
+val shard_of_handle : t -> int -> int
 (** Shard index owning a vertex: the directory entry if present, hashed
     placement otherwise (the mapping every server can compute for
-    yet-unknown vertices). One probe of the directory mirror. *)
+    yet-unknown vertices). One array read for a placed vertex. *)
 
-val directory_generation : t -> int
-(** A counter bumped by every committed change to the directory: an
-    answer of {!shard_of_vertex} stays exact while it is unchanged. *)
+val shard_of_vertex : t -> string -> int
+(** {!shard_of_handle} by vid; a vid never interned gets its hashed
+    placement. *)
 
 val directory : t -> (string * int) list
-(** The directory mirror's bindings, sorted by vid (tests). *)
+(** The directory's bindings, sorted by vid (tests). *)
 
 val repl_range : t -> string -> int
 (** Key range of a vertex for replication: the heat sensor's bucket

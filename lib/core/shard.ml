@@ -6,6 +6,7 @@ module Snapshot = Weaver_store.Snapshot
 module Oracle = Weaver_oracle.Oracle
 module Mgraph = Weaver_graph.Mgraph
 module Intern = Weaver_util.Intern
+module Dense = Weaver_util.Dense
 module Flow = Weaver_flow.Flow
 module Repl = Weaver_repl.Repl
 module Tbl = Weaver_util.Tbl
@@ -27,8 +28,7 @@ type queued_tx = Gate.queued_tx = {
    answers any read at [at ≺ sg_ts] exactly. *)
 type snap_graph = {
   sg_ts : Vclock.t;
-  sg_graph : Mgraph.vertex Tbl.Int.t;
-      (* keyed by this shard's interned vertex handles *)
+  sg_graph : Mgraph.vertex Tbl.Probe.t;  (* keyed by vertex handle *)
 }
 
 (* Published snapshots each shard retains beyond the pinned set; older
@@ -41,7 +41,7 @@ type parked_prog = {
   p_ts : Vclock.t;
   p_prog : string;
   p_historical : bool;
-  p_items : (string * Progval.t) list;
+  p_items : (string * int * Progval.t) list;
   p_since : float;  (* when this batch was parked *)
   p_snap : snap_graph Snapshot.entry option;
       (* pinned snapshot this batch reads from; None = live graph *)
@@ -79,22 +79,15 @@ type t = {
          replicates for a read replica ([Runtime.home_shard]) *)
   addr : int;
   actor : string; (* span and gauge name: "shard2", "replica1.0" *)
-  names : Intern.t;
-      (* hash-consed vertex-id handles: every shard-internal table below is
-         keyed by a dense int handle, so the hot path (apply_op, node-program
-         visits, eviction) compares and hashes machine integers instead of
-         re-hashing vid strings. Interning is append-only and survives epoch
-         changes — a handle, once issued, stays valid for the shard's life. *)
-  graph : Mgraph.vertex Tbl.Int.t;
-      (* every in-memory record: the ones this server owns, and follower
-         copies of other owners' replicated ranges *)
-  copies : unit Tbl.Int.t;
-      (* the handles whose [graph] record is a follower copy. A copy is
-         written only by the replication stream and seeds, never paged,
-         touched, evicted or compacted, and not counted toward
-         [Config.shard_capacity]; a streamed op or seed record never
-         replaces a record this server owns. *)
-  gc_pending : unit Tbl.Int.t;
+  graph : Mgraph.vertex Dense.t;
+      (* every in-memory record by vertex handle ([Runtime.t.names]): the
+         ones this server owns, and follower copies of other owners'
+         replicated ranges, flagged. A copy is written only by the
+         replication stream and seeds, never paged, touched, evicted or
+         compacted, and not counted toward [Config.shard_capacity]; a
+         streamed op or seed record never replaces a record this server
+         owns. *)
+  gc_pending : unit Tbl.Probe.t;
       (* handles the next watermark round must compact. Invariant: every
          resident owned vertex whose record holds a closed lifespan is in
          here.
@@ -108,14 +101,12 @@ type t = {
          demand); lets eviction skip stale duplicate entries in O(1)
          instead of scanning the whole queue *)
   mutable hop_out : Mgraph.edge array array;
-  mutable hop_dst : int array array;
-  mutable hop_gen : int array;
-      (* hop routing memo, indexed by handle: [hop_dst.(h).(i)] is the
-         server a hop to the destination of edge [i] of [hop_out.(h)] goes
-         to, valid while [hop_out.(h)] is the resident record's out array
-         and the directory is at generation [hop_gen.(h)] (-1: none). A
-         hop naming one of the visited vertex's own edge destinations
-         reads it here instead of probing the directory. *)
+  mutable hop_h : int array array;
+      (* hop memo, indexed by handle: [hop_h.(h).(i)] is the handle of the
+         destination of edge [i] of [hop_out.(h)], valid while
+         [hop_out.(h)] is the record's out array. A hop naming one of the
+         visited vertex's own edge destinations takes its handle from here
+         instead of interning the vid. *)
   queues : queued_tx Queue.t array; (* one FIFO per gatekeeper *)
   last_seq : int array;
   seq_epoch : int array; (* epoch in which last_seq was recorded *)
@@ -126,8 +117,11 @@ type t = {
   last_arrived : Vclock.t option array;
       (* stamp of the previous Shard_tx from each gk, for the
          [stamp_inversions] count only *)
-  prog_state : Progval.t Tbl.Int.t Tbl.Int.t;
+  prog_state : Progval.t Tbl.Probe.t Tbl.Probe.t;
       (* prog_id -> vertex handle -> that program's state there *)
+  fwd : (string * int * Progval.t) list array;
+      (* by server: the hops a running batch forwards there, newest first;
+         every cell is [] between batches *)
   mutable parked : parked_prog list;
   mutable oracle_inflight : bool;
       (* a serialize round trip to the timeline oracle is outstanding *)
@@ -176,17 +170,17 @@ let epoch t = t.epoch
 let is_replica t = t.sid <> t.home
 
 let vertex t vid =
-  match Intern.find t.names vid with
-  | Some h -> Tbl.Int.find_opt t.graph h
+  match Intern.find t.rt.Runtime.names vid with
+  | Some h -> Dense.find_opt t.graph h
   | None -> None
 
 let repl_applied t = t.repl_applied
-let is_copy t h = Tbl.Int.mem t.copies h
-let resident_vertices t = Tbl.Int.length t.graph - Tbl.Int.length t.copies
+let is_copy t h = Dense.is_flagged t.graph h
+let resident_vertices t = Dense.length t.graph - Dense.flagged t.graph
 
 let resident_ids t =
-  Tbl.Int.fold
-    (fun h _ acc -> if is_copy t h then acc else Intern.name t.names h :: acc)
+  Dense.fold
+    (fun h _ ~flag acc -> if flag then acc else Runtime.vertex_name t.rt h :: acc)
     t.graph []
   |> List.sort String.compare
 
@@ -240,40 +234,28 @@ let grown a h fill =
 let touch t h =
   if (cfg t).Config.shard_capacity <> None then begin
     Ring.push t.lru h;
-    t.lru_count <- grown t.lru_count h 0;
+    if h >= Array.length t.lru_count then t.lru_count <- grown t.lru_count h 0;
     t.lru_count.(h) <- t.lru_count.(h) + 1
   end
 
-(* a record left memory: drop its routing memo with it *)
+(* a record left memory: drop its hop memo with it *)
 let forget_hops t h =
-  if h < Array.length t.hop_gen then begin
-    t.hop_gen.(h) <- -1;
+  if h < Array.length t.hop_out then begin
     t.hop_out.(h) <- [||];
-    t.hop_dst.(h) <- [||]
+    t.hop_h.(h) <- [||]
   end
 
-(* the server each out-edge destination of [v] (handle [h]) is routed to,
+(* the handles of the out-edge destinations of [v] (handle [h]),
    memoised per handle *)
-let hop_dsts t h (v : Mgraph.vertex) =
-  let gen = Runtime.directory_generation t.rt in
-  if h < Array.length t.hop_gen && t.hop_gen.(h) = gen && t.hop_out.(h) == v.Mgraph.out
-  then t.hop_dst.(h)
+let hop_handles t h (v : Mgraph.vertex) =
+  if h < Array.length t.hop_out && t.hop_out.(h) == v.Mgraph.out then t.hop_h.(h)
   else begin
-    let dsts =
-      Array.map
-        (fun (e : Mgraph.edge) ->
-          (* from a read replica, hops go to the same-index replica of the
-             hop's shard, so a weak traversal stays on replicas (§6.4) *)
-          Runtime.sibling t.rt t.sid ~shard:(Runtime.shard_of_vertex t.rt e.Mgraph.dst))
-        v.Mgraph.out
-    in
-    t.hop_gen <- grown t.hop_gen h (-1);
+    let hs = Array.map (fun (e : Mgraph.edge) -> Runtime.vertex_handle t.rt e.Mgraph.dst) v.Mgraph.out in
     t.hop_out <- grown t.hop_out h [||];
-    t.hop_dst <- grown t.hop_dst h [||];
-    t.hop_gen.(h) <- gen;
+    t.hop_h <- grown t.hop_h h [||];
     t.hop_out.(h) <- v.Mgraph.out;
-    t.hop_dst.(h) <- dsts;
-    dsts
+    t.hop_h.(h) <- hs;
+    hs
   end
 
 (* the index of the edge of [out] whose destination is the very string
@@ -288,11 +270,10 @@ let edge_slot (out : Mgraph.edge array) dst from =
   in
   scan from n
 
-(* a record left memory: drop it with its marks and routing memo *)
+(* a record left memory: drop it with its compaction mark and hop memo *)
 let drop t h =
-  Tbl.Int.remove t.graph h;
-  Tbl.Int.remove t.copies h;
-  Tbl.Int.remove t.gc_pending h;
+  Dense.remove t.graph h;
+  Tbl.Probe.remove t.gc_pending h;
   forget_hops t h
 
 (* Pop recency entries until the owned records fit the capacity. A popped
@@ -308,7 +289,7 @@ let evict_to_capacity t ~keep =
         let victim = Ring.pop t.lru in
         let remaining = t.lru_count.(victim) - 1 in
         t.lru_count.(victim) <- remaining;
-        if remaining = 0 && victim <> keep && Tbl.Int.mem t.graph victim
+        if remaining = 0 && victim <> keep && Dense.mem t.graph victim
            && not (is_copy t victim)
         then begin
           drop t victim;
@@ -320,9 +301,8 @@ let evict_to_capacity t ~keep =
    copy. A record read from the durable store carries its full version
    history: enrol it for compaction if any of that history is closed. *)
 let adopt t h v =
-  Tbl.Int.remove t.copies h;
-  Tbl.Int.replace t.graph h v;
-  if Mgraph.has_closed v then Tbl.Int.replace t.gc_pending h ()
+  Dense.replace t.graph h v ~flag:false;
+  if Mgraph.has_closed v then Tbl.Probe.replace t.gc_pending h ()
 
 let own t h v =
   adopt t h v;
@@ -333,10 +313,7 @@ let own t h v =
    record there: the balancer can migrate a vertex onto a shard that
    follows its range, and its old owner then streams the migration *)
 let set_copy t h v =
-  if is_copy t h || not (Tbl.Int.mem t.graph h) then begin
-    Tbl.Int.replace t.graph h v;
-    Tbl.Int.replace t.copies h ()
-  end
+  if is_copy t h || not (Dense.mem t.graph h) then Dense.replace t.graph h v ~flag:true
 
 (* Demand-page the durable record of [vid] (handle [h]) in as an owned
    record. Returns the record and the paging cost incurred. *)
@@ -353,10 +330,10 @@ let page_in t h vid =
 
 (* the owned record under [h], demand-paged when not resident *)
 let lookup_vertex t h vid =
-  match Tbl.Int.find_opt t.graph h with
-  | Some v when not (is_copy t h) ->
+  match Dense.find_opt t.graph h with
+  | Some _ as found when not (is_copy t h) ->
       touch t h;
-      (Some v, 0.0)
+      (found, 0.0)
   | _ -> page_in t h vid
 
 (* The lookup rule of a program visit at [at]. An owned record is read
@@ -364,12 +341,12 @@ let lookup_vertex t h vid =
    [vid] to this server. A copy is read only when [copy_covers] it. Any
    other read returns [None], and the visit goes to the owner. *)
 let visit_lookup t h vid at =
-  match Tbl.Int.find_opt t.graph h with
-  | Some v when is_copy t h -> ((if copy_covers t vid at then Some v else None), 0.0)
-  | Some v ->
+  match Dense.find_opt t.graph h with
+  | Some _ as found when is_copy t h -> ((if copy_covers t vid at then found else None), 0.0)
+  | Some _ as found ->
       touch t h;
-      (Some v, 0.0)
-  | None when Runtime.shard_of_vertex t.rt vid = t.sid -> page_in t h vid
+      (found, 0.0)
+  | None when Runtime.shard_of_handle t.rt h = t.sid -> page_in t h vid
   | None -> (None, 0.0)
 
 (* ------------------------------------------------------------------ *)
@@ -403,19 +380,21 @@ let apply_op t ~copy ts (op : Msg.shard_op) =
      source), so one intern covers all the table work below *)
   let vid = op_vertex op in
   if not copy then Runtime.heat_write t.rt ~shard:t.sid vid;
-  let h = Intern.id t.names vid in
+  let h = Runtime.vertex_handle t.rt vid in
   let bf = before t in
   (* [closes]: the op may close a lifespan, so the vertex joins the
      compaction set — by op kind, with no scan of the record *)
   let update ?(closes = true) f =
     if copy then begin
-      if is_copy t h then Tbl.Int.replace t.graph h (f (Tbl.Int.find t.graph h))
+      match Dense.find_opt t.graph h with
+      | Some v when is_copy t h -> Dense.update t.graph h (f v)
+      | _ -> ()
     end
     else
       match lookup_vertex t h vid with
       | Some v, _ ->
-          Tbl.Int.replace t.graph h (f v);
-          if closes then Tbl.Int.replace t.gc_pending h ()
+          Dense.update t.graph h (f v);
+          if closes then Tbl.Probe.replace t.gc_pending h ()
       | None, _ -> ()
   in
   let place v = if copy then set_copy t h v else own t h v in
@@ -535,12 +514,12 @@ let mark_followers_dirty t =
    program's table once ([table]) and keeps it current. *)
 let prog_state_set t prog_id table h state =
   match (!table, state) with
-  | Some tbl, Some s -> Tbl.Int.replace tbl h s
-  | Some tbl, None -> Tbl.Int.remove tbl h
+  | Some tbl, Some s -> Tbl.Probe.replace tbl h s
+  | Some tbl, None -> Tbl.Probe.remove tbl h
   | None, Some s ->
-      let tbl = Tbl.Int.create 1 in
-      Tbl.Int.replace tbl h s;
-      Tbl.Int.replace t.prog_state prog_id tbl;
+      let tbl = Tbl.Probe.create 1 in
+      Tbl.Probe.replace tbl h s;
+      Tbl.Probe.replace t.prog_state prog_id tbl;
       table := Some tbl
   | None, None -> ()
 
@@ -572,7 +551,7 @@ let execute_prog_batch t (p : parked_prog) =
     own_gced
     && (Hashtbl.length t.repl_in = 0
        || List.exists
-            (fun (vid, _) -> Runtime.shard_of_vertex t.rt vid = t.sid)
+            (fun (_, h, _) -> Runtime.shard_of_handle t.rt h = t.sid)
             p.p_items)
   in
   if gced then
@@ -619,49 +598,36 @@ let execute_prog_batch t (p : parked_prog) =
           Runtime.before t.cache t.rt a b ~prefer_first_on_tie:(not (Vclock.equal b p.p_ts))
         else before t
       in
-      (* work items carry their vertex handle: each is interned as it is
-         queued, so handles are issued in queue order, which is the order
-         items are visited in. A run that may abort on a hop into this
-         shard's compacted partition interns on visit instead, so items
-         left behind by the abort are never interned. *)
+      (* work items carry their vertex handle, as batch items do *)
       let work = Queue.create () in
-      let enqueue vid params =
-        Queue.push (vid, (if own_gced then -1 else Intern.id t.names vid), params) work
-      in
-      List.iter (fun (vid, params) -> enqueue vid params) p.p_items;
-      (* hops bound elsewhere, per server; the table is made by the first
-         one, as most batches forward nothing *)
-      let remote : (string * Progval.t) list ref Tbl.Int.t option ref = ref None in
+      List.iter (fun item -> Queue.push item work) p.p_items;
+      (* hops bound elsewhere, gathered per server in [t.fwd], with the
+         servers in the order of their first hop *)
+      let fwd = t.fwd and fwd_order = ref [] in
       let acc = ref P.empty in
-      let visited = ref [] in
+      (* the vids read, for the coordinator's memo entry only *)
+      let memo_reads = (cfg t).Config.enable_memoization && not p.p_historical in
+      let visited = ref [] and n_visited = ref 0 in
       let read_cost_units = ref 0.0 in
       let page_cost = ref 0.0 in
-      let forward_item hshard item =
-        match !remote with
-        | None ->
-            let tbl = Tbl.Int.create 4 in
-            Tbl.Int.replace tbl hshard (ref [ item ]);
-            remote := Some tbl
-        | Some tbl -> (
-            match Tbl.Int.find tbl hshard with
-            | l -> l := item :: !l
-            | exception Not_found -> Tbl.Int.replace tbl hshard (ref [ item ]))
+      let forward_item server item =
+        (match fwd.(server) with [] -> fwd_order := server :: !fwd_order | _ :: _ -> ());
+        fwd.(server) <- item :: fwd.(server)
       in
-      let pstate = ref (Tbl.Int.find_opt t.prog_state p.p_id) in
+      let pstate = ref (Tbl.Probe.find_opt t.prog_state p.p_id) in
       let aborted = ref false in
       while (not !aborted) && not (Queue.is_empty work) do
-        let vid, h, params = Queue.pop work in
-        if own_gced && Runtime.shard_of_vertex t.rt vid = t.sid then
+        let ((vid, h, params) as item) = Queue.pop work in
+        if own_gced && Runtime.shard_of_handle t.rt h = t.sid then
           (* a hop landed on this shard's own compacted partition *)
           aborted := true
         else begin
-        let h = if h >= 0 then h else Intern.id t.names vid in
         (* a followed range's copy whose replication watermark covers the
            read stamp serves it in place of the owner — this is where
            follower capacity becomes read capacity *)
         let vrec, pc =
           match pinned with
-          | Some sg -> (Tbl.Int.find_opt sg.sg_graph h, 0.0)
+          | Some sg -> (Tbl.Probe.find_opt sg.sg_graph h, 0.0)
           | None -> visit_lookup t h vid p.p_ts
         in
         page_cost := !page_cost +. pc;
@@ -669,11 +635,12 @@ let execute_prog_batch t (p : parked_prog) =
         | None ->
             (* not resident: if the directory says another shard owns it
                (it migrated, §4.6), chase the vertex there *)
-            let owner = Runtime.shard_of_vertex t.rt vid in
-            if owner <> t.sid then forward_item owner (vid, params)
+            let owner = Runtime.shard_of_handle t.rt h in
+            if owner <> t.sid then forward_item owner item
         | Some vertex ->
             if Mgraph.vertex_alive bf vertex ~at:p.p_ts then begin
-              visited := vid :: !visited;
+              incr n_visited;
+              if memo_reads then visited := vid :: !visited;
               (counters t).Runtime.vertices_read <-
                 (counters t).Runtime.vertices_read + 1;
               (* a replica-served read is load on its home shard's
@@ -681,7 +648,7 @@ let execute_prog_batch t (p : parked_prog) =
               Runtime.heat_read t.rt ~shard:t.home vid;
               let ctx = { Nodeprog.vid; at = p.p_ts; before = bf; vertex } in
               let state =
-                match !pstate with Some tbl -> Tbl.Int.find_opt tbl h | None -> None
+                match !pstate with Some tbl -> Tbl.Probe.find_opt tbl h | None -> None
               in
               (* a repeat visit only touches the per-program state, not the
                  full vertex record: charge a tenth of a read *)
@@ -696,25 +663,41 @@ let execute_prog_batch t (p : parked_prog) =
               | [] -> ()
               | hops ->
                   let out = vertex.Mgraph.out in
-                  let dsts = hop_dsts t h vertex in
+                  let hs = hop_handles t h vertex in
                   (* programs usually hop along their edges in edge order *)
                   let next = ref 0 in
                   List.iter
-                    (fun ((hvid, hparams) as hop) ->
+                    (fun (hvid, hparams) ->
+                      let i = edge_slot out hvid !next in
+                      if i >= 0 then next := i + 1;
+                      let dh = if i >= 0 then hs.(i) else Runtime.vertex_handle t.rt hvid in
+                      (* from a read replica, hops go to the same-index
+                         replica of the hop's shard, so a weak traversal
+                         stays on replicas (§6.4) *)
                       let dst =
-                        match edge_slot out hvid !next with
-                        | -1 ->
-                            Runtime.sibling t.rt t.sid
-                              ~shard:(Runtime.shard_of_vertex t.rt hvid)
-                        | i ->
-                            next := i + 1;
-                            dsts.(i)
+                        Runtime.sibling t.rt t.sid ~shard:(Runtime.shard_of_handle t.rt dh)
                       in
-                      if dst = t.sid then enqueue hvid hparams else forward_item dst hop)
+                      let hop = (hvid, dh, hparams) in
+                      if dst = t.sid then Queue.push hop work else forward_item dst hop)
                     hops)
             end
         end
       done;
+      (* The batches leave in the iteration order of a [Tbl.Int] keyed by
+         server, filled in first-hop order, as most batches forward
+         nothing. The table is filled once per server, not per hop. *)
+      let remote =
+        match !fwd_order with
+        | [] -> None
+        | order ->
+            let tbl = Tbl.Int.create 4 in
+            List.iter
+              (fun server ->
+                Tbl.Int.replace tbl server fwd.(server);
+                fwd.(server) <- [])
+              (List.rev order);
+            Some tbl
+      in
       if !aborted then
         send t ~dst:p.p_coord
           (Msg.Prog_partial
@@ -730,17 +713,17 @@ let execute_prog_batch t (p : parked_prog) =
       let start = Float.max (Engine.now t.rt.Runtime.engine) t.busy_until in
       t.busy_until <- start +. cost;
       t.busy_us <- t.busy_us +. cost;
-      let acc = !acc and visited = !visited and remote = !remote in
+      let acc = !acc and visited = !visited and n_visited = !n_visited in
       Engine.schedule_at t.rt.Runtime.engine ~time:t.busy_until (fun () ->
           if not t.retired then begin
             if Runtime.tracing t.rt ~trace:p.p_id then
               Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_exec"
                 ~actor:(actor t) ~start:exec_start ~stop:(now t)
-                ~meta:[ ("visited", string_of_int (List.length visited)) ]
+                ~meta:[ ("visited", string_of_int n_visited) ]
                 ();
             let sent = match remote with Some tbl -> Tbl.Int.length tbl | None -> 0 in
             Option.iter
-              (Tbl.Int.iter (fun hshard { contents = items } ->
+              (Tbl.Int.iter (fun hshard items ->
                    (counters t).Runtime.prog_batch_msgs <-
                      (counters t).Runtime.prog_batch_msgs + 1;
                    send t
@@ -1030,8 +1013,9 @@ let records_by_shard rt =
       match value with
       | Runtime.Vrec v ->
           let vid = String.sub key 2 (String.length key - 2) in
-          let s = Runtime.shard_of_vertex rt vid in
-          by_shard.(s) <- (vid, v) :: by_shard.(s)
+          let h = Runtime.vertex_handle rt vid in
+          let s = Runtime.shard_of_handle rt h in
+          by_shard.(s) <- (h, v) :: by_shard.(s)
       | _ -> ())
     (Store.scan_prefix rt.Runtime.store ~prefix:"v/");
   Array.map List.rev by_shard
@@ -1040,25 +1024,20 @@ let records_by_shard rt =
    replica owns none) in key order, up to the capacity; follower copies
    stay as they are *)
 let load_records t by_shard =
-  let kept =
-    Tbl.Int.fold (fun h () acc -> (h, Tbl.Int.find t.graph h) :: acc) t.copies []
-  in
-  Tbl.Int.reset t.graph;
-  List.iter (fun (h, v) -> Tbl.Int.replace t.graph h v) kept;
-  Tbl.Int.reset t.gc_pending;
+  Dense.fold (fun h _ ~flag acc -> if flag then acc else h :: acc) t.graph []
+  |> List.iter (Dense.remove t.graph);
+  Tbl.Probe.reset t.gc_pending;
   Ring.clear t.lru;
   Array.fill t.lru_count 0 (Array.length t.lru_count) 0;
-  Array.fill t.hop_gen 0 (Array.length t.hop_gen) (-1);
   Array.fill t.hop_out 0 (Array.length t.hop_out) [||];
-  Array.fill t.hop_dst 0 (Array.length t.hop_dst) [||];
+  Array.fill t.hop_h 0 (Array.length t.hop_h) [||];
   let cap = (cfg t).Config.shard_capacity in
   List.iter
-    (fun (vid, v) ->
+    (fun (h, v) ->
       let under_cap =
         match cap with None -> true | Some c -> resident_vertices t < c
       in
       if under_cap then begin
-        let h = Intern.id t.names vid in
         adopt t h v;
         touch t h
       end)
@@ -1130,14 +1109,14 @@ let handle_watermark t gk ts =
         | None -> true
       in
       if fresh then begin
-        let sg_graph = Tbl.Int.create 1024 in
+        let sg_graph = Tbl.Probe.create 1024 in
         List.iter
           (fun (k, value) ->
             match value with
             | Runtime.Vrec v ->
-                let vid = String.sub k 2 (String.length k - 2) in
-                if Runtime.shard_of_vertex t.rt vid = t.sid then
-                  Tbl.Int.replace sg_graph (Intern.id t.names vid) v
+                let h = Runtime.vertex_handle t.rt (String.sub k 2 (String.length k - 2)) in
+                if Runtime.shard_of_handle t.rt h = t.sid then
+                  Tbl.Probe.replace sg_graph h v
             | _ -> ())
           (Store.scan_prefix t.rt.Runtime.store ~prefix:"v/");
         ignore (Snapshot.publish t.snaps ~key { sg_ts = wm; sg_graph });
@@ -1173,20 +1152,20 @@ let handle_watermark t gk ts =
        returns every other record unchanged. Replacing an existing key
        updates its binding in place and removals commute, so [t.graph]
        ends exactly as a compaction of every resident vertex leaves it. *)
-    Tbl.Int.filter_map_inplace
+    Tbl.Probe.filter_map_inplace
       (fun h () ->
         (counters t).Runtime.gc_compact_visits <-
           (counters t).Runtime.gc_compact_visits + 1;
-        match Tbl.Int.find_opt t.graph h with
+        match Dense.find_opt t.graph h with
         | None -> None
         | Some v -> (
             match Mgraph.compact vb v ~watermark:wm with
             | None ->
-                Tbl.Int.remove t.graph h;
+                Dense.remove t.graph h;
                 forget_hops t h;
                 None
             | Some v' ->
-                if v' != v then Tbl.Int.replace t.graph h v';
+                if v' != v then Dense.update t.graph h v';
                 if Mgraph.has_closed v' then Some () else None))
       t.gc_pending;
     (* partial replication, owner side: advance followers at the watermark
@@ -1215,11 +1194,10 @@ let handle_watermark t gk ts =
           (fun range ->
             let out = Hashtbl.find t.repl_out range in
             let seed = lazy (
-              Tbl.Int.fold
-                (fun h v acc ->
-                  let vid = Intern.name t.names h in
-                  if repl_range t vid = range && not (is_copy t h) then (vid, v) :: acc
-                  else acc)
+              Dense.fold
+                (fun h v ~flag acc ->
+                  let vid = Runtime.vertex_name t.rt h in
+                  if (not flag) && repl_range t vid = range then (vid, v) :: acc else acc)
                 t.graph [])
             in
             List.iter
@@ -1314,7 +1292,7 @@ let handle t ~src:_ msg =
           :: t.parked;
         try_run_parked t
     | Msg.Prog_gc { prog_id } ->
-        Tbl.Int.remove t.prog_state prog_id;
+        Tbl.Probe.remove t.prog_state prog_id;
         (match Hashtbl.find_opt t.pins prog_id with
         | Some e ->
             Snapshot.release t.snaps e;
@@ -1358,13 +1336,14 @@ let handle t ~src:_ msg =
         (* wholesale (re)sync: drop the stale copy of this range and adopt
            the owner's records at the [ts] cut verbatim *)
         let stale =
-          Tbl.Int.fold
-            (fun h () acc ->
-              if repl_range t (Intern.name t.names h) = range then h :: acc else acc)
-            t.copies []
+          Dense.fold
+            (fun h _ ~flag acc ->
+              if flag && repl_range t (Runtime.vertex_name t.rt h) = range then h :: acc
+              else acc)
+            t.graph []
         in
         List.iter (drop t) stale;
-        List.iter (fun (vid, v) -> set_copy t (Intern.id t.names vid) v) vertices;
+        List.iter (fun (vid, v) -> set_copy t (Runtime.vertex_handle t.rt vid) v) vertices;
         t.repl_applied <- t.repl_applied + 1;
         rin.rin_wm <- Some ts;
         rin.rin_floor <- Some ts;
@@ -1401,15 +1380,12 @@ let spawn rt ~sid ~epoch =
       home;
       addr;
       actor = Runtime.actor_of_addr rt addr;
-      names = Intern.create ~capacity:4096 ();
-      graph = Tbl.Int.create 4096;
-      copies = Tbl.Int.create 64;
-      gc_pending = Tbl.Int.create 64;
+      graph = Dense.create ();
+      gc_pending = Tbl.Probe.create 64;
       lru = Ring.create ();
       lru_count = [||];
       hop_out = [||];
-      hop_dst = [||];
-      hop_gen = [||];
+      hop_h = [||];
       queues = Array.init n_q (fun _ -> Queue.create ());
       last_seq = Array.make n_q 0;
       seq_epoch = Array.make n_q (-1); (* sentinel: re-baseline per channel *)
@@ -1421,7 +1397,8 @@ let spawn rt ~sid ~epoch =
             (plan = [] && not rt.Runtime.foreign_stamps);
       last_applied = Array.make n_q Gate.none;
       last_arrived = Array.make n_q None;
-      prog_state = Tbl.Int.create 32;
+      prog_state = Tbl.Probe.create 32;
+      fwd = Array.make (Runtime.n_servers rt) [];
       parked = [];
       oracle_inflight = false;
       oracle_batch = Hashtbl.create 8;
@@ -1513,6 +1490,6 @@ let resync t =
      the next watermark reseeds them *)
   Hashtbl.reset t.repl_out;
   Hashtbl.reset t.repl_in;
-  Tbl.Int.reset t.copies; (* so the reload below keeps none *)
+  Dense.reset t.graph; (* so the reload below keeps no copy *)
   List.iter (install_plan t) (Runtime.standing_plan t.rt);
   reload_from_store t

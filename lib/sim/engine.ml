@@ -1,9 +1,14 @@
 (* The event queue is two inline binary min-heaps, each over three parallel
    arrays rather than a heap of {time; seq; action} records: [times] is a
-   flat float array (unboxed), so scheduling an event allocates nothing
-   beyond the caller's closure, and the (time, seq) comparison is two
-   machine compares instead of a polymorphic [compare] through a closure.
-   Events at equal time fire in scheduling order via the sequence number.
+   flat float array (unboxed), [seqs] and [slots] are int arrays. An
+   action is written once, into a slot of the heap's [actions] array
+   taken from a free list, and stays there until it fires; the sifts move
+   only the time, the sequence number and the slot index, so no sift
+   level writes a pointer into a major-heap array. Scheduling an event
+   allocates nothing beyond the caller's closure, and the (time, seq)
+   comparison is two machine compares instead of a polymorphic [compare]
+   through a closure. Events at equal time fire in scheduling order via
+   the sequence number.
 
    The two tiers: an event due more than [horizon] after the current time
    goes to the far heap, every other event to the near heap. Long timers
@@ -20,33 +25,48 @@ module Heap = struct
   type t = {
     mutable times : float array;
     mutable seqs : int array;
-    mutable actions : (unit -> unit) array;
+    mutable slots : int array;  (** heap position -> slot in [actions] *)
+    mutable actions : (unit -> unit) array;  (** by slot *)
+    mutable free : int array;  (** a stack of the unused slots *)
+    mutable n_free : int;
     mutable size : int;
   }
 
   let noop () = ()
-  let create () = { times = [||]; seqs = [||]; actions = [||]; size = 0 }
 
+  let create () =
+    { times = [||]; seqs = [||]; slots = [||]; actions = [||]; free = [||]; n_free = 0; size = 0 }
+
+  (* every slot is in use when the heap is full, so the free list is empty
+     and the new slots [cap .. ncap - 1] all go onto it *)
   let grow h =
     let cap = Array.length h.seqs in
     if h.size = cap then begin
       let ncap = if cap = 0 then 64 else cap * 2 in
       let nt = Array.make ncap 0.0
       and ns = Array.make ncap 0
+      and nsl = Array.make ncap 0
       and na = Array.make ncap noop in
       Array.blit h.times 0 nt 0 h.size;
       Array.blit h.seqs 0 ns 0 h.size;
-      Array.blit h.actions 0 na 0 h.size;
+      Array.blit h.slots 0 nsl 0 h.size;
+      Array.blit h.actions 0 na 0 cap;
       h.times <- nt;
       h.seqs <- ns;
-      h.actions <- na
+      h.slots <- nsl;
+      h.actions <- na;
+      h.free <- Array.init ncap (fun i -> ncap - 1 - i);
+      h.n_free <- ncap - cap
     end
 
   (* Hole-based sifts: the moving element is held aside while parents (or
      children) shift into the hole, and written once at its final slot. *)
   let push h time seq action =
     grow h;
-    let times = h.times and seqs = h.seqs and actions = h.actions in
+    h.n_free <- h.n_free - 1;
+    let slot = h.free.(h.n_free) in
+    h.actions.(slot) <- action;
+    let times = h.times and seqs = h.seqs and slots = h.slots in
     let i = ref h.size in
     h.size <- h.size + 1;
     let continue = ref true in
@@ -56,24 +76,29 @@ module Heap = struct
       if time < pt || (time = pt && seq < seqs.(p)) then begin
         times.(!i) <- pt;
         seqs.(!i) <- seqs.(p);
-        actions.(!i) <- actions.(p);
+        slots.(!i) <- slots.(p);
         i := p
       end
       else continue := false
     done;
     times.(!i) <- time;
     seqs.(!i) <- seq;
-    actions.(!i) <- action
+    slots.(!i) <- slot
 
   (* Remove the root and return its action; the root's time is read by the
      caller beforehand. *)
   let pop h =
-    let times = h.times and seqs = h.seqs and actions = h.actions in
-    let action = actions.(0) in
+    let times = h.times and seqs = h.seqs and slots = h.slots in
+    let root = slots.(0) in
+    let action = h.actions.(root) in
+    (* a fired closure must not stay reachable *)
+    h.actions.(root) <- noop;
+    h.free.(h.n_free) <- root;
+    h.n_free <- h.n_free + 1;
     let n = h.size - 1 in
     h.size <- n;
     if n > 0 then begin
-      let time = times.(n) and seq = seqs.(n) and last = actions.(n) in
+      let time = times.(n) and seq = seqs.(n) and last = slots.(n) in
       let i = ref 0 in
       let continue = ref true in
       while !continue do
@@ -92,7 +117,7 @@ module Heap = struct
           if ct < time || (ct = time && seqs.(c) < seq) then begin
             times.(!i) <- ct;
             seqs.(!i) <- seqs.(c);
-            actions.(!i) <- actions.(c);
+            slots.(!i) <- slots.(c);
             i := c
           end
           else continue := false
@@ -100,10 +125,8 @@ module Heap = struct
       done;
       times.(!i) <- time;
       seqs.(!i) <- seq;
-      actions.(!i) <- last
+      slots.(!i) <- last
     end;
-    (* executed (and moved-from) closures must not stay reachable *)
-    actions.(n) <- noop;
     action
 end
 

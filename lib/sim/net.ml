@@ -41,7 +41,7 @@ end)
 module Link_tbl = Hashtbl.Make (struct
   type t = addr * addr
 
-  let equal (s, d) (s', d') = s = s' && d = d'
+  let equal ((s : int), (d : int)) (s', d') = s = s' && d = d'
   let hash (s, d) = ((s * 65599) + d) land max_int
 end)
 

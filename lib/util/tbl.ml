@@ -11,3 +11,10 @@ module Str = Hashtbl.Make (struct
   let equal = String.equal
   let hash = Hashtbl.hash
 end)
+
+module Probe = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Stdlib.Int.equal
+  let hash h = h land max_int
+end)

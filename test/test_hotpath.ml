@@ -1,10 +1,14 @@
-(* Tests for the program-visit hot path: the runtime's directory mirror,
-   the specialised hash tables' iteration order, and the handler
-   profiler's neutrality and oracle attribution. *)
+(* Tests for the program-visit hot path: the runtime's handle directory,
+   the dense vertex table, the handles program hops carry, the specialised
+   hash tables' iteration order, and the handler profiler's neutrality and
+   oracle attribution. *)
 
 open Weaver_core
 module Store = Weaver_store.Store
 module Tbl = Weaver_util.Tbl
+module Dense = Weaver_util.Dense
+module Intern = Weaver_util.Intern
+module Partition = Weaver_partition.Partition
 module Prof = Weaver_obs.Prof
 module Fault = Weaver_sim.Fault
 module Programs = Weaver_programs.Std_programs
@@ -33,7 +37,19 @@ let check_mirror c what =
   List.iter
     (fun (vid, s) ->
       Alcotest.(check int) (what ^ ": shard of " ^ vid) s (Runtime.shard_of_vertex rt vid))
-    committed
+    committed;
+  (* by handle: the committed entry, or hashed placement for every other
+     vertex the cluster has numbered *)
+  let n_shards = rt.Runtime.cfg.Config.n_shards in
+  for h = 0 to Intern.count rt.Runtime.names - 1 do
+    let vid = Runtime.vertex_name rt h in
+    let expected =
+      match List.assoc_opt vid committed with
+      | Some s -> s
+      | None -> Partition.hash_vertex ~shards:n_shards vid
+    in
+    Alcotest.(check int) (what ^ ": shard of handle " ^ vid) expected (Runtime.shard_of_handle rt h)
+  done
 
 let create_vertices c ids =
   let client = Cluster.client c in
@@ -131,6 +147,105 @@ let test_hop_routing_follows_migration () =
   traverse "before the move";
   move_dst ~avoid:[ home; Cluster.shard_of_vertex c "dst" ];
   traverse "after the move"
+
+(* Every item of every program batch, from a gatekeeper or forwarded by
+   a shard, names its vertex by that vertex's handle in the cluster's one
+   numbering. The paged golden run forwards hops between shards, pages
+   vertices in and migrates one mid-run. *)
+let test_batch_handles () =
+  let checked = ref 0 and forwarded = ref 0 in
+  let watch c =
+    let rt = Cluster.runtime c in
+    let n_gk = rt.Runtime.cfg.Config.n_gatekeepers in
+    let inner = Runtime.obs_net_hook rt in
+    Weaver_sim.Net.set_tracer rt.Runtime.net
+      (Some
+         (fun ~time ~src ~dst msg ->
+           Option.iter (fun f -> f ~time ~src ~dst msg) inner;
+           match msg with
+           | Msg.Prog_batch { items; _ } ->
+               if src >= n_gk then incr forwarded;
+               List.iter
+                 (fun (vid, h, _) ->
+                   incr checked;
+                   if Runtime.vertex_name rt h <> vid then
+                     Alcotest.failf "item %s carries handle %d, which names %s" vid h
+                       (Runtime.vertex_name rt h))
+                 items
+           | _ -> ()))
+  in
+  Alcotest.(check string) "the paged golden fingerprint" Test_golden.paged_expected
+    (Test_golden.run_paged ~watch ());
+  Alcotest.(check bool) "items checked" true (!checked > 0);
+  Alcotest.(check bool) "some batches forwarded by shards" true (!forwarded > 0)
+
+(* The dense vertex table against a [Hashtbl] reference: random replace,
+   update, remove and reset sequences leave the same bindings, flags and
+   counts, and [fold] visits each binding once in ascending order. *)
+type dop = Put of int * int * bool | Update of int * int | Del of int | Reset
+
+let dop_gen =
+  let key = QCheck.Gen.int_range 0 150 in
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map3 (fun k v f -> Put (k, v, f)) key small_nat bool);
+        (2, map2 (fun k v -> Update (k, v)) key small_nat);
+        (3, map (fun k -> Del k) key);
+        (1, return Reset);
+      ])
+
+let pp_dop = function
+  | Put (k, v, f) -> Printf.sprintf "put %d %d %b" k v f
+  | Update (k, v) -> Printf.sprintf "update %d %d" k v
+  | Del k -> Printf.sprintf "del %d" k
+  | Reset -> "reset"
+
+let dense_matches ops =
+  let d = Dense.create () and r = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Put (k, v, flag) ->
+          Dense.replace d k v ~flag;
+          Hashtbl.replace r k (v, flag)
+      | Update (k, v) -> (
+          match Hashtbl.find_opt r k with
+          | Some (_, flag) ->
+              Dense.update d k v;
+              Hashtbl.replace r k (v, flag)
+          | None -> (
+              match Dense.update d k v with
+              | () -> QCheck.Test.fail_reportf "update of absent %d accepted" k
+              | exception Invalid_argument _ -> ()))
+      | Del k ->
+          Dense.remove d k;
+          Hashtbl.remove r k
+      | Reset ->
+          Dense.reset d;
+          Hashtbl.reset r)
+    ops;
+  let keys_ok =
+    List.for_all
+      (fun k ->
+        let expect = Hashtbl.find_opt r k in
+        Dense.find_opt d k = Option.map fst expect
+        && Dense.mem d k = Option.is_some expect
+        && Dense.is_flagged d k = (match expect with Some (_, f) -> f | None -> false))
+      (List.init 200 Fun.id)
+  in
+  let folded = Dense.fold (fun k v ~flag acc -> (k, (v, flag)) :: acc) d [] in
+  let reference = List.sort compare (Hashtbl.fold (fun k b acc -> (k, b) :: acc) r []) in
+  keys_ok
+  && Dense.length d = Hashtbl.length r
+  && Dense.flagged d = Hashtbl.fold (fun _ (_, f) n -> if f then n + 1 else n) r 0
+  && List.rev folded = reference
+
+let prop_dense_model =
+  QCheck.Test.make ~count:500 ~name:"Dense matches a Hashtbl reference"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_dop ops))
+       QCheck.Gen.(list_size (int_range 0 300) dop_gen))
+    dense_matches
 
 (* Random insert/replace/remove sequences applied to a specialised table
    and to the polymorphic one leave the same iteration order, before and
@@ -281,6 +396,8 @@ let suites =
         Alcotest.test_case "directory mirror after a restore" `Quick test_mirror_after_restore;
         Alcotest.test_case "hop routing follows a migration" `Quick
           test_hop_routing_follows_migration;
+        Alcotest.test_case "batch items carry their cluster handles" `Quick test_batch_handles;
+        QCheck_alcotest.to_alcotest prop_dense_model;
         QCheck_alcotest.to_alcotest prop_int_table_order;
         QCheck_alcotest.to_alcotest prop_str_table_order;
         Alcotest.test_case "profiler keeps the golden fingerprint" `Quick

@@ -374,6 +374,29 @@ let test_engine_pending_counts_both_tiers () =
   Alcotest.(check int) "processed" 2 (Engine.events_processed e);
   Alcotest.(check int) "high-water kept" 3 (Engine.max_pending e)
 
+(* A fired event's closure, and whatever it captured, is garbage once it
+   has run, while the events still queued keep theirs: the heaps' action
+   slots must not hold on to it. *)
+let test_engine_releases_fired_closures () =
+  let e = Engine.create () in
+  let fired = Weak.create 32 and queued = Weak.create 32 in
+  let[@inline never] schedule_with w i ~delay =
+    let payload = Array.make 8 i in
+    Weak.set w i (Some payload);
+    Engine.schedule e ~delay (fun () -> ignore (Sys.opaque_identity payload))
+  in
+  for i = 0 to 31 do
+    schedule_with fired i ~delay:(float_of_int i);
+    schedule_with queued i ~delay:(1_000.0 +. float_of_int i)
+  done;
+  Engine.run ~until:500.0 e;
+  Gc.full_major ();
+  let alive w = List.length (List.filter (fun i -> Weak.check w i) (List.init 32 Fun.id)) in
+  Alcotest.(check int) "fired closures released" 0 (alive fired);
+  Alcotest.(check int) "queued closures kept" 32 (alive queued);
+  Engine.run e;
+  Alcotest.(check int) "all ran" 64 (Engine.events_processed e)
+
 let prop_net_fifo =
   QCheck.Test.make ~name:"network preserves per-channel FIFO under jitter" ~count:50
     QCheck.(pair small_nat (int_range 1 60))
@@ -430,6 +453,8 @@ let suites =
           test_engine_every_nonpositive;
         Alcotest.test_case "counters" `Quick test_engine_counters;
         QCheck_alcotest.to_alcotest prop_engine_executes_in_time_order;
+        Alcotest.test_case "fired closures released" `Quick
+          test_engine_releases_fired_closures;
         Alcotest.test_case "pending counts both tiers" `Quick
           test_engine_pending_counts_both_tiers;
         QCheck_alcotest.to_alcotest prop_engine_matches_reference_sort;
