@@ -1,20 +1,17 @@
 (* Benchmark harness entry point.
 
    With no arguments, runs every experiment (each paper table and figure,
-   then the ablations, then the Bechamel microbenchmarks). With arguments,
+   then the ablations). With arguments,
    runs only the named experiments: e.g.
      dune exec bench/main.exe -- fig7 fig14
    Use `list` to see the available names. *)
 
-let experiments =
-  Weaver_bench.Experiments.all @ [ ("micro", Micro.run); ("speed", Speed.run) ]
+let experiments = Weaver_bench.Experiments.all @ [ ("speed", Speed.run) ]
 
 let () =
   let names = List.map fst experiments in
   match Array.to_list Sys.argv with
-  | _ :: [] ->
-      List.iter (fun (_, f) -> f ()) Weaver_bench.Experiments.all;
-      Micro.run ()
+  | _ :: [] -> List.iter (fun (_, f) -> f ()) Weaver_bench.Experiments.all
   | _ :: [ "list" ] -> List.iter print_endline names
   | _ :: args ->
       List.iter

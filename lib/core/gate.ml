@@ -8,14 +8,24 @@ type queued_tx = {
   mutable q_ordered : bool;
 }
 
+(* "no reference": a queue that is empty and has applied nothing, which
+   never clears a batch *)
 let none =
   { q_ts = Vclock.zero ~n:1; q_ops = []; q_trace = 0; q_enq = 0.0; q_ordered = false }
 
+type order = {
+  clock : Vclock.t -> Vclock.t -> bool option;
+  probe : skip:bool -> Vclock.t -> Vclock.t -> bool option;
+  established : Vclock.t -> Vclock.t -> bool option;
+  before : Vclock.t -> Vclock.t -> prefer_first_on_tie:bool -> bool;
+  version : unit -> int;
+}
+
 (* How a verdict was reached, which says what a fresh check would do:
-   [Settled] by vector clocks (nothing more, ever); [Cached] from a cache
-   entry (count one hit; entries never change); [Unsettled] after a miss
-   with no established order (the same miss while the cache keeps its
-   size, then for a real transaction the same oracle query). *)
+   [Settled] by clocks (nothing more); [Cached] from a cache entry (one
+   hit); [Unsettled] after a miss with no established order (the same
+   miss while the cache keeps its version, then for a real transaction
+   the same oracle query). *)
 type how = Settled | Cached | Unsettled
 
 type verdict = {
@@ -23,79 +33,266 @@ type verdict = {
   mutable v_nop : bool;  (* checked as effect-free *)
   mutable v_ok : bool;
   mutable v_how : how;
-  mutable v_size : int;  (* cache size when an [Unsettled] verdict was reached *)
+  mutable v_size : int;  (* cache version when an [Unsettled] verdict was reached *)
 }
 
 type memo = verdict array
 
-type t = {
-  rt : Runtime.t;
-  cache : Runtime.decision_cache;
-  refs : queued_tx array;
-  ref_nop : bool array;
-  scratch : memo;
-  mutable fresh_only : bool;
-}
-
 let no_memo : memo = [||]
 
-let blank () = { v_ts = none.q_ts; v_nop = false; v_ok = false; v_how = Settled; v_size = 0 }
+type 'a parked = {
+  p_ts : Vclock.t;
+  p_since : float;
+  p_gated : bool;
+  mutable p_memo : memo;  (* verdicts kept from the first failed check *)
+  p_item : 'a;
+}
 
-let create rt cache ~queues ~fresh_only =
+type action = Pop of int | Start_consult | Join_consult | Idle
+
+type 'a t = {
+  order : order;
+  queues : queued_tx Queue.t array;  (* one FIFO per gatekeeper *)
+  last_applied : queued_tx array;  (* newest popped entry per gk ([none] before) *)
+  last_arrived : Vclock.t option array;  (* for the inversion count only *)
+  pops : action array;  (* [Pop g] for every g, built once *)
+  refs : queued_tx array;  (* each gk's reference on the current pass *)
+  ref_nop : bool array;
+  scratch : memo;
+  patience : float;
+  mutable fresh_only : bool;
+  mutable parked : 'a parked list;  (* newest first *)
+  mutable consulting : bool;  (* a consult round trip is outstanding *)
+  batch : (Vclock.t, unit) Hashtbl.t;  (* its stamps: heads in here stall *)
+  mutable batch_list : Vclock.t list;  (* the batch in reverse join order *)
+  mutable conflict : bool;  (* the last scan met an undecided real pair *)
+  mutable fallback : bool;  (* a consult action was returned: the NOP fallback is next *)
+}
+
+let create order ~queues ~fresh_only ~patience =
   {
-    rt;
-    cache;
+    order;
+    queues = Array.init queues (fun _ -> Queue.create ());
+    last_applied = Array.make queues none;
+    last_arrived = Array.make queues None;
+    pops = Array.init queues (fun g -> Pop g);
     refs = Array.make queues none;
     ref_nop = Array.make queues false;
-    scratch = Array.init queues (fun _ -> blank ());
+    scratch =
+      Array.init queues (fun _ ->
+          { v_ts = none.q_ts; v_nop = false; v_ok = false; v_how = Settled; v_size = 0 });
+    patience;
     fresh_only;
+    parked = [];
+    consulting = false;
+    batch = Hashtbl.create 8;
+    batch_list = [];
+    conflict = false;
+    fallback = false;
   }
 
-let set_ref g gk r ~nop =
-  g.refs.(gk) <- r;
-  g.ref_nop.(gk) <- nop
+(* Gatekeeper stamps are not monotone in FIFO order. A gatekeeper stamps
+   a transaction when its request arrives but ships it only after two
+   store phases, and its NOP timer ships newer stamps in between, so a
+   transaction stamped before a NOP can arrive behind it. [arrive] counts
+   such arrivals. Three rules assume the order is monotone: a head that
+   passes a NOP by the tie-break in [le] also runs ahead of whatever that
+   gatekeeper queued behind the NOP; a program that clears a queue's head
+   or last applied entry ([check]) does not thereby clear every later
+   arrival from that gatekeeper; and the shard's replication watermark
+   check reads only the heads. *)
+let arrive g gk (e : queued_tx) =
+  let inverted =
+    match g.last_arrived.(gk) with
+    | Some prev -> Vclock.compare_hb prev e.q_ts <> Vclock.Before
+    | None -> false
+  in
+  g.last_arrived.(gk) <- Some e.q_ts;
+  Queue.push e g.queues.(gk);
+  inverted
 
-let fresh_only g = g.fresh_only
 let stop_skipping g = g.fresh_only <- false
+let consulting g = g.consulting
+let applied g gk = g.last_applied.(gk)
+let depths g = Array.map Queue.length g.queues
 
-(* The cache-key invariant behind both skipped probes.
+let for_all_heads g p =
+  Array.for_all (fun q -> match Queue.peek_opt q with None -> true | Some h -> p h) g.queues
 
-   (1) Every stamp a gatekeeper mints ([Gatekeeper.tick]: transactions,
-       NOPs and fresh program runs) is unique under the cache's equality
-       ([Vclock.identical]): a tick raises the minter's own component, two
-       ticks from different gatekeepers cannot carry equal clocks, as each
-       would have to have seen the other first, and stamps of different
-       epochs differ in the epoch.
-   (2) Only [Runtime.before] and [Runtime.before_established] write the
-       cache. Their pairs are: a run against a queue head or last applied
-       stamp (this gate); two queued real transactions ([le] and the
-       consult closure); a run against vertex versions (program reads); a
-       real transaction against vertex versions (property writes).
+let reset g =
+  Array.iter Queue.clear g.queues;
+  Array.fill g.last_applied 0 (Array.length g.last_applied) none;
+  Array.fill g.last_arrived 0 (Array.length g.last_arrived) None;
+  g.parked <- [];
+  g.consulting <- false;
+  Hashtbl.reset g.batch;
+  g.batch_list <- [];
+  g.conflict <- false;
+  g.fallback <- false
+
+(* ------------------------------------------------------------------ *)
+(* The queue loop (§4.2, Fig. 6) *)
+
+(* The cache-key invariant behind the skipped probes.
+   (1) Every stamp a gatekeeper mints (transactions, NOPs, fresh program
+       runs) is unique under the cache's equality ([Vclock.identical]): a
+       tick raises the minter's own component, ticks of two gatekeepers
+       cannot be equal, as each would have to have seen the other first,
+       and stamps of different epochs differ in the epoch.
+   (2) Only [before] and [established] write the cache, with these pairs:
+       a run against a reference ([check]); two queued real transactions
+       ([le], the consult closure); a run, or a real transaction, against
+       vertex versions (program reads, property writes).
    (3) Version stamps are real transaction ticks or all-zero load stamps
-       (a restored image's foreign stamps end [fresh_only],
-       [Runtime.foreign_stamps]), and queued transactions are never
-       queued twice: the shard's only replay, a crash-restart [resync],
-       ends [fresh_only] too.
-
-   So while every run here is fresh ([fresh_only]), a pair that holds a
-   queued NOP's stamp enters the cache only through the overdue path
-   below, as (run, NOP): [le]'s pairs of two queued stamps never hit, and
-   a run's probe against a NOP hits only if that NOP was ordered against
-   a run through the overdue path ([q_ordered]), since the run stamp is
-   unique. A historical run's stamp is the client's, and a weak run
-   re-stamped at its followers' watermark carries a [Runtime.stamp_min]
-   of gatekeeper clocks, which can equal any tick: either may alias a
-   queued stamp, so [fresh_only] ends when a historical run arrives and
-   is off from the start when the cluster can re-stamp weak runs. *)
+       (a restored image ends [fresh_only]), and no transaction is queued
+       twice (a crash-restart resync, the one replay, ends it too).
+   So while every run is fresh ([fresh_only]), a pair holding a queued
+   NOP's stamp enters the cache only through the overdue path of [check],
+   as (run, NOP): [le]'s pairs of queued stamps never hit, and a run's
+   probe of a NOP hits only if that NOP was ordered against a run that way
+   ([q_ordered]). A historical run's stamp is the client's, and a weak run
+   re-stamped at its followers' watermark carries a minimum of gatekeeper
+   clocks: either may alias a queued stamp, so [fresh_only] ends when a
+   historical run arrives and is off when weak runs can be re-stamped. *)
 let skips g (r : queued_tx) = g.fresh_only && r.q_ops = [] && not r.q_ordered
 
-let settle v ok =
-  v.v_how <- Settled;
-  v.v_ok <- ok;
-  ok
+(* a ≺ b by clocks, the cache or the oracle's established orders; [None]
+   while unordered *)
+let established o a b =
+  match o.clock a b with
+  | Some _ as d -> d
+  | None -> (
+      match o.probe ~skip:false a b with Some _ as d -> d | None -> o.established a b)
 
-let cached v ok =
-  v.v_how <- Cached;
+let rec all_heads g q =
+  q = Array.length g.queues || ((not (Queue.is_empty g.queues.(q))) && all_heads g (q + 1))
+
+let stalled g (h : queued_tx) = g.consulting && Hashtbl.mem g.batch h.q_ts
+
+(* May head [h] execute no later than head [h']? Two concurrent real
+   transactions are the pairs the paper orders reactively (§3.4); an
+   undecided pair of them sets [conflict]. *)
+let le g (h : queued_tx) (h' : queued_tx) =
+  let o = g.order in
+  let nop_pair = h.q_ops = [] || h'.q_ops = [] in
+  match o.clock h.q_ts h'.q_ts with
+  | Some d -> d
+  | None -> (
+      match o.probe ~skip:(nop_pair && g.fresh_only) h.q_ts h'.q_ts with
+      | Some d -> d
+      | None ->
+          if nop_pair then Vclock.total_compare h.q_ts h'.q_ts < 0
+          else begin
+            match o.established h.q_ts h'.q_ts with
+            | Some d -> d
+            | None ->
+                g.conflict <- true;
+                false
+          end)
+
+(* The first non-stalled head, in gatekeeper order, that is ≤ every other
+   head by established decisions (which the consult must respect), or -1.
+   Each scan stops at its first failure: every comparison may count a hit
+   or consult. Requires every queue non-empty. *)
+let rec le_all g q h q' =
+  q' = Array.length g.queues
+  || (q = q' || le g h (Queue.peek g.queues.(q'))) && le_all g q h (q' + 1)
+
+let rec minimal_head g q =
+  if q = Array.length g.queues then -1
+  else
+    let h = Queue.peek g.queues.(q) in
+    if (not (stalled g h)) && le_all g q h 0 then q else minimal_head g (q + 1)
+
+let pop g q =
+  g.last_applied.(q) <- Queue.pop g.queues.(q);
+  g.pops.(q)
+
+(* With every head real, one is stalled or in conflict, which is legal
+   only while a consult is out *)
+let nop_fallback g =
+  let best = ref (-1) in
+  for q = 0 to Array.length g.queues - 1 do
+    let h = Queue.peek g.queues.(q) in
+    if h.q_ops = []
+       && (!best < 0 || Vclock.total_compare h.q_ts (Queue.peek g.queues.(!best)).q_ts < 0)
+    then best := q
+  done;
+  if !best >= 0 then pop g !best
+  else begin
+    assert g.consulting;
+    Idle
+  end
+
+(* Join every queued real transaction still undecided against another to
+   the batch, in queue order; the number new to it. Every pair is
+   compared, since each comparison may count a hit or consult. *)
+let join_undecided g =
+  let reals = ref [] in
+  Array.iter (Queue.iter (fun e -> if e.q_ops <> [] then reals := e.q_ts :: !reals)) g.queues;
+  let arr = Array.of_list (List.rev !reals) in
+  let n = Array.length arr in
+  let undecided = Array.make n false in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if established g.order arr.(i) arr.(j) = None then begin
+        undecided.(i) <- true;
+        undecided.(j) <- true
+      end
+    done
+  done;
+  let fresh = ref 0 in
+  Array.iteri
+    (fun i ts ->
+      if undecided.(i) && not (Hashtbl.mem g.batch ts) then begin
+        Hashtbl.replace g.batch ts ();
+        g.batch_list <- ts :: g.batch_list;
+        incr fresh
+      end)
+    arr;
+  !fresh
+
+let step g =
+  if g.fallback then begin
+    g.fallback <- false;
+    nop_fallback g
+  end
+  else if all_heads g 0 then begin
+    g.conflict <- false;
+    let q = minimal_head g 0 in
+    if q >= 0 then pop g q
+    else if g.conflict then begin
+      let fresh = join_undecided g in
+      if not g.consulting then begin
+        g.consulting <- true;
+        g.fallback <- true;
+        Start_consult
+      end
+      else if fresh > 0 then begin
+        g.fallback <- true;
+        Join_consult
+      end
+      else nop_fallback g
+    end
+    else nop_fallback g
+  end
+  else Idle
+
+let end_consult g =
+  let stamps = List.rev g.batch_list in
+  g.consulting <- false;
+  Hashtbl.reset g.batch;
+  g.batch_list <- [];
+  stamps
+
+(* ------------------------------------------------------------------ *)
+(* The program gate (§4.1). Waiting is always safe, so a check never
+   establishes an order before the batch is overdue. Concurrent
+   transactions the batch overlaps are ordered transaction-first by the
+   visibility decisions at read time (§4.4). *)
+
+let record v how ok =
+  v.v_how <- how;
   v.v_ok <- ok;
   ok
 
@@ -106,62 +303,53 @@ let cached v ok =
    transaction is applied *)
 let unordered g v ~ts ~overdue (r : queued_tx) ~nop =
   if overdue then begin
-    let d = Runtime.before g.cache g.rt ts r.q_ts ~prefer_first_on_tie:nop in
+    let d = g.order.before ts r.q_ts ~prefer_first_on_tie:nop in
     if r.q_ops = [] then r.q_ordered <- true;
-    cached v d
+    record v Cached d
   end
   else begin
-    v.v_how <- Unsettled;
-    v.v_ok <- false;
-    v.v_size <- Runtime.cache_size g.cache;
-    false
+    v.v_size <- g.order.version ();
+    record v Unsettled false
   end
 
-(* The check the gate has always made, recording how it was reached. An
-   effect-free reference is checked against the local cache only; a real
-   transaction may additionally consult pre-established oracle state. *)
 let decide g v ~ts ~overdue (r : queued_tx) ~nop =
+  let o = g.order in
   v.v_ts <- r.q_ts;
   v.v_nop <- nop;
-  match Runtime.before_by_clock ts r.q_ts with
-  | Some d -> settle v d
+  match o.clock ts r.q_ts with
+  | Some d -> record v Settled d
   | None -> (
-      let hit =
-        if nop && skips g r then begin
-          Runtime.skipped_probe g.cache g.rt ts r.q_ts;
-          None
-        end
-        else Runtime.probe g.cache g.rt ts r.q_ts
-      in
-      match hit with
-      | Some d -> cached v d
+      match o.probe ~skip:(nop && skips g r) ts r.q_ts with
+      | Some d -> record v Cached d
       | None when nop -> unordered g v ~ts ~overdue r ~nop
       | None -> (
-          match Runtime.consult_established g.cache g.rt ts r.q_ts with
-          | Some d -> cached v d
+          match o.established ts r.q_ts with
+          | Some d -> record v Cached d
           | None -> unordered g v ~ts ~overdue r ~nop))
 
-(* a fresh check would reach this verdict the same way *)
+(* The reference must be the same entry, and a verdict reached after a
+   cache miss stands only while the cache keeps its version and the batch
+   is not overdue. *)
 let valid g v ~overdue (r : queued_tx) ~nop =
   v.v_ts == r.q_ts && v.v_nop = nop
   &&
   match v.v_how with
   | Settled | Cached -> true
-  | Unsettled -> (not overdue) && v.v_size = Runtime.cache_size g.cache
+  | Unsettled -> (not overdue) && v.v_size = g.order.version ()
 
-(* repeat a valid verdict's counted work: a cache hit is counted again,
-   and an unsettled real transaction is put to the oracle again *)
+(* A repeat counts what a fresh check would: a cached verdict probes its
+   entry again (a hit), an unsettled real transaction asks the oracle
+   again. *)
 let replay g v ~ts ~overdue (r : queued_tx) ~nop =
   match v.v_how with
   | Settled -> v.v_ok
   | Cached ->
-      let c = g.rt.Runtime.counters in
-      c.Runtime.oracle_cache_hits <- c.Runtime.oracle_cache_hits + 1;
+      ignore (g.order.probe ~skip:false ts r.q_ts);
       v.v_ok
   | Unsettled when nop -> false
   | Unsettled -> (
-      match Runtime.consult_established g.cache g.rt ts r.q_ts with
-      | Some d -> cached v d
+      match g.order.established ts r.q_ts with
+      | Some d -> record v Cached d
       | None -> unordered g v ~ts ~overdue r ~nop)
 
 let check g ~ts ~overdue memo =
@@ -187,3 +375,45 @@ let check g ~ts ~overdue memo =
   !ok
 
 let save g = Array.map (fun v -> { v with v_ts = v.v_ts }) g.scratch
+
+let park g ~ts ~since ~gated item =
+  g.parked <-
+    { p_ts = ts; p_since = since; p_gated = gated; p_memo = no_memo; p_item = item } :: g.parked
+
+let stamp p = p.p_ts
+let since p = p.p_since
+let item p = p.p_item
+
+(* A batch that skips the gate ([gated] false) clears at once. *)
+let clears g now p =
+  (not p.p_gated)
+  ||
+  let overdue = now -. p.p_since > g.patience in
+  let ok = check g ~ts:p.p_ts ~overdue p.p_memo in
+  if (not ok) && p.p_memo == no_memo then p.p_memo <- save g;
+  ok
+
+(* the batches that clear, in reverse order *)
+let rec check_each g now ready = function
+  | [] -> ready
+  | p :: rest -> check_each g now (if clears g now p then p :: ready else ready) rest
+
+(* the list is rebuilt only when some batch can run *)
+let runnable g ~now =
+  match g.parked with
+  | [] -> []
+  | parked -> (
+      for gk = 0 to Array.length g.queues - 1 do
+        match Queue.peek_opt g.queues.(gk) with
+        | Some head ->
+            g.refs.(gk) <- head;
+            g.ref_nop.(gk) <- head.q_ops = []
+        | None ->
+            g.refs.(gk) <- g.last_applied.(gk);
+            g.ref_nop.(gk) <- true
+      done;
+      match check_each g now [] parked with
+      | [] -> []
+      | ready ->
+          g.parked <- List.filter (fun p -> not (List.memq p ready)) parked;
+          List.rev ready)

@@ -1,23 +1,31 @@
-(** The node-program read gate's checks (paper §4.1), memoized per parked
-    batch.
+(** The shard's ordering gate (paper §4.1–§4.2, Fig. 6): every decision
+    about what runs next on a shard. It holds one FIFO queue per
+    gatekeeper, the last entry popped from each, the outstanding oracle
+    consult's batch and the parked node-program batches, and asks for
+    orders only through {!order}, so tests can run it on a model oracle.
+    The shard carries out its actions.
 
-    A parked batch may run once its stamp clears every gatekeeper's
-    reference: the queue head, or the last applied entry when the queue is
-    drained. A check is decided by vector clocks, then the shard's
-    decision cache, then (for a real transaction) the oracle's
-    pre-established orders, and past the patience window by a reactive
-    oracle order. Checks may count cache hits and oracle consults, so the
-    gate checks every reference, even after one fails.
+    {b Queue loop.} With every queue non-empty, the first head in
+    gatekeeper order no later than every other head runs. A pair with a
+    NOP falls to {!Weaver_vclock.Vclock.total_compare} when nothing
+    decides it; an undecided pair of real transactions starts a consult
+    (or joins the outstanding one) covering every queued real transaction
+    undecided against another. Heads in its batch stall until the answer;
+    the others keep draining. When no head can run, the smallest NOP head
+    is popped.
 
-    A batch keeps the verdict of each check. While a fresh check would
-    reach it the same way, the verdict is repeated instead of recomputed,
-    with the counted work a fresh check would do: the reference is the
-    same entry (compared physically), and a verdict reached after a cache
-    miss stands only while the cache keeps its size and the batch is not
-    overdue. *)
+    {b Program gate.} A parked batch runs once its stamp clears every
+    gatekeeper's reference (the queue head, or the last applied entry):
+    by vector clocks, the cache, for a real transaction the oracle's
+    established orders, and past the patience window {!order.before}.
+    Every reference is checked, as each check may count a hit or consult.
+    A batch repeats a verdict, with the counted work, while a fresh check
+    would reach it the same way. *)
+
+module Vclock = Weaver_vclock.Vclock
 
 type queued_tx = {
-  q_ts : Weaver_vclock.Vclock.t;
+  q_ts : Vclock.t;
   q_ops : Msg.shard_op list;  (** [[]] for a NOP *)
   q_trace : int;  (** originating request's trace id (0 for NOPs) *)
   q_enq : float;  (** when it entered its queue, for queue-wait metrics *)
@@ -25,49 +33,87 @@ type queued_tx = {
       (** a NOP that some run was ordered against through the overdue
           path: the cache may hold pairs with its stamp *)
 }
-(** An entry of a shard's per-gatekeeper FIFO queue. *)
+(** An entry of a per-gatekeeper FIFO queue. *)
 
-val none : queued_tx
-(** Stands for "no reference": a queue that is empty and has applied
-    nothing. Such a queue never clears a batch. *)
+(** The ordering interface: [Runtime.ordering] implements it over a
+    server's decision cache and the timeline oracle. Each function
+    answers [a ≺ b]. *)
+type order = {
+  clock : Vclock.t -> Vclock.t -> bool option;
+      (** by vector clocks; [None] if concurrent or equal of two origins *)
+  probe : skip:bool -> Vclock.t -> Vclock.t -> bool option;
+      (** the decision cache, counting a hit; with [~skip:true] the gate
+          knows it cannot hit and none is made (an audit may check) *)
+  established : Vclock.t -> Vclock.t -> bool option;
+      (** the oracle's established order, counted as a consult and cached *)
+  before : Vclock.t -> Vclock.t -> prefer_first_on_tie:bool -> bool;
+      (** the full decision, establishing [a ≺ b] iff [prefer_first_on_tie]
+          when nothing orders the pair *)
+  version : unit -> int;  (** changes whenever the cache gains an entry *)
+}
 
-type memo
-(** One verdict per gatekeeper for one parked batch. *)
+type 'a t
+(** The gate of one shard; ['a] is the shard's parked-batch payload. *)
 
-val no_memo : memo
-(** The memo of a batch not checked yet. Batches that clear their first
-    check never allocate one. *)
+val create : order -> queues:int -> fresh_only:bool -> patience:float -> 'a t
+(** [patience] is how long (µs) a parked batch waits before its checks
+    refine reactively. [fresh_only] says every program stamp the shard
+    will see is a fresh gatekeeper tick; while it holds, probes that pair
+    a queued NOP with a stamp that cannot share a cache entry with it are
+    skipped (the argument is at [skips] in the implementation). *)
 
-type t
+(** {1 The queue loop} *)
 
-val create :
-  Runtime.t -> Runtime.decision_cache -> queues:int -> fresh_only:bool -> t
-(** The gate of a shard with [queues] gatekeeper queues and this decision
-    cache. [fresh_only] says every program stamp the shard will see is a
-    fresh gatekeeper tick (no re-stamped weak runs, no restored image).
-    While it holds, a check against a NOP that no run was ordered against
-    through the overdue path skips its cache probe, which cannot hit (the
-    argument is at [skips] in the implementation), and shows the skip to
-    {!Runtime.skipped_probe}. *)
+type action =
+  | Pop of int
+      (** the head of queue [g] was popped and is now {!applied}: apply it *)
+  | Start_consult  (** no consult was out and the batch gained stamps: start one *)
+  | Join_consult  (** new stamps joined the outstanding consult's batch *)
+  | Idle  (** nothing can run until an arrival or the consult's answer *)
 
-val set_ref : t -> int -> queued_tx -> nop:bool -> unit
-(** [set_ref g gk r ~nop] sets gatekeeper [gk]'s reference for the next
-    checks: its queue head (effect-free iff a NOP) or its last applied
-    entry (always effect-free), or {!none}. *)
+val arrive : 'a t -> int -> queued_tx -> bool
+(** Queue an entry from a gatekeeper; [true] iff its stamp does not happen
+    after the previous arrival from that gatekeeper (a stamp inversion). *)
 
-val check : t -> ts:Weaver_vclock.Vclock.t -> overdue:bool -> memo -> bool
-(** Does a batch stamped [ts] clear every reference? [memo] is the
-    batch's; with {!no_memo} every check is made afresh and recorded in
-    the gate's scratch memo, which {!save} copies out. *)
+val step : 'a t -> action
+(** The next action of the queue loop. Call it until {!Idle}. *)
 
-val save : t -> memo
-(** A copy of the verdicts of the last {!check} made with {!no_memo}. *)
+val applied : 'a t -> int -> queued_tx
+(** The entry a gatekeeper's queue popped last. *)
 
-val fresh_only : t -> bool
-(** While true, no cache entry pairs a queued NOP's stamp with another
-    queued stamp, so a shard compares such heads without a probe. *)
+val consulting : 'a t -> bool
 
-val stop_skipping : t -> unit
-(** End {!fresh_only}: a historical run arrived, a restored image was
-    loaded, or the shard restarted in place. Every probe is made from then
-    on. *)
+val end_consult : 'a t -> Vclock.t list
+(** The consult's answer arrived: its batch in join order, for the oracle
+    to serialize. Unstalls the batch. *)
+
+(** {1 The program gate} *)
+
+type 'a parked
+
+val park : 'a t -> ts:Vclock.t -> since:float -> gated:bool -> 'a -> unit
+(** Park a batch stamped [ts] at time [since]. A batch with [gated] false
+    (one that reads a pinned snapshot) clears at once. *)
+
+val runnable : 'a t -> now:float -> 'a parked list
+(** Check every parked batch, newest first, and remove and return those
+    that may run, in that order. *)
+
+val stamp : 'a parked -> Vclock.t
+val since : 'a parked -> float
+val item : 'a parked -> 'a
+
+val stop_skipping : 'a t -> unit
+(** End [fresh_only]: a historical run arrived, a restored image was
+    loaded, or the shard restarted in place. *)
+
+(** {1 State} *)
+
+val reset : 'a t -> unit
+(** Drop every queued entry, parked batch, last applied entry and the
+    outstanding consult. *)
+
+val depths : 'a t -> int array
+
+val for_all_heads : 'a t -> (queued_tx -> bool) -> bool
+(** Every non-empty queue's head satisfies the predicate. *)

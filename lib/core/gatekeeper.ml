@@ -564,10 +564,19 @@ let memo_key prog params starts ~weak =
    owner or a live follower of its range — for a historical run ([at] set)
    one covering the pinned stamp, for a weak run one advertising coverage
    in this epoch, together with that watermark, at which the run is then
-   re-stamped. Returns [(vid, handle, server, follower-chosen, watermark)]. *)
+   re-stamped. Returns [(vid, handle, server, follower-chosen, watermark)].
+   A vid the cluster has never numbered is not numbered here: it travels
+   with [Runtime.no_handle] and goes to its hashed placement. *)
 let route t ~replicated ~at vid =
-  let h = Runtime.vertex_handle t.rt vid in
-  let owner = Runtime.shard_of_handle t.rt h in
+  let h =
+    match Weaver_util.Intern.find t.rt.Runtime.names vid with
+    | Some h -> h
+    | None -> Runtime.no_handle
+  in
+  let owner =
+    if h = Runtime.no_handle then Runtime.shard_of_vertex t.rt vid
+    else Runtime.shard_of_handle t.rt h
+  in
   if not replicated then (vid, h, owner, false, None)
   else
     let alive_server s = Net.is_alive t.rt.Runtime.net (Runtime.shard_addr t.rt s) in

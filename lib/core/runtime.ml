@@ -484,6 +484,7 @@ let vkey vid = "v/" ^ vid
 let lukey vid = "lu/" ^ vid
 let dirkey vid = "dir/" ^ vid
 
+let no_handle = -1
 let vertex_handle t vid = Intern.id t.names vid
 let vertex_name t h = Intern.name t.names h
 
@@ -555,10 +556,6 @@ let create_cache () : decision_cache = Decisions.create 256
 let cached cache a b =
   if Decisions.length cache = 0 then None else Decisions.find_opt cache (a, b)
 
-(* Entries are only ever added, and a decision never changes, so the size
-   versions the cache: a lookup that missed still misses while it holds. *)
-let cache_size cache = Decisions.length cache
-
 let cache_put cache a b first_before =
   Decisions.replace cache (a, b) first_before;
   Decisions.replace cache (b, a) (not first_before)
@@ -572,9 +569,9 @@ let probe cache t a b =
   | None -> None
 
 (* a ≺ b where vector clocks decide it: not for a concurrent pair, nor
-   for equal clocks from two origins. The deciders below spell the same
-   match out: they run on every version a read filters. *)
-let[@inline] before_by_clock a b =
+   for equal clocks from two origins. [before] spells the same match out:
+   it runs on every version a read filters. *)
+let before_by_clock a b =
   match Vclock.compare_hb a b with
   | Vclock.Before -> Some true
   | Vclock.After -> Some false
@@ -604,27 +601,6 @@ let before cache t a b ~prefer_first_on_tie =
           cache_put cache a b d;
           d)
 
-let consult_established cache t a b =
-  t.counters.oracle_consults <- t.counters.oracle_consults + 1;
-  match oracle_query t a b with
-  | Some Oracle.First_first ->
-      cache_put cache a b true;
-      Some true
-  | Some Oracle.Second_first ->
-      cache_put cache a b false;
-      Some false
-  | None -> None
-
-let before_established cache t a b =
-  match Vclock.compare_hb a b with
-  | Vclock.Before -> Some true
-  | Vclock.After -> Some false
-  | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> Some false
-  | Vclock.Equal | Vclock.Concurrent -> (
-      match probe cache t a b with
-      | Some _ as d -> d
-      | None -> consult_established cache t a b)
-
 let stamp_min a b =
   let open Vclock in
   if a.epoch <> b.epoch then if a.epoch < b.epoch then a else b
@@ -634,16 +610,32 @@ let stamp_min a b =
     make ~epoch:a.epoch ~origin:a.origin clocks
   end
 
-let before_cached cache t a b =
-  match Vclock.compare_hb a b with
-  | Vclock.Before -> Some true
-  | Vclock.After -> Some false
-  | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> Some false
-  | Vclock.Equal | Vclock.Concurrent -> probe cache t a b
-
-let skipped_probe cache t a b =
-  match t.probe_audit with
-  | None -> ()
-  | Some au ->
-      au.skipped <- au.skipped + 1;
-      if Option.is_some (cached cache a b) then au.would_hit <- au.would_hit + 1
+(* The gate's ordering interface. Entries are only ever added and a
+   decision never changes, so the size versions the cache. Under the
+   audit, a skipped probe is looked up anyway, uncounted. *)
+let ordering cache t =
+  {
+    Gate.clock = before_by_clock;
+    probe =
+      (fun ~skip a b ->
+        if not skip then probe cache t a b
+        else begin
+          (match t.probe_audit with
+          | Some au ->
+              au.skipped <- au.skipped + 1;
+              if Option.is_some (cached cache a b) then au.would_hit <- au.would_hit + 1
+          | None -> ());
+          None
+        end);
+    established =
+      (fun a b ->
+        t.counters.oracle_consults <- t.counters.oracle_consults + 1;
+        match oracle_query t a b with
+        | Some o ->
+            let d = o = Oracle.First_first in
+            cache_put cache a b d;
+            Some d
+        | None -> None);
+    before = before cache t;
+    version = (fun () -> Decisions.length cache);
+  }

@@ -94,11 +94,7 @@ type counters = {
           those that may hold a closed version, not every resident one *)
   mutable stamp_inversions : int;
       (** [Shard_tx] arrivals at a shard whose stamp does not happen after
-          the previous arrival from the same gatekeeper: a gatekeeper
-          stamps a transaction when its request arrives but ships it only
-          after the store commit, while its NOP timer keeps shipping newer
-          stamps in between, so per-gatekeeper FIFO order is not stamp
-          order *)
+          the previous arrival from the same gatekeeper ({!Gate.arrive}) *)
 }
 
 type probe_audit = {
@@ -158,9 +154,9 @@ type t = {
           ["oracle"]. Measuring never perturbs the simulation *)
   mutable probe_audit : probe_audit option;
       (** off by default; while [Some], every decision-cache probe the
-          ordering gate skips ({!skipped_probe}) is done anyway as an
-          uncounted shadow lookup and tallied, so tests can check that no
-          skipped probe would have hit *)
+          ordering gate skips ({!Gate.order.probe} with [~skip:true]) is
+          done anyway as an uncounted shadow lookup and tallied, so tests
+          can check that no skipped probe would have hit *)
   mutable foreign_stamps : bool;
       (** set by {!Backup.restore}: the store holds version stamps minted
           by another cluster, which may equal this cluster's own, so the
@@ -290,6 +286,11 @@ val actor_of_addr : t -> int -> string
 val vertex_handle : t -> string -> int
 (** The vertex's handle in {!names}, interning it on first sight. *)
 
+val no_handle : int
+(** The handle a [Msg.Prog_batch] item carries for a vid the cluster had
+    not numbered when the run was routed; the shard looks the vid up
+    again when it visits, without numbering it. *)
+
 val vertex_name : t -> int -> string
 (** The vid of a handle. *)
 
@@ -342,44 +343,14 @@ val create_cache : unit -> decision_cache
 val before :
   decision_cache -> t -> Vclock.t -> Vclock.t -> prefer_first_on_tie:bool -> bool
 
-val before_established :
-  decision_cache -> t -> Vclock.t -> Vclock.t -> bool option
-(** Like {!before} but never establishes a new order: [None] when the pair
-    is still unordered. *)
+val ordering : decision_cache -> t -> Gate.order
+(** The ordering interface of a shard's gate over this cache and the
+    timeline oracle: vector clocks, a probe counting its hit, the oracle's
+    established order counted as a consult, {!before}, and the cache's
+    size as its version (entries are only added, never changed). A skipped
+    probe is looked up anyway while {!probe_audit} is set. *)
 
 val stamp_min : Vclock.t -> Vclock.t -> Vclock.t
 (** Pointwise lower bound of two timestamps (min epoch wins outright):
     anything strictly before the result is strictly before both inputs.
     Used to build GC watermarks (§4.5). *)
-
-val before_cached : decision_cache -> t -> Vclock.t -> Vclock.t -> bool option
-(** Cache-and-vclock-only variant of {!before_established}: never contacts
-    the oracle. Used where waiting is always safe (e.g. gating a node
-    program on a NOP queue head) so that effect-free traffic generates no
-    reactive-coordination cost. *)
-
-(** {2 The steps of a decision}
-
-    For callers that memoize a decision and must repeat exactly the
-    counted work a fresh one would do. *)
-
-val before_by_clock : Vclock.t -> Vclock.t -> bool option
-(** The first step of every decision: [a ≺ b] as vector clocks decide it
-    (two equal stamps of one origin are not ordered); [None] for a
-    concurrent pair or equal clocks from two origins. *)
-
-val probe : decision_cache -> t -> Vclock.t -> Vclock.t -> bool option
-(** The cache lookup of {!before_cached} alone, counting a hit. *)
-
-val consult_established : decision_cache -> t -> Vclock.t -> Vclock.t -> bool option
-(** What {!before_established} does after a cache miss: count a consult,
-    query the oracle, and cache an answer. *)
-
-val cache_size : decision_cache -> int
-(** Entries in the cache. Only {!before} and {!before_established} (and
-    {!consult_established}) add entries, none is ever removed or changed,
-    so a probe that missed keeps missing while the size is unchanged. *)
-
-val skipped_probe : decision_cache -> t -> Vclock.t -> Vclock.t -> unit
-(** Note a probe the caller skipped as unable to hit; a no-op unless
-    {!probe_audit} is set. *)

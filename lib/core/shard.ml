@@ -13,14 +13,6 @@ module Tbl = Weaver_util.Tbl
 module Ring = Weaver_util.Ring
 module Stats = Weaver_util.Stats
 
-type queued_tx = Gate.queued_tx = {
-  q_ts : Vclock.t;
-  q_ops : Msg.shard_op list;
-  q_trace : int; (* originating request's trace id (0 for NOPs) *)
-  q_enq : float; (* when it entered this queue, for queue-wait metrics *)
-  mutable q_ordered : bool;
-}
-
 (* An immutable copy of this shard's partition as of [sg_ts], rebuilt from
    the durable store at a watermark boundary. The store keeps the full
    version history (only in-memory copies are ever compacted) and vertex
@@ -38,16 +30,11 @@ let retained_snapshots = 4
 type parked_prog = {
   p_coord : int;
   p_id : int;
-  p_ts : Vclock.t;
   p_prog : string;
   p_historical : bool;
   p_items : (string * int * Progval.t) list;
-  p_since : float;  (* when this batch was parked *)
   p_snap : snap_graph Snapshot.entry option;
       (* pinned snapshot this batch reads from; None = live graph *)
-  mutable p_memo : Gate.memo;
-      (* the gate's verdict per gatekeeper, kept from the first check that
-         failed ([Gate.no_memo] until then) *)
 }
 
 (* Partial replication ({!Runtime.standing_plan}, DESIGN §16).
@@ -107,30 +94,17 @@ type t = {
          [hop_out.(h)] is the record's out array. A hop naming one of the
          visited vertex's own edge destinations takes its handle from here
          instead of interning the vid. *)
-  queues : queued_tx Queue.t array; (* one FIFO per gatekeeper *)
   last_seq : int array;
   seq_epoch : int array; (* epoch in which last_seq was recorded *)
   cache : Runtime.decision_cache;
-  gate : Gate.t; (* the node-program gate's references and skip state *)
-  last_applied : queued_tx array;
-      (* newest executed entry per gk ([Gate.none] before the first) *)
-  last_arrived : Vclock.t option array;
-      (* stamp of the previous Shard_tx from each gk, for the
-         [stamp_inversions] count only *)
+  gate : parked_prog Gate.t;
+      (* the gatekeeper queues, the outstanding consult and the parked
+         batches: what runs next *)
   prog_state : Progval.t Tbl.Probe.t Tbl.Probe.t;
       (* prog_id -> vertex handle -> that program's state there *)
   fwd : (string * int * Progval.t) list array;
       (* by server: the hops a running batch forwards there, newest first;
          every cell is [] between batches *)
-  mutable parked : parked_prog list;
-  mutable oracle_inflight : bool;
-      (* a serialize round trip to the timeline oracle is outstanding *)
-  oracle_batch : (Vclock.t, unit) Hashtbl.t;
-      (* stamps (by key) covered by the in-flight consult: queue heads in
-         here are stalled; everything else keeps draining. Conflicts found
-         while the consult is out join this set instead of issuing another
-         round trip (coalescing). *)
-  mutable oracle_batch_list : Vclock.t list; (* batch in reverse join order *)
   mutable oracle_gen : int;
       (* invalidates the scheduled completion callback across epoch changes
          and crash-restarts *)
@@ -184,7 +158,7 @@ let resident_ids t =
     t.graph []
   |> List.sort String.compare
 
-let queue_depths t = Array.map Queue.length t.queues
+let queue_depths t = Gate.depths t.gate
 let snapshots_retained t = Snapshot.count t.snaps
 let snapshots_pinned t = List.length (Snapshot.pinned t.snaps)
 let gc_floor t = t.gc_floor
@@ -420,7 +394,7 @@ let apply_op t ~copy ts (op : Msg.shard_op) =
       | _ -> ())
   | Msg.S_migrate_out _ -> if (not copy) || is_copy t h then drop t h
 
-let apply_tx t ~gk (qt : queued_tx) =
+let apply_tx t ~gk (qt : Gate.queued_tx) =
   if qt.q_ops <> [] then begin
     (* time between arrival on the FIFO queue and execution — the
        timestamp-ordering wait the paper's Fig. 9 latency includes *)
@@ -523,10 +497,23 @@ let prog_state_set t prog_id table h state =
       table := Some tbl
   | None, None -> ()
 
+(* The handle of a batch item's vertex: the one it carries, or the vid
+   looked up now when it was routed unnumbered ([Runtime.no_handle]), so
+   a vertex created since is found; [no_handle] while still unknown. *)
+let item_handle t vid h =
+  if h <> Runtime.no_handle then h
+  else match Intern.find t.rt.Runtime.names vid with Some h -> h | None -> h
+
+(* the shard an item's vertex lives on: hashed placement when unknown *)
+let item_owner t vid h =
+  if h = Runtime.no_handle then Runtime.shard_of_vertex t.rt vid
+  else Runtime.shard_of_handle t.rt h
+
 (* Run a batch of (vertex, params) visits locally; hops to vertices on this
    shard are processed in the same batch, hops elsewhere are grouped into
    per-shard messages. Results are delivered after the modelled CPU cost. *)
-let execute_prog_batch t (p : parked_prog) =
+let execute_prog_batch t (b : parked_prog Gate.parked) =
+  let p = Gate.item b and p_ts = Gate.stamp b and p_since = Gate.since b in
   (* a read below the compaction floor with no pinned snapshot: the
      versions it needs are gone from the in-memory copy, and reading
      post-compaction state would silently violate the read's timestamp.
@@ -538,8 +525,8 @@ let execute_prog_batch t (p : parked_prog) =
     (match p.p_snap with None -> true | Some _ -> false)
     && match t.gc_floor with
        | Some floor ->
-           Vclock.precedes p.p_ts floor
-           && (p.p_historical || p.p_ts.Vclock.epoch = floor.Vclock.epoch)
+           Vclock.precedes p_ts floor
+           && (p.p_historical || p_ts.Vclock.epoch = floor.Vclock.epoch)
        | None -> false
   in
   (* ...but a follower batch whose items all live in other shards'
@@ -551,7 +538,7 @@ let execute_prog_batch t (p : parked_prog) =
     own_gced
     && (Hashtbl.length t.repl_in = 0
        || List.exists
-            (fun (_, h, _) -> Runtime.shard_of_handle t.rt h = t.sid)
+            (fun (vid, h, _) -> item_owner t vid (item_handle t vid h) = t.sid)
             p.p_items)
   in
   if gced then
@@ -574,10 +561,10 @@ let execute_prog_batch t (p : parked_prog) =
            { prog_id = p.p_id; sent = 0; acc = Progval.Null; visited = []; error = None })
   | Some (module P : Nodeprog.PROGRAM) ->
       (* time this batch spent parked behind the refinable-timestamp gate *)
-      Stats.add t.prog_gate_wait (now t -. p.p_since);
+      Stats.add t.prog_gate_wait (now t -. p_since);
       if Runtime.tracing t.rt ~trace:p.p_id then
         Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_gate" ~actor:(actor t)
-          ~start:p.p_since ~stop:(now t) ();
+          ~start:p_since ~stop:(now t) ();
       let exec_start = now t in
       (* a pinned batch reads the immutable snapshot: no demand paging, no
          LRU touches, no evictions — analytics never pollute the writers'
@@ -595,7 +582,7 @@ let execute_prog_batch t (p : parked_prog) =
          before), so time travel excludes later writes *)
       let bf =
         if p.p_historical then fun a b ->
-          Runtime.before t.cache t.rt a b ~prefer_first_on_tie:(not (Vclock.equal b p.p_ts))
+          Runtime.before t.cache t.rt a b ~prefer_first_on_tie:(not (Vclock.equal b p_ts))
         else before t
       in
       (* work items carry their vertex handle, as batch items do *)
@@ -618,7 +605,8 @@ let execute_prog_batch t (p : parked_prog) =
       let aborted = ref false in
       while (not !aborted) && not (Queue.is_empty work) do
         let ((vid, h, params) as item) = Queue.pop work in
-        if own_gced && Runtime.shard_of_handle t.rt h = t.sid then
+        let h = item_handle t vid h in
+        if own_gced && item_owner t vid h = t.sid then
           (* a hop landed on this shard's own compacted partition *)
           aborted := true
         else begin
@@ -627,18 +615,19 @@ let execute_prog_batch t (p : parked_prog) =
            follower capacity becomes read capacity *)
         let vrec, pc =
           match pinned with
+          | _ when h = Runtime.no_handle -> (None, 0.0)
           | Some sg -> (Tbl.Probe.find_opt sg.sg_graph h, 0.0)
-          | None -> visit_lookup t h vid p.p_ts
+          | None -> visit_lookup t h vid p_ts
         in
         page_cost := !page_cost +. pc;
         match vrec with
         | None ->
             (* not resident: if the directory says another shard owns it
                (it migrated, §4.6), chase the vertex there *)
-            let owner = Runtime.shard_of_handle t.rt h in
+            let owner = item_owner t vid h in
             if owner <> t.sid then forward_item owner item
         | Some vertex ->
-            if Mgraph.vertex_alive bf vertex ~at:p.p_ts then begin
+            if Mgraph.vertex_alive bf vertex ~at:p_ts then begin
               incr n_visited;
               if memo_reads then visited := vid :: !visited;
               (counters t).Runtime.vertices_read <-
@@ -646,7 +635,7 @@ let execute_prog_batch t (p : parked_prog) =
               (* a replica-served read is load on its home shard's
                  partition all the same *)
               Runtime.heat_read t.rt ~shard:t.home vid;
-              let ctx = { Nodeprog.vid; at = p.p_ts; before = bf; vertex } in
+              let ctx = { Nodeprog.vid; at = p_ts; before = bf; vertex } in
               let state =
                 match !pstate with Some tbl -> Tbl.Probe.find_opt tbl h | None -> None
               in
@@ -732,7 +721,7 @@ let execute_prog_batch t (p : parked_prog) =
                         {
                           coord = p.p_coord;
                           prog_id = p.p_id;
-                          ts = p.p_ts;
+                          ts = p_ts;
                           prog = p.p_prog;
                           historical = p.p_historical;
                           items;
@@ -745,261 +734,48 @@ let execute_prog_batch t (p : parked_prog) =
           end)
       end
 
-(* A node program may run once, for every gatekeeper, the next transaction
-   is known to come after it — i.e. all preceding and concurrent
-   transactions have executed (§4.1). The queue head decides when one is
-   pending; when the queue is drained, the last applied stamp does.
-
-   Crucially, waiting is always safe, so gating never *establishes* new
-   oracle orders: a queue clears only when the program precedes the
-   reference stamp by vector clock or by an already-committed chain.
-   Concurrent transactions the program actually overlaps with get ordered
-   transaction-first by the visibility decisions at read time (§4.4) — the
-   genuinely reactive cost. Effect-free NOP heads are checked against the
-   local cache only; real transaction heads may additionally consult
-   pre-established oracle state. [Gate.check] makes each check.
-
-   The FIFO channel does not make a gatekeeper's stamps monotone, so a
-   cleared reference stamp does not bound every later arrival from that
-   gatekeeper. The gatekeeper stamps a transaction when its request
-   arrives but ships it only after two store phases, and its NOP timer
-   ships newer stamps in between; a transaction stamped before a NOP can
-   therefore arrive behind it ([Runtime.counters.stamp_inversions] counts
-   such arrivals). *)
-let prog_runnable t (p : parked_prog) =
-  match p.p_snap with
-  | Some _ ->
-      (* pinned batches skip the gate entirely: they read an immutable
-         snapshot the queues can never mutate, and the durable store the
-         snapshot was built from was already ahead of every gatekeeper
-         queue when it was published (gatekeepers commit to the store
-         before sending the Shard_tx), so no queued or future transaction
-         can be visible at [p_ts ≺ sg_ts] *)
-      true
-  | None ->
-  (* patience before falling back to the oracle: roughly two announce
-     rounds (vector clocks will have resolved the pair by then if they
-     ever will), capped so enormous tau still makes progress reactively *)
-  let patience =
-    Float.min (2.0 *. ((cfg t).Config.tau +. (cfg t).Config.nop_period)) 10_000.0
-  in
-  let overdue = Engine.now t.rt.Runtime.engine -. p.p_since > patience in
-  (* The memo rule: the batch keeps its verdict per gatekeeper and
-     repeats it while a fresh check would reach it the same way. The
-     reference must be the same entry, and a verdict reached after a cache
-     miss stands only while the cache keeps its size and the batch is not
-     overdue. A repeat counts what the check would count (a cache hit, or
-     the oracle query an unsettled real transaction is put to), so the
-     counters move as if every queue were checked on every pass. *)
-  let ok = Gate.check t.gate ~ts:p.p_ts ~overdue p.p_memo in
-  if (not ok) && p.p_memo == Gate.no_memo then p.p_memo <- Gate.save t.gate;
-  ok
-
-(* every parked batch is checked once, in order, against each gatekeeper's
-   reference as it stands: the queue head, or the last applied entry; the
-   list is rebuilt only when some batch can run *)
-let try_run_parked t =
-  match t.parked with
-  | [] -> ()
-  | parked -> (
-      for gk = 0 to Array.length t.queues - 1 do
-        match Queue.peek_opt t.queues.(gk) with
-        | Some head -> Gate.set_ref t.gate gk head ~nop:(head.q_ops = [])
-        | None -> Gate.set_ref t.gate gk t.last_applied.(gk) ~nop:true
-      done;
-      match List.filter (prog_runnable t) parked with
-      | [] -> ()
-      | runnable ->
-          t.parked <- List.filter (fun p -> not (List.memq p runnable)) t.parked;
-          List.iter (execute_prog_batch t) runnable)
-
-(* ------------------------------------------------------------------ *)
-(* The event loop over gatekeeper queues (§4.2, Fig. 6).
-
-   Refinement is non-blocking: an in-flight oracle consult stalls only the
-   queue heads whose stamps are in the consult's batch — every other queue
-   keeps draining and NOP heads keep clearing while the round trip is out.
-   Conflicting pairs discovered mid-flight join the outstanding batch (one
-   serialize call answers all of them) instead of issuing their own round
-   trip. *)
-
-let rec all_heads t g =
-  g = Array.length t.queues || ((not (Queue.is_empty t.queues.(g))) && all_heads t (g + 1))
-
-(* a head covered by the in-flight consult must wait for its answer; only
-   those heads are stalled *)
-let stalled t (h : queued_tx) = t.oracle_inflight && Hashtbl.mem t.oracle_batch h.q_ts
-
-(* [le t conflict h h'] — may this head execute no later than that one? A
-   NOP carries no effects, so a pair involving one is broken
-   deterministically without the oracle. Two concurrent *real*
-   transactions sharing this shard are exactly the pairs the paper orders
-   reactively (§3.4); an undecided pair of them sets [conflict]. The NOP
-   tie-break is not harmless: passing a NOP also runs ahead of whatever
-   its gatekeeper queued behind it, and since that gatekeeper's stamps are
-   not monotone in FIFO order (see [prog_runnable]), a real transaction
-   queued there may already be ordered before the passing head. *)
-let le t conflict (h : queued_tx) (h' : queued_tx) =
-  let nop_pair = h.q_ops = [] || h'.q_ops = [] in
-  let cached =
-    if nop_pair && Gate.fresh_only t.gate then begin
-      (* no cache entry holds a queued NOP's stamp and another queued
-         stamp (the invariant at [Gate.skips]): skip the probe *)
-      match Runtime.before_by_clock h.q_ts h'.q_ts with
-      | Some _ as d -> d
-      | None ->
-          Runtime.skipped_probe t.cache t.rt h.q_ts h'.q_ts;
-          None
-    end
-    else Runtime.before_cached t.cache t.rt h.q_ts h'.q_ts
-  in
-  match cached with
-  | Some d -> d
-  | None ->
-      if nop_pair then Vclock.total_compare h.q_ts h'.q_ts < 0
-      else begin
-        match Runtime.before_established t.cache t.rt h.q_ts h'.q_ts with
-        | Some d -> d
-        | None ->
-            conflict := true;
-            false
-      end
-
-(* Popping a non-stalled head requires it ≤ every other head, including
-   batch members, by already-established decisions — an order [serialize]
-   is bound to respect, so executing it during the flight commutes with
-   the consult's outcome. The first such head in gatekeeper order, or -1;
-   heads are compared in that order and each scan stops at the first
-   failure, since every comparison may count a hit or consult. Requires
-   every queue non-empty. *)
-let rec le_all t conflict g h g' =
-  g' = Array.length t.queues
-  || (g = g' || le t conflict h (Queue.peek t.queues.(g')))
-     && le_all t conflict g h (g' + 1)
-
-let rec minimal_head t conflict g =
-  if g = Array.length t.queues then -1
-  else
-    let h = Queue.peek t.queues.(g) in
-    if (not (stalled t h)) && le_all t conflict g h 0 then g
-    else minimal_head t conflict (g + 1)
-
-(* Add a stamp to the in-flight conflict batch; true iff it was new. *)
-let join_batch t ts =
-  if Hashtbl.mem t.oracle_batch ts then false
-  else begin
-    Hashtbl.replace t.oracle_batch ts ();
-    t.oracle_batch_list <- ts :: t.oracle_batch_list;
-    true
-  end
-
+(* Carry out the gate's actions until it idles, then run the parked
+   batches it clears. A consult is a round trip to the timeline oracle
+   that honours the network's active latency-degrade factor, like any
+   other message to the oracle's address would; [oracle_gen] voids its
+   completion across epoch changes and crash-restarts. *)
 let rec oracle_done t gen () =
-  if (not t.retired) && t.oracle_inflight && t.oracle_gen = gen then begin
+  if (not t.retired) && Gate.consulting t.gate && t.oracle_gen = gen then begin
     (* serialize the whole coalesced batch in join order: one round trip
        decides every conflict discovered while it was out *)
-    ignore (Runtime.oracle_serialize t.rt (List.rev t.oracle_batch_list));
-    t.oracle_inflight <- false;
-    Hashtbl.reset t.oracle_batch;
-    t.oracle_batch_list <- [];
+    ignore (Runtime.oracle_serialize t.rt (Gate.end_consult t.gate));
     try_advance t
   end
 
-(* Route a set of conflicting stamps to the oracle: start a consult if none
-   is out, otherwise fold them into the in-flight batch. The simulated round
-   trip honours the network's active latency-degrade factor, like any other
-   message to the oracle's address would. *)
-and begin_or_join_consult t stamps =
-  let fresh =
-    List.fold_left (fun n ts -> if join_batch t ts then n + 1 else n) 0 stamps
-  in
+and start_consult t =
   let c = counters t in
-  if not t.oracle_inflight then begin
-    t.oracle_inflight <- true;
-    c.Runtime.oracle_consults <- c.Runtime.oracle_consults + 1;
-    c.Runtime.shard_oracle_consults <- c.Runtime.shard_oracle_consults + 1;
-    let oracle_delay =
-      2.0 *. (cfg t).Config.net_base_latency
-      *. Net.latency_factor t.rt.Runtime.net
-    in
-    Runtime.observe t.rt "shard.oracle_wait" oracle_delay;
-    Engine.schedule t.rt.Runtime.engine ~delay:oracle_delay
-      (oracle_done t t.oracle_gen)
-  end
-  else if fresh > 0 then
-    c.Runtime.shard_oracle_batched <- c.Runtime.shard_oracle_batched + 1
+  c.Runtime.oracle_consults <- c.Runtime.oracle_consults + 1;
+  c.Runtime.shard_oracle_consults <- c.Runtime.shard_oracle_consults + 1;
+  let oracle_delay =
+    2.0 *. (cfg t).Config.net_base_latency *. Net.latency_factor t.rt.Runtime.net
+  in
+  Runtime.observe t.rt "shard.oracle_wait" oracle_delay;
+  Engine.schedule t.rt.Runtime.engine ~delay:oracle_delay (oracle_done t t.oracle_gen)
 
 and try_advance t =
   if not t.retired then begin
     let continue = ref true in
     while !continue do
-      continue := false;
-      if all_heads t 0 then begin
-        let conflict = ref false in
-        match minimal_head t conflict 0 with
-        | g when g >= 0 ->
-            let qt = Queue.pop t.queues.(g) in
-            t.last_applied.(g) <- qt;
-            apply_tx t ~gk:g qt;
-            continue := true
-        | _ ->
-            if !conflict then begin
-              (* concurrent conflicting transactions: have the timeline
-                 oracle serialize them (decisions are cached). Ship every
-                 real transaction still undecided against some other real
-                 one, while heads with a fully established order keep
-                 draining. The closure spans every queued real
-                 transaction, not just the heads: conflicts that would
-                 surface a few pops from now ride the same round trip
-                 instead of paying their own consult once they reach the
-                 front. *)
-              let reals =
-                Array.to_list t.queues
-                |> List.concat_map (fun q ->
-                       Queue.fold
-                         (fun acc (qt : queued_tx) ->
-                           if qt.q_ops = [] then acc else qt.q_ts :: acc)
-                         [] q
-                       |> List.rev)
-              in
-              let arr = Array.of_list reals in
-              let n = Array.length arr in
-              let undecided = Array.make n false in
-              for i = 0 to n - 1 do
-                for j = i + 1 to n - 1 do
-                  if
-                    Runtime.before_established t.cache t.rt arr.(i) arr.(j)
-                    = None
-                  then begin
-                    undecided.(i) <- true;
-                    undecided.(j) <- true
-                  end
-                done
-              done;
-              begin_or_join_consult t
-                (List.filteri (fun i _ -> undecided.(i)) reals)
-            end;
-            (* no executable minimum: pop the deterministically smallest
-               NOP so effect-free traffic never backs up behind a stall *)
-            let heads =
-              Array.to_list (Array.mapi (fun g q -> (g, Queue.peek q)) t.queues)
-            in
-            let nops = List.filter (fun (_, h) -> h.q_ops = []) heads in
-            let cmp (_, a) (_, b) = Vclock.total_compare a.q_ts b.q_ts in
-            match List.sort cmp nops with
-            | (g, _) :: _ ->
-                let qt = Queue.pop t.queues.(g) in
-                t.last_applied.(g) <- qt;
-                apply_tx t ~gk:g qt;
-                continue := true
-            | [] ->
-                (* every head is real and at least one is stalled or in
-                   conflict: legal only while a consult is in flight, whose
-                   completion re-enters this loop *)
-                assert t.oracle_inflight
-      end
+      match Gate.step t.gate with
+      | Gate.Pop g -> apply_tx t ~gk:g (Gate.applied t.gate g)
+      | Gate.Start_consult -> start_consult t
+      | Gate.Join_consult ->
+          (counters t).Runtime.shard_oracle_batched <-
+            (counters t).Runtime.shard_oracle_batched + 1
+      | Gate.Idle -> continue := false
     done;
-    try_run_parked t
+    run_parked t
   end
+
+and run_parked t =
+  match Gate.runnable t.gate ~now:(now t) with
+  | [] -> ()
+  | ready -> List.iter (execute_prog_batch t) ready
 
 (* ------------------------------------------------------------------ *)
 (* Recovery (§4.3): restore this shard's partition from the backing store. *)
@@ -1051,15 +827,9 @@ let reload_from_store t =
    pins and stream credits. The store reload that follows restores the
    full version history, so the compaction floor resets too. *)
 let drop_volatile t =
-  Array.iter Queue.clear t.queues;
+  Gate.reset t.gate;
   Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
   Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
-  Array.fill t.last_applied 0 (Array.length t.last_applied) Gate.none;
-  Array.fill t.last_arrived 0 (Array.length t.last_arrived) None;
-  t.parked <- [];
-  t.oracle_inflight <- false;
-  Hashtbl.reset t.oracle_batch;
-  t.oracle_batch_list <- [];
   t.oracle_gen <- t.oracle_gen + 1;
   Snapshot.clear t.snaps;
   Hashtbl.reset t.pins;
@@ -1172,9 +942,9 @@ let handle_watermark t gk ts =
        boundary. Only once every transaction at or below [wm] has actually
        been applied here (watermark gossip shares the gatekeeper FIFO with
        Shard_tx, so covered transactions have *arrived*, but one may still
-       be queued behind an oracle consult). Only the heads are checked;
-       per-gatekeeper stamps are not monotone in FIFO order (see
-       [prog_runnable]), so a covered transaction queued behind an
+       be queued behind an oracle consult). Only the heads are checked,
+       and per-gatekeeper stamps are not monotone in FIFO order (see
+       [Gate.arrive]), so a covered transaction queued behind an
        uncovered head is missed. Clean followers get a
        watermark heartbeat: FIFO order guarantees they received every
        streamed update below it first. Dirty followers get a wholesale
@@ -1182,12 +952,7 @@ let handle_watermark t gk ts =
        is safe — after which the stream is clean again. *)
     if Hashtbl.length t.repl_out > 0 then begin
       let applied_through_wm =
-        Array.for_all
-          (fun q ->
-            match Queue.peek_opt q with
-            | None -> true
-            | Some (head : queued_tx) -> not (Repl.covers ~wm head.q_ts))
-          t.queues
+        Gate.for_all_heads t.gate (fun head -> not (Repl.covers ~wm head.Gate.q_ts))
       in
       if applied_through_wm then
         List.iter
@@ -1238,15 +1003,11 @@ let handle t ~src:_ msg =
             assert (seq = t.last_seq.(gk) + 1);
             t.last_seq.(gk) <- seq
           end;
-          (match t.last_arrived.(gk) with
-          | Some prev when Vclock.compare_hb prev ts <> Vclock.Before ->
-              (counters t).Runtime.stamp_inversions <-
-                (counters t).Runtime.stamp_inversions + 1
-          | _ -> ());
-          t.last_arrived.(gk) <- Some ts;
-          Queue.push
-            { q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t; q_ordered = false }
-            t.queues.(gk);
+          if
+            Gate.arrive t.gate gk
+              { Gate.q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t; q_ordered = false }
+          then
+            (counters t).Runtime.stamp_inversions <- (counters t).Runtime.stamp_inversions + 1;
           try_advance t
         end
         (* other epochs: stale or not-yet-adopted traffic; the store reload
@@ -1277,20 +1038,16 @@ let handle t ~src:_ msg =
                 | None -> None)
           else None
         in
-        t.parked <-
+        Gate.park t.gate ~ts ~since:(Engine.now t.rt.Runtime.engine) ~gated:(snap = None)
           {
             p_coord = coord;
             p_id = prog_id;
-            p_ts = ts;
             p_prog = prog;
             p_historical = historical;
             p_items = items;
-            p_since = Engine.now t.rt.Runtime.engine;
             p_snap = snap;
-            p_memo = Gate.no_memo;
-          }
-          :: t.parked;
-        try_run_parked t
+          };
+        run_parked t
     | Msg.Prog_gc { prog_id } ->
         Tbl.Probe.remove t.prog_state prog_id;
         (match Hashtbl.find_opt t.pins prog_id with
@@ -1386,23 +1143,23 @@ let spawn rt ~sid ~epoch =
       lru_count = [||];
       hop_out = [||];
       hop_h = [||];
-      queues = Array.init n_q (fun _ -> Queue.create ());
       last_seq = Array.make n_q 0;
       seq_epoch = Array.make n_q (-1); (* sentinel: re-baseline per channel *)
       cache;
       gate =
-        Gate.create rt cache ~queues:n_q
+        Gate.create (Runtime.ordering cache rt) ~queues:n_q
           ~fresh_only:
             (* a cluster that follows ranges can re-stamp weak runs *)
-            (plan = [] && not rt.Runtime.foreign_stamps);
-      last_applied = Array.make n_q Gate.none;
-      last_arrived = Array.make n_q None;
+            (plan = [] && not rt.Runtime.foreign_stamps)
+          ~patience:
+            (* roughly two announce rounds (vector clocks will have
+               resolved the pair by then if they ever will), capped so an
+               enormous tau still makes progress reactively *)
+            (Float.min
+               (2.0 *. (rt.Runtime.cfg.Config.tau +. rt.Runtime.cfg.Config.nop_period))
+               10_000.0);
       prog_state = Tbl.Probe.create 32;
       fwd = Array.make (Runtime.n_servers rt) [];
-      parked = [];
-      oracle_inflight = false;
-      oracle_batch = Hashtbl.create 8;
-      oracle_batch_list = [];
       oracle_gen = 0;
       busy_until = 0.0;
       busy_us = 0.0;
@@ -1434,7 +1191,7 @@ let spawn rt ~sid ~epoch =
   if not (is_replica t) then begin
     Weaver_obs.Metrics.gauge rt.Runtime.metrics
       (Printf.sprintf "util.%s.queue_depth" t.actor)
-      (fun () -> Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues);
+      (fun () -> Array.fold_left ( + ) 0 (Gate.depths t.gate));
     start_timers t
   end;
   if epoch > 0 then reload_from_store t;

@@ -8,32 +8,35 @@ module Xrand = Weaver_util.Xrand
 module Programs = Weaver_programs.Std_programs
 
 (* ------------------------------------------------------------------ *)
-(* The reference model: the gate as it was before verdicts were kept.
-   Every reference is checked afresh on every pass, and every check runs
-   to the end even after one fails. *)
+(* The reference model: the program gate as it was before verdicts were
+   kept. Every reference is checked afresh on every pass, and every check
+   runs to the end even after one fails. *)
 
-let ref_clears_stamp rt cache ~ts ~overdue ~is_nop ref_ts =
+let ref_clears_stamp (o : Gate.order) ~ts ~overdue ~is_nop ref_ts =
   let decision =
-    if is_nop then Runtime.before_cached cache rt ts ref_ts
-    else Runtime.before_established cache rt ts ref_ts
+    match o.Gate.clock ts ref_ts with
+    | Some _ as d -> d
+    | None -> (
+        match o.Gate.probe ~skip:false ts ref_ts with
+        | Some _ as d -> d
+        | None -> if is_nop then None else o.Gate.established ts ref_ts)
   in
   match decision with
   | Some d -> d
-  | None -> overdue && Runtime.before cache rt ts ref_ts ~prefer_first_on_tie:is_nop
+  | None -> overdue && o.Gate.before ts ref_ts ~prefer_first_on_tie:is_nop
 
-let ref_runnable rt cache ~queues ~last_applied ~ts ~overdue =
+let ref_runnable o ~queues ~last_applied ~ts ~overdue =
   let ok = ref true in
   Array.iteri
     (fun gk q ->
       let cleared =
         match Queue.peek_opt q with
         | Some (head : Gate.queued_tx) ->
-            ref_clears_stamp rt cache ~ts ~overdue ~is_nop:(head.Gate.q_ops = [])
-              head.Gate.q_ts
+            ref_clears_stamp o ~ts ~overdue ~is_nop:(head.Gate.q_ops = []) head.Gate.q_ts
         | None -> (
             match last_applied.(gk) with
             | Some (last : Gate.queued_tx) ->
-                ref_clears_stamp rt cache ~ts ~overdue ~is_nop:true last.Gate.q_ts
+                ref_clears_stamp o ~ts ~overdue ~is_nop:true last.Gate.q_ts
             | None -> false)
       in
       if not cleared then ok := false)
@@ -42,15 +45,17 @@ let ref_runnable rt cache ~queues ~last_applied ~ts ~overdue =
 
 (* ------------------------------------------------------------------ *)
 (* Differential test. Two worlds, each with its own runtime (counters and
-   oracle) and decision cache, see the same queues, stamps and clock; one
-   gates with [Gate], the other with the reference model. *)
+   oracle), decision cache and gate, see the same arrivals, stamps and
+   clock, and run the same queue loop; one parks its batches in its gate,
+   the other checks them with the reference model against a mirror of the
+   queues. *)
 
 let n_gk = 3
 let patience = 100.0
 
 type op =
   | Arrive of int * bool  (** gatekeeper, NOP? *)
-  | Apply of int
+  | Answer  (** the outstanding consult's answer arrives *)
   | Announce of int * int
   | Park of int
   | Park_hop of int  (** another batch of an earlier run *)
@@ -62,7 +67,7 @@ type op =
 
 let pp_op = function
   | Arrive (g, nop) -> Printf.sprintf "arrive gk%d %s" g (if nop then "nop" else "tx")
-  | Apply g -> Printf.sprintf "apply gk%d" g
+  | Answer -> "answer"
   | Announce (a, b) -> Printf.sprintf "announce %d->%d" a b
   | Park g -> Printf.sprintf "park gk%d" g
   | Park_hop i -> Printf.sprintf "park hop %d" i
@@ -77,8 +82,8 @@ let op_gen =
     let gk = int_bound (n_gk - 1) in
     frequency
       [
-        (6, map2 (fun g nop -> Arrive (g, nop)) gk (frequency [ (3, return true); (2, return false) ]));
-        (4, map (fun g -> Apply g) gk);
+        (8, map2 (fun g nop -> Arrive (g, nop)) gk (frequency [ (3, return true); (2, return false) ]));
+        (2, return Answer);
         (2, map2 (fun a b -> Announce (a, b)) gk gk);
         (3, map (fun g -> Park g) gk);
         (2, map (fun i -> Park_hop i) small_nat);
@@ -89,18 +94,19 @@ let op_gen =
         (6, return Pass);
       ])
 
-type world = { rt : Runtime.t; cache : Runtime.decision_cache }
+type world = { rt : Runtime.t; cache : Runtime.decision_cache; gate : int Gate.t }
 
-let world () =
+let world ~fresh_only =
   let rt = Runtime.create { Config.default with Config.n_gatekeepers = n_gk } in
-  { rt; cache = Runtime.create_cache () }
+  let cache = Runtime.create_cache () in
+  { rt; cache; gate = Gate.create (Runtime.ordering cache rt) ~queues:n_gk ~fresh_only ~patience }
 
 let counts w =
   ( w.rt.Runtime.counters.Runtime.oracle_cache_hits,
     w.rt.Runtime.counters.Runtime.oracle_consults,
     Runtime.oracle_queries_served w.rt )
 
-type batch = { ts : Vclock.t; since : float; mutable memo : Gate.memo }
+type batch = { id : int; ts : Vclock.t; since : float }
 
 let entry ts ~nop =
   {
@@ -113,17 +119,17 @@ let entry ts ~nop =
 
 (* Runs [ops] in both worlds; a failure message on the first divergence.
    With [fresh_only] the gate skips probes, and the cache inserts keep to
-   the pairs a shard writes ([Gate.skips]): no NOP stamp is cached but
-   through the gate's own overdue path. Without it any pair may be
-   cached. *)
+   the pairs a shard writes (the invariant at [Gate.skips]): no NOP stamp
+   is cached but through the gate's own overdue path. Without it any pair
+   may be cached. *)
 let differential ~fresh_only ops =
-  let a = world () and b = world () in
-  let gate = Gate.create a.rt a.cache ~queues:n_gk ~fresh_only in
+  let a = world ~fresh_only and b = world ~fresh_only in
   let clocks = Array.init n_gk (fun g -> Vclock.make ~epoch:0 ~origin:g (Array.make n_gk 0)) in
   let tick g =
     clocks.(g) <- Vclock.tick clocks.(g) ~origin:g;
     clocks.(g)
   in
+  (* world [b]'s mirror of its gate's queues *)
   let queues = Array.init n_gk (fun _ -> Queue.create ()) in
   let last_applied = Array.make n_gk None in
   let stamps = ref [||] in
@@ -131,37 +137,52 @@ let differential ~fresh_only ops =
     if not (fresh_only && nop) then stamps := Array.append !stamps [| ts |]
   in
   let pick i = !stamps.(i mod Array.length !stamps) in
-  let parked = ref [] in
+  let parked = ref [] (* newest first, as the gate keeps them *) in
   let runs = ref [||] in
+  let next_id = ref 0 in
   let now = ref 0.0 in
   let failure = ref None in
   let fail fmt = Printf.ksprintf (fun s -> if !failure = None then failure := Some s) fmt in
-  let pass step =
-    Array.iteri
-      (fun gk q ->
-        match Queue.peek_opt q with
-        | Some (head : Gate.queued_tx) -> Gate.set_ref gate gk head ~nop:(head.Gate.q_ops = [])
-        | None ->
-            Gate.set_ref gate gk (Option.value ~default:Gate.none last_applied.(gk)) ~nop:true)
-      queues;
-    let verdicts =
-      List.map
-        (fun p ->
-          let overdue = !now -. p.since > patience in
-          let va = Gate.check gate ~ts:p.ts ~overdue p.memo in
-          if (not va) && p.memo == Gate.no_memo then p.memo <- Gate.save gate;
-          let vb = ref_runnable b.rt b.cache ~queues ~last_applied ~ts:p.ts ~overdue in
-          if va <> vb then
-            fail "step %d: batch %s: memoized gate says %b, reference %b" step
-              (Vclock.to_string p.ts) va vb;
-          va)
-        !parked
-    in
-    parked := List.filteri (fun i _ -> not (List.nth verdicts i)) !parked;
+  let check_counts step what =
     if counts a <> counts b then begin
       let h, c, q = counts a and h', c', q' = counts b in
-      fail "step %d: hits/consults/queries %d/%d/%d, reference %d/%d/%d" step h c q h' c' q'
+      fail "step %d (%s): hits/consults/queries %d/%d/%d, reference %d/%d/%d" step what h c q h'
+        c' q'
     end
+  in
+  let rec drain step =
+    match (Gate.step a.gate, Gate.step b.gate) with
+    | Gate.Idle, Gate.Idle -> ()
+    | (Gate.Pop g as x), y ->
+        if x <> y then fail "step %d: the queue loops diverge" step
+        else begin
+          last_applied.(g) <- Some (Queue.pop queues.(g));
+          drain step
+        end
+    | x, y ->
+        if x <> y then fail "step %d: the queue loops diverge" step else drain step
+  in
+  let pass step =
+    let ran = List.map Gate.item (Gate.runnable a.gate ~now:!now) in
+    let ready =
+      List.filter
+        (fun p ->
+          let overdue = !now -. p.since > patience in
+          ref_runnable (Runtime.ordering b.cache b.rt) ~queues ~last_applied ~ts:p.ts ~overdue)
+        !parked
+    in
+    if ran <> List.map (fun p -> p.id) ready then
+      fail "step %d: memoized gate runs [%s], reference [%s]" step
+        (String.concat "," (List.map string_of_int ran))
+        (String.concat "," (List.map (fun p -> string_of_int p.id) ready));
+    parked := List.filter (fun p -> not (List.memq p ready)) !parked;
+    check_counts step "pass"
+  in
+  let park ts =
+    let p = { id = !next_id; ts; since = !now } in
+    incr next_id;
+    Gate.park a.gate ~ts ~since:!now ~gated:true p.id;
+    parked := p :: !parked
   in
   List.iteri
     (fun step op ->
@@ -170,31 +191,42 @@ let differential ~fresh_only ops =
         | Arrive (g, nop) ->
             let ts = tick g in
             remember ~nop ts;
-            Queue.push (entry ts ~nop) queues.(g)
-        | Apply g -> (
-            match Queue.take_opt queues.(g) with
-            | Some e -> last_applied.(g) <- Some e
-            | None -> ())
+            ignore (Gate.arrive a.gate g (entry ts ~nop));
+            let e = entry ts ~nop in
+            ignore (Gate.arrive b.gate g e);
+            Queue.push e queues.(g);
+            drain step;
+            check_counts step "arrive"
+        | Answer ->
+            if Gate.consulting a.gate then begin
+              ignore (Runtime.oracle_serialize a.rt (Gate.end_consult a.gate));
+              ignore (Runtime.oracle_serialize b.rt (Gate.end_consult b.gate));
+              drain step;
+              check_counts step "answer"
+            end
         | Announce (src, dst) ->
             if src <> dst then clocks.(dst) <- Vclock.merge clocks.(dst) clocks.(src)
         | Park g ->
             let ts = tick g in
             remember ts;
             runs := Array.append !runs [| ts |];
-            parked := !parked @ [ { ts; since = !now; memo = Gate.no_memo } ]
+            park ts
         | Park_hop i ->
-            if Array.length !runs > 0 then
-              let ts = !runs.(i mod Array.length !runs) in
-              parked := !parked @ [ { ts; since = !now; memo = Gate.no_memo } ]
+            if Array.length !runs > 0 then park !runs.(i mod Array.length !runs)
         | Park_alias -> (
-            let queued = Array.to_list queues |> List.concat_map (fun q -> List.of_seq (Queue.to_seq q)) in
+            let queued =
+              Array.to_list queues |> List.concat_map (fun q -> List.of_seq (Queue.to_seq q))
+            in
             match queued with
             | [] -> ()
             | e :: _ ->
                 (* a fresh copy of a queued stamp, as a client's [at] may be *)
-                let ts = Vclock.make ~epoch:0 ~origin:e.Gate.q_ts.Vclock.origin e.Gate.q_ts.Vclock.clocks in
-                Gate.stop_skipping gate;
-                parked := !parked @ [ { ts; since = !now; memo = Gate.no_memo } ])
+                let ts =
+                  Vclock.make ~epoch:0 ~origin:e.Gate.q_ts.Vclock.origin e.Gate.q_ts.Vclock.clocks
+                in
+                Gate.stop_skipping a.gate;
+                Gate.stop_skipping b.gate;
+                park ts)
         | Cache_pair (i, j, prefer) ->
             if Array.length !stamps > 0 then begin
               let x = pick i and y = pick j in
@@ -350,5 +382,6 @@ let suites =
           test_contended_shadow;
         Alcotest.test_case "weak reads on replicas keep every probe" `Quick
           test_weak_replica_shadow;
-      ] );
+      ]
+      @ Test_gate_check.cases );
   ]

@@ -168,7 +168,7 @@ let test_batch_handles () =
                List.iter
                  (fun (vid, h, _) ->
                    incr checked;
-                   if Runtime.vertex_name rt h <> vid then
+                   if h <> Runtime.no_handle && Runtime.vertex_name rt h <> vid then
                      Alcotest.failf "item %s carries handle %d, which names %s" vid h
                        (Runtime.vertex_name rt h))
                  items
@@ -178,6 +178,28 @@ let test_batch_handles () =
     (Test_golden.run_paged ~watch ());
   Alcotest.(check bool) "items checked" true (!checked > 0);
   Alcotest.(check bool) "some batches forwarded by shards" true (!forwarded > 0)
+
+(* Program starts on vids the cluster never numbered stay unnumbered: a
+   thousand reads of missing vertices leave the numbering as it was and
+   all get the same reply, and a vertex created afterwards is found. *)
+let test_missing_starts_unnumbered () =
+  let c = mk_cluster () in
+  create_vertices c [ "a"; "b" ];
+  let names = (Cluster.runtime c).Runtime.names in
+  let client = Cluster.client c in
+  let get vid =
+    Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ vid ] ()
+  in
+  let numbered = Intern.count names in
+  let missing = get "missing0" in
+  for i = 1 to 999 do
+    let reply = get (Printf.sprintf "missing%d" i) in
+    if reply <> missing then Alcotest.failf "missing%d got another reply" i
+  done;
+  Alcotest.(check int) "no vid numbered" numbered (Intern.count names);
+  Alcotest.(check bool) "a present vertex answers otherwise" true (get "a" <> missing);
+  create_vertices c [ "missing7" ];
+  Alcotest.(check bool) "a vertex created since is found" true (get "missing7" <> missing)
 
 (* The dense vertex table against a [Hashtbl] reference: random replace,
    update, remove and reset sequences leave the same bindings, flags and
@@ -397,6 +419,8 @@ let suites =
         Alcotest.test_case "hop routing follows a migration" `Quick
           test_hop_routing_follows_migration;
         Alcotest.test_case "batch items carry their cluster handles" `Quick test_batch_handles;
+        Alcotest.test_case "missing program starts stay unnumbered" `Quick
+          test_missing_starts_unnumbered;
         QCheck_alcotest.to_alcotest prop_dense_model;
         QCheck_alcotest.to_alcotest prop_int_table_order;
         QCheck_alcotest.to_alcotest prop_str_table_order;

@@ -169,20 +169,21 @@ let test_decision_cache_by_value () =
   let cache = Runtime.create_cache () in
   let a = stamp ~origin:0 [| 1; 0; 0; 0 |] and b = stamp ~origin:1 [| 0; 1; 0; 0 |] in
   let d = Runtime.before cache rt a b ~prefer_first_on_tie:true in
+  let probe = (Runtime.ordering cache rt).Gate.probe ~skip:false in
   Alcotest.(check int) "first decision consults" 1 c.Runtime.oracle_consults;
   let copy s = Vclock.make ~epoch:s.Vclock.epoch ~origin:s.Vclock.origin s.Vclock.clocks in
   let a' = copy a and b' = copy b in
   Alcotest.(check bool) "copies are distinct" true (a' != a && b' != b);
-  Alcotest.(check (option bool)) "copy hits" (Some d) (Runtime.before_cached cache rt a' b');
+  Alcotest.(check (option bool)) "copy hits" (Some d) (probe a' b');
   Alcotest.(check (option bool)) "reversed copy hits" (Some (not d))
-    (Runtime.before_cached cache rt b' a');
+    (probe b' a');
   Alcotest.(check bool) "before agrees" d
     (Runtime.before cache rt a' b' ~prefer_first_on_tie:false);
   Alcotest.(check int) "no further consult" 1 c.Runtime.oracle_consults;
   Alcotest.(check int) "three hits" 3 c.Runtime.oracle_cache_hits;
   let a_other = stamp ~origin:2 [| 1; 0; 0; 0 |] in
   Alcotest.(check (option bool)) "other origin misses" None
-    (Runtime.before_cached cache rt a_other b)
+    (probe a_other b)
 
 let suites =
   [
