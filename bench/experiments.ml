@@ -7,12 +7,13 @@
 
    The experiments that weaver_cli also runs as quick-looks are modules
    (Fig14, Breakdown, Chaos, Overload, Snapshot, Rebalance, Replication):
-   [run] takes an options record of the settings the CLI's flags set,
-   whose [defaults] are the bench's values (the other settings are module
-   constants, which [document] prints too); [table] prints the console
-   table and [document] builds the JSON fields, and [bench] adds the
-   gates, the deterministic rerun and the BENCH file. The CLI calls [run] with its flags, then [table] or
-   [document]. *)
+   [run] takes an options record of the settings the CLI's flags or a
+   test set, whose [defaults] are the bench's values (the other settings
+   are module constants); [table] prints the console table and
+   [document] builds the JSON fields, and [bench] adds the gates, the
+   deterministic rerun and the BENCH file. The CLI calls [run] with its
+   flags, then [table] or [document]. Each experiment's workload driver
+   lives in its module. *)
 
 open Weaver_core
 open Weaver_workloads
@@ -22,6 +23,7 @@ module Stats = Weaver_util.Stats
 module Partition = Weaver_partition.Partition
 module Programs = Weaver_programs.Std_programs
 module Json = Weaver_util.Json
+module Fault = Weaver_sim.Fault
 
 let line fmt = Printf.printf (fmt ^^ "\n%!")
 let header title = line "\n==== %s ====" title
@@ -79,17 +81,21 @@ let install c g =
 (* [clients] closed-loop sessions, each issuing [prog] again as soon as
    its last run returns; [start ()] runs once per session, after the
    session is created, and returns the picker of each run's start vertex.
-   Returns the completion counter. *)
-let closed_loop_programs c ~clients ~prog ?consistency ~start () =
+   [on_result r latency] sees each run's result. Returns the completion
+   counter. *)
+let closed_loop_programs c ~clients ~prog ?consistency ?(on_result = fun _ _ -> ()) ~start
+    () =
   let completed = ref 0 in
   for _ = 1 to clients do
     let client = Cluster.client c in
     let pick = start () in
     let rec loop () =
+      let t0 = Cluster.now c in
       Client.run_program_async client ~prog ~params:Progval.Null ~starts:[ pick () ]
         ?consistency
-        ~on_result:(fun _ ->
+        ~on_result:(fun r ->
           incr completed;
+          on_result r (Cluster.now c -. t0);
           loop ())
         ()
     in
@@ -587,7 +593,7 @@ let ablation_partition () =
   let c, client = placed hash_assign in
   let run_queries () = msgs_per_query c client ~seed:232 in
   let before_msgs = run_queries () in
-  let r = Rebalance.run c client ~max_moves:2_000 ~rounds:3 () in
+  let r = Rebalance.run c client ~max_moves:2_000 () in
   let after_msgs = run_queries () in
   line "live rebalance: %d moves, edge-cut %.3f -> %.3f, prog msgs/query %.1f -> %.1f"
     r.Rebalance.moved r.Rebalance.edge_cut_before r.Rebalance.edge_cut_after before_msgs
@@ -999,42 +1005,233 @@ let timeline () =
 (* Chaos: TAO-style mix under a rolling crash/restart fault plan, client
    reliability layer off vs on — same seed, same plan, so the availability
    and recovery-time deltas isolate what retries + failure-aware routing +
-   duplicate suppression buy. Emits BENCH_chaos.json with both runs. *)
+   duplicate suppression buy. The cluster manager's failure detector is
+   off (an effectively infinite [failure_timeout]): the plan's restarts
+   revive servers in place, so the difference between the arms is the
+   client policy alone, not replacement servers. Emits BENCH_chaos.json
+   with both runs. *)
+
+type chaos_window = { cw_start : float; cw_ok : int; cw_err : int }
+
+type chaos_run = {
+  ch_windows : chaos_window list;  (** oldest first *)
+  ch_ok : int;
+  ch_err : int;
+  ch_availability : float;  (** ok / (ok + err) *)
+  ch_p50 : float;  (** latency of successful requests, µs (incl. retries) *)
+  ch_p99 : float;
+  ch_recovery : float option;
+      (** µs from the plan's last restart to the first later window with
+          ≥95% availability; [None] if the run never recovered *)
+  ch_retries : int;
+  ch_dedup_hits : int;
+  ch_late_replies : int;
+  ch_fault_events : int;
+}
 
 module Chaos = struct
+  type opts = {
+    seed : int;
+    gatekeepers : int;
+    shards : int;
+    clients : int;  (** closed-loop client sessions *)
+    duration : float;  (** measured run, virtual µs *)
+    window : float;  (** availability window, virtual µs *)
+  }
+
+  let defaults =
+    {
+      seed = 42;
+      gatekeepers = 3;
+      shards = 4;
+      clients = 12;
+      duration = 1_000_000.0;
+      window = 50_000.0;
+    }
+
+  let timeout = 60_000.0  (* client reply timeout, virtual µs *)
+  let read_fraction = 0.8
+
+  (* An early cluster-wide latency spike (slow servers: requests time out
+     client-side but still commit, exercising duplicate suppression), then
+     rolling single-failures: one gatekeeper, then another, then a shard —
+     never two down at once, and gatekeeper 0 never crashes so the cluster
+     always has a live coordinator. Timings leave a tail after the last
+     restart to measure recovery. *)
+  let plan o ~base =
+    let spike =
+      Fault.scripted
+        [
+          (base +. (o.duration /. 25.0), Fault.Net_degrade 60.0);
+          (base +. (o.duration /. 9.0), Fault.Net_degrade 1.0);
+        ]
+    in
+    let targets =
+      List.init (max 0 (o.gatekeepers - 1)) (fun i -> Fault.Gatekeeper (i + 1))
+      @ [ Fault.Shard 0 ]
+    in
+    let gap = o.duration /. 4.0 in
+    spike
+    @ Fault.rolling_crashes ~targets
+        ~start:(base +. (o.duration /. 5.0))
+        ~gap ~downtime:(gap /. 2.0)
+
+  let last_restart plan =
+    List.fold_left
+      (fun acc (e : Fault.event) ->
+        match e.Fault.action with Fault.Restart _ -> Float.max acc e.Fault.at | _ -> acc)
+      0.0 plan
+
+  (* one closed-loop client: reads are get_node programs, writes create an
+     edge between two zipf-picked vertices — a compressed TAO mix *)
+  let spawn_client c ~rng ~vertices ~reliable ~record =
+    let client = Cluster.client c in
+    Client.set_timeout client timeout;
+    Client.set_retry_policy client
+      (if reliable then Client.reliable_policy else Client.no_retry_policy);
+    let n = Array.length vertices in
+    let pick () = vertices.(Xrand.zipf rng ~n ~theta:0.75) in
+    let rec next () =
+      let t0 = Cluster.now c in
+      if Xrand.float rng 1.0 < read_fraction then
+        Client.run_program_async client ~prog:"get_node" ~params:Progval.Null
+          ~starts:[ pick () ]
+          ~on_result:(fun r ->
+            record ~t0 ~ok:(Result.is_ok r);
+            next ())
+          ()
+      else begin
+        let tx = Client.Tx.begin_ client in
+        ignore (Client.Tx.create_edge tx ~src:(pick ()) ~dst:(pick ()));
+        Client.commit_async client tx ~on_result:(fun r ->
+            record ~t0 ~ok:(Result.is_ok r);
+            next ())
+      end
+    in
+    next ()
+
+  (* one arm: the plan and the offered mix are the same in both *)
+  let arm o ~reliable =
+    let c =
+      cluster
+        {
+          Config.default with
+          Config.n_gatekeepers = o.gatekeepers;
+          Config.n_shards = o.shards;
+          Config.seed = o.seed;
+          Config.failure_timeout = 1e12;
+        }
+    in
+    let g =
+      Graphgen.uniform ~rng:(Xrand.create ~seed:o.seed ()) ~prefix:"c" ~vertices:400
+        ~edges:1_600 ()
+    in
+    let vertices = install c g in
+    let base = Cluster.now c in
+    let plan = plan o ~base in
+    ignore (Cluster.install_fault_plan c plan);
+    let n_windows = int_of_float (ceil (o.duration /. o.window)) in
+    let ok = Array.make n_windows 0 and err = Array.make n_windows 0 in
+    let latencies = Stats.create () in
+    let record ~t0 ~ok:is_ok =
+      let now = Cluster.now c in
+      let idx = int_of_float ((now -. base) /. o.window) in
+      if idx >= 0 && idx < n_windows then
+        if is_ok then begin
+          ok.(idx) <- ok.(idx) + 1;
+          Stats.add latencies (now -. t0)
+        end
+        else err.(idx) <- err.(idx) + 1
+    in
+    let master = Xrand.create ~seed:(o.seed + 1) () in
+    for _ = 1 to o.clients do
+      spawn_client c ~rng:(Xrand.split master) ~vertices ~reliable ~record
+    done;
+    Cluster.run_for c o.duration;
+    let windows =
+      List.init n_windows (fun i ->
+          { cw_start = float_of_int i *. o.window; cw_ok = ok.(i); cw_err = err.(i) })
+    in
+    let total_ok = Array.fold_left ( + ) 0 ok and total_err = Array.fold_left ( + ) 0 err in
+    let restart = last_restart plan -. base in
+    let recovered w =
+      let total = w.cw_ok + w.cw_err in
+      w.cw_start >= restart && total > 0 && float_of_int w.cw_ok /. float_of_int total >= 0.95
+    in
+    let cnt = Cluster.counters c in
+    {
+      ch_windows = windows;
+      ch_ok = total_ok;
+      ch_err = total_err;
+      ch_availability =
+        (if total_ok + total_err = 0 then 0.0
+         else float_of_int total_ok /. float_of_int (total_ok + total_err));
+      ch_p50 = Stats.percentile latencies 50.0;
+      ch_p99 = Stats.percentile latencies 99.0;
+      ch_recovery =
+        Option.map (fun w -> w.cw_start -. restart) (List.find_opt recovered windows);
+      ch_retries = cnt.Runtime.client_retries;
+      ch_dedup_hits = cnt.Runtime.dedup_hits;
+      ch_late_replies = cnt.Runtime.late_replies;
+      ch_fault_events = cnt.Runtime.fault_events;
+    }
+
   (* the same options and fault plan, reliability layer off then on *)
-  let run (o : Chaosbench.opts) =
-    let off = Chaosbench.run { o with Chaosbench.co_reliable = false } in
-    (off, Chaosbench.run { o with Chaosbench.co_reliable = true })
+  let run o =
+    let off = arm o ~reliable:false in
+    (off, arm o ~reliable:true)
 
   let table (off, on_) =
-    let show tag (r : Chaosbench.result) =
+    let show tag r =
       line
         "%-4s availability %.3f | ok %d err %d | p99 %.1f ms | recovery %s | retries %d \
          dedup %d late %d"
-        tag r.Chaosbench.r_availability r.Chaosbench.r_total_ok r.Chaosbench.r_total_err
-        (r.Chaosbench.r_p99 /. 1_000.0)
-        (match r.Chaosbench.r_recovery_time with
+        tag r.ch_availability r.ch_ok r.ch_err (r.ch_p99 /. 1_000.0)
+        (match r.ch_recovery with
         | Some t -> Printf.sprintf "%.0f ms" (t /. 1_000.0)
         | None -> "never")
-        r.Chaosbench.r_retries r.Chaosbench.r_dedup_hits r.Chaosbench.r_late_replies
+        r.ch_retries r.ch_dedup_hits r.ch_late_replies
     in
     show "off" off;
     show "on" on_;
-    line "availability delta: +%.3f"
-      (on_.Chaosbench.r_availability -. off.Chaosbench.r_availability)
+    line "availability delta: +%.3f" (on_.ch_availability -. off.ch_availability)
 
-  let document (o : Chaosbench.opts) (off, on_) =
+  (* one arm's JSON object, in a fixed field order *)
+  let arm_json o ~reliable r =
+    let window w =
+      Json.Obj
+        [
+          ("start_us", Json.fixed 0 w.cw_start); ("ok", Json.int w.cw_ok); ("err", Json.int w.cw_err);
+        ]
+    in
+    Json.Obj
+      [
+        ("reliable", Json.Bool reliable);
+        ("seed", Json.int o.seed);
+        ("total_ok", Json.int r.ch_ok);
+        ("total_err", Json.int r.ch_err);
+        ("availability", Json.fixed 4 r.ch_availability);
+        ("p50_us", Json.fixed 1 r.ch_p50);
+        ("p99_us", Json.fixed 1 r.ch_p99);
+        ("recovery_us", match r.ch_recovery with Some t -> Json.fixed 0 t | None -> Json.Null);
+        ("retries", Json.int r.ch_retries);
+        ("dedup_hits", Json.int r.ch_dedup_hits);
+        ("late_replies", Json.int r.ch_late_replies);
+        ("fault_events", Json.int r.ch_fault_events);
+        ("windows", Json.List (List.map window r.ch_windows));
+      ]
+
+  let document o (off, on_) =
     [
       ("experiment", Json.Str "chaos");
-      ("seed", Json.int o.Chaosbench.co_seed);
-      ("off", Chaosbench.to_json off);
-      ("on", Chaosbench.to_json on_);
+      ("seed", Json.int o.seed);
+      ("off", arm_json o ~reliable:false off);
+      ("on", arm_json o ~reliable:true on_);
     ]
 
   let bench () =
     header "Chaos: availability under rolling crashes, reliability off vs on";
-    let o = Chaosbench.default_opts in
+    let o = defaults in
     let r = run o in
     table r;
     write_bench "chaos" (document o r)
@@ -1208,25 +1405,161 @@ let contention () =
 
 (* ------------------------------------------------------------------ *)
 (* Overload: open-loop offered-load sweep across the admission-capacity
-   knee, flow control (admission limit + deadline shedding + shard
-   credits, §DESIGN 11) off vs on. The off arm collapses past saturation
-   (every queued request eventually times out); the on arm sheds the
-   excess early and keeps goodput at capacity with a bounded tail.
-   Control traffic (NOPs, heartbeats) is exempt from shedding, so its
-   counters must match across arms. Emits BENCH_overload.json. *)
+   knee, flow control (deadline shedding + shard credits, §DESIGN 11) off
+   vs on. Requests are issued at the offered rate regardless of
+   completions — unlike the closed-loop drivers, which self-throttle and
+   so can never push the cluster past its knee. Clients run single-attempt
+   so each request is classified exactly once: ok, timeout, shed or other.
+   The off arm collapses past saturation (every queued request eventually
+   times out); the on arm sheds the excess early and keeps goodput at
+   capacity with a bounded tail. Control traffic (NOPs, heartbeats) is
+   exempt from shedding, so its counters must match across arms. Emits
+   BENCH_overload.json. *)
+
+type overload_run = {
+  ol_rate : float;  (** offered load, requests per (virtual) second *)
+  ol_offered : int;  (** requests actually issued *)
+  ol_ok : int;
+  ol_timeout : int;
+  ol_shed : int;  (** rejected with a ["shed:"] error *)
+  ol_other_err : int;
+  ol_goodput : float;  (** ok completions per second of the offered window *)
+  ol_p50 : float;  (** latency of ok requests only, µs *)
+  ol_p99 : float;
+  ol_shed_rate : float;  (** shed / offered *)
+  ol_shed_deadline : int;  (** gatekeeper counters, by shed reason *)
+  ol_shed_credit : int;
+  ol_credit_msgs : int;
+  ol_nop_msgs : int;  (** control traffic — must match across arms *)
+  ol_heartbeats : int;
+  ol_retries : int;
+  ol_fingerprint : int * int * int * int * int * int;
+      (** (ok, timeout, shed, tx_committed, net sends, nop msgs) *)
+}
 
 module Overload = struct
-  type opts = { base : Overloadbench.opts; mults : float list  (** of saturation *) }
+  type opts = {
+    seed : int;
+    gatekeepers : int;
+    shards : int;
+    duration : float;  (** issuance window, virtual µs *)
+    mults : float list;  (** offered loads, as multiples of saturation *)
+  }
 
-  let defaults = { base = Overloadbench.default_opts; mults = [ 0.25; 0.5; 1.0; 2.0; 4.0 ] }
+  let defaults =
+    {
+      seed = 42;
+      gatekeepers = 2;
+      shards = 4;
+      duration = 200_000.0;
+      mults = [ 0.25; 0.5; 1.0; 2.0; 4.0 ];
+    }
 
+  let clients = 8  (* request handles, rotated round-robin *)
+  let drain = 150_000.0  (* run time after issuance stops, µs *)
+  let timeout = 40_000.0  (* client reply timeout, µs *)
+  let read_fraction = 0.5
+
+  (* the on arm's flow knobs *)
+  let deadline_budget = 1_200.0
+  let shard_credits = 64
+
+  (* gatekeepers admit serially at [gk_op_cost] µs per request, so the
+     knee of the goodput curve sits at one request per gk_op_cost per
+     gatekeeper *)
   let saturation o =
-    Overloadbench.saturation_rate ~gatekeepers:o.base.Overloadbench.ov_gatekeepers
-      ~gk_op_cost:Config.default.Config.gk_op_cost
+    float_of_int o.gatekeepers /. Config.default.Config.gk_op_cost *. 1e6
 
+  (* one arm at [mult] times saturation; the issuance RNG is a private
+     stream, so both arms offer the identical workload *)
   let arm o ~flow mult =
-    Overloadbench.run
-      { o.base with Overloadbench.ov_flow = flow; Overloadbench.ov_rate = saturation o *. mult }
+    let rate = saturation o *. mult in
+    let c =
+      cluster
+        {
+          Config.default with
+          Config.n_gatekeepers = o.gatekeepers;
+          Config.n_shards = o.shards;
+          Config.seed = o.seed;
+          Config.deadline_budget = (if flow then deadline_budget else 0.0);
+          Config.shard_credits = (if flow then shard_credits else 0);
+        }
+    in
+    let g =
+      Graphgen.uniform ~rng:(Xrand.create ~seed:o.seed ()) ~prefix:"o" ~vertices:300
+        ~edges:900 ()
+    in
+    let vertices = install c g in
+    let rng = Xrand.create ~seed:(o.seed + 1) () in
+    let pick () = vertices.(Xrand.int rng (Array.length vertices)) in
+    let handles =
+      Array.init clients (fun _ ->
+          let client = Cluster.client c in
+          Client.set_timeout client timeout;
+          Client.set_retry_policy client Client.no_retry_policy;
+          client)
+    in
+    let ok = ref 0 and timeouts = ref 0 and shed = ref 0 and other = ref 0 in
+    let latencies = Stats.create () in
+    let record ~t0 = function
+      | Ok () ->
+          incr ok;
+          Stats.add latencies (Cluster.now c -. t0)
+      | Error "timeout" -> incr timeouts
+      | Error e when String.starts_with ~prefix:"shed:" e -> incr shed
+      | Error _ -> incr other
+    in
+    let total = max 1 (int_of_float (Float.round (rate *. o.duration /. 1e6))) in
+    let issued = ref 0 in
+    let rt = Cluster.runtime c in
+    Weaver_sim.Engine.every rt.Runtime.engine
+      ~period:(o.duration /. float_of_int total)
+      (fun () ->
+        if !issued >= total then false
+        else begin
+          incr issued;
+          let client = handles.(!issued mod clients) in
+          let t0 = Cluster.now c in
+          if Xrand.float rng 1.0 < read_fraction then
+            Client.run_program_async client ~prog:"get_node" ~params:Progval.Null
+              ~starts:[ pick () ]
+              ~on_result:(fun r -> record ~t0 (Result.map ignore r))
+              ()
+          else begin
+            let tx = Client.Tx.begin_ client in
+            ignore (Client.Tx.create_edge tx ~src:(pick ()) ~dst:(pick ()));
+            Client.commit_async client tx ~on_result:(record ~t0)
+          end;
+          true
+        end);
+    Cluster.run_for c (o.duration +. drain);
+    let cnt = Cluster.counters c in
+    {
+      ol_rate = rate;
+      ol_offered = !issued;
+      ol_ok = !ok;
+      ol_timeout = !timeouts;
+      ol_shed = !shed;
+      ol_other_err = !other;
+      ol_goodput = float_of_int !ok /. (o.duration /. 1e6);
+      ol_p50 = Stats.percentile latencies 50.0;
+      ol_p99 = Stats.percentile latencies 99.0;
+      ol_shed_rate =
+        (if !issued = 0 then 0.0 else float_of_int !shed /. float_of_int !issued);
+      ol_shed_deadline = cnt.Runtime.shed_deadline;
+      ol_shed_credit = cnt.Runtime.shed_credit;
+      ol_credit_msgs = cnt.Runtime.credit_msgs;
+      ol_nop_msgs = cnt.Runtime.nop_msgs;
+      ol_heartbeats = cnt.Runtime.heartbeat_msgs;
+      ol_retries = cnt.Runtime.client_retries;
+      ol_fingerprint =
+        ( !ok,
+          !timeouts,
+          !shed,
+          cnt.Runtime.tx_committed,
+          Weaver_sim.Net.messages_sent rt.Runtime.net,
+          cnt.Runtime.nop_msgs );
+    }
 
   (* [(multiplier, flow off, flow on)] at each offered load *)
   let run o =
@@ -1238,33 +1571,55 @@ module Overload = struct
 
   let table o sweep =
     line "saturation ~= %.0f req/s (%d gatekeepers x %.0f us/admit)" (saturation o)
-      o.base.Overloadbench.ov_gatekeepers Config.default.Config.gk_op_cost;
+      o.gatekeepers Config.default.Config.gk_op_cost;
     line "%-6s %-5s %9s %9s %8s %8s %8s %10s %10s %9s" "load" "arm" "offered" "ok" "shed"
       "timeout" "goodput" "p50 us" "p99 us" "shed%";
     List.iter
       (fun (mult, off, on_) ->
-        let row tag (r : Overloadbench.result) =
-          line "%-6.2f %-5s %9d %9d %8d %8d %8.0f %10.1f %10.1f %9.1f" mult tag
-            r.Overloadbench.v_offered r.Overloadbench.v_ok r.Overloadbench.v_shed
-            r.Overloadbench.v_timeout r.Overloadbench.v_goodput r.Overloadbench.v_p50
-            r.Overloadbench.v_p99
-            (100.0 *. r.Overloadbench.v_shed_rate)
+        let row tag r =
+          line "%-6.2f %-5s %9d %9d %8d %8d %8.0f %10.1f %10.1f %9.1f" mult tag r.ol_offered
+            r.ol_ok r.ol_shed r.ol_timeout r.ol_goodput r.ol_p50 r.ol_p99
+            (100.0 *. r.ol_shed_rate)
         in
         row "off" off;
         row "on" on_)
       sweep
 
+  (* one arm's JSON object, in a fixed field order *)
+  let arm_json o ~flow r =
+    let int k v = (k, Json.int v) in
+    Json.Obj
+      [
+        ("flow", Json.Bool flow);
+        int "seed" o.seed;
+        ("rate_rps", Json.fixed 0 r.ol_rate);
+        int "offered" r.ol_offered;
+        int "ok" r.ol_ok;
+        int "timeout" r.ol_timeout;
+        int "shed" r.ol_shed;
+        int "other_err" r.ol_other_err;
+        ("goodput_rps", Json.fixed 0 r.ol_goodput);
+        ("p50_us", Json.fixed 1 r.ol_p50);
+        ("p99_us", Json.fixed 1 r.ol_p99);
+        ("shed_rate", Json.fixed 4 r.ol_shed_rate);
+        int "shed_deadline" r.ol_shed_deadline;
+        int "shed_credit" r.ol_shed_credit;
+        int "credit_msgs" r.ol_credit_msgs;
+        int "nop_msgs" r.ol_nop_msgs;
+        int "heartbeats" r.ol_heartbeats;
+        int "retries" r.ol_retries;
+      ]
+
   let document o sweep =
     [
       ("experiment", Json.Str "overload");
-      ("seed", Json.int o.base.Overloadbench.ov_seed);
+      ("seed", Json.int o.seed);
       ("saturation_rps", Json.fixed 0 (saturation o));
       ( "knobs",
         Json.Obj
           [
-            ("admission_limit", Json.int o.base.Overloadbench.ov_admission_limit);
-            ("deadline_budget_us", Json.fixed 0 o.base.Overloadbench.ov_deadline_budget);
-            ("shard_credits", Json.int o.base.Overloadbench.ov_shard_credits);
+            ("deadline_budget_us", Json.fixed 0 deadline_budget);
+            ("shard_credits", Json.int shard_credits);
           ] );
       ( "sweep",
         Json.List
@@ -1273,8 +1628,8 @@ module Overload = struct
                Json.Obj
                  [
                    ("load_multiplier", Json.fixed 2 mult);
-                   ("off", Overloadbench.to_json off);
-                   ("on", Overloadbench.to_json on_);
+                   ("off", arm_json o ~flow:false off);
+                   ("on", arm_json o ~flow:true on_);
                  ])
              sweep) );
     ]
@@ -1288,30 +1643,25 @@ module Overload = struct
     (* peak-capacity goodput: the on arm at the knee *)
     let _, _, on_1x = find 1.0 in
     let _, off_2x, on_2x = find 2.0 in
-    let peak = on_1x.Overloadbench.v_goodput in
+    let peak = on_1x.ol_goodput in
     line "at 2x: goodput on %.0f (peak %.0f) vs off %.0f | p99 on %.1f us vs off %.1f us"
-      on_2x.Overloadbench.v_goodput peak off_2x.Overloadbench.v_goodput
-      on_2x.Overloadbench.v_p99 off_2x.Overloadbench.v_p99;
-    if on_2x.Overloadbench.v_goodput < 0.9 *. peak then
+      on_2x.ol_goodput peak off_2x.ol_goodput on_2x.ol_p99 off_2x.ol_p99;
+    if on_2x.ol_goodput < 0.9 *. peak then
       failwith "overload: on-arm goodput at 2x fell below 90% of peak";
-    if off_2x.Overloadbench.v_goodput > 0.7 *. peak then
+    if off_2x.ol_goodput > 0.7 *. peak then
       failwith "overload: off arm did not collapse at 2x saturation";
-    if on_2x.Overloadbench.v_p99 > 10.0 *. on_1x.Overloadbench.v_p99 then
+    if on_2x.ol_p99 > 10.0 *. on_1x.ol_p99 then
       failwith "overload: on-arm p99 not bounded at 2x saturation";
     (* control traffic is never shed: NOP and heartbeat counts are timer
        driven and must be identical across arms at every offered load *)
     List.iter
       (fun (mult, off, on_) ->
-        if
-          off.Overloadbench.v_nop_msgs <> on_.Overloadbench.v_nop_msgs
-          || off.Overloadbench.v_heartbeats <> on_.Overloadbench.v_heartbeats
-        then failwith (Printf.sprintf "overload: control traffic diverged at %.2fx" mult))
+        if off.ol_nop_msgs <> on_.ol_nop_msgs || off.ol_heartbeats <> on_.ol_heartbeats then
+          failwith (Printf.sprintf "overload: control traffic diverged at %.2fx" mult))
       sweep;
     (* determinism: the on arm at 2x reruns to the identical fingerprint *)
     let again = arm o ~flow:true 2.0 in
-    let deterministic =
-      again.Overloadbench.v_fingerprint = on_2x.Overloadbench.v_fingerprint
-    in
+    let deterministic = again.ol_fingerprint = on_2x.ol_fingerprint in
     line "deterministic rerun (2x, flow on): %b" deterministic;
     if not deterministic then failwith "overload: rerun diverged";
     write_bench "overload" (document o sweep @ [ ("deterministic_rerun", Json.Bool deterministic) ])
@@ -2064,23 +2414,65 @@ module Replication = struct
       vertex_read_cost;
     }
 
+  (* [writers] closed-loop sessions, each setting a property of a
+     uniformly picked vertex for ever, so every owner's follower stream
+     carries real updates instead of bare watermarks; [on_commit r
+     latency] sees each result *)
+  let spawn_writers c ~vertices ~on_commit =
+    for _ = 1 to writers do
+      let rng = Xrand.split (Weaver_sim.Engine.rng (Cluster.runtime c).Runtime.engine) in
+      let client = Cluster.client c in
+      let k = ref 0 in
+      let rec next () =
+        let t0 = Cluster.now c in
+        let v = vertices.(Xrand.int rng (Array.length vertices)) in
+        incr k;
+        let tx = Client.Tx.begin_ client in
+        Client.Tx.set_vertex_prop tx ~vid:v ~key:"w" ~value:(string_of_int !k);
+        Client.commit_async client tx ~on_result:(fun r ->
+            on_commit r (Cluster.now c -. t0);
+            next ())
+      in
+      next ()
+    done
+
+  (* Zipf-skewed closed-loop weak readers race the uniform writers: the
+     reader skew piles load on a few key ranges, so one owner saturates
+     unless followers share its reads. Only operations completing after
+     the warm-up count. *)
   let arm o ~factor ~theta =
     let c = cluster (cfg o ~factor) in
     let rng = Xrand.create ~seed:(o.seed * 31) () in
     let g = Graphgen.uniform ~rng ~vertices ~edges () in
     let vertices = install c g in
-    let r =
-      Readscale.run c ~vertices ~readers:o.readers ~writers ~duration:o.duration ~theta ~warmup
-        ()
+    let window_start = Cluster.now c +. warmup in
+    let reads_ok = ref 0 and reads_err = ref 0 and writes_ok = ref 0 in
+    let read_lat = Stats.create () in
+    let zipf_start () =
+      let rng = Xrand.split (Weaver_sim.Engine.rng (Cluster.runtime c).Runtime.engine) in
+      fun () -> vertices.(Xrand.zipf rng ~n:(Array.length vertices) ~theta)
     in
+    ignore
+      (closed_loop_programs c ~clients:o.readers ~prog:"get_node" ~consistency:`Weak
+         ~on_result:(fun r latency ->
+           if Cluster.now c >= window_start then
+             match r with
+             | Ok _ ->
+                 incr reads_ok;
+                 Stats.add read_lat latency
+             | Error _ -> incr reads_err)
+         ~start:zipf_start ());
+    spawn_writers c ~vertices ~on_commit:(fun r _ ->
+        if Cluster.now c >= window_start && Result.is_ok r then incr writes_ok);
+    Cluster.run_for c (warmup +. o.duration);
     let ctr = Cluster.counters c in
     let rt = Cluster.runtime c in
     {
-      rp_goodput = r.Readscale.read_goodput;
-      rp_reads_err = r.Readscale.reads_err;
-      rp_writes = r.Readscale.write_throughput;
-      rp_read_p50 = Stats.percentile r.Readscale.read_latencies 50.0;
-      rp_read_p99 = Stats.percentile r.Readscale.read_latencies 99.0;
+      rp_goodput = float_of_int !reads_ok /. (o.duration /. 1_000_000.0);
+      rp_reads_err = !reads_err;
+      rp_writes = float_of_int !writes_ok /. (o.duration /. 1_000_000.0);
+      rp_read_p50 = Stats.percentile read_lat 50.0;
+      rp_read_p99 = Stats.percentile read_lat 99.0;
       rp_routed = ctr.Runtime.repl_routed;
       rp_updates = ctr.Runtime.repl_updates;
       rp_fingerprint =

@@ -6,12 +6,12 @@
      dune exec bench/main.exe -- fig7 fig14
    Use `list` to see the available names. *)
 
-let experiments = Weaver_bench.Experiments.all @ [ ("speed", Speed.run) ]
+let experiments = Weaver_bench.Experiments.all
 
 let () =
   let names = List.map fst experiments in
   match Array.to_list Sys.argv with
-  | _ :: [] -> List.iter (fun (_, f) -> f ()) Weaver_bench.Experiments.all
+  | _ :: [] -> List.iter (fun (_, f) -> f ()) experiments
   | _ :: [ "list" ] -> List.iter print_endline names
   | _ :: args ->
       List.iter

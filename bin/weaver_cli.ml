@@ -148,14 +148,7 @@ let fault gatekeepers shards tau seed =
 
 let chaos gatekeepers shards seed clients duration json =
   let o =
-    {
-      Workloads.Chaosbench.default_opts with
-      Workloads.Chaosbench.co_seed = seed;
-      co_gatekeepers = gatekeepers;
-      co_shards = shards;
-      co_clients = clients;
-      co_duration = duration *. 1_000.0;
-    }
+    { X.Chaos.defaults with X.Chaos.seed; gatekeepers; shards; clients; duration = duration *. 1_000.0 }
   in
   let r = X.Chaos.run o in
   if json then print_json (X.Chaos.document o r) else X.Chaos.table r
@@ -165,17 +158,7 @@ let sweep gatekeepers shards seed =
 
 let overload gatekeepers shards seed mult duration_ms json =
   let o =
-    {
-      X.Overload.base =
-        {
-          Workloads.Overloadbench.default_opts with
-          Workloads.Overloadbench.ov_seed = seed;
-          ov_gatekeepers = gatekeepers;
-          ov_shards = shards;
-          ov_duration = duration_ms *. 1_000.0;
-        };
-      mults = [ mult ];
-    }
+    { X.Overload.seed; gatekeepers; shards; duration = duration_ms *. 1_000.0; mults = [ mult ] }
   in
   let sweep = X.Overload.run o in
   if json then print_json (X.Overload.document o sweep) else X.Overload.table o sweep

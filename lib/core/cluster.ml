@@ -314,9 +314,9 @@ let report t =
   line "  reliability: client retries %d, dedup hits %d, dedup dropped %d, late replies %d"
     c.Runtime.client_retries c.Runtime.dedup_hits c.Runtime.dedup_dropped
     c.Runtime.late_replies;
-  line "  overload: shed %d (queue %d, deadline %d, credit %d) | credit msgs %d"
-    (c.Runtime.shed_queue_full + c.Runtime.shed_deadline + c.Runtime.shed_credit)
-    c.Runtime.shed_queue_full c.Runtime.shed_deadline c.Runtime.shed_credit
+  line "  overload: shed %d (deadline %d, credit %d) | credit msgs %d"
+    (c.Runtime.shed_deadline + c.Runtime.shed_credit)
+    c.Runtime.shed_deadline c.Runtime.shed_credit
     c.Runtime.credit_msgs;
   line "  snapshots: published %d, pinned reads %d, gc deferred %d"
     c.Runtime.snap_published c.Runtime.snap_pinned_reads c.Runtime.snap_gc_deferred;

@@ -23,7 +23,6 @@ type t = {
   enable_timeline : bool;
   timeline_period : float;
   slow_log_capacity : int;
-  admission_limit : int;
   deadline_budget : float;
   shard_credits : int;
   snapshot_reads : bool;
@@ -64,7 +63,6 @@ let default =
     enable_timeline = false;
     timeline_period = 10_000.0;
     slow_log_capacity = 32;
-    admission_limit = 0;
     deadline_budget = 0.0;
     shard_credits = 0;
     snapshot_reads = false;
@@ -101,7 +99,6 @@ let validate t =
   req "trace_capacity" (t.trace_capacity >= 1);
   req "timeline_period" (t.timeline_period > 0.0);
   req "slow_log_capacity" (t.slow_log_capacity >= 1);
-  req "admission_limit" (t.admission_limit >= 0);
   req "deadline_budget" (t.deadline_budget >= 0.0);
   req "shard_credits" (t.shard_credits >= 0);
   (* snapshots are published at watermark boundaries, which only exist

@@ -69,18 +69,16 @@ type t = {
   slow_log_capacity : int;
       (** slowest client requests retained in the always-on slow-request
           log (with per-phase breakdowns when tracing is enabled) *)
-  admission_limit : int;
-      (** overload management ({!Weaver_flow.Flow}): max client requests
-          waiting in a gatekeeper's serial admission queue before new ones
-          are shed with an [Overloaded] reply. 0 (the default) disables the
-          bound — today's unbounded behavior, kept as the bench baseline
-          arm. Control traffic (NOPs, heartbeats, announces, commit notes)
-          is never queued there and never shed *)
   deadline_budget : float;
-      (** µs of projected admission-queue wait a client request may face
-          before being shed up front — rejecting early beats letting the
-          request time out downstream after consuming resources. 0.0
-          disables deadline-based shedding *)
+      (** overload management ({!Weaver_flow.Flow}): µs of projected
+          admission-queue wait a client request may face before it is shed
+          up front with an [Overloaded] reply — rejecting early beats
+          letting the request time out downstream after consuming
+          resources. The wait is the gatekeeper's [busy_until - now], so
+          this one bound also caps the queue depth (a bound of [L]
+          requests at op cost [c] is a budget of [(L-1)·c]). 0.0 (the
+          default) disables shedding. Control traffic (NOPs, heartbeats,
+          announces, commit notes) is never queued there and never shed *)
   shard_credits : int;
       (** credit-based gatekeeper→shard flow control: each gatekeeper holds
           this many send credits per shard, spends one per forwarded

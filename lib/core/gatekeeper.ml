@@ -881,7 +881,6 @@ let admit t ~trace work =
 let shed t ~client ~req_id ~reason =
   let c = counters t in
   (match reason with
-  | "queue" -> c.Runtime.shed_queue_full <- c.Runtime.shed_queue_full + 1
   | "deadline" -> c.Runtime.shed_deadline <- c.Runtime.shed_deadline + 1
   | _ -> c.Runtime.shed_credit <- c.Runtime.shed_credit + 1);
   Runtime.trace_span t.rt ~trace:req_id ~name:"gk.shed" ~actor:(actor t)
@@ -893,7 +892,6 @@ let shed t ~client ~req_id ~reason =
    actually configured *)
 let flow_gate t ~target_shards =
   match Flow.Admission.decide t.adm ~now:(now t) ~busy_until:t.busy_until with
-  | Flow.Admission.Shed_queue_full -> Some "queue"
   | Flow.Admission.Shed_deadline -> Some "deadline"
   | Flow.Admission.Admit ->
       if
@@ -1062,9 +1060,7 @@ let spawn rt ~gid ~epoch =
       busy_until = 0.0;
       busy_us = 0.0;
       adm =
-        Flow.Admission.create ~limit:rt.Runtime.cfg.Config.admission_limit
-          ~deadline_budget:rt.Runtime.cfg.Config.deadline_budget
-          ~op_cost:rt.Runtime.cfg.Config.gk_op_cost;
+        Flow.Admission.create ~deadline_budget:rt.Runtime.cfg.Config.deadline_budget;
       credits =
         Flow.Credits.create ~peers:rt.Runtime.cfg.Config.n_shards
           ~credits:rt.Runtime.cfg.Config.shard_credits;

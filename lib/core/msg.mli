@@ -115,10 +115,10 @@ type t =
           for multi-version GC (§4.5) *)
   | Overloaded of { req_id : int; reason : string }
       (** gatekeeper → client: the request was shed at admission (overload
-          management, {!Weaver_flow.Flow}). [reason] is ["queue"] (the
-          admission bound), ["deadline"] (projected wait exceeds the
-          deadline budget), or ["credit"] (a target shard's flow-control
-          credits are exhausted). Clients surface it as
+          management, {!Weaver_flow.Flow}). [reason] is ["deadline"]
+          (projected wait exceeds the deadline budget) or ["credit"] (a
+          target shard's flow-control credits are exhausted). Clients
+          surface it as
           [Error "shed:<reason>"], which retry policies treat as a backoff
           signal *)
   | Credit of { shard : int; gk : int; n : int }

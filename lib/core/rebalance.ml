@@ -34,25 +34,12 @@ let current_assignment cluster =
     (live_adjacency cluster);
   assign
 
-let run cluster client ?(max_moves = 128) ?(rounds = 3) () =
+let run cluster client ?(max_moves = 128) () =
   let adjacency = live_adjacency cluster in
   let shards = (Cluster.config cluster).Config.n_shards in
   let before = current_assignment cluster in
   let edge_cut_before = Partition.edge_cut before adjacency in
-  (* restream against the current placement so only genuinely misplaced
-     vertices move *)
-  let target =
-    let rec go prev k =
-      if k = 0 then prev
-      else
-        let pass = Hashtbl.copy prev in
-        (* one LDG pass scoring against [prev] *)
-        let fresh = Partition.restream ~shards ~rounds:1 adjacency in
-        Hashtbl.iter (fun v s -> Hashtbl.replace pass v s) fresh;
-        go pass (k - 1)
-    in
-    go before rounds
-  in
+  let target = Partition.ldg ~shards adjacency in
   let moves = ref 0 and examined = ref 0 in
   List.iter
     (fun (vid, _) ->

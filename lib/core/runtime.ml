@@ -44,7 +44,6 @@ type counters = {
   mutable fault_events : int;
   mutable heartbeat_msgs : int;
   mutable credit_msgs : int;
-  mutable shed_queue_full : int;
   mutable shed_deadline : int;
   mutable shed_credit : int;
   mutable snap_published : int;
@@ -170,7 +169,6 @@ let register_counter_gauges metrics (c : counters) =
   g "fault.events" (fun () -> c.fault_events);
   g "msg.heartbeat" (fun () -> c.heartbeat_msgs);
   g "flow.credit_msgs" (fun () -> c.credit_msgs);
-  g "flow.shed_queue_full" (fun () -> c.shed_queue_full);
   g "flow.shed_deadline" (fun () -> c.shed_deadline);
   g "flow.shed_credit" (fun () -> c.shed_credit);
   g "snap.published" (fun () -> c.snap_published);
@@ -293,7 +291,6 @@ let create cfg =
           fault_events = 0;
           heartbeat_msgs = 0;
           credit_msgs = 0;
-          shed_queue_full = 0;
           shed_deadline = 0;
           shed_credit = 0;
           snap_published = 0;

@@ -55,8 +55,6 @@ type counters = {
   mutable fault_events : int;  (** fault-plan actions executed *)
   mutable heartbeat_msgs : int;  (** heartbeats sent to the manager *)
   mutable credit_msgs : int;  (** flow-control credit returns (shard→gk) *)
-  mutable shed_queue_full : int;
-      (** requests shed at admission: queue bound ([Config.admission_limit]) *)
   mutable shed_deadline : int;
       (** requests shed at admission: projected wait past the deadline
           budget ([Config.deadline_budget]) *)

@@ -13,26 +13,16 @@ let priority_of_kind = function
   | _ -> Client_req
 
 module Admission = struct
-  type t = { limit : int; deadline_budget : float; op_cost : float }
+  type t = { deadline_budget : float }
 
-  type decision = Admit | Shed_queue_full | Shed_deadline
+  type decision = Admit | Shed_deadline
 
-  let create ~limit ~deadline_budget ~op_cost =
-    { limit = max 0 limit; deadline_budget = Float.max 0.0 deadline_budget; op_cost }
+  let create ~deadline_budget = { deadline_budget = Float.max 0.0 deadline_budget }
 
-  let enabled t = t.limit > 0 || t.deadline_budget > 0.0
-
-  let projected_wait ~now ~busy_until = Float.max 0.0 (busy_until -. now)
-
-  let queue_depth t ~now ~busy_until =
-    if t.op_cost <= 0.0 then 0
-    else int_of_float (Float.ceil (projected_wait ~now ~busy_until /. t.op_cost))
+  let enabled t = t.deadline_budget > 0.0
 
   let decide t ~now ~busy_until =
-    let wait = projected_wait ~now ~busy_until in
-    if t.limit > 0 && queue_depth t ~now ~busy_until >= t.limit then Shed_queue_full
-    else if t.deadline_budget > 0.0 && wait > t.deadline_budget then Shed_deadline
-    else Admit
+    if enabled t && busy_until -. now > t.deadline_budget then Shed_deadline else Admit
 end
 
 module Credits = struct

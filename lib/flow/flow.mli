@@ -6,9 +6,11 @@
     capacity accumulates in queues until latency diverges. This module
     supplies the pure decision logic that keeps the pipeline overload-safe:
 
-    - {!Admission}: bounded gatekeeper admission with deadline-based load
-      shedding — a request whose projected queue wait already exceeds its
-      deadline budget is rejected up front instead of timing out downstream.
+    - {!Admission}: deadline-based load shedding at the gatekeeper — a
+      request whose projected queue wait already exceeds its deadline
+      budget is rejected up front instead of timing out downstream. The
+      wait bounds the queue depth too: at a fixed per-request cost, a depth
+      limit is a wait budget.
     - {!Credits}: credit-based flow control for the gatekeeper→shard path —
       a slow or latency-degraded shard drains its credit column and
       propagates backpressure to admission instead of growing an unbounded
@@ -38,29 +40,21 @@ val priority_of_kind : string -> priority
     else — including unknown kinds — is [Client_req], so new message types
     are sheddable until explicitly exempted. *)
 
-(** {1 Bounded admission with deadline-based shedding} *)
+(** {1 Admission with deadline-based shedding} *)
 
 module Admission : sig
   type t
 
   type decision =
     | Admit
-    | Shed_queue_full  (** the serial admission queue is at its bound *)
     | Shed_deadline  (** projected queue wait exceeds the deadline budget *)
 
-  val create : limit:int -> deadline_budget:float -> op_cost:float -> t
-  (** [limit] bounds the number of requests waiting in the gatekeeper's
-      serial admission queue (0 = unbounded); [deadline_budget] is the
-      maximum tolerable projected queue wait in µs (0 = no budget);
-      [op_cost] is the per-request admission service time used to convert
-      the busy horizon into a queue depth. *)
+  val create : deadline_budget:float -> t
+  (** [deadline_budget] is the maximum tolerable projected queue wait in
+      µs (0 = no budget). *)
 
   val enabled : t -> bool
-  (** Whether any limit is set ([limit > 0] or [deadline_budget > 0]). *)
-
-  val queue_depth : t -> now:float -> busy_until:float -> int
-  (** Requests currently ahead in the serial queue, inferred from the
-      busy-until horizon: [ceil ((busy_until - now) / op_cost)]. *)
+  (** Whether a budget is set. *)
 
   val decide : t -> now:float -> busy_until:float -> decision
   (** The admission decision for a request arriving at [now] against a

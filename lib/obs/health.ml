@@ -181,11 +181,11 @@ let observe t ~now ~watermark ~values =
       (Printf.sprintf "depth %d rising for %d checks" queue_total
          t.cfg.queue_trend_checks);
   (* --- shed and credit-starvation rates (flow) ------------------------ *)
-  let shed_qd = delta "flow.shed_queue_full" + delta "flow.shed_deadline" in
+  let shed_deadline = delta "flow.shed_deadline" in
   let shed_credit = delta "flow.shed_credit" in
   let resolved =
     delta "tx.committed" + delta "tx.aborted" + delta "tx.invalid"
-    + delta "prog.completed" + shed_qd + shed_credit
+    + delta "prog.completed" + shed_deadline + shed_credit
   in
   let fraction n = float_of_int n /. float_of_int (max 1 resolved) in
   let rate_desired frac =
@@ -194,8 +194,8 @@ let observe t ~now ~watermark ~values =
     else None
   in
   resolve t ~now ~signal:"shed"
-    ~desired:(rate_desired (fraction shed_qd))
-    ~detail:(Printf.sprintf "%d of %d requests shed this window" shed_qd resolved);
+    ~desired:(rate_desired (fraction shed_deadline))
+    ~detail:(Printf.sprintf "%d of %d requests shed this window" shed_deadline resolved);
   resolve t ~now ~signal:"credit"
     ~desired:(rate_desired (fraction shed_credit))
     ~detail:

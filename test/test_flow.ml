@@ -17,28 +17,30 @@ module Slowlog = Weaver_obs.Slowlog
 
 let test_admission_decisions () =
   let open Flow.Admission in
-  let off = create ~limit:0 ~deadline_budget:0.0 ~op_cost:20.0 in
+  let off = create ~deadline_budget:0.0 in
   Alcotest.(check bool) "disabled" false (enabled off);
   Alcotest.(check bool) "disabled admits" true
     (decide off ~now:0.0 ~busy_until:1e9 = Admit);
-  let capped = create ~limit:2 ~deadline_budget:0.0 ~op_cost:20.0 in
+  Alcotest.(check bool) "negative budget disables" false
+    (enabled (create ~deadline_budget:(-5.0)));
+  (* a queue bound of 2 requests at 20 µs each is a 20 µs wait budget *)
+  let capped = create ~deadline_budget:20.0 in
   Alcotest.(check bool) "enabled" true (enabled capped);
   Alcotest.(check bool) "empty queue admits" true
     (decide capped ~now:0.0 ~busy_until:0.0 = Admit);
   Alcotest.(check bool) "one queued admits" true
     (decide capped ~now:0.0 ~busy_until:20.0 = Admit);
-  Alcotest.(check bool) "at limit sheds" true
-    (decide capped ~now:0.0 ~busy_until:40.0 = Shed_queue_full);
-  Alcotest.(check bool) "past deadline is relative to now" true
+  Alcotest.(check bool) "two queued sheds" true
+    (decide capped ~now:0.0 ~busy_until:40.0 = Shed_deadline);
+  Alcotest.(check bool) "wait is relative to now" true
     (decide capped ~now:100.0 ~busy_until:110.0 = Admit);
-  let budget = create ~limit:0 ~deadline_budget:50.0 ~op_cost:20.0 in
+  Alcotest.(check bool) "an idle horizon in the past admits" true
+    (decide capped ~now:100.0 ~busy_until:0.0 = Admit);
+  let budget = create ~deadline_budget:50.0 in
   Alcotest.(check bool) "within budget admits" true
     (decide budget ~now:0.0 ~busy_until:50.0 = Admit);
   Alcotest.(check bool) "over budget sheds" true
-    (decide budget ~now:0.0 ~busy_until:50.1 = Shed_deadline);
-  Alcotest.(check int) "zero op cost, zero depth" 0
-    (queue_depth (create ~limit:3 ~deadline_budget:0.0 ~op_cost:0.0)
-       ~now:0.0 ~busy_until:1e6)
+    (decide budget ~now:0.0 ~busy_until:50.1 = Shed_deadline)
 
 let test_credit_accounting () =
   let open Flow.Credits in
@@ -80,7 +82,7 @@ let test_priority_classes () =
   Alcotest.(check string) "credit kind" "Credit"
     (Msg.kind (Msg.Credit { shard = 0; gk = 0; n = 1 }));
   Alcotest.(check string) "overloaded kind" "Overloaded"
-    (Msg.kind (Msg.Overloaded { req_id = 1; reason = "queue" }))
+    (Msg.kind (Msg.Overloaded { req_id = 1; reason = "deadline" }))
 
 (* ------------------------------------------------------------------ *)
 (* Config validation: the new flow knobs plus regression coverage for the
@@ -92,7 +94,6 @@ let test_config_validation_flow () =
       (Invalid_argument ("Config: bad " ^ field))
       (fun () -> Config.validate (f Config.default))
   in
-  bad "admission_limit" (fun c -> { c with Config.admission_limit = -1 });
   bad "deadline_budget" (fun c -> { c with Config.deadline_budget = -0.5 });
   bad "shard_credits" (fun c -> { c with Config.shard_credits = -2 });
   bad "trace_capacity" (fun c -> { c with Config.trace_capacity = 0 });
@@ -105,7 +106,6 @@ let test_config_validation_flow () =
   Config.validate
     {
       Config.default with
-      Config.admission_limit = 64;
       Config.deadline_budget = 1_200.0;
       Config.shard_credits = 64;
     }
@@ -149,8 +149,7 @@ let fingerprint c =
   ( ( ctr.Runtime.tx_committed,
       ctr.Runtime.tx_aborted,
       ctr.Runtime.progs_completed,
-      ctr.Runtime.shed_queue_full + ctr.Runtime.shed_deadline
-      + ctr.Runtime.shed_credit ),
+      ctr.Runtime.shed_deadline + ctr.Runtime.shed_credit ),
     ( Net.messages_sent rt.Runtime.net,
       Net.messages_delivered rt.Runtime.net,
       ctr.Runtime.oracle_consults,
@@ -164,11 +163,7 @@ let test_idle_gate_is_invisible () =
      admits, and the gate draws no randomness and sends no messages *)
   let on_ =
     mixed_workload
-      {
-        base with
-        Config.admission_limit = 100_000;
-        Config.deadline_budget = 1e9;
-      }
+      { base with Config.deadline_budget = 1e9 }
   in
   Alcotest.(check bool) "committed some" true
     ((Cluster.counters off).Runtime.tx_committed > 0);
@@ -183,7 +178,7 @@ let test_credits_deterministic () =
       Config.default with
       Config.seed = 32;
       Config.shard_credits = 8;
-      Config.admission_limit = 100_000;
+      Config.deadline_budget = 1e9;
     }
   in
   let a = mixed_workload cfg in
@@ -193,7 +188,7 @@ let test_credits_deterministic () =
   Alcotest.(check bool) "rerun bit-identical" true (fingerprint a = fingerprint b)
 
 (* ------------------------------------------------------------------ *)
-(* Shedding under open overload: a burst far beyond the queue cap is
+(* Shedding under open overload: a burst far past the deadline budget is
    rejected early with shed: errors, control traffic keeps flowing, and
    the slow log records the rejects *)
 
@@ -224,28 +219,29 @@ let count_errors results prefix =
          | Ok () -> false)
        results)
 
-let test_shed_queue_full () =
+let test_shed_deadline () =
   let cfg =
     {
       Config.default with
-      Config.seed = 33;
+      Config.seed = 34;
       Config.n_gatekeepers = 1;
       Config.n_shards = 2;
-      Config.admission_limit = 4;
+      Config.deadline_budget = 30.0;
       Config.slow_log_capacity = 200;
     }
   in
   let c = Cluster.create cfg in
   Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
-  let results = flood c ~clients:4 ~requests:100 in
+  let results = flood c ~clients:8 ~requests:80 in
   let ctr = Cluster.counters c in
-  Alcotest.(check int) "every request resolved" 100 (List.length results);
-  let ok = List.length (List.filter Result.is_ok results) in
-  Alcotest.(check bool) "some admitted" true (ok > 0);
-  Alcotest.(check bool) "queue-full sheds observed" true
-    (count_errors results "shed:queue" > 0);
-  Alcotest.(check int) "counter matches replies" ctr.Runtime.shed_queue_full
-    (count_errors results "shed:queue");
+  Alcotest.(check int) "every request resolved" 80 (List.length results);
+  Alcotest.(check bool) "some admitted" true (List.exists Result.is_ok results);
+  Alcotest.(check bool) "deadline sheds observed" true
+    (count_errors results "shed:deadline" > 0);
+  Alcotest.(check int) "counter matches replies" ctr.Runtime.shed_deadline
+    (count_errors results "shed:deadline");
+  Alcotest.(check int) "every shed is a deadline shed" (count_errors results "shed:")
+    (count_errors results "shed:deadline");
   (* control traffic kept flowing: heartbeats were never shed, so the
      manager saw no failure and drove no recovery *)
   Alcotest.(check bool) "heartbeats flowed" true (ctr.Runtime.heartbeat_msgs > 0);
@@ -261,30 +257,9 @@ let test_shed_queue_full () =
   in
   Alcotest.(check bool) "slowlog has shed: entries" true shed_logged
 
-let test_shed_deadline () =
-  let cfg =
-    {
-      Config.default with
-      Config.seed = 34;
-      Config.n_gatekeepers = 1;
-      Config.n_shards = 2;
-      Config.deadline_budget = 30.0;
-    }
-  in
-  let c = Cluster.create cfg in
-  Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
-  let results = flood c ~clients:8 ~requests:80 in
-  let ctr = Cluster.counters c in
-  Alcotest.(check bool) "deadline sheds observed" true
-    (count_errors results "shed:deadline" > 0);
-  Alcotest.(check int) "counter matches replies" ctr.Runtime.shed_deadline
-    (count_errors results "shed:deadline");
-  Alcotest.(check bool) "some admitted" true
-    (List.exists Result.is_ok results)
-
 let test_shed_is_retryable () =
   Alcotest.(check bool) "shed retryable" true
-    (Client.retryable Client.default_policy "shed:queue");
+    (Client.retryable Client.default_policy "shed:credit");
   Alcotest.(check bool) "shed retryable (deadline)" true
     (Client.retryable Client.reliable_policy "shed:deadline");
   Alcotest.(check bool) "invalid not retryable" false
@@ -390,7 +365,6 @@ let suites =
       [
         Alcotest.test_case "idle gate is invisible" `Quick test_idle_gate_is_invisible;
         Alcotest.test_case "credits deterministic" `Quick test_credits_deterministic;
-        Alcotest.test_case "shed on queue cap" `Quick test_shed_queue_full;
         Alcotest.test_case "shed on deadline" `Quick test_shed_deadline;
         Alcotest.test_case "credit backpressure + recovery" `Quick
           test_credit_backpressure_under_degrade;

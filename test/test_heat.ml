@@ -359,7 +359,7 @@ let test_health_shed_and_late () =
     Health.observe h ~now:(float_of_int i) ~watermark:None
       ~values:
         [
-          ("flow.shed_queue_full", shed);
+          ("flow.shed_deadline", shed);
           ("tx.committed", committed);
           ("client.late_replies", late);
         ]

@@ -151,7 +151,7 @@ let test_rebalance_improves_cut () =
     !vids;
   Cluster.reload_shards c;
   Cluster.run_for c 10_000.0;
-  let r = Rebalance.run c client ~max_moves:64 ~rounds:3 () in
+  let r = Rebalance.run c client ~max_moves:64 () in
   Alcotest.(check bool)
     (Printf.sprintf "cut improved (%.3f -> %.3f, %d moves)" r.Rebalance.edge_cut_before
        r.Rebalance.edge_cut_after r.Rebalance.moved)
@@ -166,6 +166,46 @@ let test_rebalance_improves_cut () =
   | Ok v -> Alcotest.failf "unexpected %s" (Progval.to_string v)
   | Error e -> Alcotest.failf "%s" e
 
+(* Rebalance.run on a quiescent cluster, from hash placement: the budget
+   caps the moves exactly, and with no cap the result is one LDG pass over
+   the live adjacency in store-key order *)
+let rebalance_fixture () =
+  let c = mk_cluster ~cfg:{ Config.default with Config.n_shards = 4 } () in
+  let rng = Weaver_util.Xrand.create ~seed:5 () in
+  let g = Graphgen.preferential ~rng ~prefix:"r" ~vertices:200 ~out_degree:3 () in
+  Loader.fast_install c g;
+  Cluster.run_for c 5_000.0;
+  (c, g)
+
+let test_rebalance_budget () =
+  let c, g = rebalance_fixture () in
+  let before = Hashtbl.copy (Rebalance.current_assignment c) in
+  let r = Rebalance.run c (Cluster.client c) ~max_moves:10 () in
+  Alcotest.(check int) "reported moves" 10 r.Rebalance.moved;
+  Alcotest.(check int) "examined every vertex" g.Graphgen.n_vertices r.Rebalance.examined;
+  let after = Rebalance.current_assignment c in
+  let moved =
+    Hashtbl.fold (fun v s n -> if Hashtbl.find after v <> s then n + 1 else n) before 0
+  in
+  Alcotest.(check int) "vertices on a new shard" 10 moved
+
+let test_rebalance_is_ldg () =
+  let c, g = rebalance_fixture () in
+  let r = Rebalance.run c (Cluster.client c) ~max_moves:g.Graphgen.n_vertices () in
+  let adjacency =
+    List.sort (fun (a, _) (b, _) -> String.compare a b) (Graphgen.adjacency g)
+  in
+  let want = Weaver_partition.Partition.ldg ~shards:4 adjacency in
+  let got = Rebalance.current_assignment c in
+  let off =
+    List.filter (fun (v, _) -> Hashtbl.find_opt got v <> Hashtbl.find_opt want v) adjacency
+  in
+  Alcotest.(check int) "vertices off their LDG shard" 0 (List.length off);
+  Alcotest.(check (float 0.0))
+    "edge cut after is the LDG cut"
+    (Weaver_partition.Partition.edge_cut want adjacency)
+    r.Rebalance.edge_cut_after
+
 let suites =
   [
     ( "migration",
@@ -177,5 +217,7 @@ let suites =
           test_migrate_noop_records_dedup;
         Alcotest.test_case "traversal across migration" `Quick test_traversal_across_migration;
         Alcotest.test_case "rebalance improves cut" `Quick test_rebalance_improves_cut;
+        Alcotest.test_case "rebalance move budget" `Quick test_rebalance_budget;
+        Alcotest.test_case "rebalance target is LDG" `Quick test_rebalance_is_ldg;
       ] );
   ]

@@ -5,7 +5,6 @@
    and JSON schema. *)
 
 open Weaver_core
-open Weaver_workloads
 module Fault = Weaver_sim.Fault
 module Engine = Weaver_sim.Engine
 module Json = Weaver_util.Json
@@ -288,34 +287,30 @@ let test_recovery_bit_identical () =
 (* Chaos benchmark: bit-identical across runs with equal options, higher
    availability with the reliability layer on, and valid JSON. *)
 
-let chaos_opts reliable =
-  {
-    Chaosbench.default_opts with
-    Chaosbench.co_seed = 7;
-    co_clients = 6;
-    co_duration = 400_000.0;
-    co_window = 40_000.0;
-    co_reliable = reliable;
-  }
+module X = Weaver_bench.Experiments
+module Chaos = X.Chaos
+
+let chaos_opts =
+  { Chaos.defaults with Chaos.seed = 7; clients = 6; duration = 400_000.0; window = 40_000.0 }
 
 let test_chaosbench_deterministic_and_better () =
-  let off1 = Chaosbench.run (chaos_opts false) in
-  let off2 = Chaosbench.run (chaos_opts false) in
+  let o = chaos_opts in
+  let off1 = Chaos.arm o ~reliable:false in
+  let off2 = Chaos.arm o ~reliable:false in
   Alcotest.(check string) "same opts, identical JSON"
-    (Json.to_string (Chaosbench.to_json off1))
-    (Json.to_string (Chaosbench.to_json off2));
-  let on_ = Chaosbench.run (chaos_opts true) in
-  Alcotest.(check bool) "faults actually injected" true
-    (off1.Chaosbench.r_fault_events > 0);
-  Alcotest.(check bool) "baseline suffers" true (off1.Chaosbench.r_total_err > 0);
+    (Json.to_string (Chaos.arm_json o ~reliable:false off1))
+    (Json.to_string (Chaos.arm_json o ~reliable:false off2));
+  let on_ = Chaos.arm o ~reliable:true in
+  Alcotest.(check bool) "faults actually injected" true (off1.X.ch_fault_events > 0);
+  Alcotest.(check bool) "baseline suffers" true (off1.X.ch_err > 0);
   Alcotest.(check bool) "reliability raises availability" true
-    (on_.Chaosbench.r_availability > off1.Chaosbench.r_availability)
+    (on_.X.ch_availability > off1.X.ch_availability)
 
 let test_chaosbench_json_schema () =
-  let o = chaos_opts true in
-  let r = Chaosbench.run o in
+  let o = chaos_opts in
+  let r = Chaos.arm o ~reliable:true in
   (* the document the chaos experiment writes to BENCH_chaos.json *)
-  let doc = Json.to_string (Json.Obj (Weaver_bench.Experiments.Chaos.document o (r, r))) in
+  let doc = Json.to_string (Json.Obj (Chaos.document o (r, r))) in
   match Json.parse doc with
   | Error e -> Alcotest.failf "BENCH_chaos document does not parse: %s" e
   | Ok j ->
