@@ -10,7 +10,7 @@
      chaos       availability under a crash/restart fault plan, reliability off vs on
      sweep       announce-period sweep (Fig. 14)
      overload    open-loop saturation quick-look, flow control off vs on
-     snapshot    pinned historical analytics vs live writes, snapshots off vs on
+     snapshot    pinned historical analytics from the store vs live writes
      heat        per-shard hottest vertices and per-range heat map under zipf load
      health      watchdog alerts across a mid-run gatekeeper crash
      rebalance   hot-spot flip across shards, live balancer off vs on
@@ -517,8 +517,8 @@ let commands =
         $ duration ~doc:"Issuance window, virtual ms." 200.0
         $ bench_json);
     cmd "snapshot"
-      "Historical analytics vs live writes quick-look: versioned snapshot store (pinned \
-       lock-free reads) off vs on"
+      "Historical analytics vs live writes quick-look: reads below each shard's cut served \
+       from the durable store"
       Term.(
         const snapshot $ gatekeepers $ shards $ seed
         $ duration ~doc:"Race window, virtual ms." 150.0

@@ -248,8 +248,6 @@ let shard_of_vertex t vid = Runtime.shard_of_vertex t.rt vid
 let gk_clock t gid = Gatekeeper.clock t.gks.(gid)
 let shard_resident t sid = Shard.resident_vertices t.shards.(sid)
 let shard_resident_ids t sid = Shard.resident_ids t.shards.(sid)
-let shard_snapshots t sid = Shard.snapshots_retained t.shards.(sid)
-let shard_snapshots_pinned t sid = Shard.snapshots_pinned t.shards.(sid)
 let shard_gc_floor t sid = Shard.gc_floor t.shards.(sid)
 
 let reload_shards t = Shard.reload_all t.rt t.shards
@@ -318,8 +316,7 @@ let report t =
     (c.Runtime.shed_deadline + c.Runtime.shed_credit)
     c.Runtime.shed_deadline c.Runtime.shed_credit
     c.Runtime.credit_msgs;
-  line "  snapshots: published %d, pinned reads %d, gc deferred %d"
-    c.Runtime.snap_published c.Runtime.snap_pinned_reads c.Runtime.snap_gc_deferred;
+  line "  history: pinned reads %d" c.Runtime.pinned_reads;
   (match t.balancer with
   | Some b ->
       line "  rebalance: rounds %d, moves %d, skipped %d, in flight %d"

@@ -79,15 +79,10 @@ val shard_resident_ids : t -> int -> string list
 (** Sorted vids resident in shard memory (crash-recovery determinism
     tests). *)
 
-val shard_snapshots : t -> int -> int
-(** Snapshots currently retained by shard [i] ([Config.snapshot_reads]). *)
-
-val shard_snapshots_pinned : t -> int -> int
-(** Snapshots of shard [i] pinned by in-flight node programs. *)
-
 val shard_gc_floor : t -> int -> Runtime.Vclock.t option
 (** Shard [i]'s compaction floor: versions strictly below it are gone
-    from its in-memory copy. *)
+    from its in-memory copy (historical reads below its cut are served
+    from the durable store instead). *)
 
 val reload_shards : t -> unit
 (** Have every shard re-read its partition from the backing store. Used by

@@ -25,7 +25,6 @@ type t = {
   slow_log_capacity : int;
   deadline_budget : float;
   shard_credits : int;
-  snapshot_reads : bool;
   enable_heat : bool;
   heat_topk : int;
   enable_health : bool;
@@ -65,7 +64,6 @@ let default =
     slow_log_capacity = 32;
     deadline_budget = 0.0;
     shard_credits = 0;
-    snapshot_reads = false;
     enable_heat = false;
     heat_topk = 8;
     enable_health = false;
@@ -101,9 +99,6 @@ let validate t =
   req "slow_log_capacity" (t.slow_log_capacity >= 1);
   req "deadline_budget" (t.deadline_budget >= 0.0);
   req "shard_credits" (t.shard_credits >= 0);
-  (* snapshots are published at watermark boundaries, which only exist
-     while the GC gossip timer runs *)
-  req "snapshot_reads" ((not t.snapshot_reads) || t.gc_period > 0.0);
   req "heat_topk" (t.heat_topk >= 1);
   req "health_period" (t.health_period > 0.0);
   req "rebalance_period" (t.rebalance_period > 0.0);

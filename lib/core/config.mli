@@ -24,7 +24,11 @@ type t = {
   vertex_write_cost : float;  (** shard-side cost to apply one write, µs *)
   heartbeat_period : float;  (** µs between server heartbeats *)
   failure_timeout : float;  (** µs without heartbeat before declared dead *)
-  gc_period : float;  (** µs between GC watermark rounds; 0 disables GC *)
+  gc_period : float;
+      (** µs between GC watermark rounds; 0 disables GC. A full round also
+          sets each shard's cut, below which historical reads are served
+          from the durable store (DESIGN §12); with 0 they are all gated
+          against the live graph *)
   enable_memoization : bool;
       (** node-program result caching with write invalidation (§4.6);
           disabled in the headline benches, as in the paper *)
@@ -87,20 +91,6 @@ type t = {
           column and admission sheds writes bound for it instead of
           growing the FIFO without bound. NOPs ride for free (control
           class). 0 disables flow control *)
-  snapshot_reads : bool;
-      (** versioned snapshot store for lock-free analytics
-          ({!Weaver_store.Snapshot}): at each GC watermark boundary a shard
-          publishes a refcounted immutable snapshot of its partition,
-          rebuilt from the durable store (which keeps full version
-          history). A historical node program whose [at] timestamp
-          precedes a published snapshot pins that snapshot and runs
-          against it — skipping the per-gatekeeper queue gate, per-vertex
-          OCC/paging and the LRU entirely, so whole-graph analytics never
-          block writers and writers never evict the snapshot's reads.
-          Pinned snapshots clamp the shard's compaction watermark (they
-          are never compacted out from under a running program); the
-          newest 4 unpinned snapshots are retained beyond the pinned set.
-          Off by default; requires [gc_period > 0] *)
   enable_heat : bool;
       (** load-heat attribution ({!Weaver_obs.Heat}): per-shard
           Space-Saving top-K heavy-hitter sketches over vertex touches

@@ -668,13 +668,8 @@ let handle_prog_req t ~client ~prog_id ~prog ~params ~starts ~at ~weak =
              followers chosen, which every one of them covers and every
              owner gates on, or fresh if only owners were chosen. Fresh
              strong reads never route to followers (a stamp minted now is
-             never covered by a watermark gossiped earlier), nor do
-             snapshot-served historical runs: only owners publish and pin
-             snapshots. *)
-          let snapshot_routed = historical && (cfg t).Config.snapshot_reads in
-          let replicated =
-            (weak || historical) && (not snapshot_routed) && Repl.Table.size t.repl > 0
-          in
+             never covered by a watermark gossiped earlier). *)
+          let replicated = (weak || historical) && Repl.Table.size t.repl > 0 in
           let routes = List.map (route t ~replicated ~at) starts in
           let cut = List.filter_map (fun (_, _, _, _, wm) -> wm) routes in
           let ts =
@@ -817,25 +812,21 @@ let handle_epoch_change t new_epoch =
 (* ------------------------------------------------------------------ *)
 
 let oldest_active_stamp t =
-  (* With snapshot serving on, historical runs do NOT hold the watermark
-     back: their reads come from pinned immutable snapshots (or fail with
-     the retryable "snapshot-gced" when none covers them — by then the
-     shard has published a snapshot that does, so the retry pins it).
-     This is the point of the subsystem: a long-running analytics query at
-     an old timestamp no longer stalls multi-version GC cluster-wide.
-     Without snapshots they keep today's behavior and clamp the gossip.
-     Weak runs re-stamped at their followers' watermark do not hold it back
-     either: owners advance their followers only to watermarks, so a run
-     that held the gossip at its followers' cut would keep every later
-     cut there too, and the replicas would never advance under steady weak
-     load. Their follower reads need no compaction hold (follower copies
-     are floored at their seed cut, not compacted), and an owner that has
-     compacted past their stamp fails them with "snapshot-gced", which
-     [handle_prog_partial] answers by re-running them fresh. *)
-  let snap = (cfg t).Config.snapshot_reads in
+  (* Historical runs do not hold the watermark back: a shard serves a read
+     below its cut from the durable store, which keeps the full version
+     history, so a long-running analytics query at an old stamp never
+     stalls multi-version GC. Weak runs re-stamped at their followers'
+     watermark do not hold it back either: owners advance their followers
+     only to watermarks, so a run that held the gossip at its followers'
+     cut would keep every later cut there too, and the replicas would
+     never advance under steady weak load. Their follower reads need no
+     compaction hold (follower copies are floored at their seed cut, not
+     compacted), and an owner that has compacted past their stamp fails
+     them with "snapshot-gced", which [handle_prog_partial] answers by
+     re-running them fresh. *)
   Tbl.Int.fold
     (fun _ run acc ->
-      if (snap && run.pr_historical) || run.pr_restamped then acc
+      if run.pr_historical || run.pr_restamped then acc
       else
         match acc with
         | None -> Some run.pr_ts

@@ -1,4 +1,3 @@
-module Store = Weaver_store.Store
 module Mgraph = Weaver_graph.Mgraph
 module Partition = Weaver_partition.Partition
 
@@ -11,12 +10,10 @@ type report = {
 
 (* live adjacency from the durable records: vertex → live out-neighbours *)
 let live_adjacency cluster =
-  let rt = Cluster.runtime cluster in
-  Store.scan_prefix rt.Runtime.store ~prefix:"v/"
-  |> List.filter_map (fun (key, value) ->
-         match value with
-         | Runtime.Vrec v when v.Mgraph.v_life.Mgraph.deleted = None ->
-             let vid = String.sub key 2 (String.length key - 2) in
+  Runtime.vertex_records (Cluster.runtime cluster)
+  |> List.filter_map (fun (vid, (v : Mgraph.vertex)) ->
+         match v.Mgraph.v_life.Mgraph.deleted with
+         | None ->
              let nbrs =
                List.filter_map
                  (fun (e : Mgraph.edge) ->

@@ -46,9 +46,7 @@ type counters = {
   mutable credit_msgs : int;
   mutable shed_deadline : int;
   mutable shed_credit : int;
-  mutable snap_published : int;
-  mutable snap_pinned_reads : int;
-  mutable snap_gc_deferred : int;
+  mutable pinned_reads : int;
   mutable rebal_rounds : int;
   mutable rebal_moves : int;
   mutable rebal_skipped : int;
@@ -171,9 +169,7 @@ let register_counter_gauges metrics (c : counters) =
   g "flow.credit_msgs" (fun () -> c.credit_msgs);
   g "flow.shed_deadline" (fun () -> c.shed_deadline);
   g "flow.shed_credit" (fun () -> c.shed_credit);
-  g "snap.published" (fun () -> c.snap_published);
-  g "snap.pinned_reads" (fun () -> c.snap_pinned_reads);
-  g "snap.gc_deferred" (fun () -> c.snap_gc_deferred);
+  g "prog.pinned_reads" (fun () -> c.pinned_reads);
   g "rebal.rounds" (fun () -> c.rebal_rounds);
   g "rebal.moves" (fun () -> c.rebal_moves);
   g "rebal.skipped" (fun () -> c.rebal_skipped);
@@ -293,9 +289,7 @@ let create cfg =
           credit_msgs = 0;
           shed_deadline = 0;
           shed_credit = 0;
-          snap_published = 0;
-          snap_pinned_reads = 0;
-          snap_gc_deferred = 0;
+          pinned_reads = 0;
           rebal_rounds = 0;
           rebal_moves = 0;
           rebal_skipped = 0;
@@ -480,6 +474,14 @@ let slow_record t ~trace ~kind ~start ~stop ~result =
 let vkey vid = "v/" ^ vid
 let lukey vid = "lu/" ^ vid
 let dirkey vid = "dir/" ^ vid
+
+let vertex_records t =
+  List.filter_map
+    (fun (key, value) ->
+      match value with
+      | Vrec v -> Some (String.sub key 2 (String.length key - 2), v)
+      | _ -> None)
+    (Store.scan_prefix t.store ~prefix:"v/")
 
 let no_handle = -1
 let vertex_handle t vid = Intern.id t.names vid

@@ -61,15 +61,9 @@ type counters = {
   mutable shed_credit : int;
       (** requests shed at admission: a target shard's flow-control
           credits exhausted ([Config.shard_credits]) *)
-  mutable snap_published : int;
-      (** immutable graph snapshots published by shards at watermark
-          boundaries ([Config.snapshot_reads]) *)
-  mutable snap_pinned_reads : int;
-      (** historical node-program batches executed against a pinned
-          snapshot instead of per-vertex version resolution *)
-  mutable snap_gc_deferred : int;
-      (** compaction rounds whose watermark was clamped because a pinned
-          snapshot was older than the gossiped watermark *)
+  mutable pinned_reads : int;
+      (** historical node-program batches served from the durable store,
+          below the shard's cut (DESIGN §12) *)
   mutable rebal_rounds : int;
       (** live-rebalance planner rounds executed ([Config.enable_rebalance]) *)
   mutable rebal_moves : int;
@@ -325,6 +319,9 @@ val lukey : string -> string
 
 val dirkey : string -> string
 (** Key of a directory entry. *)
+
+val vertex_records : t -> (string * Weaver_graph.Mgraph.vertex) list
+(** Every durable vertex record with its vid, sorted by key. *)
 
 (** {1 Ordering decisions}
 

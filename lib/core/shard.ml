@@ -2,7 +2,6 @@ module Vclock = Weaver_vclock.Vclock
 module Engine = Weaver_sim.Engine
 module Net = Weaver_sim.Net
 module Store = Weaver_store.Store
-module Snapshot = Weaver_store.Snapshot
 module Oracle = Weaver_oracle.Oracle
 module Mgraph = Weaver_graph.Mgraph
 module Intern = Weaver_util.Intern
@@ -13,28 +12,12 @@ module Tbl = Weaver_util.Tbl
 module Ring = Weaver_util.Ring
 module Stats = Weaver_util.Stats
 
-(* An immutable copy of this shard's partition as of [sg_ts], rebuilt from
-   the durable store at a watermark boundary. The store keeps the full
-   version history (only in-memory copies are ever compacted) and vertex
-   records are functional, so sharing them here is safe and the snapshot
-   answers any read at [at ≺ sg_ts] exactly. *)
-type snap_graph = {
-  sg_ts : Vclock.t;
-  sg_graph : Mgraph.vertex Tbl.Probe.t;  (* keyed by vertex handle *)
-}
-
-(* Published snapshots each shard retains beyond the pinned set; older
-   unpinned ones are pruned as the watermark window rolls forward. *)
-let retained_snapshots = 4
-
 type parked_prog = {
   p_coord : int;
   p_id : int;
   p_prog : string;
   p_historical : bool;
   p_items : (string * int * Progval.t) list;
-  p_snap : snap_graph Snapshot.entry option;
-      (* pinned snapshot this batch reads from; None = live graph *)
 }
 
 (* Partial replication ({!Runtime.standing_plan}, DESIGN §16).
@@ -54,8 +37,8 @@ type repl_in = {
   mutable rin_floor : Vclock.t option;
       (* the cut of the last seed: the owner's records were compacted up
          to it, so reads strictly below must miss (and chase the owner,
-         whose snapshot store may still cover them) instead of silently
-         reading post-compaction state *)
+         which serves them from the durable store once they are below its
+         cut) instead of silently reading post-compaction state *)
 }
 
 type t = {
@@ -112,13 +95,16 @@ type t = {
   mutable busy_us : float; (* total service time charged — utilization *)
   mutable epoch : int;
   wm : Vclock.t option array; (* latest watermark per gatekeeper *)
-  snaps : snap_graph Snapshot.t; (* published partition snapshots *)
-  pins : (int, snap_graph Snapshot.entry) Hashtbl.t; (* prog_id -> pin *)
+  mutable cut : Vclock.t option;
+      (* the pointwise minimum of [wm], set at each full watermark round.
+         Every transaction stamped after it has a stamp after any read
+         below it, so the durable store, which keeps the full history,
+         answers such historical reads (DESIGN §12) *)
   mutable gc_floor : Vclock.t option;
-      (* effective watermark of the last compaction: versions strictly
-         below it are gone from the in-memory copies, so a read below it
-         (with no pinned snapshot) must fail retryably instead of silently
-         reading post-compaction state *)
+      (* watermark of the last compaction: versions strictly below it are
+         gone from the in-memory copies, so a live-graph read below it
+         must fail retryably instead of silently reading post-compaction
+         state *)
   repl_out : (int, repl_out) Hashtbl.t;  (* ranges owned here, replicated out *)
   repl_in : (int, repl_in) Hashtbl.t;  (* ranges followed here *)
   repl_credits : Flow.Credits.t;
@@ -159,8 +145,6 @@ let resident_ids t =
   |> List.sort String.compare
 
 let queue_depths t = Gate.depths t.gate
-let snapshots_retained t = Snapshot.count t.snaps
-let snapshots_pinned t = List.length (Snapshot.pinned t.snaps)
 let gc_floor t = t.gc_floor
 
 let cfg t = t.rt.Runtime.cfg
@@ -322,6 +306,22 @@ let visit_lookup t h vid at =
       (found, 0.0)
   | None when Runtime.shard_of_handle t.rt h = t.sid -> page_in t h vid
   | None -> (None, 0.0)
+
+(* whether a historical read at [at] is below the cut *)
+let below_cut t at =
+  match t.cut with Some cut -> Vclock.precedes at cut | None -> false
+
+(* The lookup rule of a visit below the cut. A record the directory
+   assigns here is read from the durable store, leaving memory as it is:
+   no paging, touch or eviction. A copy is read when [copy_covers] it.
+   Any other read returns [None], and the visit goes to the owner. *)
+let store_lookup t h vid at =
+  if Runtime.shard_of_handle t.rt h = t.sid then
+    match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
+    | Some (Runtime.Vrec v) -> Some v
+    | _ -> None
+  else if is_copy t h && copy_covers t vid at then Dense.find_opt t.graph h
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Transaction application: mark the in-memory multi-version graph with the
@@ -514,15 +514,19 @@ let item_owner t vid h =
    per-shard messages. Results are delivered after the modelled CPU cost. *)
 let execute_prog_batch t (b : parked_prog Gate.parked) =
   let p = Gate.item b and p_ts = Gate.stamp b and p_since = Gate.since b in
-  (* a read below the compaction floor with no pinned snapshot: the
-     versions it needs are gone from the in-memory copy, and reading
-     post-compaction state would silently violate the read's timestamp.
-     Fail the whole run retryably instead. Historical runs reach this with
-     any past stamp; a current-epoch run only when it is a weak run
+  (* a historical batch below the cut reads the durable store; the cut
+     only grows within an epoch, so a batch parked gated may have fallen
+     below it while it waited *)
+  let from_store = p.p_historical && below_cut t p_ts in
+  (* a live-graph read below the compaction floor: the versions it needs
+     are gone from the in-memory copy, and reading post-compaction state
+     would silently violate the read's timestamp. Fail the whole run
+     retryably instead. Historical runs reach this with a past stamp not
+     below the cut; a current-epoch run only when it is a weak run
      re-stamped at a replica's watermark, since a fresh stamp holds its
      gatekeeper's GC watermark, and so this floor, at or below it. *)
   let own_gced =
-    (match p.p_snap with None -> true | Some _ -> false)
+    (not from_store)
     && match t.gc_floor with
        | Some floor ->
            Vclock.precedes p_ts floor
@@ -566,19 +570,14 @@ let execute_prog_batch t (b : parked_prog Gate.parked) =
         Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_gate" ~actor:(actor t)
           ~start:p_since ~stop:(now t) ();
       let exec_start = now t in
-      (* a pinned batch reads the immutable snapshot: no demand paging, no
-         LRU touches, no evictions — analytics never pollute the writers'
-         hot set and writers never page the analytics' reads out *)
-      let pinned =
-        match p.p_snap with Some e -> Some (Snapshot.value e) | None -> None
-      in
-      (match pinned with
-      | Some _ ->
-          (counters t).Runtime.snap_pinned_reads <-
-            (counters t).Runtime.snap_pinned_reads + 1
-      | None -> ());
-      (* historical queries pin the snapshot: a version stamp concurrent
-         with the snapshot is ordered after it (unless already committed
+      (* a batch below the cut reads the durable store: no demand paging,
+         no LRU touches, no evictions — analytics never pollute the
+         writers' hot set and writers never page the analytics' reads
+         out *)
+      if from_store then
+        (counters t).Runtime.pinned_reads <- (counters t).Runtime.pinned_reads + 1;
+      (* historical queries are pinned at their stamp: a version stamp
+         concurrent with it is ordered after it (unless already committed
          before), so time travel excludes later writes *)
       let bf =
         if p.p_historical then fun a b ->
@@ -614,10 +613,9 @@ let execute_prog_batch t (b : parked_prog Gate.parked) =
            read stamp serves it in place of the owner — this is where
            follower capacity becomes read capacity *)
         let vrec, pc =
-          match pinned with
-          | _ when h = Runtime.no_handle -> (None, 0.0)
-          | Some sg -> (Tbl.Probe.find_opt sg.sg_graph h, 0.0)
-          | None -> visit_lookup t h vid p_ts
+          if h = Runtime.no_handle then (None, 0.0)
+          else if from_store then (store_lookup t h vid p_ts, 0.0)
+          else visit_lookup t h vid p_ts
         in
         page_cost := !page_cost +. pc;
         match vrec with
@@ -785,15 +783,11 @@ and run_parked t =
 let records_by_shard rt =
   let by_shard = Array.make rt.Runtime.cfg.Config.n_shards [] in
   List.iter
-    (fun (key, value) ->
-      match value with
-      | Runtime.Vrec v ->
-          let vid = String.sub key 2 (String.length key - 2) in
-          let h = Runtime.vertex_handle rt vid in
-          let s = Runtime.shard_of_handle rt h in
-          by_shard.(s) <- (h, v) :: by_shard.(s)
-      | _ -> ())
-    (Store.scan_prefix rt.Runtime.store ~prefix:"v/");
+    (fun (vid, v) ->
+      let h = Runtime.vertex_handle rt vid in
+      let s = Runtime.shard_of_handle rt h in
+      by_shard.(s) <- (h, v) :: by_shard.(s))
+    (Runtime.vertex_records rt);
   Array.map List.rev by_shard
 
 (* adopt this server's list of [by_shard] ([records_by_shard]; a read
@@ -823,16 +817,15 @@ let reload_from_store t =
   load_records t (if is_replica t then [||] else records_by_shard t.rt)
 
 (* Drop what lived only in memory between barriers: queued transactions
-   and FIFO bookkeeping, parked programs, the in-flight consult, snapshots,
-   pins and stream credits. The store reload that follows restores the
-   full version history, so the compaction floor resets too. *)
+   and FIFO bookkeeping, parked programs, the in-flight consult, the cut
+   and stream credits. The store reload that follows restores the full
+   version history, so the compaction floor resets too. *)
 let drop_volatile t =
   Gate.reset t.gate;
   Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
   Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
   t.oracle_gen <- t.oracle_gen + 1;
-  Snapshot.clear t.snaps;
-  Hashtbl.reset t.pins;
+  t.cut <- None;
   t.gc_floor <- None;
   Flow.Credits.reset t.repl_credits
 
@@ -866,51 +859,9 @@ let handle_watermark t gk ts =
         None t.wm
       |> Option.get
     in
-    (* publish an immutable snapshot of the partition at this watermark
-       boundary, rebuilt from the durable store: the store keeps the full
-       version history, and every transaction stamped before [wm] was
-       committed to it before the watermark was gossiped, so the snapshot
-       answers any read at [at ≺ wm] exactly *)
-    if (cfg t).Config.snapshot_reads then begin
-      let key = Vclock.key wm in
-      let fresh =
-        match Snapshot.latest t.snaps with
-        | Some e -> not (String.equal (Snapshot.key e) key)
-        | None -> true
-      in
-      if fresh then begin
-        let sg_graph = Tbl.Probe.create 1024 in
-        List.iter
-          (fun (k, value) ->
-            match value with
-            | Runtime.Vrec v ->
-                let h = Runtime.vertex_handle t.rt (String.sub k 2 (String.length k - 2)) in
-                if Runtime.shard_of_handle t.rt h = t.sid then
-                  Tbl.Probe.replace sg_graph h v
-            | _ -> ())
-          (Store.scan_prefix t.rt.Runtime.store ~prefix:"v/");
-        ignore (Snapshot.publish t.snaps ~key { sg_ts = wm; sg_graph });
-        (counters t).Runtime.snap_published <-
-          (counters t).Runtime.snap_published + 1
-      end
-    end;
-    (* pinned snapshots extend the watermark: while an analytics run holds
-       a snapshot at [sg_ts], compaction must not advance past it, or a
-       retry of the same query (after a crash dropped the pin) would find
-       its versions gone *)
-    let wm =
-      let eff =
-        List.fold_left
-          (fun acc e -> Runtime.stamp_min acc (Snapshot.value e).sg_ts)
-          wm (Snapshot.pinned t.snaps)
-      in
-      if not (Vclock.equal eff wm) then
-        (counters t).Runtime.snap_gc_deferred <-
-          (counters t).Runtime.snap_gc_deferred + 1;
-      eff
-    in
-    (* retain the effective floor (monotone within an epoch); epoch
-       barriers reset it because the reload restores the full history *)
+    t.cut <- Some wm;
+    (* retain the floor (monotone within an epoch); epoch barriers reset
+       it because the reload restores the full history *)
     t.gc_floor <-
       (match t.gc_floor with
       | Some f when f.Vclock.epoch = wm.Vclock.epoch -> Some (Vclock.merge f wm)
@@ -1023,38 +974,19 @@ let handle t ~src:_ msg =
         (* a historical run's stamp is the client's and may alias a queued
            one (see [Gate.skips]) *)
         if historical then Gate.stop_skipping t.gate;
-        let snap =
-          if historical && (cfg t).Config.snapshot_reads then
-            match Hashtbl.find_opt t.pins prog_id with
-            | Some e -> Some e (* later batch of an already-pinned run *)
-            | None -> (
-                match
-                  Snapshot.find t.snaps (fun sg -> Vclock.precedes ts sg.sg_ts)
-                with
-                | Some e ->
-                    Snapshot.acquire t.snaps e;
-                    Hashtbl.replace t.pins prog_id e;
-                    Some e
-                | None -> None)
-          else None
-        in
-        Gate.park t.gate ~ts ~since:(Engine.now t.rt.Runtime.engine) ~gated:(snap = None)
+        (* below the cut nothing can still arrive that the read could see:
+           it runs at once, from the durable store *)
+        Gate.park t.gate ~ts ~since:(Engine.now t.rt.Runtime.engine)
+          ~gated:(not (historical && below_cut t ts))
           {
             p_coord = coord;
             p_id = prog_id;
             p_prog = prog;
             p_historical = historical;
             p_items = items;
-            p_snap = snap;
           };
         run_parked t
-    | Msg.Prog_gc { prog_id } ->
-        Tbl.Probe.remove t.prog_state prog_id;
-        (match Hashtbl.find_opt t.pins prog_id with
-        | Some e ->
-            Snapshot.release t.snaps e;
-            Hashtbl.remove t.pins prog_id
-        | None -> ())
+    | Msg.Prog_gc { prog_id } -> Tbl.Probe.remove t.prog_state prog_id
     | Msg.Watermark { gk; ts } -> handle_watermark t gk ts
     | Msg.Epoch_change { epoch } -> handle_epoch_change t epoch
     | Msg.Repl_update { range; owner; ts; ops } -> (
@@ -1165,8 +1097,7 @@ let spawn rt ~sid ~epoch =
       busy_us = 0.0;
       epoch;
       wm = Array.make n_g None;
-      snaps = Snapshot.create ~retain:retained_snapshots ();
-      pins = Hashtbl.create 8;
+      cut = None;
       gc_floor = None;
       repl_out = Hashtbl.create 8;
       repl_in = Hashtbl.create 8;

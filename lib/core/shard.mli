@@ -45,26 +45,22 @@ val resident_ids : t -> string list
 val queue_depths : t -> int array
 (** Pending transactions per gatekeeper queue (tests). *)
 
-(** {1 Versioned snapshots} ([Config.snapshot_reads])
+(** {1 Historical reads} (DESIGN §12)
 
-    At each watermark boundary the shard publishes a refcounted immutable
-    snapshot of its partition, rebuilt from the durable store (which keeps
-    the full version history). Historical node programs whose timestamp
-    precedes a published snapshot pin it and run lock-free against it —
-    skipping the refinable-timestamp gate, demand paging, and the LRU.
-    Pinned snapshots clamp the compaction watermark. *)
-
-val snapshots_retained : t -> int
-(** Snapshots currently held (pinned or within the retention window). *)
-
-val snapshots_pinned : t -> int
-(** Snapshots pinned by in-flight node programs. *)
+    Each full watermark round sets the shard's cut, the pointwise minimum
+    of the latest watermark from every gatekeeper. A historical node
+    program batch whose stamp precedes the cut runs at once, without the
+    refinable-timestamp gate: it reads the records the directory assigns
+    here from the durable store, which keeps the full version history,
+    with no demand paging, LRU touch or eviction; it reads a follower copy
+    when the copy covers the stamp, and sends every other visit to the
+    owner. Other historical batches are gated against the live graph. *)
 
 val gc_floor : t -> Weaver_vclock.Vclock.t option
-(** Effective watermark of the last compaction: versions strictly below it
-    are gone from the in-memory copy, so unpinned reads below it
-    (historical ones, or weak ones re-stamped at a follower watermark)
-    are answered with a retryable ["snapshot-gced"] error. *)
+(** Watermark of the last compaction: versions strictly below it are gone
+    from the in-memory copy, so live-graph reads below it (historical
+    ones not below the cut, or weak ones re-stamped at a follower
+    watermark) are answered with a retryable ["snapshot-gced"] error. *)
 
 val reload_all : Runtime.t -> t array -> unit
 (** Re-read every server's partition from the backing store after a bulk

@@ -34,9 +34,8 @@ val get_now : 'v t -> string -> 'v option
 val scan_prefix : 'v t -> prefix:string -> (string * 'v) list
 (** All live bindings whose key starts with [prefix], sorted by key. The
     order is part of the contract: it feeds shard crash-recovery reload
-    (which keeps the first [shard_capacity] records) and snapshot
-    publication, both of which must be bit-identical across runs and
-    OCaml hash-table layouts. *)
+    (which keeps the first [shard_capacity] records), which must be
+    bit-identical across runs and OCaml hash-table layouts. *)
 
 val on_apply : 'v t -> (string -> 'v option -> unit) -> unit
 (** [on_apply t f] makes every committed write call [f key value] right

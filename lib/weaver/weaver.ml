@@ -31,7 +31,6 @@ module Vclock = Weaver_vclock.Vclock
 module Oracle = Weaver_oracle.Oracle
 module Oracle_chain = Weaver_oracle.Chain
 module Store = Weaver_store.Store
-module Snapshot = Weaver_store.Snapshot
 module Mgraph = Weaver_graph.Mgraph
 module Codec = Weaver_graph.Codec
 module Partition = Weaver_partition.Partition

@@ -1,16 +1,10 @@
 open Weaver_core
-module Store = Weaver_store.Store
 module Mgraph = Weaver_graph.Mgraph
 
 let all_vertices cluster =
-  let rt = Cluster.runtime cluster in
-  Store.scan_prefix rt.Runtime.store ~prefix:"v/"
-  |> List.filter_map (fun (key, value) ->
-         match value with
-         | Runtime.Vrec v when v.Mgraph.v_life.Mgraph.deleted = None ->
-             Some (String.sub key 2 (String.length key - 2))
-         | _ -> None)
-  |> List.sort compare
+  Runtime.vertex_records (Cluster.runtime cluster)
+  |> List.filter_map (fun (vid, (v : Mgraph.vertex)) ->
+         match v.Mgraph.v_life.Mgraph.deleted with None -> Some vid | Some _ -> None)
 
 let rec chunks n = function
   | [] -> []

@@ -26,5 +26,6 @@ val run_all :
     is itself a consistent snapshot; batches may see different snapshots
     (the price of an online full-graph scan — Kineograph-style systems have
     the same property) — unless [at] pins every batch to one historical
-    timestamp, which makes the whole scan one consistent cut (and, with
-    [Config.snapshot_reads], lock-free against concurrent writers). *)
+    timestamp, which makes the whole scan one consistent cut (and, once
+    [at] is below the shards' cut, served from the durable store without
+    waiting on concurrent writers; DESIGN §12). *)

@@ -193,7 +193,10 @@ let test_install_stream_route_converge () =
    survives the owner crashing — the gatekeeper routes it to a covering
    survivor and the answer matches the pre-crash one. *)
 
-let test_owner_crash_covered_reads_survive () =
+(* A replicated "hot" vertex, written once and left for two watermark
+   rounds: returns the cluster, its owner and a read pinned at a stamp
+   that the followers cover and the owner's cut has passed. *)
+let covered_pinned_read () =
   let c = mk_cluster (repl_cfg 13) in
   let client = Cluster.client c in
   create_vertex client "hot";
@@ -216,6 +219,10 @@ let test_owner_crash_covered_reads_survive () =
     Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ "hot" ]
       ~at:ts ()
   in
+  (c, owner, read_at)
+
+let test_owner_crash_covered_reads_survive () =
+  let c, owner, read_at = covered_pinned_read () in
   let baseline =
     match read_at () with
     | Ok v -> v
@@ -234,6 +241,26 @@ let test_owner_crash_covered_reads_survive () =
         (Option.map Progval.to_str (prop_of baseline "v"))
         (Option.map Progval.to_str (prop_of after "v"))
   | Error e -> Alcotest.failf "pinned read after owner crash failed: %s" e
+
+(* The same reads before any crash, rotating over the owner and its
+   covering followers: the stamp is below the owner's compaction floor,
+   but also below its cut, so the owner answers from the durable store
+   instead of failing the read for the client to retry. *)
+let test_pinned_reads_below_owner_floor () =
+  let c, owner, read_at = covered_pinned_read () in
+  (match Cluster.shard_gc_floor c owner with
+  | Some _ -> ()
+  | None -> Alcotest.fail "the owner never compacted");
+  let ctr = Cluster.counters c in
+  let retries0 = ctr.Runtime.client_retries in
+  for i = 1 to 5 do
+    match read_at () with
+    | Ok v ->
+        Alcotest.(check (option string)) (Printf.sprintf "pinned read %d" i) (Some "final")
+          (Option.map Progval.to_str (prop_of v "v"))
+    | Error e -> Alcotest.failf "pinned read %d failed: %s" i e
+  done;
+  Alcotest.(check int) "no client retries" retries0 ctr.Runtime.client_retries
 
 (* ------------------------------------------------------------------ *)
 (* A credit-starved stream degrades to a wholesale reseed, not a stall:
@@ -557,6 +584,8 @@ let suites =
           test_dead_replica_routed_around;
         Alcotest.test_case "install, stream, route, converge" `Quick
           test_install_stream_route_converge;
+        Alcotest.test_case "pinned reads below the owner's floor need no retry" `Quick
+          test_pinned_reads_below_owner_floor;
         Alcotest.test_case "owner crash: covered reads served by survivors" `Quick
           test_owner_crash_covered_reads_survive;
         Alcotest.test_case "credit exhaustion forces reseed, then converges" `Quick
