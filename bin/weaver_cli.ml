@@ -190,13 +190,13 @@ let replication gatekeepers shards seed clients duration_ms theta factor json =
 
 let backup_demo gatekeepers shards tau seed =
   let c = cluster ~gatekeepers ~shards ~tau ~seed in
-  let client = Cluster.client c in
   let rng = Weaver_util.Xrand.create ~seed () in
   let g = Workloads.Graphgen.uniform ~rng ~prefix:"b" ~vertices:200 ~edges:800 () in
   ignore (X.install c g);
-  ignore client;
   let image = Backup.dump c in
-  Printf.printf "dumped %d vertices into a %d-byte image\n" 200 (String.length image);
+  let dumped = List.length g.Workloads.Graphgen.edges in
+  Printf.printf "dumped %d vertices and %d edges into a %d-byte image\n"
+    g.Workloads.Graphgen.n_vertices dumped (String.length image);
   let c2 = cluster ~gatekeepers ~shards ~tau ~seed:(seed + 1) in
   Backup.restore c2 image;
   Cluster.run_for c2 5_000.0;
@@ -205,7 +205,8 @@ let backup_demo gatekeepers shards tau seed =
     Client.run_program client2 ~prog:"count_edges" ~params:Progval.Null
       ~starts:(Workloads.Graphgen.vertex_ids g) ()
   with
-  | Ok (Progval.Int n) -> Printf.printf "restored cluster reports %d edges\n" n
+  | Ok (Progval.Int n) when n = dumped -> Printf.printf "restored cluster reports %d edges\n" n
+  | Ok (Progval.Int n) -> failwith (Printf.sprintf "restored cluster reports %d of %d edges" n dumped)
   | _ -> failwith "restore verification failed"
 
 (* [stats], [trace], [export] and [slow] inspect the bench's traced

@@ -37,6 +37,8 @@ let restore cluster data =
     invalid_arg
       (Printf.sprintf "Backup.restore: dump has %d gatekeepers, cluster has %d" dims
          rt.Runtime.cfg.Config.n_gatekeepers);
+  if Store.length rt.Runtime.store > 0 then
+    invalid_arg "Backup.restore: the cluster's store already holds data";
   let entries =
     Wire.Reader.list r (fun () ->
         let key = Wire.Reader.string r in
@@ -50,9 +52,5 @@ let restore cluster data =
         (key, value))
   in
   rt.Runtime.foreign_stamps <- true;
-  let stx = Store.Tx.begin_ rt.Runtime.store in
-  List.iter (fun (key, value) -> Store.Tx.put stx key value) entries;
-  (match Store.Tx.commit stx with
-  | Ok () -> ()
-  | Error _ -> invalid_arg "Backup.restore: store not idle");
+  Store.load rt.Runtime.store entries;
   Cluster.reload_shards cluster

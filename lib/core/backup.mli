@@ -14,9 +14,11 @@ val dump : Cluster.t -> string
 (** Serialize every live backing-store binding. *)
 
 val restore : Cluster.t -> string -> unit
-(** Load a dump into this cluster's backing store and reload every shard's
-    partition. The cluster must have the same number of gatekeepers as the
-    one that produced the dump (timestamps carry clock dimensions) and
-    must not have served traffic yet.
+(** Load a dump into this cluster's backing store, as one bulk load
+    ({!Weaver_store.Store.load}), and reload every shard's partition. The
+    cluster must have the same number of gatekeepers as the one that
+    produced the dump (timestamps carry clock dimensions) and an empty
+    store.
     @raise Weaver_util.Wire.Reader.Corrupt on malformed input.
-    @raise Invalid_argument on a dimension mismatch. *)
+    @raise Invalid_argument on a dimension mismatch, or when the store
+    already holds a key (a restore never overwrites data). *)

@@ -45,6 +45,32 @@ let on_apply t f = t.on_apply <- f
 let commits t = t.commits
 let aborts t = t.aborts
 
+let apply t k value =
+  let cell =
+    match Tbl.Str.find_opt t.cells k with
+    | Some c -> c
+    | None ->
+        let c = { value = None; ver = 0 } in
+        Tbl.Str.replace t.cells k c;
+        c
+  in
+  let was_live = cell.value <> None and is_live = value <> None in
+  cell.value <- value;
+  if was_live && not is_live then t.live <- t.live - 1;
+  if (not was_live) && is_live then t.live <- t.live + 1;
+  cell.ver <- cell.ver + 1;
+  t.on_apply k value
+
+(* one committed write set: journal first (the write set is durable
+   before cells mutate), then every key in order *)
+let write t entry =
+  t.journal <- entry :: t.journal;
+  t.journal_len <- t.journal_len + 1;
+  List.iter (fun (k, v) -> apply t k v) entry;
+  t.commits <- t.commits + 1
+
+let load t bindings = write t (List.map (fun (k, v) -> (k, Some v)) bindings)
+
 module Tx = struct
   type 'v op = Put of 'v | Delete
 
@@ -85,25 +111,6 @@ module Tx = struct
   let put tx k v = record_write tx k (Put v)
   let delete tx k = record_write tx k Delete
 
-  let apply store k op =
-    let cell =
-      match Tbl.Str.find_opt store.cells k with
-      | Some c -> c
-      | None ->
-          let c = { value = None; ver = 0 } in
-          Tbl.Str.replace store.cells k c;
-          c
-    in
-    let was_live = cell.value <> None in
-    (match op with
-    | Put v -> cell.value <- Some v
-    | Delete -> cell.value <- None);
-    let is_live = cell.value <> None in
-    if was_live && not is_live then store.live <- store.live - 1;
-    if (not was_live) && is_live then store.live <- store.live + 1;
-    cell.ver <- cell.ver + 1;
-    store.on_apply k cell.value
-
   let commit tx =
     check_open tx;
     tx.finished <- true;
@@ -120,22 +127,13 @@ module Tx = struct
         tx.store.aborts <- tx.store.aborts + 1;
         Error (`Conflict k)
     | None ->
-        let ordered = List.rev tx.order in
-        (* journal first: the write set is durable before cells mutate *)
-        let entry =
-          List.map
-            (fun k ->
-              match Tbl.Str.find tx.writes k with
-              | Put v -> (k, Some v)
-              | Delete -> (k, None))
-            ordered
-        in
-        tx.store.journal <- entry :: tx.store.journal;
-        tx.store.journal_len <- tx.store.journal_len + 1;
-        List.iter
-          (fun k -> apply tx.store k (Tbl.Str.find tx.writes k))
-          ordered;
-        tx.store.commits <- tx.store.commits + 1;
+        write tx.store
+          (List.rev_map
+             (fun k ->
+               match Tbl.Str.find tx.writes k with
+               | Put v -> (k, Some v)
+               | Delete -> (k, None))
+             tx.order);
         Ok ()
 
   let abort tx =
@@ -155,12 +153,5 @@ let journal_entry t i =
 
 let replay t =
   let fresh = create () in
-  List.iter
-    (fun entry ->
-      let tx = Tx.begin_ fresh in
-      List.iter
-        (fun (k, v) -> match v with Some v -> Tx.put tx k v | None -> Tx.delete tx k)
-        entry;
-      match Tx.commit tx with Ok () -> () | Error _ -> assert false)
-    (List.rev t.journal);
+  List.iter (write fresh) (List.rev t.journal);
   fresh

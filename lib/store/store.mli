@@ -38,29 +38,42 @@ val scan_prefix : 'v t -> prefix:string -> (string * 'v) list
     bit-identical across runs and OCaml hash-table layouts. *)
 
 val on_apply : 'v t -> (string -> 'v option -> unit) -> unit
-(** [on_apply t f] makes every committed write call [f key value] right
-    after the cell changes ([None] = deleted), in application order.
+(** [on_apply t f] makes every committed or loaded write call
+    [f key value] right after the cell changes ([None] = deleted), in
+    application order.
     Aborted transactions call nothing. One hook per store; a later call
     replaces it. Derived indexes (the runtime's directory mirror) stay
     exact this way, whatever path the write took. The hook must not
     touch the store. {!replay}'s fresh store starts without one. *)
 
+val load : 'v t -> (string * 'v) list -> unit
+(** Bulk load: write the bindings straight into the cells, in list order,
+    without a transaction. Each key is applied as a commit applies it (its
+    cell changes, its version goes up by one, the {!on_apply} hook runs),
+    and the whole load is one journal entry and counts as one commit.
+    It records no read set and cannot conflict; offline preloads and
+    restores use it. Keys should be distinct: a repeated key is applied
+    (and its version bumped) once per occurrence. *)
+
 val commits : 'v t -> int
+(** Committed transactions plus bulk loads. *)
+
 val aborts : 'v t -> int
 
 (** {1 Write-ahead journal}
 
-    Every committed transaction appends its write set to an in-order
-    journal before the cells mutate — the durability boundary a disk-backed
-    deployment would fsync. {!replay} rebuilds an equivalent store from the
+    Every committed transaction (and every {!load}) appends its write set
+    to an in-order journal before the cells mutate — the durability
+    boundary a disk-backed deployment would fsync. {!replay} rebuilds an equivalent store from the
     journal alone, which the tests use to validate crash-consistency. *)
 
 val journal_length : 'v t -> int
-(** Committed transactions recorded. *)
+(** Committed transactions and loads recorded. *)
 
 val journal_entry : 'v t -> int -> (string * 'v option) list
-(** Write set of the [i]-th committed transaction ([None] = deletion), in
-    application order. @raise Invalid_argument when out of range. *)
+(** Write set of the [i]-th committed transaction or load ([None] =
+    deletion), in application order.
+    @raise Invalid_argument when out of range. *)
 
 val replay : 'v t -> 'v t
 (** A fresh store holding the journal's effects replayed in order; its own

@@ -56,66 +56,82 @@ let bulk_load cluster client ?(batch = 64) ?(pipeline = 16) (g : Graphgen.t) =
       in
       match edge_phase with Error e -> Error e | Ok e_txs -> Ok (v_txs + e_txs))
 
-let zero_stamp cluster =
-  Vclock.zero ~n:(Cluster.config cluster).Config.n_gatekeepers
+(* Every preloaded version is stamped [ts], the zero stamp, and shares
+   one of two lifespans: stamps and lifespans are immutable, so a whole
+   load allocates them once. *)
+type load = { ts : Vclock.t; life : Mgraph.lifespan; closed : Mgraph.lifespan }
 
-(* Every preloaded version is stamped [ts], the zero stamp. Stamps are
-   immutable, so a whole install shares one instead of allocating two per
-   vertex. *)
-let install_record cluster ~ts ?shard vid (record : Mgraph.vertex) =
-  let rt = Cluster.runtime cluster in
-  let shard =
-    match shard with
-    | Some s -> s
-    | None ->
-        Weaver_partition.Partition.hash_vertex
-          ~shards:(Cluster.config cluster).Config.n_shards vid
-  in
-  let stx = Store.Tx.begin_ rt.Runtime.store in
-  Store.Tx.put stx (Runtime.vkey vid) (Runtime.Vrec record);
-  Store.Tx.put stx (Runtime.dirkey vid) (Runtime.Dir shard);
-  Store.Tx.put stx (Runtime.lukey vid) (Runtime.Stamp ts);
-  match Store.Tx.commit stx with
-  | Ok () -> ()
-  | Error _ -> invalid_arg "fast_install: store conflict during preload"
+let zero_load cluster =
+  let ts = Vclock.zero ~n:(Cluster.config cluster).Config.n_gatekeepers in
+  { ts; life = { created = ts; deleted = None }; closed = { created = ts; deleted = Some ts } }
 
-let install_at cluster ~ts ~vid ?shard ?(props = []) ~edges () =
-  let before a b = Vclock.precedes a b in
-  let v = Mgraph.create_vertex ~vid ~at:ts in
-  let v =
-    List.fold_left
-      (fun v (key, value) -> Mgraph.set_vertex_prop before v ~key ~value ~at:ts)
-      v props
+(* property versions newest first, as successive [Mgraph.set_vertex_prop]
+   calls at the load stamp leave them: a repeated key closes its older
+   version at that stamp *)
+let versions l kvs =
+  let rec go newer acc = function
+    | [] -> acc
+    | (pkey, pval) :: older ->
+        let p_life = if List.mem pkey newer then l.closed else l.life in
+        go (pkey :: newer) ({ Mgraph.pkey; pval; p_life } :: acc) older
   in
-  let _, v =
-    List.fold_left
-      (fun (i, v) (dst, eprops) ->
-        let eid = "pre_" ^ vid ^ "_" ^ string_of_int i in
-        let v = Mgraph.add_edge v ~eid ~dst ~at:ts in
-        let v =
-          List.fold_left
-            (fun v (key, value) -> Mgraph.set_edge_prop before v ~eid ~key ~value ~at:ts)
-            v eprops
-        in
-        (i + 1, v))
-      (0, v) edges
-  in
-  install_record cluster ~ts ?shard vid v
+  Array.of_list (List.rev (go [] [] (List.rev kvs)))
 
-let install_vertex cluster ~vid ?shard ?props ~edges () =
-  install_at cluster ~ts:(zero_stamp cluster) ~vid ?shard ?props ~edges ()
+(* One preloaded record, built in one pass: edge [i] of [n], in install
+   order, is [edge_at i] = (dst, props), named [pre_<vid>_<i>], and sits
+   at [out.(n - 1 - i)] (newest first), where [n] successive
+   [Mgraph.add_edge] calls would put it. *)
+let record l ~vid ~props n edge_at =
+  let prefix = "pre_" ^ vid ^ "_" in
+  let edge i =
+    let dst, eprops = edge_at i in
+    { Mgraph.eid = prefix ^ string_of_int i; dst; e_life = l.life; e_props = versions l eprops }
+  in
+  {
+    Mgraph.vid;
+    v_life = l.life;
+    v_props = versions l props;
+    out = Array.init n (fun j -> edge (n - 1 - j));
+  }
+
+(* a vertex's keys, in the order a per-vertex commit applied them *)
+let bindings l ~vid ~shard r rest =
+  (Runtime.vkey vid, Runtime.Vrec r)
+  :: (Runtime.dirkey vid, Runtime.Dir shard)
+  :: (Runtime.lukey vid, Runtime.Stamp l.ts)
+  :: rest
+
+let hashed cluster vid =
+  Weaver_partition.Partition.hash_vertex ~shards:(Cluster.config cluster).Config.n_shards vid
+
+let install_vertex cluster ~vid ?shard ?(props = []) ~edges () =
+  let l = zero_load cluster in
+  let edges = Array.of_list edges in
+  let r = record l ~vid ~props (Array.length edges) (Array.get edges) in
+  let shard = match shard with Some s -> s | None -> hashed cluster vid in
+  Store.load (Cluster.runtime cluster).Runtime.store (bindings l ~vid ~shard r [])
 
 let install_all cluster ?assignment (g : Graphgen.t) =
-  let ts = zero_stamp cluster in
-  let nbrs = Array.make g.Graphgen.n_vertices [] in
-  List.iter (fun (s, d) -> nbrs.(s) <- Graphgen.vid g d :: nbrs.(s)) g.Graphgen.edges;
-  for i = 0 to g.Graphgen.n_vertices - 1 do
-    let vid = Graphgen.vid g i in
-    let shard = Option.bind assignment (fun a -> Hashtbl.find_opt a vid) in
-    install_at cluster ~ts ~vid ?shard
-      ~edges:(List.map (fun d -> (d, [])) nbrs.(i))
-      ()
-  done;
+  let l = zero_load cluster in
+  let n = g.Graphgen.n_vertices in
+  let vids = Array.init n (Graphgen.vid g) in
+  (* install order: last-listed edge first, so [out] keeps edge-list order *)
+  let nbrs = Array.make n [] in
+  List.iter (fun (s, d) -> nbrs.(s) <- d :: nbrs.(s)) g.Graphgen.edges;
+  let rec all i acc =
+    if i < 0 then acc
+    else
+      let vid = vids.(i) in
+      let dsts = Array.of_list nbrs.(i) in
+      let r = record l ~vid ~props:[] (Array.length dsts) (fun e -> (vids.(dsts.(e)), [])) in
+      let shard =
+        match Option.bind assignment (fun a -> Hashtbl.find_opt a vid) with
+        | Some s -> s
+        | None -> hashed cluster vid
+      in
+      all (i - 1) (bindings l ~vid ~shard r acc)
+  in
+  Store.load (Cluster.runtime cluster).Runtime.store (all (n - 1) []);
   (* make the records resident in shard memory by simulating the initial
      recovery read every shard performs when it boots with data present *)
   Cluster.reload_shards cluster

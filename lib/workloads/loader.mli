@@ -23,8 +23,9 @@ val bulk_load :
 val fast_install : Weaver_core.Cluster.t -> Graphgen.t -> unit
 (** Install the graph as of the zero timestamp: backing-store records,
     directory entries, last-update stamps, and resident shard copies
-    (respecting shard capacity when demand paging is on). Must be called
-    before any traffic. *)
+    (respecting shard capacity when demand paging is on). One bulk store
+    load ({!Weaver_store.Store.load}) writes every key, then every shard
+    re-reads its partition ({!Weaver_core.Cluster.reload_shards}). *)
 
 val install_vertex :
   Weaver_core.Cluster.t ->
@@ -34,10 +35,11 @@ val install_vertex :
   edges:(string * (string * string) list) list ->
   unit ->
   unit
-(** [fast_install] for one vertex: [edges] are [(dst, edge_props)]. Used by
+(** [fast_install] for one vertex, as one bulk store load of its three
+    keys: [edges] are [(dst, edge_props)]. Shards are not reloaded; call
+    {!Weaver_core.Cluster.reload_shards} after the last vertex. Used by
     application-specific installers (e.g. the blockchain builder). [shard]
-    overrides the hashed placement — the partitioning ablation installs
-    LDG/restreamed assignments this way. *)
+    overrides the hashed placement. *)
 
 val fast_install_with_assignment :
   Weaver_core.Cluster.t -> Weaver_partition.Partition.assignment -> Graphgen.t -> unit

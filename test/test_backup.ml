@@ -155,6 +155,31 @@ let test_restore_dimension_mismatch () =
        false
      with Invalid_argument _ -> true)
 
+(* A restore never overwrites: into a cluster whose store already holds a
+   key it raises, and the store keeps what it had. *)
+let test_restore_into_data_refused () =
+  let c1 = Cluster.create Config.default in
+  let client1 = Cluster.client c1 in
+  let tx = Client.Tx.begin_ client1 in
+  ignore (Client.Tx.create_vertex tx ~id:"dumped" ());
+  (match Client.commit client1 tx with Ok () -> () | Error e -> Alcotest.failf "%s" e);
+  let image = Backup.dump c1 in
+  let c2 = Cluster.create Config.default in
+  let client2 = Cluster.client c2 in
+  let tx = Client.Tx.begin_ client2 in
+  ignore (Client.Tx.create_vertex tx ~id:"resident" ());
+  (match Client.commit client2 tx with Ok () -> () | Error e -> Alcotest.failf "%s" e);
+  let store = (Cluster.runtime c2).Runtime.store in
+  let held = Weaver_store.Store.scan_prefix store ~prefix:"" in
+  Alcotest.(check bool) "restore over data refused" true
+    (try
+       Backup.restore c2 image;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "store untouched" true
+    (Weaver_store.Store.scan_prefix store ~prefix:"" = held);
+  Alcotest.(check bool) "dumped vertex absent" true (Cluster.stored_vertex c2 "dumped" = None)
+
 let suites =
   [
     ( "backup",
@@ -166,5 +191,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_vertex_roundtrip;
         Alcotest.test_case "cluster backup/restore" `Quick test_cluster_backup_restore;
         Alcotest.test_case "dimension mismatch" `Quick test_restore_dimension_mismatch;
+        Alcotest.test_case "restore over data refused" `Quick test_restore_into_data_refused;
       ] );
   ]

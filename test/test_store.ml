@@ -112,6 +112,48 @@ let test_scan_prefix () =
     (List.sort String.compare keys) keys;
   Alcotest.(check int) "all present" 10 (List.length keys)
 
+(* A bulk load applies each binding as a commit would (cell, version,
+   apply hook, in list order) and is one journal entry and one commit. *)
+let test_load () =
+  let s = Store.create () in
+  let applied = ref [] in
+  Store.on_apply s (fun k v -> applied := (k, v) :: !applied);
+  let bindings = [ ("b", 2); ("a", 1); ("c", 3) ] in
+  Store.load s bindings;
+  Alcotest.(check int) "live count" 3 (Store.length s);
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check int) ("version of " ^ k) 1 (Store.version s k);
+      Alcotest.(check (option int)) ("value of " ^ k) (Some v) (Store.get_now s k))
+    bindings;
+  Alcotest.(check (list (pair string (option int))))
+    "one hook call per binding, in order"
+    (List.map (fun (k, v) -> (k, Some v)) bindings)
+    (List.rev !applied);
+  Alcotest.(check int) "one journal entry" 1 (Store.journal_length s);
+  Alcotest.(check (list (pair string (option int))))
+    "the entry is the load"
+    (List.map (fun (k, v) -> (k, Some v)) bindings)
+    (Store.journal_entry s 0);
+  Alcotest.(check int) "one commit" 1 (Store.commits s);
+  (* loading over existing keys bumps them as a commit does *)
+  let tx = Store.Tx.begin_ s in
+  Store.Tx.delete tx "c";
+  ignore (Store.Tx.commit tx);
+  Store.load s [ ("a", 10); ("c", 30); ("d", 4) ];
+  Alcotest.(check (list int)) "versions bumped"
+    [ 2; 1; 3; 1 ]
+    (List.map (Store.version s) [ "a"; "b"; "c"; "d" ]);
+  Alcotest.(check int) "live count after reload" 4 (Store.length s);
+  Alcotest.(check int) "three journal entries" 3 (Store.journal_length s);
+  Alcotest.(check int) "three commits" 3 (Store.commits s);
+  let r = Store.replay s in
+  Alcotest.(check (list (pair string int)))
+    "replay equals the store" (Store.scan_prefix s ~prefix:"") (Store.scan_prefix r ~prefix:"");
+  Alcotest.(check (list int)) "replayed versions"
+    [ 2; 1; 3; 1 ]
+    (List.map (Store.version r) [ "a"; "b"; "c"; "d" ])
+
 let test_finished_handle_rejected () =
   let s = Store.create () in
   let tx = Store.Tx.begin_ s in
@@ -220,6 +262,7 @@ let suites =
         Alcotest.test_case "double delete aborts" `Quick test_conflict_on_deleted_vertex;
         Alcotest.test_case "version bumps" `Quick test_version_bumps;
         Alcotest.test_case "scan prefix" `Quick test_scan_prefix;
+        Alcotest.test_case "bulk load" `Quick test_load;
         Alcotest.test_case "finished handle" `Quick test_finished_handle_rejected;
         Alcotest.test_case "multi-key atomicity" `Quick test_atomicity_multi_key;
         QCheck_alcotest.to_alcotest prop_occ_serializable;

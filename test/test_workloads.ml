@@ -5,6 +5,8 @@ open Weaver_workloads
 open Weaver_core
 module Xrand = Weaver_util.Xrand
 module Programs = Weaver_programs.Std_programs
+module Store = Weaver_store.Store
+module Mgraph = Weaver_graph.Mgraph
 
 let mk_cluster ?(cfg = Config.default) () =
   let c = Cluster.create cfg in
@@ -133,6 +135,66 @@ let test_fast_install_and_query () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "post-install write: %s" e
 
+(* A preload is one store load: every key written once (version 1), one
+   journal entry that replays to the store, placement as assigned, and the
+   shards filled up to their capacity. *)
+let check_install_is_one_load ~shard_capacity ~assign () =
+  let n_shards = 3 in
+  let c = mk_cluster ~cfg:{ Config.default with Config.n_shards; shard_capacity } () in
+  let rng = Xrand.create ~seed:21 () in
+  let g = Graphgen.preferential ~rng ~prefix:"ld" ~vertices:300 ~out_degree:3 () in
+  let assignment = Weaver_partition.Partition.ldg ~shards:n_shards (Graphgen.adjacency g) in
+  if assign then Loader.fast_install_with_assignment c assignment g else Loader.fast_install c g;
+  if assign then
+    List.iter
+      (fun vid ->
+        Alcotest.(check int) ("placement of " ^ vid) (Hashtbl.find assignment vid)
+          (Cluster.shard_of_vertex c vid))
+      (Graphgen.vertex_ids g);
+  let resident = List.init n_shards (Cluster.shard_resident c) in
+  (match shard_capacity with
+  | Some cap -> List.iter (Alcotest.(check int) "capacity respected" cap) resident
+  | None -> Alcotest.(check int) "all resident" 300 (List.fold_left ( + ) 0 resident));
+  let store = (Cluster.runtime c).Runtime.store in
+  let bindings = Store.scan_prefix store ~prefix:"" in
+  Alcotest.(check int) "three keys per vertex" 900 (List.length bindings);
+  List.iter (fun (k, _) -> Alcotest.(check int) ("version of " ^ k) 1 (Store.version store k)) bindings;
+  Alcotest.(check int) "one journal entry" 1 (Store.journal_length store);
+  Alcotest.(check bool) "replay equals the store" true
+    (Store.scan_prefix (Store.replay store) ~prefix:"" = bindings)
+
+let test_install_is_one_load () =
+  check_install_is_one_load ~shard_capacity:None ~assign:false ();
+  check_install_is_one_load ~shard_capacity:(Some 40) ~assign:false ();
+  check_install_is_one_load ~shard_capacity:(Some 40) ~assign:true ()
+
+(* [install_vertex] builds in one pass the record that successive
+   [Mgraph] updates at the zero stamp build, repeated property keys
+   included *)
+let test_install_vertex_record () =
+  let c = mk_cluster () in
+  let props = [ ("a", "1"); ("b", "2"); ("a", "3"); ("a", "4") ] in
+  let edges = [ ("y", [ ("w", "1"); ("w", "2") ]); ("z", []); ("y", [ ("q", "1") ]) ] in
+  Loader.install_vertex c ~vid:"x" ~props ~edges ();
+  let before = Weaver_vclock.Vclock.precedes in
+  let at = Weaver_vclock.Vclock.zero ~n:(Cluster.config c).Config.n_gatekeepers in
+  let v = Mgraph.create_vertex ~vid:"x" ~at in
+  let v = List.fold_left (fun v (key, value) -> Mgraph.set_vertex_prop before v ~key ~value ~at) v props in
+  let _, v =
+    List.fold_left
+      (fun (i, v) (dst, eprops) ->
+        let eid = "pre_x_" ^ string_of_int i in
+        let v = Mgraph.add_edge v ~eid ~dst ~at in
+        ( i + 1,
+          List.fold_left
+            (fun v (key, value) -> Mgraph.set_edge_prop before v ~eid ~key ~value ~at)
+            v eprops ))
+      (0, v) edges
+  in
+  Alcotest.(check bool) "same record" true (Cluster.stored_vertex c "x" = Some v);
+  Alcotest.(check int) "placed by hash" (Weaver_partition.Partition.hash_vertex ~shards:(Cluster.config c).Config.n_shards "x")
+    (Cluster.shard_of_vertex c "x")
+
 let test_blockchain_txs_curve () =
   Alcotest.(check int) "genesis" 1 (Blockchain.txs_in_block 0);
   Alcotest.(check int) "calibration point" 1795 (Blockchain.txs_in_block 350_000);
@@ -192,6 +254,8 @@ let suites =
       [
         Alcotest.test_case "bulk load" `Quick test_bulk_load_and_query;
         Alcotest.test_case "fast install" `Quick test_fast_install_and_query;
+        Alcotest.test_case "install is one store load" `Quick test_install_is_one_load;
+        Alcotest.test_case "install_vertex record" `Quick test_install_vertex_record;
       ] );
     ( "workloads.blockchain",
       [
