@@ -75,10 +75,13 @@ type t = {
   heat : Heat.t option;  (* Some iff [Config.enable_heat] *)
   names : Intern.t;  (* the one vertex numbering of the cluster *)
   mutable dir : int array;
-      (* by handle: the shard of every committed "dir/" key, -1 where there
-         is none. Kept exact by the store's apply hook, so the store stays
-         authoritative and this array only saves the key build and the
-         probe of the whole store *)
+      (* by handle: the shard of every numbered vertex, with the [home]
+         bit set where no "dir/" key is committed (the hashed home); -1 in
+         slots no handle has reached. Kept exact by the store's apply hook,
+         so the store stays authoritative and this array only saves the
+         key build, the probe of the whole store and the hash *)
+  mutable partitions : (int * (int * Mgraph.vertex) list array) option;
+      (* [records_by_shard] and the [Store.commits] it was computed at *)
   mutable profiler : Prof.t option;  (* handler attribution, default off *)
   mutable probe_audit : probe_audit option;
       (* shadow lookups of the cache probes the ordering gate skips,
@@ -239,6 +242,22 @@ let standing_plan t =
         let owner = range mod n in
         (range, owner, follow owner))
 
+(* [dir] flag of a vertex placed at its hashed home without a committed
+   "dir/" key: absent keys mean the hashed home, so a preload writes a key
+   only for a vertex placed elsewhere (DESIGN §18) *)
+let home = 1 lsl 30
+
+let hashed t vid = Partition.hash_vertex ~shards:t.cfg.Config.n_shards vid
+
+let place t h s =
+  let len = Array.length t.dir in
+  if h >= len then begin
+    let dir = Array.make (max (2 * len) (h + 1)) (-1) in
+    Array.blit t.dir 0 dir 0 len;
+    t.dir <- dir
+  end;
+  t.dir.(h) <- s
+
 let create cfg =
   Config.validate cfg;
   let engine = Engine.create ~seed:cfg.Config.seed () in
@@ -318,6 +337,7 @@ let create cfg =
          else None);
       names = Intern.create ~capacity:4096 ();
       dir = [||];
+      partitions = None;
       profiler = None;
       probe_audit = None;
       foreign_stamps = false;
@@ -325,16 +345,10 @@ let create cfg =
     }
   in
   Store.on_apply t.store (fun key value ->
-      if String.starts_with ~prefix:"dir/" key then begin
-        let h = Intern.id t.names (String.sub key 4 (String.length key - 4)) in
-        let len = Array.length t.dir in
-        if h >= len then begin
-          let dir = Array.make (max (2 * len) (h + 1)) (-1) in
-          Array.blit t.dir 0 dir 0 len;
-          t.dir <- dir
-        end;
-        t.dir.(h) <- (match value with Some (Dir s) -> s | _ -> -1)
-      end);
+      if String.starts_with ~prefix:"dir/" key then
+        let vid = String.sub key 4 (String.length key - 4) in
+        place t (Intern.id t.names vid)
+          (match value with Some (Dir s) -> s | _ -> home lor hashed t vid));
   register_counter_gauges metrics t.counters;
   (* per-shard cumulative touch totals; only present when heat is on, so
      a heat-off registry snapshot stays bit-identical to the pre-heat one *)
@@ -484,27 +498,54 @@ let vertex_records t =
     (Store.scan_prefix t.store ~prefix:"v/")
 
 let no_handle = -1
-let vertex_handle t vid = Intern.id t.names vid
+
+(* a vid numbered here is placed at its hashed home until a committed
+   "dir/" key says otherwise *)
+let vertex_handle t vid =
+  let fresh = Intern.count t.names in
+  let h = Intern.id t.names vid in
+  if h = fresh then place t h (home lor hashed t vid);
+  h
+
 let vertex_name t h = Intern.name t.names h
 
-let hashed_placement t h =
-  Partition.hash_vertex ~shards:t.cfg.Config.n_shards (Intern.name t.names h)
-
-(* inlined into the hop loop: a placed vertex costs one bounds check and
+(* inlined into the hop loop: a numbered vertex costs one bounds check and
    one array read *)
 let[@inline] shard_of_handle t h =
   let dir = t.dir in
-  if h < Array.length dir && dir.(h) >= 0 then dir.(h) else hashed_placement t h
+  if h < Array.length dir && dir.(h) >= 0 then dir.(h) land (home - 1)
+  else hashed t (Intern.name t.names h)
 
 let shard_of_vertex t vid =
   match Intern.find t.names vid with
   | Some h -> shard_of_handle t h
-  | None -> Partition.hash_vertex ~shards:t.cfg.Config.n_shards vid
+  | None -> hashed t vid
 
 let directory t =
   let acc = ref [] in
-  Array.iteri (fun h s -> if s >= 0 then acc := (Intern.name t.names h, s) :: !acc) t.dir;
+  Array.iteri
+    (fun h s -> if s >= 0 && s land home = 0 then acc := (Intern.name t.names h, s) :: !acc)
+    t.dir;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+
+(* every durable vertex record, split by the directory into per-shard
+   lists in key order; one scan serves every server until the store takes
+   its next write *)
+let records_by_shard t =
+  let commits = Store.commits t.store in
+  match t.partitions with
+  | Some (at, by_shard) when at = commits -> by_shard
+  | _ ->
+      let by_shard = Array.make t.cfg.Config.n_shards [] in
+      List.iter
+        (fun (vid, v) ->
+          let h = vertex_handle t vid in
+          let s = shard_of_handle t h in
+          by_shard.(s) <- (h, v) :: by_shard.(s))
+        (vertex_records t);
+      let by_shard = Array.map List.rev by_shard in
+      t.partitions <- Some (commits, by_shard);
+      by_shard
 
 (* heat touch recording: O(1) pure bookkeeping against the sketch and
    decay cells — never schedules events, consumes RNG, or sends messages —

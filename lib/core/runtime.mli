@@ -132,12 +132,18 @@ type t = {
           stays the same for the cluster's whole life and indexes arrays
           directly *)
   mutable dir : int array;
-      (** the directory by handle: the shard of every committed ["dir/"]
-          key, -1 where there is none. Kept exact by the store's apply hook
-          ({!Weaver_store.Store.on_apply}) through creates, migrations,
-          restores and aborted commits. Read it through
-          {!shard_of_handle}; the store stays authoritative for
-          transactional reads *)
+      (** the directory by handle: the shard of every numbered vertex.
+          A committed ["dir/"] key gives it; a vertex with none sits at
+          its hashed home, stored with a flag bit so {!directory} lists
+          committed keys only. Numbering a vid ({!vertex_handle}) places
+          it at its hashed home, and the store's apply hook
+          ({!Weaver_store.Store.on_apply}) keeps the committed entries
+          exact through creates, migrations, restores and aborted commits.
+          Read it through {!shard_of_handle}; the store stays
+          authoritative for transactional reads *)
+  mutable partitions : (int * (int * Weaver_graph.Mgraph.vertex) list array) option;
+      (** the last {!records_by_shard} result and the
+          {!Weaver_store.Store.commits} count it was computed at *)
   mutable profiler : Weaver_obs.Prof.t option;
       (** handler CPU attribution, off by default; while [Some], every
           handler registered through {!register} is measured per actor
@@ -276,7 +282,9 @@ val actor_of_addr : t -> int -> string
 (** {1 Vertex placement} *)
 
 val vertex_handle : t -> string -> int
-(** The vertex's handle in {!names}, interning it on first sight. *)
+(** The vertex's handle in {!names}, interning it on first sight and
+    then placing it at its hashed home in {!t.dir} (a committed ["dir/"]
+    key overrides that). *)
 
 val no_handle : int
 (** The handle a [Msg.Prog_batch] item carries for a vid the cluster had
@@ -289,14 +297,16 @@ val vertex_name : t -> int -> string
 val shard_of_handle : t -> int -> int
 (** Shard index owning a vertex: the directory entry if present, hashed
     placement otherwise (the mapping every server can compute for
-    yet-unknown vertices). One array read for a placed vertex. *)
+    yet-unknown vertices). One array read for a numbered vertex, with or
+    without a ["dir/"] key. *)
 
 val shard_of_vertex : t -> string -> int
 (** {!shard_of_handle} by vid; a vid never interned gets its hashed
     placement. *)
 
 val directory : t -> (string * int) list
-(** The directory's bindings, sorted by vid (tests). *)
+(** The committed directory's bindings, sorted by vid (tests): vertices
+    at their hashed home without a ["dir/"] key are not listed. *)
 
 val repl_range : t -> string -> int
 (** Key range of a vertex for replication: the heat sensor's bucket
@@ -322,6 +332,13 @@ val dirkey : string -> string
 
 val vertex_records : t -> (string * Weaver_graph.Mgraph.vertex) list
 (** Every durable vertex record with its vid, sorted by key. *)
+
+val records_by_shard : t -> (int * Weaver_graph.Mgraph.vertex) list array
+(** Every durable vertex record with its handle, split by the directory
+    into per-shard lists in key order: what each shard server reloads.
+    The result is reused, physically the same array, until the store
+    takes its next commit or load ({!Weaver_store.Store.commits}), so an
+    epoch barrier scans the store once, not once per server. *)
 
 (** {1 Ordering decisions}
 

@@ -778,19 +778,7 @@ and run_parked t =
 (* ------------------------------------------------------------------ *)
 (* Recovery (§4.3): restore this shard's partition from the backing store. *)
 
-(* every durable vertex record, split by the directory into per-shard
-   lists in key order *)
-let records_by_shard rt =
-  let by_shard = Array.make rt.Runtime.cfg.Config.n_shards [] in
-  List.iter
-    (fun (vid, v) ->
-      let h = Runtime.vertex_handle rt vid in
-      let s = Runtime.shard_of_handle rt h in
-      by_shard.(s) <- (h, v) :: by_shard.(s))
-    (Runtime.vertex_records rt);
-  Array.map List.rev by_shard
-
-(* adopt this server's list of [by_shard] ([records_by_shard]; a read
+(* adopt this server's list of [by_shard] ([Runtime.records_by_shard]; a read
    replica owns none) in key order, up to the capacity; follower copies
    stay as they are *)
 let load_records t by_shard =
@@ -814,7 +802,7 @@ let load_records t by_shard =
     (if is_replica t then [] else by_shard.(t.sid))
 
 let reload_from_store t =
-  load_records t (if is_replica t then [||] else records_by_shard t.rt)
+  load_records t (if is_replica t then [||] else Runtime.records_by_shard t.rt)
 
 (* Drop what lived only in memory between barriers: queued transactions
    and FIFO bookkeeping, parked programs, the in-flight consult, the cut
@@ -1133,7 +1121,7 @@ let retire t = t.retired <- true
 (* A bulk load bypassed the stream: reload every server and reseed every
    follower at the next watermark. One scan of the store serves them all. *)
 let reload_all rt servers =
-  let by_shard = records_by_shard rt in
+  let by_shard = Runtime.records_by_shard rt in
   Array.iter
     (fun t ->
       if rt.Runtime.foreign_stamps then Gate.stop_skipping t.gate;

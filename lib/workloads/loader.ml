@@ -59,11 +59,11 @@ let bulk_load cluster client ?(batch = 64) ?(pipeline = 16) (g : Graphgen.t) =
 (* Every preloaded version is stamped [ts], the zero stamp, and shares
    one of two lifespans: stamps and lifespans are immutable, so a whole
    load allocates them once. *)
-type load = { ts : Vclock.t; life : Mgraph.lifespan; closed : Mgraph.lifespan }
+type load = { life : Mgraph.lifespan; closed : Mgraph.lifespan }
 
 let zero_load cluster =
   let ts = Vclock.zero ~n:(Cluster.config cluster).Config.n_gatekeepers in
-  { ts; life = { created = ts; deleted = None }; closed = { created = ts; deleted = Some ts } }
+  { life = { created = ts; deleted = None }; closed = { created = ts; deleted = Some ts } }
 
 (* property versions newest first, as successive [Mgraph.set_vertex_prop]
    calls at the load stamp leave them: a repeated key closes its older
@@ -77,15 +77,20 @@ let versions l kvs =
   in
   Array.of_list (List.rev (go [] [] (List.rev kvs)))
 
+(* Preloaded edge [i] of every vertex is named [pre_<i>]: an edge is
+   always named by its source and its id, and client edge ids
+   ([e<addr>_<n>]) never take this form, so one load shares one string
+   per index among all its vertices. *)
+let pre_eids n = Array.init n (fun i -> "pre_" ^ string_of_int i)
+
 (* One preloaded record, built in one pass: edge [i] of [n], in install
-   order, is [edge_at i] = (dst, props), named [pre_<vid>_<i>], and sits
-   at [out.(n - 1 - i)] (newest first), where [n] successive
+   order, is [edge_at i] = (dst, props), named [eids.(i)], and sits at
+   [out.(n - 1 - i)] (newest first), where [n] successive
    [Mgraph.add_edge] calls would put it. *)
-let record l ~vid ~props n edge_at =
-  let prefix = "pre_" ^ vid ^ "_" in
+let record l ~eids ~vid ~props n edge_at =
   let edge i =
     let dst, eprops = edge_at i in
-    { Mgraph.eid = prefix ^ string_of_int i; dst; e_life = l.life; e_props = versions l eprops }
+    { Mgraph.eid = eids.(i); dst; e_life = l.life; e_props = versions l eprops }
   in
   {
     Mgraph.vid;
@@ -94,12 +99,16 @@ let record l ~vid ~props n edge_at =
     out = Array.init n (fun j -> edge (n - 1 - j));
   }
 
-(* a vertex's keys, in the order a per-vertex commit applied them *)
-let bindings l ~vid ~shard r rest =
-  (Runtime.vkey vid, Runtime.Vrec r)
-  :: (Runtime.dirkey vid, Runtime.Dir shard)
-  :: (Runtime.lukey vid, Runtime.Stamp l.ts)
-  :: rest
+(* A vertex's keys, writing only what cannot be derived: a "dir/" key
+   only where [shard] differs from the directory's answer (the hashed home
+   for a new vertex), and no "lu/" key, since an absent one reads as the
+   zero stamp. *)
+let bindings rt ~vid ~h ~shard r rest =
+  let rest =
+    if shard = Runtime.shard_of_handle rt h then rest
+    else (Runtime.dirkey vid, Runtime.Dir shard) :: rest
+  in
+  (Runtime.vkey vid, Runtime.Vrec r) :: rest
 
 let hashed cluster vid =
   Weaver_partition.Partition.hash_vertex ~shards:(Cluster.config cluster).Config.n_shards vid
@@ -107,31 +116,40 @@ let hashed cluster vid =
 let install_vertex cluster ~vid ?shard ?(props = []) ~edges () =
   let l = zero_load cluster in
   let edges = Array.of_list edges in
-  let r = record l ~vid ~props (Array.length edges) (Array.get edges) in
+  let n = Array.length edges in
+  let r = record l ~eids:(pre_eids n) ~vid ~props n (Array.get edges) in
+  let rt = Cluster.runtime cluster in
+  let h = Runtime.vertex_handle rt vid in
   let shard = match shard with Some s -> s | None -> hashed cluster vid in
-  Store.load (Cluster.runtime cluster).Runtime.store (bindings l ~vid ~shard r [])
+  Store.load rt.Runtime.store (bindings rt ~vid ~h ~shard r [])
 
 let install_all cluster ?assignment (g : Graphgen.t) =
   let l = zero_load cluster in
   let n = g.Graphgen.n_vertices in
   let vids = Array.init n (Graphgen.vid g) in
+  (* number every vertex in load order: the store's apply hook numbers
+     only the vertices a "dir/" key names *)
+  let rt = Cluster.runtime cluster in
+  let hs = Array.map (Runtime.vertex_handle rt) vids in
   (* install order: last-listed edge first, so [out] keeps edge-list order *)
   let nbrs = Array.make n [] in
   List.iter (fun (s, d) -> nbrs.(s) <- d :: nbrs.(s)) g.Graphgen.edges;
+  let nbrs = Array.map Array.of_list nbrs in
+  let eids = pre_eids (Array.fold_left (fun m a -> max m (Array.length a)) 0 nbrs) in
   let rec all i acc =
     if i < 0 then acc
     else
       let vid = vids.(i) in
-      let dsts = Array.of_list nbrs.(i) in
-      let r = record l ~vid ~props:[] (Array.length dsts) (fun e -> (vids.(dsts.(e)), [])) in
+      let dsts = nbrs.(i) in
+      let r = record l ~eids ~vid ~props:[] (Array.length dsts) (fun e -> (vids.(dsts.(e)), [])) in
       let shard =
         match Option.bind assignment (fun a -> Hashtbl.find_opt a vid) with
         | Some s -> s
         | None -> hashed cluster vid
       in
-      all (i - 1) (bindings l ~vid ~shard r acc)
+      all (i - 1) (bindings rt ~vid ~h:hs.(i) ~shard r acc)
   in
-  Store.load (Cluster.runtime cluster).Runtime.store (all (n - 1) []);
+  Store.load rt.Runtime.store (all (n - 1) []);
   (* make the records resident in shard memory by simulating the initial
      recovery read every shard performs when it boots with data present *)
   Cluster.reload_shards cluster

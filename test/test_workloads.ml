@@ -135,6 +135,9 @@ let test_fast_install_and_query () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "post-install write: %s" e
 
+let hashed c vid =
+  Weaver_partition.Partition.hash_vertex ~shards:(Cluster.config c).Config.n_shards vid
+
 (* A preload is one store load: every key written once (version 1), one
    journal entry that replays to the store, placement as assigned, and the
    shards filled up to their capacity. *)
@@ -157,7 +160,14 @@ let check_install_is_one_load ~shard_capacity ~assign () =
   | None -> Alcotest.(check int) "all resident" 300 (List.fold_left ( + ) 0 resident));
   let store = (Cluster.runtime c).Runtime.store in
   let bindings = Store.scan_prefix store ~prefix:"" in
-  Alcotest.(check int) "three keys per vertex" 900 (List.length bindings);
+  let off_hash =
+    if not assign then 0
+    else
+      List.length
+        (List.filter (fun vid -> Hashtbl.find assignment vid <> hashed c vid) (Graphgen.vertex_ids g))
+  in
+  Alcotest.(check int) "a record per vertex, a directory key per off-hash vertex" (300 + off_hash)
+    (List.length bindings);
   List.iter (fun (k, _) -> Alcotest.(check int) ("version of " ^ k) 1 (Store.version store k)) bindings;
   Alcotest.(check int) "one journal entry" 1 (Store.journal_length store);
   Alcotest.(check bool) "replay equals the store" true
@@ -183,7 +193,7 @@ let test_install_vertex_record () =
   let _, v =
     List.fold_left
       (fun (i, v) (dst, eprops) ->
-        let eid = "pre_x_" ^ string_of_int i in
+        let eid = "pre_" ^ string_of_int i in
         let v = Mgraph.add_edge v ~eid ~dst ~at in
         ( i + 1,
           List.fold_left
@@ -193,7 +203,159 @@ let test_install_vertex_record () =
   in
   Alcotest.(check bool) "same record" true (Cluster.stored_vertex c "x" = Some v);
   Alcotest.(check int) "placed by hash" (Weaver_partition.Partition.hash_vertex ~shards:(Cluster.config c).Config.n_shards "x")
-    (Cluster.shard_of_vertex c "x")
+    (Cluster.shard_of_vertex c "x");
+  (* a directory key only off the hashed home *)
+  let store = (Cluster.runtime c).Runtime.store in
+  Alcotest.(check bool) "no key at the hashed home" true (Store.get_now store (Runtime.dirkey "x") = None);
+  let off = (hashed c "w" + 1) mod (Cluster.config c).Config.n_shards in
+  Loader.install_vertex c ~vid:"w" ~shard:off ~edges:[] ();
+  Alcotest.(check bool) "a key off it" true (Store.get_now store (Runtime.dirkey "w") = Some (Runtime.Dir off));
+  Alcotest.(check int) "placed off it" off (Cluster.shard_of_vertex c "w")
+
+(* A preload writes only what the cluster cannot derive: a "v/" record per
+   vertex, a "dir/" key only for a vertex off its hashed home, no "lu/"
+   key, and edge ids [pre_<i>] shared by every vertex. Vertices are
+   numbered in load order and placed without a per-hop hash. *)
+let check_lean_preload ~assign () =
+  let n_shards = 3 and n = 200 in
+  let c = mk_cluster ~cfg:{ Config.default with Config.n_shards } () in
+  let rt = Cluster.runtime c in
+  let rng = Xrand.create ~seed:5 () in
+  let g = Graphgen.preferential ~rng ~prefix:"ln" ~vertices:n ~out_degree:3 () in
+  let assignment = Weaver_partition.Partition.ldg ~shards:n_shards (Graphgen.adjacency g) in
+  if assign then Loader.fast_install_with_assignment c assignment g else Loader.fast_install c g;
+  let placed vid = if assign then Hashtbl.find assignment vid else hashed c vid in
+  let off = List.filter (fun vid -> placed vid <> hashed c vid) (Graphgen.vertex_ids g) in
+  if assign then Alcotest.(check bool) "some vertices off their hash" true (off <> []);
+  List.iteri
+    (fun i vid ->
+      Alcotest.(check (option int)) ("handle of " ^ vid) (Some i) (Weaver_util.Intern.find rt.Runtime.names vid);
+      Alcotest.(check int) ("cluster placement of " ^ vid) (placed vid) (Cluster.shard_of_vertex c vid);
+      Alcotest.(check int) ("placement by handle of " ^ vid) (placed vid) (Runtime.shard_of_handle rt i);
+      Alcotest.(check bool) ("placed by the array: " ^ vid) true
+        (i < Array.length rt.Runtime.dir && rt.Runtime.dir.(i) >= 0))
+    (Graphgen.vertex_ids g);
+  let store = rt.Runtime.store in
+  let keys prefix = List.map fst (Store.scan_prefix store ~prefix) in
+  Alcotest.(check (list string)) "a record per vertex"
+    (List.sort String.compare (List.map Runtime.vkey (Graphgen.vertex_ids g)))
+    (keys "v/");
+  Alcotest.(check (list string)) "directory keys for the off-hash vertices only"
+    (List.sort String.compare (List.map Runtime.dirkey off))
+    (keys "dir/");
+  Alcotest.(check (list (pair string int))) "the mirror lists the committed keys"
+    (List.sort compare (List.map (fun vid -> (vid, placed vid)) off))
+    (Runtime.directory rt);
+  Alcotest.(check (list string)) "no last-update keys" [] (keys "lu/");
+  (* edge i of every vertex is named by one shared string *)
+  let shared = Hashtbl.create 8 in
+  List.iter
+    (fun (vid, (v : Mgraph.vertex)) ->
+      let k = Array.length v.Mgraph.out in
+      Array.iteri
+        (fun j (e : Mgraph.edge) ->
+          let i = k - 1 - j in
+          Alcotest.(check string) ("eid of " ^ vid) ("pre_" ^ string_of_int i) e.Mgraph.eid;
+          match Hashtbl.find_opt shared i with
+          | Some eid -> Alcotest.(check bool) ("shared eid of " ^ vid) true (eid == e.Mgraph.eid)
+          | None -> Hashtbl.replace shared i e.Mgraph.eid)
+        v.Mgraph.out)
+    (Runtime.vertex_records rt);
+  Alcotest.(check bool) "edges preloaded" true (Hashtbl.length shared > 1);
+  Alcotest.(check int) "one journal entry" 1 (Store.journal_length store);
+  Alcotest.(check bool) "replay equals the store" true
+    (Store.scan_prefix (Store.replay store) ~prefix:"" = Store.scan_prefix store ~prefix:"")
+
+let test_lean_preload () =
+  check_lean_preload ~assign:false ();
+  check_lean_preload ~assign:true ()
+
+(* The first write to a preloaded vertex creates its "lu/" key; an absent
+   key is read at version 0, so two writers racing on a preloaded vertex
+   still conflict, through the last-update key alone too. *)
+let test_lean_keys_after_write () =
+  let c = mk_cluster () in
+  let rng = Xrand.create ~seed:3 () in
+  let g = Graphgen.uniform ~rng ~prefix:"lw" ~vertices:20 ~edges:60 () in
+  Loader.fast_install c g;
+  let store = (Cluster.runtime c).Runtime.store in
+  let client = Cluster.client c in
+  let tx = Client.Tx.begin_ client in
+  Client.Tx.set_vertex_prop tx ~vid:"lw4" ~key:"k" ~value:"v";
+  (match Client.commit client tx with Ok () -> () | Error e -> Alcotest.failf "first write: %s" e);
+  (match Store.get_now store (Runtime.lukey "lw4") with
+  | Some (Runtime.Stamp _) -> ()
+  | _ -> Alcotest.fail "no last-update key after the first write");
+  Alcotest.(check int) "last-update key written once" 1 (Store.version store (Runtime.lukey "lw4"));
+  Alcotest.(check bool) "others still have none" true (Store.get_now store (Runtime.lukey "lw5") = None);
+  let race vid reads =
+    let a = Store.Tx.begin_ store and b = Store.Tx.begin_ store in
+    List.iter (fun k -> ignore (Store.Tx.get a (k vid)); ignore (Store.Tx.get b (k vid))) reads;
+    let stamp = Runtime.Stamp (Weaver_vclock.Vclock.zero ~n:(Cluster.config c).Config.n_gatekeepers) in
+    Store.Tx.put a (Runtime.lukey vid) stamp;
+    Store.Tx.put b (Runtime.lukey vid) stamp;
+    (match Store.Tx.commit a with Ok () -> () | Error _ -> Alcotest.fail "first writer conflicted");
+    match Store.Tx.commit b with
+    | Error (`Conflict _) -> ()
+    | Ok () -> Alcotest.fail "racing writers both committed"
+  in
+  race "lw7" [ Runtime.vkey; Runtime.lukey ];
+  Alcotest.(check bool) "the race left a key" true (Store.get_now store (Runtime.lukey "lw7") <> None);
+  race "lw8" [ Runtime.lukey ]
+
+(* A dump and restore of an LDG-assigned lean preload into a fresh cluster
+   keeps every vertex's placement and every edge id. *)
+let test_lean_restore () =
+  let n_shards = 3 in
+  let cfg = { Config.default with Config.n_shards } in
+  let c1 = mk_cluster ~cfg () in
+  let rng = Xrand.create ~seed:9 () in
+  let g = Graphgen.preferential ~rng ~prefix:"lr" ~vertices:120 ~out_degree:3 () in
+  let assignment = Weaver_partition.Partition.ldg ~shards:n_shards (Graphgen.adjacency g) in
+  Loader.fast_install_with_assignment c1 assignment g;
+  let c2 = mk_cluster ~cfg () in
+  Backup.restore c2 (Backup.dump c1);
+  let eids c vid =
+    match Cluster.stored_vertex c vid with
+    | Some v -> Array.to_list (Array.map (fun (e : Mgraph.edge) -> (e.Mgraph.eid, e.Mgraph.dst)) v.Mgraph.out)
+    | None -> Alcotest.failf "%s lost" vid
+  in
+  List.iter
+    (fun vid ->
+      let s = Hashtbl.find assignment vid in
+      Alcotest.(check int) ("placement of " ^ vid) s (Cluster.shard_of_vertex c2 vid);
+      Alcotest.(check bool) ("resident on its shard: " ^ vid) true
+        (Cluster.shard_vertex c2 ~shard:s vid <> None);
+      Alcotest.(check (list (pair string string))) ("edges of " ^ vid) (eids c1 vid) (eids c2 vid);
+      Alcotest.(check (list (pair string string))) ("resident edges of " ^ vid) (eids c1 vid)
+        (match Cluster.shard_vertex c2 ~shard:s vid with
+        | Some v -> Array.to_list (Array.map (fun (e : Mgraph.edge) -> (e.Mgraph.eid, e.Mgraph.dst)) v.Mgraph.out)
+        | None -> []))
+    (Graphgen.vertex_ids g)
+
+(* Every shard server reloads from one store scan while the store takes no
+   write: a second call returns the very same partitions, and a commit in
+   between forces a fresh scan that sees it. *)
+let test_one_scan_per_barrier () =
+  let c = mk_cluster () in
+  let rt = Cluster.runtime c in
+  let rng = Xrand.create ~seed:4 () in
+  Loader.fast_install c (Graphgen.uniform ~rng ~prefix:"sc" ~vertices:30 ~edges:90 ());
+  let first = Runtime.records_by_shard rt in
+  Alcotest.(check bool) "no write: the same scan" true (Runtime.records_by_shard rt == first);
+  let client = Cluster.client c in
+  let tx = Client.Tx.begin_ client in
+  Client.Tx.set_vertex_prop tx ~vid:"sc3" ~key:"k" ~value:"v";
+  (match Client.commit client tx with Ok () -> () | Error e -> Alcotest.failf "write: %s" e);
+  let after = Runtime.records_by_shard rt in
+  Alcotest.(check bool) "a commit: a fresh scan" false (after == first);
+  let s = Cluster.shard_of_vertex c "sc3" in
+  let h = Runtime.vertex_handle rt "sc3" in
+  Alcotest.(check bool) "the fresh scan holds the write" true
+    (Some (List.assoc h after.(s)) = Cluster.stored_vertex c "sc3");
+  Alcotest.(check bool) "the stale one did not" false
+    (Some (List.assoc h first.(s)) = Cluster.stored_vertex c "sc3");
+  Alcotest.(check bool) "then reused" true (Runtime.records_by_shard rt == after)
 
 let test_blockchain_txs_curve () =
   Alcotest.(check int) "genesis" 1 (Blockchain.txs_in_block 0);
@@ -256,6 +418,10 @@ let suites =
         Alcotest.test_case "fast install" `Quick test_fast_install_and_query;
         Alcotest.test_case "install is one store load" `Quick test_install_is_one_load;
         Alcotest.test_case "install_vertex record" `Quick test_install_vertex_record;
+        Alcotest.test_case "preload writes only what it cannot derive" `Quick test_lean_preload;
+        Alcotest.test_case "lean keys after a write" `Quick test_lean_keys_after_write;
+        Alcotest.test_case "lean preload survives a restore" `Quick test_lean_restore;
+        Alcotest.test_case "one store scan per barrier" `Quick test_one_scan_per_barrier;
       ] );
     ( "workloads.blockchain",
       [
