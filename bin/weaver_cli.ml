@@ -101,8 +101,8 @@ let tao gatekeepers shards tau seed clients duration_ms read_pct =
   Printf.printf "reads : %s\n" (Weaver_util.Stats.summary r.Workloads.Tao.Driver.read_latencies);
   Printf.printf "writes: %s\n" (Weaver_util.Stats.summary r.Workloads.Tao.Driver.write_latencies);
   let ctr = Cluster.counters c in
-  Printf.printf "oracle consults: %d (cache hits %d); announces: %d\n"
-    ctr.Runtime.oracle_consults ctr.Runtime.oracle_cache_hits ctr.Runtime.announce_msgs;
+  Printf.printf "oracle consults: %d; announces: %d\n" ctr.Runtime.oracle_consults
+    ctr.Runtime.announce_msgs;
   print_newline ();
   print_string (Cluster.report c)
 

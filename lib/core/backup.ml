@@ -51,6 +51,5 @@ let restore cluster data =
         in
         (key, value))
   in
-  rt.Runtime.foreign_stamps <- true;
   Store.load rt.Runtime.store entries;
   Cluster.reload_shards cluster

@@ -1,5 +1,5 @@
-(* Heat-driven live rebalancing (paper §4.6, ROADMAP item 1): the planner
-   that closes the sense→plan→act loop over the PR-7 heat sensor.
+(* Heat-driven live rebalancing (paper §4.6): the planner that closes the
+   sense→plan→act loop over the PR-7 heat sensor.
 
    Each round (every [Config.rebalance_period] µs) the planner:
 

@@ -148,19 +148,12 @@ val run_program :
 val set_timeout : t -> float -> unit
 (** Reply timeout in virtual µs (default 3 s). *)
 
-val commit_with_reads_async :
-  t ->
-  Tx.tx ->
-  on_result:(((string * Progval.t) list, string) result -> unit) ->
-  unit
-(** Like {!commit_async}, additionally returning one [(vid, summary)] pair
-    per {!Tx.read_vertex} operation, read inside the same atomic store
-    transaction. A summary is [Assoc {vid; degree; out; props}], or [Null]
-    if the vertex does not exist. *)
-
 val commit_with_reads :
   t -> Tx.tx -> ((string * Progval.t) list, string) result
-(** Synchronous {!commit_with_reads_async}. *)
+(** Like {!commit}, additionally returning one [(vid, summary)] pair per
+    {!Tx.read_vertex} operation, read inside the same atomic store
+    transaction. A summary is [Assoc {vid; degree; out; props}], or [Null]
+    if the vertex does not exist. *)
 
 val migrate_async :
   t -> vid:string -> to_shard:int -> on_result:((unit, string) result -> unit) -> unit

@@ -33,14 +33,12 @@ let runtime t = t.rt
 let registry t = t.rt.Runtime.registry
 let counters t = t.rt.Runtime.counters
 let client t = Client.create t.rt
-let register_program t p = Nodeprog.register t.rt.Runtime.registry p
 let now t = Engine.now t.rt.Runtime.engine
 
 let run_for t dur =
   let engine = t.rt.Runtime.engine in
   Engine.run ~until:(Engine.now engine +. dur) engine
 
-let oracle_queries t = Runtime.oracle_queries_served t.rt
 let epoch t = Membership.epoch t.mgr.membership
 let metrics t = t.rt.Runtime.metrics
 let request_tracer t = t.rt.Runtime.tracer
@@ -295,8 +293,7 @@ let report t =
   line "  coordination: announces %d, nops %d, shard txs %d, prog batches %d"
     c.Runtime.announce_msgs c.Runtime.nop_msgs c.Runtime.shard_tx_msgs
     c.Runtime.prog_batch_msgs;
-  line "  oracle: consults %d, cache hits %d, events %d, edges %d"
-    c.Runtime.oracle_consults c.Runtime.oracle_cache_hits
+  line "  oracle: consults %d, events %d, edges %d" c.Runtime.oracle_consults
     (Oracle.event_count t.rt.Runtime.oracle)
     (Oracle.edge_count t.rt.Runtime.oracle);
   line "  store: keys %d, commits %d, aborts %d, journal %d"

@@ -27,16 +27,11 @@ val counters : t -> Runtime.counters
 val client : t -> Client.t
 (** A new client session. *)
 
-val register_program : t -> (module Nodeprog.PROGRAM) -> unit
-
 val now : t -> float
 (** Current virtual time, µs. *)
 
 val run_for : t -> float -> unit
 (** Advance the simulation by the given virtual duration. *)
-
-val oracle_queries : t -> int
-(** Total ordering requests served by the timeline oracle. *)
 
 val epoch : t -> int
 (** Current configuration epoch at the cluster manager. *)

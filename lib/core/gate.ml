@@ -5,35 +5,29 @@ type queued_tx = {
   q_ops : Msg.shard_op list;
   q_trace : int;
   q_enq : float;
-  mutable q_ordered : bool;
 }
 
 (* "no reference": a queue that is empty and has applied nothing, which
    never clears a batch *)
-let none =
-  { q_ts = Vclock.zero ~n:1; q_ops = []; q_trace = 0; q_enq = 0.0; q_ordered = false }
+let none = { q_ts = Vclock.zero ~n:1; q_ops = []; q_trace = 0; q_enq = 0.0 }
 
 type order = {
   clock : Vclock.t -> Vclock.t -> bool option;
-  probe : skip:bool -> Vclock.t -> Vclock.t -> bool option;
   established : Vclock.t -> Vclock.t -> bool option;
   before : Vclock.t -> Vclock.t -> prefer_first_on_tie:bool -> bool;
-  version : unit -> int;
 }
 
 (* How a verdict was reached, which says what a fresh check would do:
-   [Settled] by clocks (nothing more); [Cached] from a cache entry (one
-   hit); [Unsettled] after a miss with no established order (the same
-   miss while the cache keeps its version, then for a real transaction
-   the same oracle query). *)
-type how = Settled | Cached | Unsettled
+   [Settled] by clocks and [Established] by the oracle (nothing more: its
+   decisions are irrevocable); [Unsettled] with no established order (for
+   a real transaction, the same oracle query). *)
+type how = Settled | Established | Unsettled
 
 type verdict = {
   mutable v_ts : Vclock.t;  (* the reference stamp, compared physically *)
   mutable v_nop : bool;  (* checked as effect-free *)
   mutable v_ok : bool;
   mutable v_how : how;
-  mutable v_size : int;  (* cache version when an [Unsettled] verdict was reached *)
 }
 
 type memo = verdict array
@@ -60,7 +54,6 @@ type 'a t = {
   ref_nop : bool array;
   scratch : memo;
   patience : float;
-  mutable fresh_only : bool;
   mutable parked : 'a parked list;  (* newest first *)
   mutable consulting : bool;  (* a consult round trip is outstanding *)
   batch : (Vclock.t, unit) Hashtbl.t;  (* its stamps: heads in here stall *)
@@ -69,7 +62,7 @@ type 'a t = {
   mutable fallback : bool;  (* a consult action was returned: the NOP fallback is next *)
 }
 
-let create order ~queues ~fresh_only ~patience =
+let create order ~queues ~patience =
   {
     order;
     queues = Array.init queues (fun _ -> Queue.create ());
@@ -80,9 +73,8 @@ let create order ~queues ~fresh_only ~patience =
     ref_nop = Array.make queues false;
     scratch =
       Array.init queues (fun _ ->
-          { v_ts = none.q_ts; v_nop = false; v_ok = false; v_how = Settled; v_size = 0 });
+          { v_ts = none.q_ts; v_nop = false; v_ok = false; v_how = Settled });
     patience;
-    fresh_only;
     parked = [];
     consulting = false;
     batch = Hashtbl.create 8;
@@ -111,7 +103,6 @@ let arrive g gk (e : queued_tx) =
   Queue.push e g.queues.(gk);
   inverted
 
-let stop_skipping g = g.fresh_only <- false
 let consulting g = g.consulting
 let applied g gk = g.last_applied.(gk)
 let depths g = Array.map Queue.length g.queues
@@ -133,36 +124,9 @@ let reset g =
 (* ------------------------------------------------------------------ *)
 (* The queue loop (§4.2, Fig. 6) *)
 
-(* The cache-key invariant behind the skipped probes.
-   (1) Every stamp a gatekeeper mints (transactions, NOPs, fresh program
-       runs) is unique under the cache's equality ([Vclock.identical]): a
-       tick raises the minter's own component, ticks of two gatekeepers
-       cannot be equal, as each would have to have seen the other first,
-       and stamps of different epochs differ in the epoch.
-   (2) Only [before] and [established] write the cache, with these pairs:
-       a run against a reference ([check]); two queued real transactions
-       ([le], the consult closure); a run, or a real transaction, against
-       vertex versions (program reads, property writes).
-   (3) Version stamps are real transaction ticks or all-zero load stamps
-       (a restored image ends [fresh_only]), and no transaction is queued
-       twice (a crash-restart resync, the one replay, ends it too).
-   So while every run is fresh ([fresh_only]), a pair holding a queued
-   NOP's stamp enters the cache only through the overdue path of [check],
-   as (run, NOP): [le]'s pairs of queued stamps never hit, and a run's
-   probe of a NOP hits only if that NOP was ordered against a run that way
-   ([q_ordered]). A historical run's stamp is the client's, and a weak run
-   re-stamped at its followers' watermark carries a minimum of gatekeeper
-   clocks: either may alias a queued stamp, so [fresh_only] ends when a
-   historical run arrives and is off when weak runs can be re-stamped. *)
-let skips g (r : queued_tx) = g.fresh_only && r.q_ops = [] && not r.q_ordered
-
-(* a ≺ b by clocks, the cache or the oracle's established orders; [None]
-   while unordered *)
-let established o a b =
-  match o.clock a b with
-  | Some _ as d -> d
-  | None -> (
-      match o.probe ~skip:false a b with Some _ as d -> d | None -> o.established a b)
+(* a ≺ b by clocks or the oracle's established orders; [None] while
+   unordered *)
+let established o a b = match o.clock a b with Some _ as d -> d | None -> o.established a b
 
 let rec all_heads g q =
   q = Array.length g.queues || ((not (Queue.is_empty g.queues.(q))) && all_heads g (q + 1))
@@ -174,26 +138,20 @@ let stalled g (h : queued_tx) = g.consulting && Hashtbl.mem g.batch h.q_ts
    undecided pair of them sets [conflict]. *)
 let le g (h : queued_tx) (h' : queued_tx) =
   let o = g.order in
-  let nop_pair = h.q_ops = [] || h'.q_ops = [] in
   match o.clock h.q_ts h'.q_ts with
   | Some d -> d
+  | None when h.q_ops = [] || h'.q_ops = [] -> Vclock.total_compare h.q_ts h'.q_ts < 0
   | None -> (
-      match o.probe ~skip:(nop_pair && g.fresh_only) h.q_ts h'.q_ts with
+      match o.established h.q_ts h'.q_ts with
       | Some d -> d
       | None ->
-          if nop_pair then Vclock.total_compare h.q_ts h'.q_ts < 0
-          else begin
-            match o.established h.q_ts h'.q_ts with
-            | Some d -> d
-            | None ->
-                g.conflict <- true;
-                false
-          end)
+          g.conflict <- true;
+          false)
 
 (* The first non-stalled head, in gatekeeper order, that is ≤ every other
    head by established decisions (which the consult must respect), or -1.
-   Each scan stops at its first failure: every comparison may count a hit
-   or consult. Requires every queue non-empty. *)
+   Each scan stops at its first failure: every comparison may count a
+   consult. Requires every queue non-empty. *)
 let rec le_all g q h q' =
   q' = Array.length g.queues
   || (q = q' || le g h (Queue.peek g.queues.(q'))) && le_all g q h (q' + 1)
@@ -226,7 +184,7 @@ let nop_fallback g =
 
 (* Join every queued real transaction still undecided against another to
    the batch, in queue order; the number new to it. Every pair is
-   compared, since each comparison may count a hit or consult. *)
+   compared, since each comparison may count a consult. *)
 let join_undecided g =
   let reals = ref [] in
   Array.iter (Queue.iter (fun e -> if e.q_ops <> [] then reals := e.q_ts :: !reals)) g.queues;
@@ -302,15 +260,8 @@ let record v how ok =
    transaction is ordered before it (§4.4), which blocks until that
    transaction is applied *)
 let unordered g v ~ts ~overdue (r : queued_tx) ~nop =
-  if overdue then begin
-    let d = g.order.before ts r.q_ts ~prefer_first_on_tie:nop in
-    if r.q_ops = [] then r.q_ordered <- true;
-    record v Cached d
-  end
-  else begin
-    v.v_size <- g.order.version ();
-    record v Unsettled false
-  end
+  if overdue then record v Established (g.order.before ts r.q_ts ~prefer_first_on_tie:nop)
+  else record v Unsettled false
 
 let decide g v ~ts ~overdue (r : queued_tx) ~nop =
   let o = g.order in
@@ -318,39 +269,32 @@ let decide g v ~ts ~overdue (r : queued_tx) ~nop =
   v.v_nop <- nop;
   match o.clock ts r.q_ts with
   | Some d -> record v Settled d
+  | None when nop -> unordered g v ~ts ~overdue r ~nop
   | None -> (
-      match o.probe ~skip:(nop && skips g r) ts r.q_ts with
-      | Some d -> record v Cached d
-      | None when nop -> unordered g v ~ts ~overdue r ~nop
-      | None -> (
-          match o.established ts r.q_ts with
-          | Some d -> record v Cached d
-          | None -> unordered g v ~ts ~overdue r ~nop))
+      match o.established ts r.q_ts with
+      | Some d -> record v Established d
+      | None -> unordered g v ~ts ~overdue r ~nop)
 
-(* The reference must be the same entry, and a verdict reached after a
-   cache miss stands only while the cache keeps its version and the batch
-   is not overdue. *)
-let valid g v ~overdue (r : queued_tx) ~nop =
+(* The reference must be the same entry, and an unsettled verdict stands
+   only while the batch is not overdue. *)
+let valid v ~overdue (r : queued_tx) ~nop =
   v.v_ts == r.q_ts && v.v_nop = nop
   &&
   match v.v_how with
-  | Settled | Cached -> true
-  | Unsettled -> (not overdue) && v.v_size = g.order.version ()
+  | Settled | Established -> true
+  | Unsettled -> not overdue
 
-(* A repeat counts what a fresh check would: a cached verdict probes its
-   entry again (a hit), an unsettled real transaction asks the oracle
-   again. *)
-let replay g v ~ts ~overdue (r : queued_tx) ~nop =
+(* A repeat counts what a fresh check would: nothing for a settled or
+   established verdict, the same oracle query for an unsettled real
+   transaction. *)
+let replay g v ~ts (r : queued_tx) ~nop =
   match v.v_how with
-  | Settled -> v.v_ok
-  | Cached ->
-      ignore (g.order.probe ~skip:false ts r.q_ts);
-      v.v_ok
+  | Settled | Established -> v.v_ok
   | Unsettled when nop -> false
   | Unsettled -> (
       match g.order.established ts r.q_ts with
-      | Some d -> record v Cached d
-      | None -> unordered g v ~ts ~overdue r ~nop)
+      | Some d -> record v Established d
+      | None -> false)
 
 let check g ~ts ~overdue memo =
   let first = memo == no_memo in
@@ -366,7 +310,7 @@ let check g ~ts ~overdue memo =
     else begin
       let nop = g.ref_nop.(gk) in
       let cleared =
-        if (not first) && valid g v ~overdue r ~nop then replay g v ~ts ~overdue r ~nop
+        if (not first) && valid v ~overdue r ~nop then replay g v ~ts r ~nop
         else decide g v ~ts ~overdue r ~nop
       in
       if not cleared then ok := false

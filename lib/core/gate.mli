@@ -16,11 +16,13 @@
 
     {b Program gate.} A parked batch runs once its stamp clears every
     gatekeeper's reference (the queue head, or the last applied entry):
-    by vector clocks, the cache, for a real transaction the oracle's
-    established orders, and past the patience window {!order.before}.
-    Every reference is checked, as each check may count a hit or consult.
-    A batch repeats a verdict, with the counted work, while a fresh check
-    would reach it the same way. *)
+    by vector clocks, for a real transaction the oracle's established
+    orders, and past the patience window {!order.before}. Every reference
+    is checked, as each check may count a consult. A batch keeps a verdict
+    settled by clocks or established by the oracle for good, since the
+    oracle's decisions are irrevocable; an unsettled one stands until the
+    batch is overdue, and against a real transaction its repeat asks the
+    oracle again. *)
 
 module Vclock = Weaver_vclock.Vclock
 
@@ -29,38 +31,27 @@ type queued_tx = {
   q_ops : Msg.shard_op list;  (** [[]] for a NOP *)
   q_trace : int;  (** originating request's trace id (0 for NOPs) *)
   q_enq : float;  (** when it entered its queue, for queue-wait metrics *)
-  mutable q_ordered : bool;
-      (** a NOP that some run was ordered against through the overdue
-          path: the cache may hold pairs with its stamp *)
 }
 (** An entry of a per-gatekeeper FIFO queue. *)
 
-(** The ordering interface: [Runtime.ordering] implements it over a
-    server's decision cache and the timeline oracle. Each function
-    answers [a ≺ b]. *)
+(** The ordering interface: [Runtime.ordering] implements it over the
+    timeline oracle. Each function answers [a ≺ b]. *)
 type order = {
   clock : Vclock.t -> Vclock.t -> bool option;
       (** by vector clocks; [None] if concurrent or equal of two origins *)
-  probe : skip:bool -> Vclock.t -> Vclock.t -> bool option;
-      (** the decision cache, counting a hit; with [~skip:true] the gate
-          knows it cannot hit and none is made (an audit may check) *)
   established : Vclock.t -> Vclock.t -> bool option;
-      (** the oracle's established order, counted as a consult and cached *)
+      (** the oracle's established order, counted as a consult *)
   before : Vclock.t -> Vclock.t -> prefer_first_on_tie:bool -> bool;
       (** the full decision, establishing [a ≺ b] iff [prefer_first_on_tie]
           when nothing orders the pair *)
-  version : unit -> int;  (** changes whenever the cache gains an entry *)
 }
 
 type 'a t
 (** The gate of one shard; ['a] is the shard's parked-batch payload. *)
 
-val create : order -> queues:int -> fresh_only:bool -> patience:float -> 'a t
+val create : order -> queues:int -> patience:float -> 'a t
 (** [patience] is how long (µs) a parked batch waits before its checks
-    refine reactively. [fresh_only] says every program stamp the shard
-    will see is a fresh gatekeeper tick; while it holds, probes that pair
-    a queued NOP with a stamp that cannot share a cache entry with it are
-    skipped (the argument is at [skips] in the implementation). *)
+    refine reactively. *)
 
 (** {1 The queue loop} *)
 
@@ -102,10 +93,6 @@ val runnable : 'a t -> now:float -> 'a parked list
 val stamp : 'a parked -> Vclock.t
 val since : 'a parked -> float
 val item : 'a parked -> 'a
-
-val stop_skipping : 'a t -> unit
-(** End [fresh_only]: a historical run arrived, a restored image was
-    loaded, or the shard restarted in place. *)
 
 (** {1 State} *)
 

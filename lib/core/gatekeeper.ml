@@ -35,7 +35,6 @@ type t = {
   mutable clock : Vclock.t;
   mutable epoch : int;
   seqs : int array; (* next FIFO sequence number per shard *)
-  cache : Runtime.decision_cache;
   active : prog_run Tbl.Int.t;
   memo : (string, memo_entry) Hashtbl.t;
   (* duplicate suppression: committed (client, tx_id) pairs — local commits
@@ -83,6 +82,20 @@ let counters t = t.rt.Runtime.counters
 let actor t = "gk" ^ string_of_int t.gid
 let now t = Engine.now t.rt.Runtime.engine
 
+(* Ship a transaction's effects to a shard over its FIFO channel, or a NOP
+   when [ops = []]. A real transaction spends a flow-control credit, which
+   the shard refunds when it applies it. *)
+let send_shard_tx t shard ~ts ~ops ~trace =
+  let c = counters t in
+  t.seqs.(shard) <- t.seqs.(shard) + 1;
+  if ops = [] then c.Runtime.nop_msgs <- c.Runtime.nop_msgs + 1
+  else begin
+    c.Runtime.shard_tx_msgs <- c.Runtime.shard_tx_msgs + 1;
+    Flow.Credits.consume t.credits shard
+  end;
+  send t ~dst:(Runtime.shard_addr t.rt shard)
+    (Msg.Shard_tx { gk = t.gid; seq = t.seqs.(shard); ts; ops; trace })
+
 (* ------------------------------------------------------------------ *)
 (* Transactions (§4.2): validate and execute on the backing store, then
    forward committed write effects to the owning shards. *)
@@ -105,7 +118,7 @@ let edge_live_latest (v : Mgraph.vertex) eid =
 let exec_on_store t ts (ops : Txop.t list) =
   let rt = t.rt in
   let stx = Store.Tx.begin_ rt.Runtime.store in
-  let before a b = Runtime.before t.cache rt a b ~prefer_first_on_tie:true in
+  let before a b = Runtime.before rt a b ~prefer_first_on_tie:true in
   let shard_ops : (string * Msg.shard_op) list ref = ref [] in
   let written : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let reads : (string * Progval.t) list ref = ref [] in
@@ -234,7 +247,7 @@ let exec_on_store t ts (ops : Txop.t list) =
             &&
             match Store.Tx.get stx (Runtime.lukey vid) with
             | Some (Runtime.Stamp lu) ->
-                Runtime.before t.cache t.rt lu ts ~prefer_first_on_tie:true
+                Runtime.before t.rt lu ts ~prefer_first_on_tie:true
             | _ -> true)
           written true
       in
@@ -413,17 +426,7 @@ let handle_tx_req t ~client ~tx_id ops =
                             shard_ops;
                         Hashtbl.iter
                           (fun shard rev_ops ->
-                            let ops = List.rev rev_ops in
-                            t.seqs.(shard) <- t.seqs.(shard) + 1;
-                            (counters t).Runtime.shard_tx_msgs <-
-                              (counters t).Runtime.shard_tx_msgs + 1;
-                            (* spend a flow-control credit; the shard
-                               refunds it when it applies the tx *)
-                            Flow.Credits.consume t.credits shard;
-                            send t
-                              ~dst:(Runtime.shard_addr t.rt shard)
-                              (Msg.Shard_tx
-                                 { gk = t.gid; seq = t.seqs.(shard); ts; ops; trace = tx_id }))
+                            send_shard_tx t shard ~ts ~ops:(List.rev rev_ops) ~trace:tx_id)
                           by_shard;
                         invalidate_memo t written;
                         record_dedup t ~client ~tx_id ~reads;
@@ -505,32 +508,8 @@ let handle_migrate_req t ~client ~tx_id ~vid ~to_shard =
                     (counters t).Runtime.tx_aborted <- (counters t).Runtime.tx_aborted + 1;
                     reply (Error "conflict")
                 | Ok () ->
-                    t.seqs.(from_shard) <- t.seqs.(from_shard) + 1;
-                    Flow.Credits.consume t.credits from_shard;
-                    send t
-                      ~dst:(Runtime.shard_addr t.rt from_shard)
-                      (Msg.Shard_tx
-                         {
-                           gk = t.gid;
-                           seq = t.seqs.(from_shard);
-                           ts;
-                           ops = [ Msg.S_migrate_out vid ];
-                           trace = tx_id;
-                         });
-                    t.seqs.(to_shard) <- t.seqs.(to_shard) + 1;
-                    Flow.Credits.consume t.credits to_shard;
-                    send t
-                      ~dst:(Runtime.shard_addr t.rt to_shard)
-                      (Msg.Shard_tx
-                         {
-                           gk = t.gid;
-                           seq = t.seqs.(to_shard);
-                           ts;
-                           ops = [ Msg.S_migrate_in vid ];
-                           trace = tx_id;
-                         });
-                    (counters t).Runtime.shard_tx_msgs <-
-                      (counters t).Runtime.shard_tx_msgs + 2;
+                    send_shard_tx t from_shard ~ts ~ops:[ Msg.S_migrate_out vid ] ~trace:tx_id;
+                    send_shard_tx t to_shard ~ts ~ops:[ Msg.S_migrate_in vid ] ~trace:tx_id;
                     (counters t).Runtime.migrations <- (counters t).Runtime.migrations + 1;
                     record_dedup t ~client ~tx_id ~reads:[];
                     broadcast_commit_note t ~client ~tx_id ~written:[] ~reads:[];
@@ -999,10 +978,7 @@ let start_timers t =
         if alive t then begin
           let ts = tick t in
           for s = 0 to (cfg t).Config.n_shards - 1 do
-            t.seqs.(s) <- t.seqs.(s) + 1;
-            (counters t).Runtime.nop_msgs <- (counters t).Runtime.nop_msgs + 1;
-            send t ~dst:(Runtime.shard_addr rt s)
-              (Msg.Shard_tx { gk = t.gid; seq = t.seqs.(s); ts; ops = []; trace = 0 })
+            send_shard_tx t s ~ts ~ops:[] ~trace:0
           done
         end;
         true
@@ -1042,7 +1018,6 @@ let spawn rt ~gid ~epoch =
       clock = Vclock.make ~epoch ~origin:gid (Array.make rt.Runtime.cfg.Config.n_gatekeepers 0);
       epoch;
       seqs = Array.make rt.Runtime.cfg.Config.n_shards 0;
-      cache = Runtime.create_cache ();
       active = Tbl.Int.create 16;
       memo = Hashtbl.create 64;
       dedup = Hashtbl.create 256;

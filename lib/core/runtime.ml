@@ -26,7 +26,6 @@ type counters = {
   mutable shard_tx_msgs : int;
   mutable prog_batch_msgs : int;
   mutable oracle_consults : int;
-  mutable oracle_cache_hits : int;
   mutable shard_oracle_consults : int;
   mutable shard_oracle_batched : int;
   mutable vertices_read : int;
@@ -57,8 +56,6 @@ type counters = {
   mutable stamp_inversions : int;
 }
 
-type probe_audit = { mutable skipped : int; mutable would_hit : int }
-
 type t = {
   cfg : Config.t;
   engine : Engine.t;
@@ -83,12 +80,6 @@ type t = {
   mutable partitions : (int * (int * Mgraph.vertex) list array) option;
       (* [records_by_shard] and the [Store.commits] it was computed at *)
   mutable profiler : Prof.t option;  (* handler attribution, default off *)
-  mutable probe_audit : probe_audit option;
-      (* shadow lookups of the cache probes the ordering gate skips,
-         default off *)
-  mutable foreign_stamps : bool;
-      (* a restored image put version stamps minted by another cluster
-         into the store *)
   mutable next_client : int;
 }
 
@@ -152,7 +143,6 @@ let register_counter_gauges metrics (c : counters) =
   g "msg.shard_tx" (fun () -> c.shard_tx_msgs);
   g "msg.prog_batch" (fun () -> c.prog_batch_msgs);
   g "oracle.consults" (fun () -> c.oracle_consults);
-  g "oracle.cache_hits" (fun () -> c.oracle_cache_hits);
   g "shard.oracle_consults" (fun () -> c.shard_oracle_consults);
   g "shard.oracle_batched" (fun () -> c.shard_oracle_batched);
   g "prog.vertices_read" (fun () -> c.vertices_read);
@@ -288,7 +278,6 @@ let create cfg =
           shard_tx_msgs = 0;
           prog_batch_msgs = 0;
           oracle_consults = 0;
-          oracle_cache_hits = 0;
           shard_oracle_consults = 0;
           shard_oracle_batched = 0;
           vertices_read = 0;
@@ -339,8 +328,6 @@ let create cfg =
       dir = [||];
       partitions = None;
       profiler = None;
-      probe_audit = None;
-      foreign_stamps = false;
       next_client = 0;
     }
   in
@@ -570,44 +557,6 @@ let heat_cross t vid =
         ~now:(Engine.now t.engine) vid
   | None -> ()
 
-(* Keyed on the stamp pair. Equality is structural on both stamps (epoch,
-   origin, clock vector), exactly what the polymorphic table compared, so
-   two physically distinct copies of a stamp share their decisions; the
-   hash is an int mix of the same fields, so a lookup neither walks the
-   pair through the runtime's generic hash nor allocates beyond the key. *)
-module Stamp_pair = struct
-  type t = Vclock.t * Vclock.t
-
-  let equal (a, b) (a', b') = Vclock.identical a a' && Vclock.identical b b'
-
-  let hash (a, b) =
-    let h = Vclock.fold_hash (Vclock.fold_hash 0x2bf29ce484222325 a) b in
-    (h lxor (h lsr 29)) land max_int
-end
-
-module Decisions = Hashtbl.Make (Stamp_pair)
-
-type decision_cache = bool Decisions.t
-
-let create_cache () : decision_cache = Decisions.create 256
-
-(* an empty cache, the usual state on read-mostly loads, answers without
-   building or hashing the key *)
-let cached cache a b =
-  if Decisions.length cache = 0 then None else Decisions.find_opt cache (a, b)
-
-let cache_put cache a b first_before =
-  Decisions.replace cache (a, b) first_before;
-  Decisions.replace cache (b, a) (not first_before)
-
-(* a cache lookup that counts its hit *)
-let probe cache t a b =
-  match cached cache a b with
-  | Some _ as d ->
-      t.counters.oracle_cache_hits <- t.counters.oracle_cache_hits + 1;
-      d
-  | None -> None
-
 (* a ≺ b where vector clocks decide it: not for a concurrent pair, nor
    for equal clocks from two origins. [before] spells the same match out:
    it runs on every version a read filters. *)
@@ -619,27 +568,20 @@ let before_by_clock a b =
   | Vclock.Equal | Vclock.Concurrent -> None
 
 (* Decide a ≺ b. Vector clocks answer most pairs for free (the proactive
-   stage); concurrent pairs go to the server-local cache of irreversible
-   oracle decisions and, on a miss, to the timeline oracle itself (the
-   reactive stage, counted as a consult). *)
-let before cache t a b ~prefer_first_on_tie =
+   stage); concurrent pairs go to the timeline oracle (the reactive stage,
+   counted as a consult), whose decisions are irrevocable, so asking again
+   always gives the same answer. *)
+let before t a b ~prefer_first_on_tie =
   match Vclock.compare_hb a b with
   | Vclock.Before -> true
   | Vclock.After -> false
   | Vclock.Equal when a.Vclock.origin = b.Vclock.origin -> false
   | Vclock.Equal | Vclock.Concurrent -> (
-      match probe cache t a b with
-      | Some d -> d
-      | None ->
-          t.counters.oracle_consults <- t.counters.oracle_consults + 1;
-          let first, second = if prefer_first_on_tie then (a, b) else (b, a) in
-          let d =
-            match oracle_order t ~first ~second with
-            | Oracle.First_first -> prefer_first_on_tie
-            | Oracle.Second_first -> not prefer_first_on_tie
-          in
-          cache_put cache a b d;
-          d)
+      t.counters.oracle_consults <- t.counters.oracle_consults + 1;
+      let first, second = if prefer_first_on_tie then (a, b) else (b, a) in
+      match oracle_order t ~first ~second with
+      | Oracle.First_first -> prefer_first_on_tie
+      | Oracle.Second_first -> not prefer_first_on_tie)
 
 let stamp_min a b =
   let open Vclock in
@@ -650,32 +592,14 @@ let stamp_min a b =
     make ~epoch:a.epoch ~origin:a.origin clocks
   end
 
-(* The gate's ordering interface. Entries are only ever added and a
-   decision never changes, so the size versions the cache. Under the
-   audit, a skipped probe is looked up anyway, uncounted. *)
-let ordering cache t =
+(* The gate's ordering interface: clocks, the oracle's established order
+   (a consult), and the full decision. *)
+let ordering t =
   {
     Gate.clock = before_by_clock;
-    probe =
-      (fun ~skip a b ->
-        if not skip then probe cache t a b
-        else begin
-          (match t.probe_audit with
-          | Some au ->
-              au.skipped <- au.skipped + 1;
-              if Option.is_some (cached cache a b) then au.would_hit <- au.would_hit + 1
-          | None -> ());
-          None
-        end);
     established =
       (fun a b ->
         t.counters.oracle_consults <- t.counters.oracle_consults + 1;
-        match oracle_query t a b with
-        | Some o ->
-            let d = o = Oracle.First_first in
-            cache_put cache a b d;
-            Some d
-        | None -> None);
-    before = before cache t;
-    version = (fun () -> Decisions.length cache);
+        Option.map (fun o -> o = Oracle.First_first) (oracle_query t a b));
+    before = before t;
   }

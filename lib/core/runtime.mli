@@ -23,7 +23,6 @@ type counters = {
   mutable oracle_consults : int;
       (** ordering requests that actually reached the timeline oracle —
           the reactive coordination cost (Fig. 14) *)
-  mutable oracle_cache_hits : int;  (** answered from a server-local cache *)
   mutable shard_oracle_consults : int;
       (** oracle round trips issued by shard event loops on concurrent
           conflicting queue heads — the denominator of the batching factor *)
@@ -89,11 +88,6 @@ type counters = {
           the previous arrival from the same gatekeeper ({!Gate.arrive}) *)
 }
 
-type probe_audit = {
-  mutable skipped : int;  (** cache probes the ordering gate skipped *)
-  mutable would_hit : int;  (** of those, shadow lookups that found an entry *)
-}
-
 type t = {
   cfg : Config.t;
   engine : Weaver_sim.Engine.t;
@@ -147,18 +141,9 @@ type t = {
   mutable profiler : Weaver_obs.Prof.t option;
       (** handler CPU attribution, off by default; while [Some], every
           handler registered through {!register} is measured per actor
-          kind and [Msg.kind], and every {!oracle_order}, {!oracle_query}
-          and {!oracle_serialize} call per call kind under actor
-          ["oracle"]. Measuring never perturbs the simulation *)
-  mutable probe_audit : probe_audit option;
-      (** off by default; while [Some], every decision-cache probe the
-          ordering gate skips ({!Gate.order.probe} with [~skip:true]) is
-          done anyway as an uncounted shadow lookup and tallied, so tests
-          can check that no skipped probe would have hit *)
-  mutable foreign_stamps : bool;
-      (** set by {!Backup.restore}: the store holds version stamps minted
-          by another cluster, which may equal this cluster's own, so the
-          ordering gate keeps every cache probe ([Gate.skips]) *)
+          kind and [Msg.kind], and every oracle order, query and serialize
+          call per call kind under actor ["oracle"]. Measuring never
+          perturbs the simulation *)
   mutable next_client : int;  (** bump via {!fresh_client_addr} only *)
 }
 
@@ -167,9 +152,6 @@ type t = {
 
 val oracle_order :
   t -> first:Vclock.t -> second:Vclock.t -> Weaver_oracle.Oracle.decision
-
-val oracle_query :
-  t -> Vclock.t -> Vclock.t -> Weaver_oracle.Oracle.decision option
 
 val oracle_serialize : t -> Vclock.t list -> Vclock.t list
 val oracle_gc : t -> watermark:Vclock.t -> int
@@ -272,7 +254,6 @@ val sibling : t -> int -> shard:int -> int
 
 val manager_addr : t -> int
 val fresh_client_addr : t -> int
-val is_gk_addr : t -> int -> bool
 
 val actor_of_addr : t -> int -> string
 (** Human name of the actor at an address ("gk0", "shard2",
@@ -342,25 +323,18 @@ val records_by_shard : t -> (int * Weaver_graph.Mgraph.vertex) list array
 
 (** {1 Ordering decisions}
 
-    [before cache t a b ~prefer_first_on_tie] decides whether [a] happened
-    strictly before [b]: vector clocks first; then the server-local cache
-    of oracle decisions; then the timeline oracle itself, establishing
-    [a ≺ b] when unordered iff [prefer_first_on_tie] (otherwise [b ≺ a]).
-    Counts cache hits and oracle consultations. *)
+    [before t a b ~prefer_first_on_tie] decides whether [a] happened
+    strictly before [b]: vector clocks first, then the timeline oracle,
+    establishing [a ≺ b] when unordered iff [prefer_first_on_tie]
+    (otherwise [b ≺ a]). Each oracle question counts one consult. The
+    oracle's decisions are irrevocable, so no server keeps a copy: asking
+    again gives the same answer. *)
 
-type decision_cache
+val before : t -> Vclock.t -> Vclock.t -> prefer_first_on_tie:bool -> bool
 
-val create_cache : unit -> decision_cache
-
-val before :
-  decision_cache -> t -> Vclock.t -> Vclock.t -> prefer_first_on_tie:bool -> bool
-
-val ordering : decision_cache -> t -> Gate.order
-(** The ordering interface of a shard's gate over this cache and the
-    timeline oracle: vector clocks, a probe counting its hit, the oracle's
-    established order counted as a consult, {!before}, and the cache's
-    size as its version (entries are only added, never changed). A skipped
-    probe is looked up anyway while {!probe_audit} is set. *)
+val ordering : t -> Gate.order
+(** The ordering interface of a shard's gate: vector clocks, the oracle's
+    established order counted as a consult, and {!before}. *)
 
 val stamp_min : Vclock.t -> Vclock.t -> Vclock.t
 (** Pointwise lower bound of two timestamps (min epoch wins outright):

@@ -79,7 +79,6 @@ type t = {
          instead of interning the vid. *)
   last_seq : int array;
   seq_epoch : int array; (* epoch in which last_seq was recorded *)
-  cache : Runtime.decision_cache;
   gate : parked_prog Gate.t;
       (* the gatekeeper queues, the outstanding consult and the parked
          batches: what runs next *)
@@ -153,10 +152,10 @@ let send t ~dst msg = Runtime.send t.rt ~src:t.addr ~dst msg
 let actor t = t.actor
 let now t = Engine.now t.rt.Runtime.engine
 
-(* the decision procedure for version stamps: vector clocks, then cached or
-   fresh oracle decisions; ties prefer the first argument (transactions
-   before node programs, earlier writers before later ones) *)
-let before t a b = Runtime.before t.cache t.rt a b ~prefer_first_on_tie:true
+(* the decision procedure for version stamps: vector clocks, then the
+   oracle; ties prefer the first argument (transactions before node
+   programs, earlier writers before later ones) *)
+let before t a b = Runtime.before t.rt a b ~prefer_first_on_tie:true
 
 (* ------------------------------------------------------------------ *)
 (* Partial replication plumbing shared by the owner and follower roles. *)
@@ -581,7 +580,7 @@ let execute_prog_batch t (b : parked_prog Gate.parked) =
          before), so time travel excludes later writes *)
       let bf =
         if p.p_historical then fun a b ->
-          Runtime.before t.cache t.rt a b ~prefer_first_on_tie:(not (Vclock.equal b p_ts))
+          Runtime.before t.rt a b ~prefer_first_on_tie:(not (Vclock.equal b p_ts))
         else before t
       in
       (* work items carry their vertex handle, as batch items do *)
@@ -944,7 +943,7 @@ let handle t ~src:_ msg =
           end;
           if
             Gate.arrive t.gate gk
-              { Gate.q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t; q_ordered = false }
+              { Gate.q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t }
           then
             (counters t).Runtime.stamp_inversions <- (counters t).Runtime.stamp_inversions + 1;
           try_advance t
@@ -959,9 +958,6 @@ let handle t ~src:_ msg =
         if Runtime.tracing t.rt ~trace:prog_id then
           Runtime.trace_span t.rt ~trace:prog_id ~name:"shard.prog_hop"
             ~actor:(actor t) ~start:sent_at ~stop:(now t) ();
-        (* a historical run's stamp is the client's and may alias a queued
-           one (see [Gate.skips]) *)
-        if historical then Gate.stop_skipping t.gate;
         (* below the cut nothing can still arrive that the read could see:
            it runs at once, from the durable store *)
         Gate.park t.gate ~ts ~since:(Engine.now t.rt.Runtime.engine)
@@ -1048,7 +1044,6 @@ let spawn rt ~sid ~epoch =
   let addr = Runtime.shard_addr rt sid in
   (* one FIFO queue per gatekeeper; a read replica has none *)
   let n_q = if home = sid then n_g else 0 in
-  let cache = Runtime.create_cache () in
   let plan = Runtime.standing_plan rt in
   let t =
     {
@@ -1065,12 +1060,8 @@ let spawn rt ~sid ~epoch =
       hop_h = [||];
       last_seq = Array.make n_q 0;
       seq_epoch = Array.make n_q (-1); (* sentinel: re-baseline per channel *)
-      cache;
       gate =
-        Gate.create (Runtime.ordering cache rt) ~queues:n_q
-          ~fresh_only:
-            (* a cluster that follows ranges can re-stamp weak runs *)
-            (plan = [] && not rt.Runtime.foreign_stamps)
+        Gate.create (Runtime.ordering rt) ~queues:n_q
           ~patience:
             (* roughly two announce rounds (vector clocks will have
                resolved the pair by then if they ever will), capped so an
@@ -1124,7 +1115,6 @@ let reload_all rt servers =
   let by_shard = Runtime.records_by_shard rt in
   Array.iter
     (fun t ->
-      if rt.Runtime.foreign_stamps then Gate.stop_skipping t.gate;
       load_records t by_shard;
       mark_followers_dirty t)
     servers
@@ -1155,9 +1145,6 @@ let on_peer_restart t ~peer =
    Shard_tx; the durable store stays authoritative and the next epoch
    barrier reconciles the in-memory copy. *)
 let resync t =
-  (* transactions that reached the store before the crash may be queued
-     again: end the probe skips that assume no stamp is queued twice *)
-  Gate.stop_skipping t.gate;
   drop_volatile t;
   (* replication state died with the crash: as a follower, the copies and
      watermarks are stale-but-safe at the gatekeepers (routed reads miss

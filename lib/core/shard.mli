@@ -5,7 +5,7 @@
     prioritized by timestamp, and its event loop executes the globally
     earliest transaction whenever every queue is non-empty (NOPs guarantee
     liveness). Mutually concurrent queue heads are serialized by the
-    timeline oracle, whose irrevocable decisions are cached locally. Node
+    timeline oracle, whose decisions are irrevocable. Node
     programs are delayed until every preceding or concurrent transaction
     has executed, then run against the snapshot at their timestamp,
     propagating hops to peer shards.

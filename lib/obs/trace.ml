@@ -46,9 +46,6 @@ let begin_span t ~trace ~name ~actor ~start =
   end;
   sp
 
-let finish sp ~stop = sp.sp_stop <- stop
-let add_meta sp k v = sp.sp_meta <- (k, v) :: sp.sp_meta
-
 let span t ~trace ~name ~actor ~start ~stop ?(meta = []) () =
   if trace <> 0 then begin
     let sp = begin_span t ~trace ~name ~actor ~start in

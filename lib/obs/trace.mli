@@ -42,13 +42,6 @@ val span :
 (** Record a completed span. Spans with [trace = 0] are discarded (0 marks
     untraced internal traffic such as NOPs). *)
 
-val begin_span : t -> trace:int -> name:string -> actor:string -> start:float -> span
-(** Open a span; complete it with {!finish}. The span is already attached
-    to the trace, so a crash leaves it visible with [sp_stop = nan]. *)
-
-val finish : span -> stop:float -> unit
-val add_meta : span -> string -> string -> unit
-
 val message : t -> trace:int -> time:float -> src:int -> dst:int -> kind:string -> unit
 (** Record one network message attributed to [trace]. *)
 

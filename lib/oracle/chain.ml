@@ -14,8 +14,6 @@ let create ?(replicas = 3) () =
   if replicas < 1 then invalid_arg "Chain.create: need at least one replica";
   { oracles = Array.init replicas (fun _ -> Oracle.create ()); alive = Array.make replicas true }
 
-let replica_count t = Array.length t.oracles
-
 let live_count t = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.alive
 
 let head_index t =

@@ -21,7 +21,6 @@ type t
 val create : ?replicas:int -> unit -> t
 (** A chain of [replicas] (default 3) oracle copies. *)
 
-val replica_count : t -> int
 val live_count : t -> int
 
 val order : t -> first:Weaver_vclock.Vclock.t -> second:Weaver_vclock.Vclock.t -> Oracle.decision

@@ -10,7 +10,7 @@
     Parameters and results are {!Weaver_core.Progval} values; see each
     program's documentation for its schema. Register the whole set with
     {!Std.register_all} or individually via
-    {!Weaver_core.Cluster.register_program}. *)
+    {!Weaver_core.Nodeprog.register} on {!Weaver_core.Cluster.registry}. *)
 
 module Get_node : Weaver_core.Nodeprog.PROGRAM
 (** ["get_node"] — read one vertex: params ignored; result is a [List] of

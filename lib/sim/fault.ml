@@ -15,25 +15,11 @@ type action =
 type event = { at : float; action : action }
 type plan = event list
 
-let target_name = function
-  | Gatekeeper g -> "gk" ^ string_of_int g
-  | Shard s -> "shard" ^ string_of_int s
-  | Replica { shard; replica } -> Printf.sprintf "replica%d.%d" shard replica
-  | Oracle_replica i -> "oracle" ^ string_of_int i
-
 let action_name = function
   | Crash _ -> "crash"
   | Restart _ -> "restart"
   | Net_degrade _ -> "net_degrade"
   | Link_degrade _ -> "link_degrade"
-
-let pp_action fmt = function
-  | Crash tgt -> Format.fprintf fmt "crash %s" (target_name tgt)
-  | Restart tgt -> Format.fprintf fmt "restart %s" (target_name tgt)
-  | Net_degrade f -> Format.fprintf fmt "net_degrade x%.1f" f
-  | Link_degrade { src; dst; factor } ->
-      Format.fprintf fmt "link_degrade %s->%s x%.1f" (target_name src)
-        (target_name dst) factor
 
 let by_time = List.stable_sort (fun a b -> Float.compare a.at b.at)
 

@@ -65,12 +65,5 @@ val install : Engine.t -> plan -> exec:(action -> unit) -> int
     to now), invoking [exec] per action. Returns the number of events
     scheduled. *)
 
-val target_name : target -> string
-(** Short name for logs and JSON: "gk0", "shard2", "replica1.0",
-    "oracle1". *)
-
 val action_name : action -> string
 (** Action label: "crash", "restart", "net_degrade", "link_degrade". *)
-
-val pp_action : Format.formatter -> action -> unit
-(** One-line rendering, e.g. [crash gk0] or [net_degrade x4.0]. *)

@@ -130,8 +130,6 @@ let link_factor t ~src ~dst =
   if Link_tbl.length t.link_factors = 0 then 1.0
   else match Link_tbl.find_opt t.link_factors (src, dst) with Some f -> f | None -> 1.0
 
-let clear_link_factors t = Link_tbl.reset t.link_factors
-
 (* one delivery event fired: hand the channel's head message to the
    destination (or count the drop), retiring the channel when drained *)
 let deliver_one t ch =

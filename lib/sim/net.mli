@@ -116,8 +116,3 @@ val set_link_factor : 'm t -> src:addr -> dst:addr -> float -> unit
 (** Multiplier for one directed (src, dst) link, composed with the global
     factor. Setting 1.0 removes the entry. *)
 
-val link_factor : 'm t -> src:addr -> dst:addr -> float
-(** Current per-link multiplier (1.0 when unset). *)
-
-val clear_link_factors : 'm t -> unit
-(** Drop every per-link multiplier. *)

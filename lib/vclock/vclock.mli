@@ -45,17 +45,10 @@ val precedes : t -> t -> bool
 val concurrent : t -> t -> bool
 val equal : t -> t -> bool
 
-val identical : t -> t -> bool
-(** Same epoch, origin and clocks: the stamp's identity, the equality
-    under which {!key} strings coincide. Physically equal stamps are
-    identical without a field compare. *)
-
-val fold_hash : int -> t -> int
-(** Mix the fields {!identical} compares into a running hash. *)
-
 module Tbl : Hashtbl.S with type key = t
-(** Tables keyed by a stamp's identity ({!identical}), hashed with
-    {!fold_hash}: a lookup builds no string. *)
+(** Tables keyed by a stamp's identity: same epoch, origin and clocks,
+    the equality under which {!key} strings coincide. The hash mixes
+    those ints, so a lookup builds no string. *)
 
 val total_compare : t -> t -> int
 (** Arbitrary but deterministic total order extending happens-before:

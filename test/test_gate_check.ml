@@ -5,8 +5,7 @@
    vector clocks, orders concurrent transactions by their arrival at the
    shard, and puts programs after transactions. A pair is established
    only once something orders it: an overdue program check ([before]), a
-   consult's answer, or a program's reads when it runs. Its decision cache
-   counts hits and grows only, as the runtime's does.
+   consult's answer, or a program's reads when it runs.
 
    Within the bound below, every scenario is run under every interleaving
    of arrivals, program parkings and consult answers, and three
@@ -69,8 +68,6 @@ type model = {
   prog : bool array;
   arrival : int array;  (* arrival rank; max_int for programs and until arrival *)
   ord : bool array array;  (* [ord.(i).(j)]: i ≺ j is established; transitively closed *)
-  cache : (int * int, bool) Hashtbl.t;
-  mutable bad_skip : bool;  (* a skipped probe would have hit *)
 }
 
 let idx m ts =
@@ -101,44 +98,22 @@ let decided m i j = if m.ord.(i).(j) then Some true else if m.ord.(j).(i) then S
 let model_first m i j =
   if m.prog.(i) <> m.prog.(j) then m.prog.(j) else m.arrival.(i) <= m.arrival.(j)
 
-let put m i j d =
-  Hashtbl.replace m.cache (i, j) d;
-  Hashtbl.replace m.cache (j, i) (not d)
-
 let ordering m =
   {
     Gate.clock;
-    probe =
-      (fun ~skip a b ->
-        let i = idx m a and j = idx m b in
-        if skip then begin
-          if Hashtbl.mem m.cache (i, j) then m.bad_skip <- true;
-          None
-        end
-        else Hashtbl.find_opt m.cache (i, j));
-    established =
-      (fun a b ->
-        let i = idx m a and j = idx m b in
-        let d = decided m i j in
-        Option.iter (put m i j) d;
-        d);
+    established = (fun a b -> decided m (idx m a) (idx m b));
     before =
       (fun a b ~prefer_first_on_tie:_ ->
         match clock a b with
         | Some d -> d
-        | None ->
+        | None -> (
             let i = idx m a and j = idx m b in
-            let d =
-              match decided m i j with
-              | Some d -> d
-              | None ->
-                  let d = model_first m i j in
-                  if d then decide m i j else decide m j i;
-                  d
-            in
-            put m i j d;
-            d);
-    version = (fun () -> Hashtbl.length m.cache);
+            match decided m i j with
+            | Some d -> d
+            | None ->
+                let d = model_first m i j in
+                if d then decide m i j else decide m j i;
+                d));
   }
 
 (* a consult's answer: every undecided pair of the batch, by arrival *)
@@ -213,8 +188,6 @@ let build s =
       prog = Array.init n (fun e -> e = prog);
       arrival = Array.make n max_int;
       ord;
-      cache = Hashtbl.create 16;
-      bad_skip = false;
     }
   in
   (m, first, prog, closing)
@@ -232,7 +205,6 @@ let entry ts ~real e =
     q_ops = (if real then [ Msg.S_create_vertex "x" ] else []);
     q_trace = e;
     q_enq = 0.0;
-    q_ordered = false;
   }
 
 (* rounds of closing NOPs before the gate counts as stuck: each round
@@ -245,7 +217,7 @@ let run ?(patience = infinity) s ~choose =
   let m, first, prog, closing = build s in
   let n_gk = Array.length s.kinds in
   let n = Array.length m.stamps in
-  let gate = Gate.create (ordering m) ~queues:n_gk ~fresh_only:true ~patience in
+  let gate = Gate.create (ordering m) ~queues:n_gk ~patience in
   let applied = Array.make n (-1) in
   let n_applied = ref 0 in
   let runs = ref [] (* (copy, applied count when it ran) *) in
@@ -321,7 +293,6 @@ let run ?(patience = infinity) s ~choose =
     drain ();
     if Gate.consulting gate then answer ()
   done;
-  if m.bad_skip then fail "a skipped probe would have hit";
   for x = 0 to prog - 1 do
     if m.real.(x) && applied.(x) < 0 then fail "(c) a real transaction was never applied"
   done;

@@ -8,6 +8,7 @@ module Store = Weaver_store.Store
 module Tbl = Weaver_util.Tbl
 module Dense = Weaver_util.Dense
 module Intern = Weaver_util.Intern
+module Xrand = Weaver_util.Xrand
 module Partition = Weaver_partition.Partition
 module Prof = Weaver_obs.Prof
 module Fault = Weaver_sim.Fault
@@ -363,8 +364,80 @@ let test_profiler_keeps_fingerprint () =
   Alcotest.(check bool) "shards and gatekeepers seen" true
     (List.exists (fun (r : Prof.row) -> r.Prof.actor = "shard") rows
     && List.exists (fun (r : Prof.row) -> r.Prof.actor = "gatekeeper") rows);
-  (* the golden run's 16 consults order pairs at the oracle *)
+  (* the golden run's 17 consults order pairs at the oracle *)
   Alcotest.(check bool) "oracle orders measured" true (oracle_calls rows "order" > 0)
+
+(* The contended-write mix: 3 gatekeepers, 4 shards and 32 clients on a
+   Zipf-skewed 300-vertex graph, each reading (a quarter of requests write
+   or delete an edge) for 60 ms, then draining. [prof], when given, is
+   attached before any message flows. *)
+let contended ?prof () =
+  let vertices = 300 in
+  let cfg = { Config.default with Config.seed = 5; n_gatekeepers = 3; n_shards = 4 } in
+  let c = Cluster.create cfg in
+  (Cluster.runtime c).Runtime.profiler <- prof;
+  Programs.Std.register_all (Cluster.registry c);
+  let vid i = Printf.sprintf "z%d" i in
+  let setup = Cluster.client c in
+  let commit tx = match Client.commit setup tx with Ok () -> () | Error e -> Alcotest.failf "setup: %s" e in
+  let tx = Client.Tx.begin_ setup in
+  for i = 0 to vertices - 1 do
+    ignore (Client.Tx.create_vertex tx ~id:(vid i) ())
+  done;
+  commit tx;
+  let tx = Client.Tx.begin_ setup in
+  for i = 0 to vertices - 1 do
+    ignore (Client.Tx.create_edge tx ~src:(vid i) ~dst:(vid ((i * 7 + 1) mod vertices)))
+  done;
+  commit tx;
+  let rng = Xrand.create ~seed:3 () in
+  let stop = ref false and outstanding = ref 0 and failed = ref 0 in
+  for _ = 1 to 32 do
+    let client = Cluster.client c in
+    let r = Xrand.split rng in
+    let mine = ref [] in
+    let rec next () =
+      if not !stop then begin
+        incr outstanding;
+        let finish ok =
+          decr outstanding;
+          if not ok then incr failed;
+          next ()
+        in
+        let v = vid (Xrand.zipf r ~n:vertices ~theta:0.9) in
+        if Xrand.int r 100 >= 25 then
+          Client.run_program_async client
+            ~prog:(match Xrand.int r 3 with 0 -> "get_edges" | 1 -> "count_edges" | _ -> "get_node")
+            ~params:Progval.Null ~starts:[ v ] ~consistency:`Strong
+            ~on_result:(fun res -> finish (Result.is_ok res))
+            ()
+        else
+          match !mine with
+          | (src, eid) :: rest when Xrand.bool r ->
+              mine := rest;
+              let tx = Client.Tx.begin_ client in
+              Client.Tx.delete_edge tx ~src ~eid;
+              Client.commit_async client tx ~on_result:(fun _ -> finish true)
+          | _ ->
+              let tx = Client.Tx.begin_ client in
+              let eid = Client.Tx.create_edge tx ~src:v ~dst:(vid (Xrand.int r vertices)) in
+              Client.commit_async client tx ~on_result:(fun res ->
+                  if res = Ok () then mine := (v, eid) :: !mine;
+                  finish true)
+      end
+    in
+    next ()
+  done;
+  Cluster.run_for c 60_000.0;
+  stop := true;
+  let budget = ref 200 in
+  while !outstanding > 0 && !budget > 0 do
+    decr budget;
+    Cluster.run_for c 1_000.0
+  done;
+  Alcotest.(check int) "every request answered" 0 !outstanding;
+  Alcotest.(check int) "every read answered" 0 !failed;
+  c
 
 (* The contended-write mix orders hundreds of pairs at the oracle; every
    call is measured, and the run is the same as an unmeasured one. *)
@@ -376,10 +449,10 @@ let test_profiler_oracle_rows () =
          (Weaver_obs.Metrics.int_values (Cluster.metrics c)))
     ^ Printf.sprintf " now=%.3f" (Cluster.now c)
   in
-  let plain = Test_gate.contended () in
+  let plain = contended () in
   let prof = Prof.create ~clock:counting_clock in
   Alcotest.(check string) "same run with the profiler attached" (fingerprint plain)
-    (fingerprint (Test_gate.contended ~prof ()));
+    (fingerprint (contended ~prof ()));
   Alcotest.(check int) "every consult an oracle order"
     (Cluster.counters plain).Runtime.oracle_consults
     (oracle_calls (Prof.rows prof) "order")

@@ -160,30 +160,35 @@ let test_consult_honours_latency_degrade () =
   Alcotest.(check bool) "resolved after the degraded round trip" true
     (has shard "a")
 
-(* The server-local decision cache answers by stamp value: a physically
-   distinct copy of a decided pair hits, and a stamp that differs only in
-   its origin is a different stamp and misses. *)
-let test_decision_cache_by_value () =
+(* No server keeps a copy of the oracle's decisions: the oracle alone
+   keeps a concurrent pair's order. Asked again, reversed, with either
+   tie preference and through physically distinct copies of the stamps,
+   it gives the first answer every time, and every ask is one consult. *)
+let test_oracle_keeps_order () =
   let rt = Runtime.create base_cfg in
   let c = rt.Runtime.counters in
-  let cache = Runtime.create_cache () in
   let a = stamp ~origin:0 [| 1; 0; 0; 0 |] and b = stamp ~origin:1 [| 0; 1; 0; 0 |] in
-  let d = Runtime.before cache rt a b ~prefer_first_on_tie:true in
-  let probe = (Runtime.ordering cache rt).Gate.probe ~skip:false in
+  let d = Runtime.before rt a b ~prefer_first_on_tie:true in
   Alcotest.(check int) "first decision consults" 1 c.Runtime.oracle_consults;
   let copy s = Vclock.make ~epoch:s.Vclock.epoch ~origin:s.Vclock.origin s.Vclock.clocks in
   let a' = copy a and b' = copy b in
   Alcotest.(check bool) "copies are distinct" true (a' != a && b' != b);
-  Alcotest.(check (option bool)) "copy hits" (Some d) (probe a' b');
-  Alcotest.(check (option bool)) "reversed copy hits" (Some (not d))
-    (probe b' a');
-  Alcotest.(check bool) "before agrees" d
-    (Runtime.before cache rt a' b' ~prefer_first_on_tie:false);
-  Alcotest.(check int) "no further consult" 1 c.Runtime.oracle_consults;
-  Alcotest.(check int) "three hits" 3 c.Runtime.oracle_cache_hits;
-  let a_other = stamp ~origin:2 [| 1; 0; 0; 0 |] in
-  Alcotest.(check (option bool)) "other origin misses" None
-    (probe a_other b)
+  List.iteri
+    (fun i (x, y, prefer, want) ->
+      Alcotest.(check bool) "the same order" want (Runtime.before rt x y ~prefer_first_on_tie:prefer);
+      Alcotest.(check int) "one consult per ask" (i + 2) c.Runtime.oracle_consults)
+    [
+      (a, b, true, d);
+      (a, b, false, d);
+      (b, a, true, not d);
+      (b, a, false, not d);
+      (a', b', false, d);
+      (b', a', true, not d);
+    ];
+  let established = (Runtime.ordering rt).Gate.established in
+  Alcotest.(check (option bool)) "established for the copies" (Some d) (established a' b');
+  Alcotest.(check (option bool)) "and reversed" (Some (not d)) (established b' a');
+  Alcotest.(check int) "each a consult" 9 c.Runtime.oracle_consults
 
 let suites =
   [
@@ -195,7 +200,7 @@ let suites =
           test_midflight_conflict_coalesces;
         Alcotest.test_case "consult honours latency degrade" `Quick
           test_consult_honours_latency_degrade;
-        Alcotest.test_case "decision cache keys by value" `Quick
-          test_decision_cache_by_value;
+        Alcotest.test_case "the oracle alone keeps a pair's order" `Quick
+          test_oracle_keeps_order;
       ] );
   ]
