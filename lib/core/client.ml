@@ -114,9 +114,11 @@ type t = {
   suspect_until : float array;
   (* pending_tx values carry the attempt number that registered them, so a
      timeout event from a superseded attempt cannot fail a newer one
-     registered under the same (reused) transaction id *)
-  pending_tx : (int, int * (((string * Progval.t) list, string) result -> unit)) Hashtbl.t;
-  pending_prog : (int, (Progval.t, string) result -> unit) Hashtbl.t;
+     registered under the same (reused) transaction id. Every entry holds
+     its attempt's timeout, which whatever resolves the entry cancels. *)
+  pending_tx :
+    (int, int * Engine.timer * (((string * Progval.t) list, string) result -> unit)) Hashtbl.t;
+  pending_prog : (int, Engine.timer * ((Progval.t, string) result -> unit)) Hashtbl.t;
   timed_out : (int, float * string) Hashtbl.t; (* id -> (issued, kind) *)
   timed_out_q : int Queue.t;
 }
@@ -151,25 +153,39 @@ let clear_suspicion t src =
   if src >= 0 && src < Array.length t.suspect_until then
     t.suspect_until.(src) <- 0.0
 
+(* Resolve a pending request: drop its entry and withdraw its timeout, so
+   an answered request leaves no event behind. *)
+let take_tx t id =
+  match Hashtbl.find_opt t.pending_tx id with
+  | Some (_, timer, cb) ->
+      Hashtbl.remove t.pending_tx id;
+      Hashtbl.remove t.timed_out id;
+      Engine.cancel t.rt.Runtime.engine timer;
+      Some cb
+  | None -> None
+
+let take_prog t id =
+  match Hashtbl.find_opt t.pending_prog id with
+  | Some (timer, cb) ->
+      Hashtbl.remove t.pending_prog id;
+      Hashtbl.remove t.timed_out id;
+      Engine.cancel t.rt.Runtime.engine timer;
+      Some cb
+  | None -> None
+
 let handle t ~src msg =
   match (msg : Msg.t) with
   | Msg.Tx_reply { tx_id; result; reads } -> (
       clear_suspicion t src;
-      match Hashtbl.find_opt t.pending_tx tx_id with
-      | Some (_, cb) ->
-          Hashtbl.remove t.pending_tx tx_id;
-          Hashtbl.remove t.timed_out tx_id;
-          cb (Result.map (fun () -> reads) result)
+      match take_tx t tx_id with
+      | Some cb -> cb (Result.map (fun () -> reads) result)
       | None ->
           note_late t ~id:tx_id
             ~result:(match result with Ok () -> "ok" | Error e -> e))
   | Msg.Prog_reply { prog_id; result } -> (
       clear_suspicion t src;
-      match Hashtbl.find_opt t.pending_prog prog_id with
-      | Some cb ->
-          Hashtbl.remove t.pending_prog prog_id;
-          Hashtbl.remove t.timed_out prog_id;
-          cb result
+      match take_prog t prog_id with
+      | Some cb -> cb result
       | None ->
           note_late t ~id:prog_id
             ~result:(match result with Ok _ -> "ok" | Error e -> e))
@@ -179,17 +195,11 @@ let handle t ~src msg =
          Overloaded reply proves the gatekeeper is alive but says nothing
          good about sending it more traffic right now. *)
       let err = "shed:" ^ reason in
-      match Hashtbl.find_opt t.pending_tx req_id with
-      | Some (_, cb) ->
-          Hashtbl.remove t.pending_tx req_id;
-          Hashtbl.remove t.timed_out req_id;
-          cb (Error err)
+      match take_tx t req_id with
+      | Some cb -> cb (Error err)
       | None -> (
-          match Hashtbl.find_opt t.pending_prog req_id with
-          | Some cb ->
-              Hashtbl.remove t.pending_prog req_id;
-              Hashtbl.remove t.timed_out req_id;
-              cb (Error err)
+          match take_prog t req_id with
+          | Some cb -> cb (Error err)
           | None -> note_late t ~id:req_id ~result:err))
   | _ -> ()
 
@@ -217,7 +227,6 @@ let create rt =
 let addr t = t.addr
 let set_timeout t d = t.timeout <- d
 let set_retry_policy t p = t.policy <- p
-let retry_policy t = t.policy
 let set_gatekeeper t g = t.pinned <- g
 
 (* Failure-aware gatekeeper selection: round-robin, but skip gatekeepers
@@ -321,16 +330,19 @@ let submit_tx t ~kind ~policy ~mk_msg ~on_result =
             (fun () -> attempt (n + 1))
       | r -> on_result r
     in
-    Hashtbl.replace t.pending_tx tx_id (n, finish);
     Runtime.send t.rt ~src:t.addr ~dst:(Runtime.gk_addr t.rt gk) (mk_msg tx_id);
-    Engine.schedule engine ~delay:t.timeout (fun () ->
-        match Hashtbl.find_opt t.pending_tx tx_id with
-        | Some (n', cb) when n' = n ->
-            Hashtbl.remove t.pending_tx tx_id;
-            suspect t gk;
-            note_timed_out t ~id:tx_id ~issued ~kind;
-            cb (Error "timeout")
-        | _ -> () (* resolved, or superseded by a newer attempt *))
+    let timer =
+      Engine.timeout engine ~delay:t.timeout (fun () ->
+          match Hashtbl.find_opt t.pending_tx tx_id with
+          | Some (n', _, cb) when n' = n ->
+              (* this timer has fired: there is nothing left to cancel *)
+              Hashtbl.remove t.pending_tx tx_id;
+              suspect t gk;
+              note_timed_out t ~id:tx_id ~issued ~kind;
+              cb (Error "timeout")
+          | _ -> () (* resolved, or superseded by a newer attempt *))
+    in
+    Hashtbl.replace t.pending_tx tx_id (n, timer, finish)
   in
   attempt 1
 
@@ -373,18 +385,20 @@ let run_program_async t ~prog ~params ~starts ?at ?(consistency = `Strong) ~on_r
             (fun () -> attempt (n + 1))
       | r -> on_result r
     in
-    Hashtbl.replace t.pending_prog prog_id finish;
     Runtime.send t.rt ~src:t.addr ~dst:(Runtime.gk_addr t.rt gk)
       (Msg.Prog_req
          { client = t.addr; prog_id; prog; params; starts; at; weak = consistency = `Weak });
-    Engine.schedule engine ~delay:t.timeout (fun () ->
-        match Hashtbl.find_opt t.pending_prog prog_id with
-        | Some cb ->
-            Hashtbl.remove t.pending_prog prog_id;
-            suspect t gk;
-            note_timed_out t ~id:prog_id ~issued ~kind:"prog";
-            cb (Error "timeout")
-        | None -> ())
+    let timer =
+      Engine.timeout engine ~delay:t.timeout (fun () ->
+          match Hashtbl.find_opt t.pending_prog prog_id with
+          | Some (_, cb) ->
+              Hashtbl.remove t.pending_prog prog_id;
+              suspect t gk;
+              note_timed_out t ~id:prog_id ~issued ~kind:"prog";
+              cb (Error "timeout")
+          | None -> ())
+    in
+    Hashtbl.replace t.pending_prog prog_id (timer, finish)
   in
   attempt 1
 

@@ -64,7 +64,6 @@ val create : Runtime.t -> t
     round-robin under {!default_policy}. *)
 
 val set_retry_policy : t -> retry_policy -> unit
-val retry_policy : t -> retry_policy
 
 val set_gatekeeper : t -> int option -> unit
 (** Pin every subsequent request to one gatekeeper (bypassing round-robin

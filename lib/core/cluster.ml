@@ -296,11 +296,11 @@ let report t =
   line "  oracle: consults %d, events %d, edges %d" c.Runtime.oracle_consults
     (Oracle.event_count t.rt.Runtime.oracle)
     (Oracle.edge_count t.rt.Runtime.oracle);
-  line "  store: keys %d, commits %d, aborts %d, journal %d"
-    (Store.length t.rt.Runtime.store)
-    (Store.commits t.rt.Runtime.store)
-    (Store.aborts t.rt.Runtime.store)
-    (Store.journal_length t.rt.Runtime.store);
+  let store = t.rt.Runtime.store in
+  line "  store: keys %d, commits %d, aborts %d, journal tail %d (folded %d)"
+    (Store.length store) (Store.commits store) (Store.aborts store)
+    (Store.journal_length store - Store.journal_folded store)
+    (Store.journal_folded store);
   line "  memory: page-ins %d, evictions %d | memo hits %d, invalidations %d (+%d remote)"
     c.Runtime.page_ins c.Runtime.evictions c.Runtime.memo_hits
     c.Runtime.memo_invalidations c.Runtime.memo_remote_invalidations;

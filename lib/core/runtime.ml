@@ -357,6 +357,9 @@ let create cfg =
   Metrics.gauge metrics "store.keys" (fun () -> Store.length t.store);
   Metrics.gauge metrics "store.commits" (fun () -> Store.commits t.store);
   Metrics.gauge metrics "store.aborts" (fun () -> Store.aborts t.store);
+  Metrics.gauge metrics "store.journal_tail" (fun () ->
+      Store.journal_length t.store - Store.journal_folded t.store);
+  Metrics.gauge metrics "store.journal_folded" (fun () -> Store.journal_folded t.store);
   Metrics.gauge metrics "net.in_flight" (fun () -> Net.in_flight t.net);
   Metrics.gauge metrics "net.in_flight_hwm" (fun () -> Net.in_flight_high_water t.net);
   Metrics.gauge metrics "net.channel_hwm" (fun () -> Net.channel_high_water t.net);

@@ -1,4 +1,4 @@
-(* The event queue is two inline binary min-heaps, each over three parallel
+(* The event queue is one inline binary min-heap over three parallel
    arrays rather than a heap of {time; seq; action} records: [times] is a
    flat float array (unboxed), [seqs] and [slots] are int arrays. An
    action is written once, into a slot of the heap's [actions] array
@@ -10,16 +10,18 @@
    through a closure. Events at equal time fire in scheduling order via
    the sequence number.
 
-   The two tiers: an event due more than [horizon] after the current time
-   goes to the far heap, every other event to the near heap. Long timers
-   (client request timeouts, mostly cancelled in effect by the reply that
-   beats them) pile up by the tens of thousands, and in one heap every pop
-   of a near event would sift through all of their levels. [step] pops
-   whichever root is smaller by (time, seq). Both roots are the minima of
-   their tiers and (time, seq) is a strict total order (seqs are unique),
-   so the smaller root is the global minimum: the firing order is exactly
-   the one-heap order, whatever the split. Events never move between
-   tiers. *)
+   Cancellation is lazy. [ids] holds, by slot, the sequence number of
+   the live event in that slot, or 0 once it is cancelled (or the slot is
+   free). A cancelled event stays in the heap where it is, with its
+   closure dropped, until it reaches the root, where it is discarded
+   without firing and without moving the clock. A timer handle names the
+   slot and the sequence number, so a handle whose event has fired or
+   been cancelled, or whose slot now holds another event, matches nothing.
+   The sifts never touch [ids]: cancelling costs ordinary events nothing
+   but a check of the dead count at each step. Once dead entries
+   outnumber live ones the heap is rebuilt without them, so the heap
+   never holds more than twice the live events. (time, seq) is a strict
+   total order, so the rebuild cannot change the firing order. *)
 
 module Heap = struct
   type t = {
@@ -27,15 +29,27 @@ module Heap = struct
     mutable seqs : int array;
     mutable slots : int array;  (** heap position -> slot in [actions] *)
     mutable actions : (unit -> unit) array;  (** by slot *)
+    mutable ids : int array;  (** by slot: the live event's seq, or 0 *)
     mutable free : int array;  (** a stack of the unused slots *)
     mutable n_free : int;
-    mutable size : int;
+    mutable size : int;  (** entries in the heap, cancelled ones included *)
+    mutable dead : int;  (** cancelled entries still in the heap *)
   }
 
   let noop () = ()
 
   let create () =
-    { times = [||]; seqs = [||]; slots = [||]; actions = [||]; free = [||]; n_free = 0; size = 0 }
+    {
+      times = [||];
+      seqs = [||];
+      slots = [||];
+      actions = [||];
+      ids = [||];
+      free = [||];
+      n_free = 0;
+      size = 0;
+      dead = 0;
+    }
 
   (* every slot is in use when the heap is full, so the free list is empty
      and the new slots [cap .. ncap - 1] all go onto it *)
@@ -46,15 +60,18 @@ module Heap = struct
       let nt = Array.make ncap 0.0
       and ns = Array.make ncap 0
       and nsl = Array.make ncap 0
-      and na = Array.make ncap noop in
+      and na = Array.make ncap noop
+      and ni = Array.make ncap 0 in
       Array.blit h.times 0 nt 0 h.size;
       Array.blit h.seqs 0 ns 0 h.size;
       Array.blit h.slots 0 nsl 0 h.size;
       Array.blit h.actions 0 na 0 cap;
+      Array.blit h.ids 0 ni 0 cap;
       h.times <- nt;
       h.seqs <- ns;
       h.slots <- nsl;
       h.actions <- na;
+      h.ids <- ni;
       h.free <- Array.init ncap (fun i -> ncap - 1 - i);
       h.n_free <- ncap - cap
     end
@@ -66,6 +83,7 @@ module Heap = struct
     h.n_free <- h.n_free - 1;
     let slot = h.free.(h.n_free) in
     h.actions.(slot) <- action;
+    h.ids.(slot) <- seq;
     let times = h.times and seqs = h.seqs and slots = h.slots in
     let i = ref h.size in
     h.size <- h.size + 1;
@@ -83,65 +101,108 @@ module Heap = struct
     done;
     times.(!i) <- time;
     seqs.(!i) <- seq;
+    slots.(!i) <- slot;
+    slot
+
+  (* Move the entry at position [src] into the hole at [i] of a heap of
+     [n] entries whose subtrees below [i] are heaps. The entry is named by
+     its position, not passed by value, so its time is never boxed. *)
+  let sift_down h i ~src n =
+    let times = h.times and seqs = h.seqs and slots = h.slots in
+    let time = times.(src) and seq = seqs.(src) and slot = slots.(src) in
+    let i = ref i in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n
+             && (times.(r) < times.(l)
+                || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        let ct = times.(c) in
+        if ct < time || (ct = time && seqs.(c) < seq) then begin
+          times.(!i) <- ct;
+          seqs.(!i) <- seqs.(c);
+          slots.(!i) <- slots.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
     slots.(!i) <- slot
+
+  let release h slot =
+    (* a fired or cancelled closure must not stay reachable *)
+    h.actions.(slot) <- noop;
+    h.ids.(slot) <- 0;
+    h.free.(h.n_free) <- slot;
+    h.n_free <- h.n_free + 1
 
   (* Remove the root and return its action; the root's time is read by the
      caller beforehand. *)
   let pop h =
-    let times = h.times and seqs = h.seqs and slots = h.slots in
-    let root = slots.(0) in
+    let root = h.slots.(0) in
     let action = h.actions.(root) in
-    (* a fired closure must not stay reachable *)
-    h.actions.(root) <- noop;
-    h.free.(h.n_free) <- root;
-    h.n_free <- h.n_free + 1;
+    release h root;
     let n = h.size - 1 in
     h.size <- n;
-    if n > 0 then begin
-      let time = times.(n) and seq = seqs.(n) and last = slots.(n) in
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 in
-        if l >= n then continue := false
-        else begin
-          let r = l + 1 in
-          let c =
-            if r < n
-               && (times.(r) < times.(l)
-                  || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
-            then r
-            else l
-          in
-          let ct = times.(c) in
-          if ct < time || (ct = time && seqs.(c) < seq) then begin
-            times.(!i) <- ct;
-            seqs.(!i) <- seqs.(c);
-            slots.(!i) <- slots.(c);
-            i := c
-          end
-          else continue := false
-        end
-      done;
-      times.(!i) <- time;
-      seqs.(!i) <- seq;
-      slots.(!i) <- last
-    end;
+    if n > 0 then sift_down h 0 ~src:n n;
     action
-end
 
-(* Events due further ahead than this (virtual µs) go to the far tier. *)
-let horizon = 100_000.0
+  (* Discard cancelled entries from the root down to the first live one. *)
+  let drop_dead h =
+    while h.size > 0 && h.ids.(h.slots.(0)) = 0 do
+      let (_ : unit -> unit) = pop h in
+      h.dead <- h.dead - 1
+    done
+
+  (* Keep the live entries, in place, and re-heapify them bottom-up. *)
+  let rebuild h =
+    let times = h.times and seqs = h.seqs and slots = h.slots in
+    let n = ref 0 in
+    for i = 0 to h.size - 1 do
+      let slot = slots.(i) in
+      if h.ids.(slot) = 0 then release h slot
+      else begin
+        times.(!n) <- times.(i);
+        seqs.(!n) <- seqs.(i);
+        slots.(!n) <- slot;
+        incr n
+      end
+    done;
+    let n = !n in
+    h.size <- n;
+    h.dead <- 0;
+    for i = (n / 2) - 1 downto 0 do
+      sift_down h i ~src:i n
+    done
+
+  let cancel h ~slot ~seq =
+    if h.ids.(slot) = seq then begin
+      h.ids.(slot) <- 0;
+      h.actions.(slot) <- noop;
+      h.dead <- h.dead + 1;
+      if 2 * h.dead > h.size then rebuild h
+    end
+end
 
 type t = {
   mutable clock : float;
   mutable seq : int;
   mutable processed : int;
   mutable max_pending : int;
-  near : Heap.t;
-  far : Heap.t;
+  heap : Heap.t;
   rng : Weaver_util.Xrand.t;
 }
+
+type timer = { slot : int; seq : int }
 
 let create ?(seed = 1) () =
   {
@@ -149,25 +210,34 @@ let create ?(seed = 1) () =
     seq = 0;
     processed = 0;
     max_pending = 0;
-    near = Heap.create ();
-    far = Heap.create ();
+    heap = Heap.create ();
     rng = Weaver_util.Xrand.create ~seed ();
   }
 
 let now t = t.clock
 let rng t = t.rng
-let pending t = t.near.Heap.size + t.far.Heap.size
+let pending t = t.heap.Heap.size - t.heap.Heap.dead
 
-let schedule_at t ~time action =
+(* Queue [action] at [time] (clamped to now); returns its slot. *)
+let push t ~time action =
   let time = Float.max time t.clock in
   t.seq <- t.seq + 1;
-  Heap.push (if time -. t.clock > horizon then t.far else t.near) time t.seq action;
+  let slot = Heap.push t.heap time t.seq action in
   let n = pending t in
-  if n > t.max_pending then t.max_pending <- n
+  if n > t.max_pending then t.max_pending <- n;
+  slot
+
+let schedule_at t ~time action = ignore (push t ~time action)
 
 let schedule t ~delay action =
   let delay = Float.max 0.0 delay in
   schedule_at t ~time:(t.clock +. delay) action
+
+let timeout t ~delay action =
+  let slot = push t ~time:(t.clock +. Float.max 0.0 delay) action in
+  { slot; seq = t.seq }
+
+let cancel t { slot; seq } = Heap.cancel t.heap ~slot ~seq
 
 let every t ~period f =
   (* an [assert] here would vanish under -noassert and a non-positive
@@ -176,20 +246,11 @@ let every t ~period f =
   let rec tick () = if f () then schedule t ~delay:period tick in
   schedule t ~delay:period tick
 
-(* The tier holding the earliest pending event; requires [pending t > 0]. *)
-let[@inline] first t =
-  let near = t.near and far = t.far in
-  if far.Heap.size = 0 then near
-  else if near.Heap.size = 0 then far
-  else
-    let nt = near.Heap.times.(0) and ft = far.Heap.times.(0) in
-    if ft < nt || (ft = nt && far.Heap.seqs.(0) < near.Heap.seqs.(0)) then far
-    else near
-
 let step t =
-  if pending t = 0 then false
+  let h = t.heap in
+  if h.Heap.dead > 0 then Heap.drop_dead h;
+  if h.Heap.size = 0 then false
   else begin
-    let h = first t in
     t.clock <- h.Heap.times.(0);
     let action = Heap.pop h in
     t.processed <- t.processed + 1;
@@ -201,9 +262,11 @@ let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
+      let h = t.heap in
       let continue = ref true in
       while !continue do
-        if pending t > 0 && (first t).Heap.times.(0) <= limit then ignore (step t)
+        if h.Heap.dead > 0 then Heap.drop_dead h;
+        if h.Heap.size > 0 && h.Heap.times.(0) <= limit then ignore (step t)
         else begin
           t.clock <- Float.max t.clock limit;
           continue := false

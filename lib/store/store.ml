@@ -2,13 +2,22 @@ module Tbl = Weaver_util.Tbl
 
 type 'v cell = { mutable value : 'v option; mutable ver : int }
 
+(* The journal is a checkpoint plus a tail. [image] holds the latest
+   (value, version) of every key as of the last fold, and is written only
+   from journal entries, never from [cells]; [tail] holds the write sets
+   journaled since. Once the tail reaches [tail_cap] entries it is folded
+   into the image, at a cost proportional to the entries folded. *)
+let tail_cap = 64
+
 type 'v t = {
   cells : 'v cell Tbl.Str.t;
   mutable live : int;
   mutable commits : int;
   mutable aborts : int;
-  mutable journal : (string * 'v option) list list; (* newest first *)
-  mutable journal_len : int;
+  image : 'v cell Tbl.Str.t;
+  mutable tail : (string * 'v option) list list; (* newest first *)
+  mutable tail_len : int;
+  mutable folded : int; (* entries folded into [image] *)
   mutable on_apply : string -> 'v option -> unit;
 }
 
@@ -18,8 +27,10 @@ let create () =
     live = 0;
     commits = 0;
     aborts = 0;
-    journal = [];
-    journal_len = 0;
+    image = Tbl.Str.create 1024;
+    tail = [];
+    tail_len = 0;
+    folded = 0;
     on_apply = (fun _ _ -> ());
   }
 
@@ -45,15 +56,16 @@ let on_apply t f = t.on_apply <- f
 let commits t = t.commits
 let aborts t = t.aborts
 
+let cell tbl k =
+  match Tbl.Str.find_opt tbl k with
+  | Some c -> c
+  | None ->
+      let c = { value = None; ver = 0 } in
+      Tbl.Str.replace tbl k c;
+      c
+
 let apply t k value =
-  let cell =
-    match Tbl.Str.find_opt t.cells k with
-    | Some c -> c
-    | None ->
-        let c = { value = None; ver = 0 } in
-        Tbl.Str.replace t.cells k c;
-        c
-  in
+  let cell = cell t.cells k in
   let was_live = cell.value <> None and is_live = value <> None in
   cell.value <- value;
   if was_live && not is_live then t.live <- t.live - 1;
@@ -61,11 +73,23 @@ let apply t k value =
   cell.ver <- cell.ver + 1;
   t.on_apply k value
 
+let fold t =
+  List.iter
+    (List.iter (fun (k, v) ->
+         let c = cell t.image k in
+         c.value <- v;
+         c.ver <- c.ver + 1))
+    (List.rev t.tail);
+  t.folded <- t.folded + t.tail_len;
+  t.tail <- [];
+  t.tail_len <- 0
+
 (* one committed write set: journal first (the write set is durable
    before cells mutate), then every key in order *)
 let write t entry =
-  t.journal <- entry :: t.journal;
-  t.journal_len <- t.journal_len + 1;
+  t.tail <- entry :: t.tail;
+  t.tail_len <- t.tail_len + 1;
+  if t.tail_len >= tail_cap then fold t;
   List.iter (fun (k, v) -> apply t k v) entry;
   t.commits <- t.commits + 1
 
@@ -145,13 +169,23 @@ module Tx = struct
   let write_set tx = List.rev tx.order
 end
 
-let journal_length t = t.journal_len
+let journal_length t = t.folded + t.tail_len
+let journal_folded t = t.folded
 
 let journal_entry t i =
-  if i < 0 || i >= t.journal_len then invalid_arg "Store.journal_entry: out of range";
-  List.nth t.journal (t.journal_len - 1 - i)
+  if i < t.folded || i >= journal_length t then
+    invalid_arg "Store.journal_entry: out of range";
+  List.nth t.tail (journal_length t - 1 - i)
 
 let replay t =
   let fresh = create () in
-  List.iter (write fresh) (List.rev t.journal);
+  Tbl.Str.iter
+    (fun k c ->
+      Tbl.Str.replace fresh.image k { value = c.value; ver = c.ver };
+      Tbl.Str.replace fresh.cells k { value = c.value; ver = c.ver };
+      if c.value <> None then fresh.live <- fresh.live + 1)
+    t.image;
+  fresh.folded <- t.folded;
+  fresh.commits <- t.folded;
+  List.iter (write fresh) (List.rev t.tail);
   fresh

@@ -64,20 +64,35 @@ val aborts : 'v t -> int
 
     Every committed transaction (and every {!load}) appends its write set
     to an in-order journal before the cells mutate — the durability
-    boundary a disk-backed deployment would fsync. {!replay} rebuilds an equivalent store from the
-    journal alone, which the tests use to validate crash-consistency. *)
+    boundary a disk-backed deployment would fsync. The journal is a
+    checkpoint plus a tail: the checkpoint is an image of the latest value
+    and version of every key, built only from journal entries, and the
+    tail holds the write sets since it. Once the tail reaches a fixed
+    number of entries (64) it is folded into the image, at a cost
+    proportional to the entries folded, so the journal holds the store's
+    live state plus a bounded tail, whatever the run length.
+    {!replay} rebuilds an equivalent store from the journal alone, which
+    the tests use to validate crash-consistency. *)
 
 val journal_length : 'v t -> int
-(** Committed transactions and loads recorded. *)
+(** Committed transactions and loads journaled since creation, folded or
+    not: entry indices run from 0 to [journal_length - 1]. *)
+
+val journal_folded : 'v t -> int
+(** Entries folded into the checkpoint image so far. Entries
+    [journal_folded .. journal_length - 1] form the tail; the tail length
+    is [journal_length - journal_folded], always below 64. *)
 
 val journal_entry : 'v t -> int -> (string * 'v option) list
 (** Write set of the [i]-th committed transaction or load ([None] =
-    deletion), in application order.
-    @raise Invalid_argument when out of range. *)
+    deletion), in application order, while it is in the tail.
+    @raise Invalid_argument when [i] is folded ([i < journal_folded]) or
+    out of range. *)
 
 val replay : 'v t -> 'v t
-(** A fresh store holding the journal's effects replayed in order; its own
-    journal is the same sequence. *)
+(** A fresh store holding the checkpoint image with the tail replayed over
+    it in order: every key's value and version equal the original's. Its
+    own journal has the same image, tail and indices. *)
 
 (** Transactions. A ['v tx] buffers writes and records read versions; no
     global state changes until {!commit}. *)

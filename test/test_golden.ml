@@ -18,13 +18,16 @@ let window_us = 40_000.0
 
 (* recorded on the tree before the two-tier engine queue; re-recorded when
    the per-server decision caches went: the one pair a cache answered
-   became a consult (16 -> 17) and the cache-hit count left the string *)
+   became a consult (16 -> 17) and the cache-hit count left the string;
+   re-recorded when answered requests began cancelling their client
+   timeouts: the engine counts live events only, so engine.pending fell
+   267 -> 17 and engine.pending_hwm 277 -> 31, every event unchanged *)
 let expected =
   "tx.committed=104 tx.aborted=1 prog.completed=145 prog.vertices_read=258 \
    msg.nop=1800 msg.announce=90 msg.shard_tx=106 msg.prog_batch=176 \
    oracle.consults=17 net.sent=3250 net.delivered=3244 \
-   store.commits=104 store.aborts=1 engine.events=4880 engine.pending=267 \
-   engine.pending_hwm=277 gk.admission_wait=20.000/55.014 \
+   store.commits=104 store.aborts=1 engine.events=4880 engine.pending=17 \
+   engine.pending_hwm=31 gk.admission_wait=20.000/55.014 \
    shard.queue_wait=31.006/269.974 shard.prog_gate_wait=700.272/971.153 \
    now=45000.000 replies=01540119dbd650e199b766368a0f25f3"
 
@@ -141,10 +144,13 @@ let run ?prof () =
    mid-run. Program hops cross shards, page vertices in and evict them,
    and follow a directory entry that changes under them. [watch], when
    given, sees the cluster before any message flows. *)
+(* engine.pending_hwm re-recorded 122 -> 38 when answered requests began
+   cancelling their client timeouts (live events only, every event
+   unchanged) *)
 let paged_expected =
   "tx.committed=12 tx.aborted=0 prog.completed=78 prog.vertices_read=882 \
    msg.prog_batch=403 paging.page_ins=471 paging.evictions=496 net.sent=4495 \
-   net.delivered=4487 engine.events=6164 engine.pending_hwm=122 \
+   net.delivered=4487 engine.events=6164 engine.pending_hwm=38 \
    shard.queue_wait=65.294/235.189 shard.prog_gate_wait=0.000/1045.321 \
    now=52000.000 replies=9530f78a57e0499b78c5e87a3d7b4ffd"
 

@@ -157,6 +157,34 @@ let test_timed_out_commit_not_double_applied () =
   Alcotest.(check bool) "late reply in slowlog" true late_logged
 
 (* ------------------------------------------------------------------ *)
+(* An answered request leaves nothing in the engine: the reply cancels the
+   request's client timeout. The periodic server timers keep a quiet
+   cluster's queue in a narrow band, whose top is the idle baseline; a
+   queued timeout per answered request would sit 3 s above it. *)
+
+let test_answered_requests_leave_no_timeout () =
+  let c = mk_cluster () in
+  let engine = (Cluster.runtime c).Runtime.engine in
+  let band () =
+    List.fold_left max 0
+      (List.init 10 (fun _ ->
+           Cluster.run_for c 10_000.0;
+           Engine.pending engine))
+  in
+  let idle = band () in
+  let client = Cluster.client c in
+  let n = 20 in
+  for i = 0 to n - 1 do
+    let vid = Printf.sprintf "quiet%d" i in
+    let tx = Client.Tx.begin_ client in
+    ignore (Client.Tx.create_vertex tx ~id:vid ());
+    ok (Client.commit client tx);
+    ignore (ok (Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ vid ] ()))
+  done;
+  Alcotest.(check int) "every request answered" n (Cluster.counters c).Runtime.tx_committed;
+  Alcotest.(check int) "back to the idle baseline" idle (band ())
+
+(* ------------------------------------------------------------------ *)
 (* Failure-aware routing: with one of two gatekeepers crash-stopped (and
    the failure detector disabled), the default policy routes around the
    dead one after the first timeout; a single-attempt client dies on it. *)
@@ -346,6 +374,8 @@ let suites =
           test_memo_staleness_across_gatekeepers;
         Alcotest.test_case "timed-out commit not double-applied" `Quick
           test_timed_out_commit_not_double_applied;
+        Alcotest.test_case "answered requests leave no timeout" `Quick
+          test_answered_requests_leave_no_timeout;
         Alcotest.test_case "routes around dead gatekeeper" `Quick
           test_routes_around_dead_gatekeeper;
         Alcotest.test_case "recovery bit-identical" `Quick

@@ -248,23 +248,29 @@ let prop_engine_executes_in_time_order =
       in
       nondecreasing ts && List.length ts = List.length delays)
 
-(* An event program for the two-tier queue: each event is scheduled by
-   delay or at an absolute offset from the current time (negative offsets
-   are in the past), and schedules its children when it fires. *)
+(* An event program for the queue: each event is scheduled by delay or at
+   an absolute offset from the current time (negative offsets are in the
+   past), as a plain event or as a cancellable timer, and when it fires it
+   cancels the timers its [cancels] name and schedules its children. A
+   cancel names the [k]-th timer created so far (mod their number), so it
+   may hit a timer that is queued, fired or already cancelled. *)
 type when_ = Delay of float | At of float
-type ev = { at : when_; children : ev list }
+type ev = { at : when_; timer : bool; cancels : int list; children : ev list }
 
 let gen_when =
   QCheck.Gen.(
     frequency
       [
         (4, map (fun d -> Delay d) (float_bound_inclusive 2_000.0)) (* near *);
-        (2, map (fun d -> Delay (100_000.0 +. d)) (float_bound_inclusive 1_000_000.0)) (* far *);
+        (2, map (fun d -> Delay (100_000.0 +. d)) (float_bound_inclusive 3_000_000.0))
+        (* far, like client timeouts *);
         (2, map (fun d -> Delay d) (oneofl [ 0.0; 5.0; 99_999.0; 100_000.0; 100_001.0 ]))
-        (* equal times, both sides of the tier boundary *);
+        (* equal times *);
         (1, map (fun d -> At (-.d)) (float_bound_inclusive 500.0)) (* past *);
         (1, map (fun d -> At d) (float_bound_inclusive 300_000.0));
       ])
+
+let gen_cancels = QCheck.Gen.(list_size (frequency [ (2, return 0); (1, 1 -- 3) ]) (0 -- 50))
 
 let gen_events =
   QCheck.Gen.(
@@ -272,10 +278,13 @@ let gen_events =
       (fix (fun self depth ->
            list_size (0 -- 6)
              (let* at = gen_when in
+              let* timer = frequency [ (2, return true); (1, return false) ] in
+              let* cancels = gen_cancels in
               let* children = if depth = 0 then return [] else self (depth - 1) in
-              return { at; children }))))
+              return { at; timer; cancels; children }))))
 
-(* The reference queue: a list searched for its (time, seq) minimum. *)
+(* The reference queue: a list searched for its (time, seq) minimum, from
+   which a cancel removes its event. *)
 type ref_engine = {
   mutable clock : float;
   mutable seq : int;
@@ -283,15 +292,17 @@ type ref_engine = {
   mutable hwm : int;
 }
 
+let ref_time r = function
+  | Delay d -> Float.max (r.clock +. Float.max 0.0 d) r.clock
+  | At o -> Float.max (r.clock +. o) r.clock
+
 let ref_schedule r when_ action =
-  let time =
-    match when_ with
-    | Delay d -> Float.max (r.clock +. Float.max 0.0 d) r.clock
-    | At o -> Float.max (r.clock +. o) r.clock
-  in
   r.seq <- r.seq + 1;
-  r.queue <- (time, r.seq, action) :: r.queue;
-  r.hwm <- max r.hwm (List.length r.queue)
+  r.queue <- (ref_time r when_, r.seq, action) :: r.queue;
+  r.hwm <- max r.hwm (List.length r.queue);
+  r.seq
+
+let ref_cancel r seq = r.queue <- List.filter (fun (_, s, _) -> s <> seq) r.queue
 
 let ref_min r =
   List.fold_left
@@ -305,7 +316,7 @@ let ref_run ?until r =
   let rec go () =
     match ref_min r with
     | Some ((t, s, action)) when (match until with None -> true | Some l -> t <= l) ->
-        r.queue <- List.filter (fun (_, s', _) -> s' <> s) r.queue;
+        ref_cancel r s;
         r.clock <- t;
         action ();
         go ()
@@ -314,30 +325,44 @@ let ref_run ?until r =
   go ()
 
 let prop_engine_matches_reference_sort =
-  QCheck.Test.make ~name:"two-tier queue fires in reference (time, seq) order" ~count:300
+  QCheck.Test.make ~name:"queue matches reference under cancels" ~count:300
     QCheck.(
       pair (make gen_events)
-        (make Gen.(list_size (0 -- 4) (float_bound_inclusive 400_000.0))))
-    (fun (events, limits) ->
+        (make Gen.(list_size (0 -- 4) (pair (float_bound_inclusive 400_000.0) gen_cancels))))
+    (fun (events, pauses) ->
       (* run one event program on a scheduler; log (id, time) per firing and
-         (pending, high-water) after every [run ~until] *)
-      let drive ~schedule ~now ~run ~pending ~hwm =
+         (pending, high-water, now) around the cancels made at every pause
+         and after the final drain, which must leave [now] at the last live
+         event's time *)
+      let drive ~schedule ~timeout ~cancel ~now ~run ~pending ~hwm =
         let log = ref [] and next_id = ref 0 in
+        let timers = ref [||] in
+        let cancel_all ks =
+          let n = Array.length !timers in
+          if n > 0 then List.iter (fun k -> cancel !timers.(k mod n)) ks
+        in
+        let paused () = log := `Paused (pending (), hwm (), now ()) :: !log in
         let rec add ev =
           let id = !next_id in
           incr next_id;
-          schedule ev.at (fun () ->
-              log := `Fired (id, now ()) :: !log;
-              List.iter add ev.children)
+          let action () =
+            log := `Fired (id, now ()) :: !log;
+            cancel_all ev.cancels;
+            List.iter add ev.children
+          in
+          if ev.timer then timers := Array.append !timers [| timeout ev.at action |]
+          else schedule ev.at action
         in
         List.iter add events;
         List.iter
-          (fun l ->
+          (fun (l, ks) ->
             run (Some l);
-            log := `Paused (pending (), hwm (), now ()) :: !log)
-          (List.sort Float.compare limits);
+            paused ();
+            cancel_all ks;
+            paused ())
+          (List.sort (fun (a, _) (b, _) -> Float.compare a b) pauses);
         run None;
-        log := `Paused (pending (), hwm (), now ()) :: !log;
+        paused ();
         List.rev !log
       in
       let e = Engine.create () in
@@ -347,6 +372,10 @@ let prop_engine_matches_reference_sort =
             match w with
             | Delay d -> Engine.schedule e ~delay:d action
             | At o -> Engine.schedule_at e ~time:(Engine.now e +. o) action)
+          ~timeout:(fun w action ->
+            let delay = match w with Delay d -> d | At o -> o in
+            Engine.timeout e ~delay action)
+          ~cancel:(Engine.cancel e)
           ~now:(fun () -> Engine.now e)
           ~run:(fun until -> Engine.run ?until e)
           ~pending:(fun () -> Engine.pending e)
@@ -354,7 +383,9 @@ let prop_engine_matches_reference_sort =
       in
       let r = { clock = 0.0; seq = 0; queue = []; hwm = 0 } in
       let want =
-        drive ~schedule:(ref_schedule r)
+        drive
+          ~schedule:(fun w action -> ignore (ref_schedule r w action))
+          ~timeout:(ref_schedule r) ~cancel:(ref_cancel r)
           ~now:(fun () -> r.clock)
           ~run:(fun until -> ref_run ?until r)
           ~pending:(fun () -> List.length r.queue)
@@ -362,17 +393,59 @@ let prop_engine_matches_reference_sort =
       in
       got = want)
 
-let test_engine_pending_counts_both_tiers () =
+(* [pending] and [max_pending] count live events: a cancelled one leaves
+   both counts at once, though it stays in the heap until dropped. *)
+let test_engine_pending_counts_live () =
   let e = Engine.create () in
   Engine.schedule e ~delay:10.0 (fun () -> ());
-  Engine.schedule e ~delay:3_000_000.0 (fun () -> ());
-  Engine.schedule e ~delay:5_000_000.0 (fun () -> ());
+  let t1 = Engine.timeout e ~delay:3_000_000.0 (fun () -> Alcotest.fail "cancelled t1 fired") in
+  let _t2 = Engine.timeout e ~delay:5_000_000.0 (fun () -> ()) in
   Alcotest.(check int) "pending" 3 (Engine.pending e);
   Alcotest.(check int) "high-water" 3 (Engine.max_pending e);
+  Engine.cancel e t1;
+  Alcotest.(check int) "cancelled leaves pending" 2 (Engine.pending e);
+  Engine.cancel e t1;
+  Alcotest.(check int) "second cancel is a no-op" 2 (Engine.pending e);
+  Engine.schedule e ~delay:20.0 (fun () -> ());
+  Alcotest.(check int) "high-water counts live events" 3 (Engine.max_pending e);
   Engine.run ~until:4_000_000.0 e;
   Alcotest.(check int) "far event left" 1 (Engine.pending e);
   Alcotest.(check int) "processed" 2 (Engine.events_processed e);
   Alcotest.(check int) "high-water kept" 3 (Engine.max_pending e)
+
+(* A drain stops at the last live event: the clock never moves to a
+   cancelled event's time, and a cancelled event is not counted. *)
+let test_engine_drain_stops_at_last_live () =
+  let e = Engine.create () in
+  let late = Engine.timeout e ~delay:3_000_000.0 (fun () -> Alcotest.fail "cancelled fired") in
+  Engine.schedule e ~delay:10.0 (fun () -> Engine.cancel e late);
+  Engine.schedule e ~delay:25.0 (fun () -> ());
+  Engine.run e;
+  Alcotest.(check (float 1e-9)) "now at the last live event" 25.0 (Engine.now e);
+  Alcotest.(check int) "processed" 2 (Engine.events_processed e);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  Alcotest.(check bool) "queue empty" false (Engine.step e)
+
+(* A handle whose event fired or was cancelled must not touch the event
+   that later takes its slot in the heap. *)
+let test_engine_stale_handle_harmless () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let note s () = fired := s :: !fired in
+  let a = Engine.timeout e ~delay:1.0 (note "a") in
+  Engine.run e;
+  (* [a]'s slot is free again, and the next event takes it *)
+  let _b = Engine.timeout e ~delay:1.0 (note "b") in
+  Engine.cancel e a;
+  let c = Engine.timeout e ~delay:5.0 (note "c") in
+  Engine.cancel e c;
+  let _d = Engine.timeout e ~delay:5.0 (note "d") in
+  Engine.cancel e c;
+  Engine.cancel e a;
+  Alcotest.(check int) "b and d pending" 2 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list string)) "stale cancels touched nothing" [ "a"; "b"; "d" ]
+    (List.rev !fired)
 
 (* A fired event's closure, and whatever it captured, is garbage once it
    has run, while the events still queued keep theirs: the heaps' action
@@ -455,8 +528,12 @@ let suites =
         QCheck_alcotest.to_alcotest prop_engine_executes_in_time_order;
         Alcotest.test_case "fired closures released" `Quick
           test_engine_releases_fired_closures;
-        Alcotest.test_case "pending counts both tiers" `Quick
-          test_engine_pending_counts_both_tiers;
+        Alcotest.test_case "pending counts live events only" `Quick
+          test_engine_pending_counts_live;
+        Alcotest.test_case "drain stops at the last live event" `Quick
+          test_engine_drain_stops_at_last_live;
+        Alcotest.test_case "stale handle harmless after slot reuse" `Quick
+          test_engine_stale_handle_harmless;
         QCheck_alcotest.to_alcotest prop_engine_matches_reference_sort;
       ] );
     ( "sim.net",

@@ -154,6 +154,40 @@ let test_load () =
     [ 2; 1; 3; 1 ]
     (List.map (Store.version r) [ "a"; "b"; "c"; "d" ])
 
+(* The journal is a checkpoint image plus a bounded tail: after many
+   commits the tail stays below its 64-entry bound, folded entries are no
+   longer addressable one by one, the tail's entries still are, and
+   [replay] (image plus tail) gives every key the store's value and
+   version. *)
+let test_journal_tail_bounded () =
+  let s = Store.create () in
+  let n = 1_000 in
+  for i = 0 to n - 1 do
+    let tx = Store.Tx.begin_ s in
+    let k = "k" ^ string_of_int (i mod 37) in
+    if i mod 5 = 4 then Store.Tx.delete tx k else Store.Tx.put tx k i;
+    ignore (Store.Tx.commit tx);
+    let tail = Store.journal_length s - Store.journal_folded s in
+    if tail < 0 || tail >= 64 then Alcotest.failf "tail of %d entries after commit %d" tail i
+  done;
+  Store.load s [ ("loaded", -1) ];
+  Alcotest.(check int) "every entry journaled" (n + 1) (Store.journal_length s);
+  Alcotest.(check bool) "most entries folded" true (Store.journal_folded s > n - 64);
+  Alcotest.check_raises "a folded entry is gone"
+    (Invalid_argument "Store.journal_entry: out of range") (fun () ->
+      ignore (Store.journal_entry s 0));
+  Alcotest.(check (list (pair string (option int))))
+    "the newest entry is in the tail" [ ("loaded", Some (-1)) ]
+    (Store.journal_entry s n);
+  let r = Store.replay s in
+  Alcotest.(check (list (pair string int)))
+    "replay equals the store" (Store.scan_prefix s ~prefix:"") (Store.scan_prefix r ~prefix:"");
+  Alcotest.(check int) "live counts equal" (Store.length s) (Store.length r);
+  let keys = "loaded" :: List.init 37 (fun i -> "k" ^ string_of_int i) in
+  Alcotest.(check (list int)) "replayed versions"
+    (List.map (Store.version s) keys) (List.map (Store.version r) keys);
+  Alcotest.(check int) "replay keeps the indices" (Store.journal_length s) (Store.journal_length r)
+
 let test_finished_handle_rejected () =
   let s = Store.create () in
   let tx = Store.Tx.begin_ s in
@@ -263,6 +297,7 @@ let suites =
         Alcotest.test_case "version bumps" `Quick test_version_bumps;
         Alcotest.test_case "scan prefix" `Quick test_scan_prefix;
         Alcotest.test_case "bulk load" `Quick test_load;
+        Alcotest.test_case "journal tail bounded" `Quick test_journal_tail_bounded;
         Alcotest.test_case "finished handle" `Quick test_finished_handle_rejected;
         Alcotest.test_case "multi-key atomicity" `Quick test_atomicity_multi_key;
         QCheck_alcotest.to_alcotest prop_occ_serializable;
