@@ -2,6 +2,7 @@ module Engine = Weaver_sim.Engine
 module Net = Weaver_sim.Net
 module Vclock = Weaver_vclock.Vclock
 module Idgen = Weaver_util.Idgen
+module Tbl = Weaver_util.Tbl
 
 (* One retry policy governs all three request paths (transactions, node
    programs, migrations): attempts, exponential backoff with deterministic
@@ -115,21 +116,23 @@ type t = {
   (* pending_tx values carry the attempt number that registered them, so a
      timeout event from a superseded attempt cannot fail a newer one
      registered under the same (reused) transaction id. Every entry holds
-     its attempt's timeout, which whatever resolves the entry cancels. *)
+     its attempt's timeout, which whatever resolves the entry cancels.
+     The three tables are keyed by request id and only ever probed, so
+     they hash the id as itself. *)
   pending_tx :
-    (int, int * Engine.timer * (((string * Progval.t) list, string) result -> unit)) Hashtbl.t;
-  pending_prog : (int, Engine.timer * ((Progval.t, string) result -> unit)) Hashtbl.t;
-  timed_out : (int, float * string) Hashtbl.t; (* id -> (issued, kind) *)
+    (int * Engine.timer * (((string * Progval.t) list, string) result -> unit)) Tbl.Probe.t;
+  pending_prog : (Engine.timer * ((Progval.t, string) result -> unit)) Tbl.Probe.t;
+  timed_out : (float * string) Tbl.Probe.t; (* id -> (issued, kind) *)
   timed_out_q : int Queue.t;
 }
 
 let counters t = t.rt.Runtime.counters
 
 let note_timed_out t ~id ~issued ~kind =
-  Hashtbl.replace t.timed_out id (issued, kind);
+  Tbl.Probe.replace t.timed_out id (issued, kind);
   Queue.push id t.timed_out_q;
   while Queue.length t.timed_out_q > timed_out_capacity do
-    Hashtbl.remove t.timed_out (Queue.pop t.timed_out_q)
+    Tbl.Probe.remove t.timed_out (Queue.pop t.timed_out_q)
   done
 
 (* A reply with no pending entry raced the timeout and lost: the server
@@ -138,9 +141,9 @@ let note_timed_out t ~id ~issued ~kind =
    tx_committed and client-visible success quietly drift apart. *)
 let note_late t ~id ~result =
   (counters t).Runtime.late_replies <- (counters t).Runtime.late_replies + 1;
-  match Hashtbl.find_opt t.timed_out id with
+  match Tbl.Probe.find_opt t.timed_out id with
   | Some (issued, kind) ->
-      Hashtbl.remove t.timed_out id;
+      Tbl.Probe.remove t.timed_out id;
       Runtime.slow_record t.rt ~trace:id ~kind ~start:issued
         ~stop:(Engine.now t.rt.Runtime.engine)
         ~result:("late:" ^ result)
@@ -156,19 +159,19 @@ let clear_suspicion t src =
 (* Resolve a pending request: drop its entry and withdraw its timeout, so
    an answered request leaves no event behind. *)
 let take_tx t id =
-  match Hashtbl.find_opt t.pending_tx id with
+  match Tbl.Probe.find_opt t.pending_tx id with
   | Some (_, timer, cb) ->
-      Hashtbl.remove t.pending_tx id;
-      Hashtbl.remove t.timed_out id;
+      Tbl.Probe.remove t.pending_tx id;
+      Tbl.Probe.remove t.timed_out id;
       Engine.cancel t.rt.Runtime.engine timer;
       Some cb
   | None -> None
 
 let take_prog t id =
-  match Hashtbl.find_opt t.pending_prog id with
+  match Tbl.Probe.find_opt t.pending_prog id with
   | Some (timer, cb) ->
-      Hashtbl.remove t.pending_prog id;
-      Hashtbl.remove t.timed_out id;
+      Tbl.Probe.remove t.pending_prog id;
+      Tbl.Probe.remove t.timed_out id;
       Engine.cancel t.rt.Runtime.engine timer;
       Some cb
   | None -> None
@@ -215,9 +218,9 @@ let create rt =
       policy = default_policy;
       pinned = None;
       suspect_until = Array.make (Runtime.manager_addr rt + 1) 0.0;
-      pending_tx = Hashtbl.create 16;
-      pending_prog = Hashtbl.create 16;
-      timed_out = Hashtbl.create 16;
+      pending_tx = Tbl.Probe.create 16;
+      pending_prog = Tbl.Probe.create 16;
+      timed_out = Tbl.Probe.create 16;
       timed_out_q = Queue.create ();
     }
   in
@@ -333,16 +336,16 @@ let submit_tx t ~kind ~policy ~mk_msg ~on_result =
     Runtime.send t.rt ~src:t.addr ~dst:(Runtime.gk_addr t.rt gk) (mk_msg tx_id);
     let timer =
       Engine.timeout engine ~delay:t.timeout (fun () ->
-          match Hashtbl.find_opt t.pending_tx tx_id with
+          match Tbl.Probe.find_opt t.pending_tx tx_id with
           | Some (n', _, cb) when n' = n ->
               (* this timer has fired: there is nothing left to cancel *)
-              Hashtbl.remove t.pending_tx tx_id;
+              Tbl.Probe.remove t.pending_tx tx_id;
               suspect t gk;
               note_timed_out t ~id:tx_id ~issued ~kind;
               cb (Error "timeout")
           | _ -> () (* resolved, or superseded by a newer attempt *))
     in
-    Hashtbl.replace t.pending_tx tx_id (n, timer, finish)
+    Tbl.Probe.replace t.pending_tx tx_id (n, timer, finish)
   in
   attempt 1
 
@@ -390,15 +393,15 @@ let run_program_async t ~prog ~params ~starts ?at ?(consistency = `Strong) ~on_r
          { client = t.addr; prog_id; prog; params; starts; at; weak = consistency = `Weak });
     let timer =
       Engine.timeout engine ~delay:t.timeout (fun () ->
-          match Hashtbl.find_opt t.pending_prog prog_id with
+          match Tbl.Probe.find_opt t.pending_prog prog_id with
           | Some (_, cb) ->
-              Hashtbl.remove t.pending_prog prog_id;
+              Tbl.Probe.remove t.pending_prog prog_id;
               suspect t gk;
               note_timed_out t ~id:prog_id ~issued ~kind:"prog";
               cb (Error "timeout")
           | None -> ())
     in
-    Hashtbl.replace t.pending_prog prog_id (timer, finish)
+    Tbl.Probe.replace t.pending_prog prog_id (timer, finish)
   in
   attempt 1
 

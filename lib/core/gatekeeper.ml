@@ -584,37 +584,52 @@ let route t ~replicated ~at vid =
     in
     (vid, h, server, server <> owner, wm)
 
+let send_batch t ~key run server items ~routed =
+  run.pr_outstanding <- run.pr_outstanding + 1;
+  (counters t).Runtime.prog_batch_msgs <- (counters t).Runtime.prog_batch_msgs + 1;
+  if routed then (counters t).Runtime.repl_routed <- (counters t).Runtime.repl_routed + 1;
+  send t ~dst:(Runtime.shard_addr t.rt server)
+    (Msg.Prog_batch
+       {
+         coord = t.addr;
+         prog_id = key;
+         ts = run.pr_ts;
+         prog = run.pr_prog;
+         historical = run.pr_historical;
+         items;
+         sent_at = now t;
+       })
+
 (* Send one batch per server to the routed starts of the run registered
-   under [key]; a run with no live start vertex is answered at once. *)
+   under [key]; a run with no live start vertex is answered at once. A
+   batch lists its starts in reverse route order. Starts on several
+   servers are grouped in a [Tbl.Int] and the batches leave in its
+   iteration order; the common run, whose starts all sit on one server,
+   needs no table. *)
 let dispatch t ~key run routes =
-  let by_dst = Tbl.Int.create 4 in
-  (* servers some start was routed to as a follower: none, unless a weak
+  let item (vid, h, _, _, _) = (vid, h, run.pr_params) in
+  (* a server some start was routed to as a follower: none, unless a weak
      or historical run met a covering follower *)
-  let routed = ref [] in
-  List.iter
-    (fun (vid, h, server, to_follower, _) ->
-      let l = try Tbl.Int.find by_dst server with Not_found -> [] in
-      Tbl.Int.replace by_dst server ((vid, h, run.pr_params) :: l);
-      if to_follower && not (List.mem server !routed) then routed := server :: !routed)
-    routes;
-  Tbl.Int.iter
-    (fun server items ->
-      run.pr_outstanding <- run.pr_outstanding + 1;
-      (counters t).Runtime.prog_batch_msgs <- (counters t).Runtime.prog_batch_msgs + 1;
-      if List.mem server !routed then
-        (counters t).Runtime.repl_routed <- (counters t).Runtime.repl_routed + 1;
-      send t ~dst:(Runtime.shard_addr t.rt server)
-        (Msg.Prog_batch
-           {
-             coord = t.addr;
-             prog_id = key;
-             ts = run.pr_ts;
-             prog = run.pr_prog;
-             historical = run.pr_historical;
-             items;
-             sent_at = now t;
-           }))
-    by_dst;
+  let to_follower (_, _, _, f, _) = f in
+  (match routes with
+  | [] -> ()
+  | (_, _, server, _, _) :: rest when List.for_all (fun (_, _, s, _, _) -> s = server) rest ->
+      send_batch t ~key run server (List.rev_map item routes)
+        ~routed:(List.exists to_follower routes)
+  | _ ->
+      let by_dst = Tbl.Int.create 4 in
+      let routed = ref [] in
+      List.iter
+        (fun ((_, _, server, _, _) as route) ->
+          let l = try Tbl.Int.find by_dst server with Not_found -> [] in
+          Tbl.Int.replace by_dst server (item route :: l);
+          if to_follower route && not (List.mem server !routed) then
+            routed := server :: !routed)
+        routes;
+      Tbl.Int.iter
+        (fun server items ->
+          send_batch t ~key run server items ~routed:(List.mem server !routed))
+        by_dst);
   if run.pr_outstanding = 0 then begin
     Tbl.Int.remove t.active key;
     (counters t).Runtime.progs_completed <- (counters t).Runtime.progs_completed + 1;

@@ -669,20 +669,23 @@ let execute_prog_batch t (b : parked_prog Gate.parked) =
             end
         end
       done;
-      (* The batches leave in the iteration order of a [Tbl.Int] keyed by
-         server, filled in first-hop order, as most batches forward
-         nothing. The table is filled once per server, not per hop. *)
+      (* (server, hops) per server forwarded to. Hops to several servers
+         leave in the iteration order of a [Tbl.Int] keyed by server,
+         filled once per server in first-hop order; most batches forward
+         nothing or to one server, which needs no table. *)
+      let take server =
+        let items = fwd.(server) in
+        fwd.(server) <- [];
+        items
+      in
       let remote =
         match !fwd_order with
-        | [] -> None
+        | [] -> []
+        | [ server ] -> [ (server, take server) ]
         | order ->
             let tbl = Tbl.Int.create 4 in
-            List.iter
-              (fun server ->
-                Tbl.Int.replace tbl server fwd.(server);
-                fwd.(server) <- [])
-              (List.rev order);
-            Some tbl
+            List.iter (fun server -> Tbl.Int.replace tbl server (take server)) (List.rev order);
+            List.rev (Tbl.Int.fold (fun server items acc -> (server, items) :: acc) tbl [])
       in
       if !aborted then
         send t ~dst:p.p_coord
@@ -707,23 +710,23 @@ let execute_prog_batch t (b : parked_prog Gate.parked) =
                 ~actor:(actor t) ~start:exec_start ~stop:(now t)
                 ~meta:[ ("visited", string_of_int n_visited) ]
                 ();
-            let sent = match remote with Some tbl -> Tbl.Int.length tbl | None -> 0 in
-            Option.iter
-              (Tbl.Int.iter (fun hshard items ->
-                   (counters t).Runtime.prog_batch_msgs <-
-                     (counters t).Runtime.prog_batch_msgs + 1;
-                   send t
-                     ~dst:(Runtime.shard_addr t.rt hshard)
-                     (Msg.Prog_batch
-                        {
-                          coord = p.p_coord;
-                          prog_id = p.p_id;
-                          ts = p_ts;
-                          prog = p.p_prog;
-                          historical = p.p_historical;
-                          items;
-                          sent_at = now t;
-                        })))
+            let sent = List.length remote in
+            List.iter
+              (fun (hshard, items) ->
+                (counters t).Runtime.prog_batch_msgs <-
+                  (counters t).Runtime.prog_batch_msgs + 1;
+                send t
+                  ~dst:(Runtime.shard_addr t.rt hshard)
+                  (Msg.Prog_batch
+                     {
+                       coord = p.p_coord;
+                       prog_id = p.p_id;
+                       ts = p_ts;
+                       prog = p.p_prog;
+                       historical = p.p_historical;
+                       items;
+                       sent_at = now t;
+                     }))
               remote;
             send t ~dst:p.p_coord
               (Msg.Prog_partial

@@ -1,4 +1,4 @@
-(* The event queue is one inline binary min-heap over three parallel
+(* The event queue is one inline 4-ary min-heap over three parallel
    arrays rather than a heap of {time; seq; action} records: [times] is a
    flat float array (unboxed), [seqs] and [slots] are int arrays. An
    action is written once, into a slot of the heap's [actions] array
@@ -21,7 +21,8 @@
    but a check of the dead count at each step. Once dead entries
    outnumber live ones the heap is rebuilt without them, so the heap
    never holds more than twice the live events. (time, seq) is a strict
-   total order, so the rebuild cannot change the firing order. *)
+   total order, so neither the rebuild nor the heap's arity can change the
+   firing order: any heap pops the same least entry. *)
 
 module Heap = struct
   type t = {
@@ -77,8 +78,15 @@ module Heap = struct
     end
 
   (* Hole-based sifts: the moving element is held aside while parents (or
-     children) shift into the hole, and written once at its final slot. *)
-  let push h time seq action =
+     children) shift into the hole, and written once at its final slot.
+     The heap is 4-ary: the children of position [i] are [4i + 1 .. 4i + 4]
+     and its parent is [(i - 1) / 4], so a heap of a few hundred events is
+     four or five levels deep instead of eight or nine, and a node's
+     children are adjacent in each array. The sifts read and write only
+     positions below [size] (or [n]), which never exceeds the arrays'
+     length, so they skip the bounds checks. [push] is inlined into the
+     engine's scheduling functions, so a time reaches the heap unboxed. *)
+  let[@inline] push h time seq action =
     grow h;
     h.n_free <- h.n_free - 1;
     let slot = h.free.(h.n_free) in
@@ -89,19 +97,19 @@ module Heap = struct
     h.size <- h.size + 1;
     let continue = ref true in
     while !continue && !i > 0 do
-      let p = (!i - 1) / 2 in
-      let pt = times.(p) in
-      if time < pt || (time = pt && seq < seqs.(p)) then begin
-        times.(!i) <- pt;
-        seqs.(!i) <- seqs.(p);
-        slots.(!i) <- slots.(p);
+      let p = (!i - 1) lsr 2 in
+      let pt = Array.unsafe_get times p in
+      if time < pt || (time = pt && seq < Array.unsafe_get seqs p) then begin
+        Array.unsafe_set times !i pt;
+        Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+        Array.unsafe_set slots !i (Array.unsafe_get slots p);
         i := p
       end
       else continue := false
     done;
-    times.(!i) <- time;
-    seqs.(!i) <- seq;
-    slots.(!i) <- slot;
+    Array.unsafe_set times !i time;
+    Array.unsafe_set seqs !i seq;
+    Array.unsafe_set slots !i slot;
     slot
 
   (* Move the entry at position [src] into the hole at [i] of a heap of
@@ -109,34 +117,39 @@ module Heap = struct
      its position, not passed by value, so its time is never boxed. *)
   let sift_down h i ~src n =
     let times = h.times and seqs = h.seqs and slots = h.slots in
-    let time = times.(src) and seq = seqs.(src) and slot = slots.(src) in
+    let time = Array.unsafe_get times src
+    and seq = Array.unsafe_get seqs src
+    and slot = Array.unsafe_get slots src in
     let i = ref i in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= n then continue := false
+      let first = (4 * !i) + 1 in
+      if first >= n then continue := false
       else begin
-        let r = l + 1 in
-        let c =
-          if r < n
-             && (times.(r) < times.(l)
-                || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
-          then r
-          else l
-        in
-        let ct = times.(c) in
-        if ct < time || (ct = time && seqs.(c) < seq) then begin
-          times.(!i) <- ct;
-          seqs.(!i) <- seqs.(c);
-          slots.(!i) <- slots.(c);
+        (* the least of the (up to four) children *)
+        let c = ref first and ct = ref (Array.unsafe_get times first) in
+        let last = if first + 3 < n then first + 3 else n - 1 in
+        for k = first + 1 to last do
+          let kt = Array.unsafe_get times k in
+          if kt < !ct || (kt = !ct && Array.unsafe_get seqs k < Array.unsafe_get seqs !c)
+          then begin
+            c := k;
+            ct := kt
+          end
+        done;
+        let c = !c and ct = !ct in
+        if ct < time || (ct = time && Array.unsafe_get seqs c < seq) then begin
+          Array.unsafe_set times !i ct;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set slots !i (Array.unsafe_get slots c);
           i := c
         end
         else continue := false
       end
     done;
-    times.(!i) <- time;
-    seqs.(!i) <- seq;
-    slots.(!i) <- slot
+    Array.unsafe_set times !i time;
+    Array.unsafe_set seqs !i seq;
+    Array.unsafe_set slots !i slot
 
   let release h slot =
     (* a fired or cancelled closure must not stay reachable *)
@@ -180,7 +193,7 @@ module Heap = struct
     let n = !n in
     h.size <- n;
     h.dead <- 0;
-    for i = (n / 2) - 1 downto 0 do
+    for i = ((n + 2) / 4) - 1 downto 0 do
       sift_down h i ~src:i n
     done
 
@@ -218,9 +231,10 @@ let now t = t.clock
 let rng t = t.rng
 let pending t = t.heap.Heap.size - t.heap.Heap.dead
 
-(* Queue [action] at [time] (clamped to now); returns its slot. *)
-let push t ~time action =
-  let time = Float.max time t.clock in
+(* Queue [action] at [time] (clamped to now); returns its slot. A time
+   past the clock is [Float.max]'s answer without its sign-bit calls. *)
+let[@inline] push t ~time action =
+  let time = if time > t.clock then time else Float.max time t.clock in
   t.seq <- t.seq + 1;
   let slot = Heap.push t.heap time t.seq action in
   let n = pending t in

@@ -7,11 +7,12 @@
     order (a global sequence number breaks ties), which together with the
     seeded RNG makes every run reproducible.
 
-    All events wait in one binary heap. An event scheduled with {!timeout}
-    can be withdrawn with {!cancel}; withdrawing it changes no other
-    event's time or order, the clock never advances to its time, and
-    {!pending} stops counting it at once. Cancelled entries are dropped
-    lazily, so the heap holds at most twice the live events. *)
+    All events wait in one 4-ary heap, ordered strictly by (time,
+    scheduling order). An event scheduled with {!timeout} can be withdrawn
+    with {!cancel}; withdrawing it changes no other event's time or order,
+    the clock never advances to its time, and {!pending} stops counting it
+    at once. Cancelled entries are dropped lazily, so the heap holds at
+    most twice the live events. *)
 
 type t
 

@@ -13,31 +13,30 @@ type 'm endpoint = {
    the FIFO floor and their engine sequence numbers increase), so popping
    the queue head at each firing delivers exactly the right message.
 
-   The channel record is removed when its in-flight count drains to 0 —
-   this is also what bounds the FIFO-floor state: the old implementation
-   kept a [last_delivery] entry per (src,dst) pair forever. Dropping the
-   floor at drain time is safe because the clock has then reached the
-   floor, so any later send's arrival time already respects it. *)
+   A channel holds a record only while messages are in flight on it. When
+   its count drains to 0 the record goes back to a pool of spare records,
+   and the next channel to need one takes it from there, closure and
+   mailbox included, so a send allocates no record. This is also what
+   bounds the FIFO-floor state: the old implementation kept a
+   [last_delivery] entry per (src,dst) pair forever. Dropping the floor at
+   drain time is safe because the clock has then reached the floor, so any
+   later send's arrival time already respects it. *)
 type 'm channel = {
-  c_src : addr;
-  c_dst : addr;
+  c_index : int; (* in the network's [records] *)
+  mutable c_src : addr;
+  mutable c_dst : addr;
   c_msgs : 'm Queue.t;
-  mutable c_floor : float; (* last scheduled delivery time *)
+  c_floor : floor; (* last scheduled delivery time *)
   mutable c_load : int; (* in flight on this channel *)
   mutable c_deliver : unit -> unit;
 }
 
-(* Tables keyed by addresses and directed links hash the ints directly
-   instead of walking the key through the runtime's generic hash; none of
-   them is ever iterated, so the hash function decides nothing but
-   speed. *)
-module Addr_tbl = Hashtbl.Make (struct
-  type t = addr
+(* a record of floats alone is stored flat, so moving the floor boxes
+   nothing and needs no write barrier *)
+and floor = { mutable at : float }
 
-  let equal = Int.equal
-  let hash a = a land max_int
-end)
-
+(* Link factors are set only by fault injection and looked up only while
+   one is set, so they stay in a hash table keyed by the directed link. *)
 module Link_tbl = Hashtbl.Make (struct
   type t = addr * addr
 
@@ -45,12 +44,26 @@ module Link_tbl = Hashtbl.Make (struct
   let hash (s, d) = ((s * 65599) + d) land max_int
 end)
 
+(* Addresses are small dense ints (gatekeepers, servers, the manager, then
+   clients in creation order), so endpoints and channels live in arrays
+   indexed by address: [endpoints.(a)] is [nobody] until [a] registers,
+   and [links.(src).(dst)] is the index in [records] of the channel's
+   record, or -1 while nothing is in flight from [src] to [dst]. Both
+   grow on demand; an address beyond them is unregistered and has no
+   channel. The channel tables hold indices rather than records, so
+   opening and draining a channel writes no pointer. *)
 type 'm t = {
   engine : Engine.t;
   latency : latency;
   rng : Weaver_util.Xrand.t;
-  endpoints : 'm endpoint Addr_tbl.t;
-  channels : 'm channel Link_tbl.t;
+  mutable endpoints : 'm endpoint array;
+  nobody : 'm endpoint;
+  mutable links : int array array;
+  mutable records : 'm channel array; (* every record made, by [c_index] *)
+  mutable n_records : int;
+  mutable spare : int array; (* a stack of the drained records' indices *)
+  mutable n_spare : int;
+  mutable tracked : int; (* channels with messages in flight *)
   mutable sent : int;
   mutable delivered : int;
   mutable suppressed : int; (* sends attempted by dead endpoints *)
@@ -78,15 +91,23 @@ type 'm t = {
 let uniform_latency ~base ~jitter rng ~src:_ ~dst:_ =
   base +. if jitter > 0.0 then Weaver_util.Xrand.float rng jitter else 0.0
 
-let local_latency : latency = fun rng -> uniform_latency ~base:50.0 ~jitter:20.0 rng
+(* a full application, so the model takes its three arguments at once:
+   [fun rng -> uniform_latency ... rng] would build a closure per send *)
+let local_latency : latency = uniform_latency ~base:50.0 ~jitter:20.0
 
 let create engine ~latency =
   {
     engine;
     latency;
     rng = Weaver_util.Xrand.split (Engine.rng engine);
-    endpoints = Addr_tbl.create 64;
-    channels = Link_tbl.create 256;
+    endpoints = [||];
+    nobody = { handler = (fun ~src:_ _ -> ()); alive = false };
+    links = [||];
+    records = [||];
+    n_records = 0;
+    spare = [||];
+    n_spare = 0;
+    tracked = 0;
     sent = 0;
     delivered = 0;
     suppressed = 0;
@@ -100,22 +121,37 @@ let create engine ~latency =
     link_factors = Link_tbl.create 16;
   }
 
+(* [a], or a copy long enough to hold position [i] with room to grow, so
+   a run of fresh addresses (one per new client) copies the array only a
+   logarithmic number of times *)
+let room a i ~fill =
+  let len = Array.length a in
+  if i < len then a
+  else begin
+    let a' = Array.make (max (2 * len) (max 16 (i + 1))) fill in
+    Array.blit a 0 a' 0 len;
+    a'
+  end
+
+let[@inline] endpoint t a =
+  if a >= 0 && a < Array.length t.endpoints then t.endpoints.(a) else t.nobody
+
 let register t addr handler =
-  match Addr_tbl.find_opt t.endpoints addr with
-  | Some ep ->
-      ep.handler <- handler;
-      ep.alive <- true
-  | None -> Addr_tbl.replace t.endpoints addr { handler; alive = true }
+  if addr < 0 then invalid_arg "Net.register: negative address";
+  if addr >= Array.length t.endpoints then
+    t.endpoints <- room t.endpoints addr ~fill:t.nobody;
+  let ep = t.endpoints.(addr) in
+  if ep == t.nobody then t.endpoints.(addr) <- { handler; alive = true }
+  else begin
+    ep.handler <- handler;
+    ep.alive <- true
+  end
 
 let set_alive t addr alive =
-  match Addr_tbl.find_opt t.endpoints addr with
-  | Some ep -> ep.alive <- alive
-  | None -> ()
+  let ep = endpoint t addr in
+  if ep != t.nobody then ep.alive <- alive
 
-let is_alive t addr =
-  match Addr_tbl.find_opt t.endpoints addr with
-  | Some ep -> ep.alive
-  | None -> false
+let is_alive t addr = (endpoint t addr).alive
 
 let set_tracer t tracer = t.tracer <- tracer
 
@@ -126,56 +162,87 @@ let set_link_factor t ~src ~dst f =
   if f = 1.0 then Link_tbl.remove t.link_factors (src, dst)
   else Link_tbl.replace t.link_factors (src, dst) (Float.max 0.0 f)
 
-let link_factor t ~src ~dst =
+let[@inline] link_factor t ~src ~dst =
   if Link_tbl.length t.link_factors = 0 then 1.0
   else match Link_tbl.find_opt t.link_factors (src, dst) with Some f -> f | None -> 1.0
 
+(* The index of channel [src] -> [dst]'s record, or -1. *)
+let[@inline] channel t ~src ~dst =
+  let row = if src < Array.length t.links then t.links.(src) else [||] in
+  if dst < Array.length row then row.(dst) else -1
+
 (* one delivery event fired: hand the channel's head message to the
-   destination (or count the drop), retiring the channel when drained *)
+   destination (or count the drop), returning the channel's record to the
+   pool when drained *)
 let deliver_one t ch =
   let msg = Queue.pop ch.c_msgs in
+  let src = ch.c_src and dst = ch.c_dst in
   t.in_flight <- t.in_flight - 1;
   ch.c_load <- ch.c_load - 1;
-  if ch.c_load = 0 then Link_tbl.remove t.channels (ch.c_src, ch.c_dst);
-  match Addr_tbl.find_opt t.endpoints ch.c_dst with
-  | Some ep when ep.alive ->
-      t.delivered <- t.delivered + 1;
-      ep.handler ~src:ch.c_src msg
-  | _ ->
-      t.dropped <- t.dropped + 1;
-      let n =
-        match Hashtbl.find_opt t.drops_by_dst ch.c_dst with Some n -> n | None -> 0
-      in
-      Hashtbl.replace t.drops_by_dst ch.c_dst (n + 1)
+  if ch.c_load = 0 then begin
+    t.links.(src).(dst) <- -1;
+    t.tracked <- t.tracked - 1;
+    ch.c_floor.at <- neg_infinity;
+    if t.n_spare = Array.length t.spare then t.spare <- room t.spare t.n_spare ~fill:0;
+    t.spare.(t.n_spare) <- ch.c_index;
+    t.n_spare <- t.n_spare + 1
+  end;
+  let ep = endpoint t dst in
+  if ep.alive then begin
+    t.delivered <- t.delivered + 1;
+    ep.handler ~src msg
+  end
+  else begin
+    t.dropped <- t.dropped + 1;
+    let n = match Hashtbl.find_opt t.drops_by_dst dst with Some n -> n | None -> 0 in
+    Hashtbl.replace t.drops_by_dst dst (n + 1)
+  end
 
-let channel t key src dst =
-  match Link_tbl.find_opt t.channels key with
-  | Some ch -> ch
-  | None ->
+(* Give the idle channel [src] -> [dst] a record, a spare one if the
+   pool has any, growing the tables to hold it. *)
+let open_channel t ~src ~dst =
+  if src >= Array.length t.links then t.links <- room t.links src ~fill:[||];
+  if dst >= Array.length t.links.(src) then
+    t.links.(src) <- room t.links.(src) dst ~fill:(-1);
+  let ch =
+    if t.n_spare > 0 then begin
+      t.n_spare <- t.n_spare - 1;
+      t.records.(t.spare.(t.n_spare))
+    end
+    else begin
+      let n = t.n_records in
       let ch =
         {
+          c_index = n;
           c_src = src;
           c_dst = dst;
           c_msgs = Queue.create ();
-          c_floor = neg_infinity;
+          c_floor = { at = neg_infinity };
           c_load = 0;
           c_deliver = ignore;
         }
       in
       ch.c_deliver <- (fun () -> deliver_one t ch);
-      Link_tbl.replace t.channels key ch;
+      t.records <- room t.records n ~fill:ch;
+      t.records.(n) <- ch;
+      t.n_records <- n + 1;
       ch
+    end
+  in
+  ch.c_src <- src;
+  ch.c_dst <- dst;
+  t.links.(src).(dst) <- ch.c_index;
+  t.tracked <- t.tracked + 1;
+  ch
 
 let send t ~src ~dst msg =
-  let src_alive =
-    match Addr_tbl.find_opt t.endpoints src with
-    | Some ep -> ep.alive
-    | None -> true (* unregistered senders (e.g. external clients) are fine *)
-  in
+  if src < 0 || dst < 0 then invalid_arg "Net.send: negative address";
+  (* unregistered senders (e.g. external clients) are fine *)
+  let sender = endpoint t src in
   (* a dead endpoint's send never reaches the wire: it must not count
      towards message overhead nor reach the tracer, or the experiments'
      messages-per-request numbers inflate under failure injection *)
-  if not src_alive then t.suppressed <- t.suppressed + 1
+  if sender != t.nobody && not sender.alive then t.suppressed <- t.suppressed + 1
   else begin
     t.sent <- t.sent + 1;
     (match t.tracer with
@@ -185,10 +252,16 @@ let send t ~src ~dst msg =
       t.latency t.rng ~src ~dst *. t.latency_factor *. link_factor t ~src ~dst
     in
     let arrival = Engine.now t.engine +. Float.max 0.0 lat in
-    let ch = channel t (src, dst) src dst in
-    (* FIFO per channel: never deliver before the previous message *)
-    let floor_time = Float.max arrival ch.c_floor in
-    ch.c_floor <- floor_time;
+    let k = channel t ~src ~dst in
+    let ch = if k >= 0 then t.records.(k) else open_channel t ~src ~dst in
+    (* FIFO per channel: never deliver before the previous message (an
+       arrival past the floor is [Float.max]'s answer without its
+       sign-bit calls) *)
+    let floor = ch.c_floor in
+    let floor_time =
+      if arrival > floor.at then arrival else Float.max arrival floor.at
+    in
+    floor.at <- floor_time;
     ch.c_load <- ch.c_load + 1;
     Queue.push msg ch.c_msgs;
     t.in_flight <- t.in_flight + 1;
@@ -207,11 +280,8 @@ let drops_by_dst t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 let in_flight t = t.in_flight
 let in_flight_high_water t = t.in_flight_hwm
-
 let channel_in_flight t ~src ~dst =
-  match Link_tbl.find_opt t.channels (src, dst) with
-  | Some ch -> ch.c_load
-  | None -> 0
-
+  let k = if src < 0 || dst < 0 then -1 else channel t ~src ~dst in
+  if k >= 0 then t.records.(k).c_load else 0
 let channel_high_water t = t.channel_hwm
-let channels_tracked t = Link_tbl.length t.channels
+let channels_tracked t = t.tracked

@@ -7,15 +7,17 @@
     same channel.
 
     A network instance carries one message type ['m]; each protocol in the
-    repository instantiates its own network. Endpoints are small integer
-    addresses registered with a handler. Endpoints can be marked dead
+    repository instantiates its own network. Endpoints are small
+    non-negative integer addresses registered with a handler; the network
+    keeps its endpoints and channels in arrays indexed by address, so the
+    addresses in use should be dense. Endpoints can be marked dead
     (crash-stop): messages to a dead endpoint are silently dropped, as are
     messages sent by it. *)
 
 type 'm t
 
 type addr = int
-(** Endpoint address. *)
+(** Endpoint address, [>= 0]. *)
 
 type latency = Weaver_util.Xrand.t -> src:addr -> dst:addr -> float
 (** Latency model: virtual µs for one message on the given channel. *)
@@ -31,12 +33,15 @@ val create : Engine.t -> latency:latency -> 'm t
 
 val register : 'm t -> addr -> (src:addr -> 'm -> unit) -> unit
 (** Install the delivery handler for [addr]; replaces any previous one and
-    (re)marks the endpoint alive. *)
+    (re)marks the endpoint alive.
+    @raise Invalid_argument if [addr < 0]. *)
 
 val send : 'm t -> src:addr -> dst:addr -> 'm -> unit
 (** Enqueue a message. Delivered via [dst]'s handler after the modelled
     latency, in FIFO order per (src, dst). Dropped if either endpoint is
-    dead, or if [dst] was never registered. *)
+    dead, or if [dst] was never registered. A [src] that was never
+    registered sends like a live endpoint.
+    @raise Invalid_argument if [src < 0] or [dst < 0]; nothing is counted. *)
 
 val set_alive : 'm t -> addr -> bool -> unit
 (** Crash or revive an endpoint. Messages already in flight towards a
@@ -89,10 +94,12 @@ val channel_high_water : 'm t -> int
 
 val channels_tracked : 'm t -> int
 (** Number of (src, dst) channels currently holding in-flight state. A
-    channel's record (FIFO mailbox + delivery floor) is dropped as soon as
-    its in-flight count drains to 0, so this must return to 0 on an idle
-    network — the regression guard against the old behaviour of keeping a
-    FIFO-floor entry per channel ever used. *)
+    channel's record (FIFO mailbox + delivery floor) is released to a pool
+    of spare records as soon as its in-flight count drains to 0, so this
+    must return to 0 on an idle network, and the records allocated never
+    outnumber the channels once in flight at the same time — the
+    regression guard against the old behaviour of keeping a FIFO-floor
+    entry per channel ever used. *)
 
 val set_tracer : 'm t -> (time:float -> src:addr -> dst:addr -> 'm -> unit) option -> unit
 (** Install (or remove) a callback invoked on every non-suppressed {!send}

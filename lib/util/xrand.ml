@@ -1,23 +1,31 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than an [int64] field, which
+   would be boxed: advancing it then allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ?(seed = 0x57eaf3f5) () = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ?(seed = 0x57eaf3f5) () = of_state (Int64.of_int seed)
 
-let mix64 z =
+let copy = Bytes.copy
+
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
 let split t =
   let s = bits64 t in
-  { state = mix64 s }
+  of_state (mix64 s)
 
 let int t n =
   assert (n > 0);

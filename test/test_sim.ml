@@ -208,28 +208,154 @@ let test_net_channels_released_after_drain () =
   Engine.run e;
   Alcotest.(check int) "drop path releases channel" 0 (Net.channels_tracked net)
 
-let test_net_send_allocation_budget () =
-  (* the mailbox rewrite removed the closure-per-message delivery schedule;
-     pin the per-send transient allocation so it cannot silently creep
-     back (the old path cost several times this budget) *)
+(* Minor words one send+deliver allocates, over [n] messages sent in
+   bursts of [burst] from 0 to 1 (each burst drained before the next), on
+   a network warmed up the same way first. *)
+let words_per_message ~burst ~n =
   let e = Engine.create ~seed:1 () in
   let net = Net.create e ~latency:Net.local_latency in
   Net.register net 1 (fun ~src:_ _ -> ());
-  let round n =
-    for i = 1 to n do
-      Net.send net ~src:0 ~dst:1 i
-    done;
-    Engine.run e
+  let rounds k =
+    for _ = 1 to k / burst do
+      for i = 1 to burst do
+        Net.send net ~src:0 ~dst:1 i
+      done;
+      Engine.run e
+    done
   in
-  round 1_000 (* warm-up: grow the engine arrays and the channel table *);
+  (* warm-up: grow the engine arrays and the channel tables *)
+  rounds (max burst 1_000);
   let before = Gc.minor_words () in
-  let n = 10_000 in
-  round n;
-  let words = (Gc.minor_words () -. before) /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per send+deliver within budget" words)
-    true
-    (words <= 64.0)
+  rounds n;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_net_send_allocation_budget () =
+  (* pin the per-send transient allocation so it cannot silently creep
+     back: a channel record, its mailbox and its delivery closure are
+     pooled, so neither a busy channel nor one that drains after every
+     message (a client's single request in flight, a gatekeeper->shard
+     channel between NOPs) allocates more than the mailbox cell, the
+     latency draw and the delivery time *)
+  List.iter
+    (fun (case, burst, budget) ->
+      let words = words_per_message ~burst ~n:10_000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per send+deliver within %.0f" case words budget)
+        true (words <= budget))
+    [ ("burst of 10000", 10_000, 14.0); ("one in flight", 1, 14.0) ]
+
+let test_net_negative_address () =
+  let e = Engine.create () in
+  let net = Net.create e ~latency:Net.local_latency in
+  let got = ref [] in
+  Net.register net 1 (fun ~src m -> got := (src, m) :: !got);
+  Alcotest.check_raises "register" (Invalid_argument "Net.register: negative address")
+    (fun () -> Net.register net (-1) (fun ~src:_ _ -> ()));
+  Alcotest.check_raises "send from" (Invalid_argument "Net.send: negative address")
+    (fun () -> Net.send net ~src:(-2) ~dst:1 "x");
+  Alcotest.check_raises "send to" (Invalid_argument "Net.send: negative address")
+    (fun () -> Net.send net ~src:0 ~dst:(-1) "x");
+  Alcotest.(check bool) "negative address is not alive" false (Net.is_alive net (-1));
+  Alcotest.(check int) "no channel" 0 (Net.channel_in_flight net ~src:(-1) ~dst:1);
+  Alcotest.(check int) "rejected sends never counted" 0 (Net.messages_sent net);
+  (* unregistered non-negative senders, however far beyond the tables,
+     still reach live endpoints *)
+  Net.send net ~src:0 ~dst:1 "near";
+  Net.send net ~src:5_000 ~dst:1 "far";
+  Engine.run e;
+  Alcotest.(check (list (pair int string))) "unregistered senders delivered"
+    [ (0, "near"); (5_000, "far") ]
+    (List.sort compare !got)
+
+(* A seeded, randomized send program over many endpoints, summarized by a
+   digest of everything it observed: each delivery's time bits, source,
+   destination and payload, in order, then the counters. Its senders
+   include unregistered addresses, its destinations ones that die and
+   revive and ones never registered, latency and link factors change as it
+   runs, handlers send from inside deliveries (back on the same channel
+   too), and addresses reach well beyond any table's starting size. The
+   expected digest was recorded on the hashtable-keyed network this one
+   replaced, so a change to the net's data structures must leave it
+   exactly as it is. *)
+let net_program_digest ~seed =
+  let e = Engine.create ~seed () in
+  let latency rng ~src ~dst =
+    (if (src + dst) mod 3 = 0 then 30.0 else 5.0)
+    +. Weaver_util.Xrand.float rng 120.0
+  in
+  let net = Net.create e ~latency in
+  let rng = Weaver_util.Xrand.create ~seed:(seed * 7919) () in
+  let pick n = Weaver_util.Xrand.int rng n in
+  let registered = [| 0; 1; 2; 3; 5; 8; 13; 40; 63; 64; 65; 200; 1_023; 1_500 |] in
+  let unregistered = [| 4; 7; 100; 2_000 |] in
+  let any () =
+    if pick 6 = 0 then Weaver_util.Xrand.pick rng unregistered
+    else Weaver_util.Xrand.pick rng registered
+  in
+  let log = Buffer.create 4096 in
+  let next_payload = ref 0 in
+  let payload () =
+    incr next_payload;
+    !next_payload
+  in
+  let handler dst ~src msg =
+    Buffer.add_string log
+      (Printf.sprintf "%Lx %d>%d:%d;" (Int64.bits_of_float (Engine.now e)) src dst msg);
+    match msg mod 5 with
+    | 0 -> Net.send net ~src:dst ~dst:src (payload ())
+    | 1 -> Net.send net ~src ~dst (payload ())
+    | 2 -> Net.send net ~src:dst ~dst:(any ()) (payload ())
+    | _ -> ()
+  in
+  Array.iter (fun a -> Net.register net a (handler a)) registered;
+  for _ = 1 to 400 do
+    let at = Weaver_util.Xrand.float rng 5_000.0 in
+    let action =
+      match pick 20 with
+      | 0 -> fun () -> Net.set_alive net (any ()) false
+      | 1 -> fun () -> Net.set_alive net (any ()) true
+      | 2 ->
+          let a = any () in
+          fun () -> Net.register net a (handler a)
+      | 3 ->
+          let f = Weaver_util.Xrand.pick rng [| 0.0; 0.25; 1.0; 3.0 |] in
+          fun () -> Net.set_latency_factor net f
+      | 4 ->
+          let src = any () in
+          let dst = any () in
+          let f = Weaver_util.Xrand.pick rng [| 0.1; 1.0; 5.0 |] in
+          fun () -> Net.set_link_factor net ~src ~dst f
+      | _ ->
+          let src = any () in
+          let dst = any () in
+          let burst = 1 + pick 4 in
+          fun () ->
+            for _ = 1 to burst do
+              Net.send net ~src ~dst (payload ())
+            done
+    in
+    Engine.schedule_at e ~time:at action
+  done;
+  Engine.run e;
+  Buffer.add_string log
+    (Printf.sprintf "sent=%d delivered=%d dropped=%d suppressed=%d hwm=%d ch_hwm=%d \
+                     in_flight=%d tracked=%d drops=%s"
+       (Net.messages_sent net) (Net.messages_delivered net) (Net.messages_dropped net)
+       (Net.messages_suppressed net) (Net.in_flight_high_water net)
+       (Net.channel_high_water net) (Net.in_flight net) (Net.channels_tracked net)
+       (String.concat ","
+          (List.map (fun (d, n) -> Printf.sprintf "%d:%d" d n) (Net.drops_by_dst net))));
+  Digest.to_hex (Digest.string (Buffer.contents log))
+
+let test_net_program_digest () =
+  List.iter
+    (fun (seed, expect) ->
+      Alcotest.(check string) (Printf.sprintf "seed %d" seed) expect (net_program_digest ~seed))
+    [
+      (1, "962ea7f2822783e448d2b45db1800259");
+      (2, "1320f126e26c1c9a496989302d63995e");
+      (3, "74822301352eb597ce7164903b158ffd");
+    ]
 
 let prop_engine_executes_in_time_order =
   QCheck.Test.make ~name:"events execute in nondecreasing time order" ~count:100
@@ -549,6 +675,9 @@ let suites =
           test_net_channels_released_after_drain;
         Alcotest.test_case "send allocation budget" `Quick
           test_net_send_allocation_budget;
+        Alcotest.test_case "negative addresses rejected" `Quick test_net_negative_address;
+        Alcotest.test_case "randomized program matches recorded digest" `Quick
+          test_net_program_digest;
         QCheck_alcotest.to_alcotest prop_net_fifo;
         QCheck_alcotest.to_alcotest prop_net_fifo_mixed_factors;
       ] );

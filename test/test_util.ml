@@ -9,6 +9,28 @@ let test_rng_determinism () =
     Alcotest.(check int64) "same stream" (Xrand.bits64 a) (Xrand.bits64 b)
   done
 
+(* Every recorded fingerprint rests on this stream: pin its first values
+   (recorded when the state was still a boxed [int64] field), and that
+   drawing from it allocates nothing now that the state is not boxed. *)
+let test_rng_stream_pinned () =
+  let r = Xrand.create ~seed:42 () in
+  List.iter
+    (fun v -> Alcotest.(check int64) "bits64" v (Xrand.bits64 r))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ];
+  let s = Xrand.split r in
+  Alcotest.(check int) "split, int" 717 (Xrand.int s 1000);
+  Alcotest.(check (float 0.0)) "split, float" 0x1.07a1eac936988p-1 (Xrand.float s 1.0);
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  let acc = ref 0 in
+  for _ = 1 to n do
+    acc := !acc + Xrand.int s 1000
+  done;
+  ignore (Sys.opaque_identity !acc);
+  let words = Gc.minor_words () -. before in
+  (* a few words of slack for boxing the counter reading itself *)
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for %d int draws" words n) true (words < 16.0)
+
 let test_rng_seed_divergence () =
   let a = Xrand.create ~seed:1 () and b = Xrand.create ~seed:2 () in
   let same = ref 0 in
@@ -420,6 +442,8 @@ let suites =
       [
         Alcotest.test_case "determinism" `Quick test_rng_determinism;
         Alcotest.test_case "seed divergence" `Quick test_rng_seed_divergence;
+        Alcotest.test_case "stream pinned, draws allocate nothing" `Quick
+          test_rng_stream_pinned;
         Alcotest.test_case "int range" `Quick test_rng_int_range;
         Alcotest.test_case "int_in range" `Quick test_rng_int_in;
         Alcotest.test_case "float range" `Quick test_rng_float_range;
